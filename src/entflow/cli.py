@@ -9,7 +9,9 @@ Commands:
 Exit codes: 0 success, 2 configuration error, 3 completed with skipped
 instances. Defaults for --seed, --grid-size, --f-lb, --purify-model and
 --workers may be overridden with ENTFLOW_SEED, ENTFLOW_GRID_SIZE,
-ENTFLOW_F_LB, ENTFLOW_PURIFY_MODEL and ENTFLOW_WORKERS.
+ENTFLOW_F_LB, ENTFLOW_PURIFY_MODEL and ENTFLOW_WORKERS. --workers is
+validated (>= 1) and recorded in reports; instances always run in order
+in one thread, whatever its value.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .orchestrator import (
 )
 from .physics import DEFAULT_NOISE, PURIFY_MODELS, NoiseParams
 from .strategies import STRATEGY_NAMES, brute_force_oracle
-from .topology import Topology, generate_gabriel, k_shortest_paths, load_gml, load_topology
+from .topology import generate_gabriel, k_shortest_paths, read_topology_file
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,14 +45,6 @@ def _env_default(name: str, fallback, cast):
     if raw is None:
         return fallback
     return cast(raw)
-
-
-def _read_topology(path: str) -> Topology:
-    with open(path) as fh:
-        text = fh.read()
-    if path.endswith(".gml"):
-        return load_gml(text)
-    return load_topology(text)
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -102,7 +96,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         default=_env_default("ENTFLOW_PURIFY_MODEL", "ideal-dejmps", str),
     )
     parser.add_argument(
-        "--workers", type=int, default=_env_default("ENTFLOW_WORKERS", 1, int)
+        "--workers", type=int, default=_env_default("ENTFLOW_WORKERS", 1, int),
+        help="recorded in reports; instances always run in order",
     )
     parser.add_argument("--out", default=None)
     _add_noise_flags(parser)
@@ -183,7 +178,7 @@ def _cmd_topo(args) -> int:
         }
         _write_out(json.dumps(doc, indent=2) + "\n", args.out)
         return EXIT_OK
-    topo = _read_topology(args.topology)
+    topo = read_topology_file(args.topology)
     print(f"ok: {len(topo.nodes)} nodes, {len(topo.edges)} edges")
     return EXIT_OK
 
@@ -218,7 +213,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_cache(args) -> int:
     if args.cache_command == "build":
-        topo = _read_topology(args.topology)
+        topo = read_topology_file(args.topology)
         demands = [_parse_demand(part) for part in args.demands.split(";") if part]
         config = PlannerConfig(
             n_candidates=args.n_candidates,
@@ -249,7 +244,7 @@ def _cmd_cache(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    topo = _read_topology(args.topology)
+    topo = read_topology_file(args.topology)
     s, d = args.demand
     paths = k_shortest_paths(topo, s, d, 1, weight="hops")
     if not paths:

@@ -24,19 +24,17 @@ import io
 import json
 import logging
 import math
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .hypergraph import FidelityGrid, build_pruned_hypergraph, build_standard_hypergraph
-from .lp import extract_scheme, formulate_lp, solve_lp
 from .orchestrator import PlannerConfig, inner_loop_request, outer_loop_update
 from .physics import DEFAULT_NOISE, NoiseParams
 from .strategies import (
     STRATEGY_NAMES,
     StrategyResult,
+    _lp_strategy,
     run_rate_dp,
     run_strategy,
 )
@@ -46,8 +44,7 @@ from .topology import (
     Topology,
     generate_gabriel,
     k_shortest_paths,
-    load_gml,
-    load_topology,
+    read_topology_file,
 )
 
 log = logging.getLogger(__name__)
@@ -108,7 +105,7 @@ class ExperimentConfig:
     noise: NoiseParams = DEFAULT_NOISE
     purify_model: str = "ideal-dejmps"
     record_timings: bool = True
-    workers: int = 1
+    workers: int = 1  # validated and recorded; instances always run in order
     chain_nodes: int = 6
     repetitions: int = 5
     network_sizes: tuple[int, ...] = (30, 60, 100)
@@ -131,35 +128,7 @@ class ExperimentConfig:
             raise ValueError("invalid f_lb sweep range")
 
     def to_json(self) -> dict:
-        doc = {
-            "kind": self.kind,
-            "seed": self.seed,
-            "topology_path": self.topology_path,
-            "topology_nodes": self.topology_nodes,
-            "pairs_per_length": self.pairs_per_length,
-            "path_lengths": list(self.path_lengths),
-            "grid_size": self.grid_size,
-            "grid_sizes": list(self.grid_sizes),
-            "f_lb": self.f_lb,
-            "f_lb_start": self.f_lb_start,
-            "f_lb_stop": self.f_lb_stop,
-            "f_lb_step": self.f_lb_step,
-            "strategies": list(self.strategies),
-            "noise": {
-                "p1": self.noise.p1, "p2": self.noise.p2,
-                "eta": self.noise.eta, "f0": self.noise.f0,
-            },
-            "purify_model": self.purify_model,
-            "record_timings": self.record_timings,
-            "workers": self.workers,
-            "chain_nodes": self.chain_nodes,
-            "repetitions": self.repetitions,
-            "network_sizes": list(self.network_sizes),
-            "scale_path_lengths": list(self.scale_path_lengths),
-            "distance_range_km": list(self.distance_range_km),
-            "bbox_km": self.bbox_km,
-        }
-        return doc
+        return asdict(self)
 
 
 @dataclass
@@ -238,11 +207,7 @@ def _strategy_row(
 
 def _load_or_generate_topology(config: ExperimentConfig, seed: int) -> Topology:
     if config.topology_path:
-        with open(config.topology_path) as fh:
-            text = fh.read()
-        if config.topology_path.endswith(".gml"):
-            return load_gml(text)
-        return load_topology(text)
+        return read_topology_file(config.topology_path)
     return generate_gabriel(
         config.topology_nodes,
         seed,
@@ -305,14 +270,6 @@ def _sample_pairs(
     return pairs
 
 
-def _run_instances(config: ExperimentConfig, jobs: list, worker) -> list:
-    """Run jobs across threads, preserving input order for determinism."""
-    if config.workers == 1 or len(jobs) <= 1:
-        return [worker(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(worker, jobs))
-
-
 def run_experiment(config: ExperimentConfig) -> Report:
     runner = {
         "benchmark": _run_benchmark,
@@ -329,36 +286,25 @@ def _run_benchmark(config: ExperimentConfig) -> Report:
     report = Report(config=config)
     topo = _load_or_generate_topology(config, config.seed)
     grid = FidelityGrid.uniform(config.grid_size)
-    jobs = []
     for length in config.path_lengths:
         rng = np.random.default_rng([config.seed, length])
-        pairs = _sample_pairs(topo, length, config.pairs_per_length, rng)
-        for s, d in pairs:
-            jobs.append((length, s, d))
-
-    def worker(job):
-        length, s, d = job
-        try:
-            path = k_shortest_paths(topo, s, d, 1, weight="hops")[0]
-            results = [
-                run_strategy(
-                    name, path, grid, config.f_lb, config.noise, config.purify_model
+        for s, d in _sample_pairs(topo, length, config.pairs_per_length, rng):
+            try:
+                path = k_shortest_paths(topo, s, d, 1, weight="hops")[0]
+                results = [
+                    run_strategy(
+                        name, path, grid, config.f_lb, config.noise, config.purify_model
+                    )
+                    for name in config.strategies
+                ]
+            except Exception as exc:  # noqa: BLE001 - skipped instances are counted
+                log.warning("benchmark instance (%s, %s) failed: %s", s, d, exc)
+                report.failures += 1
+                continue
+            for result in results:
+                report.rows.append(
+                    _strategy_row(config, result, s=s, d=d, path_length=length)
                 )
-                for name in config.strategies
-            ]
-            return (job, results, None)
-        except Exception as exc:  # noqa: BLE001 - skipped instances are counted
-            return (job, None, exc)
-
-    for (length, s, d), results, exc in _run_instances(config, jobs, worker):
-        if exc is not None:
-            log.warning("benchmark instance (%s, %s) failed: %s", s, d, exc)
-            report.failures += 1
-            continue
-        for result in results:
-            report.rows.append(
-                _strategy_row(config, result, s=s, d=d, path_length=length)
-            )
 
     # aggregate mean capacity per (path length, strategy) and improvement
     # relative to the rate-dp mean
@@ -415,38 +361,16 @@ def _run_sweep_flb(config: ExperimentConfig) -> Report:
             for name in config.strategies:
                 if name == "rate-dp":
                     result = run_rate_dp(path, grid, f_lb, config.noise, config.purify_model)
-                    scheme = result.scheme
-                    solver_time = result.solver_time_s
-                    server_time = result.server_time_s
+                elif name == "rate-lp":
+                    result = _lp_strategy(name, hgs["standard"], "end-rate", f_lb)
                 else:
                     hg = hgs["pruned" if name == "ec-dp" else "standard"]
-                    objective = "end-rate" if name == "rate-lp" else "ensemble-capacity"
-                    t0 = time.perf_counter()
-                    problem = formulate_lp(
-                        hg, objective, f_lb if objective == "end-rate" else None
-                    )
-                    solution = solve_lp(problem)
-                    solver_time = time.perf_counter() - t0
-                    scheme = extract_scheme(hg, solution)
-                    server_time = hg.build_time_s
-                report.rows.append(
-                    _row(
-                        experiment=config.kind,
-                        fixture=fixture,
-                        path_length=config.chain_nodes,
-                        strategy=name,
-                        grid_size=config.grid_size,
-                        f_lb=f_lb,
-                        egr=scheme.egr,
-                        fidelity=scheme.fidelity,
-                        capacity=scheme.capacity,
-                        swaps=scheme.swaps,
-                        purifications=scheme.purifications,
-                        pairs=scheme.pairs,
-                        server_time_s=server_time if config.record_timings else None,
-                        solver_time_s=solver_time if config.record_timings else None,
-                    )
-                )
+                    result = _lp_strategy(name, hg, "ensemble-capacity")
+                # every row carries the sweep point, ec-* rows included
+                report.rows.append(_strategy_row(
+                    config, replace(result, f_lb=f_lb),
+                    fixture=fixture, path_length=config.chain_nodes,
+                ))
     return report
 
 
@@ -500,33 +424,14 @@ def _run_scale_path(config: ExperimentConfig) -> Report:
         lengths = [float(rng.uniform(lo, hi)) for _ in range(length - 1)]
         path = _chain(lengths, config.noise.f0, name=f"p{length}_")
         hg = build_pruned_hypergraph(path, grid, config.noise, config.purify_model)
-        t0 = time.perf_counter()
-        problem = formulate_lp(hg, "ensemble-capacity")
-        solution = solve_lp(problem)
-        solver_time = time.perf_counter() - t0
-        scheme = extract_scheme(hg, solution)
+        result = _lp_strategy("ec-dp", hg, "ensemble-capacity")
         stats = hg.stats()
-        server_times.append(stats.build_time_s)
-        solver_times.append(solver_time)
-        report.rows.append(
-            _row(
-                experiment=config.kind,
-                path_length=length,
-                grid_size=config.grid_size,
-                builder="pruned",
-                strategy="ec-dp",
-                vertices=stats.num_vertices,
-                edges=stats.num_edges,
-                egr=scheme.egr,
-                fidelity=scheme.fidelity,
-                capacity=scheme.capacity,
-                swaps=scheme.swaps,
-                purifications=scheme.purifications,
-                pairs=scheme.pairs,
-                server_time_s=stats.build_time_s if config.record_timings else None,
-                solver_time_s=solver_time if config.record_timings else None,
-            )
-        )
+        server_times.append(result.server_time_s)
+        solver_times.append(result.solver_time_s)
+        report.rows.append(_strategy_row(
+            config, result, path_length=length, builder="pruned",
+            vertices=stats.num_vertices, edges=stats.num_edges,
+        ))
     if config.record_timings:
         report.aggregates = {
             "server_time_s": _percentiles(server_times),

@@ -13,19 +13,29 @@ hypergraphs while pooling generation limits of shared physical links.
 from __future__ import annotations
 
 import json
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .capacity import pair_capacity
-from .physics import NoiseParams, purify, purify_model_is_symmetric
+from .physics import (
+    EventCounter,
+    NoiseParams,
+    gate_factor,
+    purify,
+    purify_model_is_symmetric,
+    werner_swap,
+)
 from .topology import Path, link_egr
 
 SOURCE = 0
 SINK = 1
 
 SERIALIZATION_VERSION = 1
+
+_OP_ARITY = {"start": 1, "swap": 2, "purify": 2, "end": 1}  # inputs per op
 
 
 class HypergraphError(ValueError):
@@ -101,17 +111,7 @@ class HypergraphStats:
     build_time_s: float
 
 
-class BuildCounter:
-    """Counts hypergraph builder invocations (construction instrumentation)."""
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def reset(self) -> None:
-        self.count = 0
-
-
-BUILD_COUNTER = BuildCounter()
+BUILD_COUNTER = EventCounter()  # hypergraph builder invocations
 
 
 class Hypergraph:
@@ -169,8 +169,30 @@ class Hypergraph:
         if cleared != len(self.edges):
             raise HypergraphError("hypergraph contains a cycle")
 
+    def _check_references(self) -> None:
+        """Reject ops, vertex indices, probabilities and limits no builder emits."""
+        for key, limit in self.link_limits.items():
+            if not (math.isfinite(limit) and limit > 0.0):
+                raise HypergraphError(f"link {key!r}: limit {limit!r} is not finite and positive")
+        n = len(self.vertices)
+        for ei, e in enumerate(self.edges):
+            arity = _OP_ARITY.get(e.op)
+            if arity is None:
+                raise HypergraphError(f"edge {ei}: unknown op {e.op!r}")
+            if len(e.inputs) != arity:
+                raise HypergraphError(
+                    f"edge {ei}: {e.op} takes {arity} input(s), got {len(e.inputs)}"
+                )
+            for vi in (*e.inputs, e.output):
+                if not (isinstance(vi, int) and 0 <= vi < n):
+                    raise HypergraphError(f"edge {ei}: vertex {vi!r} outside [0, {n})")
+            if not 0.0 < e.p_succ <= 1.0:
+                raise HypergraphError(f"edge {ei}: p_succ {e.p_succ!r} outside (0, 1]")
+            if e.op == "start" and e.link_key not in self.link_limits:
+                raise HypergraphError(f"edge {ei}: start link {e.link_key!r} has no limit")
+
     def stats(self) -> HypergraphStats:
-        by_op: dict[str, int] = {"start": 0, "swap": 0, "purify": 0, "end": 0}
+        by_op = dict.fromkeys(_OP_ARITY, 0)
         for e in self.edges:
             by_op[e.op] = by_op.get(e.op, 0) + 1
         return HypergraphStats(
@@ -190,12 +212,7 @@ class Hypergraph:
             "purify_model": self.purify_model,
             "endpoints": list(self.endpoints),
             "grid": list(self.grid.values),
-            "noise": {
-                "p1": self.noise.p1,
-                "p2": self.noise.p2,
-                "eta": self.noise.eta,
-                "f0": self.noise.f0,
-            },
+            "noise": asdict(self.noise),
             "link_limits": self.link_limits,
             "build_time_s": self.build_time_s,
             "vertices": [
@@ -228,12 +245,11 @@ class Hypergraph:
                 )
                 for op, inputs, output, p_succ, link_key, cap, rb in doc["edges"]
             ]
-            noise = doc["noise"]
-            return cls(
+            hg = cls(
                 vertices=vertices,
                 edges=edges,
                 grid=FidelityGrid(tuple(doc["grid"])),
-                noise=NoiseParams(**noise),
+                noise=NoiseParams(**doc["noise"]),
                 link_limits=dict(doc["link_limits"]),
                 endpoints=tuple(doc["endpoints"]),
                 builder=doc["builder"],
@@ -241,6 +257,8 @@ class Hypergraph:
                 build_time_s=doc["build_time_s"],
                 check=False,
             )
+            hg._check_references()
+            return hg
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, HypergraphError):
                 raise
@@ -268,9 +286,7 @@ def _source_sink(s: str, d: str) -> list[HyperVertex]:
 def _swap_table(grid: FidelityGrid, noise: NoiseParams) -> tuple[np.ndarray, np.ndarray]:
     """(output fidelity, round-down bucket) for every grid value pair."""
     vals = grid.as_array()
-    x = (4.0 * vals - 1.0) / 3.0
-    g = noise.p1 ** 2 * noise.p2 * (4.0 * noise.eta ** 2 - 1.0) / 3.0
-    f_out = 0.25 * (1.0 + 3.0 * g * np.outer(x, x))
+    f_out = werner_swap(vals[:, None], vals[None, :], gate_factor(noise))
     idx = np.searchsorted(vals, f_out, side="right") - 1
     return f_out, idx
 
@@ -479,6 +495,7 @@ def build_pruned_hypergraph(
         blocks[(t, t + 1)] = block
 
     vals_min = grid.values[0]
+    g = gate_factor(noise)
     for span in range(2, m):
         for i in range(m - span):
             j = i + span
@@ -488,7 +505,7 @@ def build_pruned_hypergraph(
                 right = blocks[(w, j)]
                 for ka, a in left.items():
                     for kb, b in right.items():
-                        f_new = _swap_exact(a.exact_fidelity, b.exact_fidelity, noise)
+                        f_new = werner_swap(a.exact_fidelity, b.exact_fidelity, g)
                         if f_new < vals_min:
                             continue
                         r_new = min(a.rate, b.rate)
@@ -549,11 +566,6 @@ def build_pruned_hypergraph(
         builder="pruned", purify_model=purify_model,
         build_time_s=time.perf_counter() - t0, check=check,
     )
-
-
-def _swap_exact(f1: float, f2: float, noise: NoiseParams) -> float:
-    g = noise.p1 ** 2 * noise.p2 * (4.0 * noise.eta ** 2 - 1.0) / 3.0
-    return 0.25 * (1.0 + g * (4.0 * f1 - 1.0) * (4.0 * f2 - 1.0) / 3.0)
 
 
 def best_dp_estimate(hg: Hypergraph) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .hypergraph import (
     BUILD_COUNTER,
@@ -58,36 +58,14 @@ class PlannerConfig:
             raise ValueError("outer period must be positive")
 
     def to_json(self) -> dict:
-        return {
-            "n_candidates": self.n_candidates,
-            "k_keep": self.k_keep,
-            "t_outer_s": self.t_outer_s,
-            "grid": list(self.grid.values),
-            "noise": {
-                "p1": self.noise.p1, "p2": self.noise.p2,
-                "eta": self.noise.eta, "f0": self.noise.f0,
-            },
-            "purify_model": self.purify_model,
-            "latency_budget_s": self.latency_budget_s,
-            "t_cut_s": self.t_cut_s,
-            "path_weight": self.path_weight,
-            "lp_method": self.lp_method,
-        }
+        return {**asdict(self), "grid": list(self.grid.values)}
 
     @classmethod
     def from_json(cls, doc: dict) -> PlannerConfig:
-        return cls(
-            n_candidates=doc["n_candidates"],
-            k_keep=doc["k_keep"],
-            t_outer_s=doc["t_outer_s"],
-            grid=FidelityGrid(tuple(doc["grid"])),
-            noise=NoiseParams(**doc["noise"]),
-            purify_model=doc["purify_model"],
-            latency_budget_s=doc["latency_budget_s"],
-            t_cut_s=doc["t_cut_s"],
-            path_weight=doc["path_weight"],
-            lp_method=doc["lp_method"],
-        )
+        values = {f.name: doc[f.name] for f in fields(cls)}  # every field required
+        values["grid"] = FidelityGrid(tuple(values["grid"]))
+        values["noise"] = NoiseParams(**values["noise"])
+        return cls(**values)
 
 
 @dataclass(frozen=True)

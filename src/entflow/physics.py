@@ -1,8 +1,10 @@
 """Closed-form fidelity and noise models for swapping and purification.
 
-All functions operate on Werner-state fidelities. The swap model follows
-the standard depolarizing-gate / noisy-measurement composition; two
-purification maps are provided:
+All functions operate on Werner-state fidelities, and this module is the
+only home of the swap and purification formulas. The swap model follows
+the standard depolarizing-gate / noisy-measurement composition (Briegel,
+Duer, Cirac & Zoller, PRL 81, 5932, 1998); two purification maps are
+provided:
 
 * ``as-printed`` -- the gate-noise DEJMPS output formula taken verbatim
   from the hardware-noise literature. Its output is range-clamped because
@@ -45,8 +47,8 @@ PERFECT_OPS = NoiseParams(p1=1.0, p2=1.0, eta=1.0, f0=1.0)
 DEFAULT_NOISE = NoiseParams()
 
 
-class ClampCounter:
-    """Counts fidelity outputs that had to be clamped into [0, 1]."""
+class EventCounter:
+    """Process-wide tally of one kind of event, such as clamped outputs."""
 
     def __init__(self) -> None:
         self.count = 0
@@ -55,7 +57,7 @@ class ClampCounter:
         self.count = 0
 
 
-CLAMP_EVENTS = ClampCounter()
+CLAMP_EVENTS = EventCounter()  # fidelity outputs clamped into [0, 1]
 
 
 def _check_fidelity(name: str, f: float) -> None:
@@ -63,9 +65,25 @@ def _check_fidelity(name: str, f: float) -> None:
         raise ValueError(f"{name} must be in [0.25, 1], got {f}")
 
 
+def gate_factor(noise: NoiseParams) -> float:
+    """Depolarizing factor one noisy swap applies to the Werner parameters."""
+    return noise.p1 ** 2 * noise.p2 * (4.0 * noise.eta ** 2 - 1.0) / 3.0
+
+
+def werner_swap(f1, f2, g):
+    """Unchecked swap of two Werner pairs for gate factor ``g``.
+
+    The single pairwise swap expression: the builders, ``rate-dp`` and the
+    oracle all call it, on floats or elementwise on numpy arrays.
+    """
+    return 0.25 * (1.0 + g * (4.0 * f1 - 1.0) * (4.0 * f2 - 1.0) / 3.0)
+
+
 def swap_fidelity(f1: float, f2: float, noise: NoiseParams = DEFAULT_NOISE) -> float:
     """Output fidelity of a single entanglement swap of two Werner pairs."""
-    return chain_swap_fidelity([f1, f2], noise)
+    _check_fidelity("f1", f1)
+    _check_fidelity("f2", f2)
+    return werner_swap(f1, f2, gate_factor(noise))
 
 
 def chain_swap_fidelity(fids, noise: NoiseParams = DEFAULT_NOISE) -> float:
@@ -78,12 +96,10 @@ def chain_swap_fidelity(fids, noise: NoiseParams = DEFAULT_NOISE) -> float:
         raise ValueError("need at least one input fidelity")
     for f in fids:
         _check_fidelity("fidelity", f)
-    n = len(fids)
-    gate_factor = noise.p1 ** 2 * noise.p2 * (4.0 * noise.eta ** 2 - 1.0) / 3.0
     prod = 1.0
     for f in fids:
         prod *= (4.0 * f - 1.0) / 3.0
-    return 0.25 * (1.0 + 3.0 * gate_factor ** (n - 1) * prod)
+    return 0.25 * (1.0 + 3.0 * gate_factor(noise) ** (len(fids) - 1) * prod)
 
 
 def purify_success_prob(f1: float, f2: float, noise: NoiseParams = DEFAULT_NOISE) -> float:

@@ -42,7 +42,7 @@ from .lp import (
     formulate_lp,
     solve_lp,
 )
-from .physics import DEFAULT_NOISE, NoiseParams, purify
+from .physics import DEFAULT_NOISE, NoiseParams, gate_factor, purify, werner_swap
 from .topology import Path, link_egr
 
 STRATEGY_NAMES = ("rate-dp", "rate-lp", "ec-lp", "ec-dp")
@@ -98,12 +98,10 @@ def _lp_strategy(
     name: str,
     hg: Hypergraph,
     objective: str,
-    f_lb: float | None,
-    grid: FidelityGrid,
-    noise: NoiseParams,
-    purify_model: str,
-    lp_method: str,
+    f_lb: float | None = None,
+    lp_method: str = "auto",
 ) -> StrategyResult:
+    """Solve an already built hypergraph; its build time is the server time."""
     t0 = time.perf_counter()
     problem = formulate_lp(hg, objective, f_lb)
     solution = solve_lp(problem, method=lp_method)
@@ -111,8 +109,8 @@ def _lp_strategy(
     scheme = extract_scheme(hg, solution)
     return StrategyResult(
         strategy=name, scheme=scheme, server_time_s=hg.build_time_s,
-        solver_time_s=solver_time, grid_size=grid.resolution, f_lb=f_lb,
-        noise=noise, purify_model=purify_model,
+        solver_time_s=solver_time, grid_size=hg.grid.resolution, f_lb=f_lb,
+        noise=hg.noise, purify_model=hg.purify_model,
     )
 
 
@@ -125,7 +123,7 @@ def run_rate_lp(
     lp_method: str = "auto",
 ) -> StrategyResult:
     hg = build_standard_hypergraph(path, grid, noise, purify_model)
-    return _lp_strategy("rate-lp", hg, "end-rate", f_lb, grid, noise, purify_model, lp_method)
+    return _lp_strategy("rate-lp", hg, "end-rate", f_lb, lp_method)
 
 
 def run_ec_lp(
@@ -136,7 +134,7 @@ def run_ec_lp(
     lp_method: str = "auto",
 ) -> StrategyResult:
     hg = build_standard_hypergraph(path, grid, noise, purify_model)
-    return _lp_strategy("ec-lp", hg, "ensemble-capacity", None, grid, noise, purify_model, lp_method)
+    return _lp_strategy("ec-lp", hg, "ensemble-capacity", None, lp_method)
 
 
 def run_ec_dp(
@@ -147,7 +145,7 @@ def run_ec_dp(
     lp_method: str = "auto",
 ) -> StrategyResult:
     hg = build_pruned_hypergraph(path, grid, noise, purify_model)
-    return _lp_strategy("ec-dp", hg, "ensemble-capacity", None, grid, noise, purify_model, lp_method)
+    return _lp_strategy("ec-dp", hg, "ensemble-capacity", None, lp_method)
 
 
 @dataclass(frozen=True)
@@ -241,6 +239,7 @@ def run_rate_dp(
         blocks[(t, t + 1)] = block
 
     vals = grid.as_array()
+    g = gate_factor(noise)
     for span in range(2, m):
         for i in range(m - span):
             j = i + span
@@ -248,7 +247,7 @@ def run_rate_dp(
             for w in range(i + 1, j):
                 for a in blocks[(i, w)].values():
                     for b in blocks[(w, j)].values():
-                        f_new = _swap_value(vals[a.bucket], vals[b.bucket], noise)
+                        f_new = werner_swap(vals[a.bucket], vals[b.bucket], g)
                         kn = grid.round_down_index(f_new)
                         if kn < 0:
                             continue
@@ -287,11 +286,6 @@ def run_rate_dp(
         solver_time_s=solver_time, grid_size=grid.resolution, f_lb=f_lb,
         noise=noise, purify_model=purify_model,
     )
-
-
-def _swap_value(f1: float, f2: float, noise: NoiseParams) -> float:
-    g = noise.p1 ** 2 * noise.p2 * (4.0 * noise.eta ** 2 - 1.0) / 3.0
-    return 0.25 * (1.0 + g * (4.0 * f1 - 1.0) * (4.0 * f2 - 1.0) / 3.0)
 
 
 def run_strategy(
@@ -360,7 +354,7 @@ def _eval_protocol(
     else:
         f_l, u_l, t_l = _eval_protocol(shape[1], rounds, f0s, num_links, noise, purify_model, cursor)
         f_r, u_r, t_r = _eval_protocol(shape[2], rounds, f0s, num_links, noise, purify_model, cursor)
-        f = _swap_value(f_l, f_r, noise)
+        f = werner_swap(f_l, f_r, gate_factor(noise))
         usage = u_l + u_r
         tree = f"s({t_l},{t_r})"
     slot = cursor[0]
@@ -371,6 +365,16 @@ def _eval_protocol(
         f = f_new
         tree = f"p({tree})"
     return f, usage, tree
+
+
+def _protocols(path: Path, noise: NoiseParams, max_purify_rounds: int, purify_model: str):
+    """Yield (fidelity, per-link usage, tree) for every bounded protocol."""
+    k = len(path.edges)
+    f0s = [e.f0 for e in path.edges]
+    for shape in _tree_shapes(0, k):
+        slots = _tree_slots(shape)
+        for rounds in np.ndindex(*([max_purify_rounds + 1] * slots)):
+            yield _eval_protocol(shape, tuple(rounds), f0s, k, noise, purify_model, [0])
 
 
 def brute_force_oracle(
@@ -398,21 +402,15 @@ def brute_force_oracle(
         raise OracleBoundsError("oracle allows at most 2 purification rounds")
 
     t0 = time.perf_counter()
-    f0s = [e.f0 for e in path.edges]
     limits = np.array([link_egr(e) for e in path.edges])
 
     protos: dict[tuple, _Proto] = {}
-    for shape in _tree_shapes(0, k):
-        slots = _tree_slots(shape)
-        for rounds in np.ndindex(*([max_purify_rounds + 1] * slots)):
-            f, usage, tree = _eval_protocol(
-                shape, tuple(rounds), f0s, k, noise, purify_model, [0]
-            )
-            if f < grid.values[0]:
-                continue
-            key = (round(f, 12),) + tuple(round(u, 9) for u in usage)
-            if key not in protos:
-                protos[key] = _Proto(fidelity=f, usage=tuple(usage), tree=tree)
+    for f, usage, tree in _protocols(path, noise, max_purify_rounds, purify_model):
+        if f < grid.values[0]:
+            continue
+        key = (round(f, 12),) + tuple(round(u, 9) for u in usage)
+        if key not in protos:
+            protos[key] = _Proto(fidelity=f, usage=tuple(usage), tree=tree)
     server_time = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -476,20 +474,13 @@ def oracle_best_single(
     purify_model: str = "ideal-dejmps",
 ) -> tuple[float, float, float]:
     """(capacity, rate, fidelity) of the best standalone protocol."""
-    k = len(path.edges)
     if path.num_nodes > 4:
         raise OracleBoundsError("oracle paths are limited to 4 nodes")
     limits = np.array([link_egr(e) for e in path.edges])
-    f0s = [e.f0 for e in path.edges]
     best = (0.0, 0.0, 0.0)
-    for shape in _tree_shapes(0, k):
-        slots = _tree_slots(shape)
-        for rounds in np.ndindex(*([max_purify_rounds + 1] * slots)):
-            f, usage, _ = _eval_protocol(
-                shape, tuple(rounds), f0s, k, noise, purify_model, [0]
-            )
-            rate = float(np.min(limits / usage))
-            cap = rate * pair_capacity(f)
-            if cap > best[0]:
-                best = (cap, rate, f)
+    for f, usage, _ in _protocols(path, noise, max_purify_rounds, purify_model):
+        rate = float(np.min(limits / usage))
+        cap = rate * pair_capacity(f)
+        if cap > best[0]:
+            best = (cap, rate, f)
     return best

@@ -155,6 +155,15 @@ def load_topology(text: str) -> Topology:
     return Topology(nodes, edges)
 
 
+def read_topology_file(path: str) -> Topology:
+    """Read a topology file: GML when the name ends in ``.gml``, else JSON."""
+    with open(path) as fh:
+        text = fh.read()
+    if path.endswith(".gml"):
+        return load_gml(text)
+    return load_topology(text)
+
+
 _GML_TOKEN = re.compile(r'"[^"]*"|\[|\]|[^\s\[\]]+')
 
 

@@ -1,5 +1,7 @@
 """Tests for the operation-hypergraph builders and serialization."""
 
+import json
+
 import pytest
 
 from conftest import make_chain
@@ -172,3 +174,44 @@ def test_synthesis_pools_shared_links_and_remaps():
     # Single-input synthesis is structurally identical to the input.
     solo = synthesize_multipath([h1])
     assert solo.stats().edges_by_op == h1.stats().edges_by_op
+
+
+def _edit_edge(op, field, value):
+    """Corruption: set one field of the first ``op`` edge in a document."""
+    def corrupt(doc):
+        edge = next(e for e in doc["edges"] if e[0] == op)
+        edge[field] = value
+    return corrupt
+
+
+def _set_limits(value):
+    def corrupt(doc):
+        for key in doc["link_limits"]:
+            doc["link_limits"][key] = value
+    return corrupt
+
+
+def _drop_a_limit(doc):
+    doc["link_limits"].popitem()
+
+
+# edge fields: op, inputs, output, p_succ, link_key, capacity_coeff, rate_bound
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(_edit_edge("swap", 1, [2, 99999]), id="input-above-range"),
+    pytest.param(_edit_edge("end", 2, -1), id="output-below-range"),
+    pytest.param(_edit_edge("swap", 0, "teleport"), id="unknown-op"),
+    pytest.param(_edit_edge("swap", 1, [2]), id="swap-with-one-input"),
+    pytest.param(_edit_edge("end", 1, [2, 3]), id="end-with-two-inputs"),
+    pytest.param(_edit_edge("start", 3, 0.0), id="p-succ-zero"),
+    pytest.param(_edit_edge("start", 3, 1.5), id="p-succ-above-one"),
+    pytest.param(_set_limits(float("nan")), id="nan-limit"),
+    pytest.param(_set_limits(float("inf")), id="infinite-limit"),
+    pytest.param(_set_limits(-5.0), id="negative-limit"),
+    pytest.param(_drop_a_limit, id="start-link-without-limit"),
+])
+def test_from_json_rejects_invalid_documents(corrupt):
+    hg = build_standard_hypergraph(make_chain([60.0, 80.0]), FidelityGrid.uniform(6), DEFAULT_NOISE)
+    doc = hg.to_json()
+    corrupt(doc)
+    with pytest.raises(HypergraphError):
+        Hypergraph.from_json_text(json.dumps(doc))

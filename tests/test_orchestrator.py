@@ -147,3 +147,13 @@ def test_cache_rejects_corrupt_documents():
     del doc["version"]
     with pytest.raises(CacheError):
         load_cache(json.dumps(doc))
+
+
+def test_load_cache_rejects_invalid_hypergraph():
+    cache = outer_loop_update(_square_topology(), [("s", "d")], _config())
+    doc = json.loads(save_cache(cache))
+    limits = doc["entries"][0]["hypergraph"]["link_limits"]
+    for key in limits:
+        limits[key] = float("nan")
+    with pytest.raises(CacheError, match="limit"):
+        load_cache(json.dumps(doc))
