@@ -7,11 +7,11 @@ Commands:
   oracle
 
 Exit codes: 0 success, 2 configuration error, 3 completed with skipped
-instances. Defaults for --seed, --grid-size, --f-lb, --purify-model and
---workers may be overridden with ENTFLOW_SEED, ENTFLOW_GRID_SIZE,
-ENTFLOW_F_LB, ENTFLOW_PURIFY_MODEL and ENTFLOW_WORKERS. --workers is
-validated (>= 1) and recorded in reports; instances always run in order
-in one thread, whatever its value.
+instances. --seed is taken by run and topo gen, --f-lb by run only;
+run, cache build and oracle take --grid-size and --purify-model.
+Defaults for --seed, --grid-size, --f-lb and --purify-model may be
+overridden with ENTFLOW_SEED, ENTFLOW_GRID_SIZE, ENTFLOW_F_LB and
+ENTFLOW_PURIFY_MODEL.
 """
 
 from __future__ import annotations
@@ -80,24 +80,18 @@ def _add_noise_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--f0", type=float, default=DEFAULT_NOISE.f0)
 
 
+def _add_seed_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, default=_env_default("ENTFLOW_SEED", 0, int))
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--seed", type=int, default=_env_default("ENTFLOW_SEED", 0, int)
-    )
     parser.add_argument(
         "--grid-size", type=int,
         default=_env_default("ENTFLOW_GRID_SIZE", 100, int),
     )
     parser.add_argument(
-        "--f-lb", type=float, default=_env_default("ENTFLOW_F_LB", 0.87, float)
-    )
-    parser.add_argument(
         "--purify-model", choices=PURIFY_MODELS,
         default=_env_default("ENTFLOW_PURIFY_MODEL", "ideal-dejmps", str),
-    )
-    parser.add_argument(
-        "--workers", type=int, default=_env_default("ENTFLOW_WORKERS", 1, int),
-        help="recorded in reports; instances always run in order",
     )
     parser.add_argument("--out", default=None)
     _add_noise_flags(parser)
@@ -114,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     topo_sub = topo.add_subparsers(dest="topo_command", required=True)
     gen = topo_sub.add_parser("gen", help="generate a random Gabriel-graph topology")
     gen.add_argument("--nodes", type=int, required=True)
-    gen.add_argument("--seed", type=int, default=_env_default("ENTFLOW_SEED", 0, int))
+    _add_seed_flag(gen)
     gen.add_argument("--bbox-km", type=float, default=500.0)
     gen.add_argument("--distance-range", type=_parse_range, default=None)
     gen.add_argument("--f0", type=float, default=DEFAULT_NOISE.f0)
@@ -135,6 +129,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--chain-nodes", type=int, default=6)
     run.add_argument("--no-timings", action="store_true",
                      help="omit wall-clock columns for reproducible reports")
+    _add_seed_flag(run)
+    run.add_argument(
+        "--f-lb", type=float, default=_env_default("ENTFLOW_F_LB", 0.87, float)
+    )
     _add_common_flags(run)
 
     cache = sub.add_parser("cache", help="two-loop planner cache operations")
@@ -201,7 +199,6 @@ def _cmd_run(args) -> int:
         noise=_noise_from_args(args),
         purify_model=args.purify_model,
         record_timings=not args.no_timings,
-        workers=args.workers,
         chain_nodes=args.chain_nodes,
         repetitions=args.repetitions,
         **kwargs,

@@ -105,7 +105,6 @@ class ExperimentConfig:
     noise: NoiseParams = DEFAULT_NOISE
     purify_model: str = "ideal-dejmps"
     record_timings: bool = True
-    workers: int = 1  # validated and recorded; instances always run in order
     chain_nodes: int = 6
     repetitions: int = 5
     network_sizes: tuple[int, ...] = (30, 60, 100)
@@ -122,8 +121,6 @@ class ExperimentConfig:
         for s in self.strategies:
             if s not in STRATEGY_NAMES:
                 raise ValueError(f"unknown strategy {s!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.f_lb_step <= 0 or self.f_lb_stop < self.f_lb_start:
             raise ValueError("invalid f_lb sweep range")
 

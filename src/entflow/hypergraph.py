@@ -16,8 +16,11 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .capacity import pair_capacity
 from .physics import (
@@ -64,12 +67,10 @@ class FidelityGrid:
             prev = v
 
     @classmethod
-    def uniform(cls, size: int = 100, lo: float = 0.5, hi: float = 1.0) -> FidelityGrid:
+    def uniform(cls, size: int = 100) -> FidelityGrid:
         if size < 1:
             raise HypergraphError("grid size must be >= 1")
-        if size == 1:
-            return cls((lo,))
-        return cls(tuple(float(x) for x in np.linspace(lo, hi, size)))
+        return cls(tuple(float(x) for x in np.linspace(0.5, 1.0, size)))
 
     @property
     def resolution(self) -> int:
@@ -128,7 +129,6 @@ class Hypergraph:
         builder: str,
         purify_model: str,
         build_time_s: float = 0.0,
-        check: bool = True,
     ) -> None:
         if len(vertices) < 2 or vertices[0].kind != "source" or vertices[1].kind != "sink":
             raise HypergraphError("vertices must start with source and sink")
@@ -141,55 +141,24 @@ class Hypergraph:
         self.builder = builder
         self.purify_model = purify_model
         self.build_time_s = build_time_s
-        if check:
-            self._check_acyclic()
+        self._check_acyclic()
 
     def _check_acyclic(self) -> None:
-        n = len(self.vertices)
-        indeg = np.zeros(n, dtype=np.int64)
-        out_lists: dict[int, list[int]] = {}
-        for ei, e in enumerate(self.edges):
-            indeg[e.output] += 1
-            for vi in e.inputs:
-                out_lists.setdefault(vi, []).append(ei)
-        consumed = [0] * len(self.edges)
-        ready = [i for i in range(n) if indeg[i] == 0]
-        seen = 0
-        while ready:
-            vi = ready.pop()
-            seen += 1
-            for ei in out_lists.get(vi, ()):
-                consumed[ei] += 1
-                if consumed[ei] == len(self.edges[ei].inputs):
-                    e = self.edges[ei]
-                    indeg[e.output] -= 1
-                    if indeg[e.output] == 0:
-                        ready.append(e.output)
-        cleared = sum(1 for ei, e in enumerate(self.edges) if consumed[ei] == len(e.inputs))
-        if cleared != len(self.edges):
+        """Reject cycles: in the vertex -> edge -> vertex digraph (vertices
+        first, then edges) every strongly connected component is one node."""
+        n, m = len(self.vertices), len(self.edges)
+        arity = np.fromiter((len(e.inputs) for e in self.edges), np.int64, m)
+        inputs = chain.from_iterable(e.inputs for e in self.edges)
+        edge_nodes = n + np.arange(m)
+        tail = np.concatenate([np.fromiter(inputs, np.int64, int(arity.sum())), edge_nodes])
+        head = np.concatenate([
+            np.repeat(edge_nodes, arity),
+            np.fromiter((e.output for e in self.edges), np.int64, m),
+        ])
+        graph = sp.csr_matrix((np.ones(len(tail)), (tail, head)), shape=(n + m, n + m))
+        components, _ = connected_components(graph, directed=True, connection="strong")
+        if components != n + m:
             raise HypergraphError("hypergraph contains a cycle")
-
-    def _check_references(self) -> None:
-        """Reject ops, vertex indices, probabilities and limits no builder emits."""
-        for key, limit in self.link_limits.items():
-            if not (math.isfinite(limit) and limit > 0.0):
-                raise HypergraphError(f"link {key!r}: limit {limit!r} is not finite and positive")
-        n = len(self.vertices)
-        for ei, e in enumerate(self.edges):
-            arity = _OP_ARITY.get(e.op)
-            if arity is None:
-                raise HypergraphError(f"edge {ei}: unknown op {e.op!r}")
-            if len(e.inputs) != arity:
-                raise HypergraphError(
-                    f"edge {ei}: {e.op} takes {arity} input(s), got {len(e.inputs)}"
-                )
-            for vi in (*e.inputs, e.output):
-                if not (isinstance(vi, int) and 0 <= vi < n):
-                    raise HypergraphError(f"edge {ei}: vertex {vi!r} outside [0, {n})")
-            if not 0.0 < e.p_succ <= 1.0:
-                raise HypergraphError(f"edge {ei}: p_succ {e.p_succ!r} outside (0, 1]")
-            if e.op == "start" and e.link_key not in self.link_limits:
-                raise HypergraphError(f"edge {ei}: start link {e.link_key!r} has no limit")
 
     def stats(self) -> HypergraphStats:
         by_op = dict.fromkeys(_OP_ARITY, 0)
@@ -245,20 +214,19 @@ class Hypergraph:
                 )
                 for op, inputs, output, p_succ, link_key, cap, rb in doc["edges"]
             ]
-            hg = cls(
+            link_limits = dict(doc["link_limits"])
+            _check_references(len(vertices), edges, link_limits)
+            return cls(
                 vertices=vertices,
                 edges=edges,
                 grid=FidelityGrid(tuple(doc["grid"])),
                 noise=NoiseParams(**doc["noise"]),
-                link_limits=dict(doc["link_limits"]),
+                link_limits=link_limits,
                 endpoints=tuple(doc["endpoints"]),
                 builder=doc["builder"],
                 purify_model=doc["purify_model"],
                 build_time_s=doc["build_time_s"],
-                check=False,
             )
-            hg._check_references()
-            return hg
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, HypergraphError):
                 raise
@@ -274,6 +242,30 @@ class Hypergraph:
         except json.JSONDecodeError as exc:
             raise HypergraphError(f"corrupt hypergraph document: {exc}") from exc
         return cls.from_json(doc)
+
+
+def _check_references(
+    num_vertices: int, edges: list[HyperEdge], link_limits: dict[str, float]
+) -> None:
+    """Reject ops, vertex indices, probabilities and limits no builder emits."""
+    for key, limit in link_limits.items():
+        if not (math.isfinite(limit) and limit > 0.0):
+            raise HypergraphError(f"link {key!r}: limit {limit!r} is not finite and positive")
+    for ei, e in enumerate(edges):
+        arity = _OP_ARITY.get(e.op)
+        if arity is None:
+            raise HypergraphError(f"edge {ei}: unknown op {e.op!r}")
+        if len(e.inputs) != arity:
+            raise HypergraphError(
+                f"edge {ei}: {e.op} takes {arity} input(s), got {len(e.inputs)}"
+            )
+        for vi in (*e.inputs, e.output):
+            if not (isinstance(vi, int) and 0 <= vi < num_vertices):
+                raise HypergraphError(f"edge {ei}: vertex {vi!r} outside [0, {num_vertices})")
+        if not 0.0 < e.p_succ <= 1.0:
+            raise HypergraphError(f"edge {ei}: p_succ {e.p_succ!r} outside (0, 1]")
+        if e.op == "start" and e.link_key not in link_limits:
+            raise HypergraphError(f"edge {ei}: start link {e.link_key!r} has no limit")
 
 
 def _source_sink(s: str, d: str) -> list[HyperVertex]:
@@ -311,7 +303,6 @@ def build_standard_hypergraph(
     grid: FidelityGrid,
     noise: NoiseParams,
     purify_model: str = "ideal-dejmps",
-    check: bool = True,
 ) -> Hypergraph:
     """Full discretized lattice: every node pair at every grid value.
 
@@ -396,7 +387,7 @@ def build_standard_hypergraph(
         vertices=vertices, edges=edges, grid=grid, noise=noise,
         link_limits=link_limits, endpoints=(nodes[0], nodes[-1]),
         builder="standard", purify_model=purify_model,
-        build_time_s=time.perf_counter() - t0, check=check,
+        build_time_s=time.perf_counter() - t0,
     )
 
 
@@ -462,7 +453,6 @@ def build_pruned_hypergraph(
     grid: FidelityGrid,
     noise: NoiseParams,
     purify_model: str = "ideal-dejmps",
-    check: bool = True,
 ) -> Hypergraph:
     """Dynamic-programming builder with fidelity bucketing.
 
@@ -518,24 +508,22 @@ def build_pruned_hypergraph(
             _purify_block(block, (i, j), grid, noise, purify_model)
             blocks[(i, j)] = block
 
+    # Blocks were filled span by span, left to right, and every input of an
+    # incumbent is in a shorter span or a lower bucket of its own pair, so
+    # one pass in that order numbers each input before its consumer.
     vertices = _source_sink(nodes[0], nodes[-1])
     vidx: dict[tuple[tuple[int, int], int], int] = {}
-    for pair in sorted(blocks, key=lambda p: (p[1] - p[0], p[0])):
-        for bucket in sorted(blocks[pair]):
-            inc = blocks[pair][bucket]
-            vidx[(pair, bucket)] = len(vertices)
+    edges: list[HyperEdge] = []
+    for pair, block in blocks.items():
+        for bucket in sorted(block):
+            inc = block[bucket]
+            out = vidx[(pair, bucket)] = len(vertices)
             vertices.append(
                 HyperVertex(
                     u=nodes[pair[0]], v=nodes[pair[1]],
                     exact_fidelity=inc.exact_fidelity, bucket=bucket, kind="link",
                 )
             )
-
-    edges: list[HyperEdge] = []
-    for pair in sorted(blocks, key=lambda p: (p[1] - p[0], p[0])):
-        for bucket in sorted(blocks[pair]):
-            inc = blocks[pair][bucket]
-            out = vidx[(pair, bucket)]
             if inc.op == "start":
                 edges.append(
                     HyperEdge(op="start", inputs=(SOURCE,), output=out,
@@ -564,7 +552,7 @@ def build_pruned_hypergraph(
         vertices=vertices, edges=edges, grid=grid, noise=noise,
         link_limits=link_limits, endpoints=(nodes[0], nodes[-1]),
         builder="pruned", purify_model=purify_model,
-        build_time_s=time.perf_counter() - t0, check=check,
+        build_time_s=time.perf_counter() - t0,
     )
 
 
@@ -578,7 +566,7 @@ def best_dp_estimate(hg: Hypergraph) -> float:
     return best
 
 
-def synthesize_multipath(hypergraphs: list[Hypergraph], check: bool = True) -> Hypergraph:
+def synthesize_multipath(hypergraphs: list[Hypergraph]) -> Hypergraph:
     """Disjoint union of per-path hypergraphs with pooled link limits.
 
     Vertices are never merged across paths; only start edges referencing
@@ -632,5 +620,5 @@ def synthesize_multipath(hypergraphs: list[Hypergraph], check: bool = True) -> H
         vertices=vertices, edges=edges, grid=first.grid, noise=first.noise,
         link_limits=link_limits, endpoints=first.endpoints,
         builder="synthesis", purify_model=first.purify_model,
-        build_time_s=time.perf_counter() - t0, check=check,
+        build_time_s=time.perf_counter() - t0,
     )

@@ -27,6 +27,7 @@ from .capacity import EnsembleSpec, ensemble_capacity
 from .hypergraph import SINK, SOURCE, Hypergraph
 
 OBJECTIVE_KINDS = ("ensemble-capacity", "end-rate")
+LP_METHODS = ("auto", "simplex", "highs")
 
 RATE_EPS = 1e-9
 FEAS_TOL = 1e-6
@@ -223,9 +224,7 @@ def _problem_matrices(problem: LPProblem, dense: bool):
     return c, mat.tocsr()
 
 
-def solve_lp(
-    problem: LPProblem, method: str = "auto", check: bool = True
-) -> LPSolution:
+def solve_lp(problem: LPProblem, method: str = "auto") -> LPSolution:
     """Solve deterministically; verifies feasibility of the answer.
 
     ``method``: ``simplex`` (built-in), ``highs`` (scipy), or ``auto``
@@ -247,7 +246,7 @@ def solve_lp(
                 raise
             # Degenerate instances can stall the dense tableau; fall back
             # to the sparse backend rather than failing the request.
-            return solve_lp(problem, method="highs", check=check)
+            return solve_lp(problem, method="highs")
         if status != "optimal":
             raise LPSolveError(f"built-in solver: problem is {status}")
     elif method == "highs":
@@ -272,8 +271,7 @@ def solve_lp(
         x = x.copy()
         x[list(problem.forced_zero)] = 0.0
     wall = time.perf_counter() - t0
-    if check:
-        _check_solution(problem, x)
+    _check_solution(problem, x)
     return LPSolution(status, obj, x, iters, wall, method)
 
 

@@ -23,9 +23,9 @@ from .hypergraph import (
     build_pruned_hypergraph,
     synthesize_multipath,
 )
-from .lp import DistributionScheme, EMPTY_SCHEME, extract_scheme, formulate_lp, solve_lp
-from .physics import DEFAULT_NOISE, NoiseParams
-from .topology import Topology, k_shortest_paths
+from .lp import EMPTY_SCHEME, LP_METHODS, DistributionScheme, extract_scheme, formulate_lp, solve_lp
+from .physics import DEFAULT_NOISE, PURIFY_MODELS, NoiseParams
+from .topology import PATH_WEIGHTS, Topology, k_shortest_paths
 
 CACHE_VERSION = 1
 
@@ -56,6 +56,13 @@ class PlannerConfig:
             raise ValueError("latency budget must be within [0.01, 1.0] s")
         if self.t_outer_s <= 0:
             raise ValueError("outer period must be positive")
+        for name, allowed in (
+            ("purify_model", PURIFY_MODELS),
+            ("path_weight", PATH_WEIGHTS),
+            ("lp_method", LP_METHODS),
+        ):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
 
     def to_json(self) -> dict:
         return {**asdict(self), "grid": list(self.grid.values)}

@@ -99,12 +99,11 @@ def _lp_strategy(
     hg: Hypergraph,
     objective: str,
     f_lb: float | None = None,
-    lp_method: str = "auto",
 ) -> StrategyResult:
     """Solve an already built hypergraph; its build time is the server time."""
     t0 = time.perf_counter()
     problem = formulate_lp(hg, objective, f_lb)
-    solution = solve_lp(problem, method=lp_method)
+    solution = solve_lp(problem)
     solver_time = time.perf_counter() - t0
     scheme = extract_scheme(hg, solution)
     return StrategyResult(
@@ -120,10 +119,9 @@ def run_rate_lp(
     f_lb: float = DEFAULT_F_LB,
     noise: NoiseParams = DEFAULT_NOISE,
     purify_model: str = "ideal-dejmps",
-    lp_method: str = "auto",
 ) -> StrategyResult:
     hg = build_standard_hypergraph(path, grid, noise, purify_model)
-    return _lp_strategy("rate-lp", hg, "end-rate", f_lb, lp_method)
+    return _lp_strategy("rate-lp", hg, "end-rate", f_lb)
 
 
 def run_ec_lp(
@@ -131,10 +129,9 @@ def run_ec_lp(
     grid: FidelityGrid,
     noise: NoiseParams = DEFAULT_NOISE,
     purify_model: str = "ideal-dejmps",
-    lp_method: str = "auto",
 ) -> StrategyResult:
     hg = build_standard_hypergraph(path, grid, noise, purify_model)
-    return _lp_strategy("ec-lp", hg, "ensemble-capacity", None, lp_method)
+    return _lp_strategy("ec-lp", hg, "ensemble-capacity")
 
 
 def run_ec_dp(
@@ -142,10 +139,9 @@ def run_ec_dp(
     grid: FidelityGrid,
     noise: NoiseParams = DEFAULT_NOISE,
     purify_model: str = "ideal-dejmps",
-    lp_method: str = "auto",
 ) -> StrategyResult:
     hg = build_pruned_hypergraph(path, grid, noise, purify_model)
-    return _lp_strategy("ec-dp", hg, "ensemble-capacity", None, lp_method)
+    return _lp_strategy("ec-dp", hg, "ensemble-capacity")
 
 
 @dataclass(frozen=True)
@@ -295,16 +291,15 @@ def run_strategy(
     f_lb: float = DEFAULT_F_LB,
     noise: NoiseParams = DEFAULT_NOISE,
     purify_model: str = "ideal-dejmps",
-    lp_method: str = "auto",
 ) -> StrategyResult:
     if name == "rate-dp":
         return run_rate_dp(path, grid, f_lb, noise, purify_model)
     if name == "rate-lp":
-        return run_rate_lp(path, grid, f_lb, noise, purify_model, lp_method)
+        return run_rate_lp(path, grid, f_lb, noise, purify_model)
     if name == "ec-lp":
-        return run_ec_lp(path, grid, noise, purify_model, lp_method)
+        return run_ec_lp(path, grid, noise, purify_model)
     if name == "ec-dp":
-        return run_ec_dp(path, grid, noise, purify_model, lp_method)
+        return run_ec_dp(path, grid, noise, purify_model)
     raise ValueError(f"unknown strategy {name!r}; expected one of {STRATEGY_NAMES}")
 
 
@@ -384,7 +379,6 @@ def brute_force_oracle(
     max_purify_rounds: int = 2,
     max_ensembles: int | None = None,
     purify_model: str = "ideal-dejmps",
-    lp_method: str = "auto",
 ) -> StrategyResult:
     """Exhaustive protocol enumeration plus a mixture LP over the set.
 
@@ -435,7 +429,7 @@ def brute_force_oracle(
             num_vars=n, objective=c, rows=rows, rhs=limits,
             row_names=[f"l_{e}" for e in range(k)],
         )
-        solution = solve_lp(problem, method=lp_method)
+        solution = solve_lp(problem)
         entries = []
         prots = []
         swaps = 0.0

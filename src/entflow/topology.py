@@ -13,6 +13,7 @@ import numpy as np
 DEFAULT_R_LOCAL = 12000.0  # pairs/s at zero distance
 DEFAULT_ALPHA = 0.21  # dB/km fiber attenuation
 DEFAULT_F0 = 0.98  # base generated-pair fidelity
+PATH_WEIGHTS = ("km", "hops")
 
 
 class TopologyParseError(ValueError):
@@ -246,24 +247,13 @@ def load_gml(text: str, default_length_km: float = 1.0) -> Topology:
 
 
 def _gabriel_edges(points: np.ndarray) -> list[tuple[int, int]]:
-    n = len(points)
-    if n <= 64:
-        edges = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                mid = 0.5 * (points[i] + points[j])
-                r2 = 0.25 * float(np.sum((points[i] - points[j]) ** 2))
-                ok = True
-                for k in range(n):
-                    if k == i or k == j:
-                        continue
-                    if float(np.sum((points[k] - mid) ** 2)) < r2 * (1.0 - 1e-12):
-                        ok = False
-                        break
-                if ok:
-                    edges.append((i, j))
-        return edges
+    """Gabriel edges: Delaunay edges whose diameter disk holds no other point.
 
+    Every Gabriel edge is a Delaunay edge, so the triangulation supplies all
+    candidates. Two points have no triangulation and one edge.
+    """
+    if len(points) == 2:
+        return [(0, 1)]
     from scipy.spatial import Delaunay, cKDTree
 
     tri = Delaunay(points)
@@ -289,8 +279,6 @@ def generate_gabriel(
     seed: int,
     bbox_km: float = 500.0,
     distance_range_km: tuple[float, float] | None = None,
-    r_local: float = DEFAULT_R_LOCAL,
-    alpha_db_per_km: float = DEFAULT_ALPHA,
     f0: float = DEFAULT_F0,
 ) -> Topology:
     """Random Gabriel graph over n uniform points in a square box.
@@ -311,10 +299,7 @@ def generate_gabriel(
         if distance_range_km is not None:
             lo, hi = distance_range_km
             length = float(rng.uniform(lo, hi))
-        edges.append(
-            Edge(u=names[i], v=names[j], length_km=length, r_local=r_local,
-                 alpha_db_per_km=alpha_db_per_km, f0=f0)
-        )
+        edges.append(Edge(u=names[i], v=names[j], length_km=length, f0=f0))
     return Topology(names, edges)
 
 

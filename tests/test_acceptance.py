@@ -103,7 +103,7 @@ def test_criterion_04_strategy_ordering_and_improvement(capsys):
     config = ExperimentConfig(
         kind="benchmark", seed=3, topology_nodes=100,
         pairs_per_length=50, path_lengths=(3, 5, 7), grid_size=32,
-        f_lb=0.87, distance_range_km=(20.0, 80.0), workers=4,
+        f_lb=0.87, distance_range_km=(20.0, 80.0),
     )
     report = run_experiment(config)
     assert report.failures == 0

@@ -11,6 +11,7 @@ from entflow.lp import (
     LPError,
     LPProblem,
     LPSolveError,
+    _check_solution,
     export_lp,
     extract_scheme,
     formulate_lp,
@@ -190,3 +191,12 @@ def test_extract_scheme_zero_flow():
     scheme = extract_scheme(hg, sol)
     assert scheme.egr == EMPTY_SCHEME.egr == 0.0
     assert scheme.pairs == 0
+
+
+def test_check_solution_rejects_infeasible_rates():
+    problem = _problem(2, [1.0, 1.0], [[(0, 1.0), (1, 1.0)]], [1.0], ["r"])
+    _check_solution(problem, np.array([0.5, 0.5]))
+    with pytest.raises(LPSolveError, match="negative rate"):
+        _check_solution(problem, np.array([-0.1, 0.5]))
+    with pytest.raises(LPSolveError, match="constraint violated"):
+        _check_solution(problem, np.array([1.0, 0.5]))

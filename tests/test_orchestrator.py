@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from entflow.hypergraph import BUILD_COUNTER, FidelityGrid
+from entflow.hypergraph import BUILD_COUNTER, FidelityGrid, Hypergraph, HypergraphError
 from entflow.orchestrator import (
     Cache,
     CacheError,
@@ -156,4 +156,28 @@ def test_load_cache_rejects_invalid_hypergraph():
     for key in limits:
         limits[key] = float("nan")
     with pytest.raises(CacheError, match="limit"):
+        load_cache(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field", ["lp_method", "purify_model", "path_weight"])
+def test_config_rejects_unknown_names(field):
+    with pytest.raises(ValueError, match=field):
+        _config(**{field: "bogus"})
+    doc = json.loads(save_cache(outer_loop_update(_square_topology(), [("s", "d")], _config())))
+    doc["config"][field] = "bogus"
+    with pytest.raises(CacheError, match=field):
+        load_cache(json.dumps(doc))
+
+
+def test_load_cache_rejects_cyclic_hypergraph():
+    topo = Topology(["x0", "x1", "x2"], [Edge(u="x0", v="x1", length_km=30.0),
+                                         Edge(u="x1", v="x2", length_km=30.0)])
+    cache = outer_loop_update(topo, [("x0", "x2")], _config())
+    doc = json.loads(save_cache(cache))
+    hg_doc = doc["entries"][0]["hypergraph"]
+    swap = next(e for e in hg_doc["edges"] if e[0] == "swap")
+    swap[2] = swap[1][0]  # the swap now outputs into its own input
+    with pytest.raises(HypergraphError, match="cycle"):
+        Hypergraph.from_json(hg_doc)
+    with pytest.raises(CacheError, match="cycle"):
         load_cache(json.dumps(doc))

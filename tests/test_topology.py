@@ -125,6 +125,14 @@ def test_gabriel_matches_definition():
     assert _gabriel_property_holds(points, edges)
 
 
+@pytest.mark.parametrize("n", [2, 3, 64, 65, 90])
+def test_gabriel_matches_definition_at_any_size(n):
+    topo = generate_gabriel(n, seed=n)
+    points = np.random.default_rng(n).uniform(0.0, 500.0, size=(n, 2))
+    edges = {tuple(sorted((int(e.u[1:]), int(e.v[1:])))) for e in topo.edges}
+    assert _gabriel_property_holds(points, edges)
+
+
 def test_gabriel_deterministic_and_connected():
     a = generate_gabriel(30, seed=3)
     b = generate_gabriel(30, seed=3)
