@@ -11,7 +11,9 @@ instances. --seed is taken by run and topo gen, --f-lb by run only;
 run, cache build and oracle take --grid-size and --purify-model.
 Defaults for --seed, --grid-size, --f-lb and --purify-model may be
 overridden with ENTFLOW_SEED, ENTFLOW_GRID_SIZE, ENTFLOW_F_LB and
-ENTFLOW_PURIFY_MODEL.
+ENTFLOW_PURIFY_MODEL; a value that does not parse exits 2. The oracle's
+--grid-size defaults to its largest grid, 6 values, whatever
+ENTFLOW_GRID_SIZE says, and a larger value exits 2.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .orchestrator import (
     save_cache,
 )
 from .physics import DEFAULT_NOISE, PURIFY_MODELS, NoiseParams
-from .strategies import STRATEGY_NAMES, brute_force_oracle
+from .strategies import ORACLE_MAX_GRID, STRATEGY_NAMES, brute_force_oracle
 from .topology import generate_gabriel, k_shortest_paths, read_topology_file
 
 EXIT_OK = 0
@@ -44,7 +46,10 @@ def _env_default(name: str, fallback, cast):
     raw = os.environ.get(name)
     if raw is None:
         return fallback
-    return cast(raw)
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ValueError(f"{name}={raw!r} is not a valid {cast.__name__}") from None
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -156,6 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--max-purify-rounds", type=int, default=2)
     orc.add_argument("--max-ensembles", type=int, default=None)
     _add_common_flags(orc)
+    orc.set_defaults(grid_size=ORACLE_MAX_GRID)
 
     return parser
 
@@ -247,9 +253,8 @@ def _cmd_oracle(args) -> int:
     if not paths:
         print(f"no path between {s} and {d}", file=sys.stderr)
         return EXIT_CONFIG
-    grid = FidelityGrid.uniform(min(args.grid_size, 6))
     result = brute_force_oracle(
-        paths[0], grid, _noise_from_args(args),
+        paths[0], FidelityGrid.uniform(args.grid_size), _noise_from_args(args),
         max_purify_rounds=args.max_purify_rounds,
         max_ensembles=args.max_ensembles,
         purify_model=args.purify_model,
@@ -260,9 +265,8 @@ def _cmd_oracle(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "topo":
             return _cmd_topo(args)
         if args.command == "run":

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from bisect import bisect_right, insort
 from dataclasses import asdict, dataclass
 from itertools import chain
 
@@ -26,6 +27,8 @@ from .capacity import pair_capacity
 from .physics import (
     EventCounter,
     NoiseParams,
+    _check_fidelity,
+    dejmps,
     gate_factor,
     purify,
     purify_model_is_symmetric,
@@ -81,7 +84,7 @@ class FidelityGrid:
 
     def round_down_index(self, f: float) -> int:
         """Largest k with values[k] <= f, or -1 below the grid."""
-        return int(np.searchsorted(self.values, f, side="right")) - 1
+        return bisect_right(self.values, f) - 1
 
 
 @dataclass(frozen=True)
@@ -310,7 +313,7 @@ def build_standard_hypergraph(
     purifications whose rounded output does not strictly exceed both input
     buckets are dropped, which keeps the span-then-fidelity order acyclic.
     """
-    BUILD_COUNTER.count += 1
+    BUILD_COUNTER.tick()
     t0 = time.perf_counter()
     m = path.num_nodes
     if m < 2:
@@ -420,18 +423,27 @@ def _purify_block(
     """One increasing-bucket purification sweep over a node-pair block.
 
     Candidates always land in a strictly higher bucket than both inputs,
-    so a single ascending pass also captures cascaded purification.
+    so a single ascending pass over the occupied buckets also captures
+    cascaded purification: a bucket filled during the sweep is inserted
+    ahead of the cursor, and every bucket behind it is final.
     """
-    for k in range(grid.resolution):
-        high = block.get(k)
-        if high is None:
-            continue
-        for k1 in range(k + 1):
-            low = block.get(k1)
-            if low is None:
-                continue
-            f_new, p = purify(high.exact_fidelity, low.exact_fidelity, noise, purify_model)
-            if f_new <= max(high.exact_fidelity, low.exact_fidelity):
+    ideal = purify_model == "ideal-dejmps"
+    occupied = sorted(block)
+    pos = 0
+    while pos < len(occupied):
+        k = occupied[pos]
+        high = block[k]
+        f_hi = high.exact_fidelity
+        if ideal:
+            _check_fidelity("f1", f_hi)  # every low was a high before
+        for k1 in occupied[: pos + 1]:
+            low = block[k1]
+            f_lo = low.exact_fidelity
+            if ideal:
+                f_new, p = dejmps(f_hi, f_lo)
+            else:
+                f_new, p = purify(f_hi, f_lo, noise, purify_model)
+            if f_new <= max(f_hi, f_lo):
                 continue
             kn = grid.round_down_index(f_new)
             if kn <= k:
@@ -441,11 +453,15 @@ def _purify_block(
                 r_new = 0.5 * high.rate * p
             else:
                 r_new = min(high.rate, low.rate) * p
-            if _better(r_new, f_new, block.get(kn)):
+            inc = block.get(kn)
+            if _better(r_new, f_new, inc):
+                if inc is None:
+                    insort(occupied, kn)
                 block[kn] = _Incumbent(
                     exact_fidelity=f_new, rate=r_new, op="purify",
                     inputs=((pair, k), (pair, k1)), p_succ=p,
                 )
+        pos += 1
 
 
 def build_pruned_hypergraph(
@@ -462,7 +478,7 @@ def build_pruned_hypergraph(
     breaks ties). Spans are processed bottom-up: swap combinations first,
     then a purification sweep within the block.
     """
-    BUILD_COUNTER.count += 1
+    BUILD_COUNTER.tick()
     t0 = time.perf_counter()
     m = path.num_nodes
     if m < 2:
@@ -586,7 +602,7 @@ def synthesize_multipath(hypergraphs: list[Hypergraph]) -> Hypergraph:
         if hg.purify_model != first.purify_model:
             raise HypergraphError("mismatched purification models")
 
-    BUILD_COUNTER.count += 1
+    BUILD_COUNTER.tick()
     t0 = time.perf_counter()
     vertices = _source_sink(*first.endpoints)
     edges: list[HyperEdge] = []

@@ -127,8 +127,12 @@ def outer_loop_update(
 
 
 def inner_loop_request(cache: Cache, s: str, d: str) -> InnerResult:
-    """Solve one demand against the cache; no construction may happen."""
-    builds_before = BUILD_COUNTER.count
+    """Solve one demand against the cache; no construction may happen.
+
+    The guard reads the calling thread's build tally, so an outer loop
+    refreshing in another thread does not trip it.
+    """
+    builds_before = BUILD_COUNTER.thread_count
     entry = cache.entries.get((s, d))
     if entry is None or entry.hypergraph is None:
         return InnerResult(
@@ -141,7 +145,7 @@ def inner_loop_request(cache: Cache, s: str, d: str) -> InnerResult:
     solution = solve_lp(problem, method=cache.config.lp_method)
     scheme = extract_scheme(entry.hypergraph, solution)
     solver_time = time.perf_counter() - t0
-    if BUILD_COUNTER.count != builds_before:
+    if BUILD_COUNTER.thread_count != builds_before:
         raise RuntimeError("inner loop performed hypergraph construction")
     over = solver_time > cache.config.latency_budget_s
     diag = ""

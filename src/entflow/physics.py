@@ -17,7 +17,7 @@ provided:
 
 from __future__ import annotations
 
-import math
+import threading
 from dataclasses import dataclass
 
 FIDELITY_FLOOR = 0.25  # fully depolarized Werner state
@@ -48,13 +48,31 @@ DEFAULT_NOISE = NoiseParams()
 
 
 class EventCounter:
-    """Process-wide tally of one kind of event, such as clamped outputs."""
+    """Tally of one kind of event, such as clamped outputs.
+
+    ``count`` is the process-wide total and ``reset`` clears it.
+    ``thread_count`` is the calling thread's own tally, which only grows:
+    compare it before and after a call to see what that call did, whatever
+    other threads do meanwhile.
+    """
 
     def __init__(self) -> None:
         self.count = 0
+        self._lock = threading.Lock()
+        self._local = threading.local()
+
+    @property
+    def thread_count(self) -> int:
+        return getattr(self._local, "count", 0)
+
+    def tick(self) -> None:
+        with self._lock:
+            self.count += 1
+        self._local.count = self.thread_count + 1
 
     def reset(self) -> None:
-        self.count = 0
+        with self._lock:
+            self.count = 0
 
 
 CLAMP_EVENTS = EventCounter()  # fidelity outputs clamped into [0, 1]
@@ -141,9 +159,25 @@ def purify_output_fidelity(
     """
     raw = purify_output_fidelity_raw(f1, f2, noise)
     if raw < 0.0 or raw > 1.0:
-        CLAMP_EVENTS.count += 1
+        CLAMP_EVENTS.tick()
         return min(1.0, max(0.0, raw))
     return raw
+
+
+def dejmps(f1, f2):
+    """Unchecked perfect-operation DEJMPS map: (output fidelity, success prob).
+
+    The single expression ``ideal_dejmps`` and the pruned builder call, on
+    floats or elementwise on numpy arrays.
+    """
+    p = (
+        f1 * f2
+        + f1 * (1.0 - f2) / 3.0
+        + f2 * (1.0 - f1) / 3.0
+        + 5.0 * (1.0 - f1) * (1.0 - f2) / 9.0
+    )
+    f_out = (f1 * f2 + (1.0 - f1) * (1.0 - f2) / 9.0) / p
+    return f_out, p
 
 
 def ideal_dejmps(f1: float, f2: float) -> tuple[float, float]:
@@ -154,14 +188,7 @@ def ideal_dejmps(f1: float, f2: float) -> tuple[float, float]:
     """
     _check_fidelity("f1", f1)
     _check_fidelity("f2", f2)
-    p = (
-        f1 * f2
-        + f1 * (1.0 - f2) / 3.0
-        + f2 * (1.0 - f1) / 3.0
-        + 5.0 * (1.0 - f1) * (1.0 - f2) / 9.0
-    )
-    f_out = (f1 * f2 + (1.0 - f1) * (1.0 - f2) / 9.0) / p
-    return f_out, p
+    return dejmps(f1, f2)
 
 
 def purify(

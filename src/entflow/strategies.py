@@ -49,6 +49,8 @@ STRATEGY_NAMES = ("rate-dp", "rate-lp", "ec-lp", "ec-dp")
 
 DEFAULT_F_LB = 0.87
 
+ORACLE_MAX_GRID = 6  # largest grid resolution the oracle enumerates
+
 
 class OracleBoundsError(ValueError):
     """Raised when oracle inputs exceed its enumeration bounds."""
@@ -390,8 +392,8 @@ def brute_force_oracle(
     k = len(path.edges)
     if path.num_nodes > 4:
         raise OracleBoundsError("oracle paths are limited to 4 nodes")
-    if grid.resolution > 6:
-        raise OracleBoundsError("oracle grids are limited to 6 values")
+    if grid.resolution > ORACLE_MAX_GRID:
+        raise OracleBoundsError(f"oracle grids are limited to {ORACLE_MAX_GRID} values")
     if max_purify_rounds > 2 or max_purify_rounds < 0:
         raise OracleBoundsError("oracle allows at most 2 purification rounds")
 

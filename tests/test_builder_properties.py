@@ -1,0 +1,60 @@
+"""Property tests for the pruned builder's grid rounding, DEJMPS kernel and output."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import make_chain
+from entflow.hypergraph import FidelityGrid, build_pruned_hypergraph
+from entflow.physics import DEFAULT_NOISE, PURIFY_MODELS, dejmps, ideal_dejmps
+
+grids = st.lists(
+    st.floats(min_value=0.5, max_value=1.0), min_size=1, max_size=60, unique=True
+).map(lambda vals: FidelityGrid(tuple(sorted(vals))))
+probes = st.floats(allow_nan=True, allow_infinity=True)
+fidelities = st.floats(min_value=0.25, max_value=1.0)
+
+
+def _searchsorted_index(grid, f):
+    return int(np.searchsorted(np.asarray(grid.values), f, side="right")) - 1
+
+
+@given(grids, st.lists(probes, max_size=20))
+def test_round_down_index_equals_searchsorted(grid, extra):
+    vals = np.asarray(grid.values)
+    cases = [0.0, 1.0, float("nan"), *extra]
+    cases += vals.tolist()
+    cases += np.nextafter(vals, -np.inf).tolist() + np.nextafter(vals, np.inf).tolist()
+    for f in cases:
+        for probe in (f, np.float64(f)):
+            assert grid.round_down_index(probe) == _searchsorted_index(grid, probe)
+
+
+@given(st.lists(st.tuples(fidelities, fidelities), min_size=1, max_size=40))
+def test_dejmps_array_call_equals_scalar_ideal_dejmps_bit_for_bit(pairs):
+    f_out, p = dejmps(np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]))
+    scalar = [ideal_dejmps(a, b) for a, b in pairs]
+    assert f_out.tobytes() == np.array([f for f, _ in scalar]).tobytes()
+    assert p.tobytes() == np.array([q for _, q in scalar]).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.floats(min_value=20.0, max_value=150.0), min_size=1, max_size=6),
+    st.integers(min_value=2, max_value=100),
+    st.sampled_from(PURIFY_MODELS),
+)
+def test_pruned_build_invariants_on_random_chains(lengths, size, model):
+    grid = FidelityGrid.uniform(size)
+    hg = build_pruned_hypergraph(make_chain(lengths), grid, DEFAULT_NOISE, model)
+    verts = hg.vertices
+    for v in verts[2:]:
+        assert v.bucket == grid.round_down_index(v.exact_fidelity)
+    # every link vertex is the output of exactly one start, swap or purify edge
+    producer_rate = {e.output: e.rate_bound for e in hg.edges if e.op != "end"}
+    assert sorted(producer_rate) == list(range(2, len(verts)))
+    for e in hg.edges:
+        if e.op == "purify":
+            assert all(verts[e.output].bucket > verts[i].bucket for i in e.inputs)
+        elif e.op == "swap":
+            assert e.rate_bound == min(producer_rate[i] for i in e.inputs)

@@ -171,3 +171,34 @@ def test_cli_config_errors_exit_2(tmp_path):
     assert main(["topo", "validate", "--topology", str(bad)]) == 2
     assert main(["run", "benchmark", "--strategies", "nope",
                  "--topology-nodes", "10"]) == 2
+
+
+def test_cli_unparsable_env_default_exits_2(tmp_path, monkeypatch, capsys):
+    topo_file = tmp_path / "topo.json"
+    assert main(["topo", "gen", "--nodes", "12", "--seed", "4",
+                 "--out", str(topo_file)]) == 0
+    monkeypatch.setenv("ENTFLOW_SEED", "abc")
+    assert main(["topo", "validate", "--topology", str(topo_file)]) == 2
+    assert "ENTFLOW_SEED" in capsys.readouterr().err
+
+
+def test_cli_oracle_grid_size_defaults_to_6_and_rejects_larger(tmp_path, capsys):
+    topo_file = tmp_path / "topo.json"
+    topo_file.write_text(json.dumps({
+        "nodes": ["a", "b", "c"],
+        "edges": [{"u": "a", "v": "b", "length_km": 30.0},
+                  {"u": "b", "v": "c", "length_km": 40.0}],
+    }))
+    base = ["oracle", "--topology", str(topo_file), "--demand", "a,c"]
+    plain, six = tmp_path / "plain.json", tmp_path / "six.json"
+    assert main(base + ["--out", str(plain)]) == 0
+    assert main(base + ["--grid-size", "6", "--out", str(six)]) == 0
+    untimed = [
+        {k: v for k, v in json.loads(f.read_text()).items() if not k.endswith("_time_s")}
+        for f in (plain, six)
+    ]
+    assert untimed[0] == untimed[1]
+    assert untimed[0]["grid_size"] == 6
+    capsys.readouterr()
+    assert main(base + ["--grid-size", "7"]) == 2
+    assert "6 values" in capsys.readouterr().err

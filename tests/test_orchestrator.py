@@ -181,3 +181,66 @@ def test_load_cache_rejects_cyclic_hypergraph():
         Hypergraph.from_json(hg_doc)
     with pytest.raises(CacheError, match="cycle"):
         load_cache(json.dumps(doc))
+
+
+def test_inner_loop_raises_on_a_real_build(monkeypatch):
+    import entflow.orchestrator as orchestrator
+    from entflow.hypergraph import build_pruned_hypergraph
+
+    topo = _square_topology()
+    cache = outer_loop_update(topo, [("s", "d")], _config())
+    formulate = orchestrator.formulate_lp
+    path = topo.path_from_nodes(["s", "a", "d"])
+
+    def formulate_after_building(hg, objective):
+        build_pruned_hypergraph(path, cache.config.grid, cache.config.noise)
+        return formulate(hg, objective)
+
+    monkeypatch.setattr(orchestrator, "formulate_lp", formulate_after_building)
+    with pytest.raises(RuntimeError, match="inner loop performed hypergraph construction"):
+        inner_loop_request(cache, "s", "d")
+
+
+def test_concurrent_outer_refresh_raises_no_false_alarm():
+    import sys
+    import threading
+
+    topo = _square_topology()
+    cfg = _config()
+    cache = outer_loop_update(topo, [("s", "d")], cfg)
+    builds_before = BUILD_COUNTER.count
+    started = threading.Event()
+    done = threading.Event()
+    served = []
+    errors = []
+
+    def refresh():
+        started.set()
+        while not done.is_set():
+            outer_loop_update(topo, [("s", "d"), ("a", "b")], cfg)
+
+    def serve():
+        try:
+            assert started.wait(timeout=30)
+            for _ in range(50):
+                served.append(inner_loop_request(cache, "s", "d").scheme.capacity)
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+        finally:
+            done.set()
+
+    threads = [threading.Thread(target=refresh), threading.Thread(target=serve)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # let the threads interleave between builds
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+        done.set()
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(served) == 50 and min(served) > 0.0
+    assert BUILD_COUNTER.count > builds_before  # the refresher built meanwhile
