@@ -17,6 +17,7 @@ import math
 import time
 from bisect import bisect_right, insort
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -42,6 +43,7 @@ SINK = 1
 SERIALIZATION_VERSION = 1
 
 _OP_ARITY = {"start": 1, "swap": 2, "purify": 2, "end": 1}  # inputs per op
+OP_CODE = {op: code for code, op in enumerate(_OP_ARITY)}  # op -> HypergraphColumns.op
 
 
 class HypergraphError(ValueError):
@@ -115,6 +117,28 @@ class HypergraphStats:
     build_time_s: float
 
 
+@dataclass(frozen=True)
+class HypergraphColumns:
+    """The hypergraph as numpy columns: one entry per edge, then per vertex."""
+
+    op: np.ndarray  # OP_CODE of each edge
+    input0: np.ndarray
+    input1: np.ndarray  # -1 for one-input ops
+    output: np.ndarray
+    p_succ: np.ndarray
+    capacity_coeff: np.ndarray
+    link: np.ndarray  # start edges: index into link_keys; -1 elsewhere
+    link_keys: tuple[str, ...]  # sorted keys of the links that start edges name
+    is_link: np.ndarray  # per vertex: kind == "link"
+    exact_fidelity: np.ndarray  # per vertex
+
+    def __post_init__(self) -> None:
+        # cached on the hypergraph and shared by every LP built from it
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+
 BUILD_COUNTER = EventCounter()  # hypergraph builder invocations
 
 
@@ -162,6 +186,41 @@ class Hypergraph:
         components, _ = connected_components(graph, directed=True, connection="strong")
         if components != n + m:
             raise HypergraphError("hypergraph contains a cycle")
+
+    @cached_property
+    def columns(self) -> HypergraphColumns:
+        """Numpy columns of the edges and vertices, built on first use."""
+        edges, m = self.edges, len(self.edges)
+        try:
+            op = np.fromiter((OP_CODE[e.op] for e in edges), np.int8, m)
+        except KeyError as exc:
+            raise HypergraphError(f"unknown op {exc.args[0]!r}") from None
+        arity = np.fromiter((len(e.inputs) for e in edges), np.int64, m)
+        if m and (arity.min() < 1 or arity.max() > 2):
+            raise HypergraphError("every edge takes one or two inputs")
+        flat = np.fromiter(chain.from_iterable(e.inputs for e in edges), np.int64, int(arity.sum()))
+        first = np.cumsum(arity) - arity
+        two = arity == 2
+        input1 = np.full(m, -1, np.int64)
+        input1[two] = flat[first[two] + 1]
+        keys = sorted({e.link_key for e in edges if e.op == "start" and e.link_key is not None})
+        code = {key: i for i, key in enumerate(keys)}
+        return HypergraphColumns(
+            op=op,
+            input0=flat[first],
+            input1=input1,
+            output=np.fromiter((e.output for e in edges), np.int64, m),
+            p_succ=np.fromiter((e.p_succ for e in edges), np.float64, m),
+            capacity_coeff=np.fromiter((e.capacity_coeff for e in edges), np.float64, m),
+            link=np.fromiter(
+                (code.get(e.link_key, -1) if e.op == "start" else -1 for e in edges), np.int64, m
+            ),
+            link_keys=tuple(keys),
+            is_link=np.fromiter((v.kind == "link" for v in self.vertices), bool, len(self.vertices)),
+            exact_fidelity=np.fromiter(
+                (v.exact_fidelity for v in self.vertices), np.float64, len(self.vertices)
+            ),
+        )
 
     def stats(self) -> HypergraphStats:
         by_op = dict.fromkeys(_OP_ARITY, 0)

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .capacity import EnsembleSpec, ensemble_capacity
-from .hypergraph import SINK, SOURCE, Hypergraph
+from .hypergraph import OP_CODE, Hypergraph
 
 OBJECTIVE_KINDS = ("ensemble-capacity", "end-rate")
 LP_METHODS = ("auto", "simplex", "highs")
@@ -41,28 +41,87 @@ class LPSolveError(RuntimeError):
     """Raised when a solve fails numerically or is infeasible/unbounded."""
 
 
-@dataclass
 class LPProblem:
-    """max c.x subject to rows (<= rhs), x >= 0, selected x forced to 0."""
+    """max c.x subject to A x <= rhs, x >= 0, selected x forced to 0.
 
-    num_vars: int
-    objective: np.ndarray
-    rows: list[list[tuple[int, float]]]
-    rhs: np.ndarray
-    row_names: list[str]
-    forced_zero: frozenset[int] = frozenset()
-    objective_kind: str = "generic"
-    f_lb: float | None = None
+    ``A`` is one CSR matrix (``matrix``), given as such or as ``rows``:
+    per row, a list of ``(variable, coefficient)`` terms, kept in the
+    given order. The ``rows`` attribute is a view derived from the matrix.
+    Forced-zero variables keep their terms; the solve drops them.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.rows) != len(self.rhs) or len(self.rows) != len(self.row_names):
+    def __init__(
+        self,
+        num_vars: int,
+        objective: np.ndarray,
+        rows: list[list[tuple[int, float]]] | sp.csr_matrix,
+        rhs: np.ndarray,
+        row_names: list[str],
+        forced_zero: frozenset[int] = frozenset(),
+        objective_kind: str = "generic",
+        f_lb: float | None = None,
+    ) -> None:
+        self.num_vars = num_vars
+        self.objective = np.asarray(objective, dtype=float)
+        self.rhs = np.asarray(rhs, dtype=float)
+        self.row_names = row_names
+        self.forced_zero = forced_zero
+        self.objective_kind = objective_kind
+        self.f_lb = f_lb
+        if len(self.rhs) != len(row_names):
             raise LPError("row data lengths disagree")
-        if len(self.objective) != self.num_vars:
+        if len(self.objective) != num_vars:
             raise LPError("objective length disagrees with variable count")
+        if sp.issparse(rows):
+            self.matrix = sp.csr_matrix(rows)
+            if self.matrix.shape != (len(row_names), num_vars):
+                raise LPError("matrix shape disagrees with rows and variables")
+        else:
+            if len(rows) != len(row_names):
+                raise LPError("row data lengths disagree")
+            self.matrix = _rows_matrix(rows, num_vars)
+        self._validate()
+
+    def _validate(self) -> None:
+        a, n = self.matrix, self.num_vars
+        bad = np.flatnonzero((a.indices < 0) | (a.indices >= n) | np.isnan(a.data))
+        if len(bad):
+            k = int(bad[0])
+            row = self.row_names[int(np.searchsorted(a.indptr, k, side="right")) - 1]
+            var, coef = int(a.indices[k]), float(a.data[k])
+            if not 0 <= var < n:
+                raise LPError(f"row {row}: variable r_{var} outside [0, {n})")
+            raise LPError(f"row {row}: coefficient {coef!r} of r_{var} is NaN")
+        outside = sorted(i for i in self.forced_zero if not 0 <= i < n)
+        if outside:
+            raise LPError(f"forced_zero index {outside[0]} outside [0, {n})")
+        nan_obj = np.flatnonzero(np.isnan(self.objective))
+        if len(nan_obj):
+            raise LPError(f"objective coefficient of r_{int(nan_obj[0])} is NaN")
+        nan_rhs = np.flatnonzero(np.isnan(self.rhs))
+        if len(nan_rhs):
+            raise LPError(f"row {self.row_names[int(nan_rhs[0])]}: rhs is NaN")
 
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return self.matrix.shape[0]
+
+    @property
+    def rows(self) -> list[list[tuple[int, float]]]:
+        """Per row, its ``(variable, coefficient)`` terms in matrix order."""
+        ptr = self.matrix.indptr.tolist()
+        terms = list(zip(self.matrix.indices.tolist(), self.matrix.data.tolist()))
+        return [terms[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
+
+
+def _rows_matrix(rows: list[list[tuple[int, float]]], num_vars: int) -> sp.csr_matrix:
+    """CSR matrix with the terms of each row in the given order."""
+    indptr = np.zeros(len(rows) + 1, np.int64)
+    np.cumsum([len(row) for row in rows], out=indptr[1:])
+    terms = [term for row in rows for term in row]
+    indices = np.fromiter((var for var, _ in terms), np.int64, len(terms))
+    data = np.fromiter((coef for _, coef in terms), np.float64, len(terms))
+    return sp.csr_matrix((data, indices, indptr), shape=(len(rows), num_vars))
 
 
 @dataclass(frozen=True)
@@ -89,58 +148,50 @@ def formulate_lp(
     if objective == "end-rate" and f_lb is None:
         raise LPError("end-rate objective requires a fidelity lower bound")
 
-    n = len(hg.edges)
-    c = np.zeros(n)
-    forced: set[int] = set()
-    for ei, e in enumerate(hg.edges):
-        if e.op != "end":
-            continue
-        if objective == "ensemble-capacity":
-            c[ei] = e.capacity_coeff
-        else:
-            f_end = hg.vertices[e.inputs[0]].exact_fidelity
-            if f_end >= f_lb:
-                c[ei] = 1.0
-            else:
-                forced.add(ei)
+    cols = hg.columns
+    missing = [key for key in cols.link_keys if key not in hg.link_limits]
+    if missing:
+        raise LPError(f"start edge references unknown physical link {missing[0]}")
+    n = len(cols.op)
+    is_end = cols.op == OP_CODE["end"]
+    forced = np.zeros(0, np.int64)
+    if objective == "ensemble-capacity":
+        c = np.where(is_end, cols.capacity_coeff, 0.0)
+    else:
+        above = cols.exact_fidelity[cols.input0] >= f_lb
+        c = (is_end & above).astype(np.float64)
+        forced = np.flatnonzero(is_end & ~above)
 
-    rows: list[list[tuple[int, float]]] = []
-    rhs: list[float] = []
-    names: list[str] = []
-
-    # flow row per link-state vertex: total out-rate minus in-credit <= 0
-    per_vertex: dict[int, dict[int, float]] = {
-        vi: {} for vi, v in enumerate(hg.vertices) if v.kind == "link"
-    }
-    for ei, e in enumerate(hg.edges):
-        for vi in e.inputs:
-            if vi in per_vertex:
-                row = per_vertex[vi]
-                row[ei] = row.get(ei, 0.0) + 1.0
-        if e.output in per_vertex:
-            credit = 0.5 * e.p_succ if e.op == "purify" else 1.0
-            row = per_vertex[e.output]
-            row[ei] = row.get(ei, 0.0) - credit
-    for vi in sorted(per_vertex):
-        rows.append(sorted(per_vertex[vi].items()))
-        rhs.append(0.0)
-        names.append(f"v_{vi}")
-
-    # generation-limit row per physical link
-    per_link: dict[str, list[tuple[int, float]]] = {}
-    for ei, e in enumerate(hg.edges):
-        if e.op == "start" and e.link_key is not None:
-            per_link.setdefault(e.link_key, []).append((ei, 1.0))
-    for key in sorted(per_link):
-        if key not in hg.link_limits:
-            raise LPError(f"start edge references unknown physical link {key}")
-        rows.append(per_link[key])
-        rhs.append(hg.link_limits[key])
-        names.append(f"l_{key}")
+    # flow row per link-state vertex, in vertex order: total out-rate minus
+    # in-credit <= 0; then one generation-limit row per physical link
+    link_vertices = np.flatnonzero(cols.is_link)
+    vertex_row = np.cumsum(cols.is_link) - 1
+    edge = np.arange(n)
+    uses0 = cols.is_link[cols.input0]
+    uses1 = (cols.input1 >= 0) & cols.is_link[cols.input1]
+    feeds = cols.is_link[cols.output]
+    credit = np.where(cols.op == OP_CODE["purify"], 0.5 * cols.p_succ, 1.0)
+    starts = np.flatnonzero(cols.link >= 0)
+    row = np.concatenate([
+        vertex_row[cols.input0[uses0]],
+        vertex_row[cols.input1[uses1]],
+        vertex_row[cols.output[feeds]],
+        len(link_vertices) + cols.link[starts],
+    ])
+    col = np.concatenate([edge[uses0], edge[uses1], edge[feeds], starts])
+    data = np.concatenate([
+        np.ones(int(uses0.sum()) + int(uses1.sum())), -credit[feeds], np.ones(len(starts)),
+    ])
+    num_rows = len(link_vertices) + len(cols.link_keys)
+    # the (data, ij) constructor sorts each row by variable and sums the two
+    # terms of a purification that draws both inputs from one vertex
+    matrix = sp.csr_matrix((data, (row, col)), shape=(num_rows, n))
+    rhs = np.concatenate([np.zeros(len(link_vertices)), [hg.link_limits[k] for k in cols.link_keys]])
+    names = [f"v_{vi}" for vi in link_vertices.tolist()] + [f"l_{k}" for k in cols.link_keys]
 
     return LPProblem(
-        num_vars=n, objective=c, rows=rows, rhs=np.array(rhs),
-        row_names=names, forced_zero=frozenset(forced),
+        num_vars=n, objective=c, rows=matrix, rhs=rhs,
+        row_names=names, forced_zero=frozenset(forced.tolist()),
         objective_kind=objective, f_lb=f_lb,
     )
 
@@ -205,23 +256,21 @@ def _simplex_maximize(
     return "optimal", x, float(c @ x), iters
 
 
-def _problem_matrices(problem: LPProblem, dense: bool):
-    n = problem.num_vars
-    data, ri, ci = [], [], []
-    for r, row in enumerate(problem.rows):
-        for var, coef in row:
-            if var in problem.forced_zero:
-                continue
-            ri.append(r)
-            ci.append(var)
-            data.append(coef)
-    mat = sp.coo_matrix((data, (ri, ci)), shape=(problem.num_rows, n))
+def _problem_matrices(problem: LPProblem) -> tuple[np.ndarray, sp.csr_matrix]:
+    """Objective and canonical CSR matrix with forced-zero variables dropped."""
+    a = problem.matrix
     c = problem.objective.copy()
+    keep = np.ones(len(a.indices), bool)
     if problem.forced_zero:
-        c[list(problem.forced_zero)] = 0.0
-    if dense:
-        return c, mat.toarray()
-    return c, mat.tocsr()
+        forced = np.fromiter(problem.forced_zero, np.int64, len(problem.forced_zero))
+        c[forced] = 0.0
+        is_forced = np.zeros(problem.num_vars, bool)
+        is_forced[forced] = True
+        keep = ~is_forced[a.indices]
+    kept = np.concatenate([[0], np.cumsum(keep)])
+    mat = sp.csr_matrix((a.data[keep], a.indices[keep], kept[a.indptr]), shape=a.shape)
+    mat.sum_duplicates()
+    return c, mat
 
 
 def solve_lp(problem: LPProblem, method: str = "auto") -> LPSolution:
@@ -238,9 +287,9 @@ def solve_lp(problem: LPProblem, method: str = "auto") -> LPSolution:
         return LPSolution("optimal", 0.0, np.zeros(0), 0, time.perf_counter() - t0, method)
 
     if method == "simplex":
-        c, a = _problem_matrices(problem, dense=True)
+        c, a = _problem_matrices(problem)
         try:
-            status, x, obj, iters = _simplex_maximize(c, a, problem.rhs)
+            status, x, obj, iters = _simplex_maximize(c, a.toarray(), problem.rhs)
         except LPSolveError:
             if not auto:
                 raise
@@ -250,7 +299,7 @@ def solve_lp(problem: LPProblem, method: str = "auto") -> LPSolution:
         if status != "optimal":
             raise LPSolveError(f"built-in solver: problem is {status}")
     elif method == "highs":
-        c, a = _problem_matrices(problem, dense=False)
+        c, a = _problem_matrices(problem)
         res = linprog(
             -c, A_ub=a, b_ub=problem.rhs, bounds=(0, None), method="highs"
         )
@@ -276,13 +325,23 @@ def solve_lp(problem: LPProblem, method: str = "auto") -> LPSolution:
 
 
 def _check_solution(problem: LPProblem, x: np.ndarray) -> None:
-    if np.any(x < -RATE_EPS):
-        raise LPSolveError("negative rate in solution")
-    scale = max(1.0, float(np.max(np.abs(problem.rhs))) if problem.num_rows else 1.0)
-    for row, limit in zip(problem.rows, problem.rhs):
-        lhs = sum(coef * x[var] for var, coef in row)
-        if lhs > limit + FEAS_TOL * scale:
-            raise LPSolveError(f"constraint violated by {lhs - limit:.3e}")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if len(bad):
+        raise LPSolveError(f"non-finite rate {float(x[bad[0]])!r} for r_{bad[0]} in solution")
+    bad = np.flatnonzero(x < -RATE_EPS)
+    if len(bad):
+        raise LPSolveError(f"negative rate {float(x[bad[0]]):.3e} for r_{bad[0]} in solution")
+    if not problem.num_rows:
+        return
+    rhs = problem.rhs
+    lhs = problem.matrix @ x
+    violated = lhs > rhs + FEAS_TOL * max(1.0, float(np.max(np.abs(rhs))))
+    if violated.any():
+        i = int(np.argmax(np.where(violated, lhs - rhs, -np.inf)))
+        raise LPSolveError(
+            f"constraint violated: row {problem.row_names[i]} has lhs {float(lhs[i])!r} "
+            f"> limit {float(rhs[i])!r} (by {lhs[i] - rhs[i]:.3e})"
+        )
 
 
 def _fmt(value: float) -> str:
@@ -437,11 +496,14 @@ def _trace_tree(
     vertex: int,
     memo: dict[int, str],
 ) -> str:
-    """Representative max-rate production tree for a vertex, as text."""
+    """Representative max-rate production tree for a vertex, as text.
+
+    ``producers`` lists, per vertex, the edges with positive rate into it.
+    """
     if vertex in memo:
         return memo[vertex]
     memo[vertex] = "..."  # cycle guard; never hit on a valid DAG
-    cands = [ei for ei in producers.get(vertex, ()) if rates[ei] > RATE_EPS]
+    cands = producers.get(vertex)
     if not cands:
         memo[vertex] = "?"
         return "?"
@@ -468,16 +530,16 @@ def extract_scheme(hg: Hypergraph, solution: LPSolution) -> DistributionScheme:
     rates = solution.rates
     entries: list[tuple[float, float]] = []
     protocols: list[ProtocolFlow] = []
+    # only edges with positive rate can carry flow or appear in a tree
+    active = [(ei, hg.edges[ei]) for ei in np.flatnonzero(rates > RATE_EPS).tolist()]
     producers: dict[int, list[int]] = {}
-    for ei, e in enumerate(hg.edges):
+    for ei, e in active:
         producers.setdefault(e.output, []).append(ei)
     memo: dict[int, str] = {}
     swap_rate = 0.0
     pur_rate = 0.0
-    for ei, e in enumerate(hg.edges):
+    for ei, e in active:
         r = float(rates[ei])
-        if r <= RATE_EPS:
-            continue
         if e.op == "swap":
             swap_rate += r
         elif e.op == "purify":

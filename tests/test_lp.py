@@ -200,3 +200,38 @@ def test_check_solution_rejects_infeasible_rates():
         _check_solution(problem, np.array([-0.1, 0.5]))
     with pytest.raises(LPSolveError, match="constraint violated"):
         _check_solution(problem, np.array([1.0, 0.5]))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_check_solution_rejects_non_finite_rates(bad):
+    problem = _problem(2, [1.0, 1.0], [[(0, 1.0), (1, 1.0)]], [1.0], ["r"])
+    with pytest.raises(LPSolveError, match="non-finite rate .* r_0"):
+        _check_solution(problem, np.array([bad, 0.5]))
+
+
+def test_check_solution_names_the_worst_row():
+    problem = _problem(2, [1.0, 1.0], [[(0, 1.0)], [(1, 1.0)], [(0, 1.0), (1, 1.0)]],
+                       [1.0, 1.0, 2.0], ["first", "second", "both"])
+    with pytest.raises(LPSolveError, match=r"constraint violated: row second has lhs 3\.5 > limit 1\.0"):
+        _check_solution(problem, np.array([0.25, 3.5]))
+
+
+@pytest.mark.parametrize("rows,kw,message", [
+    ([[(0, 1.0)], [(5, 1.0)]], {}, r"row b: variable r_5 outside \[0, 2\)"),
+    ([[(-1, 1.0)], [(0, 1.0)]], {}, r"row a: variable r_-1 outside \[0, 2\)"),
+    ([[(0, 1.0)], [(1, float("nan"))]], {}, r"row b: coefficient nan of r_1 is NaN"),
+    ([[(0, 1.0)], [(1, 1.0)]], {"forced_zero": frozenset({0, 2})}, r"forced_zero index 2 outside"),
+    ([[(0, 1.0)], [(1, 1.0)]], {"objective": [1.0, float("nan")]}, r"objective coefficient of r_1"),
+    ([[(0, 1.0)], [(1, 1.0)]], {"rhs": [float("nan"), 1.0]}, r"row a: rhs is NaN"),
+])
+def test_problem_rejects_bad_terms_indices_and_nan(rows, kw, message):
+    args = {"objective": [1.0, 1.0], "rhs": [1.0, 1.0], **kw}
+    with pytest.raises(LPError, match=message):
+        _problem(2, args.pop("objective"), rows, args.pop("rhs"), ["a", "b"], **args)
+
+
+def test_rows_view_keeps_the_given_terms():
+    rows = [[(2, -0.5), (0, 1.0)], [], [(1, 2.0)]]
+    problem = _problem(3, [1.0, 1.0, 1.0], rows, [0.0, 1.0, 2.0], ["a", "b", "c"])
+    assert problem.rows == rows
+    assert problem.matrix.shape == (3, 3)
