@@ -19,6 +19,7 @@ from bisect import bisect_right, insort
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,6 +37,9 @@ from .physics import (
     werner_swap,
 )
 from .topology import Path, link_egr
+
+if TYPE_CHECKING:
+    from .lp import RateLP
 
 SOURCE = 0
 SINK = 1
@@ -221,6 +225,14 @@ class Hypergraph:
                 (v.exact_fidelity for v in self.vertices), np.float64, len(self.vertices)
             ),
         )
+
+    @cached_property
+    def rate_lp(self) -> RateLP:
+        """The objective-free part of the rate LP and its solver model, built
+        on first use and shared by every problem formulated from this graph."""
+        from .lp import RateLP  # lp imports this module
+
+        return RateLP.of(self)
 
     def stats(self) -> HypergraphStats:
         by_op = dict.fromkeys(_OP_ARITY, 0)

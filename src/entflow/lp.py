@@ -7,15 +7,35 @@ and a generation-limit row per physical link. Objectives: aggregate
 ensemble capacity of the end edges, or total end rate restricted to end
 fidelities above a lower bound.
 
+The constraint matrix, rhs and row names depend only on the hypergraph;
+only the objective and the forced-zero set change with the objective and
+``f_lb``. ``Hypergraph.rate_lp`` builds that constant part once per
+hypergraph (a ``RateLP``), and every problem formulated from the
+hypergraph shares it.
+
 Two solver backends: a deterministic dense tableau simplex (small
-problems, no dependencies beyond numpy) and scipy's HiGHS interface for
-larger instances. A plain-text interchange format allows cross-checking
-one backend against the other, or against external tools.
+problems, no dependencies beyond numpy) and HiGHS (Huangfu & Hall 2018,
+the dual revised simplex) for larger instances. HiGHS is driven through
+scipy's private bindings (``scipy.optimize._highspy._core``). A
+``RateLP`` compiles one HiGHS model (a ``HighsLp``) on its first HiGHS
+solve and keeps it, behind a lock. Each solve loads that model into a
+new solver, sets the costs, gives the forced-zero variables an upper
+bound of 0 and runs cold with presolve; the solver is dropped after the
+solve. Nothing is warm-started: after an objective change a warm start
+can take a hundred times longer than a cold run. A problem built from
+rows or parsed from text has no hypergraph and gets a fresh model for
+its one solve. When the bindings, or a method the solve calls, are
+missing (checked once at import), HiGHS runs through
+``scipy.optimize.linprog`` instead, with the same answers.
+
+A plain-text interchange format allows cross-checking one backend
+against the other, or against external tools.
 """
 
 from __future__ import annotations
 
 import re
+import threading
 import time
 from dataclasses import dataclass
 
@@ -31,6 +51,33 @@ LP_METHODS = ("auto", "simplex", "highs")
 
 RATE_EPS = 1e-9
 FEAS_TOL = 1e-6
+
+
+def _highs_bindings():
+    """scipy's private HiGHS module, or None if it lacks what the solve calls."""
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError:
+        return None
+    names = ("_Highs", "HighsLp", "MatrixFormat", "HighsModelStatus", "HighsStatus")
+    methods = ("setOptionValue", "passModel", "changeColsCost", "changeColsBounds", "run",
+               "getModelStatus", "getInfo", "getSolution")
+    if all(hasattr(_core, name) for name in names) and all(
+        hasattr(_core._Highs, method) for method in methods
+    ):
+        return _core
+    return None
+
+
+_HIGHS = _highs_bindings()  # None: solve through linprog
+# the options that linprog(method="highs") sets
+_HIGHS_OPTIONS = {
+    "output_flag": False,
+    "log_to_console": False,
+    "presolve": "on",
+    "highs_debug_level": 0,  # none
+    "simplex_strategy": 1,  # dual simplex
+}
 
 
 class LPError(ValueError):
@@ -49,6 +96,8 @@ class LPProblem:
     given order. The ``rows`` attribute is a view derived from the matrix.
     Forced-zero variables keep their terms; the solve drops them.
     """
+
+    _base: RateLP | None = None  # set by formulate_lp: the hypergraph's shared part
 
     def __init__(
         self,
@@ -134,6 +183,116 @@ class LPSolution:
     method: str
 
 
+class RateLP:
+    """The part of a hypergraph's rate LP that no objective changes.
+
+    The constraint matrix (CSR, read-only), the rhs (read-only) and the
+    row names, plus the HiGHS model compiled from them on the first HiGHS
+    solve. ``Hypergraph.rate_lp`` keeps one per hypergraph, so it lives
+    and dies with the hypergraph.
+    """
+
+    def __init__(self, matrix: sp.csr_matrix, rhs: np.ndarray, row_names: tuple[str, ...]) -> None:
+        self.matrix = matrix
+        self.rhs = rhs
+        self.row_names = row_names
+        self._lock = threading.Lock()
+        self._model = None
+
+    @classmethod
+    def of(cls, hg: Hypergraph) -> RateLP:
+        """Flow row per link-state vertex, in vertex order: total out-rate
+        minus in-credit <= 0; then one generation-limit row per physical link."""
+        cols = hg.columns
+        missing = [key for key in cols.link_keys if key not in hg.link_limits]
+        if missing:
+            raise LPError(f"start edge references unknown physical link {missing[0]}")
+        n = len(cols.op)
+        link_vertices = np.flatnonzero(cols.is_link)
+        vertex_row = np.cumsum(cols.is_link) - 1
+        edge = np.arange(n)
+        uses0 = cols.is_link[cols.input0]
+        uses1 = (cols.input1 >= 0) & cols.is_link[cols.input1]
+        feeds = cols.is_link[cols.output]
+        credit = np.where(cols.op == OP_CODE["purify"], 0.5 * cols.p_succ, 1.0)
+        starts = np.flatnonzero(cols.link >= 0)
+        row = np.concatenate([
+            vertex_row[cols.input0[uses0]],
+            vertex_row[cols.input1[uses1]],
+            vertex_row[cols.output[feeds]],
+            len(link_vertices) + cols.link[starts],
+        ])
+        col = np.concatenate([edge[uses0], edge[uses1], edge[feeds], starts])
+        data = np.concatenate([
+            np.ones(int(uses0.sum()) + int(uses1.sum())), -credit[feeds], np.ones(len(starts)),
+        ])
+        num_rows = len(link_vertices) + len(cols.link_keys)
+        # the (data, ij) constructor sorts each row by variable and sums the two
+        # terms of a purification that draws both inputs from one vertex
+        matrix = sp.csr_matrix((data, (row, col)), shape=(num_rows, n))
+        rhs = np.concatenate([np.zeros(len(link_vertices)), [hg.link_limits[k] for k in cols.link_keys]])
+        for array in (matrix.data, matrix.indices, matrix.indptr, rhs):
+            array.flags.writeable = False  # shared by every problem of the hypergraph
+        names = [f"v_{vi}" for vi in link_vertices.tolist()] + [f"l_{k}" for k in cols.link_keys]
+        return cls(matrix, rhs, tuple(names))
+
+    def solve_highs(self, cost: np.ndarray, upper: np.ndarray):
+        """Cold HiGHS run of min cost.x, Ax <= rhs, 0 <= x <= upper.
+
+        The model is compiled on the first call and kept. Each call loads
+        it into a new solver, which starts cold and is freed on return: a
+        solver that has run keeps its working memory, about 230 bytes per
+        nonzero, until it is destroyed, even after ``clearSolver``.
+        Returns the solution and the iteration count.
+        """
+        solver = _HIGHS._Highs()
+        for key, value in _HIGHS_OPTIONS.items():
+            solver.setOptionValue(key, value)
+        with self._lock:
+            if self._model is None:
+                self._model = _compile_highs(self.matrix, self.rhs)
+            loaded = solver.passModel(self._model)
+        if loaded == _HIGHS.HighsStatus.kError:
+            raise LPSolveError("HiGHS rejected the model")
+        n = len(cost)
+        cols = np.arange(n, dtype=np.int32)
+        solver.changeColsCost(n, cols, cost)
+        solver.changeColsBounds(n, cols, np.zeros(n), upper)
+        solver.run()
+        status, statuses = solver.getModelStatus(), _HIGHS.HighsModelStatus
+        # the statuses linprog reads as infeasible and as unbounded
+        if status in (statuses.kInfeasible, statuses.kModelError):
+            raise LPSolveError("HiGHS: problem is infeasible")
+        if status == statuses.kUnbounded:
+            raise LPSolveError("HiGHS: problem is unbounded")
+        if status != statuses.kOptimal:
+            raise LPSolveError(f"HiGHS failed: model status {status.name}")
+        info = solver.getInfo()
+        # linprog's count: simplex iterations, or IPM ones if there were none
+        iterations = int(info.simplex_iteration_count or info.ipm_iteration_count)
+        return np.array(solver.getSolution().col_value), iterations
+
+
+def _compile_highs(matrix: sp.csr_matrix, rhs: np.ndarray):
+    """The HiGHS model (a ``HighsLp``) of Ax <= rhs, x >= 0 with zero costs."""
+    a = matrix.tocsc()
+    a.sum_duplicates()
+    m, n = a.shape
+    lp = _HIGHS.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = m
+    lp.a_matrix_.format_ = _HIGHS.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = a.indptr
+    lp.a_matrix_.index_ = a.indices
+    lp.a_matrix_.value_ = a.data
+    lp.col_cost_ = np.zeros(n)
+    lp.col_lower_ = np.zeros(n)
+    lp.col_upper_ = np.full(n, np.inf)
+    lp.row_lower_ = np.full(m, -np.inf)
+    lp.row_upper_ = np.array(rhs, dtype=np.float64)
+    return lp
+
+
 def formulate_lp(
     hg: Hypergraph, objective: str, f_lb: float | None = None
 ) -> LPProblem:
@@ -141,18 +300,17 @@ def formulate_lp(
 
     ``ensemble-capacity`` weights each end edge by its per-pair capacity;
     ``end-rate`` maximizes total end rate and requires ``f_lb``, forcing
-    end edges below the bound to zero rate.
+    end edges below the bound to zero rate. The matrix, rhs and row names
+    come from ``hg.rate_lp``; only the objective and the forced-zero set
+    are built here.
     """
     if objective not in OBJECTIVE_KINDS:
         raise LPError(f"unknown objective {objective!r}")
     if objective == "end-rate" and f_lb is None:
         raise LPError("end-rate objective requires a fidelity lower bound")
 
+    base = hg.rate_lp
     cols = hg.columns
-    missing = [key for key in cols.link_keys if key not in hg.link_limits]
-    if missing:
-        raise LPError(f"start edge references unknown physical link {missing[0]}")
-    n = len(cols.op)
     is_end = cols.op == OP_CODE["end"]
     forced = np.zeros(0, np.int64)
     if objective == "ensemble-capacity":
@@ -161,39 +319,13 @@ def formulate_lp(
         above = cols.exact_fidelity[cols.input0] >= f_lb
         c = (is_end & above).astype(np.float64)
         forced = np.flatnonzero(is_end & ~above)
-
-    # flow row per link-state vertex, in vertex order: total out-rate minus
-    # in-credit <= 0; then one generation-limit row per physical link
-    link_vertices = np.flatnonzero(cols.is_link)
-    vertex_row = np.cumsum(cols.is_link) - 1
-    edge = np.arange(n)
-    uses0 = cols.is_link[cols.input0]
-    uses1 = (cols.input1 >= 0) & cols.is_link[cols.input1]
-    feeds = cols.is_link[cols.output]
-    credit = np.where(cols.op == OP_CODE["purify"], 0.5 * cols.p_succ, 1.0)
-    starts = np.flatnonzero(cols.link >= 0)
-    row = np.concatenate([
-        vertex_row[cols.input0[uses0]],
-        vertex_row[cols.input1[uses1]],
-        vertex_row[cols.output[feeds]],
-        len(link_vertices) + cols.link[starts],
-    ])
-    col = np.concatenate([edge[uses0], edge[uses1], edge[feeds], starts])
-    data = np.concatenate([
-        np.ones(int(uses0.sum()) + int(uses1.sum())), -credit[feeds], np.ones(len(starts)),
-    ])
-    num_rows = len(link_vertices) + len(cols.link_keys)
-    # the (data, ij) constructor sorts each row by variable and sums the two
-    # terms of a purification that draws both inputs from one vertex
-    matrix = sp.csr_matrix((data, (row, col)), shape=(num_rows, n))
-    rhs = np.concatenate([np.zeros(len(link_vertices)), [hg.link_limits[k] for k in cols.link_keys]])
-    names = [f"v_{vi}" for vi in link_vertices.tolist()] + [f"l_{k}" for k in cols.link_keys]
-
-    return LPProblem(
-        num_vars=n, objective=c, rows=matrix, rhs=rhs,
-        row_names=names, forced_zero=frozenset(forced.tolist()),
+    problem = LPProblem(
+        num_vars=len(cols.op), objective=c, rows=base.matrix, rhs=base.rhs,
+        row_names=list(base.row_names), forced_zero=frozenset(forced.tolist()),
         objective_kind=objective, f_lb=f_lb,
     )
+    problem._base = base
+    return problem
 
 
 def _simplex_maximize(
@@ -273,6 +405,37 @@ def _problem_matrices(problem: LPProblem) -> tuple[np.ndarray, sp.csr_matrix]:
     return c, mat
 
 
+def _solve_highs(problem: LPProblem) -> tuple[np.ndarray, np.ndarray, int]:
+    """HiGHS answer: the objective with forced zeros, x and the iteration count."""
+    # linprog's input check, made before either path runs
+    bad = np.flatnonzero(~np.isfinite(problem.objective))
+    if len(bad):
+        raise LPError(f"objective coefficient of r_{int(bad[0])} is not finite")
+    bad = np.flatnonzero(~np.isfinite(problem.rhs))
+    if len(bad):
+        raise LPError(f"row {problem.row_names[int(bad[0])]}: rhs is not finite")
+    if _HIGHS is None:
+        c, a = _problem_matrices(problem)
+        res = linprog(-c, A_ub=a, b_ub=problem.rhs, bounds=(0, None), method="highs")
+        if res.status == 2:
+            raise LPSolveError("HiGHS: problem is infeasible")
+        if res.status == 3:
+            raise LPSolveError("HiGHS: problem is unbounded")
+        if not res.success:
+            raise LPSolveError(f"HiGHS failed: {res.message}")
+        return c, res.x, int(res.nit)
+
+    c = problem.objective.copy()
+    upper = np.full(problem.num_vars, np.inf)
+    if problem.forced_zero:
+        forced = np.fromiter(problem.forced_zero, np.int64, len(problem.forced_zero))
+        c[forced] = 0.0
+        upper[forced] = 0.0
+    base = problem._base or RateLP(problem.matrix, problem.rhs, tuple(problem.row_names))
+    x, iters = base.solve_highs(-c, upper)
+    return c, x, iters
+
+
 def solve_lp(problem: LPProblem, method: str = "auto") -> LPSolution:
     """Solve deterministically; verifies feasibility of the answer.
 
@@ -299,19 +462,8 @@ def solve_lp(problem: LPProblem, method: str = "auto") -> LPSolution:
         if status != "optimal":
             raise LPSolveError(f"built-in solver: problem is {status}")
     elif method == "highs":
-        c, a = _problem_matrices(problem)
-        res = linprog(
-            -c, A_ub=a, b_ub=problem.rhs, bounds=(0, None), method="highs"
-        )
-        if res.status == 2:
-            raise LPSolveError("HiGHS: problem is infeasible")
-        if res.status == 3:
-            raise LPSolveError("HiGHS: problem is unbounded")
-        if not res.success:
-            raise LPSolveError(f"HiGHS failed: {res.message}")
-        x = res.x
+        c, x, iters = _solve_highs(problem)
         obj = float(c @ x)
-        iters = int(res.nit)
         status = "optimal"
     else:
         raise LPError(f"unknown method {method!r}")
