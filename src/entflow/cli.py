@@ -8,12 +8,9 @@ Commands:
 
 Exit codes: 0 success, 2 configuration error, 3 completed with skipped
 instances. --seed is taken by run and topo gen, --f-lb by run only;
-run, cache build and oracle take --grid-size and --purify-model.
-Defaults for --seed, --grid-size, --f-lb and --purify-model may be
-overridden with ENTFLOW_SEED, ENTFLOW_GRID_SIZE, ENTFLOW_F_LB and
-ENTFLOW_PURIFY_MODEL; a value that does not parse exits 2. The oracle's
---grid-size defaults to its largest grid, 6 values, whatever
-ENTFLOW_GRID_SIZE says, and a larger value exits 2.
+run, cache build and oracle take --grid-size and --purify-model. The
+oracle's --grid-size defaults to its largest grid, 6 values, and a larger
+value exits 2.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 
 from .experiments import EXPERIMENT_KINDS, ExperimentConfig, emit_report, run_experiment
@@ -40,16 +36,6 @@ from .topology import generate_gabriel, k_shortest_paths, read_topology_file
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INSTANCE_FAILURES = 3
-
-
-def _env_default(name: str, fallback, cast):
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ValueError(f"{name}={raw!r} is not a valid {cast.__name__}") from None
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -86,18 +72,12 @@ def _add_noise_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_seed_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=_env_default("ENTFLOW_SEED", 0, int))
+    parser.add_argument("--seed", type=int, default=0)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--grid-size", type=int,
-        default=_env_default("ENTFLOW_GRID_SIZE", 100, int),
-    )
-    parser.add_argument(
-        "--purify-model", choices=PURIFY_MODELS,
-        default=_env_default("ENTFLOW_PURIFY_MODEL", "ideal-dejmps", str),
-    )
+    parser.add_argument("--grid-size", type=int, default=100)
+    parser.add_argument("--purify-model", choices=PURIFY_MODELS, default="ideal-dejmps")
     parser.add_argument("--out", default=None)
     _add_noise_flags(parser)
 
@@ -135,9 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--no-timings", action="store_true",
                      help="omit wall-clock columns for reproducible reports")
     _add_seed_flag(run)
-    run.add_argument(
-        "--f-lb", type=float, default=_env_default("ENTFLOW_F_LB", 0.87, float)
-    )
+    run.add_argument("--f-lb", type=float, default=0.87)
     _add_common_flags(run)
 
     cache = sub.add_parser("cache", help="two-loop planner cache operations")

@@ -163,6 +163,9 @@ class Hypergraph:
     ) -> None:
         if len(vertices) < 2 or vertices[0].kind != "source" or vertices[1].kind != "sink":
             raise HypergraphError("vertices must start with source and sink")
+        for vi, v in enumerate(vertices[2:], start=2):
+            if v.kind != "link":
+                raise HypergraphError(f"vertex {vi}: kind {v.kind!r} is not 'link'")
         self.vertices = tuple(vertices)
         self.edges = tuple(edges)
         self.grid = grid

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import re
 import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +46,6 @@ from .capacity import EnsembleSpec, ensemble_capacity
 from .hypergraph import OP_CODE, Hypergraph
 
 OBJECTIVE_KINDS = ("ensemble-capacity", "end-rate")
-LP_METHODS = ("auto", "simplex", "highs")
 
 RATE_EPS = 1e-9
 FEAS_TOL = 1e-6
@@ -107,16 +105,12 @@ class LPProblem:
         rhs: np.ndarray,
         row_names: list[str],
         forced_zero: frozenset[int] = frozenset(),
-        objective_kind: str = "generic",
-        f_lb: float | None = None,
     ) -> None:
         self.num_vars = num_vars
         self.objective = np.asarray(objective, dtype=float)
         self.rhs = np.asarray(rhs, dtype=float)
         self.row_names = row_names
         self.forced_zero = forced_zero
-        self.objective_kind = objective_kind
-        self.f_lb = f_lb
         if len(self.rhs) != len(row_names):
             raise LPError("row data lengths disagree")
         if len(self.objective) != num_vars:
@@ -179,7 +173,6 @@ class LPSolution:
     objective_value: float
     rates: np.ndarray
     iterations: int
-    wall_time_s: float
     method: str
 
 
@@ -322,7 +315,6 @@ def formulate_lp(
     problem = LPProblem(
         num_vars=len(cols.op), objective=c, rows=base.matrix, rhs=base.rhs,
         row_names=list(base.row_names), forced_zero=frozenset(forced.tolist()),
-        objective_kind=objective, f_lb=f_lb,
     )
     problem._base = base
     return problem
@@ -445,9 +437,8 @@ def solve_lp(problem: LPProblem, method: str = "auto") -> LPSolution:
     auto = method == "auto"
     if auto:
         method = "simplex" if problem.num_vars * max(problem.num_rows, 1) <= 200_000 else "highs"
-    t0 = time.perf_counter()
     if problem.num_vars == 0:
-        return LPSolution("optimal", 0.0, np.zeros(0), 0, time.perf_counter() - t0, method)
+        return LPSolution("optimal", 0.0, np.zeros(0), 0, method)
 
     if method == "simplex":
         c, a = _problem_matrices(problem)
@@ -471,9 +462,8 @@ def solve_lp(problem: LPProblem, method: str = "auto") -> LPSolution:
     if problem.forced_zero:
         x = x.copy()
         x[list(problem.forced_zero)] = 0.0
-    wall = time.perf_counter() - t0
     _check_solution(problem, x)
-    return LPSolution(status, obj, x, iters, wall, method)
+    return LPSolution(status, obj, x, iters, method)
 
 
 def _check_solution(problem: LPProblem, x: np.ndarray) -> None:
@@ -619,6 +609,29 @@ class DistributionScheme:
     purifications: float
     pairs: int
 
+    @classmethod
+    def from_flows(
+        cls, protocols: list[ProtocolFlow], swap_rate: float, purify_rate: float
+    ) -> DistributionScheme:
+        """Aggregate delivered flows: swap and purification counts are the
+        total operation rates per delivered pair. ``EMPTY_SCHEME`` when
+        nothing is delivered."""
+        entries = tuple((p.fidelity, p.rate) for p in protocols)
+        egr = sum(r for _, r in entries)
+        if egr <= 0.0:
+            return EMPTY_SCHEME
+        spec = EnsembleSpec(entries)
+        return cls(
+            protocols=tuple(protocols),
+            ensembles=spec,
+            egr=egr,
+            fidelity=sum(f * r for f, r in entries) / egr,
+            capacity=ensemble_capacity(spec),
+            swaps=swap_rate / egr,
+            purifications=purify_rate / egr,
+            pairs=len(entries),
+        )
+
     def to_json(self) -> dict:
         return {
             "egr": self.egr,
@@ -680,7 +693,6 @@ def extract_scheme(hg: Hypergraph, solution: LPSolution) -> DistributionScheme:
     if solution.status != "optimal":
         raise LPError("scheme extraction requires an optimal solution")
     rates = solution.rates
-    entries: list[tuple[float, float]] = []
     protocols: list[ProtocolFlow] = []
     # only edges with positive rate can carry flow or appear in a tree
     active = [(ei, hg.edges[ei]) for ei in np.flatnonzero(rates > RATE_EPS).tolist()]
@@ -698,25 +710,10 @@ def extract_scheme(hg: Hypergraph, solution: LPSolution) -> DistributionScheme:
             pur_rate += r
         elif e.op == "end":
             vin = e.inputs[0]
-            f = hg.vertices[vin].exact_fidelity
-            entries.append((f, r))
             protocols.append(
                 ProtocolFlow(
-                    fidelity=f, rate=r,
+                    fidelity=hg.vertices[vin].exact_fidelity, rate=r,
                     tree=_trace_tree(hg, rates, producers, vin, memo),
                 )
             )
-    egr = sum(r for _, r in entries)
-    if egr <= 0.0:
-        return EMPTY_SCHEME
-    spec = EnsembleSpec(tuple(entries))
-    return DistributionScheme(
-        protocols=tuple(protocols),
-        ensembles=spec,
-        egr=egr,
-        fidelity=sum(f * r for f, r in entries) / egr,
-        capacity=ensemble_capacity(spec),
-        swaps=swap_rate / egr,
-        purifications=pur_rate / egr,
-        pairs=len(entries),
-    )
+    return DistributionScheme.from_flows(protocols, swap_rate, pur_rate)

@@ -23,7 +23,7 @@ from .hypergraph import (
     build_pruned_hypergraph,
     synthesize_multipath,
 )
-from .lp import EMPTY_SCHEME, LP_METHODS, DistributionScheme, extract_scheme, formulate_lp, solve_lp
+from .lp import EMPTY_SCHEME, DistributionScheme, extract_scheme, formulate_lp, solve_lp
 from .physics import DEFAULT_NOISE, PURIFY_MODELS, NoiseParams
 from .topology import PATH_WEIGHTS, Topology, k_shortest_paths
 
@@ -40,27 +40,19 @@ class PlannerConfig:
 
     n_candidates: int = 6
     k_keep: int = 3
-    t_outer_s: float = 60.0
     grid: FidelityGrid = field(default_factory=lambda: FidelityGrid.uniform(100))
     noise: NoiseParams = DEFAULT_NOISE
     purify_model: str = "ideal-dejmps"
     latency_budget_s: float = 1.0
     t_cut_s: float | None = None
     path_weight: str = "km"
-    lp_method: str = "auto"
 
     def __post_init__(self) -> None:
         if not 1 <= self.k_keep <= self.n_candidates:
             raise ValueError("need 1 <= k_keep <= n_candidates")
         if not 0.01 <= self.latency_budget_s <= 1.0:
             raise ValueError("latency budget must be within [0.01, 1.0] s")
-        if self.t_outer_s <= 0:
-            raise ValueError("outer period must be positive")
-        for name, allowed in (
-            ("purify_model", PURIFY_MODELS),
-            ("path_weight", PATH_WEIGHTS),
-            ("lp_method", LP_METHODS),
-        ):
+        for name, allowed in (("purify_model", PURIFY_MODELS), ("path_weight", PATH_WEIGHTS)):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
 
@@ -142,7 +134,7 @@ def inner_loop_request(cache: Cache, s: str, d: str) -> InnerResult:
         )
     t0 = time.perf_counter()
     problem = formulate_lp(entry.hypergraph, "ensemble-capacity")
-    solution = solve_lp(problem, method=cache.config.lp_method)
+    solution = solve_lp(problem)
     scheme = extract_scheme(entry.hypergraph, solution)
     solver_time = time.perf_counter() - t0
     if BUILD_COUNTER.thread_count != builds_before:

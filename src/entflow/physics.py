@@ -43,7 +43,6 @@ class NoiseParams:
             raise ValueError(f"f0 must be in (0.5, 1], got {self.f0}")
 
 
-PERFECT_OPS = NoiseParams(p1=1.0, p2=1.0, eta=1.0, f0=1.0)
 DEFAULT_NOISE = NoiseParams()
 
 

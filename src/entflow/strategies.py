@@ -35,6 +35,7 @@ from .hypergraph import (
 )
 from .lp import (
     EMPTY_SCHEME,
+    RATE_EPS,
     DistributionScheme,
     LPProblem,
     ProtocolFlow,
@@ -64,7 +65,6 @@ class StrategyResult:
     solver_time_s: float  # LP or DP optimization
     grid_size: int
     f_lb: float | None
-    noise: NoiseParams
     purify_model: str
 
     @property
@@ -111,7 +111,7 @@ def _lp_strategy(
     return StrategyResult(
         strategy=name, scheme=scheme, server_time_s=hg.build_time_s,
         solver_time_s=solver_time, grid_size=hg.grid.resolution, f_lb=f_lb,
-        noise=hg.noise, purify_model=hg.purify_model,
+        purify_model=hg.purify_model,
     )
 
 
@@ -282,7 +282,7 @@ def run_rate_dp(
     return StrategyResult(
         strategy="rate-dp", scheme=scheme, server_time_s=0.0,
         solver_time_s=solver_time, grid_size=grid.resolution, f_lb=f_lb,
-        noise=noise, purify_model=purify_model,
+        purify_model=purify_model,
     )
 
 
@@ -419,46 +419,32 @@ def brute_force_oracle(
     if max_ensembles is not None and len(plist) > max_ensembles:
         plist = sorted(plist, key=standalone_capacity, reverse=True)[:max_ensembles]
 
-    n = len(plist)
-    scheme = EMPTY_SCHEME
-    if n:
-        c = np.array([pair_capacity(p.fidelity) for p in plist])
-        rows = [
-            [(pi, p.usage[e]) for pi, p in enumerate(plist) if p.usage[e] > 0.0]
-            for e in range(k)
-        ]
-        problem = LPProblem(
-            num_vars=n, objective=c, rows=rows, rhs=limits,
-            row_names=[f"l_{e}" for e in range(k)],
-        )
-        solution = solve_lp(problem)
-        entries = []
-        prots = []
-        swaps = 0.0
-        purs = 0.0
-        for pi, p in enumerate(plist):
-            r = float(solution.rates[pi])
-            if r <= 1e-9:
-                continue
-            entries.append((p.fidelity, r))
-            prots.append(ProtocolFlow(fidelity=p.fidelity, rate=r, tree=p.tree))
-            swaps += r * p.tree.count("s(")
-            purs += r * p.tree.count("p(")
-        egr = sum(r for _, r in entries)
-        if egr > 0.0:
-            spec = EnsembleSpec(tuple(entries))
-            scheme = DistributionScheme(
-                protocols=tuple(prots), ensembles=spec, egr=egr,
-                fidelity=sum(f * r for f, r in entries) / egr,
-                capacity=ensemble_capacity(spec),
-                swaps=swaps / egr, purifications=purs / egr, pairs=len(entries),
-            )
+    c = np.array([pair_capacity(p.fidelity) for p in plist])
+    rows = [
+        [(pi, p.usage[e]) for pi, p in enumerate(plist) if p.usage[e] > 0.0]
+        for e in range(k)
+    ]
+    problem = LPProblem(
+        num_vars=len(plist), objective=c, rows=rows, rhs=limits,
+        row_names=[f"l_{e}" for e in range(k)],
+    )
+    solution = solve_lp(problem)
+    prots = []
+    swap_rate = 0.0
+    purify_rate = 0.0
+    for p, r in zip(plist, solution.rates.tolist()):
+        if r <= RATE_EPS:
+            continue
+        prots.append(ProtocolFlow(fidelity=p.fidelity, rate=r, tree=p.tree))
+        swap_rate += r * p.tree.count("s(")
+        purify_rate += r * p.tree.count("p(")
+    scheme = DistributionScheme.from_flows(prots, swap_rate, purify_rate)
     solver_time = time.perf_counter() - t1
 
     return StrategyResult(
         strategy="oracle", scheme=scheme, server_time_s=server_time,
         solver_time_s=solver_time, grid_size=grid.resolution, f_lb=None,
-        noise=noise, purify_model=purify_model,
+        purify_model=purify_model,
     )
 
 

@@ -173,15 +173,6 @@ def test_cli_config_errors_exit_2(tmp_path):
                  "--topology-nodes", "10"]) == 2
 
 
-def test_cli_unparsable_env_default_exits_2(tmp_path, monkeypatch, capsys):
-    topo_file = tmp_path / "topo.json"
-    assert main(["topo", "gen", "--nodes", "12", "--seed", "4",
-                 "--out", str(topo_file)]) == 0
-    monkeypatch.setenv("ENTFLOW_SEED", "abc")
-    assert main(["topo", "validate", "--topology", str(topo_file)]) == 2
-    assert "ENTFLOW_SEED" in capsys.readouterr().err
-
-
 def test_cli_oracle_grid_size_defaults_to_6_and_rejects_larger(tmp_path, capsys):
     topo_file = tmp_path / "topo.json"
     topo_file.write_text(json.dumps({

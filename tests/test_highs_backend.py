@@ -29,6 +29,7 @@ from entflow.hypergraph import (
 )
 from entflow.lp import (
     EMPTY_SCHEME,
+    LPError,
     LPProblem,
     LPSolveError,
     _problem_matrices,
@@ -216,6 +217,18 @@ def test_every_end_edge_forced_to_zero(backend):
     solution = solve_lp(problem, method="highs")
     assert solution.objective_value == 0.0
     assert extract_scheme(hg, solution) == EMPTY_SCHEME
+
+
+def test_infinite_objective_coefficient_is_rejected(backend):
+    problem = _problem(2, [1.0, np.inf], [[(0, 1.0), (1, 1.0)]], [1.0], ["cap"])
+    with pytest.raises(LPError, match="^objective coefficient of r_1 is not finite$"):
+        solve_lp(problem, method="highs")
+
+
+def test_infinite_rhs_is_rejected(backend):
+    problem = _problem(1, [1.0], [[(0, 1.0)], [(0, 2.0)]], [1.0, np.inf], ["a", "b"])
+    with pytest.raises(LPError, match="^row b: rhs is not finite$"):
+        solve_lp(problem, method="highs")
 
 
 def test_no_variables(backend):

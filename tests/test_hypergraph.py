@@ -195,6 +195,10 @@ def _drop_a_limit(doc):
     doc["link_limits"].popitem()
 
 
+def _set_kind_of_vertex_3(doc):
+    doc["vertices"][3][4] = "bogus"
+
+
 # edge fields: op, inputs, output, p_succ, link_key, capacity_coeff, rate_bound
 @pytest.mark.parametrize("corrupt", [
     pytest.param(_edit_edge("swap", 1, [2, 99999]), id="input-above-range"),
@@ -208,6 +212,7 @@ def _drop_a_limit(doc):
     pytest.param(_set_limits(float("inf")), id="infinite-limit"),
     pytest.param(_set_limits(-5.0), id="negative-limit"),
     pytest.param(_drop_a_limit, id="start-link-without-limit"),
+    pytest.param(_set_kind_of_vertex_3, id="non-link-vertex-kind"),
 ])
 def test_from_json_rejects_invalid_documents(corrupt):
     hg = build_standard_hypergraph(make_chain([60.0, 80.0]), FidelityGrid.uniform(6), DEFAULT_NOISE)

@@ -37,12 +37,10 @@ def test_config_validation():
         PlannerConfig(k_keep=5, n_candidates=3)
     with pytest.raises(ValueError):
         PlannerConfig(latency_budget_s=2.0)
-    with pytest.raises(ValueError):
-        PlannerConfig(t_outer_s=0.0)
 
 
 def test_config_json_round_trip():
-    cfg = _config(t_cut_s=0.5, lp_method="highs")
+    cfg = _config(t_cut_s=0.5)
     clone = PlannerConfig.from_json(json.loads(json.dumps(cfg.to_json())))
     assert clone == cfg
 
@@ -118,6 +116,25 @@ def test_inner_loop_cache_misses():
     assert miss.scheme.capacity == 0.0
 
 
+def test_inner_loop_reports_exceeded_coherence_budget():
+    cache = outer_loop_update(_square_topology(), [("s", "d")], _config(t_cut_s=1e-12))
+    res = inner_loop_request(cache, "s", "d")
+    assert res.diagnostic == "coherence budget exceeded"
+    assert res.cached and not res.over_budget
+    assert res.scheme.capacity > 0.0
+
+
+def test_inner_loop_reports_disconnected_demand():
+    topo = Topology(["s", "a", "b", "d"], [Edge(u="s", v="a", length_km=50.0),
+                                         Edge(u="b", v="d", length_km=50.0)])
+    cache = load_cache(save_cache(outer_loop_update(topo, [("s", "d")], _config())))
+    assert cache.entries[("s", "d")].hypergraph is None
+    res = inner_loop_request(cache, "s", "d")
+    assert res.cached
+    assert res.diagnostic == "no path available"
+    assert res.scheme.capacity == 0.0
+
+
 def test_outer_loop_requires_demands():
     with pytest.raises(ValueError):
         outer_loop_update(_square_topology(), [], _config())
@@ -159,7 +176,7 @@ def test_load_cache_rejects_invalid_hypergraph():
         load_cache(json.dumps(doc))
 
 
-@pytest.mark.parametrize("field", ["lp_method", "purify_model", "path_weight"])
+@pytest.mark.parametrize("field", ["purify_model", "path_weight"])
 def test_config_rejects_unknown_names(field):
     with pytest.raises(ValueError, match=field):
         _config(**{field: "bogus"})
@@ -244,3 +261,10 @@ def test_concurrent_outer_refresh_raises_no_false_alarm():
     assert errors == []
     assert len(served) == 50 and min(served) > 0.0
     assert BUILD_COUNTER.count > builds_before  # the refresher built meanwhile
+
+
+def test_load_cache_rejects_unknown_vertex_kind():
+    doc = json.loads(save_cache(outer_loop_update(_square_topology(), [("s", "d")], _config())))
+    doc["entries"][0]["hypergraph"]["vertices"][2][4] = "bogus"
+    with pytest.raises(CacheError, match="vertex 2: kind 'bogus'"):
+        load_cache(json.dumps(doc))

@@ -5,6 +5,7 @@ import pytest
 from conftest import make_chain
 from entflow.capacity import pair_capacity
 from entflow.hypergraph import FidelityGrid
+from entflow.lp import EMPTY_SCHEME
 from entflow.physics import DEFAULT_NOISE
 from entflow.strategies import (
     STRATEGY_NAMES,
@@ -123,3 +124,10 @@ def test_oracle_max_ensembles_restriction():
     limited = brute_force_oracle(path, grid, max_ensembles=1)
     assert limited.scheme.pairs <= 1
     assert limited.capacity <= full.capacity + 1e-9 * max(1.0, full.capacity)
+
+
+def test_oracle_with_no_protocol_above_the_grid_delivers_nothing():
+    # every protocol's fidelity lies below the grid's lowest value
+    path = make_chain([300.0, 300.0], f0=0.9)
+    res = brute_force_oracle(path, FidelityGrid((0.995, 0.997, 0.999)))
+    assert res.scheme == EMPTY_SCHEME
