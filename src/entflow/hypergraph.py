@@ -2,12 +2,16 @@
 
 Vertices are (node-pair, fidelity) link states plus a source and a sink;
 hyper-edges are start/swap/purify/end operations carrying LP rate
-variables. Two builders are provided: the standard builder enumerates the
-full discretized lattice (edge count grows as |V|^3 |F|^2), and the
-pruned builder runs a dynamic program that keeps one best-rate incumbent
-per (node-pair, fidelity-bucket) with its exact continuous fidelity
-(edge count O(|V|^2 |F|)). Multi-path synthesis unions per-path
-hypergraphs while pooling generation limits of shared physical links.
+variables. A hypergraph holds its edges once, as numpy columns
+(``HypergraphColumns``) that every reader uses; ``edges`` is a record
+view derived from them. Every hypergraph is checked when it is made.
+
+Two builders are provided: the standard builder enumerates the full
+discretized lattice (edge count grows as |V|^3 |F|^2), and the pruned
+builder runs a dynamic program that keeps one best-rate incumbent per
+(node-pair, fidelity-bucket) with its exact continuous fidelity (edge
+count O(|V|^2 |F|)). Multi-path synthesis unions per-path hypergraphs
+while pooling generation limits of shared physical links.
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ import time
 from bisect import bisect_right, insort
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import chain
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,8 +49,13 @@ SINK = 1
 
 SERIALIZATION_VERSION = 1
 
-_OP_ARITY = {"start": 1, "swap": 2, "purify": 2, "end": 1}  # inputs per op
-OP_CODE = {op: code for code, op in enumerate(_OP_ARITY)}  # op -> HypergraphColumns.op
+OP_NAMES = ("start", "swap", "purify", "end")  # per HypergraphColumns.op code
+OP_CODE = {op: code for code, op in enumerate(OP_NAMES)}
+_ARITY = (1, 2, 2, 1)  # inputs per op code
+_EDGE_DTYPES = {  # the per-edge columns of HypergraphColumns
+    "op": np.int8, "input0": np.int64, "input1": np.int64, "output": np.int64, "p_succ": float,
+    "capacity_coeff": float, "rate_bound": float, "link": np.int64,
+}
 
 
 class HypergraphError(ValueError):
@@ -102,8 +110,9 @@ class HyperVertex:
     kind: str  # source | sink | link
 
 
-@dataclass(frozen=True, slots=True)
-class HyperEdge:
+class HyperEdge(NamedTuple):
+    """One edge as a record, in the field order of a serialized edge row."""
+
     op: str  # start | swap | purify | end
     inputs: tuple[int, ...]
     output: int
@@ -131,28 +140,80 @@ class HypergraphColumns:
     output: np.ndarray
     p_succ: np.ndarray
     capacity_coeff: np.ndarray
+    rate_bound: np.ndarray  # NaN: no bound
     link: np.ndarray  # start edges: index into link_keys; -1 elsewhere
     link_keys: tuple[str, ...]  # sorted keys of the links that start edges name
     is_link: np.ndarray  # per vertex: kind == "link"
     exact_fidelity: np.ndarray  # per vertex
 
     def __post_init__(self) -> None:
-        # cached on the hypergraph and shared by every LP built from it
+        # held by the hypergraph and shared by every LP built from it
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
+
+
+def _columns(vertices: list[HyperVertex], link_keys: list, blocks: list) -> HypergraphColumns:
+    """The columns of edge blocks (each maps every name of ``_EDGE_DTYPES``
+    to a sequence), concatenated in order, over ``vertices``."""
+    edges = {name: np.concatenate([np.asarray(block[name], dtype) for block in blocks])
+             for name, dtype in _EDGE_DTYPES.items()}
+    return HypergraphColumns(
+        **edges, link_keys=tuple(link_keys),
+        is_link=np.array([v.kind == "link" for v in vertices], bool),
+        exact_fidelity=np.array([v.exact_fidelity for v in vertices], float),
+    )
+
+
+def _by_column(edges: list[tuple]) -> dict:
+    """The block of per-edge tuples in ``_EDGE_DTYPES`` order."""
+    return dict(zip(_EDGE_DTYPES, zip(*edges))) if edges else dict.fromkeys(_EDGE_DTYPES, ())
+
+
+def _from_rows(rows, vertices: list[HyperVertex]) -> HypergraphColumns:
+    """Columns of edge rows in the serialized field order, from a document
+    or ``HyperEdge`` records: the only place records become columns. Rows
+    the columns cannot hold as given are rejected."""
+    edges, keys = [], []
+    for ei, (op, inputs, output, p_succ, link_key, capacity_coeff, rate_bound) in enumerate(rows):
+        code = OP_CODE.get(op)
+        if code is None:
+            raise HypergraphError(f"edge {ei}: unknown op {op!r}")
+        arity = _ARITY[code]
+        if len(inputs) != arity:
+            raise HypergraphError(f"edge {ei}: {op} takes {arity} input(s), got {len(inputs)}")
+        for vi in (*inputs, output):
+            if not isinstance(vi, int) or isinstance(vi, bool):
+                raise HypergraphError(f"edge {ei}: vertex {vi!r} is not an index")
+        for name, x in (("p_succ", p_succ), ("capacity_coeff", capacity_coeff),
+                        ("rate_bound", 0.0 if rate_bound is None else rate_bound)):
+            if not isinstance(x, (int, float)) or isinstance(x, bool) or math.isnan(x):
+                raise HypergraphError(f"edge {ei}: {name} {x!r} is not a number")
+        if link_key is not None and op != "start":
+            raise HypergraphError(f"edge {ei}: {op} edge names link {link_key!r}")
+        keys.append(link_key)
+        edges.append((code, inputs[0], inputs[1] if arity == 2 else -1, output, p_succ,
+                      capacity_coeff, math.nan if rate_bound is None else rate_bound, -1))
+    link_keys = sorted({key for key in keys if key is not None})
+    link_of = {key: i for i, key in enumerate(link_keys)}
+    block = _by_column(edges)
+    block["link"] = [link_of.get(key, -1) for key in keys]
+    return _columns(vertices, link_keys, [block])
 
 
 BUILD_COUNTER = EventCounter()  # hypergraph builder invocations
 
 
 class Hypergraph:
-    """Immutable operation hypergraph. Index 0 is the source, 1 the sink."""
+    """Immutable operation hypergraph. Index 0 is the source, 1 the sink.
+
+    ``edges`` is the edge table, or edge rows in the serialized field
+    order (such as ``HyperEdge`` records), which become the table."""
 
     def __init__(
         self,
         vertices: list[HyperVertex],
-        edges: list[HyperEdge],
+        edges: HypergraphColumns | list,
         grid: FidelityGrid,
         noise: NoiseParams,
         link_limits: dict[str, float],
@@ -167,7 +228,8 @@ class Hypergraph:
             if v.kind != "link":
                 raise HypergraphError(f"vertex {vi}: kind {v.kind!r} is not 'link'")
         self.vertices = tuple(vertices)
-        self.edges = tuple(edges)
+        tabled = isinstance(edges, HypergraphColumns)
+        self.columns = edges if tabled else _from_rows(edges, vertices)
         self.grid = grid
         self.noise = noise
         self.link_limits = dict(link_limits)
@@ -175,59 +237,27 @@ class Hypergraph:
         self.builder = builder
         self.purify_model = purify_model
         self.build_time_s = build_time_s
+        _check_references(self.columns, len(self.vertices), self.link_limits)
         self._check_acyclic()
 
     def _check_acyclic(self) -> None:
         """Reject cycles: in the vertex -> edge -> vertex digraph (vertices
         first, then edges) every strongly connected component is one node."""
-        n, m = len(self.vertices), len(self.edges)
-        arity = np.fromiter((len(e.inputs) for e in self.edges), np.int64, m)
-        inputs = chain.from_iterable(e.inputs for e in self.edges)
+        cols = self.columns
+        n, m = len(self.vertices), len(cols.op)
         edge_nodes = n + np.arange(m)
-        tail = np.concatenate([np.fromiter(inputs, np.int64, int(arity.sum())), edge_nodes])
-        head = np.concatenate([
-            np.repeat(edge_nodes, arity),
-            np.fromiter((e.output for e in self.edges), np.int64, m),
-        ])
+        two = cols.input1 >= 0
+        tail = np.concatenate([cols.input0, cols.input1[two], edge_nodes])
+        head = np.concatenate([edge_nodes, edge_nodes[two], cols.output])
         graph = sp.csr_matrix((np.ones(len(tail)), (tail, head)), shape=(n + m, n + m))
         components, _ = connected_components(graph, directed=True, connection="strong")
         if components != n + m:
             raise HypergraphError("hypergraph contains a cycle")
 
     @cached_property
-    def columns(self) -> HypergraphColumns:
-        """Numpy columns of the edges and vertices, built on first use."""
-        edges, m = self.edges, len(self.edges)
-        try:
-            op = np.fromiter((OP_CODE[e.op] for e in edges), np.int8, m)
-        except KeyError as exc:
-            raise HypergraphError(f"unknown op {exc.args[0]!r}") from None
-        arity = np.fromiter((len(e.inputs) for e in edges), np.int64, m)
-        if m and (arity.min() < 1 or arity.max() > 2):
-            raise HypergraphError("every edge takes one or two inputs")
-        flat = np.fromiter(chain.from_iterable(e.inputs for e in edges), np.int64, int(arity.sum()))
-        first = np.cumsum(arity) - arity
-        two = arity == 2
-        input1 = np.full(m, -1, np.int64)
-        input1[two] = flat[first[two] + 1]
-        keys = sorted({e.link_key for e in edges if e.op == "start" and e.link_key is not None})
-        code = {key: i for i, key in enumerate(keys)}
-        return HypergraphColumns(
-            op=op,
-            input0=flat[first],
-            input1=input1,
-            output=np.fromiter((e.output for e in edges), np.int64, m),
-            p_succ=np.fromiter((e.p_succ for e in edges), np.float64, m),
-            capacity_coeff=np.fromiter((e.capacity_coeff for e in edges), np.float64, m),
-            link=np.fromiter(
-                (code.get(e.link_key, -1) if e.op == "start" else -1 for e in edges), np.int64, m
-            ),
-            link_keys=tuple(keys),
-            is_link=np.fromiter((v.kind == "link" for v in self.vertices), bool, len(self.vertices)),
-            exact_fidelity=np.fromiter(
-                (v.exact_fidelity for v in self.vertices), np.float64, len(self.vertices)
-            ),
-        )
+    def edges(self) -> tuple[HyperEdge, ...]:
+        """The edges as records, derived from the columns on first use."""
+        return tuple(map(HyperEdge._make, zip(*_edge_fields(self.columns))))
 
     @cached_property
     def rate_lp(self) -> RateLP:
@@ -238,18 +268,17 @@ class Hypergraph:
         return RateLP.of(self)
 
     def stats(self) -> HypergraphStats:
-        by_op = dict.fromkeys(_OP_ARITY, 0)
-        for e in self.edges:
-            by_op[e.op] = by_op.get(e.op, 0) + 1
+        counts = np.bincount(self.columns.op, minlength=len(OP_NAMES)).tolist()
         return HypergraphStats(
             num_vertices=len(self.vertices),
-            num_edges=len(self.edges),
-            edges_by_op=by_op,
+            num_edges=len(self.columns.op),
+            edges_by_op=dict(zip(OP_NAMES, counts)),
             build_time_s=self.build_time_s,
         )
 
     def end_edges(self) -> list[tuple[int, HyperEdge]]:
-        return [(i, e) for i, e in enumerate(self.edges) if e.op == "end"]
+        ends = np.flatnonzero(self.columns.op == OP_CODE["end"]).tolist()
+        return [(i, self.edges[i]) for i in ends]
 
     def to_json(self) -> dict:
         return {
@@ -261,13 +290,9 @@ class Hypergraph:
             "noise": asdict(self.noise),
             "link_limits": self.link_limits,
             "build_time_s": self.build_time_s,
-            "vertices": [
-                [v.u, v.v, v.exact_fidelity, v.bucket, v.kind] for v in self.vertices
-            ],
-            "edges": [
-                [e.op, list(e.inputs), e.output, e.p_succ, e.link_key, e.capacity_coeff, e.rate_bound]
-                for e in self.edges
-            ],
+            "vertices": [[v.u, v.v, v.exact_fidelity, v.bucket, v.kind] for v in self.vertices],
+            "edges": [[op, list(inputs), out, p, key, cap, rate]
+                      for op, inputs, out, p, key, cap, rate in zip(*_edge_fields(self.columns))],
         }
 
     @classmethod
@@ -275,30 +300,12 @@ class Hypergraph:
         try:
             if doc["version"] != SERIALIZATION_VERSION:
                 raise HypergraphError(f"unsupported version {doc['version']!r}")
-            vertices = [
-                HyperVertex(u=u, v=v, exact_fidelity=f, bucket=b, kind=k)
-                for u, v, f, b, k in doc["vertices"]
-            ]
-            edges = [
-                HyperEdge(
-                    op=op,
-                    inputs=tuple(inputs),
-                    output=output,
-                    p_succ=p_succ,
-                    link_key=link_key,
-                    capacity_coeff=cap,
-                    rate_bound=rb,
-                )
-                for op, inputs, output, p_succ, link_key, cap, rb in doc["edges"]
-            ]
-            link_limits = dict(doc["link_limits"])
-            _check_references(len(vertices), edges, link_limits)
             return cls(
-                vertices=vertices,
-                edges=edges,
+                vertices=[HyperVertex(u, v, f, b, k) for u, v, f, b, k in doc["vertices"]],
+                edges=doc["edges"],
                 grid=FidelityGrid(tuple(doc["grid"])),
                 noise=NoiseParams(**doc["noise"]),
-                link_limits=link_limits,
+                link_limits=dict(doc["link_limits"]),
                 endpoints=tuple(doc["endpoints"]),
                 builder=doc["builder"],
                 purify_model=doc["purify_model"],
@@ -321,28 +328,47 @@ class Hypergraph:
         return cls.from_json(doc)
 
 
+def _edge_fields(cols: HypergraphColumns, ids=slice(None)) -> list[list]:
+    """The serialized edge fields (op, inputs, output, p_succ, link_key,
+    capacity_coeff, rate_bound), one list each, of all edges or ``ids``."""
+    keys = (*cols.link_keys, None)  # a link of -1 reads None
+    ops = cols.op[ids].tolist()
+    pairs = zip(ops, cols.input0[ids].tolist(), cols.input1[ids].tolist())
+    return [
+        [OP_NAMES[op] for op in ops], [(in0, in1)[: _ARITY[op]] for op, in0, in1 in pairs],
+        cols.output[ids].tolist(), cols.p_succ[ids].tolist(),
+        [keys[link] for link in cols.link[ids].tolist()], cols.capacity_coeff[ids].tolist(),
+        [None if math.isnan(rate) else rate for rate in cols.rate_bound[ids].tolist()],
+    ]
+
+
 def _check_references(
-    num_vertices: int, edges: list[HyperEdge], link_limits: dict[str, float]
+    cols: HypergraphColumns, num_vertices: int, link_limits: dict[str, float]
 ) -> None:
-    """Reject ops, vertex indices, probabilities and limits no builder emits."""
+    """Reject what no builder emits: a vertex index outside the vertices,
+    p_succ outside (0, 1], capacity_coeff outside [0, 1], a negative or
+    infinite rate bound, a start link without a limit and a limit that is
+    not finite and positive. An edge error names the first such edge."""
     for key, limit in link_limits.items():
         if not (math.isfinite(limit) and limit > 0.0):
             raise HypergraphError(f"link {key!r}: limit {limit!r} is not finite and positive")
-    for ei, e in enumerate(edges):
-        arity = _OP_ARITY.get(e.op)
-        if arity is None:
-            raise HypergraphError(f"edge {ei}: unknown op {e.op!r}")
-        if len(e.inputs) != arity:
-            raise HypergraphError(
-                f"edge {ei}: {e.op} takes {arity} input(s), got {len(e.inputs)}"
-            )
-        for vi in (*e.inputs, e.output):
-            if not (isinstance(vi, int) and 0 <= vi < num_vertices):
-                raise HypergraphError(f"edge {ei}: vertex {vi!r} outside [0, {num_vertices})")
-        if not 0.0 < e.p_succ <= 1.0:
-            raise HypergraphError(f"edge {ei}: p_succ {e.p_succ!r} outside (0, 1]")
-        if e.op == "start" and e.link_key not in link_limits:
-            raise HypergraphError(f"edge {ei}: start link {e.link_key!r} has no limit")
+    n = num_vertices
+    two = (cols.op == OP_CODE["swap"]) | (cols.op == OP_CODE["purify"])
+    vertex = np.column_stack([cols.input0, np.where(two, cols.input1, 0), cols.output])
+    limited = np.array([key in link_limits for key in cols.link_keys] + [False])  # link -1: False
+    bad = {  # what no builder emits -> the edges that have it
+        f"vertex outside [0, {n})": ((vertex < 0) | (vertex >= n)).any(axis=1),
+        "p_succ outside (0, 1]": ~((cols.p_succ > 0.0) & (cols.p_succ <= 1.0)),
+        "capacity_coeff outside [0, 1]":
+            ~((cols.capacity_coeff >= 0.0) & (cols.capacity_coeff <= 1.0)),
+        "negative or infinite rate_bound": (cols.rate_bound < 0.0) | (cols.rate_bound == math.inf),
+        "start link without a limit": (cols.op == OP_CODE["start"]) & ~limited[cols.link],
+    }
+    for what, mask in bad.items():
+        hits = np.flatnonzero(mask)
+        if len(hits):
+            edge = HyperEdge._make(next(zip(*_edge_fields(cols, hits[:1]))))
+            raise HypergraphError(f"edge {hits[0]}: {what}: {edge}")
 
 
 def _source_sink(s: str, d: str) -> list[HyperVertex]:
@@ -375,6 +401,14 @@ def _purify_table(
     return f_out, p_succ, idx
 
 
+def _edge_block(op: str, input0: np.ndarray, output: np.ndarray, **fields) -> dict:
+    """Columns of a run of edges of one op; a scalar holds for every edge."""
+    values = {"op": OP_CODE[op], "input0": input0, "input1": -1, "output": output,
+              "p_succ": 1.0, "capacity_coeff": 0.0, "rate_bound": math.nan, "link": -1,
+              **fields}
+    return {name: np.broadcast_to(value, len(input0)) for name, value in values.items()}
+
+
 def build_standard_hypergraph(
     path: Path,
     grid: FidelityGrid,
@@ -386,6 +420,8 @@ def build_standard_hypergraph(
     Operation outputs are rounded DOWN to the grid (systematic pessimism);
     purifications whose rounded output does not strictly exceed both input
     buckets are dropped, which keeps the span-then-fidelity order acyclic.
+    Edges come in blocks: starts by link, swaps by (i, j, w) then input
+    buckets, purifications by pair then input buckets, ends by bucket.
     """
     BUILD_COUNTER.tick()
     t0 = time.perf_counter()
@@ -395,74 +431,56 @@ def build_standard_hypergraph(
     nodes = path.nodes
     nf = grid.resolution
 
-    vertices = _source_sink(nodes[0], nodes[-1])
-    vidx: dict[tuple[int, int, int], int] = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(nf):
-                vidx[(i, j, k)] = len(vertices)
-                vertices.append(
-                    HyperVertex(
-                        u=nodes[i], v=nodes[j], exact_fidelity=grid.values[k],
-                        bucket=k, kind="link",
-                    )
-                )
+    # pair (i, j) holds vertices base[(i, j)] + bucket
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    base = {pair: 2 + p * nf for p, pair in enumerate(pairs)}
+    vertices = _source_sink(nodes[0], nodes[-1]) + [
+        HyperVertex(u=nodes[i], v=nodes[j], exact_fidelity=f, bucket=k, kind="link")
+        for i, j in pairs for k, f in enumerate(grid.values)
+    ]
 
-    edges: list[HyperEdge] = []
-    link_limits: dict[str, float] = {}
-
-    for t, phys in enumerate(path.edges):
-        k0 = grid.round_down_index(phys.f0)
-        if k0 < 0:
-            continue  # f0 below the grid generates no usable state
-        r_e = link_egr(phys)
-        link_limits[phys.key] = r_e
-        edges.append(
-            HyperEdge(op="start", inputs=(SOURCE,), output=vidx[(t, t + 1, k0)],
-                      link_key=phys.key, rate_bound=r_e)
-        )
+    k0 = [grid.round_down_index(phys.f0) for phys in path.edges]
+    linked = [t for t in range(m - 1) if k0[t] >= 0]  # f0 below the grid generates nothing
+    link_limits = {path.edges[t].key: link_egr(path.edges[t]) for t in linked}
+    keys = sorted(link_limits)
+    starts = _edge_block(
+        "start", np.full(len(linked), SOURCE), [base[(t, t + 1)] + k0[t] for t in linked],
+        rate_bound=list(link_limits.values()), link=[keys.index(key) for key in link_limits],
+    )
 
     _, swap_idx = _swap_table(grid, noise)
-    swap_pairs = np.argwhere(swap_idx >= 0)
-    for i in range(m):
-        for j in range(i + 2, m):
-            for w in range(i + 1, j):
-                for ka, kb in swap_pairs:
-                    edges.append(
-                        HyperEdge(
-                            op="swap",
-                            inputs=(vidx[(i, w, ka)], vidx[(w, j, kb)]),
-                            output=vidx[(i, j, swap_idx[ka, kb])],
-                        )
-                    )
+    ka, kb = np.nonzero(swap_idx >= 0)
+    # per (i, j, w): the bases of (i, w), (w, j) and (i, j)
+    spans = np.array(
+        [(base[(i, w)], base[(w, j)], base[(i, j)])
+         for i in range(m) for j in range(i + 2, m) for w in range(i + 1, j)],
+        np.int64,
+    ).reshape(-1, 3, 1)
+    swaps = _edge_block(
+        "swap", (spans[:, 0] + ka).ravel(), (spans[:, 2] + swap_idx[ka, kb]).ravel(),
+        input1=(spans[:, 1] + kb).ravel(),
+    )
 
     _, pur_p, pur_idx = _purify_table(grid, noise, purify_model)
     ka_grid, kb_grid = np.meshgrid(np.arange(nf), np.arange(nf), indexing="ij")
     valid = pur_idx > np.maximum(ka_grid, kb_grid)
     if purify_model_is_symmetric(purify_model):
         valid &= ka_grid <= kb_grid
-    pur_pairs = np.argwhere(valid)
-    for i in range(m):
-        for j in range(i + 1, m):
-            for ka, kb in pur_pairs:
-                edges.append(
-                    HyperEdge(
-                        op="purify",
-                        inputs=(vidx[(i, j, ka)], vidx[(i, j, kb)]),
-                        output=vidx[(i, j, pur_idx[ka, kb])],
-                        p_succ=float(pur_p[ka, kb]),
-                    )
-                )
+    pa, pb = np.nonzero(valid)
+    bases = np.array([base[pair] for pair in pairs], np.int64)[:, None]
+    purifies = _edge_block(
+        "purify", (bases + pa).ravel(), (bases + pur_idx[pa, pb]).ravel(),
+        input1=(bases + pb).ravel(), p_succ=np.tile(pur_p[pa, pb], len(pairs)),
+    )
 
-    for k in range(nf):
-        edges.append(
-            HyperEdge(op="end", inputs=(vidx[(0, m - 1, k)],), output=SINK,
-                      capacity_coeff=pair_capacity(grid.values[k]))
-        )
+    ends = _edge_block(
+        "end", base[(0, m - 1)] + np.arange(nf), np.full(nf, SINK),
+        capacity_coeff=np.array([pair_capacity(f) for f in grid.values]),
+    )
 
     return Hypergraph(
-        vertices=vertices, edges=edges, grid=grid, noise=noise,
-        link_limits=link_limits, endpoints=(nodes[0], nodes[-1]),
+        vertices=vertices, edges=_columns(vertices, keys, [starts, swaps, purifies, ends]),
+        grid=grid, noise=noise, link_limits=link_limits, endpoints=(nodes[0], nodes[-1]),
         builder="standard", purify_model=purify_model,
         build_time_s=time.perf_counter() - t0,
     )
@@ -601,46 +619,32 @@ def build_pruned_hypergraph(
     # Blocks were filled span by span, left to right, and every input of an
     # incumbent is in a shorter span or a lower bucket of its own pair, so
     # one pass in that order numbers each input before its consumer.
+    keys = sorted(link_limits)
     vertices = _source_sink(nodes[0], nodes[-1])
     vidx: dict[tuple[tuple[int, int], int], int] = {}
-    edges: list[HyperEdge] = []
+    edges = []  # per edge, its values in _EDGE_DTYPES order
     for pair, block in blocks.items():
         for bucket in sorted(block):
             inc = block[bucket]
             out = vidx[(pair, bucket)] = len(vertices)
-            vertices.append(
-                HyperVertex(
-                    u=nodes[pair[0]], v=nodes[pair[1]],
-                    exact_fidelity=inc.exact_fidelity, bucket=bucket, kind="link",
-                )
-            )
+            vertices.append(HyperVertex(u=nodes[pair[0]], v=nodes[pair[1]],
+                                        exact_fidelity=inc.exact_fidelity, bucket=bucket,
+                                        kind="link"))
             if inc.op == "start":
-                edges.append(
-                    HyperEdge(op="start", inputs=(SOURCE,), output=out,
-                              link_key=inc.link_key, rate_bound=inc.rate)
-                )
-            else:
-                edges.append(
-                    HyperEdge(
-                        op=inc.op,
-                        inputs=tuple(vidx[ref] for ref in inc.inputs),
-                        output=out,
-                        p_succ=inc.p_succ,
-                        rate_bound=inc.rate,
-                    )
-                )
+                edges.append((OP_CODE["start"], SOURCE, -1, out, 1.0, 0.0, inc.rate,
+                              keys.index(inc.link_key)))
+            else:  # a swap or a purification: two inputs
+                in0, in1 = (vidx[ref] for ref in inc.inputs)
+                edges.append((OP_CODE[inc.op], in0, in1, out, inc.p_succ, 0.0, inc.rate, -1))
 
     for bucket in sorted(blocks[(0, m - 1)]):
         inc = blocks[(0, m - 1)][bucket]
-        edges.append(
-            HyperEdge(op="end", inputs=(vidx[((0, m - 1), bucket)],), output=SINK,
-                      capacity_coeff=pair_capacity(inc.exact_fidelity),
-                      rate_bound=inc.rate)
-        )
+        edges.append((OP_CODE["end"], vidx[((0, m - 1), bucket)], -1, SINK, 1.0,
+                      pair_capacity(inc.exact_fidelity), inc.rate, -1))
 
     return Hypergraph(
-        vertices=vertices, edges=edges, grid=grid, noise=noise,
-        link_limits=link_limits, endpoints=(nodes[0], nodes[-1]),
+        vertices=vertices, edges=_columns(vertices, keys, [_by_column(edges)]), grid=grid,
+        noise=noise, link_limits=link_limits, endpoints=(nodes[0], nodes[-1]),
         builder="pruned", purify_model=purify_model,
         build_time_s=time.perf_counter() - t0,
     )
@@ -648,12 +652,9 @@ def build_pruned_hypergraph(
 
 def best_dp_estimate(hg: Hypergraph) -> float:
     """Outer-loop ranking score: best end incumbent rate x pair capacity."""
-    best = 0.0
-    for _, e in hg.end_edges():
-        if e.rate_bound is None:
-            continue
-        best = max(best, e.rate_bound * e.capacity_coeff)
-    return best
+    cols = hg.columns
+    ends = (cols.op == OP_CODE["end"]) & ~np.isnan(cols.rate_bound)
+    return max([0.0, *(cols.rate_bound[ends] * cols.capacity_coeff[ends]).tolist()])
 
 
 def synthesize_multipath(hypergraphs: list[Hypergraph]) -> Hypergraph:
@@ -679,36 +680,29 @@ def synthesize_multipath(hypergraphs: list[Hypergraph]) -> Hypergraph:
     BUILD_COUNTER.tick()
     t0 = time.perf_counter()
     vertices = _source_sink(*first.endpoints)
-    edges: list[HyperEdge] = []
     link_limits: dict[str, float] = {}
+    keys = sorted({key for hg in hypergraphs for key in hg.columns.link_keys})
+    code = {key: i for i, key in enumerate(keys)}
+    blocks = []
     for hg in hypergraphs:
+        cols = hg.columns
         offset = len(vertices) - 2
-        for v in hg.vertices[2:]:
-            vertices.append(v)
-
-        def remap(idx: int) -> int:
-            return idx if idx in (SOURCE, SINK) else idx + offset
-
-        for e in hg.edges:
-            edges.append(
-                HyperEdge(
-                    op=e.op,
-                    inputs=tuple(remap(i) for i in e.inputs),
-                    output=remap(e.output),
-                    p_succ=e.p_succ,
-                    link_key=e.link_key,
-                    capacity_coeff=e.capacity_coeff,
-                    rate_bound=e.rate_bound,
-                )
-            )
+        vertices.extend(hg.vertices[2:])
+        block = {name: getattr(cols, name) for name in _EDGE_DTYPES}
+        for name in ("input0", "input1", "output"):
+            # source, sink and the -1 of a missing input keep their index
+            block[name] = np.where(block[name] >= 2, block[name] + offset, block[name])
+        # the appended -1 is what a link of -1 (no link) reads
+        block["link"] = np.array([code[key] for key in cols.link_keys] + [-1])[cols.link]
+        blocks.append(block)
         for key, limit in hg.link_limits.items():
             if key in link_limits and abs(link_limits[key] - limit) > 1e-9:
                 raise HypergraphError(f"conflicting limits for physical link {key}")
             link_limits[key] = limit
 
     return Hypergraph(
-        vertices=vertices, edges=edges, grid=first.grid, noise=first.noise,
-        link_limits=link_limits, endpoints=first.endpoints,
+        vertices=vertices, edges=_columns(vertices, keys, blocks), grid=first.grid,
+        noise=first.noise, link_limits=link_limits, endpoints=first.endpoints,
         builder="synthesis", purify_model=first.purify_model,
         build_time_s=time.perf_counter() - t0,
     )

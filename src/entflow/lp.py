@@ -10,8 +10,9 @@ fidelities above a lower bound.
 The constraint matrix, rhs and row names depend only on the hypergraph;
 only the objective and the forced-zero set change with the objective and
 ``f_lb``. ``Hypergraph.rate_lp`` builds that constant part once per
-hypergraph (a ``RateLP``), and every problem formulated from the
-hypergraph shares it.
+hypergraph (a ``RateLP``) from its edge table (``Hypergraph.columns``),
+and every problem formulated from the hypergraph shares it. Scheme
+extraction reads the same table, for the edges with positive rate only.
 
 Two solver backends: a deterministic dense tableau simplex (small
 problems, no dependencies beyond numpy) and HiGHS (Huangfu & Hall 2018,
@@ -43,7 +44,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .capacity import EnsembleSpec, ensemble_capacity
-from .hypergraph import OP_CODE, Hypergraph
+from .hypergraph import OP_CODE, OP_NAMES, Hypergraph
 
 OBJECTIVE_KINDS = ("ensemble-capacity", "end-rate")
 
@@ -196,10 +197,7 @@ class RateLP:
     def of(cls, hg: Hypergraph) -> RateLP:
         """Flow row per link-state vertex, in vertex order: total out-rate
         minus in-credit <= 0; then one generation-limit row per physical link."""
-        cols = hg.columns
-        missing = [key for key in cols.link_keys if key not in hg.link_limits]
-        if missing:
-            raise LPError(f"start edge references unknown physical link {missing[0]}")
+        cols = hg.columns  # every start link has a limit: checked at construction
         n = len(cols.op)
         link_vertices = np.flatnonzero(cols.is_link)
         vertex_row = np.cumsum(cols.is_link) - 1
@@ -655,16 +653,13 @@ EMPTY_SCHEME = DistributionScheme(
 
 
 def _trace_tree(
-    hg: Hypergraph,
-    rates: np.ndarray,
-    producers: dict[int, list[int]],
-    vertex: int,
-    memo: dict[int, str],
+    hg: Hypergraph, producers: dict[int, list[tuple]], vertex: int, memo: dict[int, str]
 ) -> str:
     """Representative max-rate production tree for a vertex, as text.
 
-    ``producers`` lists, per vertex, the edges with positive rate into it.
-    """
+    ``producers`` lists, per vertex, the edges with positive rate into it
+    as (rate, -edge index, op, inputs), so the max has the top rate, then
+    the lowest index."""
     if vertex in memo:
         return memo[vertex]
     memo[vertex] = "..."  # cycle guard; never hit on a valid DAG
@@ -672,14 +667,13 @@ def _trace_tree(
     if not cands:
         memo[vertex] = "?"
         return "?"
-    ei = max(cands, key=lambda e: (rates[e], -e))
-    e = hg.edges[ei]
-    if e.op == "start":
+    _, _, op, inputs = max(cands)
+    if op == "start":
         v = hg.vertices[vertex]
         text = f"link({v.u}|{v.v})"
     else:
-        parts = [_trace_tree(hg, rates, producers, vi, memo) for vi in e.inputs]
-        text = f"{e.op}({', '.join(parts)})"
+        parts = [_trace_tree(hg, producers, vi, memo) for vi in inputs]
+        text = f"{op}({', '.join(parts)})"
     memo[vertex] = text
     return text
 
@@ -692,28 +686,31 @@ def extract_scheme(hg: Hypergraph, solution: LPSolution) -> DistributionScheme:
     """
     if solution.status != "optimal":
         raise LPError("scheme extraction requires an optimal solution")
-    rates = solution.rates
-    protocols: list[ProtocolFlow] = []
+    cols = hg.columns
     # only edges with positive rate can carry flow or appear in a tree
-    active = [(ei, hg.edges[ei]) for ei in np.flatnonzero(rates > RATE_EPS).tolist()]
-    producers: dict[int, list[int]] = {}
-    for ei, e in active:
-        producers.setdefault(e.output, []).append(ei)
+    ids = np.flatnonzero(solution.rates > RATE_EPS)
+    columns = (solution.rates, cols.op, cols.input0, cols.input1, cols.output)
+    active = [
+        (ei, r, OP_NAMES[op], [in0] if in1 < 0 else [in0, in1], out)
+        for ei, r, op, in0, in1, out in zip(ids.tolist(), *(c[ids].tolist() for c in columns))
+    ]
+    producers: dict[int, list[tuple]] = {}
+    for ei, r, op, inputs, out in active:
+        producers.setdefault(out, []).append((r, -ei, op, inputs))
+    protocols: list[ProtocolFlow] = []
     memo: dict[int, str] = {}
     swap_rate = 0.0
     pur_rate = 0.0
-    for ei, e in active:
-        r = float(rates[ei])
-        if e.op == "swap":
+    for _, r, op, inputs, _ in active:
+        if op == "swap":
             swap_rate += r
-        elif e.op == "purify":
+        elif op == "purify":
             pur_rate += r
-        elif e.op == "end":
-            vin = e.inputs[0]
+        elif op == "end":
             protocols.append(
                 ProtocolFlow(
-                    fidelity=hg.vertices[vin].exact_fidelity, rate=r,
-                    tree=_trace_tree(hg, rates, producers, vin, memo),
+                    fidelity=hg.vertices[inputs[0]].exact_fidelity, rate=r,
+                    tree=_trace_tree(hg, producers, inputs[0], memo),
                 )
             )
     return DistributionScheme.from_flows(protocols, swap_rate, pur_rate)

@@ -339,9 +339,10 @@ def _eval_protocol(
     noise: NoiseParams,
     purify_model: str,
     cursor: list[int],
-) -> tuple[float, np.ndarray, str]:
+) -> tuple[float, np.ndarray, str] | None:
     """Exact fidelity and per-link usage; slot rounds apply symmetric
-    purification (two copies of the slot state per attempt)."""
+    purification (two copies of the slot state per attempt). None once a
+    purification leaves [0.25, 1], which the as-printed map can do."""
     if shape[0] == "leaf":
         link = shape[1]
         f = f0s[link]
@@ -349,8 +350,11 @@ def _eval_protocol(
         usage[link] = 1.0
         tree = f"L{link}"
     else:
-        f_l, u_l, t_l = _eval_protocol(shape[1], rounds, f0s, num_links, noise, purify_model, cursor)
-        f_r, u_r, t_r = _eval_protocol(shape[2], rounds, f0s, num_links, noise, purify_model, cursor)
+        left = _eval_protocol(shape[1], rounds, f0s, num_links, noise, purify_model, cursor)
+        right = _eval_protocol(shape[2], rounds, f0s, num_links, noise, purify_model, cursor)
+        if left is None or right is None:
+            return None
+        (f_l, u_l, t_l), (f_r, u_r, t_r) = left, right
         f = werner_swap(f_l, f_r, gate_factor(noise))
         usage = u_l + u_r
         tree = f"s({t_l},{t_r})"
@@ -358,6 +362,8 @@ def _eval_protocol(
     cursor[0] += 1
     for _ in range(rounds[slot]):
         f_new, p = purify(f, f, noise, purify_model)
+        if not 0.25 <= f_new <= 1.0:
+            return None
         usage = usage * (4.0 / p)
         f = f_new
         tree = f"p({tree})"
@@ -371,7 +377,9 @@ def _protocols(path: Path, noise: NoiseParams, max_purify_rounds: int, purify_mo
     for shape in _tree_shapes(0, k):
         slots = _tree_slots(shape)
         for rounds in np.ndindex(*([max_purify_rounds + 1] * slots)):
-            yield _eval_protocol(shape, tuple(rounds), f0s, k, noise, purify_model, [0])
+            protocol = _eval_protocol(shape, tuple(rounds), f0s, k, noise, purify_model, [0])
+            if protocol is not None:
+                yield protocol
 
 
 def brute_force_oracle(

@@ -1,8 +1,10 @@
-"""Golden digests of pruned builds, so builder speedups cannot change its output.
+"""Golden digests of builds, so builder changes cannot change their output.
 
 Each digest is the sha256 of the build's JSON document with
-``build_time_s`` removed, recorded before the builder was optimized,
-together with the number of as-printed clamp events the build raised.
+``build_time_s`` removed, together with the number of as-printed clamp
+events the build raised. The pruned digests were recorded before the
+pruned builder was optimized; the standard and synthesis digests before
+the builders emitted their edges as columns.
 """
 
 import hashlib
@@ -11,8 +13,13 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_chain
-from entflow.hypergraph import FidelityGrid, build_pruned_hypergraph
+from conftest import make_chain, make_topology
+from entflow.hypergraph import (
+    FidelityGrid,
+    build_pruned_hypergraph,
+    build_standard_hypergraph,
+    synthesize_multipath,
+)
 from entflow.physics import CLAMP_EVENTS, DEFAULT_NOISE
 
 # (chain seed, chain nodes, purify model, grid size) -> (sha256, clamp events)
@@ -40,6 +47,25 @@ GOLDEN = {
 }
 
 
+# standard builds, keyed as GOLDEN
+GOLDEN_STANDARD = {
+    (0, 3, "ideal-dejmps", 20): ("35267fdb6317e7328068cfdbc9c99c4e98590cd9d0fc17b0d356580530b3af6d", 0),
+    (0, 3, "ideal-dejmps", 60): ("348f23524628a225d0b1afcddc16d1dc239fe2869d478571a6c75648abc540c4", 0),
+    (0, 3, "as-printed", 20): ("3179842c46b200758f130458796ea448aaab80bf3303010743853aa58ebbeffb", 400),
+    (0, 3, "as-printed", 60): ("31f98efe0f4a2d3f19ee8131af96dccec56699d1cb97082f4279f778fd9eda4f", 3600),
+    (1, 4, "ideal-dejmps", 20): ("158b44a89bb464250820c960581bc68240e8d4d0348874583b4abd398f081849", 0),
+    (1, 4, "ideal-dejmps", 60): ("ac84e8766098baa962317c5e79fa328d2d499fd09f7f5d52460479e131dc722d", 0),
+    (1, 4, "as-printed", 20): ("eff3a35693cfe2c6aea944201d4ac6d14b040a2aeea01ff6588eefe9c4cf1119", 400),
+    (1, 4, "as-printed", 60): ("6c9f93ddb0911199a7ea100dd003c4ade03d8c0aa7c65018ae7732656176ad04", 3600),
+    (2, 5, "ideal-dejmps", 20): ("e7030f66673e267aa9f1190c569c3756d395bbb4a736098ec0bf20b571e9f6ef", 0),
+    (2, 5, "ideal-dejmps", 60): ("42b750bc2bf2abe7abe0e947fa5371fd329fc83c0f05b8473c6e67846a277208", 0),
+    (2, 5, "as-printed", 20): ("192ba470557ec7df5df3d28b54cf106ddc120f464e684afa77bafa59e96432b2", 400),
+    (2, 5, "as-printed", 60): ("79b8044da81795dd527b8e636d6d4baea5fb2f104e20b474f001995defec5cf5", 3600),
+}
+# three pruned paths at grid 60, two of them sharing the link s-a
+GOLDEN_SYNTHESIS = "ac53d22ef902ef06ccc659260e25c96f24157c3f31bb1c6ce8c5b37f2b9ff211"
+
+
 @pytest.mark.parametrize("seed, nodes, model, size", sorted(GOLDEN))
 def test_pruned_build_matches_golden_digest(seed, nodes, model, size):
     lengths = np.random.default_rng(seed).uniform(20.0, 150.0, size=nodes - 1)
@@ -50,3 +76,29 @@ def test_pruned_build_matches_golden_digest(seed, nodes, model, size):
     doc.pop("build_time_s")
     digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
     assert (digest, CLAMP_EVENTS.count) == GOLDEN[(seed, nodes, model, size)]
+
+
+def _digest(hg) -> str:
+    doc = hg.to_json()
+    doc.pop("build_time_s")
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed, nodes, model, size", sorted(GOLDEN_STANDARD))
+def test_standard_build_matches_golden_digest(seed, nodes, model, size):
+    lengths = np.random.default_rng(seed).uniform(20.0, 150.0, size=nodes - 1)
+    path = make_chain(lengths, name=f"g{seed}_")
+    CLAMP_EVENTS.reset()
+    hg = build_standard_hypergraph(path, FidelityGrid.uniform(size), DEFAULT_NOISE, model)
+    assert (_digest(hg), CLAMP_EVENTS.count) == GOLDEN_STANDARD[(seed, nodes, model, size)]
+
+
+def test_synthesis_matches_golden_digest():
+    topo = make_topology([("s", "a", 40.0), ("a", "d", 50.0), ("a", "b", 30.0),
+                          ("b", "d", 35.0), ("s", "c", 60.0), ("c", "d", 45.0)])
+    grid = FidelityGrid.uniform(60)
+    paths = [["s", "a", "d"], ["s", "a", "b", "d"], ["s", "c", "d"]]
+    hg = synthesize_multipath([
+        build_pruned_hypergraph(topo.path_from_nodes(p), grid, DEFAULT_NOISE) for p in paths
+    ])
+    assert _digest(hg) == GOLDEN_SYNTHESIS

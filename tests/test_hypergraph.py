@@ -1,10 +1,14 @@
 """Tests for the operation-hypergraph builders and serialization."""
 
 import json
+from dataclasses import fields
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_chain
+from conftest import make_chain, make_topology
 from entflow.capacity import pair_capacity
 from entflow.hypergraph import (
     BUILD_COUNTER,
@@ -13,6 +17,7 @@ from entflow.hypergraph import (
     FidelityGrid,
     HyperEdge,
     Hypergraph,
+    HypergraphColumns,
     HypergraphError,
     HyperVertex,
     best_dp_estimate,
@@ -20,7 +25,7 @@ from entflow.hypergraph import (
     build_standard_hypergraph,
     synthesize_multipath,
 )
-from entflow.physics import DEFAULT_NOISE, swap_fidelity
+from entflow.physics import DEFAULT_NOISE, PURIFY_MODELS, swap_fidelity
 from entflow.topology import Edge, Topology, link_egr
 
 
@@ -213,6 +218,11 @@ def _set_kind_of_vertex_3(doc):
     pytest.param(_set_limits(-5.0), id="negative-limit"),
     pytest.param(_drop_a_limit, id="start-link-without-limit"),
     pytest.param(_set_kind_of_vertex_3, id="non-link-vertex-kind"),
+    pytest.param(_edit_edge("end", 5, -3.0), id="negative-capacity-coeff"),
+    pytest.param(_edit_edge("end", 5, float("nan")), id="nan-capacity-coeff"),
+    pytest.param(_edit_edge("swap", 4, "n0|n1"), id="link-key-on-swap"),
+    pytest.param(_edit_edge("start", 6, float("nan")), id="nan-rate-bound"),
+    pytest.param(_edit_edge("end", 2, True), id="boolean-vertex-index"),
 ])
 def test_from_json_rejects_invalid_documents(corrupt):
     hg = build_standard_hypergraph(make_chain([60.0, 80.0]), FidelityGrid.uniform(6), DEFAULT_NOISE)
@@ -220,3 +230,49 @@ def test_from_json_rejects_invalid_documents(corrupt):
     corrupt(doc)
     with pytest.raises(HypergraphError):
         Hypergraph.from_json_text(json.dumps(doc))
+
+
+_DIAMOND_PATHS = (("s", "a", "d"), ("s", "b", "d"), ("s", "a", "b", "d"))
+
+
+@st.composite
+def _hypergraphs(draw):
+    """A pruned or standard chain build, or a synthesis of diamond paths
+    (two of which share the link s-a)."""
+    kind = draw(st.sampled_from(["pruned", "standard", "synthesis"]))
+    model = draw(st.sampled_from(PURIFY_MODELS))
+    km = st.floats(min_value=20.0, max_value=150.0)
+    if kind == "synthesis":
+        a, b, c, d, e = draw(st.lists(km, min_size=5, max_size=5))
+        topo = make_topology([("s", "a", a), ("a", "d", b), ("s", "b", c), ("b", "d", d),
+                              ("a", "b", e)])
+        paths = draw(st.lists(st.sampled_from(_DIAMOND_PATHS), min_size=1, max_size=3,
+                              unique=True))
+        grid = FidelityGrid.uniform(draw(st.integers(min_value=2, max_value=40)))
+        return synthesize_multipath([
+            build_pruned_hypergraph(topo.path_from_nodes(list(p)), grid, DEFAULT_NOISE, model)
+            for p in paths
+        ])
+    lengths = draw(st.lists(km, min_size=1, max_size=3 if kind == "standard" else 5))
+    if kind == "standard":
+        grid = FidelityGrid.uniform(draw(st.integers(min_value=1, max_value=12)))
+        return build_standard_hypergraph(make_chain(lengths), grid, DEFAULT_NOISE, model)
+    grid = FidelityGrid.uniform(draw(st.integers(min_value=1, max_value=60)))
+    return build_pruned_hypergraph(make_chain(lengths), grid, DEFAULT_NOISE, model)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_hypergraphs())
+def test_json_round_trip_keeps_the_columns_byte_for_byte(hg):
+    clone = Hypergraph.from_json(json.loads(hg.to_json_text()))
+    for field in fields(HypergraphColumns):
+        a, b = getattr(hg.columns, field.name), getattr(clone.columns, field.name)
+        if isinstance(a, np.ndarray):
+            # bytes compare NaN rate bounds too
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), field.name
+            assert not a.flags.writeable and not b.flags.writeable
+        else:
+            assert a == b
+    assert clone.to_json_text() == hg.to_json_text()
+    with pytest.raises(ValueError):
+        clone.columns.rate_bound[:1] = 0.0

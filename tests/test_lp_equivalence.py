@@ -259,24 +259,11 @@ def test_matvec_check_agrees_with_row_by_row_check(seed):
                 assert accepted
 
 
-def test_columns_are_built_on_first_lp_only():
-    grid = FidelityGrid.uniform(10)
-    built = build_pruned_hypergraph(make_chain([50.0, 70.0]), grid, DEFAULT_NOISE)
-    merged = synthesize_multipath([built])
-    loaded = Hypergraph.from_json(merged.to_json())
-    for hg in (built, merged, loaded):
-        assert "columns" not in vars(hg)
-    cols = loaded.columns
-    assert formulate_lp(loaded, "ensemble-capacity") is not None
-    assert loaded.columns is cols
-    assert not cols.op.flags.writeable
-
-
 def test_columns_reject_edges_outside_the_op_vocabulary():
     hg = build_pruned_hypergraph(make_chain([50.0]), FidelityGrid.uniform(4), DEFAULT_NOISE)
     for bad in (HyperEdge(op="teleport", inputs=(2,), output=1),
                 HyperEdge(op="end", inputs=(2, 2, 2), output=1)):
-        odd = Hypergraph(list(hg.vertices), [*hg.edges, bad], hg.grid, hg.noise,
-                         hg.link_limits, hg.endpoints, hg.builder, hg.purify_model)
         with pytest.raises(HypergraphError):
+            odd = Hypergraph(list(hg.vertices), [*hg.edges, bad], hg.grid, hg.noise,
+                             hg.link_limits, hg.endpoints, hg.builder, hg.purify_model)
             formulate_lp(odd, "ensemble-capacity")

@@ -1,9 +1,12 @@
 """Tests for the four planning strategies and the exhaustive oracle."""
 
+import json
+
 import pytest
 
 from conftest import make_chain
 from entflow.capacity import pair_capacity
+from entflow.cli import main
 from entflow.hypergraph import FidelityGrid
 from entflow.lp import EMPTY_SCHEME
 from entflow.physics import DEFAULT_NOISE
@@ -15,7 +18,7 @@ from entflow.strategies import (
     oracle_best_single,
     run_strategy,
 )
-from entflow.topology import link_egr
+from entflow.topology import Edge, Topology, link_egr
 
 
 def test_run_strategy_dispatch_and_result_shape():
@@ -131,3 +134,26 @@ def test_oracle_with_no_protocol_above_the_grid_delivers_nothing():
     path = make_chain([300.0, 300.0], f0=0.9)
     res = brute_force_oracle(path, FidelityGrid((0.995, 0.997, 0.999)))
     assert res.scheme == EMPTY_SCHEME
+
+
+def test_oracle_discards_protocols_the_as_printed_map_drives_out_of_range(tmp_path):
+    # as-printed purify(0.98, 0.98) clamps to 0.0, which a second round
+    # cannot take; those protocols are dropped, so rounds add nothing here
+    topo = Topology(["a", "b"], [Edge(u="a", v="b", length_km=30.0)])
+    path = topo.path_from_nodes(["a", "b"])
+    grid = FidelityGrid.uniform(6)
+    caps = [
+        brute_force_oracle(path, grid, max_purify_rounds=rounds, purify_model="as-printed").capacity
+        for rounds in (0, 1, 2)
+    ]
+    assert caps[0] == caps[1] == caps[2] == pytest.approx(5284.5476, rel=1e-6)
+    single = oracle_best_single(path, grid, max_purify_rounds=2, purify_model="as-printed")
+    assert single[0] == caps[0]
+    topo_file = tmp_path / "chain.json"
+    topo_file.write_text(json.dumps({
+        "nodes": ["a", "b"], "edges": [{"u": "a", "v": "b", "length_km": 30.0}],
+    }))
+    out = tmp_path / "oracle.json"
+    assert main(["oracle", "--topology", str(topo_file), "--demand", "a,b",
+                 "--purify-model", "as-printed", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["capacity"] == caps[0]
