@@ -30,10 +30,7 @@ from .physics import NoiseParams, chain_swap_fidelity, purify, swap_fidelity
 from .strategies import (
     StrategyResult,
     brute_force_oracle,
-    run_ec_dp,
-    run_ec_lp,
     run_rate_dp,
-    run_rate_lp,
     run_strategy,
 )
 from .topology import (
@@ -83,10 +80,7 @@ __all__ = [
     "pair_capacity_bounds",
     "parse_lp",
     "purify",
-    "run_ec_dp",
-    "run_ec_lp",
     "run_rate_dp",
-    "run_rate_lp",
     "run_strategy",
     "save_cache",
     "solve_lp",

@@ -32,6 +32,7 @@ from .hypergraph import FidelityGrid, build_pruned_hypergraph, build_standard_hy
 from .orchestrator import PlannerConfig, inner_loop_request, outer_loop_update
 from .physics import DEFAULT_NOISE, NoiseParams
 from .strategies import (
+    LP_STRATEGIES,
     STRATEGY_NAMES,
     StrategyResult,
     _lp_strategy,
@@ -344,25 +345,16 @@ def _run_sweep_flb(config: ExperimentConfig) -> Report:
         lengths = [float(rng.uniform(lo, hi)) for _ in range(config.chain_nodes - 1)]
         path = _chain(lengths, config.noise.f0, name=f"f{fixture}_")
         grid = FidelityGrid.uniform(config.grid_size)
-        # hypergraphs do not depend on f_lb; build once per fixture
-        hgs = {}
-        if "rate-lp" in config.strategies or "ec-lp" in config.strategies:
-            hgs["standard"] = build_standard_hypergraph(
-                path, grid, config.noise, config.purify_model
-            )
-        if "ec-dp" in config.strategies:
-            hgs["pruned"] = build_pruned_hypergraph(
-                path, grid, config.noise, config.purify_model
-            )
+        # hypergraphs do not depend on f_lb: one per builder, built once per fixture
+        builds = dict.fromkeys(LP_STRATEGIES[name][0] for name in config.strategies
+                               if name in LP_STRATEGIES)
+        hgs = {build: build(path, grid, config.noise, config.purify_model) for build in builds}
         for f_lb in sweep:
             for name in config.strategies:
                 if name == "rate-dp":
                     result = run_rate_dp(path, grid, f_lb, config.noise, config.purify_model)
-                elif name == "rate-lp":
-                    result = _lp_strategy(name, hgs["standard"], "end-rate", f_lb)
                 else:
-                    hg = hgs["pruned" if name == "ec-dp" else "standard"]
-                    result = _lp_strategy(name, hg, "ensemble-capacity")
+                    result = _lp_strategy(name, hgs[LP_STRATEGIES[name][0]], f_lb)
                 # every row carries the sweep point, ec-* rows included
                 report.rows.append(_strategy_row(
                     config, replace(result, f_lb=f_lb),
@@ -421,7 +413,7 @@ def _run_scale_path(config: ExperimentConfig) -> Report:
         lengths = [float(rng.uniform(lo, hi)) for _ in range(length - 1)]
         path = _chain(lengths, config.noise.f0, name=f"p{length}_")
         hg = build_pruned_hypergraph(path, grid, config.noise, config.purify_model)
-        result = _lp_strategy("ec-dp", hg, "ensemble-capacity")
+        result = _lp_strategy("ec-dp", hg)
         stats = hg.stats()
         server_times.append(result.server_time_s)
         solver_times.append(result.solver_time_s)
@@ -464,25 +456,11 @@ def _run_scale_network(config: ExperimentConfig) -> Report:
             result = inner_loop_request(cache, s, d)
             server_times.append(entry.server_time_s)
             solver_times.append(result.solver_time_s)
-            sc = result.scheme
-            report.rows.append(
-                _row(
-                    experiment=config.kind,
-                    fixture=size,
-                    s=s,
-                    d=d,
-                    strategy="ec-dp",
-                    grid_size=config.grid_size,
-                    egr=sc.egr,
-                    fidelity=sc.fidelity,
-                    capacity=sc.capacity,
-                    swaps=sc.swaps,
-                    purifications=sc.purifications,
-                    pairs=sc.pairs,
-                    server_time_s=entry.server_time_s if config.record_timings else None,
-                    solver_time_s=result.solver_time_s if config.record_timings else None,
-                )
-            )
+            report.rows.append(_strategy_row(config, StrategyResult(
+                strategy="ec-dp", scheme=result.scheme, server_time_s=entry.server_time_s,
+                solver_time_s=result.solver_time_s, grid_size=config.grid_size, f_lb=None,
+                purify_model=config.purify_model,
+            ), fixture=size, s=s, d=d))
     if config.record_timings:
         report.aggregates = {
             "server_time_s": _percentiles(server_times),

@@ -224,9 +224,15 @@ class Hypergraph:
     ) -> None:
         if len(vertices) < 2 or vertices[0].kind != "source" or vertices[1].kind != "sink":
             raise HypergraphError("vertices must start with source and sink")
-        for vi, v in enumerate(vertices[2:], start=2):
-            if v.kind != "link":
+        nf = grid.resolution
+        for vi, v in enumerate(vertices):
+            if vi >= 2 and v.kind != "link":
                 raise HypergraphError(f"vertex {vi}: kind {v.kind!r} is not 'link'")
+            f, b = v.exact_fidelity, v.bucket
+            if isinstance(f, bool) or not isinstance(f, (int, float)) or not 0.0 <= f <= 1.0:
+                raise HypergraphError(f"vertex {vi}: exact_fidelity {f!r} is not a real in [0, 1]")
+            if isinstance(b, bool) or not isinstance(b, int) or not -1 <= b < nf:
+                raise HypergraphError(f"vertex {vi}: bucket {b!r} is not an int in [-1, {nf})")
         self.vertices = tuple(vertices)
         tabled = isinstance(edges, HypergraphColumns)
         self.columns = edges if tabled else _from_rows(edges, vertices)

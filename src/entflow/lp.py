@@ -17,17 +17,17 @@ extraction reads the same table, for the edges with positive rate only.
 Two solver backends: a deterministic dense tableau simplex (small
 problems, no dependencies beyond numpy) and HiGHS (Huangfu & Hall 2018,
 the dual revised simplex) for larger instances. HiGHS is driven through
-scipy's private bindings (``scipy.optimize._highspy._core``). A
-``RateLP`` compiles one HiGHS model (a ``HighsLp``) on its first HiGHS
-solve and keeps it, behind a lock. Each solve loads that model into a
-new solver, sets the costs, gives the forced-zero variables an upper
-bound of 0 and runs cold with presolve; the solver is dropped after the
-solve. Nothing is warm-started: after an objective change a warm start
-can take a hundred times longer than a cold run. A problem built from
-rows or parsed from text has no hypergraph and gets a fresh model for
-its one solve. When the bindings, or a method the solve calls, are
-missing (checked once at import), HiGHS runs through
-``scipy.optimize.linprog`` instead, with the same answers.
+scipy's private bindings (``scipy.optimize._highspy._core``), checked
+once at import: a missing module, class or method raises ``ImportError``
+naming it. Every problem owns one ``RateLP``: a problem formulated from
+a hypergraph shares ``hg.rate_lp``, and a problem built from rows or a
+matrix builds its own once. A ``RateLP`` compiles one HiGHS model (a
+``HighsLp``) on its first HiGHS solve and keeps it, behind a lock. Each
+solve loads that model into a new solver, sets the costs, gives the
+forced-zero variables an upper bound of 0 and runs cold with presolve;
+the solver is dropped after the solve. Nothing is warm-started: after an
+objective change a warm start can take a hundred times longer than a
+cold run.
 
 A plain-text interchange format allows cross-checking one backend
 against the other, or against external tools.
@@ -40,8 +40,8 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .capacity import EnsembleSpec, ensemble_capacity
 from .hypergraph import OP_CODE, OP_NAMES, Hypergraph
@@ -53,23 +53,30 @@ FEAS_TOL = 1e-6
 
 
 def _highs_bindings():
-    """scipy's private HiGHS module, or None if it lacks what the solve calls."""
+    """scipy's private HiGHS module, with every class and method the solve calls.
+
+    Raises ``ImportError`` naming the first one missing.
+    """
+
+    def missing(name: str) -> ImportError:
+        return ImportError(f"scipy {scipy.__version__} lacks {name}, which the HiGHS solve calls")
+
     try:
         from scipy.optimize._highspy import _core
-    except ImportError:
-        return None
-    names = ("_Highs", "HighsLp", "MatrixFormat", "HighsModelStatus", "HighsStatus")
-    methods = ("setOptionValue", "passModel", "changeColsCost", "changeColsBounds", "run",
-               "getModelStatus", "getInfo", "getSolution")
-    if all(hasattr(_core, name) for name in names) and all(
-        hasattr(_core._Highs, method) for method in methods
-    ):
-        return _core
-    return None
+    except ImportError as exc:
+        raise missing("scipy.optimize._highspy._core") from exc
+    for name in ("_Highs", "HighsLp", "MatrixFormat", "HighsModelStatus", "HighsStatus"):
+        if not hasattr(_core, name):
+            raise missing(f"_highspy._core.{name}")
+    for method in ("setOptionValue", "passModel", "changeColsCost", "changeColsBounds", "run",
+                   "getModelStatus", "getInfo", "getSolution"):
+        if not hasattr(_core._Highs, method):
+            raise missing(f"_highspy._core._Highs.{method}")
+    return _core
 
 
-_HIGHS = _highs_bindings()  # None: solve through linprog
-# the options that linprog(method="highs") sets
+_HIGHS = _highs_bindings()
+# the options scipy's HiGHS interface sets: quiet, presolve on, dual simplex
 _HIGHS_OPTIONS = {
     "output_flag": False,
     "log_to_console": False,
@@ -93,10 +100,10 @@ class LPProblem:
     ``A`` is one CSR matrix (``matrix``), given as such or as ``rows``:
     per row, a list of ``(variable, coefficient)`` terms, kept in the
     given order. The ``rows`` attribute is a view derived from the matrix.
-    Forced-zero variables keep their terms; the solve drops them.
+    Forced-zero variables keep their terms; the solve drops them. The
+    matrix, rhs and row names live in the problem's ``RateLP``, built
+    once here and checked, or shared from a hypergraph by ``formulate_lp``.
     """
-
-    _base: RateLP | None = None  # set by formulate_lp: the hypergraph's shared part
 
     def __init__(
         self,
@@ -107,24 +114,32 @@ class LPProblem:
         row_names: list[str],
         forced_zero: frozenset[int] = frozenset(),
     ) -> None:
-        self.num_vars = num_vars
         self.objective = np.asarray(objective, dtype=float)
-        self.rhs = np.asarray(rhs, dtype=float)
-        self.row_names = row_names
         self.forced_zero = forced_zero
-        if len(self.rhs) != len(row_names):
+        rhs = np.asarray(rhs, dtype=float)
+        if len(rhs) != len(row_names):
             raise LPError("row data lengths disagree")
         if len(self.objective) != num_vars:
             raise LPError("objective length disagrees with variable count")
         if sp.issparse(rows):
-            self.matrix = sp.csr_matrix(rows)
-            if self.matrix.shape != (len(row_names), num_vars):
+            matrix = sp.csr_matrix(rows)
+            if matrix.shape != (len(row_names), num_vars):
                 raise LPError("matrix shape disagrees with rows and variables")
         else:
             if len(rows) != len(row_names):
                 raise LPError("row data lengths disagree")
-            self.matrix = _rows_matrix(rows, num_vars)
+            matrix = _rows_matrix(rows, num_vars)
+        self._base = RateLP(matrix, rhs, tuple(row_names))
         self._validate()
+
+    @classmethod
+    def _sharing(
+        cls, base: RateLP, objective: np.ndarray, forced_zero: frozenset[int]
+    ) -> LPProblem:
+        """A problem on ``base`` as it is: a hypergraph's part, checked when built."""
+        problem = cls.__new__(cls)
+        problem._base, problem.objective, problem.forced_zero = base, objective, forced_zero
+        return problem
 
     def _validate(self) -> None:
         a, n = self.matrix, self.num_vars
@@ -145,6 +160,22 @@ class LPProblem:
         nan_rhs = np.flatnonzero(np.isnan(self.rhs))
         if len(nan_rhs):
             raise LPError(f"row {self.row_names[int(nan_rhs[0])]}: rhs is NaN")
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        return self._base.matrix
+
+    @property
+    def rhs(self) -> np.ndarray:
+        return self._base.rhs
+
+    @property
+    def row_names(self) -> list[str]:
+        return list(self._base.row_names)
+
+    @property
+    def num_vars(self) -> int:
+        return self.matrix.shape[1]
 
     @property
     def num_rows(self) -> int:
@@ -251,7 +282,7 @@ class RateLP:
         solver.changeColsBounds(n, cols, np.zeros(n), upper)
         solver.run()
         status, statuses = solver.getModelStatus(), _HIGHS.HighsModelStatus
-        # the statuses linprog reads as infeasible and as unbounded
+        # the statuses scipy's HiGHS interface reads as infeasible and as unbounded
         if status in (statuses.kInfeasible, statuses.kModelError):
             raise LPSolveError("HiGHS: problem is infeasible")
         if status == statuses.kUnbounded:
@@ -259,9 +290,9 @@ class RateLP:
         if status != statuses.kOptimal:
             raise LPSolveError(f"HiGHS failed: model status {status.name}")
         info = solver.getInfo()
-        # linprog's count: simplex iterations, or IPM ones if there were none
+        # scipy's count: simplex iterations, or IPM ones if there were none
         iterations = int(info.simplex_iteration_count or info.ipm_iteration_count)
-        return np.array(solver.getSolution().col_value), iterations
+        return np.fromiter(solver.getSolution().col_value, np.float64, n), iterations
 
 
 def _compile_highs(matrix: sp.csr_matrix, rhs: np.ndarray):
@@ -300,7 +331,6 @@ def formulate_lp(
     if objective == "end-rate" and f_lb is None:
         raise LPError("end-rate objective requires a fidelity lower bound")
 
-    base = hg.rate_lp
     cols = hg.columns
     is_end = cols.op == OP_CODE["end"]
     forced = np.zeros(0, np.int64)
@@ -310,12 +340,7 @@ def formulate_lp(
         above = cols.exact_fidelity[cols.input0] >= f_lb
         c = (is_end & above).astype(np.float64)
         forced = np.flatnonzero(is_end & ~above)
-    problem = LPProblem(
-        num_vars=len(cols.op), objective=c, rows=base.matrix, rhs=base.rhs,
-        row_names=list(base.row_names), forced_zero=frozenset(forced.tolist()),
-    )
-    problem._base = base
-    return problem
+    return LPProblem._sharing(hg.rate_lp, c, frozenset(forced.tolist()))
 
 
 def _simplex_maximize(
@@ -397,32 +422,20 @@ def _problem_matrices(problem: LPProblem) -> tuple[np.ndarray, sp.csr_matrix]:
 
 def _solve_highs(problem: LPProblem) -> tuple[np.ndarray, np.ndarray, int]:
     """HiGHS answer: the objective with forced zeros, x and the iteration count."""
-    # linprog's input check, made before either path runs
+    # HiGHS would read an infinite cost or rhs as a special value, not as an error
     bad = np.flatnonzero(~np.isfinite(problem.objective))
     if len(bad):
         raise LPError(f"objective coefficient of r_{int(bad[0])} is not finite")
     bad = np.flatnonzero(~np.isfinite(problem.rhs))
     if len(bad):
         raise LPError(f"row {problem.row_names[int(bad[0])]}: rhs is not finite")
-    if _HIGHS is None:
-        c, a = _problem_matrices(problem)
-        res = linprog(-c, A_ub=a, b_ub=problem.rhs, bounds=(0, None), method="highs")
-        if res.status == 2:
-            raise LPSolveError("HiGHS: problem is infeasible")
-        if res.status == 3:
-            raise LPSolveError("HiGHS: problem is unbounded")
-        if not res.success:
-            raise LPSolveError(f"HiGHS failed: {res.message}")
-        return c, res.x, int(res.nit)
-
     c = problem.objective.copy()
     upper = np.full(problem.num_vars, np.inf)
     if problem.forced_zero:
         forced = np.fromiter(problem.forced_zero, np.int64, len(problem.forced_zero))
         c[forced] = 0.0
         upper[forced] = 0.0
-    base = problem._base or RateLP(problem.matrix, problem.rhs, tuple(problem.row_names))
-    x, iters = base.solve_highs(-c, upper)
+    x, iters = problem._base.solve_highs(-c, upper)
     return c, x, iters
 
 

@@ -10,6 +10,9 @@ Four strategies share one result shape:
 * ``ec-dp``   -- pruned (exact-fidelity incumbent) hypergraph, maximize
   ensemble capacity; this is the planner's single-path core.
 
+``LP_STRATEGIES`` holds the builder and objective of the three LP
+strategies; ``run_strategy`` and the experiment sweeps read it.
+
 The brute-force oracle enumerates every swap order (full binary trees
 over the link sequence) with bounded purification rounds at each tree
 slot, evaluates exact fidelities, and solves a small LP over the
@@ -46,7 +49,13 @@ from .lp import (
 from .physics import DEFAULT_NOISE, NoiseParams, gate_factor, purify, werner_swap
 from .topology import Path, link_egr
 
-STRATEGY_NAMES = ("rate-dp", "rate-lp", "ec-lp", "ec-dp")
+# LP strategy -> (hypergraph builder, objective)
+LP_STRATEGIES = {
+    "rate-lp": (build_standard_hypergraph, "end-rate"),
+    "ec-lp": (build_standard_hypergraph, "ensemble-capacity"),
+    "ec-dp": (build_pruned_hypergraph, "ensemble-capacity"),
+}
+STRATEGY_NAMES = ("rate-dp", *LP_STRATEGIES)
 
 DEFAULT_F_LB = 0.87
 
@@ -96,13 +105,13 @@ class StrategyResult:
         }
 
 
-def _lp_strategy(
-    name: str,
-    hg: Hypergraph,
-    objective: str,
-    f_lb: float | None = None,
-) -> StrategyResult:
-    """Solve an already built hypergraph; its build time is the server time."""
+def _lp_strategy(name: str, hg: Hypergraph, f_lb: float | None = None) -> StrategyResult:
+    """Solve an already built hypergraph under the objective of LP strategy
+    ``name``; its build time is the server time. ``f_lb`` binds end-rate
+    only: other results carry None."""
+    objective = LP_STRATEGIES[name][1]
+    if objective != "end-rate":
+        f_lb = None
     t0 = time.perf_counter()
     problem = formulate_lp(hg, objective, f_lb)
     solution = solve_lp(problem)
@@ -113,37 +122,6 @@ def _lp_strategy(
         solver_time_s=solver_time, grid_size=hg.grid.resolution, f_lb=f_lb,
         purify_model=hg.purify_model,
     )
-
-
-def run_rate_lp(
-    path: Path,
-    grid: FidelityGrid,
-    f_lb: float = DEFAULT_F_LB,
-    noise: NoiseParams = DEFAULT_NOISE,
-    purify_model: str = "ideal-dejmps",
-) -> StrategyResult:
-    hg = build_standard_hypergraph(path, grid, noise, purify_model)
-    return _lp_strategy("rate-lp", hg, "end-rate", f_lb)
-
-
-def run_ec_lp(
-    path: Path,
-    grid: FidelityGrid,
-    noise: NoiseParams = DEFAULT_NOISE,
-    purify_model: str = "ideal-dejmps",
-) -> StrategyResult:
-    hg = build_standard_hypergraph(path, grid, noise, purify_model)
-    return _lp_strategy("ec-lp", hg, "ensemble-capacity")
-
-
-def run_ec_dp(
-    path: Path,
-    grid: FidelityGrid,
-    noise: NoiseParams = DEFAULT_NOISE,
-    purify_model: str = "ideal-dejmps",
-) -> StrategyResult:
-    hg = build_pruned_hypergraph(path, grid, noise, purify_model)
-    return _lp_strategy("ec-dp", hg, "ensemble-capacity")
 
 
 @dataclass(frozen=True)
@@ -296,13 +274,10 @@ def run_strategy(
 ) -> StrategyResult:
     if name == "rate-dp":
         return run_rate_dp(path, grid, f_lb, noise, purify_model)
-    if name == "rate-lp":
-        return run_rate_lp(path, grid, f_lb, noise, purify_model)
-    if name == "ec-lp":
-        return run_ec_lp(path, grid, noise, purify_model)
-    if name == "ec-dp":
-        return run_ec_dp(path, grid, noise, purify_model)
-    raise ValueError(f"unknown strategy {name!r}; expected one of {STRATEGY_NAMES}")
+    if name not in LP_STRATEGIES:
+        raise ValueError(f"unknown strategy {name!r}; expected one of {STRATEGY_NAMES}")
+    build = LP_STRATEGIES[name][0]
+    return _lp_strategy(name, build(path, grid, noise, purify_model), f_lb)
 
 
 # --- brute-force oracle ---------------------------------------------------

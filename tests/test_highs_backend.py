@@ -6,15 +6,15 @@ objective and matrix with the forced-zero variables dropped. Rates must
 match bit for bit, and objective, iteration count and status exactly.
 """
 
-import logging
 import random
+import re
 import sys
 import threading
 import types
-import warnings
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -182,13 +182,12 @@ def test_threads_sharing_one_model_get_the_serial_answers():
         _assert_same(got, serial[k])
 
 
-# --- edge cases: the direct path and the linprog fallback agree ---------------
+# --- edge cases --------------------------------------------------------------
 
 
-@pytest.fixture(params=["direct", "linprog"])
-def backend(request, monkeypatch):
-    if request.param == "linprog":
-        monkeypatch.setattr(lp, "_HIGHS", None)
+@pytest.fixture(params=["direct"])
+def backend(request):
+    """The HiGHS path under test: the direct bindings, the only one."""
     return request.param
 
 
@@ -236,35 +235,47 @@ def test_no_variables(backend):
     assert (solution.status, solution.objective_value, len(solution.rates)) == ("optimal", 0.0, 0)
 
 
-def test_linprog_fallback_gives_the_direct_answers(monkeypatch):
-    hg = build_standard_hypergraph(make_chain([50.0, 70.0]), FidelityGrid.uniform(12),
-                                   DEFAULT_NOISE)
-    problems = [formulate_lp(hg, "ensemble-capacity"), formulate_lp(hg, "end-rate", 0.9)]
-    direct = [_answer(solve_lp(p, method="highs")) for p in problems]
-    calls = []
-
-    def counting_linprog(*args, **kwargs):
-        calls.append(1)
-        return linprog(*args, **kwargs)
-
-    monkeypatch.setattr(lp, "_HIGHS", None)
-    monkeypatch.setattr(lp, "linprog", counting_linprog)
-    for problem, want in zip(problems, direct):
-        _assert_same(_answer(solve_lp(problem, method="highs")), want)
-    assert len(calls) == len(problems)
+def test_formulated_problems_share_the_hypergraphs_rate_lp():
+    hg = build_pruned_hypergraph(make_chain([60.0, 70.0]), FidelityGrid.uniform(12),
+                                 DEFAULT_NOISE)
+    for problem in (formulate_lp(hg, "ensemble-capacity"), formulate_lp(hg, "end-rate", 0.9)):
+        assert problem._base is hg.rate_lp
+        assert problem.matrix is hg.rate_lp.matrix
+        assert problem.rhs is hg.rate_lp.rhs
+        assert problem.row_names == list(hg.rate_lp.row_names)
 
 
-def test_binding_check_falls_back_silently(monkeypatch, caplog):
+def test_row_built_problem_compiles_one_model(monkeypatch):
+    compiled = []
+
+    def counting_compile(*args):
+        compiled.append(1)
+        return compile_highs(*args)
+
+    compile_highs = lp._compile_highs
+    monkeypatch.setattr(lp, "_compile_highs", counting_compile)
+    problem = _problem(2, [1.0, 2.0], [[(0, 1.0), (1, 1.0)], [(1, 3.0)]], [4.0, 3.0], ["a", "b"])
+    first, second = (solve_lp(problem, method="highs") for _ in range(2))
+    _assert_same(_answer(first), _answer(second))
+    _assert_same(_answer(first), _linprog_answer(problem))
+    assert len(compiled) == 1
+
+
+def test_binding_check_names_what_is_missing(monkeypatch):
     _highspy = pytest.importorskip("scipy.optimize._highspy")
-    assert lp._highs_bindings() is not None
-    caplog.set_level(logging.DEBUG)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        # a module without the methods the solve calls
-        monkeypatch.setattr(_highspy, "_core", types.SimpleNamespace(_Highs=object))
-        assert lp._highs_bindings() is None
-        # no module at all
-        monkeypatch.delattr(_highspy, "_core")
-        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
-        assert lp._highs_bindings() is None
-    assert caplog.records == []
+    assert lp._highs_bindings() is lp._HIGHS is _highspy._core
+    version = re.escape(scipy.__version__)
+    # a module without the classes and methods the solve calls
+    monkeypatch.setattr(_highspy, "_core", types.SimpleNamespace(_Highs=object))
+    with pytest.raises(ImportError, match=f"^scipy {version} lacks _highspy._core.HighsLp,"):
+        lp._highs_bindings()
+    core = types.SimpleNamespace(**{name: object for name in (
+        "_Highs", "HighsLp", "MatrixFormat", "HighsModelStatus", "HighsStatus")})
+    monkeypatch.setattr(_highspy, "_core", core)
+    with pytest.raises(ImportError, match=r"lacks _highspy._core._Highs.setOptionValue,"):
+        lp._highs_bindings()
+    # no module at all
+    monkeypatch.delattr(_highspy, "_core")
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    with pytest.raises(ImportError, match=r"lacks scipy.optimize._highspy._core,"):
+        lp._highs_bindings()

@@ -204,6 +204,13 @@ def _set_kind_of_vertex_3(doc):
     doc["vertices"][3][4] = "bogus"
 
 
+def _edit_vertex_3(field, value):
+    """Corruption: set one field (u, v, exact_fidelity, bucket, kind) of vertex 3."""
+    def corrupt(doc):
+        doc["vertices"][3][field] = value
+    return corrupt
+
+
 # edge fields: op, inputs, output, p_succ, link_key, capacity_coeff, rate_bound
 @pytest.mark.parametrize("corrupt", [
     pytest.param(_edit_edge("swap", 1, [2, 99999]), id="input-above-range"),
@@ -223,6 +230,9 @@ def _set_kind_of_vertex_3(doc):
     pytest.param(_edit_edge("swap", 4, "n0|n1"), id="link-key-on-swap"),
     pytest.param(_edit_edge("start", 6, float("nan")), id="nan-rate-bound"),
     pytest.param(_edit_edge("end", 2, True), id="boolean-vertex-index"),
+    pytest.param(_edit_vertex_3(2, 1.7), id="fidelity-above-one"),
+    pytest.param(_edit_vertex_3(2, "0.99"), id="string-fidelity"),
+    pytest.param(_edit_vertex_3(3, 6), id="bucket-past-the-grid"),
 ])
 def test_from_json_rejects_invalid_documents(corrupt):
     hg = build_standard_hypergraph(make_chain([60.0, 80.0]), FidelityGrid.uniform(6), DEFAULT_NOISE)

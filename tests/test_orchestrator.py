@@ -268,3 +268,10 @@ def test_load_cache_rejects_unknown_vertex_kind():
     doc["entries"][0]["hypergraph"]["vertices"][2][4] = "bogus"
     with pytest.raises(CacheError, match="vertex 2: kind 'bogus'"):
         load_cache(json.dumps(doc))
+
+
+def test_load_cache_rejects_a_vertex_fidelity_outside_the_unit_interval():
+    doc = json.loads(save_cache(outer_loop_update(_square_topology(), [("s", "d")], _config())))
+    doc["entries"][0]["hypergraph"]["vertices"][2][2] = 1.7
+    with pytest.raises(CacheError, match=r"vertex 2: exact_fidelity 1\.7 is not a real in \[0, 1\]"):
+        load_cache(json.dumps(doc))
