@@ -254,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "oracle":
             return _cmd_oracle(args)
         raise AssertionError("unreachable")
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -2,9 +2,9 @@
 
 Vertices are (node-pair, fidelity) link states plus a source and a sink;
 hyper-edges are start/swap/purify/end operations carrying LP rate
-variables. A hypergraph holds its edges once, as numpy columns
-(``HypergraphColumns``) that every reader uses; ``edges`` is a record
-view derived from them. Every hypergraph is checked when it is made.
+variables. A hypergraph holds both once, in one table (``HypergraphColumns``)
+that every reader uses; vertex kinds and buckets, and the ``vertices`` and
+``edges`` records, are derived from it. Every hypergraph is checked when made.
 
 Two builders are provided: the standard builder enumerates the full
 discretized lattice (edge count grows as |V|^3 |F|^2), and the pruned
@@ -101,13 +101,14 @@ class FidelityGrid:
         return bisect_right(self.values, f) - 1
 
 
-@dataclass(frozen=True)
-class HyperVertex:
+class HyperVertex(NamedTuple):
+    """One vertex as a record, in the field order of a serialized vertex row."""
+
     u: str
     v: str
     exact_fidelity: float
-    bucket: int
-    kind: str  # source | sink | link
+    bucket: int  # grid round-down of exact_fidelity; -1 below the grid
+    kind: str  # source (vertex 0) | sink (vertex 1) | link
 
 
 class HyperEdge(NamedTuple):
@@ -132,7 +133,8 @@ class HypergraphStats:
 
 @dataclass(frozen=True)
 class HypergraphColumns:
-    """The hypergraph as numpy columns: one entry per edge, then per vertex."""
+    """The hypergraph as columns: one entry per edge, then per vertex. Vertex
+    0 is the source and vertex 1 the sink (the endpoints at fidelity 0)."""
 
     op: np.ndarray  # OP_CODE of each edge
     input0: np.ndarray
@@ -143,8 +145,9 @@ class HypergraphColumns:
     rate_bound: np.ndarray  # NaN: no bound
     link: np.ndarray  # start edges: index into link_keys; -1 elsewhere
     link_keys: tuple[str, ...]  # sorted keys of the links that start edges name
-    is_link: np.ndarray  # per vertex: kind == "link"
-    exact_fidelity: np.ndarray  # per vertex
+    u: tuple[str, ...]  # per vertex: its node pair (u, v)
+    v: tuple[str, ...]
+    exact_fidelity: np.ndarray
 
     def __post_init__(self) -> None:
         # held by the hypergraph and shared by every LP built from it
@@ -153,16 +156,14 @@ class HypergraphColumns:
                 value.flags.writeable = False
 
 
-def _columns(vertices: list[HyperVertex], link_keys: list, blocks: list) -> HypergraphColumns:
+def _columns(vertices: tuple, link_keys: list, blocks: list) -> HypergraphColumns:
     """The columns of edge blocks (each maps every name of ``_EDGE_DTYPES``
-    to a sequence), concatenated in order, over ``vertices``."""
+    to a sequence), concatenated in order, over vertices (u, v, exact_fidelity)."""
     edges = {name: np.concatenate([np.asarray(block[name], dtype) for block in blocks])
              for name, dtype in _EDGE_DTYPES.items()}
-    return HypergraphColumns(
-        **edges, link_keys=tuple(link_keys),
-        is_link=np.array([v.kind == "link" for v in vertices], bool),
-        exact_fidelity=np.array([v.exact_fidelity for v in vertices], float),
-    )
+    u, v, fidelity = vertices
+    return HypergraphColumns(**edges, link_keys=tuple(link_keys), u=tuple(u), v=tuple(v),
+                             exact_fidelity=np.array(fidelity, float))
 
 
 def _by_column(edges: list[tuple]) -> dict:
@@ -170,10 +171,24 @@ def _by_column(edges: list[tuple]) -> dict:
     return dict(zip(_EDGE_DTYPES, zip(*edges))) if edges else dict.fromkeys(_EDGE_DTYPES, ())
 
 
-def _from_rows(rows, vertices: list[HyperVertex]) -> HypergraphColumns:
-    """Columns of edge rows in the serialized field order, from a document
-    or ``HyperEdge`` records: the only place records become columns. Rows
-    the columns cannot hold as given are rejected."""
+def _from_rows(vertex_rows, rows, grid: FidelityGrid) -> HypergraphColumns:
+    """Columns of vertex and edge rows in the serialized field order, from
+    a document or ``HyperVertex`` and ``HyperEdge`` records: the only place
+    records become columns. Rows the columns cannot hold as given, and a
+    kind or bucket other than the one the table derives, are rejected."""
+    if len(vertex_rows) < 2:
+        raise HypergraphError("vertices must start with source and sink")
+    nf = grid.resolution
+    for vi, (_, _, f, b, kind) in enumerate(vertex_rows):
+        if kind != ("source", "sink", "link")[min(vi, 2)]:
+            raise HypergraphError(f"vertex {vi}: kind {kind!r} is not 'link'" if vi >= 2
+                                  else "vertices must start with source and sink")
+        if isinstance(f, bool) or not isinstance(f, (int, float)) or not 0.0 <= f <= 1.0:
+            raise HypergraphError(f"vertex {vi}: exact_fidelity {f!r} is not a real in [0, 1]")
+        if isinstance(b, bool) or not isinstance(b, int) or not -1 <= b < nf:
+            raise HypergraphError(f"vertex {vi}: bucket {b!r} is not an int in [-1, {nf})")
+        if b != grid.round_down_index(f):
+            raise HypergraphError(f"vertex {vi}: bucket {b} is not the round-down of {f!r}")
     edges, keys = [], []
     for ei, (op, inputs, output, p_succ, link_key, capacity_coeff, rate_bound) in enumerate(rows):
         code = OP_CODE.get(op)
@@ -198,7 +213,7 @@ def _from_rows(rows, vertices: list[HyperVertex]) -> HypergraphColumns:
     link_of = {key: i for i, key in enumerate(link_keys)}
     block = _by_column(edges)
     block["link"] = [link_of.get(key, -1) for key in keys]
-    return _columns(vertices, link_keys, [block])
+    return _columns(tuple(zip(*vertex_rows))[:3], link_keys, [block])
 
 
 BUILD_COUNTER = EventCounter()  # hypergraph builder invocations
@@ -207,12 +222,13 @@ BUILD_COUNTER = EventCounter()  # hypergraph builder invocations
 class Hypergraph:
     """Immutable operation hypergraph. Index 0 is the source, 1 the sink.
 
-    ``edges`` is the edge table, or edge rows in the serialized field
-    order (such as ``HyperEdge`` records), which become the table."""
+    ``edges`` is the table, which holds the vertices (``vertices`` is then
+    None), or edge rows in the serialized field order (such as ``HyperEdge``
+    records), which become the table with the vertex rows ``vertices``."""
 
     def __init__(
         self,
-        vertices: list[HyperVertex],
+        vertices: list | None,
         edges: HypergraphColumns | list,
         grid: FidelityGrid,
         noise: NoiseParams,
@@ -222,20 +238,7 @@ class Hypergraph:
         purify_model: str,
         build_time_s: float = 0.0,
     ) -> None:
-        if len(vertices) < 2 or vertices[0].kind != "source" or vertices[1].kind != "sink":
-            raise HypergraphError("vertices must start with source and sink")
-        nf = grid.resolution
-        for vi, v in enumerate(vertices):
-            if vi >= 2 and v.kind != "link":
-                raise HypergraphError(f"vertex {vi}: kind {v.kind!r} is not 'link'")
-            f, b = v.exact_fidelity, v.bucket
-            if isinstance(f, bool) or not isinstance(f, (int, float)) or not 0.0 <= f <= 1.0:
-                raise HypergraphError(f"vertex {vi}: exact_fidelity {f!r} is not a real in [0, 1]")
-            if isinstance(b, bool) or not isinstance(b, int) or not -1 <= b < nf:
-                raise HypergraphError(f"vertex {vi}: bucket {b!r} is not an int in [-1, {nf})")
-        self.vertices = tuple(vertices)
-        tabled = isinstance(edges, HypergraphColumns)
-        self.columns = edges if tabled else _from_rows(edges, vertices)
+        self.columns = edges if vertices is None else _from_rows(vertices, edges, grid)
         self.grid = grid
         self.noise = noise
         self.link_limits = dict(link_limits)
@@ -243,14 +246,14 @@ class Hypergraph:
         self.builder = builder
         self.purify_model = purify_model
         self.build_time_s = build_time_s
-        _check_references(self.columns, len(self.vertices), self.link_limits)
+        _check_references(self.columns, self.link_limits)
         self._check_acyclic()
 
     def _check_acyclic(self) -> None:
         """Reject cycles: in the vertex -> edge -> vertex digraph (vertices
         first, then edges) every strongly connected component is one node."""
         cols = self.columns
-        n, m = len(self.vertices), len(cols.op)
+        n, m = len(cols.exact_fidelity), len(cols.op)
         edge_nodes = n + np.arange(m)
         two = cols.input1 >= 0
         tail = np.concatenate([cols.input0, cols.input1[two], edge_nodes])
@@ -259,6 +262,11 @@ class Hypergraph:
         components, _ = connected_components(graph, directed=True, connection="strong")
         if components != n + m:
             raise HypergraphError("hypergraph contains a cycle")
+
+    @cached_property
+    def vertices(self) -> tuple[HyperVertex, ...]:
+        """The vertices as records, derived from the columns on first use."""
+        return tuple(map(HyperVertex._make, zip(*_vertex_fields(self.columns, self.grid))))
 
     @cached_property
     def edges(self) -> tuple[HyperEdge, ...]:
@@ -276,7 +284,7 @@ class Hypergraph:
     def stats(self) -> HypergraphStats:
         counts = np.bincount(self.columns.op, minlength=len(OP_NAMES)).tolist()
         return HypergraphStats(
-            num_vertices=len(self.vertices),
+            num_vertices=len(self.columns.exact_fidelity),
             num_edges=len(self.columns.op),
             edges_by_op=dict(zip(OP_NAMES, counts)),
             build_time_s=self.build_time_s,
@@ -296,7 +304,7 @@ class Hypergraph:
             "noise": asdict(self.noise),
             "link_limits": self.link_limits,
             "build_time_s": self.build_time_s,
-            "vertices": [[v.u, v.v, v.exact_fidelity, v.bucket, v.kind] for v in self.vertices],
+            "vertices": [list(row) for row in zip(*_vertex_fields(self.columns, self.grid))],
             "edges": [[op, list(inputs), out, p, key, cap, rate]
                       for op, inputs, out, p, key, cap, rate in zip(*_edge_fields(self.columns))],
         }
@@ -307,7 +315,7 @@ class Hypergraph:
             if doc["version"] != SERIALIZATION_VERSION:
                 raise HypergraphError(f"unsupported version {doc['version']!r}")
             return cls(
-                vertices=[HyperVertex(u, v, f, b, k) for u, v, f, b, k in doc["vertices"]],
+                vertices=doc["vertices"],
                 edges=doc["edges"],
                 grid=FidelityGrid(tuple(doc["grid"])),
                 noise=NoiseParams(**doc["noise"]),
@@ -334,6 +342,14 @@ class Hypergraph:
         return cls.from_json(doc)
 
 
+def _vertex_fields(cols: HypergraphColumns, grid: FidelityGrid) -> list[list]:
+    """The serialized vertex fields (u, v, exact_fidelity, bucket, kind),
+    one list each; the bucket and kind are derived."""
+    bucket = np.searchsorted(grid.as_array(), cols.exact_fidelity, side="right") - 1
+    kind = ["source", "sink"] + ["link"] * (len(bucket) - 2)
+    return [list(cols.u), list(cols.v), cols.exact_fidelity.tolist(), bucket.tolist(), kind]
+
+
 def _edge_fields(cols: HypergraphColumns, ids=slice(None)) -> list[list]:
     """The serialized edge fields (op, inputs, output, p_succ, link_key,
     capacity_coeff, rate_bound), one list each, of all edges or ``ids``."""
@@ -348,9 +364,7 @@ def _edge_fields(cols: HypergraphColumns, ids=slice(None)) -> list[list]:
     ]
 
 
-def _check_references(
-    cols: HypergraphColumns, num_vertices: int, link_limits: dict[str, float]
-) -> None:
+def _check_references(cols: HypergraphColumns, link_limits: dict[str, float]) -> None:
     """Reject what no builder emits: a vertex index outside the vertices,
     p_succ outside (0, 1], capacity_coeff outside [0, 1], a negative or
     infinite rate bound, a start link without a limit and a limit that is
@@ -358,7 +372,7 @@ def _check_references(
     for key, limit in link_limits.items():
         if not (math.isfinite(limit) and limit > 0.0):
             raise HypergraphError(f"link {key!r}: limit {limit!r} is not finite and positive")
-    n = num_vertices
+    n = len(cols.exact_fidelity)
     two = (cols.op == OP_CODE["swap"]) | (cols.op == OP_CODE["purify"])
     vertex = np.column_stack([cols.input0, np.where(two, cols.input1, 0), cols.output])
     limited = np.array([key in link_limits for key in cols.link_keys] + [False])  # link -1: False
@@ -375,13 +389,6 @@ def _check_references(
         if len(hits):
             edge = HyperEdge._make(next(zip(*_edge_fields(cols, hits[:1]))))
             raise HypergraphError(f"edge {hits[0]}: {what}: {edge}")
-
-
-def _source_sink(s: str, d: str) -> list[HyperVertex]:
-    return [
-        HyperVertex(u=s, v=d, exact_fidelity=0.0, bucket=-1, kind="source"),
-        HyperVertex(u=s, v=d, exact_fidelity=0.0, bucket=-1, kind="sink"),
-    ]
 
 
 def _swap_table(grid: FidelityGrid, noise: NoiseParams) -> tuple[np.ndarray, np.ndarray]:
@@ -440,10 +447,11 @@ def build_standard_hypergraph(
     # pair (i, j) holds vertices base[(i, j)] + bucket
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     base = {pair: 2 + p * nf for p, pair in enumerate(pairs)}
-    vertices = _source_sink(nodes[0], nodes[-1]) + [
-        HyperVertex(u=nodes[i], v=nodes[j], exact_fidelity=f, bucket=k, kind="link")
-        for i, j in pairs for k, f in enumerate(grid.values)
-    ]
+    vertices = (  # u, v and exact_fidelity; the source and sink come first
+        [nodes[0]] * 2 + [nodes[i] for i, _ in pairs for _ in range(nf)],
+        [nodes[-1]] * 2 + [nodes[j] for _, j in pairs for _ in range(nf)],
+        [0.0, 0.0, *grid.values * len(pairs)],
+    )
 
     k0 = [grid.round_down_index(phys.f0) for phys in path.edges]
     linked = [t for t in range(m - 1) if k0[t] >= 0]  # f0 below the grid generates nothing
@@ -485,7 +493,7 @@ def build_standard_hypergraph(
     )
 
     return Hypergraph(
-        vertices=vertices, edges=_columns(vertices, keys, [starts, swaps, purifies, ends]),
+        vertices=None, edges=_columns(vertices, keys, [starts, swaps, purifies, ends]),
         grid=grid, noise=noise, link_limits=link_limits, endpoints=(nodes[0], nodes[-1]),
         builder="standard", purify_model=purify_model,
         build_time_s=time.perf_counter() - t0,
@@ -626,16 +634,14 @@ def build_pruned_hypergraph(
     # incumbent is in a shorter span or a lower bucket of its own pair, so
     # one pass in that order numbers each input before its consumer.
     keys = sorted(link_limits)
-    vertices = _source_sink(nodes[0], nodes[-1])
+    vertices = [(nodes[0], nodes[-1], 0.0)] * 2  # (u, v, exact_fidelity): source, sink
     vidx: dict[tuple[tuple[int, int], int], int] = {}
     edges = []  # per edge, its values in _EDGE_DTYPES order
     for pair, block in blocks.items():
         for bucket in sorted(block):
             inc = block[bucket]
             out = vidx[(pair, bucket)] = len(vertices)
-            vertices.append(HyperVertex(u=nodes[pair[0]], v=nodes[pair[1]],
-                                        exact_fidelity=inc.exact_fidelity, bucket=bucket,
-                                        kind="link"))
+            vertices.append((nodes[pair[0]], nodes[pair[1]], inc.exact_fidelity))
             if inc.op == "start":
                 edges.append((OP_CODE["start"], SOURCE, -1, out, 1.0, 0.0, inc.rate,
                               keys.index(inc.link_key)))
@@ -649,8 +655,8 @@ def build_pruned_hypergraph(
                       pair_capacity(inc.exact_fidelity), inc.rate, -1))
 
     return Hypergraph(
-        vertices=vertices, edges=_columns(vertices, keys, [_by_column(edges)]), grid=grid,
-        noise=noise, link_limits=link_limits, endpoints=(nodes[0], nodes[-1]),
+        vertices=None, edges=_columns(tuple(zip(*vertices)), keys, [_by_column(edges)]),
+        grid=grid, noise=noise, link_limits=link_limits, endpoints=(nodes[0], nodes[-1]),
         builder="pruned", purify_model=purify_model,
         build_time_s=time.perf_counter() - t0,
     )
@@ -685,15 +691,18 @@ def synthesize_multipath(hypergraphs: list[Hypergraph]) -> Hypergraph:
 
     BUILD_COUNTER.tick()
     t0 = time.perf_counter()
-    vertices = _source_sink(*first.endpoints)
+    s, d = first.endpoints
+    u, v, fidelity = [s, s], [d, d], [np.zeros(2)]  # the source and sink
     link_limits: dict[str, float] = {}
     keys = sorted({key for hg in hypergraphs for key in hg.columns.link_keys})
     code = {key: i for i, key in enumerate(keys)}
     blocks = []
     for hg in hypergraphs:
         cols = hg.columns
-        offset = len(vertices) - 2
-        vertices.extend(hg.vertices[2:])
+        offset = len(u) - 2
+        u.extend(cols.u[2:])
+        v.extend(cols.v[2:])
+        fidelity.append(cols.exact_fidelity[2:])
         block = {name: getattr(cols, name) for name in _EDGE_DTYPES}
         for name in ("input0", "input1", "output"):
             # source, sink and the -1 of a missing input keep their index
@@ -707,8 +716,8 @@ def synthesize_multipath(hypergraphs: list[Hypergraph]) -> Hypergraph:
             link_limits[key] = limit
 
     return Hypergraph(
-        vertices=vertices, edges=_columns(vertices, keys, blocks), grid=first.grid,
-        noise=first.noise, link_limits=link_limits, endpoints=first.endpoints,
+        vertices=None, edges=_columns((u, v, np.concatenate(fidelity)), keys, blocks),
+        grid=first.grid, noise=first.noise, link_limits=link_limits, endpoints=first.endpoints,
         builder="synthesis", purify_model=first.purify_model,
         build_time_s=time.perf_counter() - t0,
     )

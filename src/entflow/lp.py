@@ -50,6 +50,7 @@ OBJECTIVE_KINDS = ("ensemble-capacity", "end-rate")
 
 RATE_EPS = 1e-9
 FEAS_TOL = 1e-6
+_SIMPLEX_TOL = 1e-9  # pricing, ratio-test and rhs tolerance of the tableau simplex
 
 
 def _highs_bindings():
@@ -230,18 +231,18 @@ class RateLP:
         minus in-credit <= 0; then one generation-limit row per physical link."""
         cols = hg.columns  # every start link has a limit: checked at construction
         n = len(cols.op)
-        link_vertices = np.flatnonzero(cols.is_link)
-        vertex_row = np.cumsum(cols.is_link) - 1
+        # vertices 0 and 1 are the source and sink; vertex vi >= 2 has row vi - 2
+        link_vertices = np.arange(2, len(cols.exact_fidelity))
         edge = np.arange(n)
-        uses0 = cols.is_link[cols.input0]
-        uses1 = (cols.input1 >= 0) & cols.is_link[cols.input1]
-        feeds = cols.is_link[cols.output]
+        uses0 = cols.input0 >= 2
+        uses1 = cols.input1 >= 2  # -1 for one-input ops
+        feeds = cols.output >= 2
         credit = np.where(cols.op == OP_CODE["purify"], 0.5 * cols.p_succ, 1.0)
         starts = np.flatnonzero(cols.link >= 0)
         row = np.concatenate([
-            vertex_row[cols.input0[uses0]],
-            vertex_row[cols.input1[uses1]],
-            vertex_row[cols.output[feeds]],
+            cols.input0[uses0] - 2,
+            cols.input1[uses1] - 2,
+            cols.output[feeds] - 2,
             len(link_vertices) + cols.link[starts],
         ])
         col = np.concatenate([edge[uses0], edge[uses1], edge[feeds], starts])
@@ -344,7 +345,7 @@ def formulate_lp(
 
 
 def _simplex_maximize(
-    c: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float = 1e-9
+    c: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> tuple[str, np.ndarray, float, int]:
     """Dense tableau simplex for max c.x, Ax <= b, x >= 0, b >= 0.
 
@@ -354,7 +355,7 @@ def _simplex_maximize(
     deterministic.
     """
     m, n = a.shape
-    if np.any(b < -tol):
+    if np.any(b < -_SIMPLEX_TOL):
         raise LPError("tableau simplex requires nonnegative rhs")
     tableau = np.zeros((m + 1, n + m + 1))
     tableau[:m, :n] = a
@@ -370,21 +371,21 @@ def _simplex_maximize(
         red = tableau[m, :-1]
         if iters < bland_after:
             j = int(np.argmin(red))
-            if red[j] >= -tol:
+            if red[j] >= -_SIMPLEX_TOL:
                 break
         else:
-            neg = np.nonzero(red < -tol)[0]
+            neg = np.nonzero(red < -_SIMPLEX_TOL)[0]
             if len(neg) == 0:
                 break
             j = int(neg[0])
         col = tableau[:m, j]
-        pos = np.nonzero(col > tol)[0]
+        pos = np.nonzero(col > _SIMPLEX_TOL)[0]
         if len(pos) == 0:
             return "unbounded", np.zeros(n), float("inf"), iters
         ratios = tableau[pos, -1] / col[pos]
         best = ratios.min()
         # tie-break on smallest leaving basis index (anti-cycling)
-        cand = pos[ratios <= best + tol * max(1.0, abs(best))]
+        cand = pos[ratios <= best + _SIMPLEX_TOL * max(1.0, abs(best))]
         i = int(min(cand, key=lambda r: basis[r]))
         pivot = tableau[i, j]
         tableau[i, :] /= pivot
@@ -682,8 +683,7 @@ def _trace_tree(
         return "?"
     _, _, op, inputs = max(cands)
     if op == "start":
-        v = hg.vertices[vertex]
-        text = f"link({v.u}|{v.v})"
+        text = f"link({hg.columns.u[vertex]}|{hg.columns.v[vertex]})"
     else:
         parts = [_trace_tree(hg, producers, vi, memo) for vi in inputs]
         text = f"{op}({', '.join(parts)})"
@@ -722,7 +722,7 @@ def extract_scheme(hg: Hypergraph, solution: LPSolution) -> DistributionScheme:
         elif op == "end":
             protocols.append(
                 ProtocolFlow(
-                    fidelity=hg.vertices[inputs[0]].exact_fidelity, rate=r,
+                    fidelity=float(cols.exact_fidelity[inputs[0]]), rate=r,
                     tree=_trace_tree(hg, producers, inputs[0], memo),
                 )
             )

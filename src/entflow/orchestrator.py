@@ -177,8 +177,13 @@ def load_cache(text: str) -> Cache:
             raise CacheError(f"unsupported cache version {doc['version']!r}")
         cache = Cache(config=PlannerConfig.from_json(doc["config"]))
         for item in doc["entries"]:
+            demand = (item["s"], item["d"])
             hg = Hypergraph.from_json(item["hypergraph"]) if item["hypergraph"] else None
-            cache.entries[(item["s"], item["d"])] = CacheEntry(
+            if demand in cache.entries:
+                raise CacheError(f"entry {demand}: the demand appears twice")
+            if hg is not None and hg.endpoints != demand:
+                raise CacheError(f"entry {demand}: its hypergraph connects {hg.endpoints}")
+            cache.entries[demand] = CacheEntry(
                 hypergraph=hg,
                 estimates=tuple(
                     (score, tuple(nodes)) for score, nodes in item["estimates"]

@@ -60,6 +60,7 @@ STRATEGY_NAMES = ("rate-dp", *LP_STRATEGIES)
 DEFAULT_F_LB = 0.87
 
 ORACLE_MAX_GRID = 6  # largest grid resolution the oracle enumerates
+_MAX_PUMP_ROUNDS = 64  # deepest pumping a rate-dp state is extended to
 
 
 class OracleBoundsError(ValueError):
@@ -139,7 +140,6 @@ def _pump_variants(
     grid: FidelityGrid,
     noise: NoiseParams,
     purify_model: str,
-    max_rounds: int = 64,
 ) -> list[_DpState]:
     """Base state plus every pumping depth until the grid stalls.
 
@@ -154,7 +154,7 @@ def _pump_variants(
     cur_k = base.bucket
     c = 1.0  # product of half-success factors up to the current round
     prefix = 1.0  # sum of that product over all completed depths
-    for _ in range(max_rounds):
+    for _ in range(_MAX_PUMP_ROUNDS):
         f_new, p = purify(vals[cur_k], vals[base.bucket], noise, purify_model)
         kn = grid.round_down_index(f_new)
         if kn <= cur_k:

@@ -173,6 +173,18 @@ def test_cli_config_errors_exit_2(tmp_path):
                  "--topology-nodes", "10"]) == 2
 
 
+def test_cli_cache_build_rejects_a_malformed_demand(tmp_path, capsys):
+    topo_file = tmp_path / "topo.json"
+    topo_file.write_text(json.dumps({
+        "nodes": ["a", "b", "c"],
+        "edges": [{"u": "a", "v": "b", "length_km": 60},
+                  {"u": "b", "v": "c", "length_km": 60}],
+    }))
+    capsys.readouterr()
+    assert main(["cache", "build", "--topology", str(topo_file), "--demands", "a,c;b"]) == 2
+    assert "error: demand must be 's,d'" in capsys.readouterr().err
+
+
 def test_cli_oracle_grid_size_defaults_to_6_and_rejects_larger(tmp_path, capsys):
     topo_file = tmp_path / "topo.json"
     topo_file.write_text(json.dumps({

@@ -25,6 +25,7 @@ from entflow.hypergraph import (
     build_standard_hypergraph,
     synthesize_multipath,
 )
+from entflow.lp import extract_scheme, formulate_lp, solve_lp
 from entflow.physics import DEFAULT_NOISE, PURIFY_MODELS, swap_fidelity
 from entflow.topology import Edge, Topology, link_egr
 
@@ -135,6 +136,41 @@ def test_cycle_detection():
                    builder="standard", purify_model="ideal-dejmps")
 
 
+def test_cycle_detection_on_consistent_vertex_rows():
+    # the rows of test_cycle_detection with the buckets the grid derives
+    grid = FidelityGrid.uniform(2)
+    vertices = [
+        HyperVertex("a", "b", 0.0, -1, "source"),
+        HyperVertex("a", "b", 0.0, -1, "sink"),
+        HyperVertex("a", "b", 0.9, 0, "link"),
+        HyperVertex("a", "b", 0.95, 0, "link"),
+    ]
+    edges = [
+        HyperEdge(op="purify", inputs=(2, 2), output=3, p_succ=0.9),
+        HyperEdge(op="purify", inputs=(3, 3), output=2, p_succ=0.9),
+    ]
+    with pytest.raises(HypergraphError, match="contains a cycle"):
+        Hypergraph(vertices, edges, grid, DEFAULT_NOISE, {}, ("a", "b"),
+                   builder="standard", purify_model="ideal-dejmps")
+
+
+def test_builds_synthesis_and_serialization_make_no_vertex_records():
+    grid = FidelityGrid.uniform(10)
+    topo = make_topology([("s", "a", 50.0), ("a", "d", 60.0), ("s", "b", 70.0), ("b", "d", 40.0)])
+    paths = [topo.path_from_nodes(p) for p in (["s", "a", "d"], ["s", "b", "d"])]
+    pruned = [build_pruned_hypergraph(p, grid, DEFAULT_NOISE) for p in paths]
+    standard = build_standard_hypergraph(paths[0], grid, DEFAULT_NOISE)
+    merged = synthesize_multipath(pruned)
+    built = [*pruned, standard, merged]
+    clones = [Hypergraph.from_json_text(hg.to_json_text()) for hg in built]
+    for hg in built + clones:
+        extract_scheme(hg, solve_lp(formulate_lp(hg, "ensemble-capacity")))
+        assert "vertices" not in hg.__dict__
+    # the view, once made, is the rows a document holds
+    assert [list(v) for v in merged.vertices] == merged.to_json()["vertices"]
+    assert [v.kind for v in merged.vertices[:3]] == ["source", "sink", "link"]
+
+
 def test_json_round_trip_is_lossless():
     path = make_chain([60.0, 80.0, 55.0], f0=0.97)
     hg = build_pruned_hypergraph(path, FidelityGrid.uniform(12), DEFAULT_NOISE)
@@ -233,6 +269,7 @@ def _edit_vertex_3(field, value):
     pytest.param(_edit_vertex_3(2, 1.7), id="fidelity-above-one"),
     pytest.param(_edit_vertex_3(2, "0.99"), id="string-fidelity"),
     pytest.param(_edit_vertex_3(3, 6), id="bucket-past-the-grid"),
+    pytest.param(_edit_vertex_3(3, 2), id="bucket-not-the-round-down-of-the-fidelity"),
 ])
 def test_from_json_rejects_invalid_documents(corrupt):
     hg = build_standard_hypergraph(make_chain([60.0, 80.0]), FidelityGrid.uniform(6), DEFAULT_NOISE)

@@ -275,3 +275,35 @@ def test_load_cache_rejects_a_vertex_fidelity_outside_the_unit_interval():
     doc["entries"][0]["hypergraph"]["vertices"][2][2] = 1.7
     with pytest.raises(CacheError, match=r"vertex 2: exact_fidelity 1\.7 is not a real in \[0, 1\]"):
         load_cache(json.dumps(doc))
+
+
+def _two_demand_doc():
+    """A saved cache of the s-d and a-b demands of the square topology."""
+    cache = outer_loop_update(_square_topology(), [("s", "d"), ("a", "b")], _config())
+    return json.loads(save_cache(cache))
+
+
+def test_load_cache_rejects_an_entry_whose_hypergraph_connects_other_endpoints():
+    doc = _two_demand_doc()
+    entry = next(e for e in doc["entries"] if (e["s"], e["d"]) == ("a", "b"))
+    entry["s"], entry["d"] = "d", "a"  # relabelled: the a-b model would answer d-a
+    with pytest.raises(CacheError, match=r"entry \('d', 'a'\): its hypergraph connects \('a', 'b'\)"):
+        load_cache(json.dumps(doc))
+
+
+def test_load_cache_rejects_a_demand_that_appears_twice():
+    doc = _two_demand_doc()
+    doc["entries"].append(doc["entries"][0])
+    with pytest.raises(CacheError, match="appears twice"):
+        load_cache(json.dumps(doc))
+
+
+def test_no_vertex_records_on_build_solve_save_or_load():
+    cache = outer_loop_update(_square_topology(), [("s", "d"), ("a", "b")], _config())
+    kept = [e.hypergraph for e in cache.entries.values()]
+    loaded = load_cache(save_cache(cache))
+    for s, d in cache.entries:
+        assert inner_loop_request(loaded, s, d).scheme.capacity > 0.0
+        assert inner_loop_request(cache, s, d).scheme.capacity > 0.0
+    for hg in kept + [e.hypergraph for e in loaded.entries.values()]:
+        assert "vertices" not in hg.__dict__
