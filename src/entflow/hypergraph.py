@@ -171,18 +171,28 @@ def _by_column(edges: list[tuple]) -> dict:
     return dict(zip(_EDGE_DTYPES, zip(*edges))) if edges else dict.fromkeys(_EDGE_DTYPES, ())
 
 
-def _from_rows(vertex_rows, rows, grid: FidelityGrid) -> HypergraphColumns:
+def _from_rows(
+    vertex_rows, rows, grid: FidelityGrid, endpoints: tuple[str, str]
+) -> HypergraphColumns:
     """Columns of vertex and edge rows in the serialized field order, from
     a document or ``HyperVertex`` and ``HyperEdge`` records: the only place
-    records become columns. Rows the columns cannot hold as given, and a
-    kind or bucket other than the one the table derives, are rejected."""
+    records become columns. Rows the columns cannot hold as given, a kind
+    or bucket other than the one the table derives, a node name that is
+    not a string and a source or sink pair other than ``endpoints`` are
+    rejected."""
     if len(vertex_rows) < 2:
         raise HypergraphError("vertices must start with source and sink")
     nf = grid.resolution
-    for vi, (_, _, f, b, kind) in enumerate(vertex_rows):
+    for vi, (u, v, f, b, kind) in enumerate(vertex_rows):
         if kind != ("source", "sink", "link")[min(vi, 2)]:
             raise HypergraphError(f"vertex {vi}: kind {kind!r} is not 'link'" if vi >= 2
                                   else "vertices must start with source and sink")
+        for name in (u, v):
+            if not isinstance(name, str):
+                raise HypergraphError(f"vertex {vi}: node name {name!r} is not a string")
+        if vi < 2 and (u, v) != endpoints:
+            raise HypergraphError(f"vertex {vi}: node pair {(u, v)!r} is not the endpoints "
+                                  f"{endpoints!r}")
         if isinstance(f, bool) or not isinstance(f, (int, float)) or not 0.0 <= f <= 1.0:
             raise HypergraphError(f"vertex {vi}: exact_fidelity {f!r} is not a real in [0, 1]")
         if isinstance(b, bool) or not isinstance(b, int) or not -1 <= b < nf:
@@ -238,7 +248,9 @@ class Hypergraph:
         purify_model: str,
         build_time_s: float = 0.0,
     ) -> None:
-        self.columns = edges if vertices is None else _from_rows(vertices, edges, grid)
+        if vertices is not None:
+            edges = _from_rows(vertices, edges, grid, endpoints)
+        self.columns = edges
         self.grid = grid
         self.noise = noise
         self.link_limits = dict(link_limits)

@@ -14,13 +14,13 @@ hypergraph (a ``RateLP``) from its edge table (``Hypergraph.columns``),
 and every problem formulated from the hypergraph shares it. Scheme
 extraction reads the same table, for the edges with positive rate only.
 
-Two solver backends: a deterministic dense tableau simplex (small
-problems, no dependencies beyond numpy) and HiGHS (Huangfu & Hall 2018,
-the dual revised simplex) for larger instances. HiGHS is driven through
-scipy's private bindings (``scipy.optimize._highspy._core``), checked
-once at import: a missing module, class or method raises ``ImportError``
-naming it. Every problem owns one ``RateLP``: a problem formulated from
-a hypergraph shares ``hg.rate_lp``, and a problem built from rows or a
+Every solve runs HiGHS (Huangfu & Hall 2018, the dual revised simplex),
+driven through scipy's private bindings (``scipy.optimize._highspy._core``),
+checked once at import: a missing module, class or method raises
+``ImportError`` naming it. A deterministic dense tableau simplex
+(``method="simplex"``) is kept to cross-check it on small problems.
+Every problem owns one ``RateLP``: a problem formulated from a
+hypergraph shares ``hg.rate_lp``, and a problem built from rows or a
 matrix builds its own once. A ``RateLP`` compiles one HiGHS model (a
 ``HighsLp``) on its first HiGHS solve and keeps it, behind a lock. Each
 solve loads that model into a new solver, sets the costs, gives the
@@ -28,6 +28,19 @@ forced-zero variables an upper bound of 0 and runs cold with presolve;
 the solver is dropped after the solve. Nothing is warm-started: after an
 objective change a warm start can take a hundred times longer than a
 cold run.
+
+A hypergraph's model holds only its live part: the edges whose inputs
+can all be produced from the source through live edges and whose output
+leads to the sink, and the rows they touch. Every other edge is zero in
+some optimum, so the rates of the full problem are the live rates with
+exact zeros elsewhere (the classic presolve reduction of Andersen &
+Andersen 1995, done once per hypergraph instead of once per solve).
+``matrix``, ``rhs``, ``row_names``, the feasibility check and the
+interchange format keep the full problem. HiGHS runs at a dual
+feasibility tolerance of 1e-10: at the 1e-7 default, lattice LPs whose
+link prices are tiny (one delivered pair costing about 1e6 swaps)
+stopped up to 1.4e-3 below the optimum. A hypergraph solve is then
+certified from HiGHS's row prices (``_check_optimality``).
 
 A plain-text interchange format allows cross-checking one backend
 against the other, or against external tools.
@@ -44,12 +57,19 @@ import scipy
 import scipy.sparse as sp
 
 from .capacity import EnsembleSpec, ensemble_capacity
-from .hypergraph import OP_CODE, OP_NAMES, Hypergraph
+from .hypergraph import OP_CODE, OP_NAMES, Hypergraph, HypergraphColumns
 
 OBJECTIVE_KINDS = ("ensemble-capacity", "end-rate")
 
 RATE_EPS = 1e-9
 FEAS_TOL = 1e-6
+# A hypergraph solve fails when its optimality-gap bound exceeds GAP_REL
+# times the objective, or times GAP_FLOOR for objectives below it. Lattice
+# and planner solves bound at most 7e-12 relative; at the 1e-7 default dual
+# tolerance, 21 of 190 sweep-flb lattice LPs bound 3.3e-5 or more. Zero
+# objectives bound exactly 0; the smallest nonzero objective seen was 3.2e-3.
+GAP_REL = 1e-9
+GAP_FLOOR = 1e-6
 _SIMPLEX_TOL = 1e-9  # pricing, ratio-test and rhs tolerance of the tableau simplex
 
 
@@ -77,13 +97,16 @@ def _highs_bindings():
 
 
 _HIGHS = _highs_bindings()
-# the options scipy's HiGHS interface sets: quiet, presolve on, dual simplex
+# the options scipy's HiGHS interface sets: quiet, presolve on, dual simplex;
+# and a dual tolerance far below the default 1e-7, which is large beside the
+# link prices of lattice LPs and let them stop short of the optimum
 _HIGHS_OPTIONS = {
     "output_flag": False,
     "log_to_console": False,
     "presolve": "on",
     "highs_debug_level": 0,  # none
     "simplex_strategy": 1,  # dual simplex
+    "dual_feasibility_tolerance": 1e-10,
 }
 
 
@@ -216,12 +239,30 @@ class RateLP:
     row names, plus the HiGHS model compiled from them on the first HiGHS
     solve. ``Hypergraph.rate_lp`` keeps one per hypergraph, so it lives
     and dies with the hypergraph.
+
+    A hypergraph's part also names its ``live`` columns and the rows they
+    touch (``live_rows``), whose submatrix ``part`` alone makes the HiGHS
+    model, and ``rate_cap``, a bound on every feasible rate. A part built
+    from rows has none of them (None, and ``part`` is the matrix): its
+    model holds the whole problem and nothing certifies it.
     """
 
-    def __init__(self, matrix: sp.csr_matrix, rhs: np.ndarray, row_names: tuple[str, ...]) -> None:
+    def __init__(
+        self,
+        matrix: sp.csr_matrix,
+        rhs: np.ndarray,
+        row_names: tuple[str, ...],
+        live: np.ndarray | None = None,
+        live_rows: np.ndarray | None = None,
+        rate_cap: float | None = None,
+    ) -> None:
         self.matrix = matrix
         self.rhs = rhs
         self.row_names = row_names
+        self.live = live
+        self.live_rows = live_rows
+        self.part = matrix if live is None else matrix[live_rows][:, live]
+        self.rate_cap = rate_cap
         self._lock = threading.Lock()
         self._model = None
 
@@ -253,11 +294,16 @@ class RateLP:
         # the (data, ij) constructor sorts each row by variable and sums the two
         # terms of a purification that draws both inputs from one vertex
         matrix = sp.csr_matrix((data, (row, col)), shape=(num_rows, n))
-        rhs = np.concatenate([np.zeros(len(link_vertices)), [hg.link_limits[k] for k in cols.link_keys]])
-        for array in (matrix.data, matrix.indices, matrix.indptr, rhs):
+        limits = np.array([hg.link_limits[k] for k in cols.link_keys], np.float64)
+        rhs = np.concatenate([np.zeros(len(link_vertices)), limits])
+        is_live = _live_edges(cols)
+        live, touched = np.flatnonzero(is_live), np.unique(row[is_live[col]])
+        for array in (matrix.data, matrix.indices, matrix.indptr, rhs, live, touched):
             array.flags.writeable = False  # shared by every problem of the hypergraph
         names = [f"v_{vi}" for vi in link_vertices.tolist()] + [f"l_{k}" for k in cols.link_keys]
-        return cls(matrix, rhs, tuple(names))
+        # every edge consumes at least as many pairs as it makes, so no rate
+        # exceeds the pairs the links generate
+        return cls(matrix, rhs, tuple(names), live, touched, float(limits.sum()))
 
     def solve_highs(self, cost: np.ndarray, upper: np.ndarray):
         """Cold HiGHS run of min cost.x, Ax <= rhs, 0 <= x <= upper.
@@ -266,21 +312,29 @@ class RateLP:
         it into a new solver, which starts cold and is freed on return: a
         solver that has run keeps its working memory, about 230 bytes per
         nonzero, until it is destroyed, even after ``clearSolver``.
-        Returns the solution and the iteration count.
+        Returns the solution (exact zeros off the live columns), the row
+        prices y = max(0, -row dual) (zeros off the model's rows) and the
+        iteration count.
         """
+        cols = slice(None) if self.live is None else self.live
+        rows = slice(None) if self.live_rows is None else self.live_rows
+        x, y = np.zeros(self.matrix.shape[1]), np.zeros(self.matrix.shape[0])
+        cost, upper = cost[cols], upper[cols]
+        n = len(cost)
+        if n == 0:  # nothing is live: HiGHS would call the model empty
+            return x, y, 0
         solver = _HIGHS._Highs()
         for key, value in _HIGHS_OPTIONS.items():
             solver.setOptionValue(key, value)
         with self._lock:
             if self._model is None:
-                self._model = _compile_highs(self.matrix, self.rhs)
+                self._model = _compile_highs(self.part, self.rhs[rows])
             loaded = solver.passModel(self._model)
         if loaded == _HIGHS.HighsStatus.kError:
             raise LPSolveError("HiGHS rejected the model")
-        n = len(cost)
-        cols = np.arange(n, dtype=np.int32)
-        solver.changeColsCost(n, cols, cost)
-        solver.changeColsBounds(n, cols, np.zeros(n), upper)
+        index = np.arange(n, dtype=np.int32)
+        solver.changeColsCost(n, index, cost)
+        solver.changeColsBounds(n, index, np.zeros(n), upper)
         solver.run()
         status, statuses = solver.getModelStatus(), _HIGHS.HighsModelStatus
         # the statuses scipy's HiGHS interface reads as infeasible and as unbounded
@@ -293,7 +347,38 @@ class RateLP:
         info = solver.getInfo()
         # scipy's count: simplex iterations, or IPM ones if there were none
         iterations = int(info.simplex_iteration_count or info.ipm_iteration_count)
-        return np.fromiter(solver.getSolution().col_value, np.float64, n), iterations
+        solution = solver.getSolution()
+        x[cols] = np.fromiter(solution.col_value, np.float64, n)
+        y[rows] = np.maximum(0.0, -np.fromiter(solution.row_dual, np.float64))
+        return x, y, iterations
+
+
+def _live_edges(cols: HypergraphColumns) -> np.ndarray:
+    """Per edge, whether it can carry flow to the sink: each input can be
+    produced from the source through live edges, and its output leads to
+    the sink. One forward and one backward fixed-point sweep."""
+    nv = len(cols.exact_fidelity)
+    two = cols.input1 >= 0
+    other = np.where(two, cols.input1, cols.input0)
+    made = np.zeros(nv, bool)
+    made[0] = True  # the source
+    count = 1
+    while True:
+        ready = made[cols.input0] & made[other]
+        made[cols.output[ready]] = True
+        count, before = np.count_nonzero(made), count
+        if count == before:
+            break
+    wanted = np.zeros(nv, bool)
+    wanted[1] = True  # the sink
+    count = 1
+    while True:
+        live = ready & wanted[cols.output]
+        wanted[cols.input0[live]] = True
+        wanted[cols.input1[live & two]] = True
+        count, before = np.count_nonzero(wanted), count
+        if count == before:
+            return live
 
 
 def _compile_highs(matrix: sp.csr_matrix, rhs: np.ndarray):
@@ -421,8 +506,9 @@ def _problem_matrices(problem: LPProblem) -> tuple[np.ndarray, sp.csr_matrix]:
     return c, mat
 
 
-def _solve_highs(problem: LPProblem) -> tuple[np.ndarray, np.ndarray, int]:
-    """HiGHS answer: the objective with forced zeros, x and the iteration count."""
+def _solve_highs(problem: LPProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """HiGHS answer: the objective with forced zeros, x, the row prices and
+    the iteration count."""
     # HiGHS would read an infinite cost or rhs as a special value, not as an error
     bad = np.flatnonzero(~np.isfinite(problem.objective))
     if len(bad):
@@ -436,36 +522,29 @@ def _solve_highs(problem: LPProblem) -> tuple[np.ndarray, np.ndarray, int]:
         forced = np.fromiter(problem.forced_zero, np.int64, len(problem.forced_zero))
         c[forced] = 0.0
         upper[forced] = 0.0
-    x, iters = problem._base.solve_highs(-c, upper)
-    return c, x, iters
+    x, y, iters = problem._base.solve_highs(-c, upper)
+    return c, x, y, iters
 
 
 def solve_lp(problem: LPProblem, method: str = "auto") -> LPSolution:
-    """Solve deterministically; verifies feasibility of the answer.
+    """Solve deterministically; verifies feasibility of the answer, and the
+    optimality of a HiGHS answer on a hypergraph.
 
-    ``method``: ``simplex`` (built-in), ``highs`` (scipy), or ``auto``
-    (built-in for small dense sizes, HiGHS otherwise).
+    ``method``: ``highs`` (also what ``auto`` runs) or ``simplex``, the
+    built-in dense tableau, kept to cross-check HiGHS on small problems.
     """
-    auto = method == "auto"
-    if auto:
-        method = "simplex" if problem.num_vars * max(problem.num_rows, 1) <= 200_000 else "highs"
+    if method == "auto":
+        method = "highs"
     if problem.num_vars == 0:
         return LPSolution("optimal", 0.0, np.zeros(0), 0, method)
 
     if method == "simplex":
         c, a = _problem_matrices(problem)
-        try:
-            status, x, obj, iters = _simplex_maximize(c, a.toarray(), problem.rhs)
-        except LPSolveError:
-            if not auto:
-                raise
-            # Degenerate instances can stall the dense tableau; fall back
-            # to the sparse backend rather than failing the request.
-            return solve_lp(problem, method="highs")
+        status, x, obj, iters = _simplex_maximize(c, a.toarray(), problem.rhs)
         if status != "optimal":
             raise LPSolveError(f"built-in solver: problem is {status}")
     elif method == "highs":
-        c, x, iters = _solve_highs(problem)
+        c, x, y, iters = _solve_highs(problem)
         obj = float(c @ x)
         status = "optimal"
     else:
@@ -475,6 +554,8 @@ def solve_lp(problem: LPProblem, method: str = "auto") -> LPSolution:
         x = x.copy()
         x[list(problem.forced_zero)] = 0.0
     _check_solution(problem, x)
+    if method == "highs":
+        _check_optimality(problem, c, obj, y)
     return LPSolution(status, obj, x, iters, method)
 
 
@@ -495,6 +576,38 @@ def _check_solution(problem: LPProblem, x: np.ndarray) -> None:
         raise LPSolveError(
             f"constraint violated: row {problem.row_names[i]} has lhs {float(lhs[i])!r} "
             f"> limit {float(rhs[i])!r} (by {lhs[i] - rhs[i]:.3e})"
+        )
+
+
+def _check_optimality(problem: LPProblem, c: np.ndarray, objective: float, y: np.ndarray) -> None:
+    """Bound how far ``objective`` can lie below the optimum; raise if too far.
+
+    Only a hypergraph's problem has the bound: every feasible rate is at
+    most its ``rate_cap`` G. For row prices y >= 0 and reduced costs
+    d = c - A'y, any feasible x' has c.x' <= b.y + G * sum(max(0, d_j))
+    over the live columns not forced to zero, which are the only ones
+    that can be nonzero in an optimum. A d_j within the rounding of its
+    terms counts as 0. A bound above ``GAP_REL`` times the objective (or
+    ``GAP_FLOOR``) names the edge with the worst reduced cost.
+    """
+    base = problem._base
+    if base.rate_cap is None:
+        return
+    forced = np.zeros(problem.num_vars, bool)
+    forced[list(problem.forced_zero)] = True
+    cost, price = c[base.live], y[base.live_rows]
+    excess = np.where(forced[base.live], 0.0, cost - base.part.T @ price)
+    # each d_j sums at most four terms: its cost, two inputs and an output
+    rounding = 4 * np.finfo(np.float64).eps * (np.abs(cost) + abs(base.part).T @ price)
+    over = np.where(excess > rounding, excess, 0.0)
+    gap = float(problem.rhs @ y) - objective + base.rate_cap * float(over.sum())
+    limit = GAP_REL * max(abs(objective), GAP_FLOOR)
+    if gap > limit:
+        j = int(np.argmax(excess))
+        raise LPSolveError(
+            f"not optimal: the gap bound {gap:.3e} exceeds {limit:.3e}; edge "
+            f"r_{int(base.live[j])} has reduced cost {excess[j]:.3e} against a rate cap "
+            f"of {base.rate_cap!r}"
         )
 
 

@@ -247,6 +247,10 @@ def _edit_vertex_3(field, value):
     return corrupt
 
 
+def _rename_source(doc):
+    doc["vertices"][0][0] = doc["vertices"][3][1]
+
+
 # edge fields: op, inputs, output, p_succ, link_key, capacity_coeff, rate_bound
 @pytest.mark.parametrize("corrupt", [
     pytest.param(_edit_edge("swap", 1, [2, 99999]), id="input-above-range"),
@@ -270,6 +274,9 @@ def _edit_vertex_3(field, value):
     pytest.param(_edit_vertex_3(2, "0.99"), id="string-fidelity"),
     pytest.param(_edit_vertex_3(3, 6), id="bucket-past-the-grid"),
     pytest.param(_edit_vertex_3(3, 2), id="bucket-not-the-round-down-of-the-fidelity"),
+    pytest.param(_edit_vertex_3(0, 42), id="numeric-node-name"),
+    pytest.param(_edit_vertex_3(1, None), id="missing-node-name"),
+    pytest.param(_rename_source, id="source-pair-other-than-the-endpoints"),
 ])
 def test_from_json_rejects_invalid_documents(corrupt):
     hg = build_standard_hypergraph(make_chain([60.0, 80.0]), FidelityGrid.uniform(6), DEFAULT_NOISE)

@@ -277,6 +277,21 @@ def test_load_cache_rejects_a_vertex_fidelity_outside_the_unit_interval():
         load_cache(json.dumps(doc))
 
 
+def test_load_cache_rejects_a_vertex_name_that_is_not_a_string():
+    doc = json.loads(save_cache(outer_loop_update(_square_topology(), [("s", "d")], _config())))
+    doc["entries"][0]["hypergraph"]["vertices"][2][0] = 42  # was printed as link(42|...)
+    with pytest.raises(CacheError, match="vertex 2: node name 42 is not a string"):
+        load_cache(json.dumps(doc))
+
+
+def test_load_cache_rejects_a_sink_pair_other_than_the_endpoints():
+    doc = json.loads(save_cache(outer_loop_update(_square_topology(), [("s", "d")], _config())))
+    doc["entries"][0]["hypergraph"]["vertices"][1][:2] = ["d", "s"]
+    with pytest.raises(CacheError, match=r"vertex 1: node pair \('d', 's'\) is not the "
+                                         r"endpoints \('s', 'd'\)"):
+        load_cache(json.dumps(doc))
+
+
 def _two_demand_doc():
     """A saved cache of the s-d and a-b demands of the square topology."""
     cache = outer_loop_update(_square_topology(), [("s", "d"), ("a", "b")], _config())
