@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
@@ -416,12 +416,12 @@ def _purify_table(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(output fidelity, success prob, round-down bucket) per value pair."""
     vals = grid.as_array()
-    n = len(vals)
-    f_out = np.empty((n, n))
-    p_succ = np.empty((n, n))
-    for a in range(n):
-        for b in range(n):
-            f_out[a, b], p_succ[a, b] = purify(vals[a], vals[b], noise, purify_model)
+    if purify_model == "ideal-dejmps":
+        # unchecked: FidelityGrid holds every value inside [0.5, 1]
+        f_out, p_succ = dejmps(vals[:, None], vals[None, :])
+    else:  # one call per pair, so each clamped output is one clamp event
+        pairs = [[purify(a, b, noise, purify_model) for b in vals] for a in vals]
+        f_out, p_succ = np.moveaxis(np.array(pairs), 2, 0)
     idx = np.searchsorted(vals, f_out, side="right") - 1
     return f_out, p_succ, idx
 
@@ -512,74 +512,68 @@ def build_standard_hypergraph(
     )
 
 
-@dataclass
-class _Incumbent:
-    exact_fidelity: float
-    rate: float
-    op: str  # start | swap | purify
-    inputs: tuple[tuple[tuple[int, int], int], ...] = ()  # ((i, j), bucket) refs
-    p_succ: float = 1.0
-    link_key: str | None = None
-
-
-def _better(cand_rate: float, cand_f: float, inc: _Incumbent | None) -> bool:
-    # replacement rule: strictly better rate, else equal rate and higher fidelity
-    if inc is None:
-        return True
-    if cand_rate != inc.rate:
-        return cand_rate > inc.rate
-    return cand_f > inc.exact_fidelity
-
-
-def _purify_block(
-    block: dict[int, _Incumbent],
-    pair: tuple[int, int],
-    grid: FidelityGrid,
-    noise: NoiseParams,
-    purify_model: str,
+def _purify_sweep(
+    block: dict[int, tuple], grid: FidelityGrid, noise: NoiseParams, purify_model: str
 ) -> None:
     """One increasing-bucket purification sweep over a node-pair block.
 
-    Candidates always land in a strictly higher bucket than both inputs,
-    so a single ascending pass over the occupied buckets also captures
-    cascaded purification: a bucket filled during the sweep is inserted
-    ahead of the cursor, and every bucket behind it is final.
+    ``block`` maps each occupied bucket to its incumbent, the tuple (exact
+    fidelity, rate, op code, input0, input1, p_succ, link); a purification
+    names its inputs by their buckets in the block. Candidates always land
+    in a strictly higher bucket than both inputs, so a single ascending pass
+    over the occupied buckets also captures cascaded purification: a bucket
+    filled during the sweep is inserted ahead of the cursor, and every
+    bucket behind it is final.
     """
     ideal = purify_model == "ideal-dejmps"
-    occupied = sorted(block)
+    vals = grid.values
+    occupied = sorted(block)  # and, in step, each bucket's fidelity and rate
+    fid, rate = [block[k][0] for k in occupied], [block[k][1] for k in occupied]
     pos = 0
     while pos < len(occupied):
-        k = occupied[pos]
-        high = block[k]
-        f_hi = high.exact_fidelity
+        k, f_hi, r_hi = occupied[pos], fid[pos], rate[pos]
+        up = vals[k + 1] if k + 1 < len(vals) else math.inf  # bottom of the next bucket
         if ideal:
             _check_fidelity("f1", f_hi)  # every low was a high before
-        for k1 in occupied[: pos + 1]:
-            low = block[k1]
-            f_lo = low.exact_fidelity
-            if ideal:
-                f_new, p = dejmps(f_hi, f_lo)
-            else:
-                f_new, p = purify(f_hi, f_lo, noise, purify_model)
-            if f_new <= max(f_hi, f_lo):
-                continue
-            kn = grid.round_down_index(f_new)
-            if kn <= k:
+        for k1, f_lo, r_lo in zip(occupied[: pos + 1], fid, rate):
+            f_new, p = dejmps(f_hi, f_lo) if ideal else purify(f_hi, f_lo, noise, purify_model)
+            if f_new < up:
                 continue  # must move up a bucket or the DAG order breaks
-            if k1 == k:
-                # both inputs drawn from one pool: half are attempts
-                r_new = 0.5 * high.rate * p
-            else:
-                r_new = min(high.rate, low.rate) * p
+            kn = bisect_right(vals, f_new) - 1
+            # both inputs drawn from one pool: half are attempts
+            r_new = (0.5 * r_hi if k1 == k else min(r_hi, r_lo)) * p
             inc = block.get(kn)
-            if _better(r_new, f_new, inc):
-                if inc is None:
-                    insort(occupied, kn)
-                block[kn] = _Incumbent(
-                    exact_fidelity=f_new, rate=r_new, op="purify",
-                    inputs=((pair, k), (pair, k1)), p_succ=p,
-                )
+            if inc is not None and (r_new < inc[1] or (r_new == inc[1] and f_new <= inc[0])):
+                continue  # not strictly better: the incumbent stays
+            at = bisect_left(occupied, kn)
+            if inc is None:
+                occupied.insert(at, kn)
+                fid.insert(at, f_new)
+                rate.insert(at, r_new)
+            else:
+                fid[at], rate[at] = f_new, r_new
+            block[kn] = (f_new, r_new, OP_CODE["purify"], k, k1, p, -1)
         pos += 1
+
+
+def _span_winners(
+    key: np.ndarray, size: int, rate: np.ndarray, fidelity: np.ndarray
+) -> np.ndarray:
+    """The winning candidate of each key in [0, ``size``), in order of the
+    key's first candidate: the highest rate, then the highest fidelity, and
+    of exact ties the first candidate."""
+    n = len(key)
+    top = np.full(size, -np.inf)
+    np.maximum.at(top, key, rate)
+    c = np.flatnonzero(rate == top[key])  # candidates at their key's top rate
+    top[:] = -np.inf
+    np.maximum.at(top, key[c], fidelity[c])
+    c = c[fidelity[c] == top[key[c]]]  # ... and then at its top fidelity
+    win, first = np.full(size, n), np.full(size, n)
+    np.minimum.at(win, key[c], c)
+    np.minimum.at(first, key, np.arange(n))
+    held = np.flatnonzero(first < n)
+    return win[held[np.argsort(first[held])]]
 
 
 def build_pruned_hypergraph(
@@ -591,10 +585,14 @@ def build_pruned_hypergraph(
     """Dynamic-programming builder with fidelity bucketing.
 
     Per (node-pair, bucket) at most one incumbent survives, holding its
-    exact continuous fidelity and the best rate found; a candidate
-    replaces the incumbent only on a strict rate improvement (fidelity
-    breaks ties). Spans are processed bottom-up: swap combinations first,
-    then a purification sweep within the block.
+    exact continuous fidelity and the best rate found. Spans are processed
+    bottom-up: swap combinations first, then a purification sweep within
+    the block. A candidate replaces the incumbent only on a strictly higher
+    rate, or an equal rate and a strictly higher fidelity, so of exact ties
+    the first candidate wins. The swap candidates of pair (i, j) come w
+    ascending, then each input block in its insertion order: its swap
+    buckets in order of their first candidate, then the buckets made by
+    purification in the order they were made. That order fixes the output.
     """
     BUILD_COUNTER.tick()
     t0 = time.perf_counter()
@@ -602,69 +600,69 @@ def build_pruned_hypergraph(
     if m < 2:
         raise HypergraphError("path must have at least 2 nodes")
     nodes = path.nodes
+    k0 = [grid.round_down_index(phys.f0) for phys in path.edges]
+    link_limits = {phys.key: link_egr(phys) for phys, k in zip(path.edges, k0) if k >= 0}
+    keys = sorted(link_limits)
 
-    blocks: dict[tuple[int, int], dict[int, _Incumbent]] = {}
-    link_limits: dict[str, float] = {}
+    vertices = [(nodes[0], nodes[-1], 0.0)] * 2  # (u, v, exact_fidelity): source, sink
+    edges = []  # per edge, its values in _EDGE_DTYPES order
+    pool = ([], [], [])  # vertex, fidelity and rate of each finished incumbent
+    slot = {}  # finished pair -> (start, size) of its incumbents in pool, in insertion order
+
+    def finish(pair: tuple[int, int], block: dict[int, tuple]) -> None:
+        # Blocks finish span by span, left to right, and every input of an
+        # incumbent is in a shorter span or a lower bucket of its own pair,
+        # so numbering each block's buckets in ascending order as it
+        # finishes numbers each input before its consumer.
+        _purify_sweep(block, grid, noise, purify_model)
+        vertex = {k: len(vertices) + rank for rank, k in enumerate(sorted(block))}
+        for k, out in vertex.items():
+            f, r, op, in0, in1, p, link = block[k]
+            if op == OP_CODE["purify"]:
+                in0, in1 = vertex[in0], vertex[in1]
+            vertices.append((nodes[pair[0]], nodes[pair[1]], f))
+            edges.append((op, in0, in1, out, p, 0.0, r, link))
+        slot[pair] = (len(pool[0]), len(block))
+        pool[0].extend(map(vertex.get, block))
+        pool[1].extend(inc[0] for inc in block.values())
+        pool[2].extend(inc[1] for inc in block.values())
 
     for t, phys in enumerate(path.edges):
-        k0 = grid.round_down_index(phys.f0)
-        block: dict[int, _Incumbent] = {}
-        if k0 >= 0:
-            r_e = link_egr(phys)
-            link_limits[phys.key] = r_e
-            block[k0] = _Incumbent(
-                exact_fidelity=phys.f0, rate=r_e, op="start", link_key=phys.key
-            )
-            _purify_block(block, (t, t + 1), grid, noise, purify_model)
-        blocks[(t, t + 1)] = block
+        block = {}
+        if k0[t] >= 0:
+            block[k0[t]] = (phys.f0, link_limits[phys.key], OP_CODE["start"], SOURCE, -1, 1.0,
+                            keys.index(phys.key))
+        finish((t, t + 1), block)
 
-    vals_min = grid.values[0]
-    g = gate_factor(noise)
+    vals, nf, g = grid.as_array(), grid.resolution, gate_factor(noise)
     for span in range(2, m):
-        for i in range(m - span):
-            j = i + span
-            block: dict[int, _Incumbent] = {}
-            for w in range(i + 1, j):
-                left = blocks[(i, w)]
-                right = blocks[(w, j)]
-                for ka, a in left.items():
-                    for kb, b in right.items():
-                        f_new = werner_swap(a.exact_fidelity, b.exact_fidelity, g)
-                        if f_new < vals_min:
-                            continue
-                        r_new = min(a.rate, b.rate)
-                        kn = grid.round_down_index(f_new)
-                        if _better(r_new, f_new, block.get(kn)):
-                            block[kn] = _Incumbent(
-                                exact_fidelity=f_new, rate=r_new, op="swap",
-                                inputs=(((i, w), ka), ((w, j), kb)),
-                            )
-            _purify_block(block, (i, j), grid, noise, purify_model)
-            blocks[(i, j)] = block
+        # every swap candidate of the span at once: per (i, w) each left
+        # incumbent of (i, w) with each right one of (w, i + span)
+        vid, fid, rate = (np.array(column) for column in pool)
+        triples = [(i, w) for i in range(m - span) for w in range(i + 1, i + span)]
+        l0, nl = np.array([slot[(i, w)] for i, w in triples]).T
+        r0, nr = np.array([slot[(w, i + span)] for i, w in triples]).T
+        n = nl * nr
+        at = np.repeat(np.arange(len(triples)), n)  # the triple of each candidate
+        c = np.arange(len(at)) - (np.cumsum(n) - n)[at]  # its place in the triple
+        left, right = l0[at] + c // nr[at], r0[at] + c % nr[at]
+        f = werner_swap(fid[left], fid[right], g)
+        bucket = np.searchsorted(vals, f, side="right") - 1
+        kept = bucket >= 0  # below the grid: dropped
+        left, right, f, bucket = left[kept], right[kept], f[kept], bucket[kept]
+        owner = np.array([i for i, _ in triples], np.int64)[at[kept]]
+        r = np.minimum(rate[left], rate[right])
+        win = _span_winners(owner * nf + bucket, (m - span) * nf, r, f)
+        blocks = {i: {} for i in range(m - span)}
+        for i, k, fw, rw, in0, in1 in zip(*(a[win].tolist() for a in (owner, bucket, f, r)),
+                                           vid[left[win]].tolist(), vid[right[win]].tolist()):
+            blocks[i][k] = (fw, rw, OP_CODE["swap"], in0, in1, 1.0, -1)
+        for i, block in blocks.items():
+            finish((i, i + span), block)
 
-    # Blocks were filled span by span, left to right, and every input of an
-    # incumbent is in a shorter span or a lower bucket of its own pair, so
-    # one pass in that order numbers each input before its consumer.
-    keys = sorted(link_limits)
-    vertices = [(nodes[0], nodes[-1], 0.0)] * 2  # (u, v, exact_fidelity): source, sink
-    vidx: dict[tuple[tuple[int, int], int], int] = {}
-    edges = []  # per edge, its values in _EDGE_DTYPES order
-    for pair, block in blocks.items():
-        for bucket in sorted(block):
-            inc = block[bucket]
-            out = vidx[(pair, bucket)] = len(vertices)
-            vertices.append((nodes[pair[0]], nodes[pair[1]], inc.exact_fidelity))
-            if inc.op == "start":
-                edges.append((OP_CODE["start"], SOURCE, -1, out, 1.0, 0.0, inc.rate,
-                              keys.index(inc.link_key)))
-            else:  # a swap or a purification: two inputs
-                in0, in1 = (vidx[ref] for ref in inc.inputs)
-                edges.append((OP_CODE[inc.op], in0, in1, out, inc.p_succ, 0.0, inc.rate, -1))
-
-    for bucket in sorted(blocks[(0, m - 1)]):
-        inc = blocks[(0, m - 1)][bucket]
-        edges.append((OP_CODE["end"], vidx[((0, m - 1), bucket)], -1, SINK, 1.0,
-                      pair_capacity(inc.exact_fidelity), inc.rate, -1))
+    start, size = slot[(0, m - 1)]
+    for out, f, r in sorted(zip(*(column[start:start + size] for column in pool))):
+        edges.append((OP_CODE["end"], out, -1, SINK, 1.0, pair_capacity(f), r, -1))
 
     return Hypergraph(
         vertices=None, edges=_columns(tuple(zip(*vertices)), keys, [_by_column(edges)]),

@@ -166,8 +166,9 @@ def purify_output_fidelity(
 def dejmps(f1, f2):
     """Unchecked perfect-operation DEJMPS map: (output fidelity, success prob).
 
-    The single expression ``ideal_dejmps`` and the pruned builder call, on
-    floats or elementwise on numpy arrays.
+    The single expression ``ideal_dejmps``, the pruned builder and the
+    standard builder's purification table call, on floats or elementwise
+    on numpy arrays.
     """
     p = (
         f1 * f2

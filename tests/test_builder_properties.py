@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_chain
-from entflow.hypergraph import FidelityGrid, build_pruned_hypergraph
+from entflow.hypergraph import FidelityGrid, _span_winners, build_pruned_hypergraph
 from entflow.physics import DEFAULT_NOISE, PURIFY_MODELS, dejmps, ideal_dejmps
 
 grids = st.lists(
@@ -13,6 +13,12 @@ grids = st.lists(
 ).map(lambda vals: FidelityGrid(tuple(sorted(vals))))
 probes = st.floats(allow_nan=True, allow_infinity=True)
 fidelities = st.floats(min_value=0.25, max_value=1.0)
+# swap candidates (block, bucket, rate, fidelity) from small value sets, so
+# that candidates often tie on rate, or on rate and fidelity exactly
+candidates = st.lists(st.tuples(
+    st.integers(0, 3), st.integers(0, 5),
+    st.sampled_from([0.5, 1.0, 1.5]), st.sampled_from([0.6, 0.8, 0.9]),
+), max_size=80)
 
 
 def _searchsorted_index(grid, f):
@@ -36,6 +42,29 @@ def test_dejmps_array_call_equals_scalar_ideal_dejmps_bit_for_bit(pairs):
     scalar = [ideal_dejmps(a, b) for a, b in pairs]
     assert f_out.tobytes() == np.array([f for f, _ in scalar]).tobytes()
     assert p.tobytes() == np.array([q for _, q in scalar]).tobytes()
+
+
+def _sequential_winners(keys, rates, fids):
+    """The sequential rule the builder once ran: a candidate replaces the
+    incumbent of its key only on a strictly higher rate, or an equal rate
+    and a strictly higher fidelity. A key keeps the place its first
+    candidate gave it."""
+    incumbent = {}
+    for c, (key, rate, fid) in enumerate(zip(keys, rates, fids)):
+        inc = incumbent.get(key)
+        if inc is None or rate > rates[inc] or (rate == rates[inc] and fid > fids[inc]):
+            incumbent[key] = c
+    return list(incumbent.values())
+
+
+@given(candidates)
+def test_span_winners_follow_the_sequential_replacement_rule(cands):
+    # the same winner per (block, bucket), and the buckets in the same order
+    table = np.array(cands, float).reshape(-1, 4)
+    keys = (table[:, 0] * 6 + table[:, 1]).astype(np.int64)
+    rate, fid = table[:, 2], table[:, 3]
+    winners = _span_winners(keys, 4 * 6, rate, fid)
+    assert winners.tolist() == _sequential_winners(keys.tolist(), rate.tolist(), fid.tolist())
 
 
 @settings(max_examples=40, deadline=None)
