@@ -10,7 +10,7 @@ Exit codes: 0 success, 2 configuration error, 3 completed with skipped
 instances. --seed is taken by run and topo gen, --f-lb by run only;
 run, cache build and oracle take --grid-size and --purify-model. The
 oracle's --grid-size defaults to its largest grid, 6 values, and a larger
-value exits 2.
+value exits 2, as do --max-ensembles below 1 and --f-lb outside (0.5, 1).
 """
 
 from __future__ import annotations

@@ -124,6 +124,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown strategy {s!r}")
         if self.f_lb_step <= 0 or self.f_lb_stop < self.f_lb_start:
             raise ValueError("invalid f_lb sweep range")
+        if not 0.5 < self.f_lb < 1.0:  # the range rate-dp requires
+            raise ValueError(f"f_lb must be in (0.5, 1), got {self.f_lb}")
 
     def to_json(self) -> dict:
         return asdict(self)

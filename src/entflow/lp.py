@@ -20,8 +20,8 @@ checked once at import: a missing module, class or method raises
 ``ImportError`` naming it. A deterministic dense tableau simplex
 (``method="simplex"``) is kept to cross-check it on small problems.
 Every problem owns one ``RateLP``: a problem formulated from a
-hypergraph shares ``hg.rate_lp``, and a problem built from rows or a
-matrix builds its own once. A ``RateLP`` compiles one HiGHS model (a
+hypergraph shares ``hg.rate_lp``, and a problem built from row lists or
+parsed text builds its own once. A ``RateLP`` compiles one HiGHS model (a
 ``HighsLp``) on its first HiGHS solve and keeps it, behind a lock. Each
 solve loads that model into a new solver, sets the costs, gives the
 forced-zero variables an upper bound of 0 and runs cold with presolve;
@@ -121,9 +121,9 @@ class LPSolveError(RuntimeError):
 class LPProblem:
     """max c.x subject to A x <= rhs, x >= 0, selected x forced to 0.
 
-    ``A`` is one CSR matrix (``matrix``), given as such or as ``rows``:
-    per row, a list of ``(variable, coefficient)`` terms, kept in the
-    given order. The ``rows`` attribute is a view derived from the matrix.
+    ``A`` is one CSR matrix (``matrix``), built from ``rows``: per row,
+    a list of ``(variable, coefficient)`` terms, kept in the given order.
+    The ``rows`` attribute is a view derived from the matrix.
     Forced-zero variables keep their terms; the solve drops them. The
     matrix, rhs and row names live in the problem's ``RateLP``, built
     once here and checked, or shared from a hypergraph by ``formulate_lp``.
@@ -133,7 +133,7 @@ class LPProblem:
         self,
         num_vars: int,
         objective: np.ndarray,
-        rows: list[list[tuple[int, float]]] | sp.csr_matrix,
+        rows: list[list[tuple[int, float]]],
         rhs: np.ndarray,
         row_names: list[str],
         forced_zero: frozenset[int] = frozenset(),
@@ -145,15 +145,9 @@ class LPProblem:
             raise LPError("row data lengths disagree")
         if len(self.objective) != num_vars:
             raise LPError("objective length disagrees with variable count")
-        if sp.issparse(rows):
-            matrix = sp.csr_matrix(rows)
-            if matrix.shape != (len(row_names), num_vars):
-                raise LPError("matrix shape disagrees with rows and variables")
-        else:
-            if len(rows) != len(row_names):
-                raise LPError("row data lengths disagree")
-            matrix = _rows_matrix(rows, num_vars)
-        self._base = RateLP(matrix, rhs, tuple(row_names))
+        if len(rows) != len(row_names):
+            raise LPError("row data lengths disagree")
+        self._base = RateLP(_rows_matrix(rows, num_vars), rhs, tuple(row_names), None, None, None)
         self._validate()
 
     @classmethod
@@ -252,9 +246,9 @@ class RateLP:
         matrix: sp.csr_matrix,
         rhs: np.ndarray,
         row_names: tuple[str, ...],
-        live: np.ndarray | None = None,
-        live_rows: np.ndarray | None = None,
-        rate_cap: float | None = None,
+        live: np.ndarray | None,
+        live_rows: np.ndarray | None,
+        rate_cap: float | None,
     ) -> None:
         self.matrix = matrix
         self.rhs = rhs
@@ -489,74 +483,58 @@ def _simplex_maximize(
     return "optimal", x, float(c @ x), iters
 
 
+def _forced_mask(problem: LPProblem) -> np.ndarray:
+    """Per variable, whether the problem forces it to zero."""
+    forced = np.zeros(problem.num_vars, bool)
+    forced[list(problem.forced_zero)] = True
+    return forced
+
+
 def _problem_matrices(problem: LPProblem) -> tuple[np.ndarray, sp.csr_matrix]:
     """Objective and canonical CSR matrix with forced-zero variables dropped."""
-    a = problem.matrix
-    c = problem.objective.copy()
-    keep = np.ones(len(a.indices), bool)
-    if problem.forced_zero:
-        forced = np.fromiter(problem.forced_zero, np.int64, len(problem.forced_zero))
-        c[forced] = 0.0
-        is_forced = np.zeros(problem.num_vars, bool)
-        is_forced[forced] = True
-        keep = ~is_forced[a.indices]
+    a, forced = problem.matrix, _forced_mask(problem)
+    keep = ~forced[a.indices]
     kept = np.concatenate([[0], np.cumsum(keep)])
     mat = sp.csr_matrix((a.data[keep], a.indices[keep], kept[a.indptr]), shape=a.shape)
     mat.sum_duplicates()
-    return c, mat
+    return np.where(forced, 0.0, problem.objective), mat
 
 
-def _solve_highs(problem: LPProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """HiGHS answer: the objective with forced zeros, x, the row prices and
-    the iteration count."""
-    # HiGHS would read an infinite cost or rhs as a special value, not as an error
-    bad = np.flatnonzero(~np.isfinite(problem.objective))
-    if len(bad):
-        raise LPError(f"objective coefficient of r_{int(bad[0])} is not finite")
-    bad = np.flatnonzero(~np.isfinite(problem.rhs))
-    if len(bad):
-        raise LPError(f"row {problem.row_names[int(bad[0])]}: rhs is not finite")
-    c = problem.objective.copy()
-    upper = np.full(problem.num_vars, np.inf)
-    if problem.forced_zero:
-        forced = np.fromiter(problem.forced_zero, np.int64, len(problem.forced_zero))
-        c[forced] = 0.0
-        upper[forced] = 0.0
-    x, y, iters = problem._base.solve_highs(-c, upper)
-    return c, x, y, iters
-
-
-def solve_lp(problem: LPProblem, method: str = "auto") -> LPSolution:
+def solve_lp(problem: LPProblem, method: str = "highs") -> LPSolution:
     """Solve deterministically; verifies feasibility of the answer, and the
     optimality of a HiGHS answer on a hypergraph.
 
-    ``method``: ``highs`` (also what ``auto`` runs) or ``simplex``, the
-    built-in dense tableau, kept to cross-check HiGHS on small problems.
+    ``method``: ``highs``, the default, or ``simplex``, the built-in dense
+    tableau, kept to cross-check HiGHS on small problems.
     """
-    if method == "auto":
-        method = "highs"
+    if method not in ("highs", "simplex"):
+        raise LPError(f"unknown method {method!r}")
     if problem.num_vars == 0:
         return LPSolution("optimal", 0.0, np.zeros(0), 0, method)
 
+    forced = _forced_mask(problem)
     if method == "simplex":
         c, a = _problem_matrices(problem)
         status, x, obj, iters = _simplex_maximize(c, a.toarray(), problem.rhs)
         if status != "optimal":
             raise LPSolveError(f"built-in solver: problem is {status}")
-    elif method == "highs":
-        c, x, y, iters = _solve_highs(problem)
-        obj = float(c @ x)
-        status = "optimal"
     else:
-        raise LPError(f"unknown method {method!r}")
+        # HiGHS would read an infinite cost or rhs as a special value, not as an error
+        bad = np.flatnonzero(~np.isfinite(problem.objective))
+        if len(bad):
+            raise LPError(f"objective coefficient of r_{int(bad[0])} is not finite")
+        bad = np.flatnonzero(~np.isfinite(problem.rhs))
+        if len(bad):
+            raise LPError(f"row {problem.row_names[int(bad[0])]}: rhs is not finite")
+        c = np.where(forced, 0.0, problem.objective)
+        x, y, iters = problem._base.solve_highs(-c, np.where(forced, 0.0, np.inf))
+        obj = float(c @ x)
 
-    if problem.forced_zero:
-        x = x.copy()
-        x[list(problem.forced_zero)] = 0.0
+    x[forced] = 0.0
     _check_solution(problem, x)
     if method == "highs":
-        _check_optimality(problem, c, obj, y)
-    return LPSolution(status, obj, x, iters, method)
+        _check_optimality(problem, forced, c, obj, y)
+    return LPSolution("optimal", obj, x, iters, method)
 
 
 def _check_solution(problem: LPProblem, x: np.ndarray) -> None:
@@ -579,7 +557,9 @@ def _check_solution(problem: LPProblem, x: np.ndarray) -> None:
         )
 
 
-def _check_optimality(problem: LPProblem, c: np.ndarray, objective: float, y: np.ndarray) -> None:
+def _check_optimality(
+    problem: LPProblem, forced: np.ndarray, c: np.ndarray, objective: float, y: np.ndarray
+) -> None:
     """Bound how far ``objective`` can lie below the optimum; raise if too far.
 
     Only a hypergraph's problem has the bound: every feasible rate is at
@@ -593,8 +573,6 @@ def _check_optimality(problem: LPProblem, c: np.ndarray, objective: float, y: np
     base = problem._base
     if base.rate_cap is None:
         return
-    forced = np.zeros(problem.num_vars, bool)
-    forced[list(problem.forced_zero)] = True
     cost, price = c[base.live], y[base.live_rows]
     excess = np.where(forced[base.live], 0.0, cost - base.part.T @ price)
     # each d_j sums at most four terms: its cost, two inputs and an output

@@ -369,8 +369,8 @@ def brute_force_oracle(
 
     Bounds are enforced, not advisory: at most 4 path nodes, grid
     resolution at most 6, at most 2 purification rounds per slot.
-    ``max_ensembles`` optionally restricts the mixture LP to the best
-    protocols by standalone capacity.
+    ``max_ensembles`` (at least 1) optionally restricts the mixture LP to
+    the best protocols by standalone capacity.
     """
     k = len(path.edges)
     if path.num_nodes > 4:
@@ -379,6 +379,8 @@ def brute_force_oracle(
         raise OracleBoundsError(f"oracle grids are limited to {ORACLE_MAX_GRID} values")
     if max_purify_rounds > 2 or max_purify_rounds < 0:
         raise OracleBoundsError("oracle allows at most 2 purification rounds")
+    if max_ensembles is not None and max_ensembles < 1:
+        raise OracleBoundsError(f"max_ensembles must be at least 1, got {max_ensembles}")
 
     t0 = time.perf_counter()
     limits = np.array([link_egr(e) for e in path.edges])

@@ -45,6 +45,20 @@ def test_config_validation():
         ExperimentConfig(kind="sweep-flb", f_lb_step=-0.1)
 
 
+@pytest.mark.parametrize("f_lb", [0.5, 1.0, 1.5, 0.2, -0.9, float("nan")])
+def test_config_rejects_f_lb_outside_the_rate_dp_range(f_lb):
+    with pytest.raises(ValueError, match=r"^f_lb must be in \(0\.5, 1\), got "):
+        ExperimentConfig(kind="benchmark", f_lb=f_lb)
+    assert ExperimentConfig(kind="benchmark", f_lb=0.51).f_lb == 0.51
+
+
+def test_cli_run_with_f_lb_outside_the_range_exits_2(capsys):
+    capsys.readouterr()
+    assert main(["run", "benchmark", "--f-lb", "1.5", "--topology-nodes", "20",
+                 "--pairs", "2", "--path-lengths", "3", "--grid-size", "10"]) == 2
+    assert "error: f_lb must be in (0.5, 1), got 1.5" in capsys.readouterr().err
+
+
 def test_benchmark_rows_and_aggregates():
     report = run_experiment(_cfg("benchmark"))
     assert report.failures == 0

@@ -1,0 +1,130 @@
+"""``solve_lp`` against the wrapper logic it folded in.
+
+The references below copy the solve steps ``solve_lp`` used to spread
+over a HiGHS wrapper and the forced-zero handling around it: copy the
+objective and zero the forced entries in place, give every variable an
+infinite upper bound and the forced ones 0, run ``RateLP.solve_highs``,
+take the objective, then zero the forced rates in place. The simplex
+reference drops the forced columns from the matrix the same way. The
+one-mask solve must give the same rates, objective, iteration count,
+method and status bit for bit, with forced rates of exactly 0.0.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import make_chain
+from entflow.hypergraph import FidelityGrid, build_pruned_hypergraph
+from entflow.lp import LPError, LPProblem, _simplex_maximize, formulate_lp, solve_lp
+from entflow.physics import DEFAULT_NOISE, PURIFY_MODELS
+
+SIMPLEX_MAX_VARS = 400  # the dense tableau is only run on the small draws
+
+# --- reference: the per-step forced-zero handling ------------------------------
+
+
+def _forced_indices(problem):
+    return np.fromiter(problem.forced_zero, np.int64, len(problem.forced_zero))
+
+
+def _ref_highs(problem):
+    c = problem.objective.copy()
+    upper = np.full(problem.num_vars, np.inf)
+    if problem.forced_zero:
+        forced = _forced_indices(problem)
+        c[forced] = 0.0
+        upper[forced] = 0.0
+    x, _, iters = problem._base.solve_highs(-c, upper)
+    obj = float(c @ x)
+    if problem.forced_zero:
+        x = x.copy()
+        x[list(problem.forced_zero)] = 0.0
+    return "optimal", obj, x, iters, "highs"
+
+
+def _ref_simplex(problem):
+    a = problem.matrix
+    c = problem.objective.copy()
+    keep = np.ones(len(a.indices), bool)
+    if problem.forced_zero:
+        forced = _forced_indices(problem)
+        c[forced] = 0.0
+        is_forced = np.zeros(problem.num_vars, bool)
+        is_forced[forced] = True
+        keep = ~is_forced[a.indices]
+    kept = np.concatenate([[0], np.cumsum(keep)])
+    mat = sp.csr_matrix((a.data[keep], a.indices[keep], kept[a.indptr]), shape=a.shape)
+    mat.sum_duplicates()
+    status, x, obj, iters = _simplex_maximize(c, mat.toarray(), problem.rhs)
+    assert status == "optimal"
+    if problem.forced_zero:
+        x = x.copy()
+        x[list(problem.forced_zero)] = 0.0
+    return status, obj, x, iters, "simplex"
+
+
+# --- comparison ---------------------------------------------------------------
+
+
+def _assert_identical(problem, method):
+    want = (_ref_highs if method == "highs" else _ref_simplex)(problem)
+    got = solve_lp(problem, method=method)
+    assert got.status == want[0]
+    assert np.float64(got.objective_value).tobytes() == np.float64(want[1]).tobytes()
+    assert got.rates.dtype == want[2].dtype and got.rates.tobytes() == want[2].tobytes()
+    assert got.iterations == want[3]
+    assert got.method == want[4]
+    forced = sorted(problem.forced_zero)
+    assert got.rates[forced].tobytes() == np.zeros(len(forced)).tobytes()
+
+
+def _assert_identical_solves(problem):
+    _assert_identical(problem, "highs")
+    if problem.num_vars <= SIMPLEX_MAX_VARS:
+        _assert_identical(problem, "simplex")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.floats(min_value=20.0, max_value=150.0), min_size=1, max_size=4),
+    st.integers(min_value=2, max_value=30),
+    st.sampled_from(PURIFY_MODELS),
+    st.floats(min_value=0.5, max_value=1.0),
+)
+def test_pruned_chain_solves_match_the_reference(lengths_km, size, model, f_lb):
+    hg = build_pruned_hypergraph(make_chain(lengths_km), FidelityGrid.uniform(size),
+                                 DEFAULT_NOISE, model)
+    _assert_identical_solves(formulate_lp(hg, "ensemble-capacity"))
+    _assert_identical_solves(formulate_lp(hg, "end-rate", f_lb))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_row_built_solves_match_the_reference(seed):
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 25)), int(rng.integers(0, 10))
+    # a capacity row over every variable keeps the problem bounded
+    rows = [[(j, float(c)) for j, c in enumerate(rng.uniform(0.5, 2.0, size=n))]]
+    rows += [
+        [(j, float(c)) for j, c in enumerate(rng.uniform(-1.0, 2.0, size=n)) if abs(c) > 0.3]
+        for _ in range(m)
+    ]
+    rhs = rng.uniform(0.0, 10.0, size=m + 1)
+    rhs[rng.random(m + 1) < 0.2] = 0.0
+    objective = rng.uniform(-1.0, 3.0, size=n)
+    forced = frozenset(np.flatnonzero(rng.random(n) < rng.uniform(0.0, 0.7)).tolist())
+    problem = LPProblem(num_vars=n, objective=objective, rows=rows, rhs=rhs,
+                        row_names=[f"c_{i}" for i in range(m + 1)], forced_zero=forced)
+    _assert_identical_solves(problem)
+
+
+@pytest.mark.parametrize("method", ["bogus", "auto", "HiGHS", ""])
+def test_unknown_methods_are_rejected_before_any_solve(method):
+    empty = LPProblem(0, np.zeros(0), [], np.zeros(0), [])
+    one = LPProblem(1, np.ones(1), [[(0, 1.0)]], np.ones(1), ["c_0"])
+    for problem in (empty, one):
+        with pytest.raises(LPError, match=f"^unknown method {method!r}$"):
+            solve_lp(problem, method=method)

@@ -129,6 +129,24 @@ def test_oracle_max_ensembles_restriction():
     assert limited.capacity <= full.capacity + 1e-9 * max(1.0, full.capacity)
 
 
+@pytest.mark.parametrize("max_ensembles", [0, -1, -5])
+def test_oracle_rejects_max_ensembles_below_1(tmp_path, capsys, max_ensembles):
+    # a plain slice would read 0 as no protocol and -1 as all but the last
+    path = make_chain([30.0, 40.0])
+    with pytest.raises(OracleBoundsError, match=f"got {max_ensembles}$"):
+        brute_force_oracle(path, FidelityGrid.uniform(6), max_ensembles=max_ensembles)
+    topo_file = tmp_path / "chain.json"
+    topo_file.write_text(json.dumps({
+        "nodes": ["a", "b", "c"],
+        "edges": [{"u": "a", "v": "b", "length_km": 30.0},
+                  {"u": "b", "v": "c", "length_km": 40.0}],
+    }))
+    capsys.readouterr()
+    assert main(["oracle", "--topology", str(topo_file), "--demand", "a,c",
+                 "--max-ensembles", str(max_ensembles)]) == 2
+    assert f"max_ensembles must be at least 1, got {max_ensembles}" in capsys.readouterr().err
+
+
 def test_oracle_with_no_protocol_above_the_grid_delivers_nothing():
     # every protocol's fidelity lies below the grid's lowest value
     path = make_chain([300.0, 300.0], f0=0.9)
