@@ -30,9 +30,12 @@ from scipy.sparse.csgraph import connected_components
 
 from .capacity import pair_capacity
 from .physics import (
+    CLAMP_EVENTS,
     EventCounter,
     NoiseParams,
     _check_fidelity,
+    as_printed_fidelity,
+    as_printed_success,
     dejmps,
     gate_factor,
     purify,
@@ -171,15 +174,13 @@ def _by_column(edges: list[tuple]) -> dict:
     return dict(zip(_EDGE_DTYPES, zip(*edges))) if edges else dict.fromkeys(_EDGE_DTYPES, ())
 
 
-def _from_rows(
-    vertex_rows, rows, grid: FidelityGrid, endpoints: tuple[str, str]
-) -> HypergraphColumns:
+def _from_rows(vertex_rows, rows, grid: FidelityGrid) -> HypergraphColumns:
     """Columns of vertex and edge rows in the serialized field order, from
     a document or ``HyperVertex`` and ``HyperEdge`` records: the only place
-    records become columns. Rows the columns cannot hold as given, a kind
-    or bucket other than the one the table derives, a node name that is
-    not a string and a source or sink pair other than ``endpoints`` are
-    rejected."""
+    records become columns. Rejected here is what the columns cannot hold
+    as given (an unknown op, an input count other than 1 or 2, a value of
+    the wrong type) and a kind or bucket other than the one the table
+    derives; the table's own rules are ``_check_columns``."""
     if len(vertex_rows) < 2:
         raise HypergraphError("vertices must start with source and sink")
     nf = grid.resolution
@@ -187,26 +188,20 @@ def _from_rows(
         if kind != ("source", "sink", "link")[min(vi, 2)]:
             raise HypergraphError(f"vertex {vi}: kind {kind!r} is not 'link'" if vi >= 2
                                   else "vertices must start with source and sink")
-        for name in (u, v):
-            if not isinstance(name, str):
-                raise HypergraphError(f"vertex {vi}: node name {name!r} is not a string")
-        if vi < 2 and (u, v) != endpoints:
-            raise HypergraphError(f"vertex {vi}: node pair {(u, v)!r} is not the endpoints "
-                                  f"{endpoints!r}")
-        if isinstance(f, bool) or not isinstance(f, (int, float)) or not 0.0 <= f <= 1.0:
+        if isinstance(f, bool) or not isinstance(f, (int, float)):
             raise HypergraphError(f"vertex {vi}: exact_fidelity {f!r} is not a real in [0, 1]")
         if isinstance(b, bool) or not isinstance(b, int) or not -1 <= b < nf:
             raise HypergraphError(f"vertex {vi}: bucket {b!r} is not an int in [-1, {nf})")
-        if b != grid.round_down_index(f):
+        if 0.0 <= f <= 1.0 and b != grid.round_down_index(f):  # else _check_columns names f
             raise HypergraphError(f"vertex {vi}: bucket {b} is not the round-down of {f!r}")
     edges, keys = [], []
     for ei, (op, inputs, output, p_succ, link_key, capacity_coeff, rate_bound) in enumerate(rows):
         code = OP_CODE.get(op)
         if code is None:
             raise HypergraphError(f"edge {ei}: unknown op {op!r}")
-        arity = _ARITY[code]
-        if len(inputs) != arity:
-            raise HypergraphError(f"edge {ei}: {op} takes {arity} input(s), got {len(inputs)}")
+        if len(inputs) not in (1, 2):
+            raise HypergraphError(f"edge {ei}: {op} takes {_ARITY[code]} input(s), "
+                                  f"got {len(inputs)}")
         for vi in (*inputs, output):
             if not isinstance(vi, int) or isinstance(vi, bool):
                 raise HypergraphError(f"edge {ei}: vertex {vi!r} is not an index")
@@ -214,10 +209,8 @@ def _from_rows(
                         ("rate_bound", 0.0 if rate_bound is None else rate_bound)):
             if not isinstance(x, (int, float)) or isinstance(x, bool) or math.isnan(x):
                 raise HypergraphError(f"edge {ei}: {name} {x!r} is not a number")
-        if link_key is not None and op != "start":
-            raise HypergraphError(f"edge {ei}: {op} edge names link {link_key!r}")
         keys.append(link_key)
-        edges.append((code, inputs[0], inputs[1] if arity == 2 else -1, output, p_succ,
+        edges.append((code, inputs[0], inputs[1] if len(inputs) == 2 else -1, output, p_succ,
                       capacity_coeff, math.nan if rate_bound is None else rate_bound, -1))
     link_keys = sorted({key for key in keys if key is not None})
     link_of = {key: i for i, key in enumerate(link_keys)}
@@ -249,7 +242,7 @@ class Hypergraph:
         build_time_s: float = 0.0,
     ) -> None:
         if vertices is not None:
-            edges = _from_rows(vertices, edges, grid, endpoints)
+            edges = _from_rows(vertices, edges, grid)
         self.columns = edges
         self.grid = grid
         self.noise = noise
@@ -258,6 +251,7 @@ class Hypergraph:
         self.builder = builder
         self.purify_model = purify_model
         self.build_time_s = build_time_s
+        _check_columns(self.columns, self.endpoints)
         _check_references(self.columns, self.link_limits)
         self._check_acyclic()
 
@@ -376,6 +370,42 @@ def _edge_fields(cols: HypergraphColumns, ids=slice(None)) -> list[list]:
     ]
 
 
+def _check_columns(cols: HypergraphColumns, endpoints: tuple[str, str]) -> None:
+    """Reject columns no builder emits, before anything indexes by them; an
+    error names the rule and the first entry that breaks it."""
+    for names, ref in ((_EDGE_DTYPES, "op"), (("u", "v"), "exact_fidelity")):
+        for name in names:
+            if len(getattr(cols, name)) != len(getattr(cols, ref)):
+                raise HypergraphError(f"column {name}: {len(getattr(cols, name))} entries, "
+                                      f"column {ref} {len(getattr(cols, ref))}")
+    if len(cols.u) < 2:
+        raise HypergraphError("vertices must start with source and sink")
+    op, link, f, nk = cols.op, cols.link, cols.exact_fidelity, len(cols.link_keys)
+    one = (op == OP_CODE["start"]) | (op == OP_CODE["end"])  # the one-input ops
+    for bad, message in (  # the entries that break a rule -> the error for the first
+        ((op < 0) | (op >= len(OP_NAMES)), lambda e: f"edge {e}: unknown op {op[e].item()}"),
+        (one != (cols.input1 == -1),  # a mismatch has the other arity
+         lambda e: f"edge {e}: {OP_NAMES[op[e]]} takes {_ARITY[op[e]]} input(s), "
+                   f"got {3 - _ARITY[op[e]]}"),
+        ((link < -1) | (link >= nk), lambda e: f"edge {e}: link {link[e].item()} is not -1 "
+                                               f"or an index into the {nk} link_keys"),
+        ((link >= 0) & (op != OP_CODE["start"]),
+         lambda e: f"edge {e}: {OP_NAMES[op[e]]} edge names link {cols.link_keys[link[e]]!r}"),
+        (~((f >= 0.0) & (f <= 1.0)),  # NaN included
+         lambda vi: f"vertex {vi}: exact_fidelity {f[vi].item()!r} is not a real in [0, 1]"),
+    ):
+        if bad.any():
+            raise HypergraphError(message(np.flatnonzero(bad)[0].item()))
+    if set(map(type, cols.u + cols.v)) != {str}:
+        vi, name = next((vi, name) for vi, pair in enumerate(zip(cols.u, cols.v))
+                        for name in pair if type(name) is not str)
+        raise HypergraphError(f"vertex {vi}: node name {name!r} is not a string")
+    for vi in (SOURCE, SINK):
+        if (cols.u[vi], cols.v[vi]) != endpoints:
+            raise HypergraphError(f"vertex {vi}: node pair {(cols.u[vi], cols.v[vi])!r} is not "
+                                  f"the endpoints {endpoints!r}")
+
+
 def _check_references(cols: HypergraphColumns, link_limits: dict[str, float]) -> None:
     """Reject what no builder emits: a vertex index outside the vertices,
     p_succ outside (0, 1], capacity_coeff outside [0, 1], a negative or
@@ -416,12 +446,16 @@ def _purify_table(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(output fidelity, success prob, round-down bucket) per value pair."""
     vals = grid.as_array()
+    # unchecked: FidelityGrid holds every value inside [0.5, 1]
     if purify_model == "ideal-dejmps":
-        # unchecked: FidelityGrid holds every value inside [0.5, 1]
         f_out, p_succ = dejmps(vals[:, None], vals[None, :])
-    else:  # one call per pair, so each clamped output is one clamp event
-        pairs = [[purify(a, b, noise, purify_model) for b in vals] for a in vals]
-        f_out, p_succ = np.moveaxis(np.array(pairs), 2, 0)
+    else:  # as-printed; each clamped output is one clamp event
+        p_succ = as_printed_success(vals[:, None], vals[None, :], noise)
+        if (p_succ == 0.0).any():
+            raise ZeroDivisionError("purification success probability is zero")
+        raw = as_printed_fidelity(vals[:, None], vals[None, :], p_succ, noise)
+        f_out = np.clip(raw, 0.0, 1.0)
+        CLAMP_EVENTS.tick(int(np.count_nonzero((raw < 0.0) | (raw > 1.0))))
     idx = np.searchsorted(vals, f_out, side="right") - 1
     return f_out, p_succ, idx
 

@@ -64,10 +64,10 @@ class EventCounter:
     def thread_count(self) -> int:
         return getattr(self._local, "count", 0)
 
-    def tick(self) -> None:
+    def tick(self, n: int = 1) -> None:
         with self._lock:
-            self.count += 1
-        self._local.count = self.thread_count + 1
+            self.count += n
+        self._local.count = self.thread_count + n
 
     def reset(self) -> None:
         with self._lock:
@@ -123,21 +123,29 @@ def purify_success_prob(f1: float, f2: float, noise: NoiseParams = DEFAULT_NOISE
     """Success probability of one DEJMPS round under noisy gates/measurements."""
     _check_fidelity("f1", f1)
     _check_fidelity("f2", f2)
-    return (1.0 / 18.0) * (
-        9.0
-        + (4.0 * f1 - 1.0) * (4.0 * f2 - 1.0) * (1.0 - 2.0 * noise.eta) ** 2 * noise.p2 ** 2
-    )
+    return as_printed_success(f1, f2, noise)
 
 
 def purify_output_fidelity_raw(
     f1: float, f2: float, noise: NoiseParams = DEFAULT_NOISE
 ) -> float:
     """Unclamped output fidelity of the as-printed noisy DEJMPS formula."""
-    _check_fidelity("f1", f1)
-    _check_fidelity("f2", f2)
-    p_succ = purify_success_prob(f1, f2, noise)
+    p_succ = purify_success_prob(f1, f2, noise)  # checks f1 and f2
     if p_succ == 0.0:
         raise ZeroDivisionError("purification success probability is zero")
+    return as_printed_fidelity(f1, f2, p_succ, noise)
+
+
+def as_printed_success(f1, f2, noise: NoiseParams):
+    """Unchecked as-printed success probability, on floats or numpy arrays."""
+    return (1.0 / 18.0) * (
+        9.0
+        + (4.0 * f1 - 1.0) * (4.0 * f2 - 1.0) * (1.0 - 2.0 * noise.eta) ** 2 * noise.p2 ** 2
+    )
+
+
+def as_printed_fidelity(f1, f2, p_succ, noise: NoiseParams):
+    """Unchecked, unclamped as-printed output fidelity, on floats or numpy arrays."""
     eta = noise.eta
     p2sq = noise.p2 ** 2
     numerator = (

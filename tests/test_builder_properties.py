@@ -1,12 +1,22 @@
 """Property tests for the pruned builder's grid rounding, DEJMPS kernel and output."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_chain
-from entflow.hypergraph import FidelityGrid, _span_winners, build_pruned_hypergraph
-from entflow.physics import DEFAULT_NOISE, PURIFY_MODELS, dejmps, ideal_dejmps
+from entflow import hypergraph
+from entflow.hypergraph import FidelityGrid, _purify_table, _span_winners, build_pruned_hypergraph
+from entflow.physics import (
+    CLAMP_EVENTS,
+    DEFAULT_NOISE,
+    PURIFY_MODELS,
+    NoiseParams,
+    dejmps,
+    ideal_dejmps,
+    purify,
+)
 
 grids = st.lists(
     st.floats(min_value=0.5, max_value=1.0), min_size=1, max_size=60, unique=True
@@ -42,6 +52,27 @@ def test_dejmps_array_call_equals_scalar_ideal_dejmps_bit_for_bit(pairs):
     scalar = [ideal_dejmps(a, b) for a, b in pairs]
     assert f_out.tobytes() == np.array([f for f, _ in scalar]).tobytes()
     assert p.tobytes() == np.array([q for _, q in scalar]).tobytes()
+
+
+@pytest.mark.parametrize("noise", [DEFAULT_NOISE, NoiseParams(p1=0.9, p2=0.9, eta=0.9)],
+                         ids=["default-noise", "noise-0.9"])
+@pytest.mark.parametrize("size", [20, 60, 100])
+def test_as_printed_purify_table_equals_scalar_purify_bit_for_bit(size, noise):
+    grid = FidelityGrid.uniform(size)
+    CLAMP_EVENTS.reset()
+    pairs = [[purify(a, b, noise, "as-printed") for b in grid.values] for a in grid.values]
+    scalar_clamps = CLAMP_EVENTS.count
+    CLAMP_EVENTS.reset()
+    f_out, p_succ, _ = _purify_table(grid, noise, "as-printed")
+    assert CLAMP_EVENTS.count == scalar_clamps > 0
+    assert f_out.tobytes() == np.array([[f for f, _ in row] for row in pairs]).tobytes()
+    assert p_succ.tobytes() == np.array([[p for _, p in row] for row in pairs]).tobytes()
+
+
+def test_as_printed_purify_table_raises_on_a_zero_success_probability(monkeypatch):
+    monkeypatch.setattr(hypergraph, "as_printed_success", lambda f1, f2, noise: 0.0 * f1 * f2)
+    with pytest.raises(ZeroDivisionError, match="success probability is zero"):
+        _purify_table(FidelityGrid.uniform(4), DEFAULT_NOISE, "as-printed")
 
 
 def _sequential_winners(keys, rates, fids):

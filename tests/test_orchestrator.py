@@ -1,11 +1,16 @@
 """Tests for the two-loop planning controller and its cache."""
 
+import base64
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from entflow.hypergraph import BUILD_COUNTER, FidelityGrid, Hypergraph, HypergraphError
+from entflow.hypergraph import BUILD_COUNTER, OP_CODE, FidelityGrid, Hypergraph, HypergraphError
 from entflow.orchestrator import (
+    CACHE_COLUMNS,
     Cache,
     CacheError,
     PlannerConfig,
@@ -14,6 +19,7 @@ from entflow.orchestrator import (
     outer_loop_update,
     save_cache,
 )
+from entflow.physics import PURIFY_MODELS, NoiseParams
 from entflow.topology import Edge, Topology
 
 
@@ -190,12 +196,17 @@ def test_load_cache_rejects_cyclic_hypergraph():
     topo = Topology(["x0", "x1", "x2"], [Edge(u="x0", v="x1", length_km=30.0),
                                          Edge(u="x1", v="x2", length_km=30.0)])
     cache = outer_loop_update(topo, [("x0", "x2")], _config())
-    doc = json.loads(save_cache(cache))
-    hg_doc = doc["entries"][0]["hypergraph"]
+    hg_doc = cache.entries[("x0", "x2")].hypergraph.to_json()
     swap = next(e for e in hg_doc["edges"] if e[0] == "swap")
     swap[2] = swap[1][0]  # the swap now outputs into its own input
     with pytest.raises(HypergraphError, match="cycle"):
         Hypergraph.from_json(hg_doc)
+    doc = json.loads(save_cache(cache))
+    hg_doc = doc["entries"][0]["hypergraph"]
+    output = _column(hg_doc, "output")
+    swap = np.flatnonzero(_column(hg_doc, "op") == OP_CODE["swap"])[0]
+    output[swap] = _column(hg_doc, "input0")[swap]  # the same edit on the stored columns
+    _set_column(hg_doc, "output", output)
     with pytest.raises(CacheError, match="cycle"):
         load_cache(json.dumps(doc))
 
@@ -263,33 +274,168 @@ def test_concurrent_outer_refresh_raises_no_false_alarm():
     assert BUILD_COUNTER.count > builds_before  # the refresher built meanwhile
 
 
-def test_load_cache_rejects_unknown_vertex_kind():
-    doc = json.loads(save_cache(outer_loop_update(_square_topology(), [("s", "d")], _config())))
-    doc["entries"][0]["hypergraph"]["vertices"][2][4] = "bogus"
-    with pytest.raises(CacheError, match="vertex 2: kind 'bogus'"):
-        load_cache(json.dumps(doc))
+def _column(hg_doc, name):
+    """One stored column of a saved hypergraph, decoded into a writable array."""
+    return np.frombuffer(base64.b64decode(hg_doc["columns"][name]), CACHE_COLUMNS[name]).copy()
+
+
+def _set_column(hg_doc, name, values):
+    hg_doc["columns"][name] = base64.b64encode(
+        np.asarray(values, CACHE_COLUMNS[name]).tobytes()).decode()
+
+
+def _saved_square_doc():
+    """A saved cache of the s-d demand of the square topology, parsed."""
+    return json.loads(save_cache(outer_loop_update(_square_topology(), [("s", "d")], _config())))
+
+
+def _edit_column(name, at, value):
+    """Corruption: set entry ``at`` of one stored column."""
+    def corrupt(hg_doc):
+        column = _column(hg_doc, name)
+        column[at] = value
+        _set_column(hg_doc, name, column)
+    return corrupt
+
+
+def test_hypergraph_from_json_rejects_unknown_vertex_kind():
+    cache = outer_loop_update(_square_topology(), [("s", "d")], _config())
+    doc = cache.entries[("s", "d")].hypergraph.to_json()
+    doc["vertices"][2][4] = "bogus"
+    with pytest.raises(HypergraphError, match="vertex 2: kind 'bogus'"):
+        Hypergraph.from_json(doc)
 
 
 def test_load_cache_rejects_a_vertex_fidelity_outside_the_unit_interval():
-    doc = json.loads(save_cache(outer_loop_update(_square_topology(), [("s", "d")], _config())))
-    doc["entries"][0]["hypergraph"]["vertices"][2][2] = 1.7
+    doc = _saved_square_doc()
+    _edit_column("exact_fidelity", 2, 1.7)(doc["entries"][0]["hypergraph"])
     with pytest.raises(CacheError, match=r"vertex 2: exact_fidelity 1\.7 is not a real in \[0, 1\]"):
         load_cache(json.dumps(doc))
 
 
 def test_load_cache_rejects_a_vertex_name_that_is_not_a_string():
-    doc = json.loads(save_cache(outer_loop_update(_square_topology(), [("s", "d")], _config())))
-    doc["entries"][0]["hypergraph"]["vertices"][2][0] = 42  # was printed as link(42|...)
+    doc = _saved_square_doc()
+    hg_doc = doc["entries"][0]["hypergraph"]
+    hg_doc["nodes"].append(42)  # was printed as link(42|...)
+    _edit_column("u", 2, len(hg_doc["nodes"]) - 1)(hg_doc)
     with pytest.raises(CacheError, match="vertex 2: node name 42 is not a string"):
         load_cache(json.dumps(doc))
 
 
 def test_load_cache_rejects_a_sink_pair_other_than_the_endpoints():
-    doc = json.loads(save_cache(outer_loop_update(_square_topology(), [("s", "d")], _config())))
-    doc["entries"][0]["hypergraph"]["vertices"][1][:2] = ["d", "s"]
+    doc = _saved_square_doc()
+    hg_doc = doc["entries"][0]["hypergraph"]
+    u, v = _column(hg_doc, "u"), _column(hg_doc, "v")
+    u[1], v[1] = v[1], u[1]
+    _set_column(hg_doc, "u", u)
+    _set_column(hg_doc, "v", v)
     with pytest.raises(CacheError, match=r"vertex 1: node pair \('d', 's'\) is not the "
                                          r"endpoints \('s', 'd'\)"):
         load_cache(json.dumps(doc))
+
+
+def _first(op):
+    """The index of the first stored edge of one op."""
+    return lambda hg_doc: int(np.flatnonzero(_column(hg_doc, "op") == OP_CODE[op])[0])
+
+
+def _edit_edge_of(op, name, value):
+    """Corruption: set one column of the first edge of ``op``."""
+    def corrupt(hg_doc):
+        _edit_column(name, _first(op)(hg_doc), value(hg_doc) if callable(value) else value)(hg_doc)
+    return corrupt
+
+
+def _append_byte(hg_doc):
+    hg_doc["columns"]["input0"] = base64.b64encode(
+        base64.b64decode(hg_doc["columns"]["input0"]) + b"\0").decode()
+
+
+def _drop_last(*names):
+    def corrupt(hg_doc):
+        for name in names:
+            _set_column(hg_doc, name, _column(hg_doc, name)[:-1])
+    return corrupt
+
+
+def _keep_one_vertex(hg_doc):
+    for name in ("u", "v", "exact_fidelity"):
+        _set_column(hg_doc, name, _column(hg_doc, name)[:1])
+
+
+def _rename_node(old, new):
+    def corrupt(hg_doc):
+        hg_doc["nodes"][hg_doc["nodes"].index(old)] = new
+    return corrupt
+
+
+# each rule a v2 load enforces, with the entry, the column and the first bad index
+@pytest.mark.parametrize("corrupt, match", [
+    pytest.param(_append_byte, r"entry \('s', 'd'\): column input0: \d+ bytes, not a multiple of 8",
+                 id="ragged-bytes"),
+    pytest.param(_drop_last("p_succ"), r"column p_succ: (\d+) entries, column op \d+",
+                 id="unequal-edge-columns"),
+    pytest.param(_drop_last("v"), r"column v: \d+ entries, column exact_fidelity \d+",
+                 id="unequal-vertex-columns"),
+    pytest.param(_keep_one_vertex, "vertices must start with source and sink", id="one-vertex"),
+    pytest.param(_edit_column("op", 3, 7), "edge 3: unknown op 7", id="op-code-above-range"),
+    pytest.param(_edit_column("op", 3, -1), "edge 3: unknown op -1", id="op-code-below-range"),
+    pytest.param(_edit_edge_of("swap", "input1", -1), r"edge \d+: swap takes 2 input\(s\), got 1",
+                 id="swap-with-one-input"),
+    pytest.param(_edit_edge_of("end", "input1", 2), r"edge \d+: end takes 1 input\(s\), got 2",
+                 id="end-with-two-inputs"),
+    pytest.param(_edit_edge_of("swap", "link", 0), r"edge \d+: swap edge names link 'a\|d'",
+                 id="link-on-a-swap"),
+    pytest.param(_edit_edge_of("start", "link", 9), r"edge 0: link 9 is not -1 or an index into "
+                 r"the 4 link_keys", id="link-past-link-keys"),
+    pytest.param(_edit_column("exact_fidelity", 3, float("nan")),
+                 r"vertex 3: exact_fidelity nan is not a real in \[0, 1\]", id="nan-fidelity"),
+    pytest.param(_edit_column("exact_fidelity", 4, -0.5),
+                 r"vertex 4: exact_fidelity -0\.5 is not a real in \[0, 1\]",
+                 id="negative-fidelity"),
+    pytest.param(_edit_column("v", 4, 4), "vertex 4: v 4 is not an index into the 4 nodes",
+                 id="node-index-past-nodes"),
+    pytest.param(_edit_column("u", 3, -1), "vertex 3: u -1 is not an index into the 4 nodes",
+                 id="negative-node-index"),
+    pytest.param(_edit_column("u", 0, 0), r"vertex 0: node pair \('a', 'd'\) is not the endpoints",
+                 id="source-pair-other-than-the-endpoints"),
+    pytest.param(_rename_node("a", "z"), r"entry \('s', 'd'\): node 'z' is not on its first 2 "
+                 "estimated paths", id="node-off-the-kept-paths"),
+])
+def test_load_cache_rejects_bad_columns(corrupt, match):
+    doc = _saved_square_doc()
+    corrupt(doc["entries"][0]["hypergraph"])
+    with pytest.raises(CacheError, match=match) as caught:
+        load_cache(json.dumps(doc))
+    assert "entry ('s', 'd'): " in str(caught.value)
+
+
+def test_load_cache_rejects_a_version_1_cache():
+    doc = _saved_square_doc()
+    doc["version"] = 1
+    with pytest.raises(CacheError, match="unsupported cache version 1"):
+        load_cache(json.dumps(doc))
+
+
+def test_load_cache_rejects_a_node_off_the_first_k_paths_of_the_config():
+    doc = _saved_square_doc()
+    doc["config"]["k_keep"] = 1  # the entry was synthesized from both routes
+    with pytest.raises(CacheError, match=r"entry \('s', 'd'\): node 'b' is not on its first 1 "
+                                         "estimated paths"):
+        load_cache(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("grid", FidelityGrid.uniform(10)),
+    ("noise", NoiseParams(p2=0.99)),
+    ("purify_model", "as-printed"),
+])
+def test_save_cache_rejects_a_hypergraph_that_disagrees_with_the_config(field, value):
+    cache = outer_loop_update(_square_topology(), [("s", "d")], _config())
+    cache.config = _config(**{field: value})
+    with pytest.raises(CacheError, match=rf"entry \('s', 'd'\): its hypergraph's {field} is not "
+                                         "the config's"):
+        save_cache(cache)
 
 
 def _two_demand_doc():
@@ -322,3 +468,43 @@ def test_no_vertex_records_on_build_solve_save_or_load():
         assert inner_loop_request(cache, s, d).scheme.capacity > 0.0
     for hg in kept + [e.hypergraph for e in loaded.entries.values()]:
         assert "vertices" not in hg.__dict__
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    model=st.sampled_from(PURIFY_MODELS),
+    size=st.integers(min_value=2, max_value=40),
+    k_keep=st.integers(min_value=1, max_value=3),
+    km=st.lists(st.floats(min_value=20.0, max_value=140.0), min_size=6, max_size=6),
+)
+def test_cache_round_trip_keeps_every_column_and_answer(model, size, k_keep, km):
+    topo = Topology(["s", "a", "b", "d"], [
+        Edge(u="s", v="a", length_km=km[0]), Edge(u="a", v="d", length_km=km[1]),
+        Edge(u="s", v="b", length_km=km[2]), Edge(u="b", v="d", length_km=km[3]),
+        Edge(u="a", v="b", length_km=km[4]), Edge(u="s", v="d", length_km=km[5] + 150.0),
+    ])
+    config = _config(n_candidates=3, k_keep=k_keep, grid=FidelityGrid.uniform(size),
+                     purify_model=model)
+    cache = outer_loop_update(topo, [("s", "d"), ("a", "b"), ("d", "s")], config)
+    clone = load_cache(save_cache(cache))
+    assert clone.config == cache.config
+    assert set(clone.entries) == set(cache.entries)
+    for key, entry in cache.entries.items():
+        copy = clone.entries[key]
+        assert (copy.estimates, copy.server_time_s) == (entry.estimates, entry.server_time_s)
+        assert (copy.hypergraph is None) == (entry.hypergraph is None)
+        if entry.hypergraph is None:
+            continue
+        for name, value in vars(entry.hypergraph.columns).items():
+            loaded = getattr(copy.hypergraph.columns, name)
+            if isinstance(value, np.ndarray):
+                assert (loaded.dtype, loaded.tobytes()) == (value.dtype, value.tobytes()), name
+            else:
+                assert loaded == value, name
+        for name in ("grid", "noise", "purify_model", "link_limits", "endpoints", "builder",
+                     "build_time_s"):
+            assert getattr(copy.hypergraph, name) == getattr(entry.hypergraph, name), name
+        a = inner_loop_request(cache, *key).scheme.to_json()
+        b = inner_loop_request(clone, *key).scheme.to_json()
+        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+        assert not {"vertices", "edges"} & vars(copy.hypergraph).keys()  # no records made
