@@ -131,13 +131,12 @@ def purify_output_fidelity_raw(
 ) -> float:
     """Unclamped output fidelity of the as-printed noisy DEJMPS formula."""
     p_succ = purify_success_prob(f1, f2, noise)  # checks f1 and f2
-    if p_succ == 0.0:
-        raise ZeroDivisionError("purification success probability is zero")
     return as_printed_fidelity(f1, f2, p_succ, noise)
 
 
 def as_printed_success(f1, f2, noise: NoiseParams):
-    """Unchecked as-printed success probability, on floats or numpy arrays."""
+    """Unchecked as-printed success probability, on floats or numpy arrays:
+    at least 1/2 for fidelities in [0.25, 1], where every 4f - 1 >= 0."""
     return (1.0 / 18.0) * (
         9.0
         + (4.0 * f1 - 1.0) * (4.0 * f2 - 1.0) * (1.0 - 2.0 * noise.eta) ** 2 * noise.p2 ** 2

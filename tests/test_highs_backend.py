@@ -4,8 +4,9 @@
 hypergraph, on its live columns and the rows they touch. The references
 below are ``scipy.optimize.linprog`` on the objective and matrix with
 the forced-zero variables dropped: on the whole problem, or on the same
-live part at the solve's dual tolerance. Rates must match bit for bit,
-and objective, iteration count and status exactly.
+live part at the solve's dual tolerance, both with primal simplex, which
+a solve runs first. Rates must match bit for bit, and objective,
+iteration count and status exactly.
 """
 
 import random
@@ -19,7 +20,7 @@ import pytest
 import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeWarning, linprog
 
 from conftest import make_chain, make_topology
 from entflow import lp
@@ -45,10 +46,19 @@ from entflow.lp import (
 from entflow.physics import DEFAULT_NOISE, PURIFY_MODELS
 
 
+def _linprog(*args, options=None, **kw):
+    """``linprog`` with HiGHS's primal simplex (``simplex_strategy`` 4), the
+    strategy a solve runs first. scipy does not know the option and hands
+    it to HiGHS verbatim, with a warning that says so."""
+    options = {**(options or {}), "simplex_strategy": 4}
+    with pytest.warns(OptimizeWarning, match=r"'simplex_strategy': 4\}\. .* HiGHS verbatim"):
+        return linprog(*args, method="highs", options=options, **kw)
+
+
 def _linprog_answer(problem):
     """(status, objective, rates, iterations) as the linprog path gave them."""
     c, a = _problem_matrices(problem)
-    res = linprog(-c, A_ub=a, b_ub=problem.rhs, bounds=(0, None), method="highs")
+    res = _linprog(-c, A_ub=a, b_ub=problem.rhs, bounds=(0, None))
     assert res.status == 0, res.message
     x = res.x.copy()
     x[list(problem.forced_zero)] = 0.0
@@ -61,9 +71,9 @@ def _live_answer(problem):
     base = problem._base
     c, a = _problem_matrices(problem)
     tolerance = lp._HIGHS_OPTIONS["dual_feasibility_tolerance"]
-    res = linprog(-c[base.live], A_ub=a[base.live_rows][:, base.live],
-                  b_ub=problem.rhs[base.live_rows], bounds=(0, None), method="highs",
-                  options={"dual_feasibility_tolerance": tolerance})
+    res = _linprog(-c[base.live], A_ub=a[base.live_rows][:, base.live],
+                   b_ub=problem.rhs[base.live_rows], bounds=(0, None),
+                   options={"dual_feasibility_tolerance": tolerance})
     assert res.status == 0, res.message
     x = np.zeros(problem.num_vars)
     x[base.live] = res.x

@@ -4,7 +4,10 @@ A hypergraph's HiGHS model holds only its live edges and the rows they
 touch; the live edges must be the ones plain loops over the edge
 records find. Its answer must be the optimum of the full problem: within
 1e-9 of a full-model solve at 1e-10 primal and dual tolerances, exactly
-zero on every dead edge and feasible on the full matrix.
+zero on every dead edge and feasible on the full matrix. A solve runs
+primal simplex; when the checks refuse its answer, it runs dual simplex
+on the same model, counts the iterations of both runs and returns the
+dual answer, or raises the dual run's refusal.
 """
 
 import numpy as np
@@ -17,8 +20,18 @@ from conftest import make_chain
 from entflow import lp
 from entflow.experiments import ExperimentConfig, run_experiment
 from entflow.hypergraph import FidelityGrid, build_pruned_hypergraph, build_standard_hypergraph
-from entflow.lp import LPProblem, LPSolveError, _problem_matrices, formulate_lp, solve_lp
+from entflow.lp import (
+    DUAL_SIMPLEX,
+    PRIMAL_SIMPLEX,
+    LPProblem,
+    LPSolveError,
+    _problem_matrices,
+    formulate_lp,
+    solve_lp,
+)
+from entflow.orchestrator import PlannerConfig, inner_loop_request, outer_loop_update
 from entflow.physics import DEFAULT_NOISE, PURIFY_MODELS
+from entflow.topology import generate_gabriel
 
 
 def _sweep_flb_egr(fixture: int, f_lb: float) -> float:
@@ -110,3 +123,90 @@ def test_auto_runs_highs_on_small_problems_too():
     hg = build_pruned_hypergraph(make_chain([60.0]), FidelityGrid.uniform(4), DEFAULT_NOISE)
     assert formulate_lp(hg, "ensemble-capacity").num_vars < 20
     assert solve_lp(formulate_lp(hg, "ensemble-capacity")).method == "highs"
+
+
+# --- primal first, dual when the checks refuse --------------------------------
+
+
+@pytest.fixture
+def highs_runs(monkeypatch):
+    """Every HiGHS run of the test, as (strategy, iterations)."""
+    runs = []
+    solve_highs = lp.RateLP.solve_highs
+
+    def recording(self, cost, upper, strategy=PRIMAL_SIMPLEX):
+        x, y, iterations = solve_highs(self, cost, upper, strategy)
+        runs.append((strategy, iterations))
+        return x, y, iterations
+
+    monkeypatch.setattr(lp.RateLP, "solve_highs", recording)
+    return runs
+
+
+def _dual_only(problem):
+    """The objective and rates of one dual simplex run, as a solve returns them."""
+    forced = lp._forced_mask(problem)
+    c = np.where(forced, 0.0, problem.objective)
+    x, _, _ = problem._base.solve_highs(-c, np.where(forced, 0.0, np.inf), DUAL_SIMPLEX)
+    objective = float(c @ x)
+    x[forced] = 0.0
+    return objective, x
+
+
+def _scale_network_entry():
+    """The cache of ``run scale-network --seed 3``'s 100-node network for its
+    demand n93 -> n24, whose primal answer fails the certificate: a gap bound
+    of 2.6e-10 from a reduced cost of 4.1e-15 times a rate cap of 62,262."""
+    config = ExperimentConfig(kind="scale-network", seed=3)
+    topo = generate_gabriel(100, 3, bbox_km=config.bbox_km,
+                            distance_range_km=config.distance_range_km, f0=config.noise.f0)
+    planner = PlannerConfig(grid=FidelityGrid.uniform(config.grid_size), noise=config.noise,
+                            purify_model=config.purify_model)
+    return outer_loop_update(topo, [("n93", "n24")], planner)
+
+
+def test_a_refused_primal_answer_is_replaced_by_the_dual_one(highs_runs):
+    cache = _scale_network_entry()
+    assert inner_loop_request(cache, "n93", "n24").scheme.capacity > 0.0
+    assert [strategy for strategy, _ in highs_runs] == [PRIMAL_SIMPLEX, DUAL_SIMPLEX]
+    problem = formulate_lp(cache.entries[("n93", "n24")].hypergraph, "ensemble-capacity")
+    del highs_runs[:]
+    solution = solve_lp(problem)
+    assert [strategy for strategy, _ in highs_runs] == [PRIMAL_SIMPLEX, DUAL_SIMPLEX]
+    assert solution.iterations == sum(iterations for _, iterations in highs_runs)
+    objective, rates = _dual_only(problem)
+    assert np.float64(solution.objective_value).tobytes() == np.float64(objective).tobytes()
+    assert solution.rates.tobytes() == rates.tobytes()
+
+
+def _small_problem():
+    hg = build_pruned_hypergraph(make_chain([60.0, 70.0, 80.0]), FidelityGrid.uniform(24),
+                                 DEFAULT_NOISE)
+    return formulate_lp(hg, "end-rate", 0.9)
+
+
+def test_a_refusal_of_the_primal_answer_runs_dual_once(monkeypatch, highs_runs):
+    check = lp._check_optimality
+
+    def refuse_the_first_answer(*args):
+        if len(highs_runs) == 1:
+            raise LPSolveError("not optimal: refused")
+        check(*args)
+
+    monkeypatch.setattr(lp, "_check_optimality", refuse_the_first_answer)
+    problem = _small_problem()
+    solution = solve_lp(problem)
+    assert [strategy for strategy, _ in highs_runs] == [PRIMAL_SIMPLEX, DUAL_SIMPLEX]
+    assert solution.iterations == sum(iterations for _, iterations in highs_runs)
+    objective, rates = _dual_only(problem)
+    assert (solution.objective_value, solution.rates.tobytes()) == (objective, rates.tobytes())
+
+
+def test_when_both_answers_are_refused_the_dual_refusal_is_raised(monkeypatch, highs_runs):
+    def refuse(*args):
+        raise LPSolveError(f"not optimal: refusal {len(highs_runs)}")
+
+    monkeypatch.setattr(lp, "_check_optimality", refuse)
+    with pytest.raises(LPSolveError, match="^not optimal: refusal 2$"):
+        solve_lp(_small_problem())
+    assert [strategy for strategy, _ in highs_runs] == [PRIMAL_SIMPLEX, DUAL_SIMPLEX]
