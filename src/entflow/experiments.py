@@ -24,6 +24,8 @@ import io
 import json
 import logging
 import math
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -126,6 +128,8 @@ class ExperimentConfig:
             raise ValueError("invalid f_lb sweep range")
         if not 0.5 < self.f_lb < 1.0:  # the range rate-dp requires
             raise ValueError(f"f_lb must be in (0.5, 1), got {self.f_lb}")
+        if self.chain_nodes < 2:  # a configuration error, not a failed instance
+            raise ValueError(f"chain_nodes must be >= 2, got {self.chain_nodes}")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -173,6 +177,17 @@ def emit_report(report: Report, format: str = "json") -> str:
 
 def format_float(value: float) -> str:
     return f"{value:.6g}"
+
+
+@contextmanager
+def _instance(report: Report, name: str) -> Iterator[None]:
+    """Run the block as one instance: an exception it raises is logged with
+    its type, counted in ``report.failures`` and not raised, so the run goes on."""
+    try:
+        yield
+    except Exception as exc:  # noqa: BLE001 - failed instances are counted
+        log.warning("%s failed: %s: %s", name, type(exc).__name__, exc)
+        report.failures += 1
 
 
 def _row(**kwargs) -> dict:
@@ -289,7 +304,7 @@ def _run_benchmark(config: ExperimentConfig) -> Report:
     for length in config.path_lengths:
         rng = np.random.default_rng([config.seed, length])
         for s, d in _sample_pairs(topo, length, config.pairs_per_length, rng):
-            try:
+            with _instance(report, f"benchmark instance ({s}, {d})"):
                 path = k_shortest_paths(topo, s, d, 1, weight="hops")[0]
                 results = [
                     run_strategy(
@@ -297,13 +312,9 @@ def _run_benchmark(config: ExperimentConfig) -> Report:
                     )
                     for name in config.strategies
                 ]
-            except Exception as exc:  # noqa: BLE001 - skipped instances are counted
-                log.warning("benchmark instance (%s, %s) failed: %s", s, d, exc)
-                report.failures += 1
-                continue
-            for result in results:
-                report.rows.append(
-                    _strategy_row(config, result, s=s, d=d, path_length=length)
+                report.rows.extend(
+                    [_strategy_row(config, result, s=s, d=d, path_length=length)
+                     for result in results]
                 )
 
     # aggregate mean capacity per (path length, strategy) and improvement
@@ -347,21 +358,25 @@ def _run_sweep_flb(config: ExperimentConfig) -> Report:
         lengths = [float(rng.uniform(lo, hi)) for _ in range(config.chain_nodes - 1)]
         path = _chain(lengths, config.noise.f0, name=f"f{fixture}_")
         grid = FidelityGrid.uniform(config.grid_size)
-        # hypergraphs do not depend on f_lb: one per builder, built once per fixture
-        builds = dict.fromkeys(LP_STRATEGIES[name][0] for name in config.strategies
-                               if name in LP_STRATEGIES)
-        hgs = {build: build(path, grid, config.noise, config.purify_model) for build in builds}
-        for f_lb in sweep:
-            for name in config.strategies:
-                if name == "rate-dp":
-                    result = run_rate_dp(path, grid, f_lb, config.noise, config.purify_model)
-                else:
-                    result = _lp_strategy(name, hgs[LP_STRATEGIES[name][0]], f_lb)
-                # every row carries the sweep point, ec-* rows included
-                report.rows.append(_strategy_row(
-                    config, replace(result, f_lb=f_lb),
-                    fixture=fixture, path_length=config.chain_nodes,
-                ))
+        with _instance(report, f"sweep-flb fixture {fixture}"):
+            # hypergraphs do not depend on f_lb: one per builder, built once per fixture
+            builds = dict.fromkeys(LP_STRATEGIES[name][0] for name in config.strategies
+                                   if name in LP_STRATEGIES)
+            hgs = {build: build(path, grid, config.noise, config.purify_model)
+                   for build in builds}
+            rows = []
+            for f_lb in sweep:
+                for name in config.strategies:
+                    if name == "rate-dp":
+                        result = run_rate_dp(path, grid, f_lb, config.noise, config.purify_model)
+                    else:
+                        result = _lp_strategy(name, hgs[LP_STRATEGIES[name][0]], f_lb)
+                    # every row carries the sweep point, ec-* rows included
+                    rows.append(_strategy_row(
+                        config, replace(result, f_lb=f_lb),
+                        fixture=fixture, path_length=config.chain_nodes,
+                    ))
+            report.rows.extend(rows)
     return report
 
 
@@ -377,19 +392,19 @@ def _run_sweep_resolution(config: ExperimentConfig) -> Report:
             ("standard", build_standard_hypergraph),
             ("pruned", build_pruned_hypergraph),
         ):
-            hg = build(path, grid, config.noise, config.purify_model)
-            stats = hg.stats()
-            report.rows.append(
-                _row(
-                    experiment=config.kind,
-                    path_length=config.chain_nodes,
-                    grid_size=size,
-                    builder=builder,
-                    vertices=stats.num_vertices,
-                    edges=stats.num_edges,
-                    server_time_s=stats.build_time_s if config.record_timings else None,
+            with _instance(report, f"sweep-resolution {builder} build at grid size {size}"):
+                stats = build(path, grid, config.noise, config.purify_model).stats()
+                report.rows.append(
+                    _row(
+                        experiment=config.kind,
+                        path_length=config.chain_nodes,
+                        grid_size=size,
+                        builder=builder,
+                        vertices=stats.num_vertices,
+                        edges=stats.num_edges,
+                        server_time_s=stats.build_time_s if config.record_timings else None,
+                    )
                 )
-            )
     return report
 
 
@@ -414,15 +429,16 @@ def _run_scale_path(config: ExperimentConfig) -> Report:
     for length in config.scale_path_lengths:
         lengths = [float(rng.uniform(lo, hi)) for _ in range(length - 1)]
         path = _chain(lengths, config.noise.f0, name=f"p{length}_")
-        hg = build_pruned_hypergraph(path, grid, config.noise, config.purify_model)
-        result = _lp_strategy("ec-dp", hg)
-        stats = hg.stats()
-        server_times.append(result.server_time_s)
-        solver_times.append(result.solver_time_s)
-        report.rows.append(_strategy_row(
-            config, result, path_length=length, builder="pruned",
-            vertices=stats.num_vertices, edges=stats.num_edges,
-        ))
+        with _instance(report, f"scale-path length {length}"):
+            hg = build_pruned_hypergraph(path, grid, config.noise, config.purify_model)
+            result = _lp_strategy("ec-dp", hg)
+            stats = hg.stats()
+            server_times.append(result.server_time_s)
+            solver_times.append(result.solver_time_s)
+            report.rows.append(_strategy_row(
+                config, result, path_length=length, builder="pruned",
+                vertices=stats.num_vertices, edges=stats.num_edges,
+            ))
     if config.record_timings:
         report.aggregates = {
             "server_time_s": _percentiles(server_times),
@@ -452,17 +468,19 @@ def _run_scale_network(config: ExperimentConfig) -> Report:
         planner = PlannerConfig(
             grid=grid, noise=config.noise, purify_model=config.purify_model
         )
-        cache = outer_loop_update(topo, demands, planner)
-        for s, d in demands:
-            entry = cache.entries[(s, d)]
-            result = inner_loop_request(cache, s, d)
-            server_times.append(entry.server_time_s)
-            solver_times.append(result.solver_time_s)
-            report.rows.append(_strategy_row(config, StrategyResult(
-                strategy="ec-dp", scheme=result.scheme, server_time_s=entry.server_time_s,
-                solver_time_s=result.solver_time_s, grid_size=config.grid_size, f_lb=None,
-                purify_model=config.purify_model,
-            ), fixture=size, s=s, d=d))
+        with _instance(report, f"scale-network outer loop at {size} nodes"):
+            cache = outer_loop_update(topo, demands, planner)
+            for s, d in demands:
+                with _instance(report, f"scale-network request ({s}, {d}) at {size} nodes"):
+                    entry = cache.entries[(s, d)]
+                    result = inner_loop_request(cache, s, d)
+                    server_times.append(entry.server_time_s)
+                    solver_times.append(result.solver_time_s)
+                    report.rows.append(_strategy_row(config, StrategyResult(
+                        strategy="ec-dp", scheme=result.scheme,
+                        server_time_s=entry.server_time_s, solver_time_s=result.solver_time_s,
+                        grid_size=config.grid_size, f_lb=None, purify_model=config.purify_model,
+                    ), fixture=size, s=s, d=d))
     if config.record_timings:
         report.aggregates = {
             "server_time_s": _percentiles(server_times),
@@ -488,14 +506,15 @@ def _run_intro_toy(config: ExperimentConfig) -> Report:
         ("max-capacity", "ec-dp", None),
     )
     for label, strategy, f_lb in objectives:
-        result = run_strategy(
-            strategy, path, grid,
-            f_lb if f_lb is not None else 0.87,
-            noise, config.purify_model,
-        )
-        report.rows.append(
-            _strategy_row(
-                config, result, fixture=label, path_length=INTRO_TOY_LINKS + 1
+        with _instance(report, f"intro-toy objective {label}"):
+            result = run_strategy(
+                strategy, path, grid,
+                f_lb if f_lb is not None else 0.87,
+                noise, config.purify_model,
             )
-        )
+            report.rows.append(
+                _strategy_row(
+                    config, result, fixture=label, path_length=INTRO_TOY_LINKS + 1
+                )
+            )
     return report

@@ -2,8 +2,8 @@
 
 Vertices are (node-pair, fidelity) link states plus a source and a sink;
 hyper-edges are start/swap/purify/end operations carrying LP rate
-variables. A hypergraph holds both once, in one table (``HypergraphColumns``)
-that every reader uses; vertex kinds and buckets, and the ``vertices`` and
+variables. A hypergraph is made from one table (``HypergraphColumns``) that
+holds both and that every reader uses; vertex kinds and buckets, and the
 ``edges`` records, are derived from it. Every hypergraph is checked when made.
 
 Two builders are provided: the standard builder enumerates the full
@@ -104,16 +104,6 @@ class FidelityGrid:
         return bisect_right(self.values, f) - 1
 
 
-class HyperVertex(NamedTuple):
-    """One vertex as a record, in the field order of a serialized vertex row."""
-
-    u: str
-    v: str
-    exact_fidelity: float
-    bucket: int  # grid round-down of exact_fidelity; -1 below the grid
-    kind: str  # source (vertex 0) | sink (vertex 1) | link
-
-
 class HyperEdge(NamedTuple):
     """One edge as a record, in the field order of a serialized edge row."""
 
@@ -175,12 +165,11 @@ def _by_column(edges: list[tuple]) -> dict:
 
 
 def _from_rows(vertex_rows, rows, grid: FidelityGrid) -> HypergraphColumns:
-    """Columns of vertex and edge rows in the serialized field order, from
-    a document or ``HyperVertex`` and ``HyperEdge`` records: the only place
-    records become columns. Rejected here is what the columns cannot hold
-    as given (an unknown op, an input count other than 1 or 2, a value of
-    the wrong type) and a kind or bucket other than the one the table
-    derives; the table's own rules are ``_check_columns``."""
+    """Columns of a document's vertex and edge rows, in the serialized field
+    order: the only place rows become columns. Rejected here is what the
+    columns cannot hold as given (an unknown op, an input count other than
+    1 or 2, a value of the wrong type) and a kind or bucket other than the
+    one the table derives; the table's own rules are ``_check_columns``."""
     if len(vertex_rows) < 2:
         raise HypergraphError("vertices must start with source and sink")
     nf = grid.resolution
@@ -223,16 +212,12 @@ BUILD_COUNTER = EventCounter()  # hypergraph builder invocations
 
 
 class Hypergraph:
-    """Immutable operation hypergraph. Index 0 is the source, 1 the sink.
-
-    ``edges`` is the table, which holds the vertices (``vertices`` is then
-    None), or edge rows in the serialized field order (such as ``HyperEdge``
-    records), which become the table with the vertex rows ``vertices``."""
+    """Immutable operation hypergraph made from its table ``columns``.
+    Index 0 is the source, 1 the sink."""
 
     def __init__(
         self,
-        vertices: list | None,
-        edges: HypergraphColumns | list,
+        columns: HypergraphColumns,
         grid: FidelityGrid,
         noise: NoiseParams,
         link_limits: dict[str, float],
@@ -241,9 +226,7 @@ class Hypergraph:
         purify_model: str,
         build_time_s: float = 0.0,
     ) -> None:
-        if vertices is not None:
-            edges = _from_rows(vertices, edges, grid)
-        self.columns = edges
+        self.columns = columns
         self.grid = grid
         self.noise = noise
         self.link_limits = dict(link_limits)
@@ -270,11 +253,6 @@ class Hypergraph:
             raise HypergraphError("hypergraph contains a cycle")
 
     @cached_property
-    def vertices(self) -> tuple[HyperVertex, ...]:
-        """The vertices as records, derived from the columns on first use."""
-        return tuple(map(HyperVertex._make, zip(*_vertex_fields(self.columns, self.grid))))
-
-    @cached_property
     def edges(self) -> tuple[HyperEdge, ...]:
         """The edges as records, derived from the columns on first use."""
         return tuple(map(HyperEdge._make, zip(*_edge_fields(self.columns))))
@@ -296,10 +274,6 @@ class Hypergraph:
             build_time_s=self.build_time_s,
         )
 
-    def end_edges(self) -> list[tuple[int, HyperEdge]]:
-        ends = np.flatnonzero(self.columns.op == OP_CODE["end"]).tolist()
-        return [(i, self.edges[i]) for i in ends]
-
     def to_json(self) -> dict:
         return {
             "version": SERIALIZATION_VERSION,
@@ -320,16 +294,16 @@ class Hypergraph:
         try:
             if doc["version"] != SERIALIZATION_VERSION:
                 raise HypergraphError(f"unsupported version {doc['version']!r}")
+            grid = FidelityGrid(tuple(doc["grid"]))
             return cls(
-                vertices=doc["vertices"],
-                edges=doc["edges"],
-                grid=FidelityGrid(tuple(doc["grid"])),
+                grid=grid,
                 noise=NoiseParams(**doc["noise"]),
                 link_limits=dict(doc["link_limits"]),
                 endpoints=tuple(doc["endpoints"]),
                 builder=doc["builder"],
                 purify_model=doc["purify_model"],
                 build_time_s=doc["build_time_s"],
+                columns=_from_rows(doc["vertices"], doc["edges"], grid),
             )
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, HypergraphError):
@@ -537,7 +511,7 @@ def build_standard_hypergraph(
     )
 
     return Hypergraph(
-        vertices=None, edges=_columns(vertices, keys, [starts, swaps, purifies, ends]),
+        columns=_columns(vertices, keys, [starts, swaps, purifies, ends]),
         grid=grid, noise=noise, link_limits=link_limits, endpoints=(nodes[0], nodes[-1]),
         builder="standard", purify_model=purify_model,
         build_time_s=time.perf_counter() - t0,
@@ -697,7 +671,7 @@ def build_pruned_hypergraph(
         edges.append((OP_CODE["end"], out, -1, SINK, 1.0, pair_capacity(f), r, -1))
 
     return Hypergraph(
-        vertices=None, edges=_columns(tuple(zip(*vertices)), keys, [_by_column(edges)]),
+        columns=_columns(tuple(zip(*vertices)), keys, [_by_column(edges)]),
         grid=grid, noise=noise, link_limits=link_limits, endpoints=(nodes[0], nodes[-1]),
         builder="pruned", purify_model=purify_model,
         build_time_s=time.perf_counter() - t0,
@@ -758,7 +732,7 @@ def synthesize_multipath(hypergraphs: list[Hypergraph]) -> Hypergraph:
             link_limits[key] = limit
 
     return Hypergraph(
-        vertices=None, edges=_columns((u, v, np.concatenate(fidelity)), keys, blocks),
+        columns=_columns((u, v, np.concatenate(fidelity)), keys, blocks),
         grid=first.grid, noise=first.noise, link_limits=link_limits, endpoints=first.endpoints,
         builder="synthesis", purify_model=first.purify_model,
         build_time_s=time.perf_counter() - t0,

@@ -190,7 +190,7 @@ def _load_hypergraph(doc: dict, config: PlannerConfig) -> Hypergraph:
                                   f"not an index into the {len(nodes)} nodes")
         columns[name] = tuple(map(nodes.__getitem__, columns[name].tolist()))
     return Hypergraph(
-        None, HypergraphColumns(**columns, link_keys=tuple(doc["link_keys"])), config.grid,
+        HypergraphColumns(**columns, link_keys=tuple(doc["link_keys"])), config.grid,
         config.noise, dict(doc["link_limits"]), tuple(doc["endpoints"]), doc["builder"],
         config.purify_model, doc["build_time_s"],
     )

@@ -114,14 +114,15 @@ def test_span_winners_follow_the_sequential_replacement_rule(cands):
 def test_pruned_build_invariants_on_random_chains(lengths, size, model):
     grid = FidelityGrid.uniform(size)
     hg = build_pruned_hypergraph(make_chain(lengths), grid, DEFAULT_NOISE, model)
-    verts = hg.vertices
-    for v in verts[2:]:
-        assert v.bucket == grid.round_down_index(v.exact_fidelity)
+    verts = hg.to_json()["vertices"]  # rows: u, v, exact_fidelity, bucket, kind
+    bucket = [row[3] for row in verts]
+    for _, _, f, b, _ in verts[2:]:
+        assert b == grid.round_down_index(f)
     # every link vertex is the output of exactly one start, swap or purify edge
     producer_rate = {e.output: e.rate_bound for e in hg.edges if e.op != "end"}
     assert sorted(producer_rate) == list(range(2, len(verts)))
     for e in hg.edges:
         if e.op == "purify":
-            assert all(verts[e.output].bucket > verts[i].bucket for i in e.inputs)
+            assert all(bucket[e.output] > bucket[i] for i in e.inputs)
         elif e.op == "swap":
             assert e.rate_bound == min(producer_rate[i] for i in e.inputs)

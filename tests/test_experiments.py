@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from entflow import lp
 from entflow.cli import main
 from entflow.experiments import (
     COLUMNS,
@@ -14,6 +15,7 @@ from entflow.experiments import (
     emit_report,
     run_experiment,
 )
+from entflow.lp import LPSolveError
 from entflow.physics import NoiseParams
 
 
@@ -43,6 +45,10 @@ def test_config_validation():
         ExperimentConfig(kind="benchmark", strategies=("bad",))
     with pytest.raises(ValueError):
         ExperimentConfig(kind="sweep-flb", f_lb_step=-0.1)
+    with pytest.raises(ValueError, match=r"^chain_nodes must be >= 2, got 1$"):
+        ExperimentConfig(kind="sweep-resolution", chain_nodes=1)
+    # a configuration error exits 2, before any instance runs
+    assert main(["run", "sweep-flb", "--chain-nodes", "1"]) == 2
 
 
 @pytest.mark.parametrize("f_lb", [0.5, 1.0, 1.5, 0.2, -0.9, float("nan")])
@@ -104,6 +110,22 @@ def test_scale_path_and_network():
     rep_net = run_experiment(_cfg("scale-network"))
     assert rep_net.failures == 0
     assert rep_net.aggregates
+
+
+@pytest.mark.parametrize(
+    "kind", ["benchmark", "sweep-flb", "scale-path", "scale-network", "intro-toy"]
+)
+def test_a_refused_lp_is_a_counted_failure(kind, monkeypatch, tmp_path):
+    def refuse(*args):
+        raise LPSolveError("not optimal: refused")
+
+    monkeypatch.setattr(lp, "_check_optimality", refuse)
+    assert run_experiment(_cfg(kind)).failures > 0
+    out = tmp_path / "report.json"
+    assert main(["run", kind, "--no-timings", "--topology-nodes", "30", "--pairs", "2",
+                 "--path-lengths", "3", "--grid-size", "8", "--repetitions", "1",
+                 "--chain-nodes", "3", "--out", str(out)]) == 3
+    assert json.loads(out.read_text())["failures"] > 0
 
 
 def test_intro_toy_objective_ordering():

@@ -25,6 +25,7 @@ from scipy.optimize import OptimizeWarning, linprog
 from conftest import make_chain, make_topology
 from entflow import lp
 from entflow.hypergraph import (
+    OP_CODE,
     FidelityGrid,
     build_pruned_hypergraph,
     build_standard_hypergraph,
@@ -241,7 +242,7 @@ def test_every_end_edge_forced_to_zero(backend):
     hg = build_pruned_hypergraph(make_chain([70.0, 70.0]), FidelityGrid.uniform(10),
                                  DEFAULT_NOISE)
     problem = formulate_lp(hg, "end-rate", f_lb=1.0)
-    assert problem.forced_zero == {i for i, _ in hg.end_edges()}
+    assert problem.forced_zero == set(np.flatnonzero(hg.columns.op == OP_CODE["end"]).tolist())
     solution = solve_lp(problem, method="highs")
     assert solution.objective_value == 0.0
     assert extract_scheme(hg, solution) == EMPTY_SCHEME

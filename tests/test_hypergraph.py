@@ -1,7 +1,7 @@
 """Tests for the operation-hypergraph builders and serialization."""
 
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -15,11 +15,10 @@ from entflow.hypergraph import (
     SINK,
     SOURCE,
     FidelityGrid,
-    HyperEdge,
+    OP_CODE,
     Hypergraph,
     HypergraphColumns,
     HypergraphError,
-    HyperVertex,
     best_dp_estimate,
     build_pruned_hypergraph,
     build_standard_hypergraph,
@@ -87,17 +86,16 @@ def test_pruned_rate_propagation_is_exact():
     topo = Topology(["x0", "x1", "x2"], [e1, e2])
     path = topo.path_from_nodes(["x0", "x1", "x2"])
     hg = build_pruned_hypergraph(path, FidelityGrid.uniform(4), DEFAULT_NOISE)
-    ends = hg.end_edges()
+    cols = hg.columns
+    ends = np.flatnonzero(cols.op == OP_CODE["end"])
     assert len(ends) == 1
-    _, edge = ends[0]
-    vertex = hg.vertices[edge.inputs[0]]
-    assert edge.rate_bound == min(link_egr(e1), link_egr(e2))
-    assert vertex.exact_fidelity == pytest.approx(swap_fidelity(0.98, 0.98), rel=1e-12)
-    assert edge.capacity_coeff == pytest.approx(
-        pair_capacity(vertex.exact_fidelity), rel=1e-12
-    )
+    end = ends[0]
+    fidelity = cols.exact_fidelity[cols.input0[end]]
+    assert cols.rate_bound[end] == min(link_egr(e1), link_egr(e2))
+    assert fidelity == pytest.approx(swap_fidelity(0.98, 0.98), rel=1e-12)
+    assert cols.capacity_coeff[end] == pytest.approx(pair_capacity(fidelity), rel=1e-12)
     assert best_dp_estimate(hg) == pytest.approx(
-        edge.rate_bound * edge.capacity_coeff, rel=1e-12
+        cols.rate_bound[end] * cols.capacity_coeff[end], rel=1e-12
     )
 
 
@@ -119,39 +117,29 @@ def test_asymmetric_purify_model_builds():
     assert hg.stats().num_edges > 0
 
 
+def _cycle_document(buckets):
+    """A v1 document of four vertices on the pair (a, b), with ``buckets``,
+    and two purifications, 2 -> 3 and 3 -> 2, that form a cycle."""
+    kinds = ["source", "sink", "link", "link"]
+    vertices = [["a", "b", f, b, kind]
+                for f, b, kind in zip([0.0, 0.0, 0.9, 0.95], buckets, kinds)]
+    edges = [["purify", [2, 2], 3, 0.9, None, 0.0, None],
+             ["purify", [3, 3], 2, 0.9, None, 0.0, None]]
+    return {"version": 1, "builder": "standard", "purify_model": "ideal-dejmps",
+            "endpoints": ["a", "b"], "grid": list(FidelityGrid.uniform(2).values),
+            "noise": asdict(DEFAULT_NOISE), "link_limits": {}, "build_time_s": 0.0,
+            "vertices": vertices, "edges": edges}
+
+
 def test_cycle_detection():
-    grid = FidelityGrid.uniform(2)
-    vertices = [
-        HyperVertex("a", "b", 0.0, 0, "source"),
-        HyperVertex("a", "b", 0.0, 0, "sink"),
-        HyperVertex("a", "b", 0.9, 0, "link"),
-        HyperVertex("a", "b", 0.95, 1, "link"),
-    ]
-    edges = [
-        HyperEdge(op="purify", inputs=(2, 2), output=3, p_succ=0.9),
-        HyperEdge(op="purify", inputs=(3, 3), output=2, p_succ=0.9),
-    ]
     with pytest.raises(HypergraphError):
-        Hypergraph(vertices, edges, grid, DEFAULT_NOISE, {}, ("a", "b"),
-                   builder="standard", purify_model="ideal-dejmps")
+        Hypergraph.from_json(_cycle_document([0, 0, 0, 1]))
 
 
 def test_cycle_detection_on_consistent_vertex_rows():
     # the rows of test_cycle_detection with the buckets the grid derives
-    grid = FidelityGrid.uniform(2)
-    vertices = [
-        HyperVertex("a", "b", 0.0, -1, "source"),
-        HyperVertex("a", "b", 0.0, -1, "sink"),
-        HyperVertex("a", "b", 0.9, 0, "link"),
-        HyperVertex("a", "b", 0.95, 0, "link"),
-    ]
-    edges = [
-        HyperEdge(op="purify", inputs=(2, 2), output=3, p_succ=0.9),
-        HyperEdge(op="purify", inputs=(3, 3), output=2, p_succ=0.9),
-    ]
     with pytest.raises(HypergraphError, match="contains a cycle"):
-        Hypergraph(vertices, edges, grid, DEFAULT_NOISE, {}, ("a", "b"),
-                   builder="standard", purify_model="ideal-dejmps")
+        Hypergraph.from_json(_cycle_document([-1, -1, 0, 0]))
 
 
 def test_builds_synthesis_and_serialization_make_no_vertex_records():
@@ -165,24 +153,29 @@ def test_builds_synthesis_and_serialization_make_no_vertex_records():
     clones = [Hypergraph.from_json_text(hg.to_json_text()) for hg in built]
     for hg in built + clones:
         extract_scheme(hg, solve_lp(formulate_lp(hg, "ensemble-capacity")))
-        assert "vertices" not in hg.__dict__
-    # the view, once made, is the rows a document holds
-    assert [list(v) for v in merged.vertices] == merged.to_json()["vertices"]
-    assert [v.kind for v in merged.vertices[:3]] == ["source", "sink", "link"]
+
+
+def _assert_same_columns(hg, clone):
+    for field in fields(HypergraphColumns):
+        a, b = getattr(hg.columns, field.name), getattr(clone.columns, field.name)
+        if isinstance(a, np.ndarray):
+            # bytes compare NaN rate bounds too
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), field.name
+            assert not a.flags.writeable and not b.flags.writeable
+        else:
+            assert a == b
 
 
 def test_json_round_trip_is_lossless():
     path = make_chain([60.0, 80.0, 55.0], f0=0.97)
     hg = build_pruned_hypergraph(path, FidelityGrid.uniform(12), DEFAULT_NOISE)
     clone = Hypergraph.from_json_text(hg.to_json_text())
-    assert clone.vertices == hg.vertices
+    # Exact equality across text serialization, every column bit for bit.
+    _assert_same_columns(hg, clone)
     assert clone.edges == hg.edges
     assert clone.grid.values == hg.grid.values
     assert clone.link_limits == hg.link_limits
     assert clone.endpoints == hg.endpoints
-    # Exact float equality across text serialization.
-    for a, b in zip(hg.vertices, clone.vertices):
-        assert a.exact_fidelity == b.exact_fidelity
 
 
 def test_from_json_rejects_bad_version():
@@ -210,8 +203,9 @@ def test_synthesis_pools_shared_links_and_remaps():
         h1.stats().num_vertices + h2.stats().num_vertices - 2
     )
     assert set(merged.link_limits) == set(h1.link_limits) | set(h2.link_limits)
-    assert merged.vertices[SOURCE].kind == "source"
-    assert merged.vertices[SINK].kind == "sink"
+    cols = merged.columns
+    for vi in (SOURCE, SINK):  # the endpoints' pair at fidelity 0
+        assert (cols.u[vi], cols.v[vi], cols.exact_fidelity[vi]) == ("s", "d", 0.0)
     # Single-input synthesis is structurally identical to the input.
     solo = synthesize_multipath([h1])
     assert solo.stats().edges_by_op == h1.stats().edges_by_op
@@ -319,14 +313,9 @@ def _hypergraphs(draw):
 @given(_hypergraphs())
 def test_json_round_trip_keeps_the_columns_byte_for_byte(hg):
     clone = Hypergraph.from_json(json.loads(hg.to_json_text()))
-    for field in fields(HypergraphColumns):
-        a, b = getattr(hg.columns, field.name), getattr(clone.columns, field.name)
-        if isinstance(a, np.ndarray):
-            # bytes compare NaN rate bounds too
-            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), field.name
-            assert not a.flags.writeable and not b.flags.writeable
-        else:
-            assert a == b
+    _assert_same_columns(hg, clone)
+    for name in ("grid", "noise", "link_limits", "endpoints", "builder", "purify_model"):
+        assert getattr(clone, name) == getattr(hg, name), name
     assert clone.to_json_text() == hg.to_json_text()
     with pytest.raises(ValueError):
         clone.columns.rate_bound[:1] = 0.0

@@ -10,6 +10,8 @@ on the same model, counts the iterations of both runs and returns the
 dual answer, or raises the dual run's refusal.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from scipy.optimize import linprog
 
 from conftest import make_chain
 from entflow import lp
-from entflow.experiments import ExperimentConfig, run_experiment
+from entflow.experiments import ExperimentConfig, Report, run_experiment
 from entflow.hypergraph import FidelityGrid, build_pruned_hypergraph, build_standard_hypergraph
 from entflow.lp import (
     DUAL_SIMPLEX,
@@ -34,13 +36,17 @@ from entflow.physics import DEFAULT_NOISE, PURIFY_MODELS
 from entflow.topology import generate_gabriel
 
 
-def _sweep_flb_egr(fixture: int, f_lb: float) -> float:
-    """rate-lp end rate of one point of ``run sweep-flb --seed 3`` (6-node
+def _sweep_flb(fixture: int, f_lb: float) -> Report:
+    """rate-lp report of one point of ``run sweep-flb --seed 3`` (6-node
     chains, grid 100): the fixtures are drawn in order, so draw up to it."""
-    config = ExperimentConfig(kind="sweep-flb", seed=3, repetitions=fixture + 1,
-                              f_lb_start=f_lb, f_lb_stop=f_lb, strategies=("rate-lp",),
-                              record_timings=False)
-    rows = run_experiment(config).rows
+    return run_experiment(ExperimentConfig(
+        kind="sweep-flb", seed=3, repetitions=fixture + 1, f_lb_start=f_lb, f_lb_stop=f_lb,
+        strategies=("rate-lp",), record_timings=False,
+    ))
+
+
+def _sweep_flb_egr(fixture: int, f_lb: float) -> float:
+    rows = _sweep_flb(fixture, f_lb).rows
     return next(row["egr"] for row in rows if row["fixture"] == fixture)
 
 
@@ -52,10 +58,14 @@ def test_sweep_flb_points_reach_the_full_model_optimum(fixture, f_lb, optimum):
     assert _sweep_flb_egr(fixture, f_lb) == pytest.approx(optimum, rel=1e-9)
 
 
-def test_the_default_dual_tolerance_fails_the_certificate(monkeypatch):
+def test_the_default_dual_tolerance_fails_the_certificate(monkeypatch, caplog):
     monkeypatch.setitem(lp._HIGHS_OPTIONS, "dual_feasibility_tolerance", 1e-7)
-    with pytest.raises(LPSolveError, match=r"^not optimal: the gap bound .* edge r_\d+ has"):
-        _sweep_flb_egr(0, 0.975)
+    report = _sweep_flb(0, 0.975)
+    # the refused fixture is counted and logged, and gives no rows
+    assert (report.failures, report.rows) == (1, [])
+    [message] = [r.getMessage() for r in caplog.records if r.name == "entflow.experiments"]
+    assert re.match(r"sweep-flb fixture 0 failed: LPSolveError: not optimal: the gap bound "
+                    r".* edge r_\d+ has", message)
 
 
 def _full_optimum(problem):

@@ -16,7 +16,6 @@ from conftest import make_chain, make_topology
 from entflow.capacity import EnsembleSpec, ensemble_capacity
 from entflow.hypergraph import (
     FidelityGrid,
-    HyperEdge,
     Hypergraph,
     HypergraphError,
     build_pruned_hypergraph,
@@ -45,6 +44,7 @@ from entflow.physics import DEFAULT_NOISE, PURIFY_MODELS
 
 
 def _ref_formulate(hg, objective, f_lb):
+    vertices = hg.to_json()["vertices"]  # rows: u, v, exact_fidelity, bucket, kind
     n = len(hg.edges)
     c = np.zeros(n)
     forced = set()
@@ -53,12 +53,12 @@ def _ref_formulate(hg, objective, f_lb):
             continue
         if objective == "ensemble-capacity":
             c[ei] = e.capacity_coeff
-        elif hg.vertices[e.inputs[0]].exact_fidelity >= f_lb:
+        elif vertices[e.inputs[0]][2] >= f_lb:
             c[ei] = 1.0
         else:
             forced.add(ei)
     rows, rhs, names = [], [], []
-    per_vertex = {vi: {} for vi, v in enumerate(hg.vertices) if v.kind == "link"}
+    per_vertex = {vi: {} for vi, v in enumerate(vertices) if v[4] == "link"}
     for ei, e in enumerate(hg.edges):
         for vi in e.inputs:
             if vi in per_vertex:
@@ -109,7 +109,7 @@ def _ref_check(rows, rhs, x):
     return True
 
 
-def _ref_tree(hg, rates, producers, vertex, memo):
+def _ref_tree(hg, vertices, rates, producers, vertex, memo):
     if vertex in memo:
         return memo[vertex]
     memo[vertex] = "..."
@@ -119,16 +119,17 @@ def _ref_tree(hg, rates, producers, vertex, memo):
         return "?"
     e = hg.edges[max(cands, key=lambda k: (rates[k], -k))]
     if e.op == "start":
-        v = hg.vertices[vertex]
-        text = f"link({v.u}|{v.v})"
+        u, v = vertices[vertex][:2]
+        text = f"link({u}|{v})"
     else:
-        parts = [_ref_tree(hg, rates, producers, vi, memo) for vi in e.inputs]
+        parts = [_ref_tree(hg, vertices, rates, producers, vi, memo) for vi in e.inputs]
         text = f"{e.op}({', '.join(parts)})"
     memo[vertex] = text
     return text
 
 
 def _ref_extract(hg, rates):
+    vertices = hg.to_json()["vertices"]  # rows: u, v, exact_fidelity, bucket, kind
     entries, protocols, producers, memo = [], [], {}, {}
     for ei, e in enumerate(hg.edges):
         producers.setdefault(e.output, []).append(ei)
@@ -142,10 +143,10 @@ def _ref_extract(hg, rates):
         elif e.op == "purify":
             pur_rate += r
         elif e.op == "end":
-            f = hg.vertices[e.inputs[0]].exact_fidelity
+            f = vertices[e.inputs[0]][2]
             entries.append((f, r))
-            protocols.append(ProtocolFlow(
-                fidelity=f, rate=r, tree=_ref_tree(hg, rates, producers, e.inputs[0], memo)))
+            protocols.append(ProtocolFlow(fidelity=f, rate=r, tree=_ref_tree(
+                hg, vertices, rates, producers, e.inputs[0], memo)))
     egr = sum(r for _, r in entries)
     if egr <= 0.0:
         return EMPTY_SCHEME
@@ -261,9 +262,11 @@ def test_matvec_check_agrees_with_row_by_row_check(seed):
 
 def test_columns_reject_edges_outside_the_op_vocabulary():
     hg = build_pruned_hypergraph(make_chain([50.0]), FidelityGrid.uniform(4), DEFAULT_NOISE)
-    for bad in (HyperEdge(op="teleport", inputs=(2,), output=1),
-                HyperEdge(op="end", inputs=(2, 2, 2), output=1)):
+    # edge rows: op, inputs, output, p_succ, link_key, capacity_coeff, rate_bound
+    for bad in (["teleport", [2], 1, 1.0, None, 0.0, None],
+                ["end", [2, 2, 2], 1, 1.0, None, 0.0, None]):
+        doc = hg.to_json()
+        doc["edges"].append(bad)
         with pytest.raises(HypergraphError):
-            odd = Hypergraph(list(hg.vertices), [*hg.edges, bad], hg.grid, hg.noise,
-                             hg.link_limits, hg.endpoints, hg.builder, hg.purify_model)
+            odd = Hypergraph.from_json(doc)
             formulate_lp(odd, "ensemble-capacity")
