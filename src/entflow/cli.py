@@ -10,7 +10,9 @@ Exit codes: 0 success, 2 configuration error, 3 completed with skipped
 instances. --seed is taken by run and topo gen, --f-lb by run only;
 run, cache build and oracle take --grid-size and --purify-model. The
 oracle's --grid-size defaults to its largest grid, 6 values, and a larger
-value exits 2, as do --max-ensembles below 1 and --f-lb outside (0.5, 1).
+value exits 2, as do --max-ensembles below 1, --f-lb outside (0.5, 1) and
+--topology, --topology-nodes or --path-lengths on run scale-path or
+scale-network, which set their own sizes.
 """
 
 from __future__ import annotations
@@ -104,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run an experiment and emit a report")
     run.add_argument("kind", choices=EXPERIMENT_KINDS)
     run.add_argument("--topology", default=None)
-    run.add_argument("--topology-nodes", type=int, default=100)
+    run.add_argument("--topology-nodes", type=int,
+                     help=f"default {ExperimentConfig.topology_nodes}")
     run.add_argument("--strategies", default=",".join(STRATEGY_NAMES))
     run.add_argument("--format", choices=("json", "csv"), default="json")
     run.add_argument("--pairs", type=int, default=10)
@@ -166,7 +169,13 @@ def _cmd_topo(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.kind in ("scale-path", "scale-network"):  # each sets its own sizes
+        for option in ("topology", "topology_nodes", "path_lengths"):
+            if getattr(args, option) is not None:
+                raise ValueError(f"run {args.kind} takes no --{option.replace('_', '-')}")
     kwargs = {}
+    if args.topology_nodes is not None:
+        kwargs["topology_nodes"] = args.topology_nodes
     if args.path_lengths:
         kwargs["path_lengths"] = tuple(int(x) for x in args.path_lengths.split(","))
     if args.grid_sizes:
@@ -175,7 +184,6 @@ def _cmd_run(args) -> int:
         kind=args.kind,
         seed=args.seed,
         topology_path=args.topology,
-        topology_nodes=args.topology_nodes,
         pairs_per_length=args.pairs,
         grid_size=args.grid_size,
         f_lb=args.f_lb,

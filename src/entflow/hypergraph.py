@@ -51,6 +51,7 @@ SOURCE = 0
 SINK = 1
 
 SERIALIZATION_VERSION = 1
+_SWEEP_SLACK = 1e-12  # far above the DEJMPS kernel's float error (~3e-16); see _purify_sweep
 
 OP_NAMES = ("start", "swap", "purify", "end")  # per HypergraphColumns.op code
 OP_CODE = {op: code for code, op in enumerate(OP_NAMES)}
@@ -240,9 +241,15 @@ class Hypergraph:
 
     def _check_acyclic(self) -> None:
         """Reject cycles: in the vertex -> edge -> vertex digraph (vertices
-        first, then edges) every strongly connected component is one node."""
+        first, then edges) every strongly connected component is one node.
+        The search is skipped when, with the sink ranked last (as n), every
+        edge's inputs rank below its output, as in pruned and synthesized
+        tables: 0, 2, ..., n - 1, 1 is then a topological order."""
         cols = self.columns
         n, m = len(cols.exact_fidelity), len(cols.op)
+        rank = [np.where(v == SINK, n, v) for v in (cols.input0, cols.input1, cols.output)]
+        if (np.maximum(rank[0], rank[1]) < rank[2]).all():
+            return
         edge_nodes = n + np.arange(m)
         two = cols.input1 >= 0
         tail = np.concatenate([cols.input0, cols.input1[two], edge_nodes])
@@ -529,7 +536,10 @@ def _purify_sweep(
     in a strictly higher bucket than both inputs, so a single ascending pass
     over the occupied buckets also captures cascaded purification: a bucket
     filled during the sweep is inserted ahead of the cursor, and every
-    bucket behind it is final.
+    bucket behind it is final. A row scans partners from the cursor down,
+    and under ideal DEJMPS stops at the first output over ``_SWEEP_SLACK``
+    below the next bucket: d f'/d f2 has numerator 42 f1 - 12 f1^2 - 3 >=
+    6.75 on [1/4, 1]. As-printed calls can each clamp, so they never stop.
     """
     ideal = purify_model == "ideal-dejmps"
     vals = grid.values
@@ -541,13 +551,20 @@ def _purify_sweep(
         up = vals[k + 1] if k + 1 < len(vals) else math.inf  # bottom of the next bucket
         if ideal:
             _check_fidelity("f1", f_hi)  # every low was a high before
-        for k1, f_lo, r_lo in zip(occupied[: pos + 1], fid, rate):
-            f_new, p = dejmps(f_hi, f_lo) if ideal else purify(f_hi, f_lo, noise, purify_model)
+        floor = up - _SWEEP_SLACK if ideal else -math.inf
+        row = []
+        for j in range(pos, -1, -1):  # partners from the cursor down
+            f_new, p = dejmps(f_hi, fid[j]) if ideal else purify(f_hi, fid[j], noise, purify_model)
+            if f_new < floor:
+                break  # and so would every lower partner
+            row.append((j, f_new, p))
+        for j, f_new, p in reversed(row):  # inserts land above the cursor, not at j
             if f_new < up:
                 continue  # must move up a bucket or the DAG order breaks
+            k1 = occupied[j]
             kn = bisect_right(vals, f_new) - 1
             # both inputs drawn from one pool: half are attempts
-            r_new = (0.5 * r_hi if k1 == k else min(r_hi, r_lo)) * p
+            r_new = (0.5 * r_hi if k1 == k else min(r_hi, rate[j])) * p
             inc = block.get(kn)
             if inc is not None and (r_new < inc[1] or (r_new == inc[1] and f_new <= inc[0])):
                 continue  # not strictly better: the incumbent stays

@@ -1,17 +1,30 @@
 """Property tests for the pruned builder's grid rounding, DEJMPS kernel and output."""
 
+import math
+from bisect import bisect_left, bisect_right
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_chain
-from entflow.hypergraph import FidelityGrid, _purify_table, _span_winners, build_pruned_hypergraph
+from entflow.hypergraph import (
+    _SWEEP_SLACK,
+    OP_CODE,
+    FidelityGrid,
+    _purify_sweep,
+    _purify_table,
+    _span_winners,
+    build_pruned_hypergraph,
+)
 from entflow.physics import (
     CLAMP_EVENTS,
     DEFAULT_NOISE,
     PURIFY_MODELS,
     NoiseParams,
+    _check_fidelity,
     dejmps,
     ideal_dejmps,
     purify,
@@ -126,3 +139,131 @@ def test_pruned_build_invariants_on_random_chains(lengths, size, model):
             assert all(bucket[e.output] > bucket[i] for i in e.inputs)
         elif e.op == "swap":
             assert e.rate_bound == min(producer_rate[i] for i in e.inputs)
+
+
+def _full_scan_sweep(block, grid, noise, purify_model):
+    """The purification sweep as it was before rows stopped early: every
+    row tries every partner at or below the cursor, in ascending order."""
+    ideal = purify_model == "ideal-dejmps"
+    vals = grid.values
+    occupied = sorted(block)
+    fid, rate = [block[k][0] for k in occupied], [block[k][1] for k in occupied]
+    pos = 0
+    while pos < len(occupied):
+        k, f_hi, r_hi = occupied[pos], fid[pos], rate[pos]
+        up = vals[k + 1] if k + 1 < len(vals) else math.inf
+        if ideal:
+            _check_fidelity("f1", f_hi)
+        for k1, f_lo, r_lo in zip(occupied[: pos + 1], fid, rate):
+            f_new, p = dejmps(f_hi, f_lo) if ideal else purify(f_hi, f_lo, noise, purify_model)
+            if f_new < up:
+                continue
+            kn = bisect_right(vals, f_new) - 1
+            r_new = (0.5 * r_hi if k1 == k else min(r_hi, r_lo)) * p
+            inc = block.get(kn)
+            if inc is not None and (r_new < inc[1] or (r_new == inc[1] and f_new <= inc[0])):
+                continue
+            at = bisect_left(occupied, kn)
+            if inc is None:
+                occupied.insert(at, kn)
+                fid.insert(at, f_new)
+                rate.insert(at, r_new)
+            else:
+                fid[at], rate[at] = f_new, r_new
+            block[kn] = (f_new, r_new, OP_CODE["purify"], k, k1, p, -1)
+        pos += 1
+
+
+def _aimed_partner(f1, target):
+    """The f2 whose ideal DEJMPS output with f1 is ``target``: the map is a
+    ratio of two functions linear in f2."""
+    a = (2 * f1 - (1 - f1) * 2 / 3) / 3  # the success probability's slope in f2
+    b = f1 / 3 + 5 * (1 - f1) / 9
+    c, d = f1 - (1 - f1) / 9, (1 - f1) / 9  # the numerator's slope and intercept
+    return (d - target * b) / (target * a - c)
+
+
+def _ulps(f, n):
+    """``f`` moved ``n`` floats up (or down, for a negative ``n``)."""
+    for _ in range(abs(n)):
+        f = np.nextafter(f, math.copysign(math.inf, n))
+    return float(f)
+
+
+@st.composite
+def _sweep_blocks(draw):
+    """A grid and a node-pair block of swap incumbents, each fidelity in its
+    bucket. The fidelities sit within a few ulps of a grid value g; some
+    blocks add the float below g and a row whose ideal DEJMPS output with g
+    is the last float below the bottom of the next bucket up: there the
+    kernel's ulp-level wobble meets the early stop."""
+    grid = FidelityGrid.uniform(draw(st.integers(min_value=2, max_value=40)))
+    vals = grid.values
+    fids = {}
+
+    def put(f):
+        k = grid.round_down_index(f)
+        if k >= 0 and k not in fids and f <= 1.0:
+            fids[k] = f
+
+    for g in draw(st.lists(st.sampled_from(vals), min_size=1, max_size=6)):
+        rows = [k for k in range(grid.round_down_index(g) + 1, len(vals) - 1)
+                if grid.round_down_index(_aimed_partner(g, vals[k + 1])) == k]
+        if rows:
+            up = vals[draw(st.sampled_from(rows)) + 1]
+            near = (_ulps(_aimed_partner(g, up), n) for n in range(-8, 9))
+            put(max((f for f in near if dejmps(f, g)[0] < up), default=-1.0))
+            put(g)
+            put(_ulps(g, -1))
+        else:
+            put(_ulps(g, draw(st.integers(-3, 3))))
+    rates = st.sampled_from([0.25, 0.5, 1.0])  # a small set, so that rates tie
+    block = {k: (f, draw(rates), OP_CODE["swap"], 0, 1, 1.0, -1) for k, f in fids.items()}
+    return grid, block
+
+
+# a block on which a row that stopped at the first output below the next
+# bucket, with no slack, would miss a purification: with bucket 9's
+# incumbent, partner 8 at 11/14 gives an output a float below 6/7, the
+# bottom of bucket 10, and partner 7, a float below 11/14, gives 6/7
+_STRADDLE = (FidelityGrid.uniform(15), {
+    7: (float.fromhex("0x1.9249249249248p-1"), 1.0, OP_CODE["swap"], 0, 1, 1.0, -1),
+    8: (float.fromhex("0x1.9249249249249p-1"), 1.0, OP_CODE["swap"], 0, 1, 1.0, -1),
+    9: (float.fromhex("0x1.b627627627626p-1"), 1.0, OP_CODE["swap"], 0, 1, 1.0, -1),
+})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sweep_blocks(), st.sampled_from(PURIFY_MODELS),
+       st.builds(NoiseParams, p2=unit, eta=unit))
+@example(_STRADDLE, "ideal-dejmps", DEFAULT_NOISE)
+def test_purify_sweep_equals_the_full_scan(case, model, noise):
+    # the early stop skips only partners that cannot lift a bucket: the same
+    # incumbents, bit for bit and in the same insertion order (which numbers
+    # the vertices), and the same clamp events
+    grid, block = case[0], dict(case[1])
+    expected = dict(block)
+    CLAMP_EVENTS.reset()
+    _full_scan_sweep(expected, grid, noise, model)
+    full_scan_clamps = CLAMP_EVENTS.count
+    CLAMP_EVENTS.reset()
+    _purify_sweep(block, grid, noise, model)
+    assert list(block.items()) == list(expected.items())
+    assert CLAMP_EVENTS.count == full_scan_clamps
+
+
+def _exact_dejmps(f1, f2):
+    f1, f2 = Fraction(f1), Fraction(f2)
+    p = f1 * f2 + f1 * (1 - f2) / 3 + f2 * (1 - f1) / 3 + 5 * (1 - f1) * (1 - f2) / 9
+    return (f1 * f2 + (1 - f1) * (1 - f2) / 9) / p
+
+
+@given(fidelities, fidelities, fidelities)
+def test_dejmps_output_rises_with_the_partner_within_half_the_slack(f1, f2, f2_up):
+    # the premise of the sweep's early stop: the exact map rises with f2 on
+    # [1/4, 1], and the float kernel is that map to well under the slack
+    f2, f2_up = sorted((f2, f2_up))
+    assert dejmps(f1, f2)[0] <= dejmps(f1, f2_up)[0] + _SWEEP_SLACK / 2
+    assert _exact_dejmps(f1, f2) <= _exact_dejmps(f1, f2_up)
+    for f in (f2, f2_up):
+        assert abs(Fraction(dejmps(f1, f)[0]) - _exact_dejmps(f1, f)) <= 1e-15

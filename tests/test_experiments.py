@@ -122,10 +122,28 @@ def test_a_refused_lp_is_a_counted_failure(kind, monkeypatch, tmp_path):
     monkeypatch.setattr(lp, "_check_optimality", refuse)
     assert run_experiment(_cfg(kind)).failures > 0
     out = tmp_path / "report.json"
-    assert main(["run", kind, "--no-timings", "--topology-nodes", "30", "--pairs", "2",
-                 "--path-lengths", "3", "--grid-size", "8", "--repetitions", "1",
-                 "--chain-nodes", "3", "--out", str(out)]) == 3
+    # the scale kinds set their own sizes and refuse these options
+    sizes = [] if kind.startswith("scale-") else ["--topology-nodes", "30", "--path-lengths", "3"]
+    assert main(["run", kind, "--no-timings", *sizes, "--pairs", "2", "--grid-size", "8",
+                 "--repetitions", "1", "--chain-nodes", "3", "--out", str(out)]) == 3
     assert json.loads(out.read_text())["failures"] > 0
+
+
+@pytest.mark.parametrize("option", [["--topology-nodes", "30"], ["--path-lengths", "3,4"],
+                                    ["--topology", "topo.json"]])
+@pytest.mark.parametrize("kind", ["scale-path", "scale-network"])
+def test_scale_kinds_refuse_the_sizes_they_do_not_use(kind, option, capsys):
+    # scale-path runs its own path lengths and scale-network its own
+    # topologies; an option they would ignore exits 2 and is named
+    assert main(["run", kind, "--no-timings", *option]) == 2
+    assert capsys.readouterr().err == f"error: run {kind} takes no {option[0]}\n"
+
+
+def test_run_records_the_default_topology_nodes(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["run", "intro-toy", "--no-timings", "--grid-size", "8",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["topology_nodes"] == 100
 
 
 def test_intro_toy_objective_ordering():

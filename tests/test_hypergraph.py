@@ -1,12 +1,15 @@
 """Tests for the operation-hypergraph builders and serialization."""
 
 import json
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
+from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from conftest import make_chain, make_topology
 from entflow.capacity import pair_capacity
@@ -25,6 +28,7 @@ from entflow.hypergraph import (
     synthesize_multipath,
 )
 from entflow.lp import extract_scheme, formulate_lp, solve_lp
+from entflow.orchestrator import PlannerConfig, load_cache, outer_loop_update, save_cache
 from entflow.physics import DEFAULT_NOISE, PURIFY_MODELS, swap_fidelity
 from entflow.topology import Edge, Topology, link_egr
 
@@ -140,6 +144,99 @@ def test_cycle_detection_on_consistent_vertex_rows():
     # the rows of test_cycle_detection with the buckets the grid derives
     with pytest.raises(HypergraphError, match="contains a cycle"):
         Hypergraph.from_json(_cycle_document([-1, -1, 0, 0]))
+
+
+def _has_cycle(n, input0, input1, output):
+    """Kahn's algorithm on the vertex digraph, each input to its edge's output."""
+    arcs = [(i, o) for i0, i1, o in zip(input0, input1, output) for i in (i0, i1) if i >= 0]
+    indegree = [0] * n
+    for _, o in arcs:
+        indegree[o] += 1
+    ready = [v for v in range(n) if indegree[v] == 0]
+    done = 0
+    while ready:
+        v = ready.pop()
+        done += 1
+        for i, o in arcs:
+            if i == v:
+                indegree[o] -= 1
+                if indegree[o] == 0:
+                    ready.append(o)
+    return done < n
+
+
+@st.composite
+def _small_tables(draw):
+    """Vertex count and (input0, input1, output) of a few edges, drawn by
+    rank in the order 0, 2, ..., n - 1, 1, mostly with inputs ranked below
+    the output, so that many tables are numbered topologically and some not."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    vertex = [SOURCE, *range(2, n), SINK]  # by rank
+    ranks = st.integers(0, n - 1)
+    edges = []
+    for _ in range(draw(st.integers(0, 8))):
+        out = draw(ranks)
+        below = st.integers(0, out - 1) if out and draw(st.integers(0, 5)) else ranks
+        in1 = draw(below) if draw(st.booleans()) else None
+        edges.append((vertex[draw(below)], -1 if in1 is None else vertex[in1], vertex[out]))
+    return n, np.array(edges, np.int64).reshape(-1, 3).T
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_tables())
+def test_acyclic_short_path_agrees_with_the_component_search(table):
+    # the search runs exactly when some edge does not rank its inputs below
+    # its output (the sink ranked last), and either way a table is refused
+    # exactly when it has a cycle
+    n, (input0, input1, output) = table
+    rank = [0, n - 1, *range(1, n - 1)]  # by vertex
+    numbered = all(rank[i] < rank[o] for i0, i1, o in zip(input0, input1, output)
+                   for i in (i0, i1) if i >= 0)
+    cols = SimpleNamespace(input0=input0, input1=input1, output=output,
+                           exact_fidelity=np.zeros(n), op=np.zeros(len(output), np.int8))
+    with patch("entflow.hypergraph.connected_components", wraps=connected_components) as scc:
+        try:
+            Hypergraph._check_acyclic(SimpleNamespace(columns=cols))
+            refused = False
+        except HypergraphError as exc:
+            assert str(exc) == "hypergraph contains a cycle"
+            refused = True
+    assert scc.called == (not numbered)
+    assert refused == _has_cycle(n, input0.tolist(), input1.tolist(), output.tolist())
+
+
+def test_one_back_edge_in_a_numbered_table_is_a_cycle():
+    hg = build_pruned_hypergraph(make_chain([40.0, 60.0, 50.0]), FidelityGrid.uniform(10),
+                                 DEFAULT_NOISE)
+    cols = hg.columns
+    swap = np.flatnonzero(cols.op == OP_CODE["swap"])[0]
+    low, high = cols.input0[swap], cols.output[swap]
+    back = {"op": OP_CODE["purify"], "input0": high, "input1": high, "output": low,
+            "p_succ": 0.9, "capacity_coeff": 0.0, "rate_bound": np.nan, "link": -1}
+    looped = replace(cols, **{name: np.append(getattr(cols, name), value)
+                              for name, value in back.items()})
+    with pytest.raises(HypergraphError, match="^hypergraph contains a cycle$"):
+        Hypergraph(looped, hg.grid, hg.noise, hg.link_limits, hg.endpoints, hg.builder,
+                   hg.purify_model)
+
+
+@pytest.mark.parametrize("model", PURIFY_MODELS)
+def test_pruned_and_synthesized_tables_are_numbered_topologically(model):
+    # they, their documents and a planner cache of them are accepted without
+    # the component search, which the standard lattice still needs
+    grid = FidelityGrid.uniform(20)
+    topo = make_topology([("s", "a", 50.0), ("a", "d", 60.0), ("s", "b", 70.0), ("b", "d", 40.0),
+                          ("a", "b", 30.0)])
+    paths = [topo.path_from_nodes(list(p)) for p in _DIAMOND_PATHS]
+    config = PlannerConfig(n_candidates=3, k_keep=2, grid=grid, purify_model=model)
+    with patch("entflow.hypergraph.connected_components",
+               side_effect=AssertionError("component search")):
+        pruned = [build_pruned_hypergraph(p, grid, DEFAULT_NOISE, model) for p in paths]
+        for hg in [*pruned, synthesize_multipath(pruned)]:
+            Hypergraph.from_json_text(hg.to_json_text())
+        load_cache(save_cache(outer_loop_update(topo, [("s", "d")], config)))
+        with pytest.raises(AssertionError, match="component search"):
+            build_standard_hypergraph(paths[0], grid, DEFAULT_NOISE, model)
 
 
 def test_builds_synthesis_and_serialization_make_no_vertex_records():
