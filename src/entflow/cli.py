@@ -11,8 +11,8 @@ instances. --seed is taken by run and topo gen, --f-lb by run only;
 run, cache build and oracle take --grid-size and --purify-model. The
 oracle's --grid-size defaults to its largest grid, 6 values, and a larger
 value exits 2, as do --max-ensembles below 1, --f-lb outside (0.5, 1) and
---topology, --topology-nodes or --path-lengths on run scale-path or
-scale-network, which set their own sizes.
+--topology, --topology-nodes or --path-lengths on any run kind but
+benchmark, the only one that reads them.
 """
 
 from __future__ import annotations
@@ -169,10 +169,9 @@ def _cmd_topo(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.kind in ("scale-path", "scale-network"):  # each sets its own sizes
-        for option in ("topology", "topology_nodes", "path_lengths"):
-            if getattr(args, option) is not None:
-                raise ValueError(f"run {args.kind} takes no --{option.replace('_', '-')}")
+    for option in ("topology", "topology_nodes", "path_lengths"):  # read by benchmark only
+        if args.kind != "benchmark" and getattr(args, option) is not None:
+            raise ValueError(f"run {args.kind} takes no --{option.replace('_', '-')}")
     kwargs = {}
     if args.topology_nodes is not None:
         kwargs["topology_nodes"] = args.topology_nodes

@@ -5,6 +5,8 @@ hyper-edges are start/swap/purify/end operations carrying LP rate
 variables. A hypergraph is made from one table (``HypergraphColumns``) that
 holds both and that every reader uses; vertex kinds and buckets, and the
 ``edges`` records, are derived from it. Every hypergraph is checked when made.
+Its one JSON document (``Hypergraph.to_json``) holds the table as base64
+columns; a planner cache stores each entry as such a document.
 
 Two builders are provided: the standard builder enumerates the full
 discretized lattice (edge count grows as |V|^3 |F|^2), and the pruned
@@ -16,7 +18,7 @@ while pooling generation limits of shared physical links.
 
 from __future__ import annotations
 
-import json
+import base64
 import math
 import time
 from bisect import bisect_left, bisect_right
@@ -50,7 +52,6 @@ if TYPE_CHECKING:
 SOURCE = 0
 SINK = 1
 
-SERIALIZATION_VERSION = 1
 _SWEEP_SLACK = 1e-12  # far above the DEJMPS kernel's float error (~3e-16); see _purify_sweep
 
 OP_NAMES = ("start", "swap", "purify", "end")  # per HypergraphColumns.op code
@@ -60,6 +61,14 @@ _EDGE_DTYPES = {  # the per-edge columns of HypergraphColumns
     "op": np.int8, "input0": np.int64, "input1": np.int64, "output": np.int64, "p_succ": float,
     "capacity_coeff": float, "rate_bound": float, "link": np.int64,
 }
+
+DOCUMENT_VERSION = 2  # of Hypergraph.to_json and of a planner cache, which holds such documents
+# each HypergraphColumns array in a document, base64 of its bytes in this
+# dtype; u and v index the document's sorted node names
+DOCUMENT_COLUMNS = {name: np.dtype(code) for name, code in (
+    ("op", "<i1"), ("input0", "<i8"), ("input1", "<i8"), ("output", "<i8"), ("p_succ", "<f8"),
+    ("capacity_coeff", "<f8"), ("rate_bound", "<f8"), ("link", "<i8"), ("exact_fidelity", "<f8"),
+    ("u", "<i4"), ("v", "<i4"))}
 
 
 class HypergraphError(ValueError):
@@ -106,7 +115,7 @@ class FidelityGrid:
 
 
 class HyperEdge(NamedTuple):
-    """One edge as a record, in the field order of a serialized edge row."""
+    """One edge as a record, derived from the columns."""
 
     op: str  # start | swap | purify | end
     inputs: tuple[int, ...]
@@ -163,50 +172,6 @@ def _columns(vertices: tuple, link_keys: list, blocks: list) -> HypergraphColumn
 def _by_column(edges: list[tuple]) -> dict:
     """The block of per-edge tuples in ``_EDGE_DTYPES`` order."""
     return dict(zip(_EDGE_DTYPES, zip(*edges))) if edges else dict.fromkeys(_EDGE_DTYPES, ())
-
-
-def _from_rows(vertex_rows, rows, grid: FidelityGrid) -> HypergraphColumns:
-    """Columns of a document's vertex and edge rows, in the serialized field
-    order: the only place rows become columns. Rejected here is what the
-    columns cannot hold as given (an unknown op, an input count other than
-    1 or 2, a value of the wrong type) and a kind or bucket other than the
-    one the table derives; the table's own rules are ``_check_columns``."""
-    if len(vertex_rows) < 2:
-        raise HypergraphError("vertices must start with source and sink")
-    nf = grid.resolution
-    for vi, (u, v, f, b, kind) in enumerate(vertex_rows):
-        if kind != ("source", "sink", "link")[min(vi, 2)]:
-            raise HypergraphError(f"vertex {vi}: kind {kind!r} is not 'link'" if vi >= 2
-                                  else "vertices must start with source and sink")
-        if isinstance(f, bool) or not isinstance(f, (int, float)):
-            raise HypergraphError(f"vertex {vi}: exact_fidelity {f!r} is not a real in [0, 1]")
-        if isinstance(b, bool) or not isinstance(b, int) or not -1 <= b < nf:
-            raise HypergraphError(f"vertex {vi}: bucket {b!r} is not an int in [-1, {nf})")
-        if 0.0 <= f <= 1.0 and b != grid.round_down_index(f):  # else _check_columns names f
-            raise HypergraphError(f"vertex {vi}: bucket {b} is not the round-down of {f!r}")
-    edges, keys = [], []
-    for ei, (op, inputs, output, p_succ, link_key, capacity_coeff, rate_bound) in enumerate(rows):
-        code = OP_CODE.get(op)
-        if code is None:
-            raise HypergraphError(f"edge {ei}: unknown op {op!r}")
-        if len(inputs) not in (1, 2):
-            raise HypergraphError(f"edge {ei}: {op} takes {_ARITY[code]} input(s), "
-                                  f"got {len(inputs)}")
-        for vi in (*inputs, output):
-            if not isinstance(vi, int) or isinstance(vi, bool):
-                raise HypergraphError(f"edge {ei}: vertex {vi!r} is not an index")
-        for name, x in (("p_succ", p_succ), ("capacity_coeff", capacity_coeff),
-                        ("rate_bound", 0.0 if rate_bound is None else rate_bound)):
-            if not isinstance(x, (int, float)) or isinstance(x, bool) or math.isnan(x):
-                raise HypergraphError(f"edge {ei}: {name} {x!r} is not a number")
-        keys.append(link_key)
-        edges.append((code, inputs[0], inputs[1] if len(inputs) == 2 else -1, output, p_succ,
-                      capacity_coeff, math.nan if rate_bound is None else rate_bound, -1))
-    link_keys = sorted({key for key in keys if key is not None})
-    link_of = {key: i for i, key in enumerate(link_keys)}
-    block = _by_column(edges)
-    block["link"] = [link_of.get(key, -1) for key in keys]
-    return _columns(tuple(zip(*vertex_rows))[:3], link_keys, [block])
 
 
 BUILD_COUNTER = EventCounter()  # hypergraph builder invocations
@@ -282,63 +247,58 @@ class Hypergraph:
         )
 
     def to_json(self) -> dict:
+        """The document: the grid, noise and purification model, then the
+        rest of the hypergraph, its table as base64 columns in the
+        ``DOCUMENT_COLUMNS`` dtypes with u and v as indices into ``nodes``."""
+        cols = self.columns
+        nodes = sorted({*cols.u, *cols.v})
+        index = {name: i for i, name in enumerate(nodes)}
+        arrays = {**vars(cols), "u": [index[n] for n in cols.u], "v": [index[n] for n in cols.v]}
         return {
-            "version": SERIALIZATION_VERSION,
-            "builder": self.builder,
-            "purify_model": self.purify_model,
-            "endpoints": list(self.endpoints),
-            "grid": list(self.grid.values),
-            "noise": asdict(self.noise),
-            "link_limits": self.link_limits,
-            "build_time_s": self.build_time_s,
-            "vertices": [list(row) for row in zip(*_vertex_fields(self.columns, self.grid))],
-            "edges": [[op, list(inputs), out, p, key, cap, rate]
-                      for op, inputs, out, p, key, cap, rate in zip(*_edge_fields(self.columns))],
+            "version": DOCUMENT_VERSION, "grid": list(self.grid.values),
+            "noise": asdict(self.noise), "purify_model": self.purify_model,
+            "builder": self.builder, "build_time_s": self.build_time_s,
+            "endpoints": list(self.endpoints), "link_limits": dict(self.link_limits),
+            "nodes": nodes, "link_keys": list(cols.link_keys),
+            "columns": {name: base64.b64encode(np.asarray(arrays[name], dtype).tobytes()).decode()
+                        for name, dtype in DOCUMENT_COLUMNS.items()},
         }
 
     @classmethod
     def from_json(cls, doc: dict) -> Hypergraph:
+        """The hypergraph of a ``to_json`` document, checked as every
+        hypergraph is; decoding rejects a column whose bytes are not whole
+        entries and a node index outside ``nodes``."""
         try:
-            if doc["version"] != SERIALIZATION_VERSION:
+            if doc["version"] != DOCUMENT_VERSION:
                 raise HypergraphError(f"unsupported version {doc['version']!r}")
-            grid = FidelityGrid(tuple(doc["grid"]))
+            nodes, columns = doc["nodes"], {}
+            for name, dtype in DOCUMENT_COLUMNS.items():
+                data = base64.b64decode(doc["columns"][name], validate=True)
+                if len(data) % dtype.itemsize:
+                    raise HypergraphError(f"column {name}: {len(data)} bytes, not a multiple of "
+                                          f"{dtype.itemsize}")
+                columns[name] = np.frombuffer(data, dtype)
+            for name in ("u", "v"):
+                bad = np.flatnonzero((columns[name] < 0) | (columns[name] >= len(nodes)))
+                if len(bad):
+                    raise HypergraphError(f"vertex {bad[0]}: {name} {columns[name][bad[0]].item()} "
+                                          f"is not an index into the {len(nodes)} nodes")
+                columns[name] = tuple(map(nodes.__getitem__, columns[name].tolist()))
             return cls(
-                grid=grid,
-                noise=NoiseParams(**doc["noise"]),
-                link_limits=dict(doc["link_limits"]),
-                endpoints=tuple(doc["endpoints"]),
-                builder=doc["builder"],
-                purify_model=doc["purify_model"],
-                build_time_s=doc["build_time_s"],
-                columns=_from_rows(doc["vertices"], doc["edges"], grid),
+                HypergraphColumns(**columns, link_keys=tuple(doc["link_keys"])),
+                FidelityGrid(tuple(doc["grid"])), NoiseParams(**doc["noise"]),
+                dict(doc["link_limits"]), tuple(doc["endpoints"]), doc["builder"],
+                doc["purify_model"], doc["build_time_s"],
             )
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, HypergraphError):
                 raise
             raise HypergraphError(f"corrupt hypergraph document: {exc}") from exc
 
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json())
-
-    @classmethod
-    def from_json_text(cls, text: str) -> Hypergraph:
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise HypergraphError(f"corrupt hypergraph document: {exc}") from exc
-        return cls.from_json(doc)
-
-
-def _vertex_fields(cols: HypergraphColumns, grid: FidelityGrid) -> list[list]:
-    """The serialized vertex fields (u, v, exact_fidelity, bucket, kind),
-    one list each; the bucket and kind are derived."""
-    bucket = np.searchsorted(grid.as_array(), cols.exact_fidelity, side="right") - 1
-    kind = ["source", "sink"] + ["link"] * (len(bucket) - 2)
-    return [list(cols.u), list(cols.v), cols.exact_fidelity.tolist(), bucket.tolist(), kind]
-
 
 def _edge_fields(cols: HypergraphColumns, ids=slice(None)) -> list[list]:
-    """The serialized edge fields (op, inputs, output, p_succ, link_key,
+    """The ``HyperEdge`` fields (op, inputs, output, p_succ, link_key,
     capacity_coeff, rate_bound), one list each, of all edges or ``ids``."""
     keys = (*cols.link_keys, None)  # a link of -1 reads None
     ops = cols.op[ids].tolist()

@@ -524,6 +524,14 @@ def solve_lp(problem: LPProblem, method: str = "highs") -> LPSolution:
     if problem.num_vars == 0:
         return LPSolution("optimal", 0.0, np.zeros(0), 0, method)
 
+    # HiGHS would read an infinite cost or rhs as a special value, and the
+    # tableau would carry it into its answer, not raise
+    bad = np.flatnonzero(~np.isfinite(problem.objective))
+    if len(bad):
+        raise LPError(f"objective coefficient of r_{int(bad[0])} is not finite")
+    bad = np.flatnonzero(~np.isfinite(problem.rhs))
+    if len(bad):
+        raise LPError(f"row {problem.row_names[int(bad[0])]}: rhs is not finite")
     forced = _forced_mask(problem)
     if method == "simplex":
         c, a = _problem_matrices(problem)
@@ -534,13 +542,6 @@ def solve_lp(problem: LPProblem, method: str = "highs") -> LPSolution:
         _check_solution(problem, x)
         return LPSolution("optimal", obj, x, iters, method)
 
-    # HiGHS would read an infinite cost or rhs as a special value, not as an error
-    bad = np.flatnonzero(~np.isfinite(problem.objective))
-    if len(bad):
-        raise LPError(f"objective coefficient of r_{int(bad[0])} is not finite")
-    bad = np.flatnonzero(~np.isfinite(problem.rhs))
-    if len(bad):
-        raise LPError(f"row {problem.row_names[int(bad[0])]}: rhs is not finite")
     c = np.where(forced, 0.0, problem.objective)
     upper = np.where(forced, 0.0, np.inf)
     iters = 0

@@ -5,24 +5,22 @@ each with a cheap dynamic-programming capacity estimate, keep the top K,
 synthesize their pruned hypergraphs into one cached model. The inner loop
 answers requests against that immutable cache: retrieve, solve the
 capacity LP, extract a scheme, all without constructing any hypergraph
-(instrumented and enforced).
+(instrumented and enforced). A saved cache holds the config once and each
+entry's hypergraph as its ``Hypergraph.to_json`` document less the keys the
+cache holds once.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields
 
-import numpy as np
-
 from .hypergraph import (
     BUILD_COUNTER,
+    DOCUMENT_VERSION,
     FidelityGrid,
     Hypergraph,
-    HypergraphColumns,
-    HypergraphError,
     best_dp_estimate,
     build_pruned_hypergraph,
     synthesize_multipath,
@@ -31,13 +29,8 @@ from .lp import EMPTY_SCHEME, DistributionScheme, extract_scheme, formulate_lp, 
 from .physics import DEFAULT_NOISE, PURIFY_MODELS, NoiseParams
 from .topology import PATH_WEIGHTS, Topology, k_shortest_paths
 
-CACHE_VERSION = 2
-# each stored HypergraphColumns array, base64 of its bytes in this dtype;
-# u and v index the entry's sorted node names
-CACHE_COLUMNS = {name: np.dtype(code) for name, code in (
-    ("op", "<i1"), ("input0", "<i8"), ("input1", "<i8"), ("output", "<i8"), ("p_succ", "<f8"),
-    ("capacity_coeff", "<f8"), ("rate_bound", "<f8"), ("link", "<i8"), ("exact_fidelity", "<f8"),
-    ("u", "<i4"), ("v", "<i4"))}
+# keys of a hypergraph document that a cache holds once, not per entry
+_HELD_ONCE = ("version", "grid", "noise", "purify_model")
 
 
 class CacheError(ValueError):
@@ -160,47 +153,21 @@ def inner_loop_request(cache: Cache, s: str, d: str) -> InnerResult:
 
 
 def _hypergraph_doc(demand: tuple[str, str], hg: Hypergraph, config: PlannerConfig) -> dict:
-    for name in ("grid", "noise", "purify_model"):  # stored once, in the config
+    for name in _HELD_ONCE[1:]:  # stored once, in the config
         if getattr(hg, name) != getattr(config, name):
             raise CacheError(f"entry {demand}: its hypergraph's {name} is not the config's")
-    cols = hg.columns
-    nodes = sorted({*cols.u, *cols.v})
-    index = {name: i for i, name in enumerate(nodes)}
-    arrays = {**vars(cols), "u": [index[n] for n in cols.u], "v": [index[n] for n in cols.v]}
-    return {
-        "builder": hg.builder, "build_time_s": hg.build_time_s, "endpoints": list(hg.endpoints),
-        "link_limits": hg.link_limits, "nodes": nodes, "link_keys": list(cols.link_keys),
-        "columns": {name: base64.b64encode(np.asarray(arrays[name], dtype).tobytes()).decode()
-                    for name, dtype in CACHE_COLUMNS.items()},
-    }
-
-
-def _load_hypergraph(doc: dict, config: PlannerConfig) -> Hypergraph:
-    nodes, columns = doc["nodes"], {}
-    for name, dtype in CACHE_COLUMNS.items():
-        data = base64.b64decode(doc["columns"][name], validate=True)
-        if len(data) % dtype.itemsize:
-            raise HypergraphError(f"column {name}: {len(data)} bytes, not a multiple of "
-                                  f"{dtype.itemsize}")
-        columns[name] = np.frombuffer(data, dtype)
-    for name in ("u", "v"):
-        bad = np.flatnonzero((columns[name] < 0) | (columns[name] >= len(nodes)))
-        if len(bad):
-            raise HypergraphError(f"vertex {bad[0]}: {name} {columns[name][bad[0]].item()} is "
-                                  f"not an index into the {len(nodes)} nodes")
-        columns[name] = tuple(map(nodes.__getitem__, columns[name].tolist()))
-    return Hypergraph(
-        HypergraphColumns(**columns, link_keys=tuple(doc["link_keys"])), config.grid,
-        config.noise, dict(doc["link_limits"]), tuple(doc["endpoints"]), doc["builder"],
-        config.purify_model, doc["build_time_s"],
-    )
+    doc = hg.to_json()
+    for name in _HELD_ONCE:
+        del doc[name]
+    return doc
 
 
 def save_cache(cache: Cache) -> str:
-    """The cache as one JSON document: the config once, and per entry its
-    estimates and its hypergraph's ``CACHE_COLUMNS``."""
+    """The cache as one JSON document: the version and config once, and per
+    entry its estimates and its hypergraph's document without the version,
+    grid, noise and purification model, which are the cache's."""
     doc = {
-        "version": CACHE_VERSION,
+        "version": DOCUMENT_VERSION,
         "config": cache.config.to_json(),
         "entries": [
             {
@@ -227,20 +194,22 @@ def load_cache(text: str) -> Cache:
         raise CacheError(f"corrupt cache document: {exc}") from exc
     where = ""  # the entry being read
     try:
-        if doc["version"] != CACHE_VERSION:
+        if doc["version"] != DOCUMENT_VERSION:
             raise CacheError(f"unsupported cache version {doc['version']!r}")
         cache = Cache(config=PlannerConfig.from_json(doc["config"]))
+        held = {"version": doc["version"], **{name: doc["config"][name] for name in _HELD_ONCE[1:]}}
         for item in doc["entries"]:
             demand = (item["s"], item["d"])
             where = f"entry {demand}: "
             if demand in cache.entries:
                 raise CacheError(f"{where}the demand appears twice")
             estimates = tuple((score, tuple(nodes)) for score, nodes in item["estimates"])
-            hg = _load_hypergraph(item["hypergraph"], cache.config) if item["hypergraph"] else None
+            hg_doc = item["hypergraph"]
+            hg = Hypergraph.from_json({**hg_doc, **held}) if hg_doc else None
             if hg is not None and hg.endpoints != demand:
                 raise CacheError(f"{where}its hypergraph connects {hg.endpoints}")
             kept = {node for _, nodes in estimates[: cache.config.k_keep] for node in nodes}
-            for node in item["hypergraph"]["nodes"] if hg is not None else ():
+            for node in hg_doc["nodes"] if hg is not None else ():
                 if node not in kept:
                     raise CacheError(f"{where}node {node!r} is not on its first "
                                      f"{cache.config.k_keep} estimated paths")

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import base64
+
+import numpy as np
+
+from entflow.hypergraph import DOCUMENT_COLUMNS
 from entflow.topology import Edge, Path, Topology
 
 
@@ -22,3 +27,14 @@ def make_topology(edge_specs, f0: float = 0.98) -> Topology:
     nodes = sorted({n for u, v, _ in edge_specs for n in (u, v)})
     edges = [Edge(u=u, v=v, length_km=float(km), f0=f0) for u, v, km in edge_specs]
     return Topology(nodes, edges)
+
+
+def doc_column(doc: dict, name: str) -> np.ndarray:
+    """One column of a hypergraph document, decoded into a writable array."""
+    return np.frombuffer(base64.b64decode(doc["columns"][name]), DOCUMENT_COLUMNS[name]).copy()
+
+
+def set_doc_column(doc: dict, name: str, values) -> None:
+    """Store ``values`` as one column of a hypergraph document."""
+    doc["columns"][name] = base64.b64encode(
+        np.asarray(values, DOCUMENT_COLUMNS[name]).tobytes()).decode()

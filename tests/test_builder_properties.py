@@ -127,13 +127,13 @@ def test_span_winners_follow_the_sequential_replacement_rule(cands):
 def test_pruned_build_invariants_on_random_chains(lengths, size, model):
     grid = FidelityGrid.uniform(size)
     hg = build_pruned_hypergraph(make_chain(lengths), grid, DEFAULT_NOISE, model)
-    verts = hg.to_json()["vertices"]  # rows: u, v, exact_fidelity, bucket, kind
-    bucket = [row[3] for row in verts]
-    for _, _, f, b, _ in verts[2:]:
+    fidelity = hg.columns.exact_fidelity
+    bucket = (np.searchsorted(grid.as_array(), fidelity, side="right") - 1).tolist()
+    for f, b in zip(fidelity.tolist()[2:], bucket[2:]):
         assert b == grid.round_down_index(f)
     # every link vertex is the output of exactly one start, swap or purify edge
     producer_rate = {e.output: e.rate_bound for e in hg.edges if e.op != "end"}
-    assert sorted(producer_rate) == list(range(2, len(verts)))
+    assert sorted(producer_rate) == list(range(2, len(fidelity)))
     for e in hg.edges:
         if e.op == "purify":
             assert all(bucket[e.output] > bucket[i] for i in e.inputs)

@@ -122,8 +122,8 @@ def test_a_refused_lp_is_a_counted_failure(kind, monkeypatch, tmp_path):
     monkeypatch.setattr(lp, "_check_optimality", refuse)
     assert run_experiment(_cfg(kind)).failures > 0
     out = tmp_path / "report.json"
-    # the scale kinds set their own sizes and refuse these options
-    sizes = [] if kind.startswith("scale-") else ["--topology-nodes", "30", "--path-lengths", "3"]
+    # only benchmark reads these options; the other kinds refuse them
+    sizes = ["--topology-nodes", "30", "--path-lengths", "3"] if kind == "benchmark" else []
     assert main(["run", kind, "--no-timings", *sizes, "--pairs", "2", "--grid-size", "8",
                  "--repetitions", "1", "--chain-nodes", "3", "--out", str(out)]) == 3
     assert json.loads(out.read_text())["failures"] > 0
@@ -131,10 +131,12 @@ def test_a_refused_lp_is_a_counted_failure(kind, monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("option", [["--topology-nodes", "30"], ["--path-lengths", "3,4"],
                                     ["--topology", "topo.json"]])
-@pytest.mark.parametrize("kind", ["scale-path", "scale-network"])
+@pytest.mark.parametrize("kind", ["scale-path", "scale-network", "sweep-flb", "sweep-resolution",
+                                  "intro-toy"])
 def test_scale_kinds_refuse_the_sizes_they_do_not_use(kind, option, capsys):
-    # scale-path runs its own path lengths and scale-network its own
-    # topologies; an option they would ignore exits 2 and is named
+    # only benchmark reads the topology and its path lengths: scale-path runs
+    # its own path lengths, scale-network its own topologies and the other
+    # kinds their own chains; an option a kind would ignore exits 2 and is named
     assert main(["run", kind, "--no-timings", *option]) == 2
     assert capsys.readouterr().err == f"error: run {kind} takes no {option[0]}\n"
 

@@ -1,6 +1,7 @@
 """Golden digests of builds, so builder changes cannot change their output.
 
-Each digest is the sha256 of the build's JSON document with
+Each digest is the sha256 of the build's row document (the hypergraph's
+JSON format before it became columns, rendered here by ``_digest``) with
 ``build_time_s`` removed, together with the number of as-printed clamp
 events the build raised. The pruned digests were recorded before the
 pruned builder was optimized; the standard and synthesis digests before
@@ -16,6 +17,7 @@ instead of insertion order changes four of the planner builds.
 
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -212,22 +214,30 @@ GOLDEN_LATTICE = {
 }
 
 
+def _digest(hg) -> str:
+    """The sha256 of the build as the row document the digests were recorded
+    from, without ``build_time_s``: per vertex (u, v, exact_fidelity,
+    round-down bucket, kind) and per edge its ``HyperEdge`` fields."""
+    cols = hg.columns
+    bucket = np.searchsorted(hg.grid.as_array(), cols.exact_fidelity, side="right") - 1
+    kind = ["source", "sink"] + ["link"] * (len(bucket) - 2)
+    doc = {
+        "version": 1, "builder": hg.builder, "purify_model": hg.purify_model,
+        "endpoints": list(hg.endpoints), "grid": list(hg.grid.values), "noise": asdict(hg.noise),
+        "link_limits": hg.link_limits,
+        "vertices": list(zip(cols.u, cols.v, cols.exact_fidelity.tolist(), bucket.tolist(), kind)),
+        "edges": list(hg.edges),  # each record and its inputs write as JSON lists
+    }
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("seed, nodes, model, size", sorted(GOLDEN))
 def test_pruned_build_matches_golden_digest(seed, nodes, model, size):
     lengths = np.random.default_rng(seed).uniform(20.0, 150.0, size=nodes - 1)
     path = make_chain(lengths, name=f"g{seed}_")
     CLAMP_EVENTS.reset()
     hg = build_pruned_hypergraph(path, FidelityGrid.uniform(size), DEFAULT_NOISE, model)
-    doc = hg.to_json()
-    doc.pop("build_time_s")
-    digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
-    assert (digest, CLAMP_EVENTS.count) == GOLDEN[(seed, nodes, model, size)]
-
-
-def _digest(hg) -> str:
-    doc = hg.to_json()
-    doc.pop("build_time_s")
-    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+    assert (_digest(hg), CLAMP_EVENTS.count) == GOLDEN[(seed, nodes, model, size)]
 
 
 @pytest.mark.parametrize("seed, nodes, model, size", sorted(GOLDEN_STANDARD))

@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from conftest import make_chain, make_topology
+from conftest import doc_column, make_chain, make_topology, set_doc_column
 from entflow.capacity import pair_capacity
 from entflow.hypergraph import (
     BUILD_COUNTER,
+    DOCUMENT_COLUMNS,
     SINK,
     SOURCE,
     FidelityGrid,
@@ -121,29 +122,38 @@ def test_asymmetric_purify_model_builds():
     assert hg.stats().num_edges > 0
 
 
-def _cycle_document(buckets):
-    """A v1 document of four vertices on the pair (a, b), with ``buckets``,
-    and two purifications, 2 -> 3 and 3 -> 2, that form a cycle."""
-    kinds = ["source", "sink", "link", "link"]
-    vertices = [["a", "b", f, b, kind]
-                for f, b, kind in zip([0.0, 0.0, 0.9, 0.95], buckets, kinds)]
-    edges = [["purify", [2, 2], 3, 0.9, None, 0.0, None],
-             ["purify", [3, 3], 2, 0.9, None, 0.0, None]]
-    return {"version": 1, "builder": "standard", "purify_model": "ideal-dejmps",
-            "endpoints": ["a", "b"], "grid": list(FidelityGrid.uniform(2).values),
-            "noise": asdict(DEFAULT_NOISE), "link_limits": {}, "build_time_s": 0.0,
-            "vertices": vertices, "edges": edges}
+# four vertices on the pair (a, b) and two purifications, 2 -> 3 and
+# 3 -> 2, that form a cycle; u and v index the nodes (a, b)
+_CYCLE = {"op": [OP_CODE["purify"]] * 2, "input0": [2, 3], "input1": [2, 3], "output": [3, 2],
+          "p_succ": [0.9, 0.9], "capacity_coeff": [0.0, 0.0], "rate_bound": [np.nan, np.nan],
+          "link": [-1, -1], "exact_fidelity": [0.0, 0.0, 0.9, 0.95], "u": [0] * 4, "v": [1] * 4}
+
+
+def _cycle_document():
+    """The document of the ``_CYCLE`` table."""
+    doc = {"version": 2, "grid": list(FidelityGrid.uniform(2).values),
+           "noise": asdict(DEFAULT_NOISE), "purify_model": "ideal-dejmps", "builder": "standard",
+           "build_time_s": 0.0, "endpoints": ["a", "b"], "link_limits": {}, "nodes": ["a", "b"],
+           "link_keys": [], "columns": {}}
+    for name, values in _CYCLE.items():
+        set_doc_column(doc, name, values)
+    return doc
 
 
 def test_cycle_detection():
-    with pytest.raises(HypergraphError):
-        Hypergraph.from_json(_cycle_document([0, 0, 0, 1]))
+    edges = {name: np.array(_CYCLE[name], dtype) for name, dtype in DOCUMENT_COLUMNS.items()
+             if name not in ("u", "v", "exact_fidelity")}
+    cols = HypergraphColumns(**edges, link_keys=(), u=("a",) * 4, v=("b",) * 4,
+                             exact_fidelity=np.array(_CYCLE["exact_fidelity"]))
+    with pytest.raises(HypergraphError, match="contains a cycle"):
+        Hypergraph(cols, FidelityGrid.uniform(2), DEFAULT_NOISE, {}, ("a", "b"), "standard",
+                   "ideal-dejmps")
 
 
 def test_cycle_detection_on_consistent_vertex_rows():
-    # the rows of test_cycle_detection with the buckets the grid derives
+    # the table of test_cycle_detection, as a document
     with pytest.raises(HypergraphError, match="contains a cycle"):
-        Hypergraph.from_json(_cycle_document([-1, -1, 0, 0]))
+        Hypergraph.from_json(_cycle_document())
 
 
 def _has_cycle(n, input0, input1, output):
@@ -220,6 +230,11 @@ def test_one_back_edge_in_a_numbered_table_is_a_cycle():
                    hg.purify_model)
 
 
+def _text_round_trip(hg):
+    """The hypergraph of its document written as JSON text and read back."""
+    return Hypergraph.from_json(json.loads(json.dumps(hg.to_json())))
+
+
 @pytest.mark.parametrize("model", PURIFY_MODELS)
 def test_pruned_and_synthesized_tables_are_numbered_topologically(model):
     # they, their documents and a planner cache of them are accepted without
@@ -233,7 +248,7 @@ def test_pruned_and_synthesized_tables_are_numbered_topologically(model):
                side_effect=AssertionError("component search")):
         pruned = [build_pruned_hypergraph(p, grid, DEFAULT_NOISE, model) for p in paths]
         for hg in [*pruned, synthesize_multipath(pruned)]:
-            Hypergraph.from_json_text(hg.to_json_text())
+            _text_round_trip(hg)
         load_cache(save_cache(outer_loop_update(topo, [("s", "d")], config)))
         with pytest.raises(AssertionError, match="component search"):
             build_standard_hypergraph(paths[0], grid, DEFAULT_NOISE, model)
@@ -247,7 +262,7 @@ def test_builds_synthesis_and_serialization_make_no_vertex_records():
     standard = build_standard_hypergraph(paths[0], grid, DEFAULT_NOISE)
     merged = synthesize_multipath(pruned)
     built = [*pruned, standard, merged]
-    clones = [Hypergraph.from_json_text(hg.to_json_text()) for hg in built]
+    clones = [_text_round_trip(hg) for hg in built]
     for hg in built + clones:
         extract_scheme(hg, solve_lp(formulate_lp(hg, "ensemble-capacity")))
 
@@ -266,7 +281,7 @@ def _assert_same_columns(hg, clone):
 def test_json_round_trip_is_lossless():
     path = make_chain([60.0, 80.0, 55.0], f0=0.97)
     hg = build_pruned_hypergraph(path, FidelityGrid.uniform(12), DEFAULT_NOISE)
-    clone = Hypergraph.from_json_text(hg.to_json_text())
+    clone = _text_round_trip(hg)
     # Exact equality across text serialization, every column bit for bit.
     _assert_same_columns(hg, clone)
     assert clone.edges == hg.edges
@@ -276,12 +291,14 @@ def test_json_round_trip_is_lossless():
 
 
 def test_from_json_rejects_bad_version():
+    # 1 is the version of the deleted row documents
     path = make_chain([60.0])
     hg = build_pruned_hypergraph(path, FidelityGrid.uniform(4), DEFAULT_NOISE)
-    doc = hg.to_json()
-    doc["version"] = 999
-    with pytest.raises(HypergraphError):
-        Hypergraph.from_json(doc)
+    for version in (1, 999):
+        doc = hg.to_json()
+        doc["version"] = version
+        with pytest.raises(HypergraphError, match=f"^unsupported version {version}$"):
+            Hypergraph.from_json(doc)
 
 
 def test_synthesis_pools_shared_links_and_remaps():
@@ -308,11 +325,12 @@ def test_synthesis_pools_shared_links_and_remaps():
     assert solo.stats().edges_by_op == h1.stats().edges_by_op
 
 
-def _edit_edge(op, field, value):
-    """Corruption: set one field of the first ``op`` edge in a document."""
+def _edit_edge(op, name, value):
+    """Corruption: set one column of the first ``op`` edge in a document."""
     def corrupt(doc):
-        edge = next(e for e in doc["edges"] if e[0] == op)
-        edge[field] = value
+        column = doc_column(doc, name)
+        column[np.flatnonzero(doc_column(doc, "op") == OP_CODE[op])[0]] = value
+        set_doc_column(doc, name, column)
     return corrupt
 
 
@@ -327,46 +345,47 @@ def _drop_a_limit(doc):
     doc["link_limits"].popitem()
 
 
-def _set_kind_of_vertex_3(doc):
-    doc["vertices"][3][4] = "bogus"
-
-
-def _edit_vertex_3(field, value):
-    """Corruption: set one field (u, v, exact_fidelity, bucket, kind) of vertex 3."""
+def _edit_vertex_3(name, value):
+    """Corruption: set one column (u, v or exact_fidelity) of vertex 3."""
     def corrupt(doc):
-        doc["vertices"][3][field] = value
+        column = doc_column(doc, name)
+        column[3] = value(doc) if callable(value) else value
+        set_doc_column(doc, name, column)
     return corrupt
 
 
+def _new_node(node):
+    """The index of ``node``, appended to a document's node names."""
+    def index(doc):
+        doc["nodes"].append(node)
+        return len(doc["nodes"]) - 1
+    return index
+
+
 def _rename_source(doc):
-    doc["vertices"][0][0] = doc["vertices"][3][1]
+    u = doc_column(doc, "u")
+    u[0] = doc_column(doc, "v")[3]
+    set_doc_column(doc, "u", u)
 
 
-# edge fields: op, inputs, output, p_succ, link_key, capacity_coeff, rate_bound
 @pytest.mark.parametrize("corrupt", [
-    pytest.param(_edit_edge("swap", 1, [2, 99999]), id="input-above-range"),
-    pytest.param(_edit_edge("end", 2, -1), id="output-below-range"),
-    pytest.param(_edit_edge("swap", 0, "teleport"), id="unknown-op"),
-    pytest.param(_edit_edge("swap", 1, [2]), id="swap-with-one-input"),
-    pytest.param(_edit_edge("end", 1, [2, 3]), id="end-with-two-inputs"),
-    pytest.param(_edit_edge("start", 3, 0.0), id="p-succ-zero"),
-    pytest.param(_edit_edge("start", 3, 1.5), id="p-succ-above-one"),
+    pytest.param(_edit_edge("swap", "input1", 99999), id="input-above-range"),
+    pytest.param(_edit_edge("end", "output", -1), id="output-below-range"),
+    pytest.param(_edit_edge("swap", "op", 7), id="unknown-op"),
+    pytest.param(_edit_edge("swap", "input1", -1), id="swap-with-one-input"),
+    pytest.param(_edit_edge("end", "input1", 2), id="end-with-two-inputs"),
+    pytest.param(_edit_edge("start", "p_succ", 0.0), id="p-succ-zero"),
+    pytest.param(_edit_edge("start", "p_succ", 1.5), id="p-succ-above-one"),
     pytest.param(_set_limits(float("nan")), id="nan-limit"),
     pytest.param(_set_limits(float("inf")), id="infinite-limit"),
     pytest.param(_set_limits(-5.0), id="negative-limit"),
     pytest.param(_drop_a_limit, id="start-link-without-limit"),
-    pytest.param(_set_kind_of_vertex_3, id="non-link-vertex-kind"),
-    pytest.param(_edit_edge("end", 5, -3.0), id="negative-capacity-coeff"),
-    pytest.param(_edit_edge("end", 5, float("nan")), id="nan-capacity-coeff"),
-    pytest.param(_edit_edge("swap", 4, "n0|n1"), id="link-key-on-swap"),
-    pytest.param(_edit_edge("start", 6, float("nan")), id="nan-rate-bound"),
-    pytest.param(_edit_edge("end", 2, True), id="boolean-vertex-index"),
-    pytest.param(_edit_vertex_3(2, 1.7), id="fidelity-above-one"),
-    pytest.param(_edit_vertex_3(2, "0.99"), id="string-fidelity"),
-    pytest.param(_edit_vertex_3(3, 6), id="bucket-past-the-grid"),
-    pytest.param(_edit_vertex_3(3, 2), id="bucket-not-the-round-down-of-the-fidelity"),
-    pytest.param(_edit_vertex_3(0, 42), id="numeric-node-name"),
-    pytest.param(_edit_vertex_3(1, None), id="missing-node-name"),
+    pytest.param(_edit_edge("end", "capacity_coeff", -3.0), id="negative-capacity-coeff"),
+    pytest.param(_edit_edge("end", "capacity_coeff", float("nan")), id="nan-capacity-coeff"),
+    pytest.param(_edit_edge("swap", "link", 0), id="link-key-on-swap"),
+    pytest.param(_edit_vertex_3("exact_fidelity", 1.7), id="fidelity-above-one"),
+    pytest.param(_edit_vertex_3("u", _new_node(42)), id="numeric-node-name"),
+    pytest.param(_edit_vertex_3("v", _new_node(None)), id="missing-node-name"),
     pytest.param(_rename_source, id="source-pair-other-than-the-endpoints"),
 ])
 def test_from_json_rejects_invalid_documents(corrupt):
@@ -374,7 +393,7 @@ def test_from_json_rejects_invalid_documents(corrupt):
     doc = hg.to_json()
     corrupt(doc)
     with pytest.raises(HypergraphError):
-        Hypergraph.from_json_text(json.dumps(doc))
+        Hypergraph.from_json(json.loads(json.dumps(doc)))
 
 
 _DIAMOND_PATHS = (("s", "a", "d"), ("s", "b", "d"), ("s", "a", "b", "d"))
@@ -409,10 +428,10 @@ def _hypergraphs(draw):
 @settings(max_examples=40, deadline=None)
 @given(_hypergraphs())
 def test_json_round_trip_keeps_the_columns_byte_for_byte(hg):
-    clone = Hypergraph.from_json(json.loads(hg.to_json_text()))
+    clone = _text_round_trip(hg)
     _assert_same_columns(hg, clone)
     for name in ("grid", "noise", "link_limits", "endpoints", "builder", "purify_model"):
         assert getattr(clone, name) == getattr(hg, name), name
-    assert clone.to_json_text() == hg.to_json_text()
+    assert json.dumps(clone.to_json()) == json.dumps(hg.to_json())
     with pytest.raises(ValueError):
         clone.columns.rate_bound[:1] = 0.0

@@ -12,9 +12,11 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_chain, make_topology
+from conftest import doc_column, make_chain, make_topology, set_doc_column
 from entflow.capacity import EnsembleSpec, ensemble_capacity
 from entflow.hypergraph import (
+    OP_CODE,
+    OP_NAMES,
     FidelityGrid,
     Hypergraph,
     HypergraphError,
@@ -44,7 +46,7 @@ from entflow.physics import DEFAULT_NOISE, PURIFY_MODELS
 
 
 def _ref_formulate(hg, objective, f_lb):
-    vertices = hg.to_json()["vertices"]  # rows: u, v, exact_fidelity, bucket, kind
+    fidelity = hg.columns.exact_fidelity.tolist()
     n = len(hg.edges)
     c = np.zeros(n)
     forced = set()
@@ -53,12 +55,12 @@ def _ref_formulate(hg, objective, f_lb):
             continue
         if objective == "ensemble-capacity":
             c[ei] = e.capacity_coeff
-        elif vertices[e.inputs[0]][2] >= f_lb:
+        elif fidelity[e.inputs[0]] >= f_lb:
             c[ei] = 1.0
         else:
             forced.add(ei)
     rows, rhs, names = [], [], []
-    per_vertex = {vi: {} for vi, v in enumerate(vertices) if v[4] == "link"}
+    per_vertex = {vi: {} for vi in range(2, len(fidelity))}  # the link vertices
     for ei, e in enumerate(hg.edges):
         for vi in e.inputs:
             if vi in per_vertex:
@@ -109,7 +111,7 @@ def _ref_check(rows, rhs, x):
     return True
 
 
-def _ref_tree(hg, vertices, rates, producers, vertex, memo):
+def _ref_tree(hg, rates, producers, vertex, memo):
     if vertex in memo:
         return memo[vertex]
     memo[vertex] = "..."
@@ -119,17 +121,17 @@ def _ref_tree(hg, vertices, rates, producers, vertex, memo):
         return "?"
     e = hg.edges[max(cands, key=lambda k: (rates[k], -k))]
     if e.op == "start":
-        u, v = vertices[vertex][:2]
+        u, v = hg.columns.u[vertex], hg.columns.v[vertex]
         text = f"link({u}|{v})"
     else:
-        parts = [_ref_tree(hg, vertices, rates, producers, vi, memo) for vi in e.inputs]
+        parts = [_ref_tree(hg, rates, producers, vi, memo) for vi in e.inputs]
         text = f"{e.op}({', '.join(parts)})"
     memo[vertex] = text
     return text
 
 
 def _ref_extract(hg, rates):
-    vertices = hg.to_json()["vertices"]  # rows: u, v, exact_fidelity, bucket, kind
+    fidelity = hg.columns.exact_fidelity.tolist()
     entries, protocols, producers, memo = [], [], {}, {}
     for ei, e in enumerate(hg.edges):
         producers.setdefault(e.output, []).append(ei)
@@ -143,10 +145,10 @@ def _ref_extract(hg, rates):
         elif e.op == "purify":
             pur_rate += r
         elif e.op == "end":
-            f = vertices[e.inputs[0]][2]
+            f = fidelity[e.inputs[0]]
             entries.append((f, r))
             protocols.append(ProtocolFlow(fidelity=f, rate=r, tree=_ref_tree(
-                hg, vertices, rates, producers, e.inputs[0], memo)))
+                hg, rates, producers, e.inputs[0], memo)))
     egr = sum(r for _, r in entries)
     if egr <= 0.0:
         return EMPTY_SCHEME
@@ -262,11 +264,14 @@ def test_matvec_check_agrees_with_row_by_row_check(seed):
 
 def test_columns_reject_edges_outside_the_op_vocabulary():
     hg = build_pruned_hypergraph(make_chain([50.0]), FidelityGrid.uniform(4), DEFAULT_NOISE)
-    # edge rows: op, inputs, output, p_succ, link_key, capacity_coeff, rate_bound
-    for bad in (["teleport", [2], 1, 1.0, None, 0.0, None],
-                ["end", [2, 2, 2], 1, 1.0, None, 0.0, None]):
+    # an edge appended to the document's table: of an unknown op, or an end with two inputs
+    end = {"input0": 2, "output": 1, "p_succ": 1.0, "capacity_coeff": 0.0, "rate_bound": np.nan,
+           "link": -1}
+    for bad, match in (({**end, "op": len(OP_NAMES), "input1": -1}, "unknown op 4"),
+                       ({**end, "op": OP_CODE["end"], "input1": 2}, r"end takes 1 input\(s\)")):
         doc = hg.to_json()
-        doc["edges"].append(bad)
-        with pytest.raises(HypergraphError):
+        for name, value in bad.items():
+            set_doc_column(doc, name, np.append(doc_column(doc, name), value))
+        with pytest.raises(HypergraphError, match=match):
             odd = Hypergraph.from_json(doc)
             formulate_lp(odd, "ensemble-capacity")
