@@ -169,8 +169,9 @@ def _cmd_topo(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    for option in ("topology", "topology_nodes", "path_lengths"):  # read by benchmark only
-        if args.kind != "benchmark" and getattr(args, option) is not None:
+    for option, reader in (("topology", "benchmark"), ("topology_nodes", "benchmark"),
+                           ("path_lengths", "benchmark"), ("grid_sizes", "sweep-resolution")):
+        if args.kind != reader and getattr(args, option) is not None:
             raise ValueError(f"run {args.kind} takes no --{option.replace('_', '-')}")
     kwargs = {}
     if args.topology_nodes is not None:

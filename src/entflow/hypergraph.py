@@ -5,15 +5,18 @@ hyper-edges are start/swap/purify/end operations carrying LP rate
 variables. A hypergraph is made from one table (``HypergraphColumns``) that
 holds both and that every reader uses; vertex kinds and buckets, and the
 ``edges`` records, are derived from it. Every hypergraph is checked when made.
+Every builder numbers its table topologically (each input of an edge before
+its output, the sink last), so the check refuses a cycle with one rank rule.
 Its one JSON document (``Hypergraph.to_json``) holds the table as base64
 columns; a planner cache stores each entry as such a document.
 
 Two builders are provided: the standard builder enumerates the full
-discretized lattice (edge count grows as |V|^3 |F|^2), and the pruned
-builder runs a dynamic program that keeps one best-rate incumbent per
-(node-pair, fidelity-bucket) with its exact continuous fidelity (edge
-count O(|V|^2 |F|)). Multi-path synthesis unions per-path hypergraphs
-while pooling generation limits of shared physical links.
+discretized lattice (edge count grows as |V|^3 |F|^2), numbering its node
+pairs by span, then by left node, and the pruned builder runs a dynamic
+program that keeps one best-rate incumbent per (node-pair, fidelity-bucket)
+with its exact continuous fidelity (edge count O(|V|^2 |F|)). Multi-path
+synthesis unions per-path hypergraphs while pooling generation limits of
+shared physical links.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .capacity import pair_capacity
 from .physics import (
@@ -202,27 +203,6 @@ class Hypergraph:
         self.build_time_s = build_time_s
         _check_columns(self.columns, self.endpoints)
         _check_references(self.columns, self.link_limits)
-        self._check_acyclic()
-
-    def _check_acyclic(self) -> None:
-        """Reject cycles: in the vertex -> edge -> vertex digraph (vertices
-        first, then edges) every strongly connected component is one node.
-        The search is skipped when, with the sink ranked last (as n), every
-        edge's inputs rank below its output, as in pruned and synthesized
-        tables: 0, 2, ..., n - 1, 1 is then a topological order."""
-        cols = self.columns
-        n, m = len(cols.exact_fidelity), len(cols.op)
-        rank = [np.where(v == SINK, n, v) for v in (cols.input0, cols.input1, cols.output)]
-        if (np.maximum(rank[0], rank[1]) < rank[2]).all():
-            return
-        edge_nodes = n + np.arange(m)
-        two = cols.input1 >= 0
-        tail = np.concatenate([cols.input0, cols.input1[two], edge_nodes])
-        head = np.concatenate([edge_nodes, edge_nodes[two], cols.output])
-        graph = sp.csr_matrix((np.ones(len(tail)), (tail, head)), shape=(n + m, n + m))
-        components, _ = connected_components(graph, directed=True, connection="strong")
-        if components != n + m:
-            raise HypergraphError("hypergraph contains a cycle")
 
     @cached_property
     def edges(self) -> tuple[HyperEdge, ...]:
@@ -348,19 +328,28 @@ def _check_columns(cols: HypergraphColumns, endpoints: tuple[str, str]) -> None:
 
 
 def _check_references(cols: HypergraphColumns, link_limits: dict[str, float]) -> None:
-    """Reject what no builder emits: a vertex index outside the vertices,
-    p_succ outside (0, 1], capacity_coeff outside [0, 1], a negative or
-    infinite rate bound, a start link without a limit and a limit that is
-    not finite and positive. An edge error names the first such edge."""
+    """Reject what no builder emits: a vertex index outside the vertices, an
+    input not numbered below its output, p_succ outside (0, 1],
+    capacity_coeff outside [0, 1], a negative or infinite rate bound, a start
+    link without a limit and a limit that is not finite and positive. An edge
+    error names the first such edge.
+
+    Every builder numbers its table topologically: with the sink ranked last
+    (as n), each input of an edge ranks below its output, so 0, 2, ..., n - 1,
+    1 is a topological order and the table has no cycle. This rank rule is the
+    whole cycle check, so a table numbered another way is refused."""
     for key, limit in link_limits.items():
         if not (math.isfinite(limit) and limit > 0.0):
             raise HypergraphError(f"link {key!r}: limit {limit!r} is not finite and positive")
     n = len(cols.exact_fidelity)
     two = (cols.op == OP_CODE["swap"]) | (cols.op == OP_CODE["purify"])
     vertex = np.column_stack([cols.input0, np.where(two, cols.input1, 0), cols.output])
+    rank = np.where(vertex == SINK, n, vertex)
     limited = np.array([key in link_limits for key in cols.link_keys] + [False])  # link -1: False
     bad = {  # what no builder emits -> the edges that have it
         f"vertex outside [0, {n})": ((vertex < 0) | (vertex >= n)).any(axis=1),
+        "input not numbered below its output (out of topological order, or contains a cycle)":
+            (rank[:, :2] >= rank[:, 2:]).any(axis=1),
         "p_succ outside (0, 1]": ~((cols.p_succ > 0.0) & (cols.p_succ <= 1.0)),
         "capacity_coeff outside [0, 1]":
             ~((cols.capacity_coeff >= 0.0) & (cols.capacity_coeff <= 1.0)),
@@ -417,9 +406,13 @@ def build_standard_hypergraph(
 
     Operation outputs are rounded DOWN to the grid (systematic pessimism);
     purifications whose rounded output does not strictly exceed both input
-    buckets are dropped, which keeps the span-then-fidelity order acyclic.
-    Edges come in blocks: starts by link, swaps by (i, j, w) then input
-    buckets, purifications by pair then input buckets, ends by bucket.
+    buckets are dropped. Pairs are numbered by span, then by left node, each
+    with its buckets ascending, the order in which the pruned builder
+    finishes its blocks; a swap's inputs lie in shorter spans and a
+    purification's output in a higher bucket of its pair, so the table is
+    numbered topologically. Edges come in blocks: starts by link, swaps by
+    (i, j, w) then input buckets, purifications by pair then input buckets,
+    ends by bucket.
     """
     BUILD_COUNTER.tick()
     t0 = time.perf_counter()
@@ -430,7 +423,7 @@ def build_standard_hypergraph(
     nf = grid.resolution
 
     # pair (i, j) holds vertices base[(i, j)] + bucket
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    pairs = [(i, i + span) for span in range(1, m) for i in range(m - span)]
     base = {pair: 2 + p * nf for p, pair in enumerate(pairs)}
     vertices = (  # u, v and exact_fidelity; the source and sink come first
         [nodes[0]] * 2 + [nodes[i] for i, _ in pairs for _ in range(nf)],

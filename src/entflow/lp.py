@@ -790,7 +790,6 @@ def _trace_tree(
     the lowest index."""
     if vertex in memo:
         return memo[vertex]
-    memo[vertex] = "..."  # cycle guard; never hit on a valid DAG
     cands = producers.get(vertex)
     if not cands:
         memo[vertex] = "?"

@@ -129,16 +129,31 @@ def test_a_refused_lp_is_a_counted_failure(kind, monkeypatch, tmp_path):
     assert json.loads(out.read_text())["failures"] > 0
 
 
-@pytest.mark.parametrize("option", [["--topology-nodes", "30"], ["--path-lengths", "3,4"],
-                                    ["--topology", "topo.json"]])
-@pytest.mark.parametrize("kind", ["scale-path", "scale-network", "sweep-flb", "sweep-resolution",
-                                  "intro-toy"])
+_UNREAD = [["--topology-nodes", "30"], ["--path-lengths", "3,4"], ["--topology", "topo.json"],
+           ["--grid-sizes", "10,20"]]
+
+
+@pytest.mark.parametrize("kind, option", [
+    pytest.param(kind, option, id=f"{kind}-option{i}") for i, option in enumerate(_UNREAD)
+    for kind in ["scale-path", "scale-network", "sweep-flb", "sweep-resolution", "intro-toy"]
+    if (kind, option[0]) != ("sweep-resolution", "--grid-sizes")
+])
 def test_scale_kinds_refuse_the_sizes_they_do_not_use(kind, option, capsys):
     # only benchmark reads the topology and its path lengths: scale-path runs
     # its own path lengths, scale-network its own topologies and the other
-    # kinds their own chains; an option a kind would ignore exits 2 and is named
+    # kinds their own chains; only sweep-resolution reads the grid sizes. An
+    # option a kind would ignore exits 2 and is named
     assert main(["run", kind, "--no-timings", *option]) == 2
     assert capsys.readouterr().err == f"error: run {kind} takes no {option[0]}\n"
+
+
+def test_sweep_resolution_runs_the_grid_sizes_it_is_given(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["run", "sweep-resolution", "--no-timings", "--grid-sizes", "4,6",
+                 "--chain-nodes", "3", "--repetitions", "1", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["config"]["grid_sizes"] == [4, 6]
+    assert {row["grid_size"] for row in report["rows"]} == {4, 6}
 
 
 def test_run_records_the_default_topology_nodes(tmp_path):

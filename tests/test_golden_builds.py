@@ -7,6 +7,12 @@ events the build raised. The pruned digests were recorded before the
 pruned builder was optimized; the standard and synthesis digests before
 the builders emitted their edges as columns.
 
+``GOLDEN_STANDARD`` was recorded when the standard builder numbered its node
+pairs lexicographically. It now numbers them by span, then by left node, so
+each standard build is mapped back to that numbering before it is digested,
+which shows it equal to the recorded build edge for edge;
+``GOLDEN_STANDARD_BY_SPAN`` pins the builds as they are made.
+
 The planner and lattice digests (the first 16 hex digits of each) were
 recorded from the sequential pruned builder before it scored each span's
 swap candidates as arrays. Their paths have up to 9 nodes, where exact
@@ -17,7 +23,7 @@ instead of insertion order changes four of the planner builds.
 
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -25,7 +31,11 @@ import pytest
 from conftest import make_chain, make_topology
 from entflow import generate_gabriel
 from entflow.hypergraph import (
+    OP_CODE,
+    SINK,
+    SOURCE,
     FidelityGrid,
+    _edge_fields,
     build_pruned_hypergraph,
     build_standard_hypergraph,
     synthesize_multipath,
@@ -72,6 +82,21 @@ GOLDEN_STANDARD = {
     (2, 5, "ideal-dejmps", 60): ("42b750bc2bf2abe7abe0e947fa5371fd329fc83c0f05b8473c6e67846a277208", 0),
     (2, 5, "as-printed", 20): ("192ba470557ec7df5df3d28b54cf106ddc120f464e684afa77bafa59e96432b2", 400),
     (2, 5, "as-printed", 60): ("79b8044da81795dd527b8e636d6d4baea5fb2f104e20b474f001995defec5cf5", 3600),
+}
+# the same builds as made, pairs numbered by span
+GOLDEN_STANDARD_BY_SPAN = {
+    (0, 3, "ideal-dejmps", 20): ("d5771b0fd8f92e6d19c4c9ece268bdcc7eec43de1b4f16fe6d334eea07b752d3", 0),
+    (0, 3, "ideal-dejmps", 60): ("eed909f7adb094e9d2dbdab5cb642ff829ea4f55f03b770a58622ee15694fda0", 0),
+    (0, 3, "as-printed", 20): ("bb8dcd309aa1be02fc8be388a3da9c6e3a1b0891814bbec7783123ee8099f7d5", 400),
+    (0, 3, "as-printed", 60): ("bd2088b76f045253721debda7932f67e8c32880fa0a0e5576c8253596a216513", 3600),
+    (1, 4, "ideal-dejmps", 20): ("585153070d94356686b3fa04f1c976a3eb4aa3db538ef78005fdb583b74c9386", 0),
+    (1, 4, "ideal-dejmps", 60): ("20956feb3e100ed2d6762a53b767ffd6f5525ff05593f8fcffacb3abc2dcb931", 0),
+    (1, 4, "as-printed", 20): ("03d7555384b55591b0db4687f1115d72d2a3995e56cadbfc10f895fd873b7560", 400),
+    (1, 4, "as-printed", 60): ("bc759e49a3d8d2b5555f46443175dceed52c3d851f369a30b199ae9d1d99c758", 3600),
+    (2, 5, "ideal-dejmps", 20): ("3ba91ca2810e65e8b1ac1c5c32a21894bc433623e8c12ea601c75059399eb6cd", 0),
+    (2, 5, "ideal-dejmps", 60): ("9a5f12d5b44d31176440335e5b3526b783f7253fe0809dbc2a83ffdb505b77b6", 0),
+    (2, 5, "as-printed", 20): ("3f72f8925ce04fb9764c943bf6b05c2d0841e5a6f5d0c1df8554c9a61976ebd6", 400),
+    (2, 5, "as-printed", 60): ("52952b443f0f058f0dc79578b88a2d39f5bd2cc5718271aba779a23b77d4d34b", 3600),
 }
 # three pruned paths at grid 60, two of them sharing the link s-a
 GOLDEN_SYNTHESIS = "ac53d22ef902ef06ccc659260e25c96f24157c3f31bb1c6ce8c5b37f2b9ff211"
@@ -214,11 +239,12 @@ GOLDEN_LATTICE = {
 }
 
 
-def _digest(hg) -> str:
+def _digest(hg, cols=None) -> str:
     """The sha256 of the build as the row document the digests were recorded
     from, without ``build_time_s``: per vertex (u, v, exact_fidelity,
-    round-down bucket, kind) and per edge its ``HyperEdge`` fields."""
-    cols = hg.columns
+    round-down bucket, kind) and per edge its ``HyperEdge`` fields. ``cols``
+    stands in for the build's columns."""
+    cols = hg.columns if cols is None else cols
     bucket = np.searchsorted(hg.grid.as_array(), cols.exact_fidelity, side="right") - 1
     kind = ["source", "sink"] + ["link"] * (len(bucket) - 2)
     doc = {
@@ -226,7 +252,7 @@ def _digest(hg) -> str:
         "endpoints": list(hg.endpoints), "grid": list(hg.grid.values), "noise": asdict(hg.noise),
         "link_limits": hg.link_limits,
         "vertices": list(zip(cols.u, cols.v, cols.exact_fidelity.tolist(), bucket.tolist(), kind)),
-        "edges": list(hg.edges),  # each record and its inputs write as JSON lists
+        "edges": list(zip(*_edge_fields(cols))),  # each record and its inputs write as JSON lists
     }
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
 
@@ -246,7 +272,35 @@ def test_standard_build_matches_golden_digest(seed, nodes, model, size):
     path = make_chain(lengths, name=f"g{seed}_")
     CLAMP_EVENTS.reset()
     hg = build_standard_hypergraph(path, FidelityGrid.uniform(size), DEFAULT_NOISE, model)
-    assert (_digest(hg), CLAMP_EVENTS.count) == GOLDEN_STANDARD[(seed, nodes, model, size)]
+    key = (seed, nodes, model, size)
+    assert (_digest(hg, _lexicographic(hg, path.nodes)), CLAMP_EVENTS.count) == GOLDEN_STANDARD[key]
+    assert (_digest(hg), CLAMP_EVENTS.count) == GOLDEN_STANDARD_BY_SPAN[key]
+
+
+def _lexicographic(hg, nodes):
+    """The columns of standard build ``hg`` over path ``nodes`` as numbered
+    with pairs (i, j) in lexicographic order: each pair's buckets move with
+    it, and the purification block is stably reordered by the lexicographic
+    index of its pair. Starts, swaps and ends keep their order."""
+    cols, nf, m = hg.columns, hg.grid.resolution, len(nodes)
+    at = {name: i for i, name in enumerate(nodes)}
+    lex = {pair: p for p, pair in enumerate((i, j) for i in range(m) for j in range(i + 1, m))}
+    pair = np.array([lex[(at[u], at[v])] for u, v in zip(cols.u[2:], cols.v[2:])], np.int64)
+    # every pair holds its nf buckets in ascending order, so a vertex's bucket
+    # is its place in the pair's run
+    old = np.concatenate([[SOURCE, SINK], 2 + pair * nf + np.arange(len(pair)) % nf])
+    assert sorted(old.tolist()) == list(range(len(old)))  # a permutation
+    refs = {name: np.where(getattr(cols, name) >= 0, old[getattr(cols, name)], -1)
+            for name in ("input0", "input1", "output")}  # the -1 of no input stays
+    order = np.arange(len(cols.op))
+    purify = np.flatnonzero(cols.op == OP_CODE["purify"])
+    order[purify] = purify[np.argsort((refs["output"][purify] - 2) // nf, kind="stable")]
+    edges = {name: getattr(cols, name) for name in ("op", "p_succ", "capacity_coeff",
+                                                      "rate_bound", "link")}
+    new = np.argsort(old)  # per old index, the vertex that takes it
+    return replace(cols, **{name: column[order] for name, column in {**edges, **refs}.items()},
+                   u=tuple(cols.u[k] for k in new), v=tuple(cols.v[k] for k in new),
+                   exact_fidelity=cols.exact_fidelity[new])
 
 
 def test_synthesis_matches_golden_digest():

@@ -2,14 +2,11 @@
 
 import json
 from dataclasses import asdict, fields, replace
-from types import SimpleNamespace
-from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.csgraph import connected_components
 
 from conftest import doc_column, make_chain, make_topology, set_doc_column
 from entflow.capacity import pair_capacity
@@ -23,6 +20,7 @@ from entflow.hypergraph import (
     Hypergraph,
     HypergraphColumns,
     HypergraphError,
+    _check_references,
     best_dp_estimate,
     build_pruned_hypergraph,
     build_standard_hypergraph,
@@ -195,24 +193,30 @@ def _small_tables(draw):
 @settings(max_examples=100, deadline=None)
 @given(_small_tables())
 def test_acyclic_short_path_agrees_with_the_component_search(table):
-    # the search runs exactly when some edge does not rank its inputs below
-    # its output (the sink ranked last), and either way a table is refused
-    # exactly when it has a cycle
+    # the rank rule is the whole cycle check: a table is accepted exactly
+    # when every edge ranks its inputs below its output (the sink ranked
+    # last), a refusal names the first edge that does not, and every table
+    # that has a cycle (by Kahn's search) is refused
     n, (input0, input1, output) = table
     rank = [0, n - 1, *range(1, n - 1)]  # by vertex
-    numbered = all(rank[i] < rank[o] for i0, i1, o in zip(input0, input1, output)
-                   for i in (i0, i1) if i >= 0)
-    cols = SimpleNamespace(input0=input0, input1=input1, output=output,
-                           exact_fidelity=np.zeros(n), op=np.zeros(len(output), np.int8))
-    with patch("entflow.hypergraph.connected_components", wraps=connected_components) as scc:
-        try:
-            Hypergraph._check_acyclic(SimpleNamespace(columns=cols))
-            refused = False
-        except HypergraphError as exc:
-            assert str(exc) == "hypergraph contains a cycle"
-            refused = True
-    assert scc.called == (not numbered)
-    assert refused == _has_cycle(n, input0.tolist(), input1.tolist(), output.tolist())
+    late = [e for e, (i0, i1, o) in enumerate(zip(input0, input1, output))
+            if any(rank[i] >= rank[o] for i in (i0, i1) if i >= 0)]
+    cols = HypergraphColumns(
+        op=np.where(input1 < 0, OP_CODE["end"], OP_CODE["swap"]).astype(np.int8), input0=input0,
+        input1=input1, output=output, p_succ=np.ones(len(output)),
+        capacity_coeff=np.zeros(len(output)), rate_bound=np.full(len(output), np.nan),
+        link=np.full(len(output), -1), link_keys=(), u=("a",) * n, v=("b",) * n,
+        exact_fidelity=np.zeros(n))
+    try:
+        _check_references(cols, {})
+        refused = False
+    except HypergraphError as exc:
+        assert late and str(exc).startswith(f"edge {late[0]}: ")
+        assert "contains a cycle" in str(exc)
+        refused = True
+    assert refused == bool(late)
+    if _has_cycle(n, input0.tolist(), input1.tolist(), output.tolist()):
+        assert refused
 
 
 def test_one_back_edge_in_a_numbered_table_is_a_cycle():
@@ -225,7 +229,8 @@ def test_one_back_edge_in_a_numbered_table_is_a_cycle():
             "p_succ": 0.9, "capacity_coeff": 0.0, "rate_bound": np.nan, "link": -1}
     looped = replace(cols, **{name: np.append(getattr(cols, name), value)
                               for name, value in back.items()})
-    with pytest.raises(HypergraphError, match="^hypergraph contains a cycle$"):
+    # the appended back edge is the only one out of order, and it is named
+    with pytest.raises(HypergraphError, match=f"^edge {len(cols.op)}: .*contains a cycle"):
         Hypergraph(looped, hg.grid, hg.noise, hg.link_limits, hg.endpoints, hg.builder,
                    hg.purify_model)
 
@@ -235,23 +240,33 @@ def _text_round_trip(hg):
     return Hypergraph.from_json(json.loads(json.dumps(hg.to_json())))
 
 
+def _assert_numbered(hg):
+    """Each input of every edge of ``hg`` ranks below its output, with the
+    sink ranked last."""
+    cols = hg.columns
+    n = len(cols.exact_fidelity)
+    rank = [np.where(v == SINK, n, v) for v in (cols.input0, cols.input1, cols.output)]
+    assert (np.maximum(rank[0], rank[1]) < rank[2]).all()
+
+
 @pytest.mark.parametrize("model", PURIFY_MODELS)
 def test_pruned_and_synthesized_tables_are_numbered_topologically(model):
-    # they, their documents and a planner cache of them are accepted without
-    # the component search, which the standard lattice still needs
+    # every builder's table, its document and a planner cache of such tables
+    # are numbered topologically, standard lattices included
     grid = FidelityGrid.uniform(20)
     topo = make_topology([("s", "a", 50.0), ("a", "d", 60.0), ("s", "b", 70.0), ("b", "d", 40.0),
                           ("a", "b", 30.0)])
     paths = [topo.path_from_nodes(list(p)) for p in _DIAMOND_PATHS]
     config = PlannerConfig(n_candidates=3, k_keep=2, grid=grid, purify_model=model)
-    with patch("entflow.hypergraph.connected_components",
-               side_effect=AssertionError("component search")):
-        pruned = [build_pruned_hypergraph(p, grid, DEFAULT_NOISE, model) for p in paths]
-        for hg in [*pruned, synthesize_multipath(pruned)]:
-            _text_round_trip(hg)
-        load_cache(save_cache(outer_loop_update(topo, [("s", "d")], config)))
-        with pytest.raises(AssertionError, match="component search"):
-            build_standard_hypergraph(paths[0], grid, DEFAULT_NOISE, model)
+    pruned = [build_pruned_hypergraph(p, grid, DEFAULT_NOISE, model) for p in paths]
+    standard = [build_standard_hypergraph(p, grid, DEFAULT_NOISE, model) for p in paths]
+    for hg in [*pruned, *standard, synthesize_multipath(pruned)]:
+        _assert_numbered(hg)
+        _assert_numbered(_text_round_trip(hg))
+    loaded = load_cache(save_cache(outer_loop_update(topo, [("s", "d")], config)))
+    assert loaded.entries
+    for entry in loaded.entries.values():
+        _assert_numbered(entry.hypergraph)
 
 
 def test_builds_synthesis_and_serialization_make_no_vertex_records():
