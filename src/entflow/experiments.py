@@ -30,10 +30,16 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .hypergraph import FidelityGrid, build_pruned_hypergraph, build_standard_hypergraph
+from .hypergraph import (
+    DEFAULT_GRID_SIZE,
+    FidelityGrid,
+    build_pruned_hypergraph,
+    build_standard_hypergraph,
+)
 from .orchestrator import PlannerConfig, inner_loop_request, outer_loop_update
 from .physics import DEFAULT_NOISE, NoiseParams
 from .strategies import (
+    DEFAULT_F_LB,
     LP_STRATEGIES,
     STRATEGY_NAMES,
     StrategyResult,
@@ -42,6 +48,7 @@ from .strategies import (
     run_strategy,
 )
 from .topology import (
+    DEFAULT_BBOX_KM,
     Edge,
     Path,
     Topology,
@@ -98,9 +105,9 @@ class ExperimentConfig:
     topology_nodes: int = 100
     pairs_per_length: int = 10
     path_lengths: tuple[int, ...] = (3, 5, 7, 10)
-    grid_size: int = 100
+    grid_size: int = DEFAULT_GRID_SIZE
     grid_sizes: tuple[int, ...] = (10, 20, 40, 80)
-    f_lb: float = 0.87
+    f_lb: float = DEFAULT_F_LB
     f_lb_start: float = 0.815
     f_lb_stop: float = 0.995
     f_lb_step: float = 0.005
@@ -113,7 +120,7 @@ class ExperimentConfig:
     network_sizes: tuple[int, ...] = (30, 60, 100)
     scale_path_lengths: tuple[int, ...] = tuple(range(2, 11))
     distance_range_km: tuple[float, float] = (20.0, 150.0)
-    bbox_km: float = 500.0
+    bbox_km: float = DEFAULT_BBOX_KM
 
     def __post_init__(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
@@ -128,8 +135,12 @@ class ExperimentConfig:
             raise ValueError("invalid f_lb sweep range")
         if not 0.5 < self.f_lb < 1.0:  # the range rate-dp requires
             raise ValueError(f"f_lb must be in (0.5, 1), got {self.f_lb}")
-        if self.chain_nodes < 2:  # a configuration error, not a failed instance
-            raise ValueError(f"chain_nodes must be >= 2, got {self.chain_nodes}")
+        # counts that select nothing are configuration errors, not failed instances
+        for name, least in (("chain_nodes", 2), ("pairs_per_length", 1), ("repetitions", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if min(self.path_lengths) < 2:
+            raise ValueError(f"path_lengths must each be >= 2, got {self.path_lengths}")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -503,15 +514,11 @@ def _run_intro_toy(config: ExperimentConfig) -> Report:
     objectives = (
         ("max-egr", "rate-lp", INTRO_TOY_MIN_FID_LB),
         ("max-fidelity", "rate-lp", INTRO_TOY_MAX_FID_LB),
-        ("max-capacity", "ec-dp", None),
+        ("max-capacity", "ec-dp", DEFAULT_F_LB),  # ec-dp ignores its f_lb
     )
     for label, strategy, f_lb in objectives:
         with _instance(report, f"intro-toy objective {label}"):
-            result = run_strategy(
-                strategy, path, grid,
-                f_lb if f_lb is not None else 0.87,
-                noise, config.purify_model,
-            )
+            result = run_strategy(strategy, path, grid, f_lb, noise, config.purify_model)
             report.rows.append(
                 _strategy_row(
                     config, result, fixture=label, path_length=INTRO_TOY_LINKS + 1

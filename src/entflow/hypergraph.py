@@ -53,6 +53,7 @@ if TYPE_CHECKING:
 SOURCE = 0
 SINK = 1
 
+DEFAULT_GRID_SIZE = 100  # values in the default FidelityGrid.uniform grid
 _SWEEP_SLACK = 1e-12  # far above the DEJMPS kernel's float error (~3e-16); see _purify_sweep
 
 OP_NAMES = ("start", "swap", "purify", "end")  # per HypergraphColumns.op code
@@ -98,7 +99,7 @@ class FidelityGrid:
             prev = v
 
     @classmethod
-    def uniform(cls, size: int = 100) -> FidelityGrid:
+    def uniform(cls, size: int = DEFAULT_GRID_SIZE) -> FidelityGrid:
         if size < 1:
             raise HypergraphError("grid size must be >= 1")
         return cls(tuple(float(x) for x in np.linspace(0.5, 1.0, size)))

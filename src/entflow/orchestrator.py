@@ -43,7 +43,7 @@ class PlannerConfig:
 
     n_candidates: int = 6
     k_keep: int = 3
-    grid: FidelityGrid = field(default_factory=lambda: FidelityGrid.uniform(100))
+    grid: FidelityGrid = field(default_factory=FidelityGrid.uniform)
     noise: NoiseParams = DEFAULT_NOISE
     purify_model: str = "ideal-dejmps"
     latency_budget_s: float = 1.0

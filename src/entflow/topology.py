@@ -10,9 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .physics import DEFAULT_NOISE
+
 DEFAULT_R_LOCAL = 12000.0  # pairs/s at zero distance
 DEFAULT_ALPHA = 0.21  # dB/km fiber attenuation
-DEFAULT_F0 = 0.98  # base generated-pair fidelity
+DEFAULT_BBOX_KM = 500.0  # side of the square generate_gabriel places nodes in
 PATH_WEIGHTS = ("km", "hops")
 
 
@@ -31,7 +33,7 @@ class Edge:
     length_km: float
     r_local: float = DEFAULT_R_LOCAL
     alpha_db_per_km: float = DEFAULT_ALPHA
-    f0: float = DEFAULT_F0
+    f0: float = DEFAULT_NOISE.f0  # base generated-pair fidelity
 
     def __post_init__(self) -> None:
         if self.u == self.v:
@@ -137,7 +139,7 @@ def load_topology(text: str) -> Topology:
     defaults = doc.get("defaults", {})
     r_local = float(defaults.get("r_local", DEFAULT_R_LOCAL))
     alpha = float(defaults.get("alpha", DEFAULT_ALPHA))
-    f0 = float(defaults.get("f0", DEFAULT_F0))
+    f0 = float(defaults.get("f0", DEFAULT_NOISE.f0))
     nodes = [str(n) for n in doc["nodes"]]
     edges = []
     for item in doc["edges"]:
@@ -277,9 +279,9 @@ def _gabriel_edges(points: np.ndarray) -> list[tuple[int, int]]:
 def generate_gabriel(
     n: int,
     seed: int,
-    bbox_km: float = 500.0,
+    bbox_km: float = DEFAULT_BBOX_KM,
     distance_range_km: tuple[float, float] | None = None,
-    f0: float = DEFAULT_F0,
+    f0: float = DEFAULT_NOISE.f0,
 ) -> Topology:
     """Random Gabriel graph over n uniform points in a square box.
 

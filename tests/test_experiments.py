@@ -3,11 +3,12 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
 from entflow import lp
-from entflow.cli import main
+from entflow.cli import build_parser, main
 from entflow.experiments import (
     COLUMNS,
     ExperimentConfig,
@@ -16,6 +17,7 @@ from entflow.experiments import (
     run_experiment,
 )
 from entflow.lp import LPSolveError
+from entflow.orchestrator import PlannerConfig
 from entflow.physics import NoiseParams
 
 
@@ -276,3 +278,71 @@ def test_cli_oracle_grid_size_defaults_to_6_and_rejects_larger(tmp_path, capsys)
     capsys.readouterr()
     assert main(base + ["--grid-size", "7"]) == 2
     assert "6 values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("pairs_per_length", 0, "pairs_per_length must be >= 1, got 0"),
+    ("pairs_per_length", -2, "pairs_per_length must be >= 1, got -2"),
+    ("repetitions", 0, "repetitions must be >= 1, got 0"),
+    ("path_lengths", (1,), "path_lengths must each be >= 2, got (1,)"),
+    ("path_lengths", (3, 0, 5), "path_lengths must each be >= 2, got (3, 0, 5)"),
+])
+def test_config_refuses_counts_that_select_nothing(field, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(kind="benchmark", **{field: value})
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["benchmark", "--pairs", "0"], "pairs_per_length must be >= 1, got 0"),
+    (["sweep-flb", "--repetitions", "0"], "repetitions must be >= 1, got 0"),
+    (["benchmark", "--path-lengths", "1"], "path_lengths must each be >= 2, got (1,)"),
+])
+def test_cli_run_with_a_count_that_selects_nothing_exits_2(argv, message, capsys):
+    # each used to run: an empty report, or (s, s) pairs that all failed
+    capsys.readouterr()
+    assert main(["run", *argv, "--no-timings"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("kind, option", [
+    ("sweep-resolution", "--grid-sizes"), ("benchmark", "--path-lengths"),
+])
+def test_cli_run_refuses_an_empty_list_option(kind, option, capsys):
+    # an empty list selects nothing; it is not taken for the default list
+    capsys.readouterr()
+    try:
+        code = main(["run", kind, "--no-timings", option, ""])
+    except SystemExit as exc:  # argparse refuses a malformed option this way
+        code = exc.code
+    assert code == 2
+    assert option in capsys.readouterr().err
+
+
+def test_parser_leaves_an_option_not_given_absent():
+    assert vars(build_parser().parse_args(["run", "benchmark"])) == {
+        "command": "run", "kind": "benchmark",
+    }
+    given = vars(build_parser().parse_args(["run", "sweep-flb", "--pairs", "3", "--no-timings"]))
+    assert given == {"command": "run", "kind": "sweep-flb", "pairs_per_length": 3,
+                     "record_timings": False}
+
+
+def test_run_given_no_option_records_the_config_defaults(capsys):
+    # the CLI holds no default of its own: what the report records is the config's
+    capsys.readouterr()
+    assert main(["run", "intro-toy", "--no-timings"]) == 0
+    expected = ExperimentConfig(kind="intro-toy", record_timings=False).to_json()
+    assert json.loads(capsys.readouterr().out)["config"] == json.loads(json.dumps(expected))
+
+
+def test_cache_build_given_no_option_records_the_planner_defaults(tmp_path, capsys):
+    topo_file = tmp_path / "topo.json"
+    topo_file.write_text(json.dumps({
+        "nodes": ["a", "b", "c"],
+        "edges": [{"u": "a", "v": "b", "length_km": 60},
+                  {"u": "b", "v": "c", "length_km": 60}],
+    }))
+    capsys.readouterr()
+    assert main(["cache", "build", "--topology", str(topo_file), "--demands", "a,c"]) == 0
+    expected = PlannerConfig().to_json()
+    assert json.loads(capsys.readouterr().out)["config"] == json.loads(json.dumps(expected))
