@@ -37,13 +37,14 @@ from .hypergraph import (
     build_standard_hypergraph,
 )
 from .orchestrator import PlannerConfig, inner_loop_request, outer_loop_update
-from .physics import DEFAULT_NOISE, NoiseParams
+from .physics import DEFAULT_NOISE, NoiseParams, check_purify_model
 from .strategies import (
     DEFAULT_F_LB,
     LP_STRATEGIES,
     STRATEGY_NAMES,
     StrategyResult,
     _lp_strategy,
+    _timed,
     run_rate_dp,
     run_strategy,
 )
@@ -131,6 +132,7 @@ class ExperimentConfig:
         for s in self.strategies:
             if s not in STRATEGY_NAMES:
                 raise ValueError(f"unknown strategy {s!r}")
+        check_purify_model(self.purify_model)
         if self.f_lb_step <= 0 or self.f_lb_stop < self.f_lb_start:
             raise ValueError("invalid f_lb sweep range")
         if not 0.5 < self.f_lb < 1.0:  # the range rate-dp requires
@@ -373,7 +375,7 @@ def _run_sweep_flb(config: ExperimentConfig) -> Report:
             # hypergraphs do not depend on f_lb: one per builder, built once per fixture
             builds = dict.fromkeys(LP_STRATEGIES[name][0] for name in config.strategies
                                    if name in LP_STRATEGIES)
-            hgs = {build: build(path, grid, config.noise, config.purify_model)
+            hgs = {build: _timed(build, path, grid, config.noise, config.purify_model)
                    for build in builds}
             rows = []
             for f_lb in sweep:
@@ -381,7 +383,7 @@ def _run_sweep_flb(config: ExperimentConfig) -> Report:
                     if name == "rate-dp":
                         result = run_rate_dp(path, grid, f_lb, config.noise, config.purify_model)
                     else:
-                        result = _lp_strategy(name, hgs[LP_STRATEGIES[name][0]], f_lb)
+                        result = _lp_strategy(name, *hgs[LP_STRATEGIES[name][0]], f_lb)
                     # every row carries the sweep point, ec-* rows included
                     rows.append(_strategy_row(
                         config, replace(result, f_lb=f_lb),
@@ -404,7 +406,8 @@ def _run_sweep_resolution(config: ExperimentConfig) -> Report:
             ("pruned", build_pruned_hypergraph),
         ):
             with _instance(report, f"sweep-resolution {builder} build at grid size {size}"):
-                stats = build(path, grid, config.noise, config.purify_model).stats()
+                hg, build_s = _timed(build, path, grid, config.noise, config.purify_model)
+                stats = hg.stats()
                 report.rows.append(
                     _row(
                         experiment=config.kind,
@@ -413,7 +416,7 @@ def _run_sweep_resolution(config: ExperimentConfig) -> Report:
                         builder=builder,
                         vertices=stats.num_vertices,
                         edges=stats.num_edges,
-                        server_time_s=stats.build_time_s if config.record_timings else None,
+                        server_time_s=build_s if config.record_timings else None,
                     )
                 )
     return report
@@ -441,8 +444,9 @@ def _run_scale_path(config: ExperimentConfig) -> Report:
         lengths = [float(rng.uniform(lo, hi)) for _ in range(length - 1)]
         path = _chain(lengths, config.noise.f0, name=f"p{length}_")
         with _instance(report, f"scale-path length {length}"):
-            hg = build_pruned_hypergraph(path, grid, config.noise, config.purify_model)
-            result = _lp_strategy("ec-dp", hg)
+            hg, build_s = _timed(build_pruned_hypergraph, path, grid, config.noise,
+                                 config.purify_model)
+            result = _lp_strategy("ec-dp", hg, build_s)
             stats = hg.stats()
             server_times.append(result.server_time_s)
             solver_times.append(result.solver_time_s)
@@ -480,16 +484,18 @@ def _run_scale_network(config: ExperimentConfig) -> Report:
             grid=grid, noise=config.noise, purify_model=config.purify_model
         )
         with _instance(report, f"scale-network outer loop at {size} nodes"):
-            cache = outer_loop_update(topo, demands, planner)
+            # one refresh per demand, so each row's server time is its own
+            refreshes = {demand: _timed(outer_loop_update, topo, [demand], planner)
+                         for demand in demands}
             for s, d in demands:
                 with _instance(report, f"scale-network request ({s}, {d}) at {size} nodes"):
-                    entry = cache.entries[(s, d)]
+                    cache, refresh_s = refreshes[(s, d)]
                     result = inner_loop_request(cache, s, d)
-                    server_times.append(entry.server_time_s)
+                    server_times.append(refresh_s)
                     solver_times.append(result.solver_time_s)
                     report.rows.append(_strategy_row(config, StrategyResult(
                         strategy="ec-dp", scheme=result.scheme,
-                        server_time_s=entry.server_time_s, solver_time_s=result.solver_time_s,
+                        server_time_s=refresh_s, solver_time_s=result.solver_time_s,
                         grid_size=config.grid_size, f_lb=None, purify_model=config.purify_model,
                     ), fixture=size, s=s, d=d))
     if config.record_timings:

@@ -8,7 +8,9 @@ holds both and that every reader uses; vertex kinds and buckets, and the
 Every builder numbers its table topologically (each input of an edge before
 its output, the sink last), so the check refuses a cycle with one rank rule.
 Its one JSON document (``Hypergraph.to_json``) holds the table as base64
-columns; a planner cache stores each entry as such a document.
+columns; a planner cache stores each entry as such a document. A hypergraph
+holds no clock reading, so equal inputs give equal documents; a caller that
+reports a build time measures it around the whole call, checks included.
 
 Two builders are provided: the standard builder enumerates the full
 discretized lattice (edge count grows as |V|^3 |F|^2), numbering its node
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import base64
 import math
-import time
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -39,6 +40,7 @@ from .physics import (
     _check_fidelity,
     as_printed_fidelity,
     as_printed_success,
+    check_purify_model,
     dejmps,
     gate_factor,
     purify,
@@ -133,7 +135,6 @@ class HypergraphStats:
     num_vertices: int
     num_edges: int
     edges_by_op: dict[str, int]
-    build_time_s: float
 
 
 @dataclass(frozen=True)
@@ -192,8 +193,8 @@ class Hypergraph:
         endpoints: tuple[str, str],
         builder: str,
         purify_model: str,
-        build_time_s: float = 0.0,
     ) -> None:
+        check_purify_model(purify_model)
         self.columns = columns
         self.grid = grid
         self.noise = noise
@@ -201,7 +202,6 @@ class Hypergraph:
         self.endpoints = endpoints
         self.builder = builder
         self.purify_model = purify_model
-        self.build_time_s = build_time_s
         _check_columns(self.columns, self.endpoints)
         _check_references(self.columns, self.link_limits)
 
@@ -224,7 +224,6 @@ class Hypergraph:
             num_vertices=len(self.columns.exact_fidelity),
             num_edges=len(self.columns.op),
             edges_by_op=dict(zip(OP_NAMES, counts)),
-            build_time_s=self.build_time_s,
         )
 
     def to_json(self) -> dict:
@@ -238,9 +237,9 @@ class Hypergraph:
         return {
             "version": DOCUMENT_VERSION, "grid": list(self.grid.values),
             "noise": asdict(self.noise), "purify_model": self.purify_model,
-            "builder": self.builder, "build_time_s": self.build_time_s,
-            "endpoints": list(self.endpoints), "link_limits": dict(self.link_limits),
-            "nodes": nodes, "link_keys": list(cols.link_keys),
+            "builder": self.builder, "endpoints": list(self.endpoints),
+            "link_limits": dict(self.link_limits), "nodes": nodes,
+            "link_keys": list(cols.link_keys),
             "columns": {name: base64.b64encode(np.asarray(arrays[name], dtype).tobytes()).decode()
                         for name, dtype in DOCUMENT_COLUMNS.items()},
         }
@@ -270,7 +269,7 @@ class Hypergraph:
                 HypergraphColumns(**columns, link_keys=tuple(doc["link_keys"])),
                 FidelityGrid(tuple(doc["grid"])), NoiseParams(**doc["noise"]),
                 dict(doc["link_limits"]), tuple(doc["endpoints"]), doc["builder"],
-                doc["purify_model"], doc["build_time_s"],
+                doc["purify_model"],
             )
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, HypergraphError):
@@ -416,7 +415,6 @@ def build_standard_hypergraph(
     ends by bucket.
     """
     BUILD_COUNTER.tick()
-    t0 = time.perf_counter()
     m = path.num_nodes
     if m < 2:
         raise HypergraphError("path must have at least 2 nodes")
@@ -454,10 +452,11 @@ def build_standard_hypergraph(
         input1=(spans[:, 1] + kb).ravel(),
     )
 
+    symmetric = purify_model_is_symmetric(purify_model)  # refuses an unknown model
     _, pur_p, pur_idx = _purify_table(grid, noise, purify_model)
     ka_grid, kb_grid = np.meshgrid(np.arange(nf), np.arange(nf), indexing="ij")
     valid = pur_idx > np.maximum(ka_grid, kb_grid)
-    if purify_model_is_symmetric(purify_model):
+    if symmetric:
         valid &= ka_grid <= kb_grid
     pa, pb = np.nonzero(valid)
     bases = np.array([base[pair] for pair in pairs], np.int64)[:, None]
@@ -475,7 +474,6 @@ def build_standard_hypergraph(
         columns=_columns(vertices, keys, [starts, swaps, purifies, ends]),
         grid=grid, noise=noise, link_limits=link_limits, endpoints=(nodes[0], nodes[-1]),
         builder="standard", purify_model=purify_model,
-        build_time_s=time.perf_counter() - t0,
     )
 
 
@@ -572,7 +570,6 @@ def build_pruned_hypergraph(
     purification in the order they were made. That order fixes the output.
     """
     BUILD_COUNTER.tick()
-    t0 = time.perf_counter()
     m = path.num_nodes
     if m < 2:
         raise HypergraphError("path must have at least 2 nodes")
@@ -645,7 +642,6 @@ def build_pruned_hypergraph(
         columns=_columns(tuple(zip(*vertices)), keys, [_by_column(edges)]),
         grid=grid, noise=noise, link_limits=link_limits, endpoints=(nodes[0], nodes[-1]),
         builder="pruned", purify_model=purify_model,
-        build_time_s=time.perf_counter() - t0,
     )
 
 
@@ -677,7 +673,6 @@ def synthesize_multipath(hypergraphs: list[Hypergraph]) -> Hypergraph:
             raise HypergraphError("mismatched purification models")
 
     BUILD_COUNTER.tick()
-    t0 = time.perf_counter()
     s, d = first.endpoints
     u, v, fidelity = [s, s], [d, d], [np.zeros(2)]  # the source and sink
     link_limits: dict[str, float] = {}
@@ -706,5 +701,4 @@ def synthesize_multipath(hypergraphs: list[Hypergraph]) -> Hypergraph:
         columns=_columns((u, v, np.concatenate(fidelity)), keys, blocks),
         grid=first.grid, noise=first.noise, link_limits=link_limits, endpoints=first.endpoints,
         builder="synthesis", purify_model=first.purify_model,
-        build_time_s=time.perf_counter() - t0,
     )

@@ -7,7 +7,8 @@ answers requests against that immutable cache: retrieve, solve the
 capacity LP, extract a scheme, all without constructing any hypergraph
 (instrumented and enforced). A saved cache holds the config once and each
 entry's hypergraph as its ``Hypergraph.to_json`` document less the keys the
-cache holds once.
+cache holds once. It holds no clock reading, so a seeded cache saves to the
+same text on every run; a caller timing a refresh times ``outer_loop_update``.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .hypergraph import (
     synthesize_multipath,
 )
 from .lp import EMPTY_SCHEME, DistributionScheme, extract_scheme, formulate_lp, solve_lp
-from .physics import DEFAULT_NOISE, PURIFY_MODELS, NoiseParams
-from .topology import PATH_WEIGHTS, Topology, k_shortest_paths
+from .physics import DEFAULT_NOISE, NoiseParams, check_purify_model
+from .topology import Topology, k_shortest_paths
 
 # keys of a hypergraph document that a cache holds once, not per entry
 _HELD_ONCE = ("version", "grid", "noise", "purify_model")
@@ -47,17 +48,13 @@ class PlannerConfig:
     noise: NoiseParams = DEFAULT_NOISE
     purify_model: str = "ideal-dejmps"
     latency_budget_s: float = 1.0
-    t_cut_s: float | None = None
-    path_weight: str = "km"
 
     def __post_init__(self) -> None:
         if not 1 <= self.k_keep <= self.n_candidates:
             raise ValueError("need 1 <= k_keep <= n_candidates")
         if not 0.01 <= self.latency_budget_s <= 1.0:
             raise ValueError("latency budget must be within [0.01, 1.0] s")
-        for name, allowed in (("purify_model", PURIFY_MODELS), ("path_weight", PATH_WEIGHTS)):
-            if getattr(self, name) not in allowed:
-                raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
+        check_purify_model(self.purify_model)
 
     def to_json(self) -> dict:
         return {**asdict(self), "grid": list(self.grid.values)}
@@ -74,7 +71,6 @@ class PlannerConfig:
 class CacheEntry:
     hypergraph: Hypergraph | None
     estimates: tuple[tuple[float, tuple[str, ...]], ...]  # (score, path nodes), desc
-    server_time_s: float
 
 
 @dataclass
@@ -100,24 +96,16 @@ def outer_loop_update(
         raise ValueError("need at least one demand pair")
     cache = Cache(config=config)
     for s, d in demands:
-        t0 = time.perf_counter()
-        paths = k_shortest_paths(topology, s, d, config.n_candidates, config.path_weight)
+        paths = k_shortest_paths(topology, s, d, config.n_candidates)
         scored = []
         for path in paths:
             hg = build_pruned_hypergraph(path, config.grid, config.noise, config.purify_model)
             scored.append((best_dp_estimate(hg), path, hg))
         # higher estimate first; shorter path breaks ties deterministically
         scored.sort(key=lambda item: (-item[0], item[1].total_length_km, item[1].nodes))
-        kept = scored[: config.k_keep]
-        if kept:
-            synthesized = synthesize_multipath([hg for _, _, hg in kept])
-        else:
-            synthesized = None
-        cache.entries[(s, d)] = CacheEntry(
-            hypergraph=synthesized,
-            estimates=tuple((score, path.nodes) for score, path, _ in scored),
-            server_time_s=time.perf_counter() - t0,
-        )
+        kept = [hg for _, _, hg in scored[: config.k_keep]]
+        estimates = tuple((score, path.nodes) for score, path, _ in scored)
+        cache.entries[(s, d)] = CacheEntry(synthesize_multipath(kept) if kept else None, estimates)
     return cache
 
 
@@ -142,13 +130,9 @@ def inner_loop_request(cache: Cache, s: str, d: str) -> InnerResult:
     solver_time = time.perf_counter() - t0
     if BUILD_COUNTER.thread_count != builds_before:
         raise RuntimeError("inner loop performed hypergraph construction")
-    over = solver_time > cache.config.latency_budget_s
-    diag = ""
-    if cache.config.t_cut_s is not None and solver_time > cache.config.t_cut_s:
-        diag = "coherence budget exceeded"
     return InnerResult(
         scheme=scheme, solver_time_s=solver_time, cached=True,
-        over_budget=over, diagnostic=diag,
+        over_budget=solver_time > cache.config.latency_budget_s,
     )
 
 
@@ -176,7 +160,6 @@ def save_cache(cache: Cache) -> str:
                 "hypergraph": _hypergraph_doc((s, d), entry.hypergraph, cache.config)
                 if entry.hypergraph else None,
                 "estimates": [[score, list(nodes)] for score, nodes in entry.estimates],
-                "server_time_s": entry.server_time_s,
             }
             for (s, d), entry in sorted(cache.entries.items())
         ],
@@ -213,7 +196,7 @@ def load_cache(text: str) -> Cache:
                 if node not in kept:
                     raise CacheError(f"{where}node {node!r} is not on its first "
                                      f"{cache.config.k_keep} estimated paths")
-            cache.entries[demand] = CacheEntry(hg, estimates, item["server_time_s"])
+            cache.entries[demand] = CacheEntry(hg, estimates)
         return cache
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, CacheError):

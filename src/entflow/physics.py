@@ -216,8 +216,13 @@ def purify(
     raise ValueError(f"unknown purification model {model!r}; expected one of {PURIFY_MODELS}")
 
 
+def check_purify_model(model: str) -> None:
+    """Refuse a purification model that is not one of ``PURIFY_MODELS``."""
+    if model not in PURIFY_MODELS:
+        raise ValueError(f"purify_model must be one of {PURIFY_MODELS}, got {model!r}")
+
+
 def purify_model_is_symmetric(model: str) -> bool:
     """True when the purification map is invariant under input exchange."""
-    if model not in PURIFY_MODELS:
-        raise ValueError(f"unknown purification model {model!r}")
+    check_purify_model(model)
     return model == "ideal-dejmps"

@@ -15,7 +15,6 @@ from .physics import DEFAULT_NOISE
 DEFAULT_R_LOCAL = 12000.0  # pairs/s at zero distance
 DEFAULT_ALPHA = 0.21  # dB/km fiber attenuation
 DEFAULT_BBOX_KM = 500.0  # side of the square generate_gabriel places nodes in
-PATH_WEIGHTS = ("km", "hops")
 
 
 class TopologyParseError(ValueError):

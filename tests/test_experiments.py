@@ -4,10 +4,12 @@ import csv
 import io
 import json
 import re
+import time
 
 import pytest
 
-from entflow import lp
+from conftest import make_chain
+from entflow import hypergraph, lp
 from entflow.cli import build_parser, main
 from entflow.experiments import (
     COLUMNS,
@@ -16,9 +18,11 @@ from entflow.experiments import (
     emit_report,
     run_experiment,
 )
+from entflow.hypergraph import FidelityGrid
 from entflow.lp import LPSolveError
 from entflow.orchestrator import PlannerConfig
 from entflow.physics import NoiseParams
+from entflow.strategies import LP_STRATEGIES, run_strategy
 
 
 def _cfg(kind, **kw):
@@ -112,6 +116,48 @@ def test_scale_path_and_network():
     rep_net = run_experiment(_cfg("scale-network"))
     assert rep_net.failures == 0
     assert rep_net.aggregates
+
+
+def test_config_refuses_an_unknown_purification_model():
+    with pytest.raises(ValueError, match=r"^purify_model must be one of "
+                                         r"\('ideal-dejmps', 'as-printed'\), got 'bogus'$"):
+        ExperimentConfig(kind="intro-toy", purify_model="bogus")
+
+
+_CHECK_S = 0.05  # the time each patched hypergraph check sleeps
+
+
+@pytest.fixture
+def slow_checks(monkeypatch):
+    """Every hypergraph made takes at least ``_CHECK_S`` longer to check."""
+    check = hypergraph._check_references
+
+    def slow(*args):
+        time.sleep(_CHECK_S)
+        check(*args)
+
+    monkeypatch.setattr(hypergraph, "_check_references", slow)
+
+
+@pytest.mark.parametrize("name", LP_STRATEGIES)
+def test_a_strategy_server_time_includes_the_hypergraph_checks(name, slow_checks):
+    result = run_strategy(name, make_chain([40.0, 60.0]), FidelityGrid.uniform(8))
+    assert result.server_time_s >= _CHECK_S
+
+
+@pytest.mark.parametrize("kind, options", [
+    ("sweep-resolution", {"grid_sizes": (4,)}),
+    ("scale-path", {"scale_path_lengths": (3,)}),
+    ("scale-network", {}),
+    ("sweep-flb", {"repetitions": 1, "f_lb_start": 0.9, "f_lb_stop": 0.9}),
+    ("benchmark", {"pairs_per_length": 1}),
+    ("intro-toy", {}),
+])
+def test_every_reported_server_time_includes_the_hypergraph_checks(kind, options, slow_checks):
+    # rate-dp builds no hypergraph: its rows are left out
+    report = run_experiment(_cfg(kind, strategies=tuple(LP_STRATEGIES), **options))
+    assert report.failures == 0 and report.rows
+    assert min(row["server_time_s"] for row in report.rows) >= _CHECK_S
 
 
 @pytest.mark.parametrize(

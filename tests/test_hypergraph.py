@@ -28,7 +28,7 @@ from entflow.hypergraph import (
 )
 from entflow.lp import extract_scheme, formulate_lp, solve_lp
 from entflow.orchestrator import PlannerConfig, load_cache, outer_loop_update, save_cache
-from entflow.physics import DEFAULT_NOISE, PURIFY_MODELS, swap_fidelity
+from entflow.physics import CLAMP_EVENTS, DEFAULT_NOISE, PURIFY_MODELS, swap_fidelity
 from entflow.topology import Edge, Topology, link_egr
 
 
@@ -291,6 +291,45 @@ def _assert_same_columns(hg, clone):
             assert not a.flags.writeable and not b.flags.writeable
         else:
             assert a == b
+
+
+_BUILDS = {
+    "standard": build_standard_hypergraph,
+    "pruned": build_pruned_hypergraph,
+    "synthesis": lambda path, grid, noise, model: synthesize_multipath(
+        [build_pruned_hypergraph(path, grid, noise, model)]),
+}
+
+
+@pytest.mark.parametrize("model", PURIFY_MODELS)
+@pytest.mark.parametrize("builder", _BUILDS)
+def test_two_builds_of_one_path_have_equal_documents(builder, model):
+    # a hypergraph holds no clock reading: its document depends on its inputs only
+    path, grid = make_chain([60.0, 80.0, 55.0], f0=0.97), FidelityGrid.uniform(12)
+    first, second = (_BUILDS[builder](path, grid, DEFAULT_NOISE, model) for _ in range(2))
+    assert json.dumps(first.to_json()) == json.dumps(second.to_json())
+
+
+_UNKNOWN_MODEL = r"purify_model must be one of \('ideal-dejmps', 'as-printed'\), got 'bogus'$"
+
+
+def test_standard_builder_refuses_an_unknown_purification_model_before_any_work():
+    CLAMP_EVENTS.reset()
+    with pytest.raises(ValueError, match="^" + _UNKNOWN_MODEL):
+        build_standard_hypergraph(make_chain([50.0, 50.0]), FidelityGrid.uniform(20),
+                                  DEFAULT_NOISE, "bogus")
+    assert CLAMP_EVENTS.count == 0
+
+
+def test_hypergraph_refuses_an_unknown_purification_model():
+    # every link is below the grid, so the builder makes no purification
+    # call that would refuse the model: the hypergraph itself refuses it
+    path, grid = make_chain([50.0, 50.0], f0=0.9), FidelityGrid((0.95, 1.0))
+    with pytest.raises(ValueError, match="^" + _UNKNOWN_MODEL):
+        build_pruned_hypergraph(path, grid, DEFAULT_NOISE, "bogus")
+    doc = build_pruned_hypergraph(path, grid, DEFAULT_NOISE).to_json()
+    with pytest.raises(HypergraphError, match="^corrupt hypergraph document: " + _UNKNOWN_MODEL):
+        Hypergraph.from_json({**doc, "purify_model": "bogus"})
 
 
 def test_json_round_trip_is_lossless():

@@ -46,7 +46,7 @@ def test_config_validation():
 
 
 def test_config_json_round_trip():
-    cfg = _config(t_cut_s=0.5)
+    cfg = _config(latency_budget_s=0.5)
     clone = PlannerConfig.from_json(json.loads(json.dumps(cfg.to_json())))
     assert clone == cfg
 
@@ -122,12 +122,31 @@ def test_inner_loop_cache_misses():
     assert miss.scheme.capacity == 0.0
 
 
-def test_inner_loop_reports_exceeded_coherence_budget():
-    cache = outer_loop_update(_square_topology(), [("s", "d")], _config(t_cut_s=1e-12))
-    res = inner_loop_request(cache, "s", "d")
-    assert res.diagnostic == "coherence budget exceeded"
-    assert res.cached and not res.over_budget
-    assert res.scheme.capacity > 0.0
+def test_two_outer_loop_runs_save_to_the_same_text():
+    # a cache holds no clock reading, so a seeded build is byte-reproducible
+    first, second = (
+        save_cache(outer_loop_update(_square_topology(), [("s", "d"), ("a", "b")], _config()))
+        for _ in range(2)
+    )
+    assert first == second
+
+
+def test_a_cache_with_the_removed_keys_loads_and_answers_the_same():
+    # a cache written while entries held their build times and the config
+    # held t_cut_s and path_weight: the reader ignores those keys
+    cache = outer_loop_update(_square_topology(), [("s", "d"), ("a", "b")], _config())
+    text = save_cache(cache)
+    doc = json.loads(text)
+    doc["config"].update(t_cut_s=None, path_weight="km")
+    for item in doc["entries"]:
+        item["server_time_s"] = 0.25
+        item["hypergraph"]["build_time_s"] = 0.125
+    loaded = load_cache(json.dumps(doc))
+    assert save_cache(loaded) == text
+    for s, d in cache.entries:
+        a = inner_loop_request(cache, s, d).scheme.to_json()
+        b = inner_loop_request(loaded, s, d).scheme.to_json()
+        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 def test_inner_loop_reports_disconnected_demand():
@@ -182,7 +201,7 @@ def test_load_cache_rejects_invalid_hypergraph():
         load_cache(json.dumps(doc))
 
 
-@pytest.mark.parametrize("field", ["purify_model", "path_weight"])
+@pytest.mark.parametrize("field", ["purify_model"])
 def test_config_rejects_unknown_names(field):
     with pytest.raises(ValueError, match=field):
         _config(**{field: "bogus"})
@@ -473,7 +492,7 @@ def test_cache_round_trip_keeps_every_column_and_answer(model, size, k_keep, km)
     assert set(clone.entries) == set(cache.entries)
     for key, entry in cache.entries.items():
         copy = clone.entries[key]
-        assert (copy.estimates, copy.server_time_s) == (entry.estimates, entry.server_time_s)
+        assert copy.estimates == entry.estimates
         assert (copy.hypergraph is None) == (entry.hypergraph is None)
         if entry.hypergraph is None:
             continue
@@ -483,8 +502,7 @@ def test_cache_round_trip_keeps_every_column_and_answer(model, size, k_keep, km)
                 assert (loaded.dtype, loaded.tobytes()) == (value.dtype, value.tobytes()), name
             else:
                 assert loaded == value, name
-        for name in ("grid", "noise", "purify_model", "link_limits", "endpoints", "builder",
-                     "build_time_s"):
+        for name in ("grid", "noise", "purify_model", "link_limits", "endpoints", "builder"):
             assert getattr(copy.hypergraph, name) == getattr(entry.hypergraph, name), name
         a = inner_loop_request(cache, *key).scheme.to_json()
         b = inner_loop_request(clone, *key).scheme.to_json()
