@@ -3,8 +3,9 @@
 Vertices are (node-pair, fidelity) link states plus a source and a sink;
 hyper-edges are start/swap/purify/end operations carrying LP rate
 variables. A hypergraph is made from one table (``HypergraphColumns``) that
-holds both and that every reader uses; vertex kinds and buckets, and the
-``edges`` records, are derived from it. Every hypergraph is checked when made.
+holds both and that every reader uses; vertex kinds and buckets, the endpoints
+and the ``edges`` records are derived from it, and the link column indexes the
+sorted keys of the link limits. Every hypergraph is checked when made.
 Every builder numbers its table topologically (each input of an edge before
 its output, the sink last), so the check refuses a cycle with one rank rule.
 Its one JSON document (``Hypergraph.to_json``) holds the table as base64
@@ -149,8 +150,7 @@ class HypergraphColumns:
     p_succ: np.ndarray
     capacity_coeff: np.ndarray
     rate_bound: np.ndarray  # NaN: no bound
-    link: np.ndarray  # start edges: index into link_keys; -1 elsewhere
-    link_keys: tuple[str, ...]  # sorted keys of the links that start edges name
+    link: np.ndarray  # start edges: index into the hypergraph's link_keys; -1 elsewhere
     u: tuple[str, ...]  # per vertex: its node pair (u, v)
     v: tuple[str, ...]
     exact_fidelity: np.ndarray
@@ -162,13 +162,13 @@ class HypergraphColumns:
                 value.flags.writeable = False
 
 
-def _columns(vertices: tuple, link_keys: list, blocks: list) -> HypergraphColumns:
+def _columns(vertices: tuple, blocks: list) -> HypergraphColumns:
     """The columns of edge blocks (each maps every name of ``_EDGE_DTYPES``
     to a sequence), concatenated in order, over vertices (u, v, exact_fidelity)."""
     edges = {name: np.concatenate([np.asarray(block[name], dtype) for block in blocks])
              for name, dtype in _EDGE_DTYPES.items()}
     u, v, fidelity = vertices
-    return HypergraphColumns(**edges, link_keys=tuple(link_keys), u=tuple(u), v=tuple(v),
+    return HypergraphColumns(**edges, u=tuple(u), v=tuple(v),
                              exact_fidelity=np.array(fidelity, float))
 
 
@@ -181,8 +181,8 @@ BUILD_COUNTER = EventCounter()  # hypergraph builder invocations
 
 
 class Hypergraph:
-    """Immutable operation hypergraph made from its table ``columns``.
-    Index 0 is the source, 1 the sink."""
+    """Immutable operation hypergraph made from its table ``columns``. Index
+    0 is the source, 1 the sink; ``link_keys`` and ``endpoints`` are derived."""
 
     def __init__(
         self,
@@ -190,25 +190,28 @@ class Hypergraph:
         grid: FidelityGrid,
         noise: NoiseParams,
         link_limits: dict[str, float],
-        endpoints: tuple[str, str],
         builder: str,
         purify_model: str,
     ) -> None:
         check_purify_model(purify_model)
+        for key, limit in link_limits.items():
+            if not (math.isfinite(limit) and limit > 0.0):
+                raise HypergraphError(f"link {key!r}: limit {limit!r} is not finite and positive")
         self.columns = columns
         self.grid = grid
         self.noise = noise
         self.link_limits = dict(link_limits)
-        self.endpoints = endpoints
+        self.link_keys = tuple(sorted(self.link_limits))  # what the link column indexes
         self.builder = builder
         self.purify_model = purify_model
-        _check_columns(self.columns, self.endpoints)
-        _check_references(self.columns, self.link_limits)
+        _check_columns(columns, self.link_keys)
+        _check_references(columns, self.link_keys)
+        self.endpoints = (columns.u[SOURCE], columns.v[SOURCE])  # the source's node pair
 
     @cached_property
     def edges(self) -> tuple[HyperEdge, ...]:
         """The edges as records, derived from the columns on first use."""
-        return tuple(map(HyperEdge._make, zip(*_edge_fields(self.columns))))
+        return tuple(map(HyperEdge._make, zip(*_edge_fields(self.columns, self.link_keys))))
 
     @cached_property
     def rate_lp(self) -> RateLP:
@@ -237,9 +240,7 @@ class Hypergraph:
         return {
             "version": DOCUMENT_VERSION, "grid": list(self.grid.values),
             "noise": asdict(self.noise), "purify_model": self.purify_model,
-            "builder": self.builder, "endpoints": list(self.endpoints),
-            "link_limits": dict(self.link_limits), "nodes": nodes,
-            "link_keys": list(cols.link_keys),
+            "builder": self.builder, "link_limits": dict(self.link_limits), "nodes": nodes,
             "columns": {name: base64.b64encode(np.asarray(arrays[name], dtype).tobytes()).decode()
                         for name, dtype in DOCUMENT_COLUMNS.items()},
         }
@@ -248,7 +249,8 @@ class Hypergraph:
     def from_json(cls, doc: dict) -> Hypergraph:
         """The hypergraph of a ``to_json`` document, checked as every
         hypergraph is; decoding rejects a column whose bytes are not whole
-        entries and a node index outside ``nodes``."""
+        entries and a node index outside ``nodes``, and ignores the derived
+        ``endpoints`` and ``link_keys`` that older documents hold."""
         try:
             if doc["version"] != DOCUMENT_VERSION:
                 raise HypergraphError(f"unsupported version {doc['version']!r}")
@@ -266,9 +268,8 @@ class Hypergraph:
                                           f"is not an index into the {len(nodes)} nodes")
                 columns[name] = tuple(map(nodes.__getitem__, columns[name].tolist()))
             return cls(
-                HypergraphColumns(**columns, link_keys=tuple(doc["link_keys"])),
-                FidelityGrid(tuple(doc["grid"])), NoiseParams(**doc["noise"]),
-                dict(doc["link_limits"]), tuple(doc["endpoints"]), doc["builder"],
+                HypergraphColumns(**columns), FidelityGrid(tuple(doc["grid"])),
+                NoiseParams(**doc["noise"]), dict(doc["link_limits"]), doc["builder"],
                 doc["purify_model"],
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -277,10 +278,10 @@ class Hypergraph:
             raise HypergraphError(f"corrupt hypergraph document: {exc}") from exc
 
 
-def _edge_fields(cols: HypergraphColumns, ids=slice(None)) -> list[list]:
+def _edge_fields(cols: HypergraphColumns, link_keys: tuple, ids=slice(None)) -> list[list]:
     """The ``HyperEdge`` fields (op, inputs, output, p_succ, link_key,
     capacity_coeff, rate_bound), one list each, of all edges or ``ids``."""
-    keys = (*cols.link_keys, None)  # a link of -1 reads None
+    keys = (*link_keys, None)  # a link of -1 reads None
     ops = cols.op[ids].tolist()
     pairs = zip(ops, cols.input0[ids].tolist(), cols.input1[ids].tolist())
     return [
@@ -291,7 +292,7 @@ def _edge_fields(cols: HypergraphColumns, ids=slice(None)) -> list[list]:
     ]
 
 
-def _check_columns(cols: HypergraphColumns, endpoints: tuple[str, str]) -> None:
+def _check_columns(cols: HypergraphColumns, link_keys: tuple) -> None:
     """Reject columns no builder emits, before anything indexes by them; an
     error names the rule and the first entry that breaks it."""
     for names, ref in ((_EDGE_DTYPES, "op"), (("u", "v"), "exact_fidelity")):
@@ -301,7 +302,7 @@ def _check_columns(cols: HypergraphColumns, endpoints: tuple[str, str]) -> None:
                                       f"column {ref} {len(getattr(cols, ref))}")
     if len(cols.u) < 2:
         raise HypergraphError("vertices must start with source and sink")
-    op, link, f, nk = cols.op, cols.link, cols.exact_fidelity, len(cols.link_keys)
+    op, link, f, nk = cols.op, cols.link, cols.exact_fidelity, len(link_keys)
     one = (op == OP_CODE["start"]) | (op == OP_CODE["end"])  # the one-input ops
     for bad, message in (  # the entries that break a rule -> the error for the first
         ((op < 0) | (op >= len(OP_NAMES)), lambda e: f"edge {e}: unknown op {op[e].item()}"),
@@ -311,7 +312,7 @@ def _check_columns(cols: HypergraphColumns, endpoints: tuple[str, str]) -> None:
         ((link < -1) | (link >= nk), lambda e: f"edge {e}: link {link[e].item()} is not -1 "
                                                f"or an index into the {nk} link_keys"),
         ((link >= 0) & (op != OP_CODE["start"]),
-         lambda e: f"edge {e}: {OP_NAMES[op[e]]} edge names link {cols.link_keys[link[e]]!r}"),
+         lambda e: f"edge {e}: {OP_NAMES[op[e]]} edge names link {link_keys[link[e]]!r}"),
         (~((f >= 0.0) & (f <= 1.0)),  # NaN included
          lambda vi: f"vertex {vi}: exact_fidelity {f[vi].item()!r} is not a real in [0, 1]"),
     ):
@@ -321,31 +322,26 @@ def _check_columns(cols: HypergraphColumns, endpoints: tuple[str, str]) -> None:
         vi, name = next((vi, name) for vi, pair in enumerate(zip(cols.u, cols.v))
                         for name in pair if type(name) is not str)
         raise HypergraphError(f"vertex {vi}: node name {name!r} is not a string")
-    for vi in (SOURCE, SINK):
-        if (cols.u[vi], cols.v[vi]) != endpoints:
-            raise HypergraphError(f"vertex {vi}: node pair {(cols.u[vi], cols.v[vi])!r} is not "
-                                  f"the endpoints {endpoints!r}")
+    ends, sink = ((cols.u[vi], cols.v[vi]) for vi in (SOURCE, SINK))
+    if sink != ends:
+        raise HypergraphError(f"vertex {SINK}: node pair {sink!r} is not the endpoints {ends!r}")
 
 
-def _check_references(cols: HypergraphColumns, link_limits: dict[str, float]) -> None:
+def _check_references(cols: HypergraphColumns, link_keys: tuple) -> None:
     """Reject what no builder emits: a vertex index outside the vertices, an
     input not numbered below its output, p_succ outside (0, 1],
-    capacity_coeff outside [0, 1], a negative or infinite rate bound, a start
-    link without a limit and a limit that is not finite and positive. An edge
-    error names the first such edge.
+    capacity_coeff outside [0, 1], a negative or infinite rate bound and a
+    start edge without a link (every link key has a limit). An error names
+    the first such edge.
 
     Every builder numbers its table topologically: with the sink ranked last
     (as n), each input of an edge ranks below its output, so 0, 2, ..., n - 1,
     1 is a topological order and the table has no cycle. This rank rule is the
     whole cycle check, so a table numbered another way is refused."""
-    for key, limit in link_limits.items():
-        if not (math.isfinite(limit) and limit > 0.0):
-            raise HypergraphError(f"link {key!r}: limit {limit!r} is not finite and positive")
     n = len(cols.exact_fidelity)
     two = (cols.op == OP_CODE["swap"]) | (cols.op == OP_CODE["purify"])
     vertex = np.column_stack([cols.input0, np.where(two, cols.input1, 0), cols.output])
     rank = np.where(vertex == SINK, n, vertex)
-    limited = np.array([key in link_limits for key in cols.link_keys] + [False])  # link -1: False
     bad = {  # what no builder emits -> the edges that have it
         f"vertex outside [0, {n})": ((vertex < 0) | (vertex >= n)).any(axis=1),
         "input not numbered below its output (out of topological order, or contains a cycle)":
@@ -354,12 +350,12 @@ def _check_references(cols: HypergraphColumns, link_limits: dict[str, float]) ->
         "capacity_coeff outside [0, 1]":
             ~((cols.capacity_coeff >= 0.0) & (cols.capacity_coeff <= 1.0)),
         "negative or infinite rate_bound": (cols.rate_bound < 0.0) | (cols.rate_bound == math.inf),
-        "start link without a limit": (cols.op == OP_CODE["start"]) & ~limited[cols.link],
+        "start edge without a link": (cols.op == OP_CODE["start"]) & (cols.link < 0),
     }
     for what, mask in bad.items():
         hits = np.flatnonzero(mask)
         if len(hits):
-            edge = HyperEdge._make(next(zip(*_edge_fields(cols, hits[:1]))))
+            edge = HyperEdge._make(next(zip(*_edge_fields(cols, link_keys, hits[:1]))))
             raise HypergraphError(f"edge {hits[0]}: {what}: {edge}")
 
 
@@ -470,11 +466,8 @@ def build_standard_hypergraph(
         capacity_coeff=np.array([pair_capacity(f) for f in grid.values]),
     )
 
-    return Hypergraph(
-        columns=_columns(vertices, keys, [starts, swaps, purifies, ends]),
-        grid=grid, noise=noise, link_limits=link_limits, endpoints=(nodes[0], nodes[-1]),
-        builder="standard", purify_model=purify_model,
-    )
+    return Hypergraph(_columns(vertices, [starts, swaps, purifies, ends]), grid, noise,
+                      link_limits, builder="standard", purify_model=purify_model)
 
 
 def _purify_sweep(
@@ -638,11 +631,8 @@ def build_pruned_hypergraph(
     for out, f, r in sorted(zip(*(column[start:start + size] for column in pool))):
         edges.append((OP_CODE["end"], out, -1, SINK, 1.0, pair_capacity(f), r, -1))
 
-    return Hypergraph(
-        columns=_columns(tuple(zip(*vertices)), keys, [_by_column(edges)]),
-        grid=grid, noise=noise, link_limits=link_limits, endpoints=(nodes[0], nodes[-1]),
-        builder="pruned", purify_model=purify_model,
-    )
+    return Hypergraph(_columns(tuple(zip(*vertices)), [_by_column(edges)]), grid, noise,
+                      link_limits, builder="pruned", purify_model=purify_model)
 
 
 def best_dp_estimate(hg: Hypergraph) -> float:
@@ -662,7 +652,8 @@ def synthesize_multipath(hypergraphs: list[Hypergraph]) -> Hypergraph:
     if not hypergraphs:
         raise HypergraphError("need at least one hypergraph")
     first = hypergraphs[0]
-    for hg in hypergraphs[1:]:
+    link_limits: dict[str, float] = {}
+    for hg in hypergraphs:
         if hg.endpoints != first.endpoints:
             raise HypergraphError("mismatched endpoints")
         if hg.grid.values != first.grid.values:
@@ -671,13 +662,15 @@ def synthesize_multipath(hypergraphs: list[Hypergraph]) -> Hypergraph:
             raise HypergraphError("mismatched noise parameters")
         if hg.purify_model != first.purify_model:
             raise HypergraphError("mismatched purification models")
+        for key, limit in hg.link_limits.items():
+            if key in link_limits and abs(link_limits[key] - limit) > 1e-9:
+                raise HypergraphError(f"conflicting limits for physical link {key}")
+            link_limits[key] = limit
 
     BUILD_COUNTER.tick()
     s, d = first.endpoints
     u, v, fidelity = [s, s], [d, d], [np.zeros(2)]  # the source and sink
-    link_limits: dict[str, float] = {}
-    keys = sorted({key for hg in hypergraphs for key in hg.columns.link_keys})
-    code = {key: i for i, key in enumerate(keys)}
+    code = {key: i for i, key in enumerate(sorted(link_limits))}  # the union's link_keys
     blocks = []
     for hg in hypergraphs:
         cols = hg.columns
@@ -690,15 +683,9 @@ def synthesize_multipath(hypergraphs: list[Hypergraph]) -> Hypergraph:
             # source, sink and the -1 of a missing input keep their index
             block[name] = np.where(block[name] >= 2, block[name] + offset, block[name])
         # the appended -1 is what a link of -1 (no link) reads
-        block["link"] = np.array([code[key] for key in cols.link_keys] + [-1])[cols.link]
+        block["link"] = np.array([code[key] for key in hg.link_keys] + [-1])[cols.link]
         blocks.append(block)
-        for key, limit in hg.link_limits.items():
-            if key in link_limits and abs(link_limits[key] - limit) > 1e-9:
-                raise HypergraphError(f"conflicting limits for physical link {key}")
-            link_limits[key] = limit
 
-    return Hypergraph(
-        columns=_columns((u, v, np.concatenate(fidelity)), keys, blocks),
-        grid=first.grid, noise=first.noise, link_limits=link_limits, endpoints=first.endpoints,
-        builder="synthesis", purify_model=first.purify_model,
-    )
+    return Hypergraph(_columns((u, v, np.concatenate(fidelity)), blocks), first.grid,
+                      first.noise, link_limits, builder="synthesis",
+                      purify_model=first.purify_model)

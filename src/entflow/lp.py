@@ -169,14 +169,15 @@ class LPProblem:
 
     def _validate(self) -> None:
         a, n = self.matrix, self.num_vars
-        bad = np.flatnonzero((a.indices < 0) | (a.indices >= n) | np.isnan(a.data))
+        bad = np.flatnonzero((a.indices < 0) | (a.indices >= n) | ~np.isfinite(a.data))
         if len(bad):
             k = int(bad[0])
             row = self.row_names[int(np.searchsorted(a.indptr, k, side="right")) - 1]
             var, coef = int(a.indices[k]), float(a.data[k])
             if not 0 <= var < n:
                 raise LPError(f"row {row}: variable r_{var} outside [0, {n})")
-            raise LPError(f"row {row}: coefficient {coef!r} of r_{var} is NaN")
+            what = "NaN" if np.isnan(coef) else "infinite"
+            raise LPError(f"row {row}: coefficient {coef!r} of r_{var} is {what}")
         outside = sorted(i for i in self.forced_zero if not 0 <= i < n)
         if outside:
             raise LPError(f"forced_zero index {outside[0]} outside [0, {n})")
@@ -272,7 +273,7 @@ class RateLP:
     def of(cls, hg: Hypergraph) -> RateLP:
         """Flow row per link-state vertex, in vertex order: total out-rate
         minus in-credit <= 0; then one generation-limit row per physical link."""
-        cols = hg.columns  # every start link has a limit: checked at construction
+        cols = hg.columns  # every start edge names one of hg.link_keys, each with a limit
         n = len(cols.op)
         # vertices 0 and 1 are the source and sink; vertex vi >= 2 has row vi - 2
         link_vertices = np.arange(2, len(cols.exact_fidelity))
@@ -292,17 +293,17 @@ class RateLP:
         data = np.concatenate([
             np.ones(int(uses0.sum()) + int(uses1.sum())), -credit[feeds], np.ones(len(starts)),
         ])
-        num_rows = len(link_vertices) + len(cols.link_keys)
+        num_rows = len(link_vertices) + len(hg.link_keys)
         # the (data, ij) constructor sorts each row by variable and sums the two
         # terms of a purification that draws both inputs from one vertex
         matrix = sp.csr_matrix((data, (row, col)), shape=(num_rows, n))
-        limits = np.array([hg.link_limits[k] for k in cols.link_keys], np.float64)
+        limits = np.array([hg.link_limits[k] for k in hg.link_keys], np.float64)
         rhs = np.concatenate([np.zeros(len(link_vertices)), limits])
         is_live = _live_edges(cols)
         live, touched = np.flatnonzero(is_live), np.unique(row[is_live[col]])
         for array in (matrix.data, matrix.indices, matrix.indptr, rhs, live, touched):
             array.flags.writeable = False  # shared by every problem of the hypergraph
-        names = [f"v_{vi}" for vi in link_vertices.tolist()] + [f"l_{k}" for k in cols.link_keys]
+        names = [f"v_{vi}" for vi in link_vertices.tolist()] + [f"l_{k}" for k in hg.link_keys]
         # every edge consumes at least as many pairs as it makes, so no rate
         # exceeds the pairs the links generate
         return cls(matrix, rhs, tuple(names), live, touched, float(limits.sum()))

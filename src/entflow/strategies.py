@@ -46,7 +46,14 @@ from .lp import (
     formulate_lp,
     solve_lp,
 )
-from .physics import DEFAULT_NOISE, NoiseParams, gate_factor, purify, werner_swap
+from .physics import (
+    DEFAULT_NOISE,
+    NoiseParams,
+    check_purify_model,
+    gate_factor,
+    purify,
+    werner_swap,
+)
 from .topology import Path, link_egr
 
 # LP strategy -> (hypergraph builder, objective)
@@ -208,6 +215,7 @@ def run_rate_dp(
     fidelity clears ``f_lb``. Every state it reaches is also a feasible
     flow of the standard-hypergraph rate LP, so rate-lp dominates it.
     """
+    check_purify_model(purify_model)
     if not 0.5 < f_lb < 1.0:
         raise ValueError(f"f_lb must be in (0.5, 1), got {f_lb}")
     t0 = time.perf_counter()
@@ -380,6 +388,7 @@ def brute_force_oracle(
     ``max_ensembles`` (at least 1) optionally restricts the mixture LP to
     the best protocols by standalone capacity.
     """
+    check_purify_model(purify_model)
     k = len(path.edges)
     if path.num_nodes > 4:
         raise OracleBoundsError("oracle paths are limited to 4 nodes")
@@ -449,6 +458,7 @@ def oracle_best_single(
     purify_model: str = "ideal-dejmps",
 ) -> tuple[float, float, float]:
     """(capacity, rate, fidelity) of the best standalone protocol."""
+    check_purify_model(purify_model)
     if path.num_nodes > 4:
         raise OracleBoundsError("oracle paths are limited to 4 nodes")
     limits = np.array([link_egr(e) for e in path.edges])

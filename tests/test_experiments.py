@@ -257,6 +257,19 @@ def test_cli_topo_gen_validate_and_run(tmp_path):
     assert doc["failures"] == 0 and len(doc["rows"]) == 3
 
 
+def test_cli_topo_gen_draws_lengths_from_the_distance_range(tmp_path, capsys):
+    topo_file = tmp_path / "topo.json"
+    assert main(["topo", "gen", "--nodes", "12", "--seed", "4", "--distance-range", "30,45",
+                 "--out", str(topo_file)]) == 0
+    lengths = [edge["length_km"] for edge in json.loads(topo_file.read_text())["edges"]]
+    assert lengths and all(30.0 <= km <= 45.0 for km in lengths)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:  # argparse refuses a malformed option this way
+        main(["topo", "gen", "--nodes", "12", "--distance-range", "20"])
+    assert exc.value.code == 2
+    assert "range must be 'lo,hi'" in capsys.readouterr().err
+
+
 def test_cli_cache_and_oracle(tmp_path):
     topo_file = tmp_path / "topo.json"
     topo_file.write_text(json.dumps({

@@ -252,7 +252,8 @@ def _digest(hg, cols=None) -> str:
         "endpoints": list(hg.endpoints), "grid": list(hg.grid.values), "noise": asdict(hg.noise),
         "link_limits": hg.link_limits,
         "vertices": list(zip(cols.u, cols.v, cols.exact_fidelity.tolist(), bucket.tolist(), kind)),
-        "edges": list(zip(*_edge_fields(cols))),  # each record and its inputs write as JSON lists
+        # each record and its inputs write as JSON lists
+        "edges": list(zip(*_edge_fields(cols, hg.link_keys))),
     }
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
 

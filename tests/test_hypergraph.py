@@ -28,7 +28,7 @@ from entflow.hypergraph import (
 )
 from entflow.lp import extract_scheme, formulate_lp, solve_lp
 from entflow.orchestrator import PlannerConfig, load_cache, outer_loop_update, save_cache
-from entflow.physics import CLAMP_EVENTS, DEFAULT_NOISE, PURIFY_MODELS, swap_fidelity
+from entflow.physics import CLAMP_EVENTS, DEFAULT_NOISE, PURIFY_MODELS, NoiseParams, swap_fidelity
 from entflow.topology import Edge, Topology, link_egr
 
 
@@ -141,11 +141,10 @@ def _cycle_document():
 def test_cycle_detection():
     edges = {name: np.array(_CYCLE[name], dtype) for name, dtype in DOCUMENT_COLUMNS.items()
              if name not in ("u", "v", "exact_fidelity")}
-    cols = HypergraphColumns(**edges, link_keys=(), u=("a",) * 4, v=("b",) * 4,
+    cols = HypergraphColumns(**edges, u=("a",) * 4, v=("b",) * 4,
                              exact_fidelity=np.array(_CYCLE["exact_fidelity"]))
     with pytest.raises(HypergraphError, match="contains a cycle"):
-        Hypergraph(cols, FidelityGrid.uniform(2), DEFAULT_NOISE, {}, ("a", "b"), "standard",
-                   "ideal-dejmps")
+        Hypergraph(cols, FidelityGrid.uniform(2), DEFAULT_NOISE, {}, "standard", "ideal-dejmps")
 
 
 def test_cycle_detection_on_consistent_vertex_rows():
@@ -205,10 +204,9 @@ def test_acyclic_short_path_agrees_with_the_component_search(table):
         op=np.where(input1 < 0, OP_CODE["end"], OP_CODE["swap"]).astype(np.int8), input0=input0,
         input1=input1, output=output, p_succ=np.ones(len(output)),
         capacity_coeff=np.zeros(len(output)), rate_bound=np.full(len(output), np.nan),
-        link=np.full(len(output), -1), link_keys=(), u=("a",) * n, v=("b",) * n,
-        exact_fidelity=np.zeros(n))
+        link=np.full(len(output), -1), u=("a",) * n, v=("b",) * n, exact_fidelity=np.zeros(n))
     try:
-        _check_references(cols, {})
+        _check_references(cols, ())
         refused = False
     except HypergraphError as exc:
         assert late and str(exc).startswith(f"edge {late[0]}: ")
@@ -231,8 +229,7 @@ def test_one_back_edge_in_a_numbered_table_is_a_cycle():
                               for name, value in back.items()})
     # the appended back edge is the only one out of order, and it is named
     with pytest.raises(HypergraphError, match=f"^edge {len(cols.op)}: .*contains a cycle"):
-        Hypergraph(looped, hg.grid, hg.noise, hg.link_limits, hg.endpoints, hg.builder,
-                   hg.purify_model)
+        Hypergraph(looped, hg.grid, hg.noise, hg.link_limits, hg.builder, hg.purify_model)
 
 
 def _text_round_trip(hg):
@@ -344,6 +341,34 @@ def test_json_round_trip_is_lossless():
     assert clone.endpoints == hg.endpoints
 
 
+def _capacity(doc):
+    return solve_lp(formulate_lp(Hypergraph.from_json(doc), "ensemble-capacity")).objective_value
+
+
+@pytest.mark.parametrize("keys", [
+    pytest.param(lambda keys: keys[::-1], id="reversed"),
+    pytest.param(lambda keys: [*keys[:-1], keys[-2]], id="duplicated"),
+    pytest.param(lambda keys: ["a|z", *keys], id="extra-key-without-a-limit"),
+])
+def test_stored_link_keys_and_endpoints_are_ignored(keys):
+    # a document in the older format also held the endpoints and the link
+    # keys; the link column indexes the sorted keys of the limits whatever it says
+    hg = build_pruned_hypergraph(make_chain([40.0, 90.0, 60.0]), FidelityGrid.uniform(30),
+                                 DEFAULT_NOISE)
+    doc = hg.to_json()
+    clean = {**doc, "endpoints": list(hg.endpoints), "link_keys": sorted(doc["link_limits"])}
+    assert _capacity(clean) == _capacity(doc) == pytest.approx(544.8588, rel=1e-6)
+    assert _capacity({**clean, "link_keys": keys(clean["link_keys"])}) == _capacity(doc)
+
+
+def test_from_json_rejects_a_start_edge_without_a_link():
+    hg = build_pruned_hypergraph(make_chain([60.0, 80.0]), FidelityGrid.uniform(6), DEFAULT_NOISE)
+    doc = hg.to_json()
+    _edit_edge("start", "link", -1)(doc)
+    with pytest.raises(HypergraphError, match=r"^edge 0: start edge without a link: "):
+        Hypergraph.from_json(doc)
+
+
 def test_from_json_rejects_bad_version():
     # 1 is the version of the deleted row documents
     path = make_chain([60.0])
@@ -377,6 +402,33 @@ def test_synthesis_pools_shared_links_and_remaps():
     # Single-input synthesis is structurally identical to the input.
     solo = synthesize_multipath([h1])
     assert solo.stats().edges_by_op == h1.stats().edges_by_op
+
+
+def _sad(grid=FidelityGrid.uniform(8), noise=DEFAULT_NOISE, model="ideal-dejmps", sa_km=50.0,
+         nodes=("s", "a", "d")):
+    """The pruned build of a path over s-a (``sa_km`` long), a-d and s-b-d."""
+    topo = make_topology([("s", "a", sa_km), ("a", "d", 50.0), ("s", "b", 60.0), ("b", "d", 60.0)])
+    return build_pruned_hypergraph(topo.path_from_nodes(list(nodes)), grid, noise, model)
+
+
+@pytest.mark.parametrize("other, match", [
+    pytest.param(lambda: _sad(nodes=("s", "a")), "^mismatched endpoints$", id="endpoints"),
+    pytest.param(lambda: _sad(grid=FidelityGrid.uniform(9)), "^mismatched grids$", id="grids"),
+    pytest.param(lambda: _sad(noise=NoiseParams(p2=0.99)), "^mismatched noise parameters$",
+                 id="noise"),
+    pytest.param(lambda: _sad(model="as-printed"), "^mismatched purification models$",
+                 id="purify-models"),
+    pytest.param(lambda: _sad(sa_km=70.0), r"^conflicting limits for physical link a\|s$",
+                 id="limits"),
+])
+def test_synthesis_refuses_hypergraphs_that_disagree(other, match):
+    with pytest.raises(HypergraphError, match=match):
+        synthesize_multipath([_sad(), other()])
+
+
+def test_synthesis_refuses_an_empty_list():
+    with pytest.raises(HypergraphError, match="^need at least one hypergraph$"):
+        synthesize_multipath([])
 
 
 def _edit_edge(op, name, value):
@@ -484,8 +536,13 @@ def _hypergraphs(draw):
 def test_json_round_trip_keeps_the_columns_byte_for_byte(hg):
     clone = _text_round_trip(hg)
     _assert_same_columns(hg, clone)
-    for name in ("grid", "noise", "link_limits", "endpoints", "builder", "purify_model"):
+    for name in ("grid", "noise", "link_limits", "link_keys", "endpoints", "builder",
+                 "purify_model"):
         assert getattr(clone, name) == getattr(hg, name), name
+    # both derived, neither stored
+    assert hg.link_keys == tuple(sorted(hg.link_limits))
+    assert hg.endpoints == (hg.columns.u[SOURCE], hg.columns.v[SOURCE])
+    assert not {"link_keys", "endpoints"} & hg.to_json().keys()
     assert json.dumps(clone.to_json()) == json.dumps(hg.to_json())
     with pytest.raises(ValueError):
         clone.columns.rate_bound[:1] = 0.0

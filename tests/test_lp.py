@@ -170,6 +170,12 @@ def test_parse_rejects_malformed_documents():
         parse_lp("maximize\n obj: 1.0 q_0\nsubject to\nend\n")  # bad variable
 
 
+def test_parse_rejects_an_infinite_coefficient():
+    # 1e999 parses as a float, to inf
+    with pytest.raises(LPError, match=r"^row cap: coefficient inf of r_0 is infinite$"):
+        parse_lp("maximize\n obj: 1.0 r_0\nsubject to\n cap: 1e999 r_0 <= 1.0\nend\n")
+
+
 def test_extract_scheme_contents():
     path = make_chain([70.0, 70.0], f0=0.98)
     hg = build_pruned_hypergraph(path, FidelityGrid.uniform(40), DEFAULT_NOISE)
@@ -223,6 +229,8 @@ def test_check_solution_names_the_worst_row():
     ([[(0, 1.0)], [(1, 1.0)]], {"forced_zero": frozenset({0, 2})}, r"forced_zero index 2 outside"),
     ([[(0, 1.0)], [(1, 1.0)]], {"objective": [1.0, float("nan")]}, r"objective coefficient of r_1"),
     ([[(0, 1.0)], [(1, 1.0)]], {"rhs": [float("nan"), 1.0]}, r"row a: rhs is NaN"),
+    ([[(0, 1.0)], [(1, float("inf"))]], {}, r"row b: coefficient inf of r_1 is infinite"),
+    ([[(0, -float("inf"))], [(1, 1.0)]], {}, r"row a: coefficient -inf of r_0 is infinite"),
 ])
 def test_problem_rejects_bad_terms_indices_and_nan(rows, kw, message):
     args = {"objective": [1.0, 1.0], "rhs": [1.0, 1.0], **kw}

@@ -396,8 +396,8 @@ def _rename_node(old, new):
                  id="node-index-past-nodes"),
     pytest.param(_edit_column("u", 3, -1), "vertex 3: u -1 is not an index into the 4 nodes",
                  id="negative-node-index"),
-    pytest.param(_edit_column("u", 0, 0), r"vertex 0: node pair \('a', 'd'\) is not the endpoints",
-                 id="source-pair-other-than-the-endpoints"),
+    pytest.param(_edit_column("u", 0, 0), r"vertex 1: node pair \('s', 'd'\) is not the endpoints "
+                 r"\('a', 'd'\)", id="source-pair-other-than-the-endpoints"),
     pytest.param(_rename_node("a", "z"), r"entry \('s', 'd'\): node 'z' is not on its first 2 "
                  "estimated paths", id="node-off-the-kept-paths"),
 ])
@@ -449,6 +449,22 @@ def test_load_cache_rejects_an_entry_whose_hypergraph_connects_other_endpoints()
     entry["s"], entry["d"] = "d", "a"  # relabelled: the a-b model would answer d-a
     with pytest.raises(CacheError, match=r"entry \('d', 'a'\): its hypergraph connects \('a', 'b'\)"):
         load_cache(json.dumps(doc))
+
+
+def test_load_cache_reads_a_cache_that_stores_endpoints_and_link_keys():
+    # caches written before both were derived also stored them per entry
+    doc = _two_demand_doc()
+    cache = load_cache(json.dumps(doc))
+    for item in doc["entries"]:
+        hg_doc = item["hypergraph"]
+        hg_doc["endpoints"] = [item["s"], item["d"]]
+        hg_doc["link_keys"] = sorted(hg_doc["link_limits"])
+    older = load_cache(json.dumps(doc))
+    assert save_cache(older) == save_cache(cache)
+    for s, d in cache.entries:
+        a = inner_loop_request(cache, s, d).scheme.to_json()
+        b = inner_loop_request(older, s, d).scheme.to_json()
+        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 def test_load_cache_rejects_a_demand_that_appears_twice():

@@ -16,6 +16,7 @@ from entflow.strategies import (
     _tree_shapes,
     brute_force_oracle,
     oracle_best_single,
+    run_rate_dp,
     run_strategy,
 )
 from entflow.topology import Edge, Topology, link_egr
@@ -175,3 +176,26 @@ def test_oracle_discards_protocols_the_as_printed_map_drives_out_of_range(tmp_pa
     assert main(["oracle", "--topology", str(topo_file), "--demand", "a,b",
                  "--purify-model", "as-printed", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["capacity"] == caps[0]
+
+
+_UNKNOWN_MODEL = r"^purify_model must be one of \('ideal-dejmps', 'as-printed'\), got 'bogus'$"
+
+
+def test_oracle_refuses_an_unknown_purification_model():
+    # with no purification round, no purify call would refuse the model
+    path, grid = make_chain([50.0, 50.0]), FidelityGrid.uniform(4)
+    with pytest.raises(ValueError, match=_UNKNOWN_MODEL):
+        brute_force_oracle(path, grid, DEFAULT_NOISE, max_purify_rounds=0, purify_model="bogus")
+
+
+def test_oracle_best_single_refuses_an_unknown_purification_model():
+    path, grid = make_chain([50.0, 50.0]), FidelityGrid.uniform(4)
+    with pytest.raises(ValueError, match=_UNKNOWN_MODEL):
+        oracle_best_single(path, grid, DEFAULT_NOISE, max_purify_rounds=0, purify_model="bogus")
+
+
+def test_rate_dp_refuses_an_unknown_purification_model():
+    # every link is below the grid, so the program makes no purify call
+    path, grid = make_chain([50.0, 50.0], f0=0.9), FidelityGrid((0.95, 1.0))
+    with pytest.raises(ValueError, match=_UNKNOWN_MODEL):
+        run_rate_dp(path, grid, 0.96, purify_model="bogus")
