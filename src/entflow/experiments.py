@@ -53,6 +53,7 @@ from .topology import (
     Edge,
     Path,
     Topology,
+    check_gabriel_ranges,
     generate_gabriel,
     k_shortest_paths,
     read_topology_file,
@@ -133,6 +134,7 @@ class ExperimentConfig:
             if s not in STRATEGY_NAMES:
                 raise ValueError(f"unknown strategy {s!r}")
         check_purify_model(self.purify_model)
+        check_gabriel_ranges(self.bbox_km, self.distance_range_km)
         if self.f_lb_step <= 0 or self.f_lb_stop < self.f_lb_start:
             raise ValueError("invalid f_lb sweep range")
         if not 0.5 < self.f_lb < 1.0:  # the range rate-dp requires

@@ -3,9 +3,10 @@
 Vertices are (node-pair, fidelity) link states plus a source and a sink;
 hyper-edges are start/swap/purify/end operations carrying LP rate
 variables. A hypergraph is made from one table (``HypergraphColumns``) that
-holds both and that every reader uses; vertex kinds and buckets, the endpoints
-and the ``edges`` records are derived from it, and the link column indexes the
-sorted keys of the link limits. Every hypergraph is checked when made.
+holds both as its builder chose them and that every reader uses; vertex kinds
+and buckets, the endpoints, the link keys, the ``edges`` records and each
+edge's success probability, capacity coefficient and link (``_derived``)
+follow from it. Every hypergraph is checked when made.
 Every builder numbers its table topologically (each input of an edge before
 its output, the sink last), so the check refuses a cycle with one rank rule.
 Its one JSON document (``Hypergraph.to_json``) holds the table as base64
@@ -48,7 +49,7 @@ from .physics import (
     purify_model_is_symmetric,
     werner_swap,
 )
-from .topology import Path, link_egr
+from .topology import Path, link_egr, link_key
 
 if TYPE_CHECKING:
     from .lp import RateLP
@@ -62,18 +63,15 @@ _SWEEP_SLACK = 1e-12  # far above the DEJMPS kernel's float error (~3e-16); see 
 OP_NAMES = ("start", "swap", "purify", "end")  # per HypergraphColumns.op code
 OP_CODE = {op: code for code, op in enumerate(OP_NAMES)}
 _ARITY = (1, 2, 2, 1)  # inputs per op code
-_EDGE_DTYPES = {  # the per-edge columns of HypergraphColumns
-    "op": np.int8, "input0": np.int64, "input1": np.int64, "output": np.int64, "p_succ": float,
-    "capacity_coeff": float, "rate_bound": float, "link": np.int64,
-}
+_EDGE_DTYPES = {"op": np.int8, "input0": np.int64, "input1": np.int64, "output": np.int64,
+                "rate_bound": float}  # the per-edge columns of HypergraphColumns
 
 DOCUMENT_VERSION = 2  # of Hypergraph.to_json and of a planner cache, which holds such documents
 # each HypergraphColumns array in a document, base64 of its bytes in this
 # dtype; u and v index the document's sorted node names
 DOCUMENT_COLUMNS = {name: np.dtype(code) for name, code in (
-    ("op", "<i1"), ("input0", "<i8"), ("input1", "<i8"), ("output", "<i8"), ("p_succ", "<f8"),
-    ("capacity_coeff", "<f8"), ("rate_bound", "<f8"), ("link", "<i8"), ("exact_fidelity", "<f8"),
-    ("u", "<i4"), ("v", "<i4"))}
+    ("op", "<i1"), ("input0", "<i8"), ("input1", "<i8"), ("output", "<i8"),
+    ("rate_bound", "<f8"), ("exact_fidelity", "<f8"), ("u", "<i4"), ("v", "<i4"))}
 
 
 class HypergraphError(ValueError):
@@ -141,16 +139,14 @@ class HypergraphStats:
 @dataclass(frozen=True)
 class HypergraphColumns:
     """The hypergraph as columns: one entry per edge, then per vertex. Vertex
-    0 is the source and vertex 1 the sink (the endpoints at fidelity 0)."""
+    0 is the source and vertex 1 the sink (the endpoints at fidelity 0).
+    Only a builder's choices are stored: ``_derived`` gives the rest."""
 
     op: np.ndarray  # OP_CODE of each edge
     input0: np.ndarray
     input1: np.ndarray  # -1 for one-input ops
     output: np.ndarray
-    p_succ: np.ndarray
-    capacity_coeff: np.ndarray
     rate_bound: np.ndarray  # NaN: no bound
-    link: np.ndarray  # start edges: index into the hypergraph's link_keys; -1 elsewhere
     u: tuple[str, ...]  # per vertex: its node pair (u, v)
     v: tuple[str, ...]
     exact_fidelity: np.ndarray
@@ -182,7 +178,8 @@ BUILD_COUNTER = EventCounter()  # hypergraph builder invocations
 
 class Hypergraph:
     """Immutable operation hypergraph made from its table ``columns``. Index
-    0 is the source, 1 the sink; ``link_keys`` and ``endpoints`` are derived."""
+    0 is the source, 1 the sink; ``link_keys``, ``endpoints`` and the
+    read-only per-edge ``p_succ``, ``capacity_coeff`` and ``link`` are derived."""
 
     def __init__(
         self,
@@ -201,17 +198,21 @@ class Hypergraph:
         self.grid = grid
         self.noise = noise
         self.link_limits = dict(link_limits)
-        self.link_keys = tuple(sorted(self.link_limits))  # what the link column indexes
+        self.link_keys = tuple(sorted(self.link_limits))  # what the derived link indexes
         self.builder = builder
         self.purify_model = purify_model
-        _check_columns(columns, self.link_keys)
-        _check_references(columns, self.link_keys)
+        _check_columns(columns)
+        _check_references(columns)
         self.endpoints = (columns.u[SOURCE], columns.v[SOURCE])  # the source's node pair
+        self.p_succ, self.capacity_coeff, self.link = _derived(
+            columns, self.link_keys, noise, purify_model)
 
     @cached_property
     def edges(self) -> tuple[HyperEdge, ...]:
         """The edges as records, derived from the columns on first use."""
-        return tuple(map(HyperEdge._make, zip(*_edge_fields(self.columns, self.link_keys))))
+        fields = _edge_fields(self.columns, self.link_keys, (self.p_succ, self.capacity_coeff,
+                                                             self.link))
+        return tuple(map(HyperEdge._make, zip(*fields)))
 
     @cached_property
     def rate_lp(self) -> RateLP:
@@ -249,8 +250,9 @@ class Hypergraph:
     def from_json(cls, doc: dict) -> Hypergraph:
         """The hypergraph of a ``to_json`` document, checked as every
         hypergraph is; decoding rejects a column whose bytes are not whole
-        entries and a node index outside ``nodes``, and ignores the derived
-        ``endpoints`` and ``link_keys`` that older documents hold."""
+        entries and a node index outside ``nodes``, and ignores what older
+        documents hold that is now derived: ``endpoints``, ``link_keys`` and
+        the p_succ, capacity_coeff and link columns."""
         try:
             if doc["version"] != DOCUMENT_VERSION:
                 raise HypergraphError(f"unsupported version {doc['version']!r}")
@@ -278,21 +280,48 @@ class Hypergraph:
             raise HypergraphError(f"corrupt hypergraph document: {exc}") from exc
 
 
-def _edge_fields(cols: HypergraphColumns, link_keys: tuple, ids=slice(None)) -> list[list]:
+def _edge_fields(cols: HypergraphColumns, link_keys: tuple, derived: tuple) -> list[list]:
     """The ``HyperEdge`` fields (op, inputs, output, p_succ, link_key,
-    capacity_coeff, rate_bound), one list each, of all edges or ``ids``."""
+    capacity_coeff, rate_bound), one list each, of the table's edges and
+    their ``_derived`` (p_succ, capacity_coeff, link)."""
     keys = (*link_keys, None)  # a link of -1 reads None
-    ops = cols.op[ids].tolist()
-    pairs = zip(ops, cols.input0[ids].tolist(), cols.input1[ids].tolist())
+    p_succ, capacity_coeff, link = derived
+    ops = cols.op.tolist()
+    pairs = zip(ops, cols.input0.tolist(), cols.input1.tolist())
     return [
         [OP_NAMES[op] for op in ops], [(in0, in1)[: _ARITY[op]] for op, in0, in1 in pairs],
-        cols.output[ids].tolist(), cols.p_succ[ids].tolist(),
-        [keys[link] for link in cols.link[ids].tolist()], cols.capacity_coeff[ids].tolist(),
-        [None if math.isnan(rate) else rate for rate in cols.rate_bound[ids].tolist()],
+        cols.output.tolist(), p_succ.tolist(), [keys[i] for i in link.tolist()],
+        capacity_coeff.tolist(), [None if math.isnan(r) else r for r in cols.rate_bound.tolist()],
     ]
 
 
-def _check_columns(cols: HypergraphColumns, link_keys: tuple) -> None:
+def _derived(cols: HypergraphColumns, link_keys: tuple, noise: NoiseParams,
+             purify_model: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per edge of a checked table, read-only: (p_succ, capacity_coeff, link),
+    the kernel's success probability on a purification's inputs, the
+    ``pair_capacity`` of an end edge's input and the index into ``link_keys``
+    of a start edge's output pair (1, 0 and -1 elsewhere). A start edge into
+    a pair with no link limit is refused."""
+    f, n = cols.exact_fidelity, len(cols.op)
+    p_succ, capacity_coeff, link = np.ones(n), np.zeros(n), np.full(n, -1, np.int64)
+    e = np.flatnonzero(cols.op == OP_CODE["purify"])
+    f1, f2 = f[cols.input0[e]], f[cols.input1[e]]  # the unclamped kernels: no clamp event
+    ideal = purify_model == "ideal-dejmps"
+    p_succ[e] = dejmps(f1, f2)[1] if ideal else as_printed_success(f1, f2, noise)
+    e = np.flatnonzero(cols.op == OP_CODE["end"])
+    capacity_coeff[e] = [pair_capacity(fi) for fi in f[cols.input0[e]].tolist()]
+    index = {key: i for i, key in enumerate(link_keys)}
+    for e in np.flatnonzero(cols.op == OP_CODE["start"]).tolist():
+        pair = cols.u[cols.output[e]], cols.v[cols.output[e]]
+        link[e] = index.get(link_key(*pair), -1)
+        if link[e] < 0:
+            raise HypergraphError(f"edge {e}: start edge into {pair!r}, which has no link limit")
+    for array in (p_succ, capacity_coeff, link):
+        array.flags.writeable = False  # shared by every LP of the hypergraph
+    return p_succ, capacity_coeff, link
+
+
+def _check_columns(cols: HypergraphColumns) -> None:
     """Reject columns no builder emits, before anything indexes by them; an
     error names the rule and the first entry that breaks it."""
     for names, ref in ((_EDGE_DTYPES, "op"), (("u", "v"), "exact_fidelity")):
@@ -302,17 +331,13 @@ def _check_columns(cols: HypergraphColumns, link_keys: tuple) -> None:
                                       f"column {ref} {len(getattr(cols, ref))}")
     if len(cols.u) < 2:
         raise HypergraphError("vertices must start with source and sink")
-    op, link, f, nk = cols.op, cols.link, cols.exact_fidelity, len(link_keys)
+    op, f = cols.op, cols.exact_fidelity
     one = (op == OP_CODE["start"]) | (op == OP_CODE["end"])  # the one-input ops
     for bad, message in (  # the entries that break a rule -> the error for the first
         ((op < 0) | (op >= len(OP_NAMES)), lambda e: f"edge {e}: unknown op {op[e].item()}"),
         (one != (cols.input1 == -1),  # a mismatch has the other arity
          lambda e: f"edge {e}: {OP_NAMES[op[e]]} takes {_ARITY[op[e]]} input(s), "
                    f"got {3 - _ARITY[op[e]]}"),
-        ((link < -1) | (link >= nk), lambda e: f"edge {e}: link {link[e].item()} is not -1 "
-                                               f"or an index into the {nk} link_keys"),
-        ((link >= 0) & (op != OP_CODE["start"]),
-         lambda e: f"edge {e}: {OP_NAMES[op[e]]} edge names link {link_keys[link[e]]!r}"),
         (~((f >= 0.0) & (f <= 1.0)),  # NaN included
          lambda vi: f"vertex {vi}: exact_fidelity {f[vi].item()!r} is not a real in [0, 1]"),
     ):
@@ -327,12 +352,10 @@ def _check_columns(cols: HypergraphColumns, link_keys: tuple) -> None:
         raise HypergraphError(f"vertex {SINK}: node pair {sink!r} is not the endpoints {ends!r}")
 
 
-def _check_references(cols: HypergraphColumns, link_keys: tuple) -> None:
+def _check_references(cols: HypergraphColumns) -> None:
     """Reject what no builder emits: a vertex index outside the vertices, an
-    input not numbered below its output, p_succ outside (0, 1],
-    capacity_coeff outside [0, 1], a negative or infinite rate bound and a
-    start edge without a link (every link key has a limit). An error names
-    the first such edge.
+    input not numbered below its output and a negative or infinite rate
+    bound. An error names the first such edge by its stored columns.
 
     Every builder numbers its table topologically: with the sink ranked last
     (as n), each input of an edge ranks below its output, so 0, 2, ..., n - 1,
@@ -346,17 +369,13 @@ def _check_references(cols: HypergraphColumns, link_keys: tuple) -> None:
         f"vertex outside [0, {n})": ((vertex < 0) | (vertex >= n)).any(axis=1),
         "input not numbered below its output (out of topological order, or contains a cycle)":
             (rank[:, :2] >= rank[:, 2:]).any(axis=1),
-        "p_succ outside (0, 1]": ~((cols.p_succ > 0.0) & (cols.p_succ <= 1.0)),
-        "capacity_coeff outside [0, 1]":
-            ~((cols.capacity_coeff >= 0.0) & (cols.capacity_coeff <= 1.0)),
         "negative or infinite rate_bound": (cols.rate_bound < 0.0) | (cols.rate_bound == math.inf),
-        "start edge without a link": (cols.op == OP_CODE["start"]) & (cols.link < 0),
     }
     for what, mask in bad.items():
         hits = np.flatnonzero(mask)
         if len(hits):
-            edge = HyperEdge._make(next(zip(*_edge_fields(cols, link_keys, hits[:1]))))
-            raise HypergraphError(f"edge {hits[0]}: {what}: {edge}")
+            stored = {name: getattr(cols, name)[hits[0]].item() for name in _EDGE_DTYPES}
+            raise HypergraphError(f"edge {hits[0]}: {what}: {stored}")
 
 
 def _swap_table(grid: FidelityGrid, noise: NoiseParams) -> tuple[np.ndarray, np.ndarray]:
@@ -387,8 +406,7 @@ def _purify_table(
 def _edge_block(op: str, input0: np.ndarray, output: np.ndarray, **fields) -> dict:
     """Columns of a run of edges of one op; a scalar holds for every edge."""
     values = {"op": OP_CODE[op], "input0": input0, "input1": -1, "output": output,
-              "p_succ": 1.0, "capacity_coeff": 0.0, "rate_bound": math.nan, "link": -1,
-              **fields}
+              "rate_bound": math.nan, **fields}
     return {name: np.broadcast_to(value, len(input0)) for name, value in values.items()}
 
 
@@ -429,11 +447,9 @@ def build_standard_hypergraph(
     k0 = [grid.round_down_index(phys.f0) for phys in path.edges]
     linked = [t for t in range(m - 1) if k0[t] >= 0]  # f0 below the grid generates nothing
     link_limits = {path.edges[t].key: link_egr(path.edges[t]) for t in linked}
-    keys = sorted(link_limits)
-    starts = _edge_block(
-        "start", np.full(len(linked), SOURCE), [base[(t, t + 1)] + k0[t] for t in linked],
-        rate_bound=list(link_limits.values()), link=[keys.index(key) for key in link_limits],
-    )
+    starts = _edge_block("start", np.full(len(linked), SOURCE),
+                         [base[(t, t + 1)] + k0[t] for t in linked],
+                         rate_bound=list(link_limits.values()))
 
     _, swap_idx = _swap_table(grid, noise)
     ka, kb = np.nonzero(swap_idx >= 0)
@@ -449,22 +465,17 @@ def build_standard_hypergraph(
     )
 
     symmetric = purify_model_is_symmetric(purify_model)  # refuses an unknown model
-    _, pur_p, pur_idx = _purify_table(grid, noise, purify_model)
+    _, _, pur_idx = _purify_table(grid, noise, purify_model)
     ka_grid, kb_grid = np.meshgrid(np.arange(nf), np.arange(nf), indexing="ij")
     valid = pur_idx > np.maximum(ka_grid, kb_grid)
     if symmetric:
         valid &= ka_grid <= kb_grid
     pa, pb = np.nonzero(valid)
     bases = np.array([base[pair] for pair in pairs], np.int64)[:, None]
-    purifies = _edge_block(
-        "purify", (bases + pa).ravel(), (bases + pur_idx[pa, pb]).ravel(),
-        input1=(bases + pb).ravel(), p_succ=np.tile(pur_p[pa, pb], len(pairs)),
-    )
+    purifies = _edge_block("purify", (bases + pa).ravel(), (bases + pur_idx[pa, pb]).ravel(),
+                           input1=(bases + pb).ravel())
 
-    ends = _edge_block(
-        "end", base[(0, m - 1)] + np.arange(nf), np.full(nf, SINK),
-        capacity_coeff=np.array([pair_capacity(f) for f in grid.values]),
-    )
+    ends = _edge_block("end", base[(0, m - 1)] + np.arange(nf), np.full(nf, SINK))
 
     return Hypergraph(_columns(vertices, [starts, swaps, purifies, ends]), grid, noise,
                       link_limits, builder="standard", purify_model=purify_model)
@@ -476,8 +487,8 @@ def _purify_sweep(
     """One increasing-bucket purification sweep over a node-pair block.
 
     ``block`` maps each occupied bucket to its incumbent, the tuple (exact
-    fidelity, rate, op code, input0, input1, p_succ, link); a purification
-    names its inputs by their buckets in the block. Candidates always land
+    fidelity, rate, op code, input0, input1); a purification names its
+    inputs by their buckets in the block. Candidates always land
     in a strictly higher bucket than both inputs, so a single ascending pass
     over the occupied buckets also captures cascaded purification: a bucket
     filled during the sweep is inserted ahead of the cursor, and every
@@ -520,7 +531,7 @@ def _purify_sweep(
                 rate.insert(at, r_new)
             else:
                 fid[at], rate[at] = f_new, r_new
-            block[kn] = (f_new, r_new, OP_CODE["purify"], k, k1, p, -1)
+            block[kn] = (f_new, r_new, OP_CODE["purify"], k, k1)
         pos += 1
 
 
@@ -569,7 +580,6 @@ def build_pruned_hypergraph(
     nodes = path.nodes
     k0 = [grid.round_down_index(phys.f0) for phys in path.edges]
     link_limits = {phys.key: link_egr(phys) for phys, k in zip(path.edges, k0) if k >= 0}
-    keys = sorted(link_limits)
 
     vertices = [(nodes[0], nodes[-1], 0.0)] * 2  # (u, v, exact_fidelity): source, sink
     edges = []  # per edge, its values in _EDGE_DTYPES order
@@ -584,11 +594,11 @@ def build_pruned_hypergraph(
         _purify_sweep(block, grid, noise, purify_model)
         vertex = {k: len(vertices) + rank for rank, k in enumerate(sorted(block))}
         for k, out in vertex.items():
-            f, r, op, in0, in1, p, link = block[k]
+            f, r, op, in0, in1 = block[k]
             if op == OP_CODE["purify"]:
                 in0, in1 = vertex[in0], vertex[in1]
             vertices.append((nodes[pair[0]], nodes[pair[1]], f))
-            edges.append((op, in0, in1, out, p, 0.0, r, link))
+            edges.append((op, in0, in1, out, r))
         slot[pair] = (len(pool[0]), len(block))
         pool[0].extend(map(vertex.get, block))
         pool[1].extend(inc[0] for inc in block.values())
@@ -597,8 +607,7 @@ def build_pruned_hypergraph(
     for t, phys in enumerate(path.edges):
         block = {}
         if k0[t] >= 0:
-            block[k0[t]] = (phys.f0, link_limits[phys.key], OP_CODE["start"], SOURCE, -1, 1.0,
-                            keys.index(phys.key))
+            block[k0[t]] = (phys.f0, link_limits[phys.key], OP_CODE["start"], SOURCE, -1)
         finish((t, t + 1), block)
 
     vals, nf, g = grid.as_array(), grid.resolution, gate_factor(noise)
@@ -623,13 +632,13 @@ def build_pruned_hypergraph(
         blocks = {i: {} for i in range(m - span)}
         for i, k, fw, rw, in0, in1 in zip(*(a[win].tolist() for a in (owner, bucket, f, r)),
                                            vid[left[win]].tolist(), vid[right[win]].tolist()):
-            blocks[i][k] = (fw, rw, OP_CODE["swap"], in0, in1, 1.0, -1)
+            blocks[i][k] = (fw, rw, OP_CODE["swap"], in0, in1)
         for i, block in blocks.items():
             finish((i, i + span), block)
 
     start, size = slot[(0, m - 1)]
-    for out, f, r in sorted(zip(*(column[start:start + size] for column in pool))):
-        edges.append((OP_CODE["end"], out, -1, SINK, 1.0, pair_capacity(f), r, -1))
+    for out, _, r in sorted(zip(*(column[start:start + size] for column in pool))):
+        edges.append((OP_CODE["end"], out, -1, SINK, r))
 
     return Hypergraph(_columns(tuple(zip(*vertices)), [_by_column(edges)]), grid, noise,
                       link_limits, builder="pruned", purify_model=purify_model)
@@ -639,7 +648,7 @@ def best_dp_estimate(hg: Hypergraph) -> float:
     """Outer-loop ranking score: best end incumbent rate x pair capacity."""
     cols = hg.columns
     ends = (cols.op == OP_CODE["end"]) & ~np.isnan(cols.rate_bound)
-    return max([0.0, *(cols.rate_bound[ends] * cols.capacity_coeff[ends]).tolist()])
+    return max([0.0, *(cols.rate_bound[ends] * hg.capacity_coeff[ends]).tolist()])
 
 
 def synthesize_multipath(hypergraphs: list[Hypergraph]) -> Hypergraph:
@@ -670,7 +679,6 @@ def synthesize_multipath(hypergraphs: list[Hypergraph]) -> Hypergraph:
     BUILD_COUNTER.tick()
     s, d = first.endpoints
     u, v, fidelity = [s, s], [d, d], [np.zeros(2)]  # the source and sink
-    code = {key: i for i, key in enumerate(sorted(link_limits))}  # the union's link_keys
     blocks = []
     for hg in hypergraphs:
         cols = hg.columns
@@ -682,8 +690,6 @@ def synthesize_multipath(hypergraphs: list[Hypergraph]) -> Hypergraph:
         for name in ("input0", "input1", "output"):
             # source, sink and the -1 of a missing input keep their index
             block[name] = np.where(block[name] >= 2, block[name] + offset, block[name])
-        # the appended -1 is what a link of -1 (no link) reads
-        block["link"] = np.array([code[key] for key in hg.link_keys] + [-1])[cols.link]
         blocks.append(block)
 
     return Hypergraph(_columns((u, v, np.concatenate(fidelity)), blocks), first.grid,

@@ -273,7 +273,7 @@ class RateLP:
     def of(cls, hg: Hypergraph) -> RateLP:
         """Flow row per link-state vertex, in vertex order: total out-rate
         minus in-credit <= 0; then one generation-limit row per physical link."""
-        cols = hg.columns  # every start edge names one of hg.link_keys, each with a limit
+        cols = hg.columns  # hg.link names one of hg.link_keys per start edge, each with a limit
         n = len(cols.op)
         # vertices 0 and 1 are the source and sink; vertex vi >= 2 has row vi - 2
         link_vertices = np.arange(2, len(cols.exact_fidelity))
@@ -281,13 +281,13 @@ class RateLP:
         uses0 = cols.input0 >= 2
         uses1 = cols.input1 >= 2  # -1 for one-input ops
         feeds = cols.output >= 2
-        credit = np.where(cols.op == OP_CODE["purify"], 0.5 * cols.p_succ, 1.0)
-        starts = np.flatnonzero(cols.link >= 0)
+        credit = np.where(cols.op == OP_CODE["purify"], 0.5 * hg.p_succ, 1.0)
+        starts = np.flatnonzero(hg.link >= 0)
         row = np.concatenate([
             cols.input0[uses0] - 2,
             cols.input1[uses1] - 2,
             cols.output[feeds] - 2,
-            len(link_vertices) + cols.link[starts],
+            len(link_vertices) + hg.link[starts],
         ])
         col = np.concatenate([edge[uses0], edge[uses1], edge[feeds], starts])
         data = np.concatenate([
@@ -426,7 +426,7 @@ def formulate_lp(
     is_end = cols.op == OP_CODE["end"]
     forced = np.zeros(0, np.int64)
     if objective == "ensemble-capacity":
-        c = np.where(is_end, cols.capacity_coeff, 0.0)
+        c = np.where(is_end, hg.capacity_coeff, 0.0)
     else:
         above = cols.exact_fidelity[cols.input0] >= f_lb
         c = (is_end & above).astype(np.float64)

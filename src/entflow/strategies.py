@@ -373,6 +373,20 @@ def _protocols(path: Path, noise: NoiseParams, max_purify_rounds: int, purify_mo
                 yield protocol
 
 
+def _check_oracle_bounds(path: Path, grid: FidelityGrid, max_purify_rounds: int,
+                         purify_model: str, max_ensembles: int | None = None) -> None:
+    """Refuse what the oracles do not enumerate (see ``brute_force_oracle``)."""
+    check_purify_model(purify_model)
+    if path.num_nodes > 4:
+        raise OracleBoundsError("oracle paths are limited to 4 nodes")
+    if grid.resolution > ORACLE_MAX_GRID:
+        raise OracleBoundsError(f"oracle grids are limited to {ORACLE_MAX_GRID} values")
+    if max_purify_rounds > 2 or max_purify_rounds < 0:
+        raise OracleBoundsError("oracle allows at most 2 purification rounds")
+    if max_ensembles is not None and max_ensembles < 1:
+        raise OracleBoundsError(f"max_ensembles must be at least 1, got {max_ensembles}")
+
+
 def brute_force_oracle(
     path: Path,
     grid: FidelityGrid,
@@ -388,16 +402,8 @@ def brute_force_oracle(
     ``max_ensembles`` (at least 1) optionally restricts the mixture LP to
     the best protocols by standalone capacity.
     """
-    check_purify_model(purify_model)
+    _check_oracle_bounds(path, grid, max_purify_rounds, purify_model, max_ensembles)
     k = len(path.edges)
-    if path.num_nodes > 4:
-        raise OracleBoundsError("oracle paths are limited to 4 nodes")
-    if grid.resolution > ORACLE_MAX_GRID:
-        raise OracleBoundsError(f"oracle grids are limited to {ORACLE_MAX_GRID} values")
-    if max_purify_rounds > 2 or max_purify_rounds < 0:
-        raise OracleBoundsError("oracle allows at most 2 purification rounds")
-    if max_ensembles is not None and max_ensembles < 1:
-        raise OracleBoundsError(f"max_ensembles must be at least 1, got {max_ensembles}")
 
     t0 = time.perf_counter()
     limits = np.array([link_egr(e) for e in path.edges])
@@ -457,10 +463,8 @@ def oracle_best_single(
     max_purify_rounds: int = 2,
     purify_model: str = "ideal-dejmps",
 ) -> tuple[float, float, float]:
-    """(capacity, rate, fidelity) of the best standalone protocol."""
-    check_purify_model(purify_model)
-    if path.num_nodes > 4:
-        raise OracleBoundsError("oracle paths are limited to 4 nodes")
+    """(capacity, rate, fidelity) of the best standalone protocol, in the oracle's bounds."""
+    _check_oracle_bounds(path, grid, max_purify_rounds, purify_model)
     limits = np.array([link_egr(e) for e in path.edges])
     best = (0.0, 0.0, 0.0)
     for f, usage, _ in _protocols(path, noise, max_purify_rounds, purify_model):

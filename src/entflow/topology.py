@@ -57,8 +57,12 @@ class Edge:
     @property
     def key(self) -> str:
         """Canonical undirected identifier for resource-pool grouping."""
-        a, b = sorted((self.u, self.v))
-        return f"{a}|{b}"
+        return link_key(self.u, self.v)
+
+
+def link_key(u: str, v: str) -> str:
+    """The key of the physical link between nodes u and v, in either order."""
+    return "|".join(sorted((u, v)))
 
 
 def link_egr(edge: Edge) -> float:
@@ -290,6 +294,7 @@ def generate_gabriel(
     """
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
+    check_gabriel_ranges(bbox_km, distance_range_km)
     rng = np.random.default_rng(seed)
     points = rng.uniform(0.0, bbox_km, size=(n, 2))
     pairs = _gabriel_edges(points)
@@ -302,6 +307,15 @@ def generate_gabriel(
             length = float(rng.uniform(lo, hi))
         edges.append(Edge(u=names[i], v=names[j], length_km=length, f0=f0))
     return Topology(names, edges)
+
+
+def check_gabriel_ranges(bbox_km: float, distance_range_km: tuple[float, float] | None) -> None:
+    """Refuse a box side or an edge-length range ``generate_gabriel`` cannot sample from."""
+    if not 0.0 < bbox_km < math.inf:  # NaN included
+        raise ValueError(f"bbox_km must be finite and > 0, got {bbox_km}")
+    lo, hi = distance_range_km or (1.0, 1.0)  # None: Euclidean lengths
+    if not 0.0 < lo <= hi < math.inf:
+        raise ValueError(f"distance_range_km must be finite with 0 < lo <= hi, got {(lo, hi)}")
 
 
 def _edge_weight(edge: Edge, weight: str) -> float:

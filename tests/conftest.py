@@ -38,3 +38,17 @@ def set_doc_column(doc: dict, name: str, values) -> None:
     """Store ``values`` as one column of a hypergraph document."""
     doc["columns"][name] = base64.b64encode(
         np.asarray(values, DOCUMENT_COLUMNS[name]).tobytes()).decode()
+
+
+# the per-edge columns a document held before they were derived from the
+# vertices, in their stored dtypes
+OLDER_COLUMNS = {"p_succ": "<f8", "capacity_coeff": "<f8", "link": "<i8"}
+
+
+def add_older_columns(doc: dict, hg, **values) -> dict:
+    """``doc`` with the ``OLDER_COLUMNS`` added: ``hg``'s derived arrays, as
+    an older writer stored them, or the arrays given as ``values``."""
+    for name, dtype in OLDER_COLUMNS.items():
+        column = values.get(name, getattr(hg, name))
+        doc["columns"][name] = base64.b64encode(np.asarray(column, dtype).tobytes()).decode()
+    return doc

@@ -170,7 +170,7 @@ def _full_scan_sweep(block, grid, noise, purify_model):
                 rate.insert(at, r_new)
             else:
                 fid[at], rate[at] = f_new, r_new
-            block[kn] = (f_new, r_new, OP_CODE["purify"], k, k1, p, -1)
+            block[kn] = (f_new, r_new, OP_CODE["purify"], k, k1)
         pos += 1
 
 
@@ -218,7 +218,7 @@ def _sweep_blocks(draw):
         else:
             put(_ulps(g, draw(st.integers(-3, 3))))
     rates = st.sampled_from([0.25, 0.5, 1.0])  # a small set, so that rates tie
-    block = {k: (f, draw(rates), OP_CODE["swap"], 0, 1, 1.0, -1) for k, f in fids.items()}
+    block = {k: (f, draw(rates), OP_CODE["swap"], 0, 1) for k, f in fids.items()}
     return grid, block
 
 
@@ -227,9 +227,9 @@ def _sweep_blocks(draw):
 # incumbent, partner 8 at 11/14 gives an output a float below 6/7, the
 # bottom of bucket 10, and partner 7, a float below 11/14, gives 6/7
 _STRADDLE = (FidelityGrid.uniform(15), {
-    7: (float.fromhex("0x1.9249249249248p-1"), 1.0, OP_CODE["swap"], 0, 1, 1.0, -1),
-    8: (float.fromhex("0x1.9249249249249p-1"), 1.0, OP_CODE["swap"], 0, 1, 1.0, -1),
-    9: (float.fromhex("0x1.b627627627626p-1"), 1.0, OP_CODE["swap"], 0, 1, 1.0, -1),
+    7: (float.fromhex("0x1.9249249249248p-1"), 1.0, OP_CODE["swap"], 0, 1),
+    8: (float.fromhex("0x1.9249249249249p-1"), 1.0, OP_CODE["swap"], 0, 1),
+    9: (float.fromhex("0x1.b627627627626p-1"), 1.0, OP_CODE["swap"], 0, 1),
 })
 
 

@@ -270,6 +270,29 @@ def test_cli_topo_gen_draws_lengths_from_the_distance_range(tmp_path, capsys):
     assert "range must be 'lo,hi'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, name", [
+    pytest.param("--distance-range=nan,inf", "distance_range_km", id="nan-inf-range"),
+    pytest.param("--distance-range=50,20", "distance_range_km", id="reversed-range"),
+    pytest.param("--distance-range=-5,10", "distance_range_km", id="negative-range"),
+    pytest.param("--bbox-km=0", "bbox_km", id="zero-bbox"),
+    pytest.param("--bbox-km=nan", "bbox_km", id="nan-bbox"),
+    pytest.param("--bbox-km=inf", "bbox_km", id="infinite-bbox"),
+])
+def test_cli_topo_gen_refuses_a_range_it_cannot_sample_from(capsys, option, name):
+    capsys.readouterr()
+    assert main(["topo", "gen", "--nodes", "6", "--seed", "1", option]) == 2
+    assert f"error: {name} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("bbox_km", float("nan")), ("bbox_km", -1.0), ("distance_range_km", (50.0, 20.0)),
+    ("distance_range_km", (0.0, 10.0)), ("distance_range_km", (20.0, float("inf"))),
+])
+def test_config_refuses_a_range_generate_gabriel_refuses(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        ExperimentConfig(kind="benchmark", **{field: value})
+
+
 def test_cli_cache_and_oracle(tmp_path):
     topo_file = tmp_path / "topo.json"
     topo_file.write_text(json.dumps({

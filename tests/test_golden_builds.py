@@ -35,6 +35,7 @@ from entflow.hypergraph import (
     SINK,
     SOURCE,
     FidelityGrid,
+    _derived,
     _edge_fields,
     build_pruned_hypergraph,
     build_standard_hypergraph,
@@ -253,7 +254,8 @@ def _digest(hg, cols=None) -> str:
         "link_limits": hg.link_limits,
         "vertices": list(zip(cols.u, cols.v, cols.exact_fidelity.tolist(), bucket.tolist(), kind)),
         # each record and its inputs write as JSON lists
-        "edges": list(zip(*_edge_fields(cols, hg.link_keys))),
+        "edges": list(zip(*_edge_fields(cols, hg.link_keys,
+                                        _derived(cols, hg.link_keys, hg.noise, hg.purify_model)))),
     }
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
 
@@ -296,8 +298,7 @@ def _lexicographic(hg, nodes):
     order = np.arange(len(cols.op))
     purify = np.flatnonzero(cols.op == OP_CODE["purify"])
     order[purify] = purify[np.argsort((refs["output"][purify] - 2) // nf, kind="stable")]
-    edges = {name: getattr(cols, name) for name in ("op", "p_succ", "capacity_coeff",
-                                                      "rate_bound", "link")}
+    edges = {name: getattr(cols, name) for name in ("op", "rate_bound")}
     new = np.argsort(old)  # per old index, the vertex that takes it
     return replace(cols, **{name: column[order] for name, column in {**edges, **refs}.items()},
                    u=tuple(cols.u[k] for k in new), v=tuple(cols.v[k] for k in new),

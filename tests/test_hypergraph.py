@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import doc_column, make_chain, make_topology, set_doc_column
+from conftest import (
+    OLDER_COLUMNS,
+    add_older_columns,
+    doc_column,
+    make_chain,
+    make_topology,
+    set_doc_column,
+)
 from entflow.capacity import pair_capacity
 from entflow.hypergraph import (
     BUILD_COUNTER,
@@ -28,7 +35,14 @@ from entflow.hypergraph import (
 )
 from entflow.lp import extract_scheme, formulate_lp, solve_lp
 from entflow.orchestrator import PlannerConfig, load_cache, outer_loop_update, save_cache
-from entflow.physics import CLAMP_EVENTS, DEFAULT_NOISE, PURIFY_MODELS, NoiseParams, swap_fidelity
+from entflow.physics import (
+    CLAMP_EVENTS,
+    DEFAULT_NOISE,
+    PURIFY_MODELS,
+    NoiseParams,
+    purify,
+    swap_fidelity,
+)
 from entflow.topology import Edge, Topology, link_egr
 
 
@@ -96,9 +110,9 @@ def test_pruned_rate_propagation_is_exact():
     fidelity = cols.exact_fidelity[cols.input0[end]]
     assert cols.rate_bound[end] == min(link_egr(e1), link_egr(e2))
     assert fidelity == pytest.approx(swap_fidelity(0.98, 0.98), rel=1e-12)
-    assert cols.capacity_coeff[end] == pytest.approx(pair_capacity(fidelity), rel=1e-12)
+    assert hg.capacity_coeff[end] == pytest.approx(pair_capacity(fidelity), rel=1e-12)
     assert best_dp_estimate(hg) == pytest.approx(
-        cols.rate_bound[end] * cols.capacity_coeff[end], rel=1e-12
+        cols.rate_bound[end] * hg.capacity_coeff[end], rel=1e-12
     )
 
 
@@ -123,8 +137,8 @@ def test_asymmetric_purify_model_builds():
 # four vertices on the pair (a, b) and two purifications, 2 -> 3 and
 # 3 -> 2, that form a cycle; u and v index the nodes (a, b)
 _CYCLE = {"op": [OP_CODE["purify"]] * 2, "input0": [2, 3], "input1": [2, 3], "output": [3, 2],
-          "p_succ": [0.9, 0.9], "capacity_coeff": [0.0, 0.0], "rate_bound": [np.nan, np.nan],
-          "link": [-1, -1], "exact_fidelity": [0.0, 0.0, 0.9, 0.95], "u": [0] * 4, "v": [1] * 4}
+          "rate_bound": [np.nan, np.nan], "exact_fidelity": [0.0, 0.0, 0.9, 0.95],
+          "u": [0] * 4, "v": [1] * 4}
 
 
 def _cycle_document():
@@ -202,11 +216,10 @@ def test_acyclic_short_path_agrees_with_the_component_search(table):
             if any(rank[i] >= rank[o] for i in (i0, i1) if i >= 0)]
     cols = HypergraphColumns(
         op=np.where(input1 < 0, OP_CODE["end"], OP_CODE["swap"]).astype(np.int8), input0=input0,
-        input1=input1, output=output, p_succ=np.ones(len(output)),
-        capacity_coeff=np.zeros(len(output)), rate_bound=np.full(len(output), np.nan),
-        link=np.full(len(output), -1), u=("a",) * n, v=("b",) * n, exact_fidelity=np.zeros(n))
+        input1=input1, output=output, rate_bound=np.full(len(output), np.nan),
+        u=("a",) * n, v=("b",) * n, exact_fidelity=np.zeros(n))
     try:
-        _check_references(cols, ())
+        _check_references(cols)
         refused = False
     except HypergraphError as exc:
         assert late and str(exc).startswith(f"edge {late[0]}: ")
@@ -224,7 +237,7 @@ def test_one_back_edge_in_a_numbered_table_is_a_cycle():
     swap = np.flatnonzero(cols.op == OP_CODE["swap"])[0]
     low, high = cols.input0[swap], cols.output[swap]
     back = {"op": OP_CODE["purify"], "input0": high, "input1": high, "output": low,
-            "p_succ": 0.9, "capacity_coeff": 0.0, "rate_bound": np.nan, "link": -1}
+            "rate_bound": np.nan}
     looped = replace(cols, **{name: np.append(getattr(cols, name), value)
                               for name, value in back.items()})
     # the appended back edge is the only one out of order, and it is named
@@ -364,9 +377,39 @@ def test_stored_link_keys_and_endpoints_are_ignored(keys):
 def test_from_json_rejects_a_start_edge_without_a_link():
     hg = build_pruned_hypergraph(make_chain([60.0, 80.0]), FidelityGrid.uniform(6), DEFAULT_NOISE)
     doc = hg.to_json()
-    _edit_edge("start", "link", -1)(doc)
-    with pytest.raises(HypergraphError, match=r"^edge 0: start edge without a link: "):
+    # the first start edge now makes a pair of the span (n0, n2), which no link joins
+    _edit_edge("start", "output", [*zip(hg.columns.u, hg.columns.v)].index(("n0", "n2"), 2))(doc)
+    with pytest.raises(HypergraphError, match=r"^edge 0: start edge into \('n0', 'n2'\), which "
+                                              "has no link limit$"):
         Hypergraph.from_json(doc)
+
+
+def _three_paths():
+    """The synthesis of pruned builds of s-a-d, s-a-b-d and s-c-d at grid 30."""
+    topo = make_topology([("s", "a", 40.0), ("a", "d", 50.0), ("a", "b", 30.0),
+                          ("b", "d", 35.0), ("s", "c", 60.0), ("c", "d", 45.0)])
+    grid = FidelityGrid.uniform(30)
+    paths = [topo.path_from_nodes(list(nodes)) for nodes in ("sad", "sabd", "scd")]
+    return synthesize_multipath([build_pruned_hypergraph(p, grid, DEFAULT_NOISE) for p in paths])
+
+
+@pytest.mark.parametrize("op, name, change", [
+    pytest.param("end", "capacity_coeff", lambda c: c[::-1], id="end-capacity-coeff-reversed"),
+    pytest.param("purify", "p_succ", lambda c: c / 2, id="purify-p-succ-halved"),
+    pytest.param("start", "link", lambda c: c[::-1], id="start-link-reversed"),
+])
+def test_stored_derived_columns_are_ignored(op, name, change):
+    # a document in the older format also held p_succ, capacity_coeff and
+    # link; whatever they say, the answer follows from the vertices
+    hg = _three_paths()
+    column = getattr(hg, name).copy()
+    of_op = np.flatnonzero(hg.columns.op == OP_CODE[op])
+    column[of_op] = change(column[of_op])
+    assert not np.array_equal(column, getattr(hg, name))  # the edit changes the column
+    clean = add_older_columns(hg.to_json(), hg)
+    corrupt = add_older_columns(hg.to_json(), hg, **{name: column})
+    assert _capacity(corrupt) == _capacity(clean) == _capacity(hg.to_json())
+    assert _capacity(clean) == pytest.approx(4853.38, abs=0.005)
 
 
 def test_from_json_rejects_bad_version():
@@ -480,15 +523,10 @@ def _rename_source(doc):
     pytest.param(_edit_edge("swap", "op", 7), id="unknown-op"),
     pytest.param(_edit_edge("swap", "input1", -1), id="swap-with-one-input"),
     pytest.param(_edit_edge("end", "input1", 2), id="end-with-two-inputs"),
-    pytest.param(_edit_edge("start", "p_succ", 0.0), id="p-succ-zero"),
-    pytest.param(_edit_edge("start", "p_succ", 1.5), id="p-succ-above-one"),
     pytest.param(_set_limits(float("nan")), id="nan-limit"),
     pytest.param(_set_limits(float("inf")), id="infinite-limit"),
     pytest.param(_set_limits(-5.0), id="negative-limit"),
     pytest.param(_drop_a_limit, id="start-link-without-limit"),
-    pytest.param(_edit_edge("end", "capacity_coeff", -3.0), id="negative-capacity-coeff"),
-    pytest.param(_edit_edge("end", "capacity_coeff", float("nan")), id="nan-capacity-coeff"),
-    pytest.param(_edit_edge("swap", "link", 0), id="link-key-on-swap"),
     pytest.param(_edit_vertex_3("exact_fidelity", 1.7), id="fidelity-above-one"),
     pytest.param(_edit_vertex_3("u", _new_node(42)), id="numeric-node-name"),
     pytest.param(_edit_vertex_3("v", _new_node(None)), id="missing-node-name"),
@@ -546,3 +584,26 @@ def test_json_round_trip_keeps_the_columns_byte_for_byte(hg):
     assert json.dumps(clone.to_json()) == json.dumps(hg.to_json())
     with pytest.raises(ValueError):
         clone.columns.rate_bound[:1] = 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(_hypergraphs())
+def test_derived_fields_equal_their_scalar_references(hg):
+    # bit for bit: the kernel's success probability on a purification's
+    # inputs, in input0/input1 order, pair_capacity of an end edge's input
+    # and the link key of a start edge's output pair; the defaults elsewhere
+    cols, f = hg.columns, hg.columns.exact_fidelity.tolist()
+    for e, (op, in0, in1, out) in enumerate(zip(cols.op.tolist(), cols.input0.tolist(),
+                                                cols.input1.tolist(), cols.output.tolist())):
+        expected = [1.0, 0.0, -1]  # p_succ, capacity_coeff, link
+        if op == OP_CODE["purify"]:
+            expected[0] = purify(f[in0], f[in1], hg.noise, hg.purify_model)[1]
+        elif op == OP_CODE["end"]:
+            expected[1] = pair_capacity(f[in0])
+        elif op == OP_CODE["start"]:
+            expected[2] = hg.link_keys.index(Edge(cols.u[out], cols.v[out], 1.0).key)
+        assert [hg.p_succ[e], hg.capacity_coeff[e], hg.link[e]] == expected, e
+    for name in OLDER_COLUMNS:
+        assert not getattr(hg, name).flags.writeable, name  # every LP of the graph shares it
+    assert not OLDER_COLUMNS.keys() & hg.to_json()["columns"].keys()
+    assert [*hg.to_json()["columns"]] == [*DOCUMENT_COLUMNS]

@@ -265,8 +265,7 @@ def test_matvec_check_agrees_with_row_by_row_check(seed):
 def test_columns_reject_edges_outside_the_op_vocabulary():
     hg = build_pruned_hypergraph(make_chain([50.0]), FidelityGrid.uniform(4), DEFAULT_NOISE)
     # an edge appended to the document's table: of an unknown op, or an end with two inputs
-    end = {"input0": 2, "output": 1, "p_succ": 1.0, "capacity_coeff": 0.0, "rate_bound": np.nan,
-           "link": -1}
+    end = {"input0": 2, "output": 1, "rate_bound": np.nan}
     for bad, match in (({**end, "op": len(OP_NAMES), "input1": -1}, "unknown op 4"),
                        ({**end, "op": OP_CODE["end"], "input1": 2}, r"end takes 1 input\(s\)")):
         doc = hg.to_json()

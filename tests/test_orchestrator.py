@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import doc_column, set_doc_column
+from conftest import OLDER_COLUMNS, add_older_columns, doc_column, set_doc_column
 from entflow.hypergraph import BUILD_COUNTER, OP_CODE, FidelityGrid, Hypergraph, HypergraphError
 from entflow.orchestrator import (
     Cache,
@@ -20,7 +20,7 @@ from entflow.orchestrator import (
     save_cache,
 )
 from entflow.physics import PURIFY_MODELS, NoiseParams
-from entflow.topology import Edge, Topology
+from entflow.topology import Edge, Topology, link_key
 
 
 def _square_topology():
@@ -365,6 +365,10 @@ def _keep_one_vertex(hg_doc):
 def _rename_node(old, new):
     def corrupt(hg_doc):
         hg_doc["nodes"][hg_doc["nodes"].index(old)] = new
+        # and in the link limits, so that every start edge keeps its limit
+        hg_doc["link_limits"] = {
+            link_key(*(new if n == old else n for n in key.split("|"))): limit
+            for key, limit in hg_doc["link_limits"].items()}
     return corrupt
 
 
@@ -372,7 +376,7 @@ def _rename_node(old, new):
 @pytest.mark.parametrize("corrupt, match", [
     pytest.param(_append_byte, r"entry \('s', 'd'\): column input0: \d+ bytes, not a multiple of 8",
                  id="ragged-bytes"),
-    pytest.param(_drop_last("p_succ"), r"column p_succ: (\d+) entries, column op \d+",
+    pytest.param(_drop_last("rate_bound"), r"column rate_bound: (\d+) entries, column op \d+",
                  id="unequal-edge-columns"),
     pytest.param(_drop_last("v"), r"column v: \d+ entries, column exact_fidelity \d+",
                  id="unequal-vertex-columns"),
@@ -383,10 +387,6 @@ def _rename_node(old, new):
                  id="swap-with-one-input"),
     pytest.param(_edit_edge_of("end", "input1", 2), r"edge \d+: end takes 1 input\(s\), got 2",
                  id="end-with-two-inputs"),
-    pytest.param(_edit_edge_of("swap", "link", 0), r"edge \d+: swap edge names link 'a\|d'",
-                 id="link-on-a-swap"),
-    pytest.param(_edit_edge_of("start", "link", 9), r"edge 0: link 9 is not -1 or an index into "
-                 r"the 4 link_keys", id="link-past-link-keys"),
     pytest.param(_edit_column("exact_fidelity", 3, float("nan")),
                  r"vertex 3: exact_fidelity nan is not a real in \[0, 1\]", id="nan-fidelity"),
     pytest.param(_edit_column("exact_fidelity", 4, -0.5),
@@ -459,6 +459,22 @@ def test_load_cache_reads_a_cache_that_stores_endpoints_and_link_keys():
         hg_doc = item["hypergraph"]
         hg_doc["endpoints"] = [item["s"], item["d"]]
         hg_doc["link_keys"] = sorted(hg_doc["link_limits"])
+    older = load_cache(json.dumps(doc))
+    assert save_cache(older) == save_cache(cache)
+    for s, d in cache.entries:
+        a = inner_loop_request(cache, s, d).scheme.to_json()
+        b = inner_loop_request(older, s, d).scheme.to_json()
+        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_load_cache_reads_a_cache_that_stores_the_derived_columns():
+    # caches written before p_succ, capacity_coeff and link were derived
+    # from the vertices also stored them, as columns of each entry
+    doc = _two_demand_doc()
+    cache = load_cache(json.dumps(doc))
+    for item in doc["entries"]:
+        add_older_columns(item["hypergraph"], cache.entries[(item["s"], item["d"])].hypergraph)
+        assert OLDER_COLUMNS.keys() <= item["hypergraph"]["columns"].keys()
     older = load_cache(json.dumps(doc))
     assert save_cache(older) == save_cache(cache)
     for s, d in cache.entries:

@@ -102,6 +102,20 @@ def test_oracle_bounds_are_enforced():
         brute_force_oracle(make_chain([50.0]), grid, max_purify_rounds=3)
 
 
+@pytest.mark.parametrize("kwargs", [
+    pytest.param({"max_purify_rounds": -1}, id="negative-rounds"),
+    pytest.param({"max_purify_rounds": 3}, id="three-rounds"),
+    pytest.param({"grid": FidelityGrid.uniform(7)}, id="grid-of-7"),
+    pytest.param({"path": make_chain([50.0] * 4)}, id="5-nodes"),
+])
+def test_oracle_best_single_enforces_the_oracle_bounds(kwargs):
+    # the same bounds, refused by the same check, in both oracles
+    args = {"path": make_chain([50.0, 50.0]), "grid": FidelityGrid.uniform(4), **kwargs}
+    for oracle in (brute_force_oracle, oracle_best_single):
+        with pytest.raises(OracleBoundsError):
+            oracle(**args)
+
+
 def test_oracle_single_link_closed_form():
     # [DERIVED] One link, no purification headroom worth taking at f0=0.98
     # on a coarse grid: deliver raw pairs.
