@@ -363,12 +363,12 @@ def _check_references(cols: HypergraphColumns) -> None:
     whole cycle check, so a table numbered another way is refused."""
     n = len(cols.exact_fidelity)
     two = (cols.op == OP_CODE["swap"]) | (cols.op == OP_CODE["purify"])
-    vertex = np.column_stack([cols.input0, np.where(two, cols.input1, 0), cols.output])
-    rank = np.where(vertex == SINK, n, vertex)
+    vertices = (cols.input0, np.where(two, cols.input1, 0), cols.output)
+    in0, in1, out = (np.where(v == SINK, n, v) for v in vertices)  # their ranks
     bad = {  # what no builder emits -> the edges that have it
-        f"vertex outside [0, {n})": ((vertex < 0) | (vertex >= n)).any(axis=1),
+        f"vertex outside [0, {n})": np.logical_or.reduce([(v < 0) | (v >= n) for v in vertices]),
         "input not numbered below its output (out of topological order, or contains a cycle)":
-            (rank[:, :2] >= rank[:, 2:]).any(axis=1),
+            (in0 >= out) | (in1 >= out),
         "negative or infinite rate_bound": (cols.rate_bound < 0.0) | (cols.rate_bound == math.inf),
     }
     for what, mask in bad.items():

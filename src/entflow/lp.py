@@ -34,11 +34,13 @@ can all be produced from the source through live edges and whose output
 leads to the sink, and the rows they touch. Every other edge is zero in
 some optimum, so the rates of the full problem are the live rates with
 exact zeros elsewhere (the classic presolve reduction of Andersen &
-Andersen 1995, done once per hypergraph instead of once per solve).
-``matrix``, ``rhs``, ``row_names``, the feasibility check and the
-interchange format keep the full problem. HiGHS runs at a dual
-feasibility tolerance of 1e-10: at the 1e-7 default, lattice LPs whose
-link prices are tiny (one delivered pair costing about 1e6 swaps)
+Andersen 1995, done once per hypergraph instead of once per solve). Only
+the live part is assembled with the rhs and row names; the full
+``matrix`` is built on its first read, by the interchange format, the
+tableau or the feasibility check of an answer with rate off the live
+columns. An answer zero there is checked on the live rows. HiGHS runs at
+a dual feasibility tolerance of 1e-10: at the 1e-7 default, lattice LPs
+whose link prices are tiny (one delivered pair costing about 1e6 swaps)
 stopped up to 1.4e-3 below the optimum. A hypergraph solve is then
 certified from HiGHS's row prices (``_check_optimality``). The objective
 is the optimum's; the rates are one optimal vertex's, which the simplex
@@ -155,7 +157,7 @@ class LPProblem:
             raise LPError("objective length disagrees with variable count")
         if len(rows) != len(row_names):
             raise LPError("row data lengths disagree")
-        self._base = RateLP(_rows_matrix(rows, num_vars), rhs, tuple(row_names), None, None, None)
+        self._base = RateLP(num_vars, rhs, tuple(row_names), _rows_matrix(rows, num_vars))
         self._validate()
 
     @classmethod
@@ -202,11 +204,11 @@ class LPProblem:
 
     @property
     def num_vars(self) -> int:
-        return self.matrix.shape[1]
+        return self._base.shape[1]
 
     @property
     def num_rows(self) -> int:
-        return self.matrix.shape[0]
+        return self._base.shape[0]
 
     @property
     def rows(self) -> list[list[tuple[int, float]]]:
@@ -238,75 +240,62 @@ class LPSolution:
 class RateLP:
     """The part of a hypergraph's rate LP that no objective changes.
 
-    The constraint matrix (CSR, read-only), the rhs (read-only) and the
-    row names, plus the HiGHS model compiled from them on the first HiGHS
-    solve. ``Hypergraph.rate_lp`` keeps one per hypergraph, so it lives
-    and dies with the hypergraph.
+    Its ``shape`` (rows, variables), matrix (CSR), rhs and row names, all
+    read-only, and the HiGHS model compiled on the first HiGHS solve. One
+    per hypergraph (``Hypergraph.rate_lp``), it lives and dies with it.
 
     A hypergraph's part also names its ``live`` columns and the rows they
     touch (``live_rows``), whose submatrix ``part`` alone makes the HiGHS
-    model, and ``rate_cap``, a bound on every feasible rate. A part built
-    from rows has none of them (None, and ``part`` is the matrix): its
-    model holds the whole problem and nothing certifies it.
+    model and checks an answer zero off the live columns, and ``rate_cap``,
+    a bound on every feasible rate; its ``matrix`` is built from ``table``
+    on first read. A part built from rows has none of them (None, and
+    ``part`` is the matrix): its model holds the whole problem and nothing
+    certifies it.
     """
 
-    def __init__(
-        self,
-        matrix: sp.csr_matrix,
-        rhs: np.ndarray,
-        row_names: tuple[str, ...],
-        live: np.ndarray | None,
-        live_rows: np.ndarray | None,
-        rate_cap: float | None,
-    ) -> None:
-        self.matrix = matrix
-        self.rhs = rhs
-        self.row_names = row_names
-        self.live = live
-        self.live_rows = live_rows
-        self.part = matrix if live is None else matrix[live_rows][:, live]
-        self.rate_cap = rate_cap
-        self._lock = threading.Lock()
-        self._model = None
+    def __init__(self, num_vars: int, rhs: np.ndarray, row_names: tuple[str, ...],
+                 part: sp.csr_matrix, live: np.ndarray | None = None,
+                 live_rows: np.ndarray | None = None, rate_cap: float | None = None,
+                 table: tuple | None = None) -> None:
+        self.shape, self.rhs, self.row_names, self.part = (len(rhs), num_vars), rhs, row_names, part
+        self.live, self.live_rows, self.rate_cap = live, live_rows, rate_cap
+        self._table, self._matrix = table, (part if live is None else None)
+        self._lock, self._model = threading.Lock(), None
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        with self._lock:
+            if self._matrix is None:
+                # the (data, ij) constructor sorts each row by variable and sums the
+                # two terms of a purification that draws both inputs from one vertex
+                matrix = sp.csr_matrix(_terms(*self._table, slice(None)), shape=self.shape)
+                for array in (matrix.data, matrix.indices, matrix.indptr):
+                    array.flags.writeable = False
+                self._matrix = matrix
+            return self._matrix
 
     @classmethod
     def of(cls, hg: Hypergraph) -> RateLP:
         """Flow row per link-state vertex, in vertex order: total out-rate
-        minus in-credit <= 0; then one generation-limit row per physical link."""
-        cols = hg.columns  # hg.link names one of hg.link_keys per start edge, each with a limit
-        n = len(cols.op)
-        # vertices 0 and 1 are the source and sink; vertex vi >= 2 has row vi - 2
-        link_vertices = np.arange(2, len(cols.exact_fidelity))
-        edge = np.arange(n)
-        uses0 = cols.input0 >= 2
-        uses1 = cols.input1 >= 2  # -1 for one-input ops
-        feeds = cols.output >= 2
-        credit = np.where(cols.op == OP_CODE["purify"], 0.5 * hg.p_succ, 1.0)
-        starts = np.flatnonzero(hg.link >= 0)
-        row = np.concatenate([
-            cols.input0[uses0] - 2,
-            cols.input1[uses1] - 2,
-            cols.output[feeds] - 2,
-            len(link_vertices) + hg.link[starts],
-        ])
-        col = np.concatenate([edge[uses0], edge[uses1], edge[feeds], starts])
-        data = np.concatenate([
-            np.ones(int(uses0.sum()) + int(uses1.sum())), -credit[feeds], np.ones(len(starts)),
-        ])
-        num_rows = len(link_vertices) + len(hg.link_keys)
-        # the (data, ij) constructor sorts each row by variable and sums the two
-        # terms of a purification that draws both inputs from one vertex
-        matrix = sp.csr_matrix((data, (row, col)), shape=(num_rows, n))
+        minus in-credit <= 0; then one generation-limit row per physical link.
+        Only the live edges' terms are assembled, into ``part``."""
+        flow_rows = len(hg.columns.exact_fidelity) - 2  # none for the source or the sink
+        # not hg: a RateLP holding it would make a cycle that outlives its last reference
+        table = (hg.columns, hg.p_succ, hg.link, flow_rows)
+        live = np.flatnonzero(_live_edges(hg.columns))
+        data, (row, col) = _terms(*table, live)
+        touched = np.unique(row)
+        part = sp.csr_matrix((data, (np.searchsorted(touched, row), col)),
+                             shape=(len(touched), len(live)))
         limits = np.array([hg.link_limits[k] for k in hg.link_keys], np.float64)
-        rhs = np.concatenate([np.zeros(len(link_vertices)), limits])
-        is_live = _live_edges(cols)
-        live, touched = np.flatnonzero(is_live), np.unique(row[is_live[col]])
-        for array in (matrix.data, matrix.indices, matrix.indptr, rhs, live, touched):
+        rhs = np.concatenate([np.zeros(flow_rows), limits])
+        for array in (part.data, part.indices, part.indptr, rhs, live, touched):
             array.flags.writeable = False  # shared by every problem of the hypergraph
-        names = [f"v_{vi}" for vi in link_vertices.tolist()] + [f"l_{k}" for k in hg.link_keys]
+        names = [f"v_{vi}" for vi in range(2, flow_rows + 2)] + [f"l_{k}" for k in hg.link_keys]
         # every edge consumes at least as many pairs as it makes, so no rate
         # exceeds the pairs the links generate
-        return cls(matrix, rhs, tuple(names), live, touched, float(limits.sum()))
+        return cls(len(hg.columns.op), rhs, tuple(names), part, live, touched,
+                   float(limits.sum()), table)
 
     def solve_highs(self, cost: np.ndarray, upper: np.ndarray, strategy: int = PRIMAL_SIMPLEX):
         """Cold HiGHS run of min cost.x, Ax <= rhs, 0 <= x <= upper, with the
@@ -322,7 +311,7 @@ class RateLP:
         """
         cols = slice(None) if self.live is None else self.live
         rows = slice(None) if self.live_rows is None else self.live_rows
-        x, y = np.zeros(self.matrix.shape[1]), np.zeros(self.matrix.shape[0])
+        x, y = np.zeros(self.shape[1]), np.zeros(self.shape[0])
         cost, upper = cost[cols], upper[cols]
         n = len(cost)
         if n == 0:  # nothing is live: HiGHS would call the model empty
@@ -356,6 +345,24 @@ class RateLP:
         x[cols] = np.fromiter(solution.col_value, np.float64, n)
         y[rows] = np.maximum(0.0, -np.fromiter(solution.row_dual, np.float64))
         return x, y, iterations
+
+
+def _terms(cols: HypergraphColumns, p_succ: np.ndarray, link: np.ndarray, flow_rows: int,
+           edges) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """(value, (row, column)) of the terms of ``edges`` (an index into the
+    table), columns numbered over them: 1 in each input's flow row (vi - 2
+    for vertex vi), minus the credit (half the success probability for a
+    purification, else 1) in the output's, 1 in a start edge's link row."""
+    in0, in1, out, op, p, lk = (a[edges] for a in (cols.input0, cols.input1, cols.output,
+                                                   cols.op, p_succ, link))
+    uses0, uses1, feeds = in0 >= 2, in1 >= 2, out >= 2  # input1 is -1 for one-input ops
+    credit = np.where(op == OP_CODE["purify"], 0.5 * p, 1.0)
+    starts = np.flatnonzero(lk >= 0)
+    row = np.concatenate([in0[uses0] - 2, in1[uses1] - 2, out[feeds] - 2, flow_rows + lk[starts]])
+    col = np.concatenate([*map(np.flatnonzero, (uses0, uses1, feeds)), starts])
+    data = np.concatenate([np.ones(int(uses0.sum()) + int(uses1.sum())), -credit[feeds],
+                           np.ones(len(starts))])
+    return data, (row, col)
 
 
 def _live_edges(cols: HypergraphColumns) -> np.ndarray:
@@ -570,14 +577,19 @@ def _check_solution(problem: LPProblem, x: np.ndarray) -> None:
         raise LPSolveError(f"negative rate {float(x[bad[0]]):.3e} for r_{bad[0]} in solution")
     if not problem.num_rows:
         return
-    rhs = problem.rhs
-    lhs = problem.matrix @ x
-    violated = lhs > rhs + FEAS_TOL * max(1.0, float(np.max(np.abs(rhs))))
+    base, rhs = problem._base, problem.rhs
+    # an x zero off the live columns gives every other row lhs exactly 0 <= rhs,
+    # and each live row the full product's lhs, less only its terms a * 0.0
+    if base.live is not None and np.count_nonzero(x[base.live]) == np.count_nonzero(x):
+        rows, lhs = base.live_rows, base.part @ x[base.live]
+    else:
+        rows, lhs = np.arange(len(rhs)), problem.matrix @ x
+    violated = lhs > rhs[rows] + FEAS_TOL * max(1.0, float(np.max(np.abs(rhs))))
     if violated.any():
-        i = int(np.argmax(np.where(violated, lhs - rhs, -np.inf)))
+        i = int(np.argmax(np.where(violated, lhs - rhs[rows], -np.inf)))
         raise LPSolveError(
-            f"constraint violated: row {problem.row_names[i]} has lhs {float(lhs[i])!r} "
-            f"> limit {float(rhs[i])!r} (by {lhs[i] - rhs[i]:.3e})"
+            f"constraint violated: row {base.row_names[rows[i]]} has lhs {float(lhs[i])!r} "
+            f"> limit {float(rhs[rows[i]])!r} (by {lhs[i] - rhs[rows[i]]:.3e})"
         )
 
 

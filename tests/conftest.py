@@ -5,8 +5,16 @@ from __future__ import annotations
 import base64
 
 import numpy as np
+from hypothesis import strategies as st
 
-from entflow.hypergraph import DOCUMENT_COLUMNS
+from entflow.hypergraph import (
+    DOCUMENT_COLUMNS,
+    FidelityGrid,
+    build_pruned_hypergraph,
+    build_standard_hypergraph,
+    synthesize_multipath,
+)
+from entflow.physics import DEFAULT_NOISE, PURIFY_MODELS
 from entflow.topology import Edge, Path, Topology
 
 
@@ -52,3 +60,32 @@ def add_older_columns(doc: dict, hg, **values) -> dict:
         column = values.get(name, getattr(hg, name))
         doc["columns"][name] = base64.b64encode(np.asarray(column, dtype).tobytes()).decode()
     return doc
+
+
+DIAMOND_PATHS = (("s", "a", "d"), ("s", "b", "d"), ("s", "a", "b", "d"))
+
+
+@st.composite
+def hypergraphs(draw):
+    """A pruned or standard chain build, or a synthesis of diamond paths
+    (two of which share the link s-a)."""
+    kind = draw(st.sampled_from(["pruned", "standard", "synthesis"]))
+    model = draw(st.sampled_from(PURIFY_MODELS))
+    km = st.floats(min_value=20.0, max_value=150.0)
+    if kind == "synthesis":
+        a, b, c, d, e = draw(st.lists(km, min_size=5, max_size=5))
+        topo = make_topology([("s", "a", a), ("a", "d", b), ("s", "b", c), ("b", "d", d),
+                              ("a", "b", e)])
+        paths = draw(st.lists(st.sampled_from(DIAMOND_PATHS), min_size=1, max_size=3,
+                              unique=True))
+        grid = FidelityGrid.uniform(draw(st.integers(min_value=2, max_value=40)))
+        return synthesize_multipath([
+            build_pruned_hypergraph(topo.path_from_nodes(list(p)), grid, DEFAULT_NOISE, model)
+            for p in paths
+        ])
+    lengths = draw(st.lists(km, min_size=1, max_size=3 if kind == "standard" else 5))
+    if kind == "standard":
+        grid = FidelityGrid.uniform(draw(st.integers(min_value=1, max_value=12)))
+        return build_standard_hypergraph(make_chain(lengths), grid, DEFAULT_NOISE, model)
+    grid = FidelityGrid.uniform(draw(st.integers(min_value=1, max_value=60)))
+    return build_pruned_hypergraph(make_chain(lengths), grid, DEFAULT_NOISE, model)

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    DIAMOND_PATHS,
     OLDER_COLUMNS,
     add_older_columns,
     doc_column,
+    hypergraphs,
     make_chain,
     make_topology,
     set_doc_column,
@@ -245,6 +247,52 @@ def test_one_back_edge_in_a_numbered_table_is_a_cycle():
         Hypergraph(looped, hg.grid, hg.noise, hg.link_limits, hg.builder, hg.purify_model)
 
 
+def _edited(cols, *edits):
+    """``cols`` with each (op, column, value) edit made to the first edge of that op."""
+    for op, name, value in edits:
+        column = getattr(cols, name).copy()
+        column[np.flatnonzero(cols.op == OP_CODE[op])[0]] = value
+        cols = replace(cols, **{name: column})
+    return cols
+
+
+# the standard build of a 60 km + 80 km chain at grid 2: 8 vertices and the
+# edges start 0 -> 2, start 0 -> 4, swap (3, 5) -> 6, end 6 -> 1, end 7 -> 1
+@pytest.mark.parametrize("edits, message", [
+    ([("swap", "input1", 99999)],
+     "edge 2: vertex outside [0, 8): "
+     "{'op': 1, 'input0': 3, 'input1': 99999, 'output': 6, 'rate_bound': nan}"),
+    ([("end", "output", -1)],
+     "edge 3: vertex outside [0, 8): "
+     "{'op': 3, 'input0': 6, 'input1': -1, 'output': -1, 'rate_bound': nan}"),
+    ([("start", "rate_bound", -2.5)],
+     "edge 0: negative or infinite rate_bound: "
+     "{'op': 0, 'input0': 0, 'input1': -1, 'output': 2, 'rate_bound': -2.5}"),
+    ([("end", "rate_bound", np.inf)],
+     "edge 3: negative or infinite rate_bound: "
+     "{'op': 3, 'input0': 6, 'input1': -1, 'output': 1, 'rate_bound': inf}"),
+    # the rules are checked in order, each over every edge: a later edge that
+    # breaks an earlier rule is named before an earlier edge that breaks a later one
+    ([("start", "rate_bound", -1.0), ("end", "output", 17)],
+     "edge 3: vertex outside [0, 8): "
+     "{'op': 3, 'input0': 6, 'input1': -1, 'output': 17, 'rate_bound': nan}"),
+    ([("start", "rate_bound", -1.0), ("end", "output", 0)],
+     "edge 3: input not numbered below its output (out of topological order, or contains a "
+     "cycle): {'op': 3, 'input0': 6, 'input1': -1, 'output': 0, 'rate_bound': nan}"),
+    ([("end", "output", 0), ("swap", "input0", 8)],
+     "edge 2: vertex outside [0, 8): "
+     "{'op': 1, 'input0': 8, 'input1': 5, 'output': 6, 'rate_bound': nan}"),
+], ids=["swap-input1", "end-output", "negative-bound", "infinite-bound", "outside-first",
+        "order-second", "outside-before-order"])
+def test_reference_refusals_name_the_first_edge_of_the_first_rule(edits, message):
+    hg = build_standard_hypergraph(make_chain([60.0, 80.0]), FidelityGrid.uniform(2),
+                                   DEFAULT_NOISE)
+    with pytest.raises(HypergraphError) as exc:
+        Hypergraph(_edited(hg.columns, *edits), hg.grid, hg.noise, hg.link_limits, hg.builder,
+                   hg.purify_model)
+    assert str(exc.value) == message
+
+
 def _text_round_trip(hg):
     """The hypergraph of its document written as JSON text and read back."""
     return Hypergraph.from_json(json.loads(json.dumps(hg.to_json())))
@@ -266,7 +314,7 @@ def test_pruned_and_synthesized_tables_are_numbered_topologically(model):
     grid = FidelityGrid.uniform(20)
     topo = make_topology([("s", "a", 50.0), ("a", "d", 60.0), ("s", "b", 70.0), ("b", "d", 40.0),
                           ("a", "b", 30.0)])
-    paths = [topo.path_from_nodes(list(p)) for p in _DIAMOND_PATHS]
+    paths = [topo.path_from_nodes(list(p)) for p in DIAMOND_PATHS]
     config = PlannerConfig(n_candidates=3, k_keep=2, grid=grid, purify_model=model)
     pruned = [build_pruned_hypergraph(p, grid, DEFAULT_NOISE, model) for p in paths]
     standard = [build_standard_hypergraph(p, grid, DEFAULT_NOISE, model) for p in paths]
@@ -540,37 +588,8 @@ def test_from_json_rejects_invalid_documents(corrupt):
         Hypergraph.from_json(json.loads(json.dumps(doc)))
 
 
-_DIAMOND_PATHS = (("s", "a", "d"), ("s", "b", "d"), ("s", "a", "b", "d"))
-
-
-@st.composite
-def _hypergraphs(draw):
-    """A pruned or standard chain build, or a synthesis of diamond paths
-    (two of which share the link s-a)."""
-    kind = draw(st.sampled_from(["pruned", "standard", "synthesis"]))
-    model = draw(st.sampled_from(PURIFY_MODELS))
-    km = st.floats(min_value=20.0, max_value=150.0)
-    if kind == "synthesis":
-        a, b, c, d, e = draw(st.lists(km, min_size=5, max_size=5))
-        topo = make_topology([("s", "a", a), ("a", "d", b), ("s", "b", c), ("b", "d", d),
-                              ("a", "b", e)])
-        paths = draw(st.lists(st.sampled_from(_DIAMOND_PATHS), min_size=1, max_size=3,
-                              unique=True))
-        grid = FidelityGrid.uniform(draw(st.integers(min_value=2, max_value=40)))
-        return synthesize_multipath([
-            build_pruned_hypergraph(topo.path_from_nodes(list(p)), grid, DEFAULT_NOISE, model)
-            for p in paths
-        ])
-    lengths = draw(st.lists(km, min_size=1, max_size=3 if kind == "standard" else 5))
-    if kind == "standard":
-        grid = FidelityGrid.uniform(draw(st.integers(min_value=1, max_value=12)))
-        return build_standard_hypergraph(make_chain(lengths), grid, DEFAULT_NOISE, model)
-    grid = FidelityGrid.uniform(draw(st.integers(min_value=1, max_value=60)))
-    return build_pruned_hypergraph(make_chain(lengths), grid, DEFAULT_NOISE, model)
-
-
 @settings(max_examples=40, deadline=None)
-@given(_hypergraphs())
+@given(hypergraphs())
 def test_json_round_trip_keeps_the_columns_byte_for_byte(hg):
     clone = _text_round_trip(hg)
     _assert_same_columns(hg, clone)
@@ -587,7 +606,7 @@ def test_json_round_trip_keeps_the_columns_byte_for_byte(hg):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_hypergraphs())
+@given(hypergraphs())
 def test_derived_fields_equal_their_scalar_references(hg):
     # bit for bit: the kernel's success probability on a purification's
     # inputs, in input0/input1 order, pair_capacity of an end edge's input

@@ -10,30 +10,47 @@ on the same model, counts the iterations of both runs and returns the
 dual answer, or raises the dual run's refusal.
 """
 
+import gc
 import re
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from conftest import make_chain
+from conftest import hypergraphs, make_chain, make_topology
 from entflow import lp
 from entflow.experiments import ExperimentConfig, Report, run_experiment
-from entflow.hypergraph import FidelityGrid, build_pruned_hypergraph, build_standard_hypergraph
+from entflow.hypergraph import (
+    OP_CODE,
+    FidelityGrid,
+    Hypergraph,
+    build_pruned_hypergraph,
+    build_standard_hypergraph,
+    synthesize_multipath,
+)
 from entflow.lp import (
     DUAL_SIMPLEX,
     PRIMAL_SIMPLEX,
     LPProblem,
     LPSolveError,
+    _check_solution,
+    _compile_highs,
     _problem_matrices,
+    export_lp,
     formulate_lp,
     solve_lp,
 )
 from entflow.orchestrator import PlannerConfig, inner_loop_request, outer_loop_update
 from entflow.physics import DEFAULT_NOISE, PURIFY_MODELS
 from entflow.topology import generate_gabriel
+from test_golden_builds import GOLDEN, GOLDEN_STANDARD
 
 
 def _sweep_flb(fixture: int, f_lb: float) -> Report:
@@ -118,6 +135,206 @@ def test_live_answer_is_the_full_optimum(builder, lengths_km, size, model, f_lb)
     x = solution.rates
     assert np.all(x >= 0.0)
     assert np.all(problem.matrix @ x <= problem.rhs + 1e-9 * max(1.0, float(problem.rhs.max())))
+
+
+# --- only the live part is assembled ------------------------------------------
+
+
+def _whole_matrix(hg):
+    """The constraint matrix, assembled from the edge records by loops: 1 in
+    the flow row of each input, minus the credit in the output's and 1 in a
+    start edge's link row, summed and sorted by the (data, ij) constructor."""
+    flow_rows = len(hg.columns.exact_fidelity) - 2
+    link = {key: i for i, key in enumerate(hg.link_keys)}
+    terms = []
+    for j, e in enumerate(hg.edges):
+        terms += [(vi - 2, j, 1.0) for vi in e.inputs if vi >= 2]
+        if e.output >= 2:
+            terms.append((e.output - 2, j, -(0.5 * e.p_succ if e.op == "purify" else 1.0)))
+        if e.op == "start":
+            terms.append((flow_rows + link[e.link_key], j, 1.0))
+    row, col, data = np.array(terms, dtype=float).reshape(-1, 3).T
+    return sp.csr_matrix((data, (row.astype(np.int64), col.astype(np.int64))),
+                         shape=(flow_rows + len(hg.link_keys), len(hg.edges)))
+
+
+def _assert_same_csr(a, b):
+    assert a.shape == b.shape
+    for name in ("indptr", "indices", "data"):
+        assert getattr(a, name).tolist() == getattr(b, name).tolist(), name
+
+
+def _assert_live_part_is_the_restricted_matrix(hg):
+    """``hg.rate_lp``'s live columns, live rows, part and compiled HiGHS
+    arrays equal those of the whole matrix restricted to the live edges."""
+    base, matrix = hg.rate_lp, _whole_matrix(hg)
+    live = np.array(_live_reference(hg), np.int64)
+    live_rows = np.unique(matrix.tocsc()[:, live].indices)
+    assert (base.live.tolist(), base.live_rows.tolist()) == (live.tolist(), live_rows.tolist())
+    part = matrix[live_rows][:, live]
+    _assert_same_csr(base.part, part)
+    limits = [hg.link_limits[k] for k in hg.link_keys]
+    rhs = np.concatenate([np.zeros(matrix.shape[0] - len(limits)), limits])
+    assert base.rhs.tolist() == rhs.tolist()
+    ours = _compile_highs(base.part, base.rhs[base.live_rows])  # as a HiGHS solve compiles it
+    theirs = _compile_highs(part, rhs[live_rows])
+    for name in ("start_", "index_", "value_"):
+        assert getattr(ours.a_matrix_, name) == getattr(theirs.a_matrix_, name), name
+    assert ours.row_upper_ == theirs.row_upper_
+    assert base._matrix is None  # nothing above read the whole matrix
+    _assert_same_csr(base.matrix, matrix)
+    assert base.matrix is base.matrix
+
+
+@settings(max_examples=40, deadline=None)
+@given(hypergraphs())
+def test_the_live_part_is_the_whole_matrix_restricted_to_the_live_edges(hg):
+    _assert_live_part_is_the_restricted_matrix(hg)
+
+
+@pytest.mark.parametrize("builder, seed, nodes, model, size", [
+    *(("pruned", *key) for key in sorted(GOLDEN)),
+    *(("standard", *key) for key in sorted(GOLDEN_STANDARD)),
+])
+def test_the_live_part_of_golden_builds(builder, seed, nodes, model, size):
+    # the chains of the golden digests
+    lengths = np.random.default_rng(seed).uniform(20.0, 150.0, size=nodes - 1)
+    build = build_pruned_hypergraph if builder == "pruned" else build_standard_hypergraph
+    hg = build(make_chain(lengths, name=f"g{seed}_"), FidelityGrid.uniform(size), DEFAULT_NOISE,
+               model)
+    _assert_live_part_is_the_restricted_matrix(hg)
+
+
+def test_the_live_part_of_the_golden_synthesis():
+    topo = make_topology([("s", "a", 40.0), ("a", "d", 50.0), ("a", "b", 30.0),
+                          ("b", "d", 35.0), ("s", "c", 60.0), ("c", "d", 45.0)])
+    grid = FidelityGrid.uniform(60)
+    paths = [["s", "a", "d"], ["s", "a", "b", "d"], ["s", "c", "d"]]
+    _assert_live_part_is_the_restricted_matrix(synthesize_multipath([
+        build_pruned_hypergraph(topo.path_from_nodes(p), grid, DEFAULT_NOISE) for p in paths
+    ]))
+
+
+def test_a_graph_with_nothing_live_formulates_and_solves_to_zero():
+    hg = build_standard_hypergraph(make_chain([60.0, 80.0]), FidelityGrid.uniform(6),
+                                   DEFAULT_NOISE)
+    cols = hg.columns
+    keep = cols.op != OP_CODE["end"]  # nothing reaches the sink
+    cut = replace(cols, **{name: getattr(cols, name)[keep]
+                           for name in ("op", "input0", "input1", "output", "rate_bound")})
+    hg = Hypergraph(cut, hg.grid, hg.noise, hg.link_limits, hg.builder, hg.purify_model)
+    _assert_live_part_is_the_restricted_matrix(hg)
+    assert hg.rate_lp.part.shape == (0, 0)
+    for problem in (formulate_lp(hg, "ensemble-capacity"), formulate_lp(hg, "end-rate", 0.5)):
+        solution = solve_lp(problem)
+        assert problem.num_vars == len(cut.op) > 0
+        assert (solution.objective_value, solution.rates.tolist()) == (0.0, [0.0] * len(cut.op))
+        assert export_lp(problem).startswith("maximize\n obj: 0\nsubject to\n")
+
+
+def test_a_highs_solve_reads_only_the_live_part():
+    hg = build_standard_hypergraph(make_chain([60.0, 80.0]), FidelityGrid.uniform(12),
+                                   DEFAULT_NOISE)
+    for problem in (formulate_lp(hg, "ensemble-capacity"), formulate_lp(hg, "end-rate", 0.6)):
+        assert solve_lp(problem).objective_value > 0.0
+    assert hg.rate_lp._matrix is None
+    assert problem.matrix is hg.rate_lp.matrix is hg.rate_lp._matrix
+
+
+def test_concurrent_first_reads_share_one_whole_matrix(monkeypatch):
+    built = []
+    terms = lp._terms
+
+    def counting(*args):
+        if isinstance(args[-1], slice):  # the whole matrix, not the live part
+            built.append(1)
+        return terms(*args)
+
+    monkeypatch.setattr(lp, "_terms", counting)
+    hg = build_standard_hypergraph(make_chain([60.0, 80.0]), FidelityGrid.uniform(12),
+                                   DEFAULT_NOISE)
+    problems = [formulate_lp(hg, "ensemble-capacity") for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            matrices = list(pool.map(lambda problem: problem.matrix, problems, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(built) == 1
+    assert all(matrix is hg.rate_lp.matrix for matrix in matrices)
+
+
+def test_a_solved_hypergraph_is_freed_by_reference_counting():
+    # a RateLP that held its hypergraph, for example in the builder of its
+    # whole matrix, would keep every graph alive until a cyclic collection
+    gc.disable()
+    try:
+        hg = build_standard_hypergraph(make_chain([60.0, 80.0]), FidelityGrid.uniform(12),
+                                       DEFAULT_NOISE)
+        problem = formulate_lp(hg, "ensemble-capacity")
+        assert solve_lp(problem).objective_value > 0.0
+        assert problem.matrix.shape == (problem.num_rows, problem.num_vars)
+        graph, base = weakref.ref(hg), weakref.ref(hg.rate_lp)
+        del hg, problem
+        assert graph() is None and base() is None
+    finally:
+        gc.enable()
+
+
+# --- the feasibility check of an answer zero off the live columns --------------
+
+
+def _refusal(problem, x):
+    with pytest.raises(LPSolveError) as exc:
+        _check_solution(problem, x)
+    return str(exc.value)
+
+
+def _as_rows(problem):
+    """The problem built from its rows: no live part, so its check reads the whole matrix."""
+    return LPProblem(problem.num_vars, problem.objective, problem.rows, problem.rhs,
+                     problem.row_names, problem.forced_zero)
+
+
+def _lattice_problem():
+    hg = build_standard_hypergraph(make_chain([60.0, 80.0]), FidelityGrid.uniform(12),
+                                   DEFAULT_NOISE)
+    return hg, formulate_lp(hg, "ensemble-capacity")
+
+
+def test_rate_on_a_dead_edge_is_checked_on_the_whole_matrix():
+    hg, problem = _lattice_problem()
+    base, cols = hg.rate_lp, hg.columns
+    x = solve_lp(problem).rates
+    # a dead swap that draws on a vertex whose row no live edge touches
+    dead = np.setdiff1d(np.flatnonzero(cols.op == OP_CODE["swap"]), base.live)
+    e = next(e for e in dead.tolist() if cols.input0[e] - 2 not in base.live_rows)
+    x[e] = 1.0
+    message = _refusal(problem, x)
+    assert message == _refusal(_as_rows(problem), x)
+    row = int(re.match(r"^constraint violated: row v_(\d+) has lhs 1\.0 > limit 0\.0 "
+                       r"\(by 1\.000e\+00\)$", message).group(1)) - 2
+    assert row not in base.live_rows
+
+
+def test_a_live_row_violation_names_the_row_and_numbers_of_the_whole_check():
+    hg, problem = _lattice_problem()
+    base = hg.rate_lp
+    start = next(j for j in base.live.tolist() if hg.link[j] >= 0)
+    key = hg.link_keys[hg.link[start]]
+    limit = hg.link_limits[key]
+    x = np.zeros(problem.num_vars)
+    x[start] = 2.0 * limit  # its start row goes down, its link row over by the limit
+    message = _refusal(problem, x)
+    assert base._matrix is None  # the live rows were enough
+    assert message == (f"constraint violated: row l_{key} has lhs {2.0 * limit!r} > limit "
+                       f"{limit!r} (by {limit:.3e})")
+    assert message == _refusal(_as_rows(problem), x)
+    for seed in range(5):
+        x = np.zeros(problem.num_vars)
+        x[base.live] = np.random.default_rng(seed).uniform(0.0, base.rate_cap, len(base.live))
+        assert _refusal(problem, x) == _refusal(_as_rows(problem), x)
 
 
 def test_row_built_problems_keep_every_column_and_skip_the_certificate():
