@@ -535,6 +535,16 @@ def _purify_sweep(
         pos += 1
 
 
+def _span_pairs(l0, nl, r0, nr) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(run, left index, right index) of every pair of run k's left entries
+    [l0[k], l0[k] + nl[k]) and right ones [r0[k], r0[k] + nr[k]), run by run
+    and left-major; right runs of size 1 spell out the left runs."""
+    n = nl * nr
+    at = np.repeat(np.arange(len(n)), n)  # the run of each pair
+    c = np.arange(len(at)) - (np.cumsum(n) - n)[at]  # its place in the run
+    return at, l0[at] + c // nr[at], r0[at] + c % nr[at]
+
+
 def _span_winners(
     key: np.ndarray, size: int, rate: np.ndarray, fidelity: np.ndarray
 ) -> np.ndarray:
@@ -616,12 +626,8 @@ def build_pruned_hypergraph(
         # incumbent of (i, w) with each right one of (w, i + span)
         vid, fid, rate = (np.array(column) for column in pool)
         triples = [(i, w) for i in range(m - span) for w in range(i + 1, i + span)]
-        l0, nl = np.array([slot[(i, w)] for i, w in triples]).T
-        r0, nr = np.array([slot[(w, i + span)] for i, w in triples]).T
-        n = nl * nr
-        at = np.repeat(np.arange(len(triples)), n)  # the triple of each candidate
-        c = np.arange(len(at)) - (np.cumsum(n) - n)[at]  # its place in the triple
-        left, right = l0[at] + c // nr[at], r0[at] + c % nr[at]
+        at, left, right = _span_pairs(*np.array([slot[(i, w)] for i, w in triples]).T,
+                                      *np.array([slot[(w, i + span)] for i, w in triples]).T)
         f = werner_swap(fid[left], fid[right], g)
         bucket = np.searchsorted(vals, f, side="right") - 1
         kept = bucket >= 0  # below the grid: dropped

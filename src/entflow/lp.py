@@ -18,16 +18,14 @@ Every solve runs HiGHS (Huangfu & Hall 2018), driven through scipy's
 private bindings (``scipy.optimize._highspy._core``), checked once at
 import: a missing module, class or method raises ``ImportError`` naming
 it. A deterministic dense tableau simplex (``method="simplex"``) is kept
-to cross-check it on small problems.
-Every problem owns one ``RateLP``: a problem formulated from a
-hypergraph shares ``hg.rate_lp``, and a problem built from row lists or
-parsed text builds its own once. A ``RateLP`` compiles one HiGHS model (a
-``HighsLp``) on its first HiGHS solve and keeps it, behind a lock. Each
-solve loads that model into a new solver, sets the costs, gives the
-forced-zero variables an upper bound of 0 and runs cold with presolve;
-the solver is dropped after the solve. HiGHS runs primal simplex first;
-when the checks refuse its answer, the same cold solve runs again with
-dual simplex, and that answer is checked in turn.
+to cross-check it on small problems. Every problem owns one ``RateLP``:
+a problem formulated from a hypergraph shares ``hg.rate_lp``, and one
+built from row lists or parsed text builds its own. A ``RateLP`` compiles
+one HiGHS model (a ``HighsLp``) on its first HiGHS solve and keeps it,
+behind a lock. Each solve loads that model into a new solver, sets the
+costs, gives the forced-zero variables an upper bound of 0 and runs cold
+with presolve, primal simplex first; when the checks refuse its answer,
+the same cold solve runs again with dual simplex, checked in turn.
 
 A hypergraph's model holds only its live part: the edges whose inputs
 can all be produced from the source through live edges and whose output
@@ -35,16 +33,17 @@ leads to the sink, and the rows they touch. Every other edge is zero in
 some optimum, so the rates of the full problem are the live rates with
 exact zeros elsewhere (the classic presolve reduction of Andersen &
 Andersen 1995, done once per hypergraph instead of once per solve). Only
-the live part is assembled with the rhs and row names; the full
-``matrix`` is built on its first read, by the interchange format, the
-tableau or the feasibility check of an answer with rate off the live
-columns. An answer zero there is checked on the live rows. HiGHS runs at
-a dual feasibility tolerance of 1e-10: at the 1e-7 default, lattice LPs
-whose link prices are tiny (one delivered pair costing about 1e6 swaps)
-stopped up to 1.4e-3 below the optimum. A hypergraph solve is then
-certified from HiGHS's row prices (``_check_optimality``). The objective
-is the optimum's; the rates are one optimal vertex's, which the simplex
-strategy picks among many.
+the live part is assembled with the rhs and row names; a HiGHS solve
+sets costs, bounds and the forced mask on the live columns only and
+checks its answer, zero elsewhere by construction, on the live rows. The
+full ``matrix`` is built on its first read, by the interchange format,
+the tableau or the check of an answer with rate off the live columns.
+HiGHS runs at a dual feasibility tolerance of 1e-10: at the 1e-7
+default, lattice LPs whose link prices are tiny (one delivered pair
+costing about 1e6 swaps) stopped up to 1.4e-3 below the optimum. A
+hypergraph solve is then certified from HiGHS's row prices
+(``_check_optimality``). The objective is the optimum's; the rates are
+one optimal vertex's, which the simplex strategy picks among many.
 
 A plain-text interchange format allows cross-checking one backend
 against the other, or against external tools.
@@ -151,12 +150,10 @@ class LPProblem:
         self.objective = np.asarray(objective, dtype=float)
         self.forced_zero = forced_zero
         rhs = np.asarray(rhs, dtype=float)
-        if len(rhs) != len(row_names):
+        if not len(rhs) == len(rows) == len(row_names):
             raise LPError("row data lengths disagree")
         if len(self.objective) != num_vars:
             raise LPError("objective length disagrees with variable count")
-        if len(rows) != len(row_names):
-            raise LPError("row data lengths disagree")
         self._base = RateLP(num_vars, rhs, tuple(row_names), _rows_matrix(rows, num_vars))
         self._validate()
 
@@ -246,19 +243,21 @@ class RateLP:
 
     A hypergraph's part also names its ``live`` columns and the rows they
     touch (``live_rows``), whose submatrix ``part`` alone makes the HiGHS
-    model and checks an answer zero off the live columns, and ``rate_cap``,
-    a bound on every feasible rate; its ``matrix`` is built from ``table``
-    on first read. A part built from rows has none of them (None, and
-    ``part`` is the matrix): its model holds the whole problem and nothing
-    certifies it.
+    model and checks an answer zero off the live columns, ``rate_cap``, a
+    bound on every feasible rate, and the certificate's transposes of
+    ``part`` and ``abs(part)`` (``part_t``, ``abs_part_t``); ``matrix`` is
+    built from ``table`` on first read. A part built from rows has none of
+    them (None; ``part`` is the matrix, and every column counts as live):
+    its model holds the whole problem and nothing certifies it.
     """
 
     def __init__(self, num_vars: int, rhs: np.ndarray, row_names: tuple[str, ...],
                  part: sp.csr_matrix, live: np.ndarray | None = None,
                  live_rows: np.ndarray | None = None, rate_cap: float | None = None,
-                 table: tuple | None = None) -> None:
+                 table: tuple | None = None, abs_part: sp.csr_matrix | None = None) -> None:
         self.shape, self.rhs, self.row_names, self.part = (len(rhs), num_vars), rhs, row_names, part
         self.live, self.live_rows, self.rate_cap = live, live_rows, rate_cap
+        self.part_t, self.abs_part_t = (None, None) if abs_part is None else (part.T, abs_part.T)
         self._table, self._matrix = table, (part if live is None else None)
         self._lock, self._model = threading.Lock(), None
 
@@ -287,33 +286,36 @@ class RateLP:
         touched = np.unique(row)
         part = sp.csr_matrix((data, (np.searchsorted(touched, row), col)),
                              shape=(len(touched), len(live)))
+        abs_part = sp.csr_matrix((np.abs(part.data), part.indices, part.indptr), shape=part.shape)
         limits = np.array([hg.link_limits[k] for k in hg.link_keys], np.float64)
         rhs = np.concatenate([np.zeros(flow_rows), limits])
-        for array in (part.data, part.indices, part.indptr, rhs, live, touched):
+        for array in (part.data, part.indices, part.indptr, abs_part.data, rhs, live, touched):
             array.flags.writeable = False  # shared by every problem of the hypergraph
         names = [f"v_{vi}" for vi in range(2, flow_rows + 2)] + [f"l_{k}" for k in hg.link_keys]
         # every edge consumes at least as many pairs as it makes, so no rate
         # exceeds the pairs the links generate
         return cls(len(hg.columns.op), rhs, tuple(names), part, live, touched,
-                   float(limits.sum()), table)
+                   float(limits.sum()), table, abs_part)
 
     def solve_highs(self, cost: np.ndarray, upper: np.ndarray, strategy: int = PRIMAL_SIMPLEX):
         """Cold HiGHS run of min cost.x, Ax <= rhs, 0 <= x <= upper, with the
         simplex ``strategy`` (``PRIMAL_SIMPLEX`` or ``DUAL_SIMPLEX``).
+        ``cost`` and ``upper`` cover every column or only the ``live`` ones.
 
         The model is compiled on the first call and kept. Each call loads
         it into a new solver, which starts cold and is freed on return: a
         solver that has run keeps its working memory, about 230 bytes per
         nonzero, until it is destroyed, even after ``clearSolver``.
-        Returns the solution (exact zeros off the live columns), the row
-        prices y = max(0, -row dual) (zeros off the model's rows) and the
-        iteration count.
+        Returns the solution on the columns ``cost`` covers (exact zeros off
+        the live ones), the row prices y = max(0, -row dual) (zeros off the
+        model's rows) and the iteration count.
         """
         cols = slice(None) if self.live is None else self.live
         rows = slice(None) if self.live_rows is None else self.live_rows
-        x, y = np.zeros(self.shape[1]), np.zeros(self.shape[0])
-        cost, upper = cost[cols], upper[cols]
+        whole = len(cost) == self.shape[1]  # else they cover the live columns only
+        cost, upper = (cost[cols], upper[cols]) if whole else (cost, upper)
         n = len(cost)
+        x, y = np.zeros(self.shape[1] if whole else n), np.zeros(self.shape[0])
         if n == 0:  # nothing is live: HiGHS would call the model empty
             return x, y, 0
         solver = _HIGHS._Highs()
@@ -342,7 +344,7 @@ class RateLP:
         # scipy's count: simplex iterations, or IPM ones if there were none
         iterations = int(info.simplex_iteration_count or info.ipm_iteration_count)
         solution = solver.getSolution()
-        x[cols] = np.fromiter(solution.col_value, np.float64, n)
+        x[cols if whole else slice(None)] = np.fromiter(solution.col_value, np.float64, n)
         y[rows] = np.maximum(0.0, -np.fromiter(solution.row_dual, np.float64))
         return x, y, iterations
 
@@ -525,7 +527,9 @@ def solve_lp(problem: LPProblem, method: str = "highs") -> LPSolution:
     ``method``: ``highs``, the default, or ``simplex``, the built-in dense
     tableau, kept to cross-check HiGHS on small problems. HiGHS runs
     primal simplex, then dual simplex if the checks refuse the primal
-    answer; the iteration count covers both runs.
+    answer; the iteration count covers both runs. The objective value is
+    a dot product over every column, whose summation order the live part
+    does not change.
     """
     if method not in ("highs", "simplex"):
         raise LPError(f"unknown method {method!r}")
@@ -550,17 +554,21 @@ def solve_lp(problem: LPProblem, method: str = "highs") -> LPSolution:
         _check_solution(problem, x)
         return LPSolution("optimal", obj, x, iters, method)
 
-    c = np.where(forced, 0.0, problem.objective)
-    upper = np.where(forced, 0.0, np.inf)
+    base = problem._base
+    cols = slice(None) if base.live is None else base.live  # every column of a row-built one
+    fixed = forced[cols]
+    cost, upper = np.where(fixed, 0.0, problem.objective[cols]), np.where(fixed, 0.0, np.inf)
     iters = 0
     for strategy in (PRIMAL_SIMPLEX, DUAL_SIMPLEX):
-        x, y, run_iters = problem._base.solve_highs(-c, upper, strategy)
+        x_live, y, run_iters = base.solve_highs(-cost, upper, strategy)
         iters += run_iters
-        obj = float(c @ x)
-        x[forced] = 0.0
+        x_live = np.where(fixed, 0.0, x_live)
+        x = np.zeros(problem.num_vars)
+        x[cols] = x_live
+        obj = float(problem.objective @ x)
         try:
-            _check_solution(problem, x)
-            _check_optimality(problem, forced, c, obj, y)
+            _check_solution(problem, x_live, live=True)
+            _check_optimality(problem, fixed, cost, obj, y)
             break
         except LPSolveError:
             if strategy == DUAL_SIMPLEX:
@@ -568,22 +576,27 @@ def solve_lp(problem: LPProblem, method: str = "highs") -> LPSolution:
     return LPSolution("optimal", obj, x, iters, method)
 
 
-def _check_solution(problem: LPProblem, x: np.ndarray) -> None:
+def _check_solution(problem: LPProblem, x: np.ndarray, live: bool = False) -> None:
+    """Refuse a non-finite or negative rate, then a violated row, naming the
+    first; with ``live``, ``x`` holds the live columns' rates, zero elsewhere."""
+    base, rhs = problem._base, problem.rhs
+    if base.live is not None and not live:
+        # an x zero off the live columns gives every other row lhs exactly 0 <= rhs,
+        # and each live row the full product's lhs, less only its terms a * 0.0
+        live = np.count_nonzero(x[base.live]) == np.count_nonzero(x)
+        x = x[base.live] if live else x
+    cols = base.live if live and base.live is not None else np.arange(len(x))
     bad = np.flatnonzero(~np.isfinite(x))
     if len(bad):
-        raise LPSolveError(f"non-finite rate {float(x[bad[0]])!r} for r_{bad[0]} in solution")
+        raise LPSolveError(f"non-finite rate {float(x[bad[0]])!r} for r_{cols[bad[0]]} in solution")
     bad = np.flatnonzero(x < -RATE_EPS)
     if len(bad):
-        raise LPSolveError(f"negative rate {float(x[bad[0]]):.3e} for r_{bad[0]} in solution")
+        raise LPSolveError(f"negative rate {float(x[bad[0]]):.3e} for r_{cols[bad[0]]} in solution")
     if not problem.num_rows:
         return
-    base, rhs = problem._base, problem.rhs
-    # an x zero off the live columns gives every other row lhs exactly 0 <= rhs,
-    # and each live row the full product's lhs, less only its terms a * 0.0
-    if base.live is not None and np.count_nonzero(x[base.live]) == np.count_nonzero(x):
-        rows, lhs = base.live_rows, base.part @ x[base.live]
-    else:
-        rows, lhs = np.arange(len(rhs)), problem.matrix @ x
+    a, rows = (base.part, base.live_rows) if live or base.live is None else (problem.matrix, None)
+    rows = np.arange(len(rhs)) if rows is None else rows
+    lhs = a @ x
     violated = lhs > rhs[rows] + FEAS_TOL * max(1.0, float(np.max(np.abs(rhs))))
     if violated.any():
         i = int(np.argmax(np.where(violated, lhs - rhs[rows], -np.inf)))
@@ -594,25 +607,26 @@ def _check_solution(problem: LPProblem, x: np.ndarray) -> None:
 
 
 def _check_optimality(
-    problem: LPProblem, forced: np.ndarray, c: np.ndarray, objective: float, y: np.ndarray
+    problem: LPProblem, fixed: np.ndarray, cost: np.ndarray, objective: float, y: np.ndarray
 ) -> None:
     """Bound how far ``objective`` can lie below the optimum; raise if too far.
 
     Only a hypergraph's problem has the bound: every feasible rate is at
     most its ``rate_cap`` G. For row prices y >= 0 and reduced costs
     d = c - A'y, any feasible x' has c.x' <= b.y + G * sum(max(0, d_j))
-    over the live columns not forced to zero, which are the only ones
-    that can be nonzero in an optimum. A d_j within the rounding of its
-    terms counts as 0. A bound above ``GAP_REL`` times the objective (or
-    ``GAP_FLOOR``) names the edge with the worst reduced cost.
+    over the live columns not forced to zero, the only ones that can be
+    nonzero in an optimum (``cost`` and ``fixed`` are c and the forced
+    mask there). A d_j within the rounding of its terms counts as 0. A
+    bound above ``GAP_REL`` times the objective (or ``GAP_FLOOR``) names
+    the edge with the worst reduced cost.
     """
     base = problem._base
     if base.rate_cap is None:
         return
-    cost, price = c[base.live], y[base.live_rows]
-    excess = np.where(forced[base.live], 0.0, cost - base.part.T @ price)
+    price = y[base.live_rows]
+    excess = np.where(fixed, 0.0, cost - base.part_t @ price)
     # each d_j sums at most four terms: its cost, two inputs and an output
-    rounding = 4 * np.finfo(np.float64).eps * (np.abs(cost) + abs(base.part).T @ price)
+    rounding = 4 * np.finfo(np.float64).eps * (np.abs(cost) + base.abs_part_t @ price)
     over = np.where(excess > rounding, excess, 0.0)
     gap = float(problem.rhs @ y) - objective + base.rate_cap * float(over.sum())
     limit = GAP_REL * max(abs(objective), GAP_FLOOR)

@@ -3,8 +3,8 @@
 Four strategies share one result shape:
 
 * ``rate-dp`` -- discretized dynamic program restricted to entanglement
-  pumping, maximizing delivered rate above a fidelity bound; emits one
-  protocol.
+  pumping, array code span by span, maximizing delivered rate above a
+  fidelity bound; emits one protocol.
 * ``rate-lp`` -- standard hypergraph, maximize end rate above the bound.
 * ``ec-lp``   -- standard hypergraph, maximize ensemble capacity.
 * ``ec-dp``   -- pruned (exact-fidelity incumbent) hypergraph, maximize
@@ -33,6 +33,8 @@ from .capacity import EnsembleSpec, ensemble_capacity, pair_capacity
 from .hypergraph import (
     FidelityGrid,
     Hypergraph,
+    _span_pairs,
+    _span_winners,
     build_pruned_hypergraph,
     build_standard_hypergraph,
 )
@@ -50,6 +52,7 @@ from .physics import (
     DEFAULT_NOISE,
     NoiseParams,
     check_purify_model,
+    dejmps,
     gate_factor,
     purify,
     werner_swap,
@@ -140,66 +143,31 @@ def _lp_strategy(
     )
 
 
-@dataclass(frozen=True)
-class _DpState:
-    """Discretized pumping-DP state: delivered bucket and per-unit costs."""
-
-    bucket: int
-    rate: float
-    swaps_per_unit: float
-    purs_per_unit: float
-
-
-def _pump_variants(
-    base: _DpState,
-    grid: FidelityGrid,
-    noise: NoiseParams,
-    purify_model: str,
-) -> list[_DpState]:
-    """Base state plus every pumping depth until the grid stalls.
+def _pump_chain(b: int, grid: FidelityGrid, noise: NoiseParams,
+                purify_model: str) -> list[tuple[int, float, float, float]]:
+    """Pumping chain of base bucket ``b``, one row per depth (0 is the base
+    state itself) until the grid stalls: (bucket, c, denom, prefix).
 
     Pumping round t consumes the round t-1 state plus an equal rate of
     fresh base states, crediting half the success-weighted rate. For a
     base production rate B split optimally, depth T delivers
     B * c_T / (1 + sum_{t<T} c_t) with c_t the product of the per-round
-    half-success factors.
+    half-success factors (c_0 = 1, every later one at most 1/2); denom is
+    that 1 + sum and prefix the sum.
     """
-    out = [base]
-    vals = grid.values
-    cur_k = base.bucket
-    c = 1.0  # product of half-success factors up to the current round
-    prefix = 1.0  # sum of that product over all completed depths
+    vals, ideal = grid.values, purify_model == "ideal-dejmps"  # grid values need no check
+    rows = [(b, 1.0, 1.0, 0.0)]  # which those formulas leave as it is
+    cur, c, prefix = b, 1.0, 1.0
     for _ in range(_MAX_PUMP_ROUNDS):
-        f_new, p = purify(vals[cur_k], vals[base.bucket], noise, purify_model)
+        f_new, p = dejmps(vals[cur], vals[b]) if ideal else purify(vals[cur], vals[b], noise,
+                                                                    purify_model)
         kn = grid.round_down_index(f_new)
-        if kn <= cur_k:
+        if kn <= cur:
             break
-        step = 0.5 * p
-        c_new = c * step
-        denom = 1.0 + prefix
-        rate = base.rate * c_new / denom
-        if rate <= 0.0:
-            break
-        consumed_per_unit = denom / c_new  # base units per delivered pair
-        pur_edges_per_unit = prefix / c_new  # purify rate per delivered pair
-        out.append(
-            _DpState(
-                bucket=kn,
-                rate=rate,
-                swaps_per_unit=base.swaps_per_unit * consumed_per_unit,
-                purs_per_unit=base.purs_per_unit * consumed_per_unit + pur_edges_per_unit,
-            )
-        )
-        prefix += c_new
-        c = c_new
-        cur_k = kn
-    return out
-
-
-def _merge_state(block: dict[int, _DpState], cand: _DpState) -> None:
-    inc = block.get(cand.bucket)
-    if inc is None or cand.rate > inc.rate:
-        block[cand.bucket] = cand
+        c *= 0.5 * p
+        rows.append((kn, c, 1.0 + prefix, prefix))
+        prefix, cur = prefix + c, kn
+    return rows
 
 
 def run_rate_dp(
@@ -214,64 +182,76 @@ def run_rate_dp(
     Emits a single protocol: the best-rate (s, d) state whose grid
     fidelity clears ``f_lb``. Every state it reaches is also a feasible
     flow of the standard-hypergraph rate LP, so rate-lp dominates it.
+
+    It runs span by span on arrays, as the pruned builder does: every swap
+    of two finished states (from one pool), each expanded into its pumping
+    variants by the chain of its base bucket (``_pump_chain``, made once
+    per call per base bucket that occurs). Per (node pair, bucket) the
+    first candidate at the top rate survives, candidates coming w, left
+    state, right state, then depth ascending. Under ``as-printed``
+    ``CLAMP_EVENTS`` ticks once per clamped chain round, not per candidate.
     """
     check_purify_model(purify_model)
     if not 0.5 < f_lb < 1.0:
         raise ValueError(f"f_lb must be in (0.5, 1), got {f_lb}")
     t0 = time.perf_counter()
-    m = path.num_nodes
-    blocks: dict[tuple[int, int], dict[int, _DpState]] = {}
-    for t, phys in enumerate(path.edges):
-        block: dict[int, _DpState] = {}
-        k0 = grid.round_down_index(phys.f0)
-        if k0 >= 0:
-            base = _DpState(bucket=k0, rate=link_egr(phys), swaps_per_unit=0.0, purs_per_unit=0.0)
-            for st in _pump_variants(base, grid, noise, purify_model):
-                _merge_state(block, st)
-        blocks[(t, t + 1)] = block
-
-    vals = grid.as_array()
-    g = gate_factor(noise)
-    for span in range(2, m):
-        for i in range(m - span):
-            j = i + span
-            block: dict[int, _DpState] = {}
-            for w in range(i + 1, j):
-                for a in blocks[(i, w)].values():
-                    for b in blocks[(w, j)].values():
-                        f_new = werner_swap(vals[a.bucket], vals[b.bucket], g)
-                        kn = grid.round_down_index(f_new)
-                        if kn < 0:
-                            continue
-                        base = _DpState(
-                            bucket=kn,
-                            rate=min(a.rate, b.rate),
-                            swaps_per_unit=a.swaps_per_unit + b.swaps_per_unit + 1.0,
-                            purs_per_unit=a.purs_per_unit + b.purs_per_unit,
-                        )
-                        for st in _pump_variants(base, grid, noise, purify_model):
-                            _merge_state(block, st)
-            blocks[(i, j)] = block
+    m, nf, vals, g = path.num_nodes, grid.resolution, grid.as_array(), gate_factor(noise)
+    k0 = np.array([grid.round_down_index(phys.f0) for phys in path.edges], np.int64)
+    chains = [np.zeros(0, np.int64), *np.zeros((3, 0))]  # every chain's bucket, c, denom, prefix
+    start, size = np.zeros(nf, np.int64), np.zeros(nf, np.int64)  # each base bucket's rows
+    pool = [np.zeros(0, np.int64), *np.zeros((3, 0))]  # bucket, rate, swaps, purs per state
+    slot = {}  # finished pair -> (start, size) of its states in pool, in insertion order
+    for span in range(1, m):
+        bucket, rate, swaps, purs = pool
+        if span == 1:  # per link its base state; f0 below the grid generates nothing
+            owner = np.flatnonzero(k0 >= 0)
+            bucket, rate = k0[owner], np.array([link_egr(path.edges[t]) for t in owner.tolist()])
+            swaps = purs = np.zeros(len(owner))
+        else:  # per (i, w) each state of (i, w) swapped with each one of (w, i + span)
+            triples = [(i, w) for i in range(m - span) for w in range(i + 1, i + span)]
+            at, left, right = _span_pairs(*np.array([slot[(i, w)] for i, w in triples]).T,
+                                          *np.array([slot[(w, i + span)] for i, w in triples]).T)
+            kn = np.searchsorted(vals, werner_swap(vals[bucket[left]], vals[bucket[right]], g),
+                                 side="right") - 1
+            kept = kn >= 0  # below the grid: dropped
+            left, right = left[kept], right[kept]
+            owner = np.array([i for i, _ in triples], np.int64)[at[kept]]
+            bucket, rate = kn[kept], np.minimum(rate[left], rate[right])
+            swaps, purs = swaps[left] + swaps[right] + 1.0, purs[left] + purs[right]
+        rows = []  # of the chains this span adds
+        for b in np.unique(bucket[size[bucket] == 0]).tolist():
+            chain = _pump_chain(b, grid, noise, purify_model)
+            start[b], size[b] = len(chains[0]) + len(rows), len(chain)
+            rows += chain
+        if rows:
+            chains = [np.concatenate([a, column]) for a, column in zip(chains, zip(*rows))]
+        cand, row, _ = _span_pairs(start[bucket], size[bucket], bucket, np.ones_like(bucket))
+        kb, c, denom, prefix = (column[row] for column in chains)
+        rate = rate[cand] * c / denom
+        consumed = denom / c  # base states per delivered pair
+        swaps, purs = swaps[cand] * consumed, purs[cand] * consumed + prefix / c
+        kept = (c == 1.0) | ~(rate <= 0.0)  # the base state stays; a round at rate 0 ends its chain
+        owner, kb, rate, swaps, purs = (a[kept] for a in (owner[cand], kb, rate, swaps, purs))
+        win = _span_winners(owner * nf + kb, (m - span) * nf, rate, vals[kb])
+        counts = np.bincount(owner[win], minlength=m - span).tolist()
+        for i, n in enumerate(counts):
+            slot[(i, i + span)] = (len(pool[0]) + sum(counts[:i]), n)
+        pool = [np.concatenate([a, b[win]]) for a, b in zip(pool, (kb, rate, swaps, purs))]
 
     solver_time = time.perf_counter() - t0
-    best: _DpState | None = None
-    for st in blocks[(0, m - 1)].values():
-        if grid.values[st.bucket] >= f_lb and (best is None or st.rate > best.rate):
-            best = st
-    if best is None:
+    lo, n = slot[(0, m - 1)]
+    bucket, rate, swaps, purs = (a[lo:lo + n] for a in pool)
+    eligible = np.flatnonzero(vals[bucket] >= f_lb)
+    if not len(eligible):
         scheme = EMPTY_SCHEME
     else:
-        f = grid.values[best.bucket]
-        spec = EnsembleSpec(((f, best.rate),))
+        best = eligible[np.argmax(rate[eligible])]  # the first at the top rate
+        f, r = grid.values[bucket[best]], rate[best].item()
+        spec = EnsembleSpec(((f, r),))
         scheme = DistributionScheme(
-            protocols=(ProtocolFlow(fidelity=f, rate=best.rate, tree="pumping-dp"),),
-            ensembles=spec,
-            egr=best.rate,
-            fidelity=f,
-            capacity=ensemble_capacity(spec),
-            swaps=best.swaps_per_unit,
-            purifications=best.purs_per_unit,
-            pairs=1,
+            protocols=(ProtocolFlow(fidelity=f, rate=r, tree="pumping-dp"),), ensembles=spec,
+            egr=r, fidelity=f, capacity=ensemble_capacity(spec), swaps=swaps[best].item(),
+            purifications=purs[best].item(), pairs=1,
         )
     return StrategyResult(
         strategy="rate-dp", scheme=scheme, server_time_s=0.0,

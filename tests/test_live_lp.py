@@ -11,6 +11,7 @@ dual answer, or raises the dual run's refusal.
 """
 
 import gc
+import math
 import re
 import sys
 import weakref
@@ -335,6 +336,41 @@ def test_a_live_row_violation_names_the_row_and_numbers_of_the_whole_check():
         x = np.zeros(problem.num_vars)
         x[base.live] = np.random.default_rng(seed).uniform(0.0, base.rate_cap, len(base.live))
         assert _refusal(problem, x) == _refusal(_as_rows(problem), x)
+
+
+@pytest.mark.parametrize("bad", ["nan", "negative", "row"])
+def test_a_bad_live_rate_from_highs_is_refused_naming_its_global_column(monkeypatch, bad):
+    hg, problem = _lattice_problem()
+    base, cols = hg.rate_lp, hg.columns
+    # a live swap, at a place in the live columns other than its own index
+    j, e = next((j, e) for j, e in enumerate(base.live.tolist())
+                if cols.op[e] == OP_CODE["swap"] and j != e)
+    value = {"nan": math.nan, "negative": -1.0, "row": 1.0}[bad]
+    answers = []
+    solve_highs = lp.RateLP.solve_highs
+
+    def corrupting(self, cost, upper, strategy=PRIMAL_SIMPLEX):
+        x, y, iterations = solve_highs(self, cost, upper, strategy)
+        assert len(cost) == len(x) == len(base.live)  # the solve hands over the live columns
+        x[:] = 0.0
+        x[j] = value  # alone, it draws its value from both input rows, which nothing feeds
+        answers.append(x.copy())
+        return x, y, iterations
+
+    monkeypatch.setattr(lp.RateLP, "solve_highs", corrupting)
+    with pytest.raises(LPSolveError) as exc:
+        solve_lp(problem)
+    assert len(answers) == 2  # primal refused, then dual
+    assert base._matrix is None  # checked on the live part only
+    row = min(cols.input0[e], cols.input1[e])  # of two equal violations, the first row
+    assert str(exc.value) == {
+        "nan": f"non-finite rate nan for r_{e} in solution",
+        "negative": f"negative rate -1.000e+00 for r_{e} in solution",
+        "row": f"constraint violated: row v_{row} has lhs 1.0 > limit 0.0 (by 1.000e+00)",
+    }[bad]
+    whole = np.zeros(problem.num_vars)
+    whole[base.live] = answers[-1]
+    assert str(exc.value) == _refusal(_as_rows(problem), whole)  # as the whole-matrix check says
 
 
 def test_row_built_problems_keep_every_column_and_skip_the_certificate():

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from conftest import make_chain
@@ -9,7 +10,7 @@ from entflow.capacity import pair_capacity
 from entflow.cli import main
 from entflow.hypergraph import FidelityGrid
 from entflow.lp import EMPTY_SCHEME
-from entflow.physics import DEFAULT_NOISE
+from entflow.physics import CLAMP_EVENTS, DEFAULT_NOISE
 from entflow.strategies import (
     STRATEGY_NAMES,
     OracleBoundsError,
@@ -213,3 +214,132 @@ def test_rate_dp_refuses_an_unknown_purification_model():
     path, grid = make_chain([50.0, 50.0], f0=0.9), FidelityGrid((0.95, 1.0))
     with pytest.raises(ValueError, match=_UNKNOWN_MODEL):
         run_rate_dp(path, grid, 0.96, purify_model="bogus")
+
+
+# --- rate-dp, pinned bit for bit ------------------------------------------------
+
+# per (path nodes, grid size, purify model, f_lb), the reprs of (egr, fidelity,
+# swaps, purifications) and the pair count; the chains are drawn in
+# _pinned_chain and the f_lb values bracket each chain's swap-only fidelity
+_RATE_DP_PIN = {
+    (2, 20, "i", 0.95): "2461.0549940670503 0.9736842105263157 0.0 0.0 1",
+    (2, 20, "i", 0.985): "0.0 0.0 0.0 0.0 0",
+    (2, 20, "i", 0.99): "0.0 0.0 0.0 0.0 0",
+    (2, 20, "a", 0.95): "2461.0549940670503 0.9736842105263157 0.0 0.0 1",
+    (2, 20, "a", 0.985): "0.0 0.0 0.0 0.0 0",
+    (2, 20, "a", 0.99): "0.0 0.0 0.0 0.0 0",
+    (2, 60, "i", 0.95): "2461.0549940670503 0.9745762711864407 0.0 0.0 1",
+    (2, 60, "i", 0.985): "0.0 0.0 0.0 0.0 0",
+    (2, 60, "i", 0.99): "0.0 0.0 0.0 0.0 0",
+    (2, 60, "a", 0.95): "2461.0549940670503 0.9745762711864407 0.0 0.0 1",
+    (2, 60, "a", 0.985): "0.0 0.0 0.0 0.0 0",
+    (2, 60, "a", 0.99): "0.0 0.0 0.0 0.0 0",
+    (3, 20, "i", 0.911): "1392.1794841615474 0.9210526315789473 1.0 0.0 1",
+    (3, 20, "i", 0.946): "0.0 0.0 0.0 0.0 0",
+    (3, 20, "i", 0.961): "0.0 0.0 0.0 0.0 0",
+    (3, 20, "a", 0.911): "1392.1794841615474 0.9210526315789473 1.0 0.0 1",
+    (3, 20, "a", 0.946): "0.0 0.0 0.0 0.0 0",
+    (3, 20, "a", 0.961): "0.0 0.0 0.0 0.0 0",
+    (3, 60, "i", 0.911): "1392.1794841615474 0.923728813559322 1.0 0.0 1",
+    (3, 60, "i", 0.946): "117.17809224538775 0.9491525423728814 11.880885389788762 7.034982051355969 1",
+    (3, 60, "i", 0.961): "0.0 0.0 0.0 0.0 0",
+    (3, 60, "a", 0.911): "1392.1794841615474 0.923728813559322 1.0 0.0 1",
+    (3, 60, "a", 0.946): "0.0 0.0 0.0 0.0 0",
+    (3, 60, "a", 0.961): "0.0 0.0 0.0 0.0 0",
+    (4, 20, "i", 0.873): "359.84799733193285 0.8947368421052632 9.524367900329791 2.3810919750824477 1",
+    (4, 20, "i", 0.908): "0.0 0.0 0.0 0.0 0",
+    (4, 20, "i", 0.923): "0.0 0.0 0.0 0.0 0",
+    (4, 20, "a", 0.873): "0.0 0.0 0.0 0.0 0",
+    (4, 20, "a", 0.908): "0.0 0.0 0.0 0.0 0",
+    (4, 20, "a", 0.923): "0.0 0.0 0.0 0.0 0",
+    (4, 60, "i", 0.873): "1713.6623573931106 0.8813559322033898 2.0 0.0 1",
+    (4, 60, "i", 0.908): "143.22120106597544 0.923728813559322 24.85049380773311 12.425246903866555 1",
+    (4, 60, "i", 0.923): "143.22120106597544 0.923728813559322 24.85049380773311 12.425246903866555 1",
+    (4, 60, "a", 0.873): "1713.6623573931106 0.8813559322033898 2.0 0.0 1",
+    (4, 60, "a", 0.908): "0.0 0.0 0.0 0.0 0",
+    (4, 60, "a", 0.923): "0.0 0.0 0.0 0.0 0",
+    (5, 20, "i", 0.838): "1491.9381711194535 0.8421052631578947 10.524367900329791 2.3810919750824477 1",
+    (5, 20, "i", 0.873): "0.0 0.0 0.0 0.0 0",
+    (5, 20, "i", 0.888): "0.0 0.0 0.0 0.0 0",
+    (5, 20, "a", 0.838): "0.0 0.0 0.0 0.0 0",
+    (5, 20, "a", 0.873): "0.0 0.0 0.0 0.0 0",
+    (5, 20, "a", 0.888): "0.0 0.0 0.0 0.0 0",
+    (5, 60, "i", 0.838): "2045.8010706182 0.8389830508474576 3.0 0.0 1",
+    (5, 60, "i", 0.873): "378.4729553575886 0.8813559322033898 25.85049380773311 12.425246903866555 1",
+    (5, 60, "i", 0.888): "316.9794190434155 0.8898305084745763 49.61593309642235 13.600797271125874 1",
+    (5, 60, "a", 0.838): "2045.8010706182 0.8389830508474576 3.0 0.0 1",
+    (5, 60, "a", 0.873): "0.0 0.0 0.0 0.0 0",
+    (5, 60, "a", 0.888): "0.0 0.0 0.0 0.0 0",
+    (6, 20, "i", 0.805): "27.829107218987847 0.8157894736842105 52.86753326988471 14.198965228733975 1",
+    (6, 20, "i", 0.84): "5.458325200153895 0.8421052631578947 269.5435317282941 74.94223307674648 1",
+    (6, 20, "i", 0.855): "0.0 0.0 0.0 0.0 0",
+    (6, 20, "a", 0.805): "0.0 0.0 0.0 0.0 0",
+    (6, 20, "a", 0.84): "0.0 0.0 0.0 0.0 0",
+    (6, 20, "a", 0.855): "0.0 0.0 0.0 0.0 0",
+    (6, 60, "i", 0.805): "557.2944327758775 0.8135593220338984 7.427344992050875 2.2136724960254375 1",
+    (6, 60, "i", 0.84): "121.71304007982214 0.847457627118644 30.277838799783986 14.638919399891993 1",
+    (6, 60, "i", 0.855): "121.71304007982214 0.8559322033898304 37.731379197521875 19.460228955222522 1",
+    (6, 60, "a", 0.805): "0.0 0.0 0.0 0.0 0",
+    (6, 60, "a", 0.84): "0.0 0.0 0.0 0.0 0",
+    (6, 60, "a", 0.855): "0.0 0.0 0.0 0.0 0",
+    (7, 20, "i", 0.773): "134.31044080366053 0.7894736842105263 68.24598961538194 15.699233252902092 1",
+    (7, 20, "i", 0.808): "5.5245750101658 0.8157894736842105 1426.3625713350546 397.7473675721692 1",
+    (7, 20, "i", 0.823): "0.0 0.0 0.0 0.0 0",
+    (7, 20, "a", 0.773): "0.0 0.0 0.0 0.0 0",
+    (7, 20, "a", 0.808): "0.0 0.0 0.0 0.0 0",
+    (7, 20, "a", 0.823): "0.0 0.0 0.0 0.0 0",
+    (7, 60, "i", 0.773): "797.2845388210563 0.7796610169491525 8.427344992050875 2.2136724960254375 1",
+    (7, 60, "i", 0.808): "207.007733137196 0.8135593220338984 38.731379197521875 19.460228955222522 1",
+    (7, 60, "i", 0.823): "171.92787739406774 0.8305084745762712 50.70098761546622 24.85049380773311 1",
+    (7, 60, "a", 0.773): "0.0 0.0 0.0 0.0 0",
+    (7, 60, "a", 0.808): "0.0 0.0 0.0 0.0 0",
+    (7, 60, "a", 0.823): "0.0 0.0 0.0 0.0 0",
+}
+_MODELS = {"i": "ideal-dejmps", "a": "as-printed"}
+
+
+def _pinned_chain(nodes):
+    return make_chain(np.random.default_rng([27, nodes]).uniform(20.0, 150.0, nodes - 1))
+
+
+def _reprs(scheme):
+    return " ".join([*map(repr, (scheme.egr, scheme.fidelity, scheme.swaps,
+                                 scheme.purifications)), str(scheme.pairs)])
+
+
+@pytest.mark.parametrize("case", _RATE_DP_PIN, ids=lambda case: "-".join(map(str, case)))
+def test_rate_dp_answers_are_pinned_bit_for_bit(case):
+    nodes, size, model, f_lb = case
+    res = run_rate_dp(_pinned_chain(nodes), FidelityGrid.uniform(size), f_lb, DEFAULT_NOISE,
+                      _MODELS[model])
+    assert _reprs(res.scheme) == _RATE_DP_PIN[case]
+
+
+def test_rate_dp_with_a_link_below_the_grid_delivers_nothing():
+    # the middle link's f0 lies below the grid, so every block over it is empty
+    names = ["a", "b", "c", "d"]
+    edges = [Edge(u=u, v=v, length_km=km, f0=f0)
+             for u, v, km, f0 in zip(names, names[1:], (40.0, 60.0, 50.0), (0.98, 0.88, 0.98))]
+    path = Topology(names, edges).path_from_nodes(names)
+    grid = FidelityGrid(tuple(float(v) for v in np.linspace(0.9, 1.0, 20)))
+    for model in _MODELS.values():
+        res = run_rate_dp(path, grid, 0.91, DEFAULT_NOISE, model)
+        assert _reprs(res.scheme) == "0.0 0.0 0.0 0.0 0"
+        assert res.scheme == EMPTY_SCHEME
+
+
+def test_rate_dp_with_every_link_below_the_grid_delivers_nothing():
+    path, grid = make_chain([50.0, 50.0, 50.0], f0=0.9), FidelityGrid((0.95, 1.0))
+    for model in _MODELS.values():
+        assert run_rate_dp(path, grid, 0.96, DEFAULT_NOISE, model).scheme == EMPTY_SCHEME
+
+
+def test_as_printed_rate_dp_ticks_once_per_clamped_chain_round():
+    # each base bucket's pumping chain is made once per call, so a clamped
+    # round ticks once, however many candidates read it (ticking once per
+    # candidate, this call counted 49); nothing is kept across calls
+    path, grid = _pinned_chain(7), FidelityGrid.uniform(60)
+    for _ in range(2):
+        before = CLAMP_EVENTS.thread_count
+        run_rate_dp(path, grid, 0.8, DEFAULT_NOISE, "as-printed")
+        assert CLAMP_EVENTS.thread_count - before == 9
