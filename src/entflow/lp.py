@@ -150,10 +150,12 @@ class LPProblem:
         self.objective = np.asarray(objective, dtype=float)
         self.forced_zero = forced_zero
         rhs = np.asarray(rhs, dtype=float)
-        if not len(rhs) == len(rows) == len(row_names):
+        if len(rhs) != len(row_names):
             raise LPError("row data lengths disagree")
         if len(self.objective) != num_vars:
             raise LPError("objective length disagrees with variable count")
+        if len(rows) != len(row_names):
+            raise LPError("row data lengths disagree")
         self._base = RateLP(num_vars, rhs, tuple(row_names), _rows_matrix(rows, num_vars))
         self._validate()
 
@@ -254,10 +256,15 @@ class RateLP:
     def __init__(self, num_vars: int, rhs: np.ndarray, row_names: tuple[str, ...],
                  part: sp.csr_matrix, live: np.ndarray | None = None,
                  live_rows: np.ndarray | None = None, rate_cap: float | None = None,
-                 table: tuple | None = None, abs_part: sp.csr_matrix | None = None) -> None:
+                 table: tuple | None = None) -> None:
         self.shape, self.rhs, self.row_names, self.part = (len(rhs), num_vars), rhs, row_names, part
         self.live, self.live_rows, self.rate_cap = live, live_rows, rate_cap
-        self.part_t, self.abs_part_t = (None, None) if abs_part is None else (part.T, abs_part.T)
+        self.part_t = self.abs_part_t = None
+        if live is not None:
+            magnitude = np.abs(part.data)
+            magnitude.flags.writeable = False
+            self.part_t = part.T
+            self.abs_part_t = sp.csr_matrix((magnitude, part.indices, part.indptr), part.shape).T
         self._table, self._matrix = table, (part if live is None else None)
         self._lock, self._model = threading.Lock(), None
 
@@ -286,16 +293,15 @@ class RateLP:
         touched = np.unique(row)
         part = sp.csr_matrix((data, (np.searchsorted(touched, row), col)),
                              shape=(len(touched), len(live)))
-        abs_part = sp.csr_matrix((np.abs(part.data), part.indices, part.indptr), shape=part.shape)
         limits = np.array([hg.link_limits[k] for k in hg.link_keys], np.float64)
         rhs = np.concatenate([np.zeros(flow_rows), limits])
-        for array in (part.data, part.indices, part.indptr, abs_part.data, rhs, live, touched):
+        for array in (part.data, part.indices, part.indptr, rhs, live, touched):
             array.flags.writeable = False  # shared by every problem of the hypergraph
         names = [f"v_{vi}" for vi in range(2, flow_rows + 2)] + [f"l_{k}" for k in hg.link_keys]
         # every edge consumes at least as many pairs as it makes, so no rate
         # exceeds the pairs the links generate
         return cls(len(hg.columns.op), rhs, tuple(names), part, live, touched,
-                   float(limits.sum()), table, abs_part)
+                   float(limits.sum()), table)
 
     def solve_highs(self, cost: np.ndarray, upper: np.ndarray, strategy: int = PRIMAL_SIMPLEX):
         """Cold HiGHS run of min cost.x, Ax <= rhs, 0 <= x <= upper, with the
@@ -562,12 +568,11 @@ def solve_lp(problem: LPProblem, method: str = "highs") -> LPSolution:
     for strategy in (PRIMAL_SIMPLEX, DUAL_SIMPLEX):
         x_live, y, run_iters = base.solve_highs(-cost, upper, strategy)
         iters += run_iters
-        x_live = np.where(fixed, 0.0, x_live)
         x = np.zeros(problem.num_vars)
-        x[cols] = x_live
+        x[cols] = np.where(fixed, 0.0, x_live)
         obj = float(problem.objective @ x)
         try:
-            _check_solution(problem, x_live, live=True)
+            _check_solution(problem, x)
             _check_optimality(problem, fixed, cost, obj, y)
             break
         except LPSolveError:
@@ -576,27 +581,22 @@ def solve_lp(problem: LPProblem, method: str = "highs") -> LPSolution:
     return LPSolution("optimal", obj, x, iters, method)
 
 
-def _check_solution(problem: LPProblem, x: np.ndarray, live: bool = False) -> None:
-    """Refuse a non-finite or negative rate, then a violated row, naming the
-    first; with ``live``, ``x`` holds the live columns' rates, zero elsewhere."""
-    base, rhs = problem._base, problem.rhs
-    if base.live is not None and not live:
-        # an x zero off the live columns gives every other row lhs exactly 0 <= rhs,
-        # and each live row the full product's lhs, less only its terms a * 0.0
-        live = np.count_nonzero(x[base.live]) == np.count_nonzero(x)
-        x = x[base.live] if live else x
-    cols = base.live if live and base.live is not None else np.arange(len(x))
+def _check_solution(problem: LPProblem, x: np.ndarray) -> None:
     bad = np.flatnonzero(~np.isfinite(x))
     if len(bad):
-        raise LPSolveError(f"non-finite rate {float(x[bad[0]])!r} for r_{cols[bad[0]]} in solution")
+        raise LPSolveError(f"non-finite rate {float(x[bad[0]])!r} for r_{bad[0]} in solution")
     bad = np.flatnonzero(x < -RATE_EPS)
     if len(bad):
-        raise LPSolveError(f"negative rate {float(x[bad[0]]):.3e} for r_{cols[bad[0]]} in solution")
+        raise LPSolveError(f"negative rate {float(x[bad[0]]):.3e} for r_{bad[0]} in solution")
     if not problem.num_rows:
         return
-    a, rows = (base.part, base.live_rows) if live or base.live is None else (problem.matrix, None)
-    rows = np.arange(len(rhs)) if rows is None else rows
-    lhs = a @ x
+    base, rhs = problem._base, problem.rhs
+    # an x zero off the live columns gives every other row lhs exactly 0 <= rhs,
+    # and each live row the full product's lhs, less only its terms a * 0.0
+    if base.live is not None and np.count_nonzero(x[base.live]) == np.count_nonzero(x):
+        rows, lhs = base.live_rows, base.part @ x[base.live]
+    else:
+        rows, lhs = np.arange(len(rhs)), problem.matrix @ x
     violated = lhs > rhs[rows] + FEAS_TOL * max(1.0, float(np.max(np.abs(rhs))))
     if violated.any():
         i = int(np.argmax(np.where(violated, lhs - rhs[rows], -np.inf)))
