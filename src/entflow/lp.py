@@ -22,10 +22,12 @@ to cross-check it on small problems. Every problem owns one ``RateLP``:
 a problem formulated from a hypergraph shares ``hg.rate_lp``, and one
 built from row lists or parsed text builds its own. A ``RateLP`` compiles
 one HiGHS model (a ``HighsLp``) on its first HiGHS solve and keeps it,
-behind a lock. Each solve loads that model into a new solver, sets the
-costs, gives the forced-zero variables an upper bound of 0 and runs cold
-with presolve, primal simplex first; when the checks refuse its answer,
-the same cold solve runs again with dual simplex, checked in turn.
+behind a lock. Each solving thread keeps one HiGHS solver. A solve resets
+the solver's options and sets them again, loads the model into it, which
+discards the last basis and solution, sets the nonzero costs, gives the
+forced-zero variables an upper bound of 0 and runs cold with presolve,
+primal simplex first; when the checks refuse its answer, the same cold
+solve runs again with dual simplex, checked in turn.
 
 A hypergraph's model holds only its live part: the edges whose inputs
 can all be produced from the source through live edges and whose output
@@ -92,8 +94,8 @@ def _highs_bindings():
     for name in ("_Highs", "HighsLp", "MatrixFormat", "HighsModelStatus", "HighsStatus"):
         if not hasattr(_core, name):
             raise missing(f"_highspy._core.{name}")
-    for method in ("setOptionValue", "passModel", "changeColsCost", "changeColsBounds", "run",
-                   "getModelStatus", "getInfo", "getSolution"):
+    for method in ("setOptionValue", "resetOptions", "passModel", "changeColsCost",
+                   "changeColsBounds", "run", "getModelStatus", "getInfo", "getSolution"):
         if not hasattr(_core._Highs, method):
             raise missing(f"_highspy._core._Highs.{method}")
     return _core
@@ -117,6 +119,9 @@ _HIGHS_OPTIONS = {
 # measured (a gap bound of 2.6e-10 against a limit of 2.9e-12, from a reduced
 # cost of 4.1e-15 times the rate cap)
 PRIMAL_SIMPLEX, DUAL_SIMPLEX = 4, 1
+# one HiGHS solver per solving thread, made on the thread's first solve: solvers
+# kept per hypergraph would hold their working memory for the graph's life
+_THREAD = threading.local()
 
 
 class LPError(ValueError):
@@ -248,17 +253,19 @@ class RateLP:
     model and checks an answer zero off the live columns, ``rate_cap``, a
     bound on every feasible rate, and the certificate's transposes of
     ``part`` and ``abs(part)`` (``part_t``, ``abs_part_t``); ``matrix`` is
-    built from ``table`` on first read. A part built from rows has none of
-    them (None; ``part`` is the matrix, and every column counts as live):
-    its model holds the whole problem and nothing certifies it.
+    built from ``table`` on first read; ``ends`` holds the end edges, their
+    input fidelities and capacity coefficients, for ``formulate_lp``. A
+    part built from rows has none of them (None; ``part`` is the matrix,
+    and every column counts as live): its model holds the whole problem
+    and nothing certifies it.
     """
 
     def __init__(self, num_vars: int, rhs: np.ndarray, row_names: tuple[str, ...],
                  part: sp.csr_matrix, live: np.ndarray | None = None,
                  live_rows: np.ndarray | None = None, rate_cap: float | None = None,
-                 table: tuple | None = None) -> None:
+                 table: tuple | None = None, ends: tuple | None = None) -> None:
         self.shape, self.rhs, self.row_names, self.part = (len(rhs), num_vars), rhs, row_names, part
-        self.live, self.live_rows, self.rate_cap = live, live_rows, rate_cap
+        self.live, self.live_rows, self.rate_cap, self.ends = live, live_rows, rate_cap, ends
         self.part_t = self.abs_part_t = None
         if live is not None:
             magnitude = np.abs(part.data)
@@ -295,13 +302,15 @@ class RateLP:
                              shape=(len(touched), len(live)))
         limits = np.array([hg.link_limits[k] for k in hg.link_keys], np.float64)
         rhs = np.concatenate([np.zeros(flow_rows), limits])
-        for array in (part.data, part.indices, part.indptr, rhs, live, touched):
+        end = np.flatnonzero(hg.columns.op == OP_CODE["end"])
+        ends = (end, hg.columns.exact_fidelity[hg.columns.input0[end]], hg.capacity_coeff[end])
+        for array in (part.data, part.indices, part.indptr, rhs, live, touched, *ends):
             array.flags.writeable = False  # shared by every problem of the hypergraph
         names = [f"v_{vi}" for vi in range(2, flow_rows + 2)] + [f"l_{k}" for k in hg.link_keys]
         # every edge consumes at least as many pairs as it makes, so no rate
         # exceeds the pairs the links generate
         return cls(len(hg.columns.op), rhs, tuple(names), part, live, touched,
-                   float(limits.sum()), table)
+                   float(limits.sum()), table, ends)
 
     def solve_highs(self, cost: np.ndarray, upper: np.ndarray, strategy: int = PRIMAL_SIMPLEX):
         """Cold HiGHS run of min cost.x, Ax <= rhs, 0 <= x <= upper, with the
@@ -309,9 +318,12 @@ class RateLP:
         ``cost`` and ``upper`` cover every column or only the ``live`` ones.
 
         The model is compiled on the first call and kept. Each call loads
-        it into a new solver, which starts cold and is freed on return: a
-        solver that has run keeps its working memory, about 230 bytes per
-        nonzero, until it is destroyed, even after ``clearSolver``.
+        it into its thread's solver, made on the thread's first call; the
+        load discards the last basis, so every run is cold. Between calls
+        the solver keeps its working memory, sized by the largest model it
+        has run: about 1.5 MB of RSS after the largest of the benchmark's
+        planner models (2,631 live nonzeros), 0.7 MB after one grid-60
+        lattice model, freed when the thread ends.
         Returns the solution on the columns ``cost`` covers (exact zeros off
         the live ones), the row prices y = max(0, -row dual) (zeros off the
         model's rows) and the iteration count.
@@ -324,7 +336,10 @@ class RateLP:
         x, y = np.zeros(self.shape[1] if whole else n), np.zeros(self.shape[0])
         if n == 0:  # nothing is live: HiGHS would call the model empty
             return x, y, 0
-        solver = _HIGHS._Highs()
+        solver = getattr(_THREAD, "solver", None)
+        if solver is None:
+            solver = _THREAD.solver = _HIGHS._Highs()
+        solver.resetOptions()  # so no option of an earlier solve carries over
         for key, value in _HIGHS_OPTIONS.items():
             solver.setOptionValue(key, value)
         solver.setOptionValue("simplex_strategy", strategy)
@@ -334,9 +349,13 @@ class RateLP:
             loaded = solver.passModel(self._model)
         if loaded == _HIGHS.HighsStatus.kError:
             raise LPSolveError("HiGHS rejected the model")
-        index = np.arange(n, dtype=np.int32)
-        solver.changeColsCost(n, index, cost)
-        solver.changeColsBounds(n, index, np.zeros(n), upper)
+        # the model holds cost 0 and bounds [0, inf): send only the columns that differ
+        index = np.flatnonzero(cost).astype(np.int32)
+        if len(index):
+            solver.changeColsCost(len(index), index, cost[index])
+        index = np.flatnonzero(upper != np.inf).astype(np.int32)
+        if len(index):
+            solver.changeColsBounds(len(index), index, np.zeros(len(index)), upper[index])
         solver.run()
         status, statuses = solver.getModelStatus(), _HIGHS.HighsModelStatus
         # the statuses scipy's HiGHS interface reads as infeasible and as unbounded
@@ -430,23 +449,25 @@ def formulate_lp(
     ``end-rate`` maximizes total end rate and requires ``f_lb``, forcing
     end edges below the bound to zero rate. The matrix, rhs and row names
     come from ``hg.rate_lp``; only the objective and the forced-zero set
-    are built here.
+    are built here, scattered from ``hg.rate_lp.ends``.
     """
     if objective not in OBJECTIVE_KINDS:
         raise LPError(f"unknown objective {objective!r}")
     if objective == "end-rate" and f_lb is None:
         raise LPError("end-rate objective requires a fidelity lower bound")
+    if objective == "end-rate" and np.isnan(f_lb):
+        raise LPError(f"f_lb must be a fidelity lower bound, got {f_lb!r}")
 
-    cols = hg.columns
-    is_end = cols.op == OP_CODE["end"]
-    forced = np.zeros(0, np.int64)
+    base = hg.rate_lp
+    ends, fidelity, capacity = base.ends
+    c, forced = np.zeros(base.shape[1]), ends[:0]
     if objective == "ensemble-capacity":
-        c = np.where(is_end, hg.capacity_coeff, 0.0)
+        c[ends] = capacity
     else:
-        above = cols.exact_fidelity[cols.input0] >= f_lb
-        c = (is_end & above).astype(np.float64)
-        forced = np.flatnonzero(is_end & ~above)
-    return LPProblem._sharing(hg.rate_lp, c, frozenset(forced.tolist()))
+        above = fidelity >= f_lb
+        c[ends[above]] = 1.0
+        forced = ends[~above]
+    return LPProblem._sharing(base, c, frozenset(forced.tolist()))
 
 
 def _simplex_maximize(
@@ -807,30 +828,6 @@ EMPTY_SCHEME = DistributionScheme(
 )
 
 
-def _trace_tree(
-    hg: Hypergraph, producers: dict[int, list[tuple]], vertex: int, memo: dict[int, str]
-) -> str:
-    """Representative max-rate production tree for a vertex, as text.
-
-    ``producers`` lists, per vertex, the edges with positive rate into it
-    as (rate, -edge index, op, inputs), so the max has the top rate, then
-    the lowest index."""
-    if vertex in memo:
-        return memo[vertex]
-    cands = producers.get(vertex)
-    if not cands:
-        memo[vertex] = "?"
-        return "?"
-    _, _, op, inputs = max(cands)
-    if op == "start":
-        text = f"link({hg.columns.u[vertex]}|{hg.columns.v[vertex]})"
-    else:
-        parts = [_trace_tree(hg, producers, vi, memo) for vi in inputs]
-        text = f"{op}({', '.join(parts)})"
-    memo[vertex] = text
-    return text
-
-
 def extract_scheme(hg: Hypergraph, solution: LPSolution) -> DistributionScheme:
     """Read a solved LP back into delivered ensembles and metrics.
 
@@ -842,28 +839,33 @@ def extract_scheme(hg: Hypergraph, solution: LPSolution) -> DistributionScheme:
     cols = hg.columns
     # only edges with positive rate can carry flow or appear in a tree
     ids = np.flatnonzero(solution.rates > RATE_EPS)
-    columns = (solution.rates, cols.op, cols.input0, cols.input1, cols.output)
-    active = [
-        (ei, r, OP_NAMES[op], [in0] if in1 < 0 else [in0, in1], out)
-        for ei, r, op, in0, in1, out in zip(ids.tolist(), *(c[ids].tolist() for c in columns))
-    ]
-    producers: dict[int, list[tuple]] = {}
-    for ei, r, op, inputs, out in active:
-        producers.setdefault(out, []).append((r, -ei, op, inputs))
+    rates, out = solution.rates[ids], cols.output[ids]
+    # each vertex's producer, the top rate, then the lowest index, sorts last
+    # among the vertex's edges, so the dict keeps it; vertices come in order
+    order = np.lexsort((-np.arange(len(ids)), rates, out))
+    producer = dict(zip(out[order].tolist(), order.tolist()))
+    rates, op, in0, in1 = (a.tolist() for a in (rates, *(c[ids] for c in (
+        cols.op, cols.input0, cols.input1))))
+    # each vertex's tree text, once, in vertex order: an input is numbered
+    # below its output, so its text is there first (the sink, numbered 1, is
+    # the exception, and no tree reads its text)
+    texts: dict[int, str] = {}
+    for vertex, k in producer.items():
+        if op[k] == OP_CODE["start"]:
+            texts[vertex] = f"link({cols.u[vertex]}|{cols.v[vertex]})"
+        else:
+            inputs = (in0[k],) if in1[k] < 0 else (in0[k], in1[k])
+            texts[vertex] = f"{OP_NAMES[op[k]]}({', '.join(texts.get(vi, '?') for vi in inputs)})"
+
     protocols: list[ProtocolFlow] = []
-    memo: dict[int, str] = {}
     swap_rate = 0.0
     pur_rate = 0.0
-    for _, r, op, inputs, _ in active:
-        if op == "swap":
+    for r, o, vi in zip(rates, op, in0):
+        if o == OP_CODE["swap"]:
             swap_rate += r
-        elif op == "purify":
+        elif o == OP_CODE["purify"]:
             pur_rate += r
-        elif op == "end":
-            protocols.append(
-                ProtocolFlow(
-                    fidelity=float(cols.exact_fidelity[inputs[0]]), rate=r,
-                    tree=_trace_tree(hg, producers, inputs[0], memo),
-                )
-            )
+        elif o == OP_CODE["end"]:
+            protocols.append(ProtocolFlow(fidelity=float(cols.exact_fidelity[vi]), rate=r,
+                                          tree=texts.get(vi, "?")))
     return DistributionScheme.from_flows(protocols, swap_rate, pur_rate)

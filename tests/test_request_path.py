@@ -1,0 +1,359 @@
+"""The per-request steps of a rate-LP answer against the steps they replaced.
+
+The references below copy the steps a request took before each solving
+thread kept one HiGHS solver: a new solver per solve, given the options,
+the compiled model and every column's cost and bounds, run and dropped;
+an objective and forced set computed over the whole edge table; and each
+vertex's producer picked by a max over its list of producers. The
+kept-solver path must give the same rates, row prices and iteration
+counts, and the same objectives, forced sets and schemes, bit for bit.
+"""
+
+import gc
+import math
+import threading
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import hypergraphs, make_chain
+from entflow import lp
+from entflow.hypergraph import (
+    OP_CODE,
+    OP_NAMES,
+    FidelityGrid,
+    Hypergraph,
+    build_pruned_hypergraph,
+    build_standard_hypergraph,
+)
+from entflow.lp import (
+    DUAL_SIMPLEX,
+    PRIMAL_SIMPLEX,
+    RATE_EPS,
+    DistributionScheme,
+    LPError,
+    LPProblem,
+    LPSolution,
+    LPSolveError,
+    ProtocolFlow,
+    _compile_highs,
+    _forced_mask,
+    extract_scheme,
+    formulate_lp,
+    solve_lp,
+)
+from entflow.physics import DEFAULT_NOISE
+
+# --- reference: a fresh solver per solve, every column sent --------------------
+
+
+def _fresh_solve(base, cost, upper, strategy=PRIMAL_SIMPLEX):
+    cols = slice(None) if base.live is None else base.live
+    rows = slice(None) if base.live_rows is None else base.live_rows
+    whole = len(cost) == base.shape[1]
+    cost, upper = (cost[cols], upper[cols]) if whole else (cost, upper)
+    n = len(cost)
+    x, y = np.zeros(base.shape[1] if whole else n), np.zeros(base.shape[0])
+    if n == 0:
+        return x, y, 0
+    solver = lp._HIGHS._Highs()
+    for key, value in lp._HIGHS_OPTIONS.items():
+        solver.setOptionValue(key, value)
+    solver.setOptionValue("simplex_strategy", strategy)
+    assert solver.passModel(_compile_highs(base.part, base.rhs[rows])) != \
+        lp._HIGHS.HighsStatus.kError
+    index = np.arange(n, dtype=np.int32)
+    solver.changeColsCost(n, index, cost)
+    solver.changeColsBounds(n, index, np.zeros(n), upper)
+    solver.run()
+    assert solver.getModelStatus() == lp._HIGHS.HighsModelStatus.kOptimal
+    info = solver.getInfo()
+    iterations = int(info.simplex_iteration_count or info.ipm_iteration_count)
+    solution = solver.getSolution()
+    x[cols if whole else slice(None)] = np.fromiter(solution.col_value, np.float64, n)
+    y[rows] = np.maximum(0.0, -np.fromiter(solution.row_dual, np.float64))
+    return x, y, iterations
+
+
+def _costs(problem):
+    """The cost and upper bounds ``solve_lp`` gives ``RateLP.solve_highs``."""
+    cols = slice(None) if problem._base.live is None else problem._base.live
+    fixed = _forced_mask(problem)[cols]
+    return -np.where(fixed, 0.0, problem.objective[cols]), np.where(fixed, 0.0, np.inf)
+
+
+def _assert_same_run(got, want):
+    for a, b in zip(got[:2], want[:2]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got[2] == want[2]
+
+
+def _check_against_fresh(problem, strategy=PRIMAL_SIMPLEX):
+    cost, upper = _costs(problem)
+    want = _fresh_solve(problem._base, cost, upper, strategy)
+    _assert_same_run(problem._base.solve_highs(cost, upper, strategy), want)
+    return want
+
+
+def _pruned(lengths_km=(40.0, 90.0, 60.0, 70.0), size=20):
+    return build_pruned_hypergraph(make_chain(list(lengths_km)), FidelityGrid.uniform(size),
+                                   DEFAULT_NOISE)
+
+
+def _row_built(seed):
+    """A bounded problem from rows: a capacity row over every variable."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 25)), int(rng.integers(0, 10))
+    rows = [[(j, float(c)) for j, c in enumerate(rng.uniform(0.5, 2.0, size=n))]]
+    rows += [
+        [(j, float(c)) for j, c in enumerate(rng.uniform(-1.0, 2.0, size=n)) if abs(c) > 0.3]
+        for _ in range(m)
+    ]
+    rhs = rng.uniform(0.0, 10.0, size=m + 1)
+    forced = frozenset(np.flatnonzero(rng.random(n) < 0.3).tolist())
+    return LPProblem(n, rng.uniform(-1.0, 3.0, size=n), rows, rhs,
+                     [f"c_{i}" for i in range(m + 1)], forced)
+
+
+# --- the kept solver --------------------------------------------------------------
+
+
+def test_each_solving_thread_makes_one_solver_and_every_run_is_cold(monkeypatch):
+    problem = formulate_lp(_pruned(), "end-rate", 0.8)
+    cost, upper = _costs(problem)
+    want = _fresh_solve(problem._base, cost, upper)
+    assert want[2] > 0  # a run warm from the last basis would take 0 iterations
+    made = []
+    highs = lp._HIGHS._Highs
+
+    def counting():
+        made.append(threading.get_ident())
+        return highs()
+
+    monkeypatch.setattr(lp._HIGHS, "_Highs", counting)
+    monkeypatch.delattr(lp._THREAD, "solver", raising=False)  # this thread's, if any
+    answers = []
+
+    def solve_n():
+        answers.extend(problem._base.solve_highs(cost, upper) for _ in range(4))
+
+    solve_n()
+    assert made == [threading.get_ident()]
+    threads = [threading.Thread(target=solve_n) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert len(made) == len(set(made)) == 3
+    assert len(answers) == 12
+    for got in answers:
+        _assert_same_run(got, want)
+
+
+@st.composite
+def solve_steps(draw):
+    """One solve: a hypergraph's problem or a row-built one, with a strategy."""
+    strategy = draw(st.sampled_from((PRIMAL_SIMPLEX, DUAL_SIMPLEX)))
+    if draw(st.booleans()):
+        return _row_built(draw(st.integers(min_value=0, max_value=2**32 - 1))), strategy
+    hg = draw(hypergraphs())
+    if draw(st.booleans()):
+        return formulate_lp(hg, "ensemble-capacity"), strategy
+    return formulate_lp(hg, "end-rate", draw(st.floats(min_value=0.5, max_value=1.0))), strategy
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(solve_steps(), min_size=1, max_size=5))
+def test_a_sequence_of_solves_on_the_kept_solver_matches_fresh_solvers(steps):
+    for problem, strategy in steps:
+        _check_against_fresh(problem, strategy)
+
+
+@pytest.mark.parametrize("rows,rhs,match", [
+    ([[(0, -1.0)]], [1.0], "unbounded"),
+    ([[(0, 1.0)]], [-1.0], "infeasible"),
+])
+def test_a_refused_status_leaves_the_next_answer_unchanged(rows, rhs, match):
+    problem = formulate_lp(_pruned(), "ensemble-capacity")
+    _check_against_fresh(problem)
+    bad = LPProblem(1, np.ones(1), rows, np.array(rhs), ["c_0"])
+    with pytest.raises(LPSolveError, match=f"^HiGHS: problem is {match}$"):
+        bad._base.solve_highs(-bad.objective, np.full(1, np.inf))
+    _check_against_fresh(problem)
+    _check_against_fresh(problem, DUAL_SIMPLEX)
+
+
+def test_options_reach_every_solve_and_none_carries_over(monkeypatch):
+    problem = formulate_lp(_pruned(), "ensemble-capacity")
+    cold = _check_against_fresh(problem)
+    monkeypatch.setitem(lp._HIGHS_OPTIONS, "presolve", "off")
+    assert _check_against_fresh(problem)[2] != cold[2]  # the change shows
+    # an option set for one solve only, then taken out again
+    monkeypatch.setitem(lp._HIGHS_OPTIONS, "simplex_iteration_limit", 0)
+    with pytest.raises(LPSolveError, match="model status kIterationLimit"):
+        solve_lp(problem)
+    monkeypatch.undo()
+    _assert_same_run(_check_against_fresh(problem), cold)
+
+
+# --- reference: the objective over the whole table -------------------------------
+
+
+def _table_objective(hg, objective, f_lb):
+    cols = hg.columns
+    is_end = cols.op == OP_CODE["end"]
+    forced = np.zeros(0, np.int64)
+    if objective == "ensemble-capacity":
+        c = np.where(is_end, hg.capacity_coeff, 0.0)
+    else:
+        above = cols.exact_fidelity[cols.input0] >= f_lb
+        c = (is_end & above).astype(np.float64)
+        forced = np.flatnonzero(is_end & ~above)
+    return c, frozenset(forced.tolist())
+
+
+def _assert_same_objective(hg, objective, f_lb=None):
+    problem = formulate_lp(hg, objective, f_lb)
+    c, forced = _table_objective(hg, objective, f_lb)
+    assert problem.objective.dtype == c.dtype and problem.objective.tobytes() == c.tobytes()
+    assert problem.forced_zero == forced
+    assert all(type(i) is int for i in problem.forced_zero)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hypergraphs(), st.floats(min_value=0.5, max_value=1.0), st.data())
+def test_the_objective_from_the_end_constants_matches_the_table_formula(hg, f_lb, data):
+    _assert_same_objective(hg, "ensemble-capacity")
+    for bound in (f_lb, 0.5, 1.0, -math.inf, math.inf):
+        _assert_same_objective(hg, "end-rate", bound)
+    fidelities = hg.rate_lp.ends[1]
+    if len(fidelities):  # a bound exactly on an end fidelity keeps that end
+        _assert_same_objective(hg, "end-rate", data.draw(st.sampled_from(fidelities.tolist())))
+
+
+@pytest.mark.parametrize("cut", ["start", "end"])
+def test_the_objective_of_a_graph_with_nothing_live(cut):
+    hg = build_standard_hypergraph(make_chain([60.0, 80.0]), FidelityGrid.uniform(6),
+                                   DEFAULT_NOISE)
+    cols = hg.columns
+    keep = cols.op != OP_CODE[cut]
+    trimmed = replace(cols, **{name: getattr(cols, name)[keep]
+                               for name in ("op", "input0", "input1", "output", "rate_bound")})
+    hg = Hypergraph(trimmed, hg.grid, hg.noise, hg.link_limits, hg.builder, hg.purify_model)
+    assert len(hg.rate_lp.live) == 0
+    assert len(hg.rate_lp.ends[0]) == (0 if cut == "end" else 6)
+    _assert_same_objective(hg, "ensemble-capacity")
+    for f_lb in (0.5, 0.8, 1.0):
+        _assert_same_objective(hg, "end-rate", f_lb)
+
+
+@pytest.mark.parametrize("f_lb", [float("nan"), np.float64("nan")])
+def test_a_nan_f_lb_is_refused_naming_it(f_lb):
+    hg = _pruned()
+    with pytest.raises(LPError, match="f_lb"):
+        formulate_lp(hg, "end-rate", f_lb)
+    # ensemble capacity reads no bound
+    assert solve_lp(formulate_lp(hg, "ensemble-capacity", f_lb)).objective_value > 0.0
+
+
+def test_infinite_bounds_keep_every_end_or_none():
+    hg = _pruned()
+    ends = frozenset(hg.rate_lp.ends[0].tolist())
+    assert ends
+    assert formulate_lp(hg, "end-rate", math.inf).forced_zero == ends
+    assert solve_lp(formulate_lp(hg, "end-rate", math.inf)).objective_value == 0.0
+    assert formulate_lp(hg, "end-rate", -math.inf).forced_zero == frozenset()
+    assert solve_lp(formulate_lp(hg, "end-rate", -math.inf)).objective_value > 0.0
+
+
+# --- reference: each vertex's producer from its list of producers ----------------
+
+
+def _ref_trace_tree(hg, producers, vertex, memo):
+    if vertex in memo:
+        return memo[vertex]
+    cands = producers.get(vertex)
+    if not cands:
+        memo[vertex] = "?"
+        return "?"
+    _, _, op, inputs = max(cands)  # the top rate, then the lowest index
+    if op == "start":
+        text = f"link({hg.columns.u[vertex]}|{hg.columns.v[vertex]})"
+    else:
+        parts = [_ref_trace_tree(hg, producers, vi, memo) for vi in inputs]
+        text = f"{op}({', '.join(parts)})"
+    memo[vertex] = text
+    return text
+
+
+def _ref_extract(hg, solution, tie=-1):
+    """The scheme by the producer-list rule; ``tie=1`` takes the highest
+    index among producers of equal rate instead of the lowest."""
+    cols = hg.columns
+    ids = np.flatnonzero(solution.rates > RATE_EPS)
+    columns = (solution.rates, cols.op, cols.input0, cols.input1, cols.output)
+    active = [
+        (ei, r, OP_NAMES[op], [in0] if in1 < 0 else [in0, in1], out)
+        for ei, r, op, in0, in1, out in zip(ids.tolist(), *(c[ids].tolist() for c in columns))
+    ]
+    producers = {}
+    for ei, r, op, inputs, out in active:
+        producers.setdefault(out, []).append((r, tie * ei, op, inputs))
+    protocols, memo = [], {}
+    swap_rate = pur_rate = 0.0
+    for _, r, op, inputs, _ in active:
+        if op == "swap":
+            swap_rate += r
+        elif op == "purify":
+            pur_rate += r
+        elif op == "end":
+            protocols.append(ProtocolFlow(
+                fidelity=float(cols.exact_fidelity[inputs[0]]), rate=r,
+                tree=_ref_trace_tree(hg, producers, inputs[0], memo)))
+    return DistributionScheme.from_flows(protocols, swap_rate, pur_rate)
+
+
+def _rated(rates):
+    return LPSolution("optimal", 0.0, np.asarray(rates, np.float64), 0, "highs")
+
+
+def test_tied_producers_name_the_tree_by_the_lower_edge_index():
+    hg = build_standard_hypergraph(make_chain([60.0, 80.0]), FidelityGrid.uniform(8),
+                                   DEFAULT_NOISE)
+    cols = hg.columns
+    # every edge at one rate: each vertex with several producers is a tie
+    solution = _rated(np.ones(len(cols.op)))
+    assert len(np.unique(cols.output)) < len(cols.op)
+    scheme = extract_scheme(hg, solution)
+    assert scheme == _ref_extract(hg, solution)
+    # the ties decide some tree: the highest index would name another
+    assert scheme != _ref_extract(hg, solution, tie=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hypergraphs(), st.integers(min_value=0, max_value=2**32 - 1))
+def test_extraction_matches_the_producer_list_rule(hg, seed):
+    rng = np.random.default_rng(seed)
+    # rates from a small set, so many producers of one vertex tie
+    rates = rng.choice([0.0, RATE_EPS, 0.5, 1.0], size=len(hg.columns.op))
+    solution = _rated(rates)
+    assert extract_scheme(hg, solution) == _ref_extract(hg, solution)
+    solution = solve_lp(formulate_lp(hg, "ensemble-capacity"))
+    assert extract_scheme(hg, solution) == _ref_extract(hg, solution)
+
+
+def test_extraction_leaves_no_garbage_cycle():
+    # a cycle would hold every tree text of the answer until a collection
+    hg = _pruned()
+    solution = solve_lp(formulate_lp(hg, "ensemble-capacity"))
+    gc.collect()
+    gc.disable()
+    try:
+        assert extract_scheme(hg, solution).egr > 0.0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
