@@ -37,6 +37,17 @@ def make_topology(edge_specs, f0: float = 0.98) -> Topology:
     return Topology(nodes, edges)
 
 
+def dead_link_build():
+    """The pruned build of a chain a-e whose middle links b-c and c-d have f0
+    0.88, below its grid [0.9, 1]: no vertex lies on node c."""
+    nodes = list("abcde")
+    edges = [Edge(u=u, v=v, length_km=50.0, f0=f0)
+             for u, v, f0 in zip(nodes, nodes[1:], (0.98, 0.88, 0.88, 0.98))]
+    grid = FidelityGrid(tuple(float(x) for x in np.linspace(0.9, 1.0, 20)))
+    return build_pruned_hypergraph(Topology(nodes, edges).path_from_nodes(nodes), grid,
+                                   DEFAULT_NOISE)
+
+
 def doc_column(doc: dict, name: str) -> np.ndarray:
     """One column of a hypergraph document, decoded into a writable array."""
     return np.frombuffer(base64.b64decode(doc["columns"][name]), DOCUMENT_COLUMNS[name]).copy()
