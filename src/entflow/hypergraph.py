@@ -9,10 +9,10 @@ edge's success probability, capacity coefficient and link (``_derived``)
 follow from it. Every hypergraph is checked when made.
 Every builder numbers its table topologically (each input of an edge before
 its output, the sink last), so the check refuses a cycle with one rank rule.
-Its one JSON document (``Hypergraph.to_json``) holds the table as base64
-columns; a planner cache stores each entry as such a document. A hypergraph
-holds no clock reading, so equal inputs give equal documents; a caller that
-reports a build time measures it around the whole call, checks included.
+Its one JSON document (``Hypergraph.to_json``) holds the table as it is; a
+planner cache stores each entry as such a document. A hypergraph holds no
+clock reading, so equal inputs give equal documents; a caller that reports a
+build time measures it around the whole call, checks included.
 
 Two builders are provided: the standard builder enumerates the full
 discretized lattice (edge count grows as |V|^3 |F|^2), numbering its node
@@ -68,7 +68,7 @@ _EDGE_DTYPES = {"op": np.int8, "input0": np.int64, "input1": np.int64, "output":
 
 DOCUMENT_VERSION = 2  # of Hypergraph.to_json and of a planner cache, which holds such documents
 # each HypergraphColumns array in a document, base64 of its bytes in this
-# dtype; u and v index the document's sorted node names
+# dtype; u and v index the document's node names, its ``nodes``
 DOCUMENT_COLUMNS = {name: np.dtype(code) for name, code in (
     ("op", "<i1"), ("input0", "<i8"), ("input1", "<i8"), ("output", "<i8"),
     ("rate_bound", "<f8"), ("exact_fidelity", "<f8"), ("u", "<i4"), ("v", "<i4"))}
@@ -147,8 +147,9 @@ class HypergraphColumns:
     input1: np.ndarray  # -1 for one-input ops
     output: np.ndarray
     rate_bound: np.ndarray  # NaN: no bound
-    u: tuple[str, ...]  # per vertex: its node pair (u, v)
-    v: tuple[str, ...]
+    nodes: tuple[str, ...]  # sorted, each the node of some vertex
+    u: np.ndarray  # per vertex: its node pair (u, v), int32 indices into nodes
+    v: np.ndarray
     exact_fidelity: np.ndarray
 
     def __post_init__(self) -> None:
@@ -157,14 +158,23 @@ class HypergraphColumns:
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
 
+    def pair(self, vertex: int) -> tuple[str, str]:
+        """The node names of a vertex's pair."""
+        return self.nodes[self.u[vertex]], self.nodes[self.v[vertex]]
 
-def _columns(vertices: tuple, blocks: list) -> HypergraphColumns:
+
+def _columns(names: list | tuple, vertices: tuple, blocks: list) -> HypergraphColumns:
     """The columns of edge blocks (each maps every name of ``_EDGE_DTYPES``
-    to a sequence), concatenated in order, over vertices (u, v, exact_fidelity)."""
+    to a sequence), concatenated in order, over vertices (u, v, exact_fidelity),
+    u and v renumbered from ``names`` into the sorted names some vertex uses."""
     edges = {name: np.concatenate([np.asarray(block[name], dtype) for block in blocks])
              for name, dtype in _EDGE_DTYPES.items()}
     u, v, fidelity = vertices
-    return HypergraphColumns(**edges, u=tuple(u), v=tuple(v),
+    used = np.unique(np.concatenate([u, v])).tolist()
+    nodes = sorted({names[i] for i in used})  # a name may repeat in ``names``
+    index = np.zeros(len(names), np.int32)
+    index[used] = [nodes.index(names[i]) for i in used]
+    return HypergraphColumns(**edges, nodes=tuple(nodes), u=index.take(u), v=index.take(v),
                              exact_fidelity=np.array(fidelity, float))
 
 
@@ -203,7 +213,7 @@ class Hypergraph:
         self.purify_model = purify_model
         _check_columns(columns)
         _check_references(columns)
-        self.endpoints = (columns.u[SOURCE], columns.v[SOURCE])  # the source's node pair
+        self.endpoints = columns.pair(SOURCE)
         self.p_succ, self.capacity_coeff, self.link = _derived(
             columns, self.link_keys, noise, purify_model)
 
@@ -232,48 +242,37 @@ class Hypergraph:
 
     def to_json(self) -> dict:
         """The document: the grid, noise and purification model, then the
-        rest of the hypergraph, its table as base64 columns in the
-        ``DOCUMENT_COLUMNS`` dtypes with u and v as indices into ``nodes``."""
+        rest of the hypergraph, its table as ``nodes`` and base64 columns in
+        the ``DOCUMENT_COLUMNS`` dtypes."""
         cols = self.columns
-        nodes = sorted({*cols.u, *cols.v})
-        index = {name: i for i, name in enumerate(nodes)}
-        arrays = {**vars(cols), "u": [index[n] for n in cols.u], "v": [index[n] for n in cols.v]}
         return {
             "version": DOCUMENT_VERSION, "grid": list(self.grid.values),
             "noise": asdict(self.noise), "purify_model": self.purify_model,
-            "builder": self.builder, "link_limits": dict(self.link_limits), "nodes": nodes,
-            "columns": {name: base64.b64encode(np.asarray(arrays[name], dtype).tobytes()).decode()
-                        for name, dtype in DOCUMENT_COLUMNS.items()},
+            "builder": self.builder, "link_limits": dict(self.link_limits), "nodes": [*cols.nodes],
+            "columns": {name: base64.b64encode(np.asarray(getattr(cols, name), dtype).tobytes())
+                        .decode() for name, dtype in DOCUMENT_COLUMNS.items()},
         }
 
     @classmethod
     def from_json(cls, doc: dict) -> Hypergraph:
         """The hypergraph of a ``to_json`` document, checked as every
         hypergraph is; decoding rejects a column whose bytes are not whole
-        entries and a node index outside ``nodes``, and ignores what older
-        documents hold that is now derived: ``endpoints``, ``link_keys`` and
-        the p_succ, capacity_coeff and link columns."""
+        entries, and ignores what older documents hold that is now derived:
+        ``endpoints``, ``link_keys`` and the p_succ, capacity_coeff and link
+        columns."""
         try:
             if doc["version"] != DOCUMENT_VERSION:
                 raise HypergraphError(f"unsupported version {doc['version']!r}")
-            nodes, columns = doc["nodes"], {}
+            columns = {}
             for name, dtype in DOCUMENT_COLUMNS.items():
                 data = base64.b64decode(doc["columns"][name], validate=True)
                 if len(data) % dtype.itemsize:
                     raise HypergraphError(f"column {name}: {len(data)} bytes, not a multiple of "
                                           f"{dtype.itemsize}")
                 columns[name] = np.frombuffer(data, dtype)
-            for name in ("u", "v"):
-                bad = np.flatnonzero((columns[name] < 0) | (columns[name] >= len(nodes)))
-                if len(bad):
-                    raise HypergraphError(f"vertex {bad[0]}: {name} {columns[name][bad[0]].item()} "
-                                          f"is not an index into the {len(nodes)} nodes")
-                columns[name] = tuple(map(nodes.__getitem__, columns[name].tolist()))
-            return cls(
-                HypergraphColumns(**columns), FidelityGrid(tuple(doc["grid"])),
-                NoiseParams(**doc["noise"]), dict(doc["link_limits"]), doc["builder"],
-                doc["purify_model"],
-            )
+            return cls(HypergraphColumns(**columns, nodes=tuple(doc["nodes"])),
+                       FidelityGrid(tuple(doc["grid"])), NoiseParams(**doc["noise"]),
+                       dict(doc["link_limits"]), doc["builder"], doc["purify_model"])
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, HypergraphError):
                 raise
@@ -312,7 +311,7 @@ def _derived(cols: HypergraphColumns, link_keys: tuple, noise: NoiseParams,
     capacity_coeff[e] = [pair_capacity(fi) for fi in f[cols.input0[e]].tolist()]
     index = {key: i for i, key in enumerate(link_keys)}
     for e in np.flatnonzero(cols.op == OP_CODE["start"]).tolist():
-        pair = cols.u[cols.output[e]], cols.v[cols.output[e]]
+        pair = cols.pair(cols.output[e])
         link[e] = index.get(link_key(*pair), -1)
         if link[e] < 0:
             raise HypergraphError(f"edge {e}: start edge into {pair!r}, which has no link limit")
@@ -331,7 +330,8 @@ def _check_columns(cols: HypergraphColumns) -> None:
                                       f"column {ref} {len(getattr(cols, ref))}")
     if len(cols.u) < 2:
         raise HypergraphError("vertices must start with source and sink")
-    op, f = cols.op, cols.exact_fidelity
+    op, f, u, v, n = cols.op, cols.exact_fidelity, cols.u, cols.v, len(cols.nodes)
+    off = [k for k, name in enumerate(cols.nodes) if type(name) is not str]  # each name once
     one = (op == OP_CODE["start"]) | (op == OP_CODE["end"])  # the one-input ops
     for bad, message in (  # the entries that break a rule -> the error for the first
         ((op < 0) | (op >= len(OP_NAMES)), lambda e: f"edge {e}: unknown op {op[e].item()}"),
@@ -340,14 +340,17 @@ def _check_columns(cols: HypergraphColumns) -> None:
                    f"got {3 - _ARITY[op[e]]}"),
         (~((f >= 0.0) & (f <= 1.0)),  # NaN included
          lambda vi: f"vertex {vi}: exact_fidelity {f[vi].item()!r} is not a real in [0, 1]"),
+        ((u < 0) | (u >= n),
+         lambda vi: f"vertex {vi}: u {u[vi]} is not an index into the {n} nodes"),
+        ((v < 0) | (v >= n),
+         lambda vi: f"vertex {vi}: v {v[vi]} is not an index into the {n} nodes"),
+        (np.isin(u, off) | np.isin(v, off),  # the first vertex on a name that is not a string
+         lambda vi: f"vertex {vi}: node name "
+                    f"{cols.nodes[u[vi] if u[vi] in off else v[vi]]!r} is not a string"),
     ):
         if bad.any():
             raise HypergraphError(message(np.flatnonzero(bad)[0].item()))
-    if set(map(type, cols.u + cols.v)) != {str}:
-        vi, name = next((vi, name) for vi, pair in enumerate(zip(cols.u, cols.v))
-                        for name in pair if type(name) is not str)
-        raise HypergraphError(f"vertex {vi}: node name {name!r} is not a string")
-    ends, sink = ((cols.u[vi], cols.v[vi]) for vi in (SOURCE, SINK))
+    ends, sink = (cols.pair(vi) for vi in (SOURCE, SINK))
     if sink != ends:
         raise HypergraphError(f"vertex {SINK}: node pair {sink!r} is not the endpoints {ends!r}")
 
@@ -432,17 +435,14 @@ def build_standard_hypergraph(
     m = path.num_nodes
     if m < 2:
         raise HypergraphError("path must have at least 2 nodes")
-    nodes = path.nodes
     nf = grid.resolution
 
     # pair (i, j) holds vertices base[(i, j)] + bucket
     pairs = [(i, i + span) for span in range(1, m) for i in range(m - span)]
     base = {pair: 2 + p * nf for p, pair in enumerate(pairs)}
-    vertices = (  # u, v and exact_fidelity; the source and sink come first
-        [nodes[0]] * 2 + [nodes[i] for i, _ in pairs for _ in range(nf)],
-        [nodes[-1]] * 2 + [nodes[j] for _, j in pairs for _ in range(nf)],
-        [0.0, 0.0, *grid.values * len(pairs)],
-    )
+    left, right = np.array(pairs).repeat(nf, axis=0).T  # the path nodes of each vertex
+    vertices = (np.r_[0, 0, left], np.r_[m - 1, m - 1, right],  # source and sink first
+                [0.0, 0.0, *grid.values * len(pairs)])
 
     k0 = [grid.round_down_index(phys.f0) for phys in path.edges]
     linked = [t for t in range(m - 1) if k0[t] >= 0]  # f0 below the grid generates nothing
@@ -477,8 +477,8 @@ def build_standard_hypergraph(
 
     ends = _edge_block("end", base[(0, m - 1)] + np.arange(nf), np.full(nf, SINK))
 
-    return Hypergraph(_columns(vertices, [starts, swaps, purifies, ends]), grid, noise,
-                      link_limits, builder="standard", purify_model=purify_model)
+    return Hypergraph(_columns(path.nodes, vertices, [starts, swaps, purifies, ends]), grid,
+                      noise, link_limits, builder="standard", purify_model=purify_model)
 
 
 def _purify_sweep(
@@ -587,11 +587,10 @@ def build_pruned_hypergraph(
     m = path.num_nodes
     if m < 2:
         raise HypergraphError("path must have at least 2 nodes")
-    nodes = path.nodes
     k0 = [grid.round_down_index(phys.f0) for phys in path.edges]
     link_limits = {phys.key: link_egr(phys) for phys, k in zip(path.edges, k0) if k >= 0}
 
-    vertices = [(nodes[0], nodes[-1], 0.0)] * 2  # (u, v, exact_fidelity): source, sink
+    vertices = [(0, m - 1, 0.0)] * 2  # (u, v as path indices, exact_fidelity): source, sink
     edges = []  # per edge, its values in _EDGE_DTYPES order
     pool = ([], [], [])  # vertex, fidelity and rate of each finished incumbent
     slot = {}  # finished pair -> (start, size) of its incumbents in pool, in insertion order
@@ -607,7 +606,7 @@ def build_pruned_hypergraph(
             f, r, op, in0, in1 = block[k]
             if op == OP_CODE["purify"]:
                 in0, in1 = vertex[in0], vertex[in1]
-            vertices.append((nodes[pair[0]], nodes[pair[1]], f))
+            vertices.append((*pair, f))
             edges.append((op, in0, in1, out, r))
         slot[pair] = (len(pool[0]), len(block))
         pool[0].extend(map(vertex.get, block))
@@ -646,8 +645,8 @@ def build_pruned_hypergraph(
     for out, _, r in sorted(zip(*(column[start:start + size] for column in pool))):
         edges.append((OP_CODE["end"], out, -1, SINK, r))
 
-    return Hypergraph(_columns(tuple(zip(*vertices)), [_by_column(edges)]), grid, noise,
-                      link_limits, builder="pruned", purify_model=purify_model)
+    return Hypergraph(_columns(path.nodes, tuple(zip(*vertices)), [_by_column(edges)]), grid,
+                      noise, link_limits, builder="pruned", purify_model=purify_model)
 
 
 def best_dp_estimate(hg: Hypergraph) -> float:
@@ -683,21 +682,22 @@ def synthesize_multipath(hypergraphs: list[Hypergraph]) -> Hypergraph:
             link_limits[key] = limit
 
     BUILD_COUNTER.tick()
-    s, d = first.endpoints
-    u, v, fidelity = [s, s], [d, d], [np.zeros(2)]  # the source and sink
-    blocks = []
+    # u and v index the nodes of every input in turn; _columns merges them
+    u, v, fidelity = [first.columns.u[:2]], [first.columns.v[:2]], [np.zeros(2)]  # source, sink
+    names, blocks, offset = [], [], 0
     for hg in hypergraphs:
         cols = hg.columns
-        offset = len(u) - 2
-        u.extend(cols.u[2:])
-        v.extend(cols.v[2:])
+        u.append(cols.u[2:] + len(names))
+        v.append(cols.v[2:] + len(names))
+        names += cols.nodes
         fidelity.append(cols.exact_fidelity[2:])
         block = {name: getattr(cols, name) for name in _EDGE_DTYPES}
         for name in ("input0", "input1", "output"):
             # source, sink and the -1 of a missing input keep their index
             block[name] = np.where(block[name] >= 2, block[name] + offset, block[name])
         blocks.append(block)
+        offset += len(cols.exact_fidelity) - 2
 
-    return Hypergraph(_columns((u, v, np.concatenate(fidelity)), blocks), first.grid,
-                      first.noise, link_limits, builder="synthesis",
-                      purify_model=first.purify_model)
+    vertices = tuple(map(np.concatenate, (u, v, fidelity)))
+    return Hypergraph(_columns(names, vertices, blocks), first.grid, first.noise, link_limits,
+                      builder="synthesis", purify_model=first.purify_model)

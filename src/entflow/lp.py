@@ -56,6 +56,7 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 import scipy
@@ -453,10 +454,8 @@ def formulate_lp(
     """
     if objective not in OBJECTIVE_KINDS:
         raise LPError(f"unknown objective {objective!r}")
-    if objective == "end-rate" and f_lb is None:
-        raise LPError("end-rate objective requires a fidelity lower bound")
-    if objective == "end-rate" and np.isnan(f_lb):
-        raise LPError(f"f_lb must be a fidelity lower bound, got {f_lb!r}")
+    if objective == "end-rate" and not (isinstance(f_lb, Real) and not np.isnan(f_lb)):
+        raise LPError(f"f_lb must be a real fidelity lower bound, got {f_lb!r}")
 
     base = hg.rate_lp
     ends, fidelity, capacity = base.ends
@@ -852,7 +851,7 @@ def extract_scheme(hg: Hypergraph, solution: LPSolution) -> DistributionScheme:
     texts: dict[int, str] = {}
     for vertex, k in producer.items():
         if op[k] == OP_CODE["start"]:
-            texts[vertex] = f"link({cols.u[vertex]}|{cols.v[vertex]})"
+            texts[vertex] = f"link({'|'.join(cols.pair(vertex))})"
         else:
             inputs = (in0[k],) if in1[k] < 0 else (in0[k], in1[k])
             texts[vertex] = f"{OP_NAMES[op[k]]}({', '.join(texts.get(vi, '?') for vi in inputs)})"

@@ -192,7 +192,7 @@ def load_cache(text: str) -> Cache:
             if hg is not None and hg.endpoints != demand:
                 raise CacheError(f"{where}its hypergraph connects {hg.endpoints}")
             kept = {node for _, nodes in estimates[: cache.config.k_keep] for node in nodes}
-            for node in hg_doc["nodes"] if hg is not None else ():
+            for node in hg.columns.nodes if hg is not None else ():
                 if node not in kept:
                     raise CacheError(f"{where}node {node!r} is not on its first "
                                      f"{cache.config.k_keep} estimated paths")

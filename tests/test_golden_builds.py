@@ -252,7 +252,8 @@ def _digest(hg, cols=None) -> str:
         "version": 1, "builder": hg.builder, "purify_model": hg.purify_model,
         "endpoints": list(hg.endpoints), "grid": list(hg.grid.values), "noise": asdict(hg.noise),
         "link_limits": hg.link_limits,
-        "vertices": list(zip(cols.u, cols.v, cols.exact_fidelity.tolist(), bucket.tolist(), kind)),
+        "vertices": list(zip(*([cols.nodes[i] for i in c.tolist()] for c in (cols.u, cols.v)),
+                             cols.exact_fidelity.tolist(), bucket.tolist(), kind)),
         # each record and its inputs write as JSON lists
         "edges": list(zip(*_edge_fields(cols, hg.link_keys,
                                         _derived(cols, hg.link_keys, hg.noise, hg.purify_model)))),
@@ -286,9 +287,10 @@ def _lexicographic(hg, nodes):
     it, and the purification block is stably reordered by the lexicographic
     index of its pair. Starts, swaps and ends keep their order."""
     cols, nf, m = hg.columns, hg.grid.resolution, len(nodes)
-    at = {name: i for i, name in enumerate(nodes)}
+    at = [nodes.index(name) for name in cols.nodes]  # per index into cols.nodes
     lex = {pair: p for p, pair in enumerate((i, j) for i in range(m) for j in range(i + 1, m))}
-    pair = np.array([lex[(at[u], at[v])] for u, v in zip(cols.u[2:], cols.v[2:])], np.int64)
+    pair = np.array([lex[(at[u], at[v])] for u, v in zip(cols.u[2:].tolist(), cols.v[2:].tolist())],
+                    np.int64)
     # every pair holds its nf buckets in ascending order, so a vertex's bucket
     # is its place in the pair's run
     old = np.concatenate([[SOURCE, SINK], 2 + pair * nf + np.arange(len(pair)) % nf])
@@ -301,7 +303,7 @@ def _lexicographic(hg, nodes):
     edges = {name: getattr(cols, name) for name in ("op", "rate_bound")}
     new = np.argsort(old)  # per old index, the vertex that takes it
     return replace(cols, **{name: column[order] for name, column in {**edges, **refs}.items()},
-                   u=tuple(cols.u[k] for k in new), v=tuple(cols.v[k] for k in new),
+                   u=cols.u[new], v=cols.v[new],
                    exact_fidelity=cols.exact_fidelity[new])
 
 

@@ -5,13 +5,14 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     DIAMOND_PATHS,
     OLDER_COLUMNS,
     add_older_columns,
+    dead_link_build,
     doc_column,
     hypergraphs,
     make_chain,
@@ -157,7 +158,8 @@ def _cycle_document():
 def test_cycle_detection():
     edges = {name: np.array(_CYCLE[name], dtype) for name, dtype in DOCUMENT_COLUMNS.items()
              if name not in ("u", "v", "exact_fidelity")}
-    cols = HypergraphColumns(**edges, u=("a",) * 4, v=("b",) * 4,
+    cols = HypergraphColumns(**edges, nodes=("a", "b"), u=np.zeros(4, np.int32),
+                             v=np.ones(4, np.int32),
                              exact_fidelity=np.array(_CYCLE["exact_fidelity"]))
     with pytest.raises(HypergraphError, match="contains a cycle"):
         Hypergraph(cols, FidelityGrid.uniform(2), DEFAULT_NOISE, {}, "standard", "ideal-dejmps")
@@ -219,7 +221,8 @@ def test_acyclic_short_path_agrees_with_the_component_search(table):
     cols = HypergraphColumns(
         op=np.where(input1 < 0, OP_CODE["end"], OP_CODE["swap"]).astype(np.int8), input0=input0,
         input1=input1, output=output, rate_bound=np.full(len(output), np.nan),
-        u=("a",) * n, v=("b",) * n, exact_fidelity=np.zeros(n))
+        nodes=("a", "b"), u=np.zeros(n, np.int32), v=np.ones(n, np.int32),
+        exact_fidelity=np.zeros(n))
     try:
         _check_references(cols)
         refused = False
@@ -426,7 +429,8 @@ def test_from_json_rejects_a_start_edge_without_a_link():
     hg = build_pruned_hypergraph(make_chain([60.0, 80.0]), FidelityGrid.uniform(6), DEFAULT_NOISE)
     doc = hg.to_json()
     # the first start edge now makes a pair of the span (n0, n2), which no link joins
-    _edit_edge("start", "output", [*zip(hg.columns.u, hg.columns.v)].index(("n0", "n2"), 2))(doc)
+    pairs = [*map(hg.columns.pair, range(len(hg.columns.u)))]
+    _edit_edge("start", "output", pairs.index(("n0", "n2"), 2))(doc)
     with pytest.raises(HypergraphError, match=r"^edge 0: start edge into \('n0', 'n2'\), which "
                                               "has no link limit$"):
         Hypergraph.from_json(doc)
@@ -489,7 +493,7 @@ def test_synthesis_pools_shared_links_and_remaps():
     assert set(merged.link_limits) == set(h1.link_limits) | set(h2.link_limits)
     cols = merged.columns
     for vi in (SOURCE, SINK):  # the endpoints' pair at fidelity 0
-        assert (cols.u[vi], cols.v[vi], cols.exact_fidelity[vi]) == ("s", "d", 0.0)
+        assert (*cols.pair(vi), cols.exact_fidelity[vi]) == ("s", "d", 0.0)
     # Single-input synthesis is structurally identical to the input.
     solo = synthesize_multipath([h1])
     assert solo.stats().edges_by_op == h1.stats().edges_by_op
@@ -590,15 +594,20 @@ def test_from_json_rejects_invalid_documents(corrupt):
 
 @settings(max_examples=40, deadline=None)
 @given(hypergraphs())
+@example(dead_link_build())  # no vertex on node c: its name is left out
 def test_json_round_trip_keeps_the_columns_byte_for_byte(hg):
     clone = _text_round_trip(hg)
     _assert_same_columns(hg, clone)
+    cols = hg.columns
+    used = {*cols.u.tolist(), *cols.v.tolist()}
+    assert cols.nodes == tuple(sorted(cols.nodes[i] for i in used))  # the names some vertex uses
+    assert (cols.u.dtype, cols.v.dtype) == (np.int32, np.int32)
     for name in ("grid", "noise", "link_limits", "link_keys", "endpoints", "builder",
                  "purify_model"):
         assert getattr(clone, name) == getattr(hg, name), name
     # both derived, neither stored
     assert hg.link_keys == tuple(sorted(hg.link_limits))
-    assert hg.endpoints == (hg.columns.u[SOURCE], hg.columns.v[SOURCE])
+    assert hg.endpoints == hg.columns.pair(SOURCE)
     assert not {"link_keys", "endpoints"} & hg.to_json().keys()
     assert json.dumps(clone.to_json()) == json.dumps(hg.to_json())
     with pytest.raises(ValueError):
@@ -620,7 +629,7 @@ def test_derived_fields_equal_their_scalar_references(hg):
         elif op == OP_CODE["end"]:
             expected[1] = pair_capacity(f[in0])
         elif op == OP_CODE["start"]:
-            expected[2] = hg.link_keys.index(Edge(cols.u[out], cols.v[out], 1.0).key)
+            expected[2] = hg.link_keys.index(Edge(*cols.pair(out), 1.0).key)
         assert [hg.p_succ[e], hg.capacity_coeff[e], hg.link[e]] == expected, e
     for name in OLDER_COLUMNS:
         assert not getattr(hg, name).flags.writeable, name  # every LP of the graph shares it

@@ -121,7 +121,7 @@ def _ref_tree(hg, rates, producers, vertex, memo):
         return "?"
     e = hg.edges[max(cands, key=lambda k: (rates[k], -k))]
     if e.op == "start":
-        u, v = hg.columns.u[vertex], hg.columns.v[vertex]
+        u, v = hg.columns.pair(vertex)
         text = f"link({u}|{v})"
     else:
         parts = [_ref_tree(hg, rates, producers, vi, memo) for vi in e.inputs]

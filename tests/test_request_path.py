@@ -251,7 +251,7 @@ def test_the_objective_of_a_graph_with_nothing_live(cut):
         _assert_same_objective(hg, "end-rate", f_lb)
 
 
-@pytest.mark.parametrize("f_lb", [float("nan"), np.float64("nan")])
+@pytest.mark.parametrize("f_lb", [float("nan"), np.float64("nan"), [0.9], "0.9"])
 def test_a_nan_f_lb_is_refused_naming_it(f_lb):
     hg = _pruned()
     with pytest.raises(LPError, match="f_lb"):
@@ -282,7 +282,7 @@ def _ref_trace_tree(hg, producers, vertex, memo):
         return "?"
     _, _, op, inputs = max(cands)  # the top rate, then the lowest index
     if op == "start":
-        text = f"link({hg.columns.u[vertex]}|{hg.columns.v[vertex]})"
+        text = "link({}|{})".format(*hg.columns.pair(vertex))
     else:
         parts = [_ref_trace_tree(hg, producers, vi, memo) for vi in inputs]
         text = f"{op}({', '.join(parts)})"
