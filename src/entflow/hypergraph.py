@@ -270,6 +270,8 @@ class Hypergraph:
                     raise HypergraphError(f"column {name}: {len(data)} bytes, not a multiple of "
                                           f"{dtype.itemsize}")
                 columns[name] = np.frombuffer(data, dtype)
+            if type(doc["nodes"]) is not list:  # a string would read as one name per letter
+                raise HypergraphError(f"nodes is a {type(doc['nodes']).__name__}, not a list")
             return cls(HypergraphColumns(**columns, nodes=tuple(doc["nodes"])),
                        FidelityGrid(tuple(doc["grid"])), NoiseParams(**doc["noise"]),
                        dict(doc["link_limits"]), doc["builder"], doc["purify_model"])

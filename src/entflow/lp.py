@@ -20,14 +20,15 @@ import: a missing module, class or method raises ``ImportError`` naming
 it. A deterministic dense tableau simplex (``method="simplex"``) is kept
 to cross-check it on small problems. Every problem owns one ``RateLP``:
 a problem formulated from a hypergraph shares ``hg.rate_lp``, and one
-built from row lists or parsed text builds its own. A ``RateLP`` compiles
-one HiGHS model (a ``HighsLp``) on its first HiGHS solve and keeps it,
-behind a lock. Each solving thread keeps one HiGHS solver. A solve resets
-the solver's options and sets them again, loads the model into it, which
-discards the last basis and solution, sets the nonzero costs, gives the
-forced-zero variables an upper bound of 0 and runs cold with presolve,
-primal simplex first; when the checks refuse its answer, the same cold
-solve runs again with dual simplex, checked in turn.
+built from row lists or parsed text builds its own, whose live part is
+all of it. A ``RateLP`` compiles one HiGHS model (a ``HighsLp``) on its
+first HiGHS solve and keeps it, behind a lock. Each solving thread keeps
+one HiGHS solver. A solve resets the solver's options and sets them
+again, loads the model into it, which discards the last basis and
+solution, sets the nonzero costs, gives the forced-zero variables an
+upper bound of 0 and runs cold with presolve, primal simplex first; when
+the checks refuse its answer, the same cold solve runs again with dual
+simplex, checked in turn.
 
 A hypergraph's model holds only its live part: the edges whose inputs
 can all be produced from the source through live edges and whose output
@@ -162,7 +163,8 @@ class LPProblem:
             raise LPError("objective length disagrees with variable count")
         if len(rows) != len(row_names):
             raise LPError("row data lengths disagree")
-        self._base = RateLP(num_vars, rhs, tuple(row_names), _rows_matrix(rows, num_vars))
+        self._base = RateLP(num_vars, rhs, tuple(row_names), _rows_matrix(rows, num_vars),
+                            np.arange(num_vars), np.arange(len(rhs)))
         self._validate()
 
     @classmethod
@@ -249,31 +251,28 @@ class RateLP:
     read-only, and the HiGHS model compiled on the first HiGHS solve. One
     per hypergraph (``Hypergraph.rate_lp``), it lives and dies with it.
 
-    A hypergraph's part also names its ``live`` columns and the rows they
-    touch (``live_rows``), whose submatrix ``part`` alone makes the HiGHS
-    model and checks an answer zero off the live columns, ``rate_cap``, a
-    bound on every feasible rate, and the certificate's transposes of
-    ``part`` and ``abs(part)`` (``part_t``, ``abs_part_t``); ``matrix`` is
-    built from ``table`` on first read; ``ends`` holds the end edges, their
-    input fidelities and capacity coefficients, for ``formulate_lp``. A
-    part built from rows has none of them (None; ``part`` is the matrix,
-    and every column counts as live): its model holds the whole problem
-    and nothing certifies it.
+    It names its ``live`` columns and the rows they touch (``live_rows``),
+    whose submatrix ``part`` alone makes the HiGHS model and checks an
+    answer zero off the live columns, and the certificate's transposes of
+    ``part`` and ``abs(part)`` (``part_t``, ``abs_part_t``). A hypergraph's
+    part also has ``rate_cap``, a bound on every feasible rate; ``matrix``
+    is built from ``table`` on first read; ``ends`` holds the end edges,
+    their input fidelities and capacity coefficients, for ``formulate_lp``.
+    A part built from rows has no ``table``: its live part is all of it
+    (``part`` is the matrix), and with no ``rate_cap`` nothing certifies it.
     """
 
     def __init__(self, num_vars: int, rhs: np.ndarray, row_names: tuple[str, ...],
-                 part: sp.csr_matrix, live: np.ndarray | None = None,
-                 live_rows: np.ndarray | None = None, rate_cap: float | None = None,
-                 table: tuple | None = None, ends: tuple | None = None) -> None:
+                 part: sp.csr_matrix, live: np.ndarray, live_rows: np.ndarray,
+                 rate_cap: float | None = None, table: tuple | None = None,
+                 ends: tuple | None = None) -> None:
         self.shape, self.rhs, self.row_names, self.part = (len(rhs), num_vars), rhs, row_names, part
         self.live, self.live_rows, self.rate_cap, self.ends = live, live_rows, rate_cap, ends
-        self.part_t = self.abs_part_t = None
-        if live is not None:
-            magnitude = np.abs(part.data)
-            magnitude.flags.writeable = False
-            self.part_t = part.T
-            self.abs_part_t = sp.csr_matrix((magnitude, part.indices, part.indptr), part.shape).T
-        self._table, self._matrix = table, (part if live is None else None)
+        magnitude = np.abs(part.data)
+        magnitude.flags.writeable = False
+        self.part_t = part.T
+        self.abs_part_t = sp.csr_matrix((magnitude, part.indices, part.indptr), part.shape).T
+        self._table, self._matrix = table, (part if table is None else None)
         self._lock, self._model = threading.Lock(), None
 
     @property
@@ -315,8 +314,8 @@ class RateLP:
 
     def solve_highs(self, cost: np.ndarray, upper: np.ndarray, strategy: int = PRIMAL_SIMPLEX):
         """Cold HiGHS run of min cost.x, Ax <= rhs, 0 <= x <= upper, with the
-        simplex ``strategy`` (``PRIMAL_SIMPLEX`` or ``DUAL_SIMPLEX``).
-        ``cost`` and ``upper`` cover every column or only the ``live`` ones.
+        simplex ``strategy`` (``PRIMAL_SIMPLEX`` or ``DUAL_SIMPLEX``), on the
+        ``live`` columns: ``cost`` and ``upper`` cover them, and so does x.
 
         The model is compiled on the first call and kept. Each call loads
         it into its thread's solver, made on the thread's first call; the
@@ -325,18 +324,12 @@ class RateLP:
         has run: about 1.5 MB of RSS after the largest of the benchmark's
         planner models (2,631 live nonzeros), 0.7 MB after one grid-60
         lattice model, freed when the thread ends.
-        Returns the solution on the columns ``cost`` covers (exact zeros off
-        the live ones), the row prices y = max(0, -row dual) (zeros off the
-        model's rows) and the iteration count.
+        Returns x, the row prices y = max(0, -row dual) over every row
+        (zeros off the live ones) and the iteration count.
         """
-        cols = slice(None) if self.live is None else self.live
-        rows = slice(None) if self.live_rows is None else self.live_rows
-        whole = len(cost) == self.shape[1]  # else they cover the live columns only
-        cost, upper = (cost[cols], upper[cols]) if whole else (cost, upper)
-        n = len(cost)
-        x, y = np.zeros(self.shape[1] if whole else n), np.zeros(self.shape[0])
+        n, y = len(self.live), np.zeros(self.shape[0])
         if n == 0:  # nothing is live: HiGHS would call the model empty
-            return x, y, 0
+            return np.zeros(0), y, 0
         solver = getattr(_THREAD, "solver", None)
         if solver is None:
             solver = _THREAD.solver = _HIGHS._Highs()
@@ -346,7 +339,7 @@ class RateLP:
         solver.setOptionValue("simplex_strategy", strategy)
         with self._lock:
             if self._model is None:
-                self._model = _compile_highs(self.part, self.rhs[rows])
+                self._model = _compile_highs(self.part, self.rhs[self.live_rows])
             loaded = solver.passModel(self._model)
         if loaded == _HIGHS.HighsStatus.kError:
             raise LPSolveError("HiGHS rejected the model")
@@ -370,9 +363,8 @@ class RateLP:
         # scipy's count: simplex iterations, or IPM ones if there were none
         iterations = int(info.simplex_iteration_count or info.ipm_iteration_count)
         solution = solver.getSolution()
-        x[cols if whole else slice(None)] = np.fromiter(solution.col_value, np.float64, n)
-        y[rows] = np.maximum(0.0, -np.fromiter(solution.row_dual, np.float64))
-        return x, y, iterations
+        y[self.live_rows] = np.maximum(0.0, -np.fromiter(solution.row_dual, np.float64))
+        return np.fromiter(solution.col_value, np.float64, n), y, iterations
 
 
 def _terms(cols: HypergraphColumns, p_succ: np.ndarray, link: np.ndarray, flow_rows: int,
@@ -581,15 +573,14 @@ def solve_lp(problem: LPProblem, method: str = "highs") -> LPSolution:
         return LPSolution("optimal", obj, x, iters, method)
 
     base = problem._base
-    cols = slice(None) if base.live is None else base.live  # every column of a row-built one
-    fixed = forced[cols]
-    cost, upper = np.where(fixed, 0.0, problem.objective[cols]), np.where(fixed, 0.0, np.inf)
+    fixed = forced[base.live]
+    cost, upper = np.where(fixed, 0.0, problem.objective[base.live]), np.where(fixed, 0.0, np.inf)
     iters = 0
     for strategy in (PRIMAL_SIMPLEX, DUAL_SIMPLEX):
         x_live, y, run_iters = base.solve_highs(-cost, upper, strategy)
         iters += run_iters
         x = np.zeros(problem.num_vars)
-        x[cols] = np.where(fixed, 0.0, x_live)
+        x[base.live] = np.where(fixed, 0.0, x_live)
         obj = float(problem.objective @ x)
         try:
             _check_solution(problem, x)
@@ -612,8 +603,9 @@ def _check_solution(problem: LPProblem, x: np.ndarray) -> None:
         return
     base, rhs = problem._base, problem.rhs
     # an x zero off the live columns gives every other row lhs exactly 0 <= rhs,
-    # and each live row the full product's lhs, less only its terms a * 0.0
-    if base.live is not None and np.count_nonzero(x[base.live]) == np.count_nonzero(x):
+    # and each live row the full product's lhs, less only its terms a * 0.0 (a
+    # row-built problem's live part is its whole matrix)
+    if np.count_nonzero(x[base.live]) == np.count_nonzero(x):
         rows, lhs = base.live_rows, base.part @ x[base.live]
     else:
         rows, lhs = np.arange(len(rhs)), problem.matrix @ x
@@ -689,7 +681,8 @@ def export_lp(problem: LPProblem) -> str:
     return "\n".join(lines) + "\n"
 
 
-_TERM_RE = re.compile(r"^\s*(?P<coef>[-+]?[0-9.eE+-]+)\s+r_(?P<var>\d+)\s*$")
+# a coefficient is a decimal number with an optional exponent, which float() always reads
+_TERM_RE = re.compile(r"^\s*(?P<coef>[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?)\s+r_(?P<var>\d+)\s*$")
 
 
 def _parse_terms(body: str, where: str) -> list[tuple[int, float]]:
@@ -737,7 +730,10 @@ def parse_lp(text: str) -> LPProblem:
             body, limit = rest.rsplit("<=", 1)
             terms = _parse_terms(body, f"row {name}")
             rows.append(terms)
-            rhs.append(float(limit))
+            try:
+                rhs.append(float(limit))
+            except ValueError:
+                raise LPError(f"row {name.strip()}: cannot parse limit {limit.strip()!r}") from None
             names.append(name.strip())
             max_var = max([max_var] + [v for v, _ in terms])
         else:
@@ -753,7 +749,7 @@ def parse_lp(text: str) -> LPProblem:
     n = max_var + 1
     c = np.zeros(n)
     for var, coef in obj_terms:
-        c[var] = coef
+        c[var] += coef  # a repeated variable counts every term, as in a row
     return LPProblem(
         num_vars=n, objective=c, rows=rows, rhs=np.array(rhs),
         row_names=names, forced_zero=frozenset(forced),

@@ -377,7 +377,8 @@ def test_row_built_problems_keep_every_column_and_skip_the_certificate():
     # r_1 feeds nothing the objective reads, so a hypergraph would drop it
     problem = LPProblem(num_vars=2, objective=np.array([1.0, 0.0]),
                         rows=[[(0, 1.0), (1, 1.0)]], rhs=np.array([4.0]), row_names=["cap"])
-    assert problem._base.live is None and problem._base.rate_cap is None
+    base = problem._base  # its live part is all of it
+    assert (base.live.tolist(), base.live_rows.tolist(), base.rate_cap) == ([0, 1], [0], None)
     solution = solve_lp(problem)
     assert (solution.method, solution.objective_value) == ("highs", 4.0)
 
@@ -409,8 +410,10 @@ def highs_runs(monkeypatch):
 def _dual_only(problem):
     """The objective and rates of one dual simplex run, as a solve returns them."""
     forced = lp._forced_mask(problem)
-    c = np.where(forced, 0.0, problem.objective)
-    x, _, _ = problem._base.solve_highs(-c, np.where(forced, 0.0, np.inf), DUAL_SIMPLEX)
+    c, live = np.where(forced, 0.0, problem.objective), problem._base.live
+    x = np.zeros(problem.num_vars)
+    x[live], _, _ = problem._base.solve_highs(-c[live], np.where(forced, 0.0, np.inf)[live],
+                                              DUAL_SIMPLEX)
     objective = float(c @ x)
     x[forced] = 0.0
     return objective, x

@@ -168,6 +168,18 @@ def test_parse_rejects_malformed_documents():
         parse_lp("maximize\n obj: 1.0 r_0\nend\n")  # missing subject to
     with pytest.raises(LPError):
         parse_lp("maximize\n obj: 1.0 q_0\nsubject to\nend\n")  # bad variable
+    with pytest.raises(LPError, match=r"^cannot parse term '1e r_0' in objective$"):
+        parse_lp("maximize\n obj: 1e r_0\nsubject to\nend\n")
+    with pytest.raises(LPError, match=r"^row c: cannot parse limit 'abc'$"):
+        parse_lp("maximize\n obj: 1.0 r_0\nsubject to\n c: 1.0 r_0 <= abc\nend\n")
+
+
+def test_parse_adds_the_terms_of_a_repeated_objective_variable():
+    # as a row counts both terms of a repeated variable
+    problem = parse_lp("maximize\n obj: 1.0 r_0 + 2.0 r_0\nsubject to\n"
+                       " cap: 1.0 r_0 + 1.0 r_0 <= 4.0\nend\n")
+    assert problem.objective.tolist() == [3.0]
+    assert solve_lp(problem).objective_value == 6.0
 
 
 def test_parse_rejects_an_infinite_coefficient():

@@ -372,6 +372,10 @@ def _rename_node(old, new):
     return corrupt
 
 
+def _join_nodes(hg_doc):
+    hg_doc["nodes"] = "".join(hg_doc["nodes"])  # one letter each, so each letter reads as a name
+
+
 # each rule a v2 load enforces, with the entry, the column and the first bad index
 @pytest.mark.parametrize("corrupt, match", [
     pytest.param(_append_byte, r"entry \('s', 'd'\): column input0: \d+ bytes, not a multiple of 8",
@@ -400,6 +404,8 @@ def _rename_node(old, new):
                  r"\('a', 'd'\)", id="source-pair-other-than-the-endpoints"),
     pytest.param(_rename_node("a", "z"), r"entry \('s', 'd'\): node 'z' is not on its first 2 "
                  "estimated paths", id="node-off-the-kept-paths"),
+    pytest.param(_join_nodes, "nodes is a str, not a list",
+                 id="nodes-joined-into-one-string"),
 ])
 def test_load_cache_rejects_bad_columns(corrupt, match):
     doc = _saved_square_doc()

@@ -51,19 +51,14 @@ from entflow.physics import DEFAULT_NOISE
 
 
 def _fresh_solve(base, cost, upper, strategy=PRIMAL_SIMPLEX):
-    cols = slice(None) if base.live is None else base.live
-    rows = slice(None) if base.live_rows is None else base.live_rows
-    whole = len(cost) == base.shape[1]
-    cost, upper = (cost[cols], upper[cols]) if whole else (cost, upper)
-    n = len(cost)
-    x, y = np.zeros(base.shape[1] if whole else n), np.zeros(base.shape[0])
+    n, y = len(cost), np.zeros(base.shape[0])
     if n == 0:
-        return x, y, 0
+        return np.zeros(0), y, 0
     solver = lp._HIGHS._Highs()
     for key, value in lp._HIGHS_OPTIONS.items():
         solver.setOptionValue(key, value)
     solver.setOptionValue("simplex_strategy", strategy)
-    assert solver.passModel(_compile_highs(base.part, base.rhs[rows])) != \
+    assert solver.passModel(_compile_highs(base.part, base.rhs[base.live_rows])) != \
         lp._HIGHS.HighsStatus.kError
     index = np.arange(n, dtype=np.int32)
     solver.changeColsCost(n, index, cost)
@@ -73,16 +68,15 @@ def _fresh_solve(base, cost, upper, strategy=PRIMAL_SIMPLEX):
     info = solver.getInfo()
     iterations = int(info.simplex_iteration_count or info.ipm_iteration_count)
     solution = solver.getSolution()
-    x[cols if whole else slice(None)] = np.fromiter(solution.col_value, np.float64, n)
-    y[rows] = np.maximum(0.0, -np.fromiter(solution.row_dual, np.float64))
-    return x, y, iterations
+    y[base.live_rows] = np.maximum(0.0, -np.fromiter(solution.row_dual, np.float64))
+    return np.fromiter(solution.col_value, np.float64, n), y, iterations
 
 
 def _costs(problem):
     """The cost and upper bounds ``solve_lp`` gives ``RateLP.solve_highs``."""
-    cols = slice(None) if problem._base.live is None else problem._base.live
-    fixed = _forced_mask(problem)[cols]
-    return -np.where(fixed, 0.0, problem.objective[cols]), np.where(fixed, 0.0, np.inf)
+    live = problem._base.live
+    fixed = _forced_mask(problem)[live]
+    return -np.where(fixed, 0.0, problem.objective[live]), np.where(fixed, 0.0, np.inf)
 
 
 def _assert_same_run(got, want):

@@ -37,7 +37,9 @@ def _ref_highs(problem):
         forced = _forced_indices(problem)
         c[forced] = 0.0
         upper[forced] = 0.0
-    x, _, iters = problem._base.solve_highs(-c, upper)
+    live = problem._base.live
+    x = np.zeros(problem.num_vars)
+    x[live], _, iters = problem._base.solve_highs(-c[live], upper[live])
     obj = float(c @ x)
     if problem.forced_zero:
         x = x.copy()
