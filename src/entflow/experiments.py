@@ -29,6 +29,8 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import shortest_path
 
 from .hypergraph import (
     DEFAULT_GRID_SIZE,
@@ -263,32 +265,17 @@ def _sample_pairs(
     topology: Topology, path_nodes: int, count: int, rng: np.random.Generator
 ) -> list[tuple[str, str]]:
     """Node pairs whose hop-shortest path has exactly ``path_nodes`` nodes."""
-    hops_wanted = path_nodes - 1
-    by_source: dict[str, list[str]] = {}
-    for s in topology.nodes:
-        # BFS levels
-        level = {s: 0}
-        frontier = [s]
-        depth = 0
-        while frontier and depth < hops_wanted:
-            depth += 1
-            nxt = []
-            for u in frontier:
-                for v in topology.neighbors(u):
-                    if v not in level:
-                        level[v] = depth
-                        nxt.append(v)
-            frontier = nxt
-        exact = sorted(v for v, dd in level.items() if dd == hops_wanted)
-        if exact:
-            by_source[s] = exact
-    sources = sorted(by_source)
-    if not sources:
-        return []
-    pairs: list[tuple[str, str]] = []
-    seen = set()
-    attempts = 0
-    while len(pairs) < count and attempts < count * 50:
+    names = sorted(topology.nodes)
+    index = {name: k for k, name in enumerate(names)}
+    ends = np.array([(index[e.u], index[e.v]) for e in topology.edges], np.int64).reshape(-1, 2)
+    adjacency = csr_array((np.ones(len(ends)), ends.T), shape=(len(names), len(names)))
+    hops = shortest_path(adjacency, method="D", directed=False, unweighted=True)
+    by_source = {}  # each source -> its targets at exactly that many hops, sorted
+    for k, row in enumerate(hops == path_nodes - 1):
+        if row.any():
+            by_source[names[k]] = [names[j] for j in np.flatnonzero(row).tolist()]
+    sources, pairs, seen, attempts = list(by_source), [], set(), 0
+    while sources and len(pairs) < count and attempts < count * 50:
         attempts += 1
         s = sources[int(rng.integers(len(sources)))]
         targets = by_source[s]

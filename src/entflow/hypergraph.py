@@ -40,12 +40,11 @@ from .physics import (
     EventCounter,
     NoiseParams,
     _check_fidelity,
-    as_printed_fidelity,
-    as_printed_success,
     check_purify_model,
     dejmps,
     gate_factor,
     purify,
+    purify_map,
     purify_model_is_symmetric,
     werner_swap,
 )
@@ -306,9 +305,8 @@ def _derived(cols: HypergraphColumns, link_keys: tuple, noise: NoiseParams,
     f, n = cols.exact_fidelity, len(cols.op)
     p_succ, capacity_coeff, link = np.ones(n), np.zeros(n), np.full(n, -1, np.int64)
     e = np.flatnonzero(cols.op == OP_CODE["purify"])
-    f1, f2 = f[cols.input0[e]], f[cols.input1[e]]  # the unclamped kernels: no clamp event
-    ideal = purify_model == "ideal-dejmps"
-    p_succ[e] = dejmps(f1, f2)[1] if ideal else as_printed_success(f1, f2, noise)
+    # no clamp event: the builder counted its own
+    p_succ[e] = purify_map(f[cols.input0[e]], f[cols.input1[e]], noise, purify_model)[1]
     e = np.flatnonzero(cols.op == OP_CODE["end"])
     capacity_coeff[e] = [pair_capacity(fi) for fi in f[cols.input0[e]].tolist()]
     index = {key: i for i, key in enumerate(link_keys)}
@@ -397,13 +395,8 @@ def _purify_table(
     """(output fidelity, success prob, round-down bucket) per value pair."""
     vals = grid.as_array()
     # unchecked: FidelityGrid holds every value inside [0.5, 1]
-    if purify_model == "ideal-dejmps":
-        f_out, p_succ = dejmps(vals[:, None], vals[None, :])
-    else:  # as-printed; each clamped output is one clamp event
-        p_succ = as_printed_success(vals[:, None], vals[None, :], noise)  # at least 1/2
-        raw = as_printed_fidelity(vals[:, None], vals[None, :], p_succ, noise)
-        f_out = np.clip(raw, 0.0, 1.0)
-        CLAMP_EVENTS.tick(int(np.count_nonzero((raw < 0.0) | (raw > 1.0))))
+    f_out, p_succ, clamped = purify_map(vals[:, None], vals[None, :], noise, purify_model)
+    CLAMP_EVENTS.tick(int(np.count_nonzero(clamped)))  # one event per clamped entry
     idx = np.searchsorted(vals, f_out, side="right") - 1
     return f_out, p_succ, idx
 
@@ -547,6 +540,22 @@ def _span_pairs(l0, nl, r0, nr) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return at, l0[at] + c // nr[at], r0[at] + c % nr[at]
 
 
+def _span_swaps(m: int, span: int, slot: dict, fidelity, g: float, vals) -> tuple:
+    """(owner i, left entry, right entry, output fidelity, round-down bucket)
+    of each swap into pair (i, i + ``span``) that lands on the grid ``vals``:
+    per (i, w), w ascending, each entry of (i, w) with each one of (w, i +
+    span), left-major. ``slot`` maps a pair to the (start, size) of its
+    entries in ``fidelity``."""
+    triples = [(i, w) for i in range(m - span) for w in range(i + 1, i + span)]
+    at, left, right = _span_pairs(*np.array([slot[(i, w)] for i, w in triples]).T,
+                                  *np.array([slot[(w, i + span)] for i, w in triples]).T)
+    f = werner_swap(fidelity[left], fidelity[right], g)
+    bucket = np.searchsorted(vals, f, side="right") - 1
+    kept = bucket >= 0  # below the grid: dropped
+    owner = np.array([i for i, _ in triples], np.int64)[at[kept]]
+    return owner, left[kept], right[kept], f[kept], bucket[kept]
+
+
 def _span_winners(
     key: np.ndarray, size: int, rate: np.ndarray, fidelity: np.ndarray
 ) -> np.ndarray:
@@ -623,17 +632,9 @@ def build_pruned_hypergraph(
 
     vals, nf, g = grid.as_array(), grid.resolution, gate_factor(noise)
     for span in range(2, m):
-        # every swap candidate of the span at once: per (i, w) each left
-        # incumbent of (i, w) with each right one of (w, i + span)
+        # every swap candidate of the span at once, on exact fidelities
         vid, fid, rate = (np.array(column) for column in pool)
-        triples = [(i, w) for i in range(m - span) for w in range(i + 1, i + span)]
-        at, left, right = _span_pairs(*np.array([slot[(i, w)] for i, w in triples]).T,
-                                      *np.array([slot[(w, i + span)] for i, w in triples]).T)
-        f = werner_swap(fid[left], fid[right], g)
-        bucket = np.searchsorted(vals, f, side="right") - 1
-        kept = bucket >= 0  # below the grid: dropped
-        left, right, f, bucket = left[kept], right[kept], f[kept], bucket[kept]
-        owner = np.array([i for i, _ in triples], np.int64)[at[kept]]
+        owner, left, right, f, bucket = _span_swaps(m, span, slot, fid, g, vals)
         r = np.minimum(rate[left], rate[right])
         win = _span_winners(owner * nf + bucket, (m - span) * nf, r, f)
         blocks = {i: {} for i in range(m - span)}

@@ -20,6 +20,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
+import numpy as np
+
 FIDELITY_FLOOR = 0.25  # fully depolarized Werner state
 
 PURIFY_MODELS = ("ideal-dejmps", "as-printed")
@@ -163,11 +165,7 @@ def purify_output_fidelity(
     Clamping events are tallied in ``CLAMP_EVENTS`` instead of raising, so
     parameter sweeps keep running while model misuse stays visible.
     """
-    raw = purify_output_fidelity_raw(f1, f2, noise)
-    if raw < 0.0 or raw > 1.0:
-        CLAMP_EVENTS.tick()
-        return min(1.0, max(0.0, raw))
-    return raw
+    return purify(f1, f2, noise, "as-printed")[0]
 
 
 def dejmps(f1, f2):
@@ -198,22 +196,39 @@ def ideal_dejmps(f1: float, f2: float) -> tuple[float, float]:
     return dejmps(f1, f2)
 
 
+def purify_map(f1, f2, noise: NoiseParams, model: str):
+    """Unchecked map of ``model``, on floats or elementwise on numpy arrays:
+    (output fidelity, success probability, clamped). The one place that
+    chooses the model and clamps: ``ideal-dejmps`` is ``dejmps``, clamping
+    nothing, and ``as-printed`` clips its output into [0, 1], marking what it
+    clipped. Each caller counts clamp events by its own rule."""
+    if model == "ideal-dejmps":
+        return (*dejmps(f1, f2), False)
+    p = as_printed_success(f1, f2, noise)
+    raw = as_printed_fidelity(f1, f2, p, noise)
+    return np.clip(raw, 0.0, 1.0), p, (raw < 0.0) | (raw > 1.0)
+
+
 def purify(
     f1: float,
     f2: float,
     noise: NoiseParams = DEFAULT_NOISE,
     model: str = "ideal-dejmps",
 ) -> tuple[float, float]:
-    """Apply the configured purification map.
+    """Apply the configured purification map; a clamped output ticks
+    ``CLAMP_EVENTS`` once.
 
     Returns (output fidelity, success probability). ``f1`` is the retained
     ("protected") pair in the asymmetric reading of the as-printed model.
     """
-    if model == "ideal-dejmps":
-        return ideal_dejmps(f1, f2)
-    if model == "as-printed":
-        return purify_output_fidelity(f1, f2, noise), purify_success_prob(f1, f2, noise)
-    raise ValueError(f"unknown purification model {model!r}; expected one of {PURIFY_MODELS}")
+    if model not in PURIFY_MODELS:
+        raise ValueError(f"unknown purification model {model!r}; expected one of {PURIFY_MODELS}")
+    _check_fidelity("f1", f1)
+    _check_fidelity("f2", f2)
+    f_out, p, clamped = purify_map(f1, f2, noise, model)
+    if clamped:
+        CLAMP_EVENTS.tick()
+    return f_out, p
 
 
 def check_purify_model(model: str) -> None:

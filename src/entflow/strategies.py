@@ -34,6 +34,7 @@ from .hypergraph import (
     FidelityGrid,
     Hypergraph,
     _span_pairs,
+    _span_swaps,
     _span_winners,
     build_pruned_hypergraph,
     build_standard_hypergraph,
@@ -49,12 +50,13 @@ from .lp import (
     solve_lp,
 )
 from .physics import (
+    CLAMP_EVENTS,
     DEFAULT_NOISE,
     NoiseParams,
     check_purify_model,
-    dejmps,
     gate_factor,
     purify,
+    purify_map,
     werner_swap,
 )
 from .topology import Path, link_egr
@@ -155,12 +157,13 @@ def _pump_chain(b: int, grid: FidelityGrid, noise: NoiseParams,
     half-success factors (c_0 = 1, every later one at most 1/2); denom is
     that 1 + sum and prefix the sum.
     """
-    vals, ideal = grid.values, purify_model == "ideal-dejmps"  # grid values need no check
+    vals = grid.values  # grid values need no check
     rows = [(b, 1.0, 1.0, 0.0)]  # which those formulas leave as it is
     cur, c, prefix = b, 1.0, 1.0
     for _ in range(_MAX_PUMP_ROUNDS):
-        f_new, p = dejmps(vals[cur], vals[b]) if ideal else purify(vals[cur], vals[b], noise,
-                                                                    purify_model)
+        f_new, p, clamped = purify_map(vals[cur], vals[b], noise, purify_model)
+        if clamped:
+            CLAMP_EVENTS.tick()  # once per clamped chain round
         kn = grid.round_down_index(f_new)
         if kn <= cur:
             break
@@ -207,16 +210,9 @@ def run_rate_dp(
             owner = np.flatnonzero(k0 >= 0)
             bucket, rate = k0[owner], np.array([link_egr(path.edges[t]) for t in owner.tolist()])
             swaps = purs = np.zeros(len(owner))
-        else:  # per (i, w) each state of (i, w) swapped with each one of (w, i + span)
-            triples = [(i, w) for i in range(m - span) for w in range(i + 1, i + span)]
-            at, left, right = _span_pairs(*np.array([slot[(i, w)] for i, w in triples]).T,
-                                          *np.array([slot[(w, i + span)] for i, w in triples]).T)
-            kn = np.searchsorted(vals, werner_swap(vals[bucket[left]], vals[bucket[right]], g),
-                                 side="right") - 1
-            kept = kn >= 0  # below the grid: dropped
-            left, right = left[kept], right[kept]
-            owner = np.array([i for i, _ in triples], np.int64)[at[kept]]
-            bucket, rate = kn[kept], np.minimum(rate[left], rate[right])
+        else:  # every swap of two finished states, on their grid values
+            owner, left, right, _, bucket = _span_swaps(m, span, slot, vals[bucket], g, vals)
+            rate = np.minimum(rate[left], rate[right])
             swaps, purs = swaps[left] + swaps[right] + 1.0, purs[left] + purs[right]
         rows = []  # of the chains this span adds
         for b in np.unique(bucket[size[bucket] == 0]).tolist():

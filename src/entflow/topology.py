@@ -53,6 +53,11 @@ class Edge:
             raise TopologyValidationError(
                 f"edge {self.u!r}-{self.v!r}: f0 must be in (0.5, 1], got {self.f0}"
             )
+        for name in ("length_km", "r_local", "alpha_db_per_km"):
+            if not math.isfinite(getattr(self, name)):  # an infinite link limit or rate
+                raise TopologyValidationError(
+                    f"edge {self.u!r}-{self.v!r}: {name} must be finite, got {getattr(self, name)}"
+                )
 
     @property
     def key(self) -> str:
@@ -127,11 +132,27 @@ class Topology:
         return Path(nodes, tuple(edges), sum(e.length_km for e in edges))
 
 
+def _typed(value, kind: type, what: str):
+    """``value``, refused unless it is a ``kind`` (a string is not a list of letters)."""
+    if not isinstance(value, kind):
+        raise TopologyParseError(f"{what} is a {type(value).__name__}, not a {kind.__name__}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    """``value`` as a float, refused naming ``what`` when it is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise TopologyParseError(f"{what}: {value!r} is not a number") from None
+
+
 def load_topology(text: str) -> Topology:
     """Load a JSON topology document.
 
     Schema: {"defaults": {"r_local", "alpha", "f0"}, "nodes": [...],
     "edges": [{"u", "v", "length_km", "r_local"?, "alpha"?, "f0"?}, ...]}.
+    A field of the wrong JSON type is refused, naming it.
     """
     try:
         doc = json.loads(text)
@@ -139,21 +160,23 @@ def load_topology(text: str) -> Topology:
         raise TopologyParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
         raise TopologyParseError("document must be an object with 'nodes' and 'edges'")
-    defaults = doc.get("defaults", {})
-    r_local = float(defaults.get("r_local", DEFAULT_R_LOCAL))
-    alpha = float(defaults.get("alpha", DEFAULT_ALPHA))
-    f0 = float(defaults.get("f0", DEFAULT_NOISE.f0))
-    nodes = [str(n) for n in doc["nodes"]]
+    defaults = _typed(doc.get("defaults", {}), dict, "defaults")
+    r_local = _number(defaults.get("r_local", DEFAULT_R_LOCAL), "defaults: r_local")
+    alpha = _number(defaults.get("alpha", DEFAULT_ALPHA), "defaults: alpha")
+    f0 = _number(defaults.get("f0", DEFAULT_NOISE.f0), "defaults: f0")
+    nodes = [str(n) for n in _typed(doc["nodes"], list, "nodes")]
     edges = []
-    for item in doc["edges"]:
+    for k, item in enumerate(_typed(doc["edges"], list, "edges")):
         try:
+            u, v = str(_typed(item, dict, f"edge {k}")["u"]), str(item["v"])
+            where = f"edge {k} ({u!r}-{v!r})"
             edge = Edge(
-                u=str(item["u"]),
-                v=str(item["v"]),
-                length_km=float(item["length_km"]),
-                r_local=float(item.get("r_local", r_local)),
-                alpha_db_per_km=float(item.get("alpha", alpha)),
-                f0=float(item.get("f0", f0)),
+                u=u,
+                v=v,
+                length_km=_number(item["length_km"], f"{where}: length_km"),
+                r_local=_number(item.get("r_local", r_local), f"{where}: r_local"),
+                alpha_db_per_km=_number(item.get("alpha", alpha), f"{where}: alpha"),
+                f0=_number(item.get("f0", f0), f"{where}: f0"),
             )
         except KeyError as exc:
             raise TopologyParseError(f"edge missing field {exc}") from exc

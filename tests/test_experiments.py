@@ -6,7 +6,10 @@ import json
 import re
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_chain
 from entflow import hypergraph, lp
@@ -15,6 +18,7 @@ from entflow.experiments import (
     COLUMNS,
     ExperimentConfig,
     Report,
+    _sample_pairs,
     emit_report,
     run_experiment,
 )
@@ -23,6 +27,7 @@ from entflow.lp import LPSolveError
 from entflow.orchestrator import PlannerConfig
 from entflow.physics import NoiseParams
 from entflow.strategies import LP_STRATEGIES, run_strategy
+from entflow.topology import generate_gabriel
 
 
 def _cfg(kind, **kw):
@@ -428,3 +433,39 @@ def test_cache_build_given_no_option_records_the_planner_defaults(tmp_path, caps
     assert main(["cache", "build", "--topology", str(topo_file), "--demands", "a,c"]) == 0
     expected = PlannerConfig().to_json()
     assert json.loads(capsys.readouterr().out)["config"] == json.loads(json.dumps(expected))
+
+
+def _sample_pairs_by_bfs(topology, path_nodes, count, rng):
+    """The pair sampler as a breadth-first search from each source, to
+    check the library's hop distances against."""
+    by_source = {}
+    for s in topology.nodes:
+        level, frontier = {s: 0}, [s]
+        while frontier and level[frontier[0]] < path_nodes - 1:
+            nxt = []
+            for u in frontier:
+                for v in topology.neighbors(u):
+                    if v not in level:
+                        level[v] = level[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        exact = sorted(v for v, d in level.items() if d == path_nodes - 1)
+        if exact:
+            by_source[s] = exact
+    sources, pairs, seen, attempts = sorted(by_source), [], set(), 0
+    while sources and len(pairs) < count and attempts < count * 50:
+        attempts += 1
+        s = sources[int(rng.integers(len(sources)))]
+        d = by_source[s][int(rng.integers(len(by_source[s])))]
+        if (s, d) not in seen and (d, s) not in seen:
+            seen.add((s, d))
+            pairs.append((s, d))
+    return pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.integers(1, 10), st.integers(1, 8))
+def test_sample_pairs_equals_a_per_source_bfs(seed, nodes, path_nodes, count):
+    topo = generate_gabriel(nodes, seed)
+    assert _sample_pairs(topo, path_nodes, count, np.random.default_rng([seed, path_nodes])) \
+        == _sample_pairs_by_bfs(topo, path_nodes, count, np.random.default_rng([seed, path_nodes]))

@@ -2,15 +2,20 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from entflow.physics import (
     CLAMP_EVENTS,
     DEFAULT_NOISE,
+    PURIFY_MODELS,
     NoiseParams,
     chain_swap_fidelity,
     ideal_dejmps,
     purify,
+    purify_map,
     purify_model_is_symmetric,
     purify_output_fidelity,
     purify_output_fidelity_raw,
@@ -148,3 +153,30 @@ def test_zero_success_probability_raises():
     with pytest.raises(ValueError):
         purify_success_prob(0.2, 0.9)
     assert math.isfinite(purify_output_fidelity_raw(0.9, 0.9))
+
+
+fidelities = st.floats(min_value=0.25, max_value=1.0)
+unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@given(st.lists(st.tuples(fidelities, fidelities), min_size=1, max_size=40),
+       st.builds(NoiseParams, p1=unit, p2=unit, eta=unit), st.sampled_from(PURIFY_MODELS))
+@example([(1.0, 1.0), (0.9, 0.9), (0.25, 1.0)], PERFECT, "as-printed")  # -1/12: clamped up
+@example([(0.9, 0.9), (1.0, 1.0)], NoiseParams(eta=0.0, p2=1.0), "as-printed")  # 5/4: down
+def test_purify_map_on_arrays_equals_scalar_purify_bit_for_bit(pairs, noise, model):
+    f1, f2 = (np.array(column) for column in zip(*pairs))
+    f_out, p, clamped = purify_map(f1, f2, noise, model)
+    scalar, ticks = [], []
+    for a, b in pairs:
+        before = CLAMP_EVENTS.thread_count
+        scalar.append(purify(a, b, noise, model))
+        ticks.append(CLAMP_EVENTS.thread_count - before)
+    assert f_out.tobytes() == np.array([f for f, _ in scalar]).tobytes()
+    assert p.tobytes() == np.array([q for _, q in scalar]).tobytes()
+    # the mask marks exactly the calls that ticked, each once
+    assert np.broadcast_to(clamped, f_out.shape).tolist() == [t == 1 for t in ticks]
+    assert np.count_nonzero(clamped) == sum(ticks)
+    # and exactly the outputs the unclamped printed formula puts outside [0, 1]
+    raw = [purify_output_fidelity_raw(a, b, noise) for a, b in pairs]
+    outside = [model == "as-printed" and not 0.0 <= r <= 1.0 for r in raw]
+    assert np.broadcast_to(clamped, f_out.shape).tolist() == outside

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from entflow.cli import main
 from entflow.topology import (
     Edge,
     Topology,
@@ -27,6 +28,25 @@ def test_edge_validation():
         Edge(u="a", v="b", length_km=0.0)
     with pytest.raises(TopologyValidationError):
         Edge(u="a", v="b", length_km=1.0, f0=0.5)
+
+
+@pytest.mark.parametrize("field", ["length_km", "r_local", "alpha_db_per_km"])
+def test_edge_refuses_an_infinite_field(field):
+    with pytest.raises(TopologyValidationError, match=f"'a'-'b': {field} must be finite, got inf"):
+        Edge(**{"u": "a", "v": "b", "length_km": 1.0, field: math.inf})
+
+
+def test_edge_keeps_its_refusal_messages():
+    for fields, message in (
+        ({"length_km": math.nan}, "edge 'a'-'b': length must be positive, got nan"),
+        ({"length_km": -math.inf}, "edge 'a'-'b': length must be positive, got -inf"),
+        ({"length_km": 1.0, "r_local": -math.inf}, "edge 'a'-'b': r_local must be positive"),
+        ({"length_km": math.inf, "r_local": 0.0}, "edge 'a'-'b': r_local must be positive"),
+        ({"length_km": 1.0, "alpha_db_per_km": 0.0}, "edge 'a'-'b': alpha must be positive"),
+    ):
+        with pytest.raises(TopologyValidationError) as info:
+            Edge(u="a", v="b", **fields)
+        assert str(info.value) == message
 
 
 def test_edge_key_is_order_invariant():
@@ -65,6 +85,69 @@ def test_load_topology_errors():
         load_topology(json.dumps({"nodes": ["a"]}))
     with pytest.raises(TopologyParseError):
         load_topology(json.dumps({"nodes": ["a", "b"], "edges": [{"u": "a"}]}))
+
+
+def _doc(edges, **fields) -> str:
+    return json.dumps({"nodes": ["a", "b"], "edges": edges, **fields})
+
+
+def _edge(**fields) -> dict:
+    return {"u": "a", "v": "b", "length_km": 10, **fields}
+
+
+# documents the JSON reader refuses -> its error and the message
+MALFORMED = {
+    "nodes-a-string": ('{"nodes": "ab", "edges": []}', TopologyParseError,
+                       "nodes is a str, not a list"),
+    "edges-an-object": (_doc({"u": "a", "v": "b"}), TopologyParseError,
+                        "edges is a dict, not a list"),
+    "edge-a-list": (_doc([["a", "b", 10]]), TopologyParseError, "edge 0 is a list, not a dict"),
+    "defaults-a-list": (_doc([], defaults=[]), TopologyParseError,
+                        "defaults is a list, not a dict"),
+    "r-local-inf": (_doc([_edge(r_local="inf")]), TopologyValidationError,
+                    "edge 'a'-'b': r_local must be finite, got inf"),
+    "length-inf": (_doc([_edge(length_km="inf")]), TopologyValidationError,
+                   "edge 'a'-'b': length_km must be finite, got inf"),
+    "alpha-overflows": (_doc([_edge(alpha=1e400)]), TopologyValidationError,
+                        "edge 'a'-'b': alpha_db_per_km must be finite, got inf"),
+    "length-not-a-number": (_doc([_edge(length_km="abc")]), TopologyParseError,
+                            "edge 0 ('a'-'b'): length_km: 'abc' is not a number"),
+    "f0-null": (_doc([_edge(), _edge(u="b", v="c", f0=None)]), TopologyParseError,
+                "edge 1 ('b'-'c'): f0: None is not a number"),
+    "length-a-list": (_doc([_edge(length_km=[1])]), TopologyParseError,
+                      "edge 0 ('a'-'b'): length_km: [1] is not a number"),
+    "default-not-a-number": (_doc([], defaults={"r_local": "fast"}), TopologyParseError,
+                             "defaults: r_local: 'fast' is not a number"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_load_topology_refuses_a_malformed_document_naming_it(case):
+    text, error, message = MALFORMED[case]
+    with pytest.raises(error) as info:
+        load_topology(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_cli_topo_validate_refuses_a_malformed_document_with_exit_2(case, tmp_path, capsys):
+    text, _, message = MALFORMED[case]
+    path = tmp_path / "topo.json"
+    path.write_text(text)
+    assert main(["topo", "validate", "--topology", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n" and "Traceback" not in err
+
+
+def test_load_topology_keeps_its_refusal_messages():
+    for text, message in (
+        (json.dumps({"nodes": ["a"]}), "document must be an object with 'nodes' and 'edges'"),
+        (_doc([{"u": "a"}]), "edge missing field 'v'"),
+        (_doc([{"u": "a", "v": "b"}]), "edge missing field 'length_km'"),
+    ):
+        with pytest.raises(TopologyParseError) as info:
+            load_topology(text)
+        assert str(info.value) == message
 
 
 GML_DOC = """
