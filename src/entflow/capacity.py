@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .physics import check_real
+
 _LOG2_3 = math.log2(3.0)
 
 
@@ -51,9 +53,9 @@ class EnsembleSpec:
 
     def __post_init__(self) -> None:
         for f, r in self.entries:
-            if not 0.0 <= f <= 1.0:
+            if not 0.0 <= check_real(f, "fidelity") <= 1.0:
                 raise ValueError(f"fidelity must be in [0, 1], got {f}")
-            if r < 0.0:
+            if not check_real(r, "rate") >= 0.0:  # NaN included
                 raise ValueError(f"rate must be nonnegative, got {r}")
 
 

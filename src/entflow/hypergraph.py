@@ -30,6 +30,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -100,6 +101,8 @@ class FidelityGrid:
 
     @classmethod
     def uniform(cls, size: int = DEFAULT_GRID_SIZE) -> FidelityGrid:
+        if not isinstance(size, Integral):
+            raise HypergraphError(f"grid size must be an integer, got {size!r}")
         if size < 1:
             raise HypergraphError("grid size must be >= 1")
         return cls(tuple(float(x) for x in np.linspace(0.5, 1.0, size)))
@@ -274,7 +277,7 @@ class Hypergraph:
             return cls(HypergraphColumns(**columns, nodes=tuple(doc["nodes"])),
                        FidelityGrid(tuple(doc["grid"])), NoiseParams(**doc["noise"]),
                        dict(doc["link_limits"]), doc["builder"], doc["purify_model"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             if isinstance(exc, HypergraphError):
                 raise
             raise HypergraphError(f"corrupt hypergraph document: {exc}") from exc

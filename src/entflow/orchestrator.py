@@ -173,7 +173,7 @@ def load_cache(text: str) -> Cache:
     entry's first ``k_keep`` estimated paths. An error names the entry."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an int of too many digits, or deep nesting
         raise CacheError(f"corrupt cache document: {exc}") from exc
     where = ""  # the entry being read
     try:

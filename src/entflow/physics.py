@@ -19,12 +19,21 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 FIDELITY_FLOOR = 0.25  # fully depolarized Werner state
 
 PURIFY_MODELS = ("ideal-dejmps", "as-printed")
+
+
+def check_real(value, name: str, error: type[ValueError] = ValueError):
+    """``value``, refused with ``error`` naming ``name`` unless it is a real
+    number; the caller's range check refuses NaN."""
+    if not isinstance(value, (float, Real)):  # float first: it skips the slow ABC check
+        raise error(f"{name} must be a real number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -39,9 +48,9 @@ class NoiseParams:
     def __post_init__(self) -> None:
         for name in ("p1", "p2", "eta"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
+            if not 0.0 <= check_real(value, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if not 0.5 < self.f0 <= 1.0:
+        if not 0.5 < check_real(self.f0, "f0") <= 1.0:
             raise ValueError(f"f0 must be in (0.5, 1], got {self.f0}")
 
 

@@ -7,10 +7,11 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .physics import DEFAULT_NOISE
+from .physics import DEFAULT_NOISE, check_real
 
 DEFAULT_R_LOCAL = 12000.0  # pairs/s at zero distance
 DEFAULT_ALPHA = 0.21  # dB/km fiber attenuation
@@ -37,19 +38,19 @@ class Edge:
     def __post_init__(self) -> None:
         if self.u == self.v:
             raise TopologyValidationError(f"self-loop on node {self.u!r}")
-        if not self.length_km > 0:
+        if not self._real("length_km") > 0:
             raise TopologyValidationError(
                 f"edge {self.u!r}-{self.v!r}: length must be positive, got {self.length_km}"
             )
-        if not self.r_local > 0:
+        if not self._real("r_local") > 0:
             raise TopologyValidationError(
                 f"edge {self.u!r}-{self.v!r}: r_local must be positive"
             )
-        if not self.alpha_db_per_km > 0:
+        if not self._real("alpha_db_per_km") > 0:
             raise TopologyValidationError(
                 f"edge {self.u!r}-{self.v!r}: alpha must be positive"
             )
-        if not 0.5 < self.f0 <= 1.0:
+        if not 0.5 < self._real("f0") <= 1.0:
             raise TopologyValidationError(
                 f"edge {self.u!r}-{self.v!r}: f0 must be in (0.5, 1], got {self.f0}"
             )
@@ -58,6 +59,16 @@ class Edge:
                 raise TopologyValidationError(
                     f"edge {self.u!r}-{self.v!r}: {name} must be finite, got {getattr(self, name)}"
                 )
+        if not link_egr(self) > 0:  # exp underflows on a long or lossy link
+            raise TopologyValidationError(
+                f"edge {self.u!r}-{self.v!r}: link rate underflows to {link_egr(self)} pairs/s "
+                f"at length_km {self.length_km} and alpha_db_per_km {self.alpha_db_per_km}"
+            )
+
+    def _real(self, name: str) -> float:
+        """Field ``name``, refused naming the edge unless it is a real number."""
+        return check_real(getattr(self, name), f"edge {self.u!r}-{self.v!r}: {name}",
+                          TopologyValidationError)
 
     @property
     def key(self) -> str:
@@ -147,6 +158,32 @@ def _number(value, what: str) -> float:
         raise TopologyParseError(f"{what}: {value!r} is not a number") from None
 
 
+def _name(value, what: str) -> str:
+    """``value`` as a node name: a string, or a number as its ``str``; anything
+    else, a boolean included, is refused naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise TopologyParseError(f"{what}: {value!r} is not a string or number")
+    return str(value)
+
+
+# an edge's optional fields and their values when neither it nor its document gives one
+_EDGE_DEFAULTS = {"r_local": DEFAULT_R_LOCAL, "alpha": DEFAULT_ALPHA, "f0": DEFAULT_NOISE.f0}
+
+
+def _edge(k: int, item, defaults: dict = _EDGE_DEFAULTS) -> Edge:
+    """Edge ``k`` of a JSON or GML document from the object ``item``: ``u``,
+    ``v``, ``length_km`` and, else from ``defaults``, each of its optional
+    fields. A field missing or of the wrong type is refused, naming it."""
+    try:
+        u = _name(_typed(item, dict, f"edge {k}")["u"], f"edge {k}: u")
+        v = _name(item["v"], f"edge {k}: v")
+        where = f"edge {k} ({u!r}-{v!r})"
+        return Edge(u, v, _number(item["length_km"], f"{where}: length_km"),
+                    *(_number(item.get(f, d), f"{where}: {f}") for f, d in defaults.items()))
+    except KeyError as exc:
+        raise TopologyParseError(f"edge missing field {exc}") from exc
+
+
 def load_topology(text: str) -> Topology:
     """Load a JSON topology document.
 
@@ -156,31 +193,14 @@ def load_topology(text: str) -> Topology:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an int of too many digits, or deep nesting
         raise TopologyParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
         raise TopologyParseError("document must be an object with 'nodes' and 'edges'")
-    defaults = _typed(doc.get("defaults", {}), dict, "defaults")
-    r_local = _number(defaults.get("r_local", DEFAULT_R_LOCAL), "defaults: r_local")
-    alpha = _number(defaults.get("alpha", DEFAULT_ALPHA), "defaults: alpha")
-    f0 = _number(defaults.get("f0", DEFAULT_NOISE.f0), "defaults: f0")
-    nodes = [str(n) for n in _typed(doc["nodes"], list, "nodes")]
-    edges = []
-    for k, item in enumerate(_typed(doc["edges"], list, "edges")):
-        try:
-            u, v = str(_typed(item, dict, f"edge {k}")["u"]), str(item["v"])
-            where = f"edge {k} ({u!r}-{v!r})"
-            edge = Edge(
-                u=u,
-                v=v,
-                length_km=_number(item["length_km"], f"{where}: length_km"),
-                r_local=_number(item.get("r_local", r_local), f"{where}: r_local"),
-                alpha_db_per_km=_number(item.get("alpha", alpha), f"{where}: alpha"),
-                f0=_number(item.get("f0", f0), f"{where}: f0"),
-            )
-        except KeyError as exc:
-            raise TopologyParseError(f"edge missing field {exc}") from exc
-        edges.append(edge)
+    given = _typed(doc.get("defaults", {}), dict, "defaults")
+    defaults = {f: _number(given.get(f, d), f"defaults: {f}") for f, d in _EDGE_DEFAULTS.items()}
+    nodes = [_name(n, f"node {k}") for k, n in enumerate(_typed(doc["nodes"], list, "nodes"))]
+    edges = [_edge(k, item, defaults) for k, item in enumerate(_typed(doc["edges"], list, "edges"))]
     return Topology(nodes, edges)
 
 
@@ -196,58 +216,54 @@ def read_topology_file(path: str) -> Topology:
 _GML_TOKEN = re.compile(r'"[^"]*"|\[|\]|[^\s\[\]]+')
 
 
+class _GmlBlock(list):
+    """A GML block's (key, value) pairs, shown as ``[...]`` however deep they nest."""
+
+    def __repr__(self) -> str:
+        return "[...]"
+
+
 def load_gml(text: str, default_length_km: float = 1.0) -> Topology:
     """Minimal GML reader for Topology-Zoo-style files.
 
     Recognizes graph/node/edge blocks with id/label/source/target and an
-    optional per-edge ``length`` attribute; unknown keys are ignored.
+    optional per-edge ``length`` attribute; unknown keys are ignored. The
+    document must be key-value pairs in balanced blocks.
     """
-    tokens = _GML_TOKEN.findall(text)
-    pos = 0
-
-    def parse_value():
-        nonlocal pos
-        tok = tokens[pos]
-        if tok == "[":
-            pos += 1
-            block = []
-            while pos < len(tokens) and tokens[pos] != "]":
-                key = tokens[pos]
-                pos += 1
-                if pos >= len(tokens):
-                    raise TopologyParseError("unexpected end of GML document")
-                block.append((key.lower(), parse_value()))
-            if pos >= len(tokens):
-                raise TopologyParseError("unterminated GML block")
-            pos += 1  # consume ]
-            return block
-        pos += 1
-        if tok.startswith('"'):
-            return tok.strip('"')
-        return tok
-
-    graph_block = None
-    while pos < len(tokens):
-        key = tokens[pos]
-        pos += 1
-        if pos >= len(tokens):
-            break
-        value = parse_value()
-        if key.lower() == "graph" and isinstance(value, list):
-            graph_block = value
-            break
-    if graph_block is None:
+    open_blocks, key = [_GmlBlock()], None  # the document, then each block still open
+    for match in _GML_TOKEN.finditer(text):
+        tok = match.group()
+        if key is not None and tok != "]":  # key's value: a scalar, or a block that opens
+            value = _GmlBlock() if tok == "[" else tok.strip('"') if tok.startswith('"') else tok
+            open_blocks[-1].append((key, value))
+            if tok == "[":
+                open_blocks.append(value)
+            key = None
+        elif key is None and tok not in ("[", "]"):
+            key = tok.lower()
+        elif key is None and tok == "]" and len(open_blocks) > 1:
+            open_blocks.pop()
+        else:
+            raise TopologyParseError(f"unexpected {tok!r} at character {match.start()} of GML")
+    if key is not None:
+        raise TopologyParseError("unexpected end of GML document")
+    if len(open_blocks) > 1:
+        raise TopologyParseError("unterminated GML block")
+    graph = next((v for k, v in open_blocks[0] if k == "graph" and isinstance(v, list)), None)
+    if graph is None:
         raise TopologyParseError("no 'graph' block found")
 
     id_to_name: dict[str, str] = {}
     raw_edges = []
-    for key, value in graph_block:
+    for key, value in graph:
         if key == "node" and isinstance(value, list):
             attrs = dict(value)
             if "id" not in attrs:
                 raise TopologyParseError("GML node without id")
-            node_id = str(attrs["id"])
-            id_to_name[node_id] = str(attrs.get("label", node_id))
+            node_id = _name(attrs["id"], "GML node id")
+            if node_id in id_to_name:
+                raise TopologyParseError(f"GML node id {node_id!r} appears twice")
+            id_to_name[node_id] = _name(attrs.get("label", node_id), f"GML node {node_id!r}: label")
         elif key == "edge" and isinstance(value, list):
             attrs = dict(value)
             if "source" not in attrs or "target" not in attrs:
@@ -260,7 +276,7 @@ def load_gml(text: str, default_length_km: float = 1.0) -> Topology:
         id_to_name = {k: k for k in id_to_name}
     edges = []
     seen = set()
-    for attrs in raw_edges:
+    for k, attrs in enumerate(raw_edges):
         u = id_to_name.get(str(attrs["source"]))
         v = id_to_name.get(str(attrs["target"]))
         if u is None or v is None:
@@ -269,8 +285,8 @@ def load_gml(text: str, default_length_km: float = 1.0) -> Topology:
         if key in seen:
             continue  # Topology Zoo files may repeat parallel links
         seen.add(key)
-        length = float(attrs.get("length", default_length_km))
-        edges.append(Edge(u=u, v=v, length_km=length))
+        length = attrs.get("length", default_length_km)
+        edges.append(_edge(k, {"u": u, "v": v, "length_km": length}))
     return Topology(sorted(id_to_name.values()), edges)
 
 
@@ -388,6 +404,8 @@ def k_shortest_paths(
         raise TopologyValidationError(f"unknown endpoint {s!r} or {d!r}")
     if s == d:
         raise ValueError("source and destination must differ")
+    if not isinstance(n, Integral):
+        raise TopologyValidationError(f"path count must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("path count must be >= 1")
 

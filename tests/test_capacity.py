@@ -1,5 +1,7 @@
 """Tests for the per-pair capacity bound and ensemble aggregation."""
 
+import math
+
 import pytest
 from scipy.optimize import brentq
 
@@ -75,3 +77,15 @@ def test_ensemble_spec_validation():
     with pytest.raises(ValueError):
         EnsembleSpec(entries=((0.9, -1.0),))
     assert ensemble_capacity(EnsembleSpec()) == 0.0
+
+
+def test_ensemble_spec_refuses_a_nan_rate_and_a_value_that_is_not_a_real_number():
+    for entries, message in (
+        (((0.9, math.nan),), "rate must be nonnegative, got nan"),
+        (((0.9, "1"),), "rate must be a real number, got '1'"),
+        ((("0.9", 1.0),), "fidelity must be a real number, got '0.9'"),
+        (((math.nan, 1.0),), "fidelity must be in [0, 1], got nan"),
+    ):
+        with pytest.raises(ValueError) as info:
+            EnsembleSpec(entries=entries)
+        assert str(info.value) == message

@@ -65,6 +65,13 @@ def test_grid_validation_and_round_down():
         FidelityGrid((0.4, 0.9))
 
 
+@pytest.mark.parametrize("size", ["10", 2.5, None])
+def test_uniform_grid_refuses_a_size_that_is_not_an_integer(size):
+    with pytest.raises(HypergraphError) as info:
+        FidelityGrid.uniform(size)
+    assert str(info.value) == f"grid size must be an integer, got {size!r}"
+
+
 def test_standard_three_node_coarse_grid_counts():
     # [DERIVED] Hand enumeration for a 2-link chain on the grid {0.5, 1.0}
     # with f0 = 0.98: both links land in bucket 0; of the four swap input

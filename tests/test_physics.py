@@ -35,6 +35,13 @@ def test_noise_params_validation():
         NoiseParams(f0=0.5)
 
 
+@pytest.mark.parametrize("name", ["p1", "p2", "eta", "f0"])
+def test_noise_params_refuse_a_value_that_is_not_a_real_number(name):
+    with pytest.raises(ValueError) as info:
+        NoiseParams(**{name: "0.9"})
+    assert str(info.value) == f"{name} must be a real number, got '0.9'"
+
+
 def test_swap_perfect_ops_matches_werner_closed_form():
     # [DERIVED] With perfect operations the swap of two Werner pairs is
     # F' = F1*F2 + (1-F1)*(1-F2)/3, computed here independently of the

@@ -3,9 +3,12 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entflow.cli import main
 from entflow.topology import (
@@ -290,3 +293,292 @@ def test_yen_hop_weight_mode():
     by_hops = k_shortest_paths(topo, "a", "c", 1, weight="hops")[0]
     assert tuple(by_km.nodes) == ("a", "b", "c")
     assert tuple(by_hops.nodes) == ("a", "c")
+
+
+def test_edge_refuses_a_field_that_is_not_a_real_number():
+    for fields, message in (
+        ({"length_km": 10.0, "f0": "x"}, "edge 'a'-'b': f0 must be a real number, got 'x'"),
+        ({"length_km": "10"}, "edge 'a'-'b': length_km must be a real number, got '10'"),
+        ({"length_km": 10.0, "r_local": None},
+         "edge 'a'-'b': r_local must be a real number, got None"),
+        # a field out of range keeps its message when a later one is not a number
+        ({"length_km": -1.0, "f0": "x"}, "edge 'a'-'b': length must be positive, got -1.0"),
+    ):
+        with pytest.raises(TopologyValidationError) as info:
+            Edge(u="a", v="b", **fields)
+        assert str(info.value) == message
+
+
+def test_edge_refuses_a_link_rate_that_underflows_to_zero():
+    # exp(-0.21 * 40000 / 10) is below the smallest double
+    with pytest.raises(TopologyValidationError) as info:
+        Edge(u="a", v="b", length_km=40000.0)
+    assert str(info.value) == ("edge 'a'-'b': link rate underflows to 0.0 pairs/s "
+                               "at length_km 40000.0 and alpha_db_per_km 0.21")
+    assert link_egr(Edge(u="a", v="b", length_km=3000.0)) > 0.0
+
+
+def test_topology_refuses_a_duplicate_node_an_unknown_endpoint_and_a_duplicate_edge():
+    ab = Edge(u="a", v="b", length_km=1.0)
+    for nodes, edges, message in (
+        (["a", "b", "a"], [], "duplicate node id"),
+        (["a", "b"], [Edge(u="a", v="c", length_km=1.0)], "edge references unknown node 'c'"),
+        (["a", "b"], [ab, Edge(u="b", v="a", length_km=2.0)], "duplicate edge 'b'-'a'"),
+    ):
+        with pytest.raises(TopologyValidationError) as info:
+            Topology(nodes, edges)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("count", [2.5, math.nan, "2", None])
+def test_k_shortest_paths_refuses_a_count_that_is_not_an_integer(count):
+    topo = load_topology(_doc([_edge()]))
+    with pytest.raises(TopologyValidationError, match="^path count must be an integer, got "):
+        k_shortest_paths(topo, "a", "b", count)
+    assert len(k_shortest_paths(topo, "a", "b", np.int64(2))) == 1
+
+
+# node names the JSON reader refuses -> the message
+BAD_NAMES = {
+    "node-null": ('{"nodes": [null, {"x": 1}], "edges": []}',
+                  "node 0: None is not a string or number"),
+    "node-object": ('{"nodes": ["a", {"x": 1}], "edges": []}',
+                    "node 1: {'x': 1} is not a string or number"),
+    "node-boolean": ('{"nodes": ["a", true], "edges": []}',
+                     "node 1: True is not a string or number"),
+    "endpoint-null": (_doc([_edge(u=None)]), "edge 0: u: None is not a string or number"),
+    "endpoint-boolean": (_doc([_edge(v=False)]), "edge 0: v: False is not a string or number"),
+    "endpoint-list": (_doc([_edge(), _edge(u=["a"])]),
+                      "edge 1: u: ['a'] is not a string or number"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_NAMES)
+def test_load_topology_refuses_a_node_name_that_is_not_a_string_or_number(case):
+    text, message = BAD_NAMES[case]
+    with pytest.raises(TopologyParseError) as info:
+        load_topology(text)
+    assert str(info.value) == message
+
+
+def test_load_topology_reads_a_numeric_node_name_as_its_str():
+    topo = load_topology(json.dumps({"nodes": [1, 2.5, "c"], "edges": [
+        {"u": 1, "v": 2.5, "length_km": 3}, {"u": "2.5", "v": "c", "length_km": 4}]}))
+    assert topo.nodes == ("1", "2.5", "c")
+    assert [(e.u, e.v) for e in topo.edges] == [("1", "2.5"), ("2.5", "c")]
+
+
+def test_load_topology_refuses_json_nested_too_deep_for_the_decoder():
+    with pytest.raises(TopologyParseError, match="^invalid JSON: maximum recursion depth"):
+        load_topology("[" * 100_000 + "]" * 100_000)
+
+
+def _gml(*edge_fields: str, nodes: str = 'node [ id 0 label "a" ] node [ id 1 label "b" ]') -> str:
+    return f"graph [ {nodes} " + " ".join(f"edge [ {f} ]" for f in edge_fields) + " ]"
+
+
+def _deep(depth: int) -> str:
+    """A balanced GML block nested ``depth`` deep."""
+    return "[ x " * depth + "1" + " ]" * depth
+
+
+# GML documents the reader refuses -> its error and the message
+GML_MALFORMED = {
+    "length-not-a-number": (_gml("source 0 target 1 length abc"), TopologyParseError,
+                            "edge 0 ('a'-'b'): length_km: 'abc' is not a number"),
+    "length-a-block": (_gml("source 1 target 0 length [ x 1 ]", "source 0 target 1 length 2"),
+                       TopologyParseError, "edge 0 ('b'-'a'): length_km: [...] is not a number"),
+    "length-nested-deep": (_gml("source 0 target 1 length " + _deep(100_000)), TopologyParseError,
+                           "edge 0 ('a'-'b'): length_km: [...] is not a number"),
+    "length-inf": (_gml("source 0 target 1 length inf"), TopologyValidationError,
+                   "edge 'a'-'b': length_km must be finite, got inf"),
+    "length-underflows": (_gml("source 0 target 1 length 1e5"), TopologyValidationError,
+                          "edge 'a'-'b': link rate underflows to 0.0 pairs/s "
+                          "at length_km 100000.0 and alpha_db_per_km 0.21"),
+    "id-repeated": (_gml(nodes='node [ id 0 label "a" ] node [ id 0 label "b" ]'),
+                    TopologyParseError, "GML node id '0' appears twice"),
+    "id-a-block": (_gml(nodes="node [ id " + _deep(100_000) + " ]"), TopologyParseError,
+                   "GML node id: [...] is not a string or number"),
+    "label-a-block": (_gml(nodes="node [ id 0 label [ x 1 ] ]"), TopologyParseError,
+                      "GML node '0': label: [...] is not a string or number"),
+    "stray-close": (_gml() + " ]", TopologyParseError,
+                    "unexpected ']' at character 59 of GML"),
+    "tail-without-value": (_gml() + " Creator", TopologyParseError,
+                           "unexpected end of GML document"),
+    "block-without-key": ("[ x 1 ] " + _gml(), TopologyParseError,
+                          "unexpected '[' at character 0 of GML"),
+    "key-without-value": ("graph [ node [ id ] ]", TopologyParseError,
+                          "unexpected ']' at character 18 of GML"),
+    "deep-tail-without-value": ("graph [ node [ id 0 ] x " + "[ x " * 5000, TopologyParseError,
+                                "unexpected end of GML document"),
+    "unclosed": ("graph [ node [ id 0 ] " + "x [ " * 5000, TopologyParseError,
+                 "unterminated GML block"),
+}
+
+
+@pytest.mark.parametrize("case", GML_MALFORMED)
+def test_load_gml_refuses_a_malformed_document_naming_it(case):
+    text, error, message = GML_MALFORMED[case]
+    with pytest.raises(error) as info:
+        load_gml(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("case", ["length-not-a-number", "id-repeated", "stray-close"])
+def test_cli_topo_validate_refuses_a_malformed_gml_document_with_exit_2(case, tmp_path, capsys):
+    text, _, message = GML_MALFORMED[case]
+    path = tmp_path / "topo.gml"
+    path.write_text(text)
+    assert main(["topo", "validate", "--topology", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n" and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["node-null", "endpoint-boolean"])
+def test_cli_topo_validate_refuses_a_bad_node_name_with_exit_2(case, tmp_path, capsys):
+    text, message = BAD_NAMES[case]
+    path = tmp_path / "topo.json"
+    path.write_text(text)
+    assert main(["topo", "validate", "--topology", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n" and "Traceback" not in err
+
+
+def test_cli_topo_validate_reads_a_gml_file(tmp_path, capsys):
+    path = tmp_path / "topo.gml"
+    path.write_text(GML_DOC)
+    assert main(["topo", "validate", "--topology", str(path)]) == 0
+    assert capsys.readouterr().out == "ok: 3 nodes, 2 edges\n"
+
+
+def test_load_gml_reads_a_block_nested_100000_deep():
+    topo = load_gml(_gml("source 0 target 1 length 5 extra " + _deep(100_000)))
+    assert topo.nodes == ("a", "b") and topo.edge_between("a", "b").length_km == 5.0
+
+
+def _reference_load_gml(text: str, default_length_km: float = 1.0) -> Topology:
+    """The recursive GML reader this package had before its flat one, kept
+    as the reference a valid document must load the same under."""
+    tokens = re.findall(r'"[^"]*"|\[|\]|[^\s\[\]]+', text)
+    pos = 0
+
+    def parse_value():
+        nonlocal pos
+        tok = tokens[pos]
+        if tok == "[":
+            pos += 1
+            block = []
+            while pos < len(tokens) and tokens[pos] != "]":
+                key = tokens[pos]
+                pos += 1
+                if pos >= len(tokens):
+                    raise TopologyParseError("unexpected end of GML document")
+                block.append((key.lower(), parse_value()))
+            if pos >= len(tokens):
+                raise TopologyParseError("unterminated GML block")
+            pos += 1  # consume ]
+            return block
+        pos += 1
+        if tok.startswith('"'):
+            return tok.strip('"')
+        return tok
+
+    graph_block = None
+    while pos < len(tokens):
+        key = tokens[pos]
+        pos += 1
+        if pos >= len(tokens):
+            break
+        value = parse_value()
+        if key.lower() == "graph" and isinstance(value, list):
+            graph_block = value
+            break
+    if graph_block is None:
+        raise TopologyParseError("no 'graph' block found")
+
+    id_to_name: dict[str, str] = {}
+    raw_edges = []
+    for key, value in graph_block:
+        if key == "node" and isinstance(value, list):
+            attrs = dict(value)
+            if "id" not in attrs:
+                raise TopologyParseError("GML node without id")
+            node_id = str(attrs["id"])
+            id_to_name[node_id] = str(attrs.get("label", node_id))
+        elif key == "edge" and isinstance(value, list):
+            attrs = dict(value)
+            if "source" not in attrs or "target" not in attrs:
+                raise TopologyParseError("GML edge without source/target")
+            raw_edges.append(attrs)
+
+    names = list(id_to_name.values())
+    if len(set(names)) != len(names):
+        # fall back to ids when labels collide
+        id_to_name = {k: k for k in id_to_name}
+    edges = []
+    seen = set()
+    for attrs in raw_edges:
+        u = id_to_name.get(str(attrs["source"]))
+        v = id_to_name.get(str(attrs["target"]))
+        if u is None or v is None:
+            raise TopologyValidationError("GML edge references unknown node id")
+        key = tuple(sorted((u, v)))
+        if key in seen:
+            continue  # Topology Zoo files may repeat parallel links
+        seen.add(key)
+        length = float(attrs.get("length", default_length_km))
+        edges.append(Edge(u=u, v=v, length_km=length))
+    return Topology(sorted(id_to_name.values()), edges)
+
+
+def _key(draw, name: str) -> str:
+    """``name`` as a GML key, in a case the reader folds."""
+    return draw(st.sampled_from((name, name.upper(), name.capitalize())))
+
+
+def _scalar(draw, text: str) -> str:
+    """``text`` as a GML value, quoted or, when it has no space, maybe bare."""
+    return text if " " not in text and draw(st.booleans()) else f'"{text}"'
+
+
+UNKNOWN = ('Country "Xland"', "graphics [ x 1.5 y -2 ]", "extra [ a [ b 1 ] c 2 ]", "weight 3")
+
+
+@st.composite
+def gml_documents(draw):
+    """A valid Topology-Zoo-style document: maybe a header, labels that may
+    collide (so the reader falls back to ids), parallel and reversed links,
+    unknown scalar and nested keys, quoted values and keys in any case."""
+    n = draw(st.integers(2, 7))
+    ids = [str(i) for i in draw(st.lists(st.integers(0, 60), min_size=n, max_size=n, unique=True))]
+    entries = []
+    for node_id in ids:
+        fields = [f"{_key(draw, 'id')} {_scalar(draw, node_id)}"]
+        label = draw(st.none() | st.sampled_from(("alpha", "beta", "a b", "Gamma", "7")))
+        if label is not None:
+            fields.append(f"{_key(draw, 'label')} {_scalar(draw, label)}")
+        fields += draw(st.lists(st.sampled_from(UNKNOWN), max_size=2))
+        entries.append(f"{_key(draw, 'node')} [ {' '.join(draw(st.permutations(fields)))} ]")
+    pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda p: p[0] != p[1])
+    lengths = st.none() | st.integers(1, 400).map(str) | st.floats(0.5, 400.0).map(repr)
+    for u, v in draw(st.lists(pairs, max_size=12)):
+        fields = [f"{_key(draw, 'source')} {u}", f"{_key(draw, 'target')} {v}"]
+        length = draw(lengths)
+        if length is not None:
+            fields.append(f"{_key(draw, 'length')} {_scalar(draw, length)}")
+        fields += draw(st.lists(st.sampled_from(UNKNOWN), max_size=2))
+        entries.append(f"{_key(draw, 'edge')} [ {' '.join(draw(st.permutations(fields)))} ]")
+    entries += draw(st.lists(st.sampled_from(("directed 0", "multigraph 1", 'label "net"')),
+                             max_size=2))
+    header = draw(st.sampled_from(("", 'Creator "entflow" Version 1 ', "Version 2.2 ")))
+    body = "\n  ".join(draw(st.permutations(entries)))
+    return f"{header}{_key(draw, 'graph')} [\n  {body}\n]\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(gml_documents(), st.sampled_from((1.0, 25.0)))
+def test_load_gml_equals_the_recursive_reader_on_valid_documents(text, default_length_km):
+    expected = _reference_load_gml(text, default_length_km)
+    got = load_gml(text, default_length_km)
+    assert got.nodes == expected.nodes
+    assert got.edges == expected.edges  # every Edge field
