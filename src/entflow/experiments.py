@@ -38,6 +38,7 @@ from .hypergraph import (
     build_pruned_hypergraph,
     build_standard_hypergraph,
 )
+from .lp import SCHEME_METRICS
 from .orchestrator import PlannerConfig, inner_loop_request, outer_loop_update
 from .physics import DEFAULT_NOISE, NoiseParams, check_purify_model
 from .strategies import (
@@ -63,15 +64,7 @@ from .topology import (
 
 log = logging.getLogger(__name__)
 
-EXPERIMENT_KINDS = (
-    "benchmark",
-    "sweep-flb",
-    "sweep-resolution",
-    "scale-path",
-    "scale-network",
-    "intro-toy",
-)
-
+TIME_COLUMNS = ("server_time_s", "solver_time_s")  # None in a row when timings are off
 COLUMNS = (
     "experiment",
     "fixture",
@@ -84,14 +77,8 @@ COLUMNS = (
     "builder",
     "vertices",
     "edges",
-    "egr",
-    "fidelity",
-    "capacity",
-    "swaps",
-    "purifications",
-    "pairs",
-    "server_time_s",
-    "solver_time_s",
+    *SCHEME_METRICS,
+    *TIME_COLUMNS,
 )
 
 INTRO_TOY_F0 = 0.95
@@ -219,22 +206,11 @@ def _row(**kwargs) -> dict:
 def _strategy_row(
     config: ExperimentConfig, result: StrategyResult, **extra
 ) -> dict:
-    sc = result.scheme
-    return _row(
-        experiment=config.kind,
-        strategy=result.strategy,
-        grid_size=result.grid_size,
-        f_lb=result.f_lb,
-        egr=sc.egr,
-        fidelity=sc.fidelity,
-        capacity=sc.capacity,
-        swaps=sc.swaps,
-        purifications=sc.purifications,
-        pairs=sc.pairs,
-        server_time_s=result.server_time_s if config.record_timings else None,
-        solver_time_s=result.solver_time_s if config.record_timings else None,
-        **extra,
-    )
+    """``result.to_json()`` cut to ``COLUMNS``, its times None unless recorded."""
+    doc = {key: value for key, value in result.to_json().items() if key in COLUMNS}
+    if not config.record_timings:
+        doc.update(dict.fromkeys(TIME_COLUMNS))
+    return _row(experiment=config.kind, **doc, **extra)
 
 
 def _load_or_generate_topology(config: ExperimentConfig, seed: int) -> Topology:
@@ -285,18 +261,6 @@ def _sample_pairs(
         seen.add((s, d))
         pairs.append((s, d))
     return pairs
-
-
-def run_experiment(config: ExperimentConfig) -> Report:
-    runner = {
-        "benchmark": _run_benchmark,
-        "sweep-flb": _run_sweep_flb,
-        "sweep-resolution": _run_sweep_resolution,
-        "scale-path": _run_scale_path,
-        "scale-network": _run_scale_network,
-        "intro-toy": _run_intro_toy,
-    }[config.kind]
-    return runner(config)
 
 
 def _run_benchmark(config: ExperimentConfig) -> Report:
@@ -411,15 +375,15 @@ def _run_sweep_resolution(config: ExperimentConfig) -> Report:
     return report
 
 
-def _percentiles(values: list[float]) -> dict:
-    if not values:
-        return {}
-    arr = np.array(values)
-    return {
-        "p1": float(np.percentile(arr, 1)),
-        "p50": float(np.percentile(arr, 50)),
-        "p99": float(np.percentile(arr, 99)),
-    }
+def _time_percentiles(report: Report) -> Report:
+    """``report`` with, when timings are recorded, the 1st, 50th and 99th
+    percentiles of each time column over its rows as its aggregates."""
+    if report.config.record_timings:
+        for column in TIME_COLUMNS:
+            times = [row[column] for row in report.rows]
+            report.aggregates[column] = (
+                {f"p{q}": float(np.percentile(times, q)) for q in (1, 50, 99)} if times else {})
+    return report
 
 
 def _run_scale_path(config: ExperimentConfig) -> Report:
@@ -427,8 +391,6 @@ def _run_scale_path(config: ExperimentConfig) -> Report:
     rng = np.random.default_rng([config.seed, 3])
     lo, hi = config.distance_range_km
     grid = FidelityGrid.uniform(config.grid_size)
-    solver_times = []
-    server_times = []
     for length in config.scale_path_lengths:
         lengths = [float(rng.uniform(lo, hi)) for _ in range(length - 1)]
         path = _chain(lengths, config.noise.f0, name=f"p{length}_")
@@ -437,25 +399,16 @@ def _run_scale_path(config: ExperimentConfig) -> Report:
                                  config.purify_model)
             result = _lp_strategy("ec-dp", hg, build_s)
             stats = hg.stats()
-            server_times.append(result.server_time_s)
-            solver_times.append(result.solver_time_s)
             report.rows.append(_strategy_row(
                 config, result, path_length=length, builder="pruned",
                 vertices=stats.num_vertices, edges=stats.num_edges,
             ))
-    if config.record_timings:
-        report.aggregates = {
-            "server_time_s": _percentiles(server_times),
-            "solver_time_s": _percentiles(solver_times),
-        }
-    return report
+    return _time_percentiles(report)
 
 
 def _run_scale_network(config: ExperimentConfig) -> Report:
     report = Report(config=config)
     grid = FidelityGrid.uniform(config.grid_size)
-    solver_times = []
-    server_times = []
     for size in config.network_sizes:
         topo = generate_gabriel(
             size, config.seed, bbox_km=config.bbox_km,
@@ -480,19 +433,12 @@ def _run_scale_network(config: ExperimentConfig) -> Report:
                 with _instance(report, f"scale-network request ({s}, {d}) at {size} nodes"):
                     cache, refresh_s = refreshes[(s, d)]
                     result = inner_loop_request(cache, s, d)
-                    server_times.append(refresh_s)
-                    solver_times.append(result.solver_time_s)
                     report.rows.append(_strategy_row(config, StrategyResult(
                         strategy="ec-dp", scheme=result.scheme,
                         server_time_s=refresh_s, solver_time_s=result.solver_time_s,
                         grid_size=config.grid_size, f_lb=None, purify_model=config.purify_model,
                     ), fixture=size, s=s, d=d))
-    if config.record_timings:
-        report.aggregates = {
-            "server_time_s": _percentiles(server_times),
-            "solver_time_s": _percentiles(solver_times),
-        }
-    return report
+    return _time_percentiles(report)
 
 
 def _run_intro_toy(config: ExperimentConfig) -> Report:
@@ -520,3 +466,19 @@ def _run_intro_toy(config: ExperimentConfig) -> Report:
                 )
             )
     return report
+
+
+# each experiment kind and the function that runs it
+RUNNERS = {
+    "benchmark": _run_benchmark,
+    "sweep-flb": _run_sweep_flb,
+    "sweep-resolution": _run_sweep_resolution,
+    "scale-path": _run_scale_path,
+    "scale-network": _run_scale_network,
+    "intro-toy": _run_intro_toy,
+}
+EXPERIMENT_KINDS = tuple(RUNNERS)
+
+
+def run_experiment(config: ExperimentConfig) -> Report:
+    return RUNNERS[config.kind](config)

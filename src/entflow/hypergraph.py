@@ -101,7 +101,7 @@ class FidelityGrid:
 
     @classmethod
     def uniform(cls, size: int = DEFAULT_GRID_SIZE) -> FidelityGrid:
-        if not isinstance(size, Integral):
+        if isinstance(size, bool) or not isinstance(size, Integral):
             raise HypergraphError(f"grid size must be an integer, got {size!r}")
         if size < 1:
             raise HypergraphError("grid size must be >= 1")

@@ -685,7 +685,20 @@ def export_lp(problem: LPProblem) -> str:
 _TERM_RE = re.compile(r"^\s*(?P<coef>[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?)\s+r_(?P<var>\d+)\s*$")
 
 
-def _parse_terms(body: str, where: str) -> list[tuple[int, float]]:
+def _index(digits: str, limit: int, where: str) -> int:
+    """Variable index ``digits``, refused unless below ``limit``, the document's
+    length, before anything is sized by it. ``export_lp`` names every variable
+    that has a term, each in at least four characters, so where every variable
+    has one (as in the builders' and the oracle's problems) no index it writes
+    reaches the length of its text."""
+    index = digits.lstrip("0") or "0"
+    if len(index) > len(str(limit)) or int(index) >= limit:
+        raise LPError(f"variable r_{digits} in {where}: index at or above the "
+                      f"document's {limit} characters")
+    return int(index)
+
+
+def _parse_terms(body: str, where: str, limit: int) -> list[tuple[int, float]]:
     body = body.strip()
     if body == "0":
         return []
@@ -694,19 +707,20 @@ def _parse_terms(body: str, where: str) -> list[tuple[int, float]]:
         m = _TERM_RE.match(term)
         if not m:
             raise LPError(f"cannot parse term {term!r} in {where}")
-        out.append((int(m.group("var")), float(m.group("coef"))))
+        out.append((_index(m.group("var"), limit, where), float(m.group("coef"))))
     return out
 
 
 def parse_lp(text: str) -> LPProblem:
-    """Parse the interchange format back into an LPProblem."""
+    """Parse the interchange format back into an LPProblem; a variable index
+    at or above the text's length in characters is refused (see ``_index``)."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != "maximize":
         raise LPError("document must start with 'maximize'")
     i = 1
     if i >= len(lines) or not lines[i].strip().startswith("obj:"):
         raise LPError("missing objective line")
-    obj_terms = _parse_terms(lines[i].strip()[4:], "objective")
+    obj_terms = _parse_terms(lines[i].strip()[4:], "objective", len(text))
     i += 1
     if i >= len(lines) or lines[i].strip() != "subject to":
         raise LPError("missing 'subject to' section")
@@ -728,7 +742,7 @@ def parse_lp(text: str) -> LPProblem:
                 raise LPError(f"cannot parse constraint line {stripped!r}")
             name, rest = stripped.split(":", 1)
             body, limit = rest.rsplit("<=", 1)
-            terms = _parse_terms(body, f"row {name}")
+            terms = _parse_terms(body, f"row {name}", len(text))
             rows.append(terms)
             try:
                 rhs.append(float(limit))
@@ -740,7 +754,7 @@ def parse_lp(text: str) -> LPProblem:
             m = re.match(r"^r_(\d+)\s*=\s*0$", stripped)
             if not m:
                 raise LPError(f"cannot parse bounds line {stripped!r}")
-            var = int(m.group(1))
+            var = _index(m.group(1), len(text), "bounds")
             forced.add(var)
             max_var = max(max_var, var)
         i += 1
@@ -763,6 +777,10 @@ class ProtocolFlow:
     fidelity: float
     rate: float
     tree: str
+
+
+# what a solved scheme reports of itself, in report order
+SCHEME_METRICS = ("egr", "fidelity", "capacity", "swaps", "purifications", "pairs")
 
 
 @dataclass(frozen=True)
@@ -801,14 +819,13 @@ class DistributionScheme:
             pairs=len(entries),
         )
 
+    def metrics(self) -> dict:
+        """The scheme's ``SCHEME_METRICS``, by name, in that order."""
+        return {name: getattr(self, name) for name in SCHEME_METRICS}
+
     def to_json(self) -> dict:
         return {
-            "egr": self.egr,
-            "fidelity": self.fidelity,
-            "capacity": self.capacity,
-            "swaps": self.swaps,
-            "purifications": self.purifications,
-            "pairs": self.pairs,
+            **self.metrics(),
             "ensembles": [[f, r] for f, r in self.ensembles.entries],
             "protocols": [
                 {"fidelity": p.fidelity, "rate": p.rate, "tree": p.tree}

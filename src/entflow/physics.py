@@ -30,8 +30,9 @@ PURIFY_MODELS = ("ideal-dejmps", "as-printed")
 
 def check_real(value, name: str, error: type[ValueError] = ValueError):
     """``value``, refused with ``error`` naming ``name`` unless it is a real
-    number; the caller's range check refuses NaN."""
-    if not isinstance(value, (float, Real)):  # float first: it skips the slow ABC check
+    number, a boolean not included; the caller's range check refuses NaN."""
+    # float first: it skips the slow ABC check
+    if not isinstance(value, float) and (isinstance(value, bool) or not isinstance(value, Real)):
         raise error(f"{name} must be a real number, got {value!r}")
     return value
 
@@ -166,23 +167,13 @@ def as_printed_fidelity(f1, f2, p_succ, noise: NoiseParams):
     return numerator / (72.0 * p_succ)
 
 
-def purify_output_fidelity(
-    f1: float, f2: float, noise: NoiseParams = DEFAULT_NOISE
-) -> float:
-    """As-printed purified fidelity, clamped into [0, 1].
-
-    Clamping events are tallied in ``CLAMP_EVENTS`` instead of raising, so
-    parameter sweeps keep running while model misuse stays visible.
-    """
-    return purify(f1, f2, noise, "as-printed")[0]
-
-
 def dejmps(f1, f2):
     """Unchecked perfect-operation DEJMPS map: (output fidelity, success prob).
 
-    The single expression ``ideal_dejmps``, the pruned builder and the
-    standard builder's purification table call, on floats or elementwise
-    on numpy arrays.
+    The single expression ``purify``, the pruned builder and the standard
+    builder's purification table call, on floats or elementwise on numpy
+    arrays. For identical inputs above 0.5 the output fidelity strictly
+    exceeds the input.
     """
     p = (
         f1 * f2
@@ -192,17 +183,6 @@ def dejmps(f1, f2):
     )
     f_out = (f1 * f2 + (1.0 - f1) * (1.0 - f2) / 9.0) / p
     return f_out, p
-
-
-def ideal_dejmps(f1: float, f2: float) -> tuple[float, float]:
-    """Perfect-operation DEJMPS map for two Werner inputs.
-
-    Returns (output fidelity, success probability). For identical inputs
-    above 0.5 the output fidelity strictly exceeds the input.
-    """
-    _check_fidelity("f1", f1)
-    _check_fidelity("f2", f2)
-    return dejmps(f1, f2)
 
 
 def purify_map(f1, f2, noise: NoiseParams, model: str):
@@ -224,14 +204,14 @@ def purify(
     noise: NoiseParams = DEFAULT_NOISE,
     model: str = "ideal-dejmps",
 ) -> tuple[float, float]:
-    """Apply the configured purification map; a clamped output ticks
-    ``CLAMP_EVENTS`` once.
+    """The one checked call of either purification map; a clamped output
+    ticks ``CLAMP_EVENTS`` once, so sweeps keep running while model misuse
+    stays visible.
 
     Returns (output fidelity, success probability). ``f1`` is the retained
     ("protected") pair in the asymmetric reading of the as-printed model.
     """
-    if model not in PURIFY_MODELS:
-        raise ValueError(f"unknown purification model {model!r}; expected one of {PURIFY_MODELS}")
+    check_purify_model(model)
     _check_fidelity("f1", f1)
     _check_fidelity("f2", f2)
     f_out, p, clamped = purify_map(f1, f2, noise, model)

@@ -104,12 +104,7 @@ class StrategyResult:
     def to_json(self) -> dict:
         return {
             "strategy": self.strategy,
-            "egr": self.scheme.egr,
-            "fidelity": self.scheme.fidelity,
-            "capacity": self.scheme.capacity,
-            "swaps": self.scheme.swaps,
-            "purifications": self.scheme.purifications,
-            "pairs": self.scheme.pairs,
+            **self.scheme.metrics(),
             "server_time_s": self.server_time_s,
             "solver_time_s": self.solver_time_s,
             "grid_size": self.grid_size,

@@ -151,11 +151,14 @@ def _typed(value, kind: type, what: str):
 
 
 def _number(value, what: str) -> float:
-    """``value`` as a float, refused naming ``what`` when it is not a number."""
+    """``value`` as a float, refused naming ``what`` when it is not a number
+    (a boolean is not one)."""
     try:
-        return float(value)
+        if not isinstance(value, bool):
+            return float(value)
     except (TypeError, ValueError, OverflowError):
-        raise TopologyParseError(f"{what}: {value!r} is not a number") from None
+        pass
+    raise TopologyParseError(f"{what}: {value!r} is not a number")
 
 
 def _name(value, what: str) -> str:
@@ -277,10 +280,11 @@ def load_gml(text: str, default_length_km: float = 1.0) -> Topology:
     edges = []
     seen = set()
     for k, attrs in enumerate(raw_edges):
-        u = id_to_name.get(str(attrs["source"]))
-        v = id_to_name.get(str(attrs["target"]))
-        if u is None or v is None:
-            raise TopologyValidationError("GML edge references unknown node id")
+        for side in ("source", "target"):  # a value is a string or a block, which no id is
+            if not isinstance(attrs[side], str) or attrs[side] not in id_to_name:
+                raise TopologyValidationError(
+                    f"GML edge {k}: {side} {attrs[side]!r} is not a node id")
+        u, v = id_to_name[attrs["source"]], id_to_name[attrs["target"]]
         key = tuple(sorted((u, v)))
         if key in seen:
             continue  # Topology Zoo files may repeat parallel links
@@ -404,7 +408,7 @@ def k_shortest_paths(
         raise TopologyValidationError(f"unknown endpoint {s!r} or {d!r}")
     if s == d:
         raise ValueError("source and destination must differ")
-    if not isinstance(n, Integral):
+    if isinstance(n, bool) or not isinstance(n, Integral):
         raise TopologyValidationError(f"path count must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("path count must be >= 1")

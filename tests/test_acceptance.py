@@ -34,7 +34,7 @@ from entflow.physics import (
     CLAMP_EVENTS,
     DEFAULT_NOISE,
     NoiseParams,
-    purify_output_fidelity,
+    purify,
     purify_output_fidelity_raw,
     purify_success_prob,
     swap_fidelity,
@@ -69,7 +69,7 @@ def test_criterion_02_as_printed_purification_defect(capsys):
     unit_ops = NoiseParams(p1=1.0, p2=1.0, eta=1.0)
     raw = purify_output_fidelity_raw(1.0, 1.0, unit_ops)
     CLAMP_EVENTS.reset()
-    clamped = purify_output_fidelity(1.0, 1.0, unit_ops)
+    clamped = purify(1.0, 1.0, unit_ops, "as-printed")[0]
     ok = abs(raw - (-1.0 / 12.0)) <= 1e-12 and clamped == 0.0 and CLAMP_EVENTS.count == 1
     _report(capsys, 2, ok, f"as-printed map: raw={raw:.12f}, clamped={clamped}, events={CLAMP_EVENTS.count}")
     assert ok

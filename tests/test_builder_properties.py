@@ -26,7 +26,6 @@ from entflow.physics import (
     NoiseParams,
     _check_fidelity,
     dejmps,
-    ideal_dejmps,
     purify,
 )
 
@@ -61,7 +60,7 @@ def test_round_down_index_equals_searchsorted(grid, extra):
 @given(st.lists(st.tuples(fidelities, fidelities), min_size=1, max_size=40))
 def test_dejmps_array_call_equals_scalar_ideal_dejmps_bit_for_bit(pairs):
     f_out, p = dejmps(np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]))
-    scalar = [ideal_dejmps(a, b) for a, b in pairs]
+    scalar = [purify(a, b) for a, b in pairs]
     assert f_out.tobytes() == np.array([f for f, _ in scalar]).tobytes()
     assert p.tobytes() == np.array([q for _, q in scalar]).tobytes()
 

@@ -89,3 +89,13 @@ def test_ensemble_spec_refuses_a_nan_rate_and_a_value_that_is_not_a_real_number(
         with pytest.raises(ValueError) as info:
             EnsembleSpec(entries=entries)
         assert str(info.value) == message
+
+
+def test_ensemble_spec_refuses_a_boolean():
+    for entries, message in (
+        (((True, 1.0),), "fidelity must be a real number, got True"),
+        (((0.9, True),), "rate must be a real number, got True"),
+    ):
+        with pytest.raises(ValueError) as info:
+            EnsembleSpec(entries=entries)
+        assert str(info.value) == message

@@ -72,6 +72,13 @@ def test_uniform_grid_refuses_a_size_that_is_not_an_integer(size):
     assert str(info.value) == f"grid size must be an integer, got {size!r}"
 
 
+@pytest.mark.parametrize("size", [True, False])
+def test_uniform_grid_refuses_a_boolean_size(size):
+    with pytest.raises(HypergraphError) as info:
+        FidelityGrid.uniform(size)
+    assert str(info.value) == f"grid size must be an integer, got {size!r}"
+
+
 def test_standard_three_node_coarse_grid_counts():
     # [DERIVED] Hand enumeration for a 2-link chain on the grid {0.5, 1.0}
     # with f0 = 0.98: both links land in bucket 0; of the four swap input

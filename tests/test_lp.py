@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_chain
+from conftest import hypergraphs, make_chain
+from entflow import strategies
 from entflow.capacity import pair_capacity
 from entflow.hypergraph import FidelityGrid, build_pruned_hypergraph, build_standard_hypergraph
 from entflow.lp import (
@@ -18,7 +21,7 @@ from entflow.lp import (
     parse_lp,
     solve_lp,
 )
-from entflow.physics import DEFAULT_NOISE
+from entflow.physics import DEFAULT_NOISE, PURIFY_MODELS
 from entflow.topology import link_egr
 
 
@@ -186,6 +189,73 @@ def test_parse_rejects_an_infinite_coefficient():
     # 1e999 parses as a float, to inf
     with pytest.raises(LPError, match=r"^row cap: coefficient inf of r_0 is infinite$"):
         parse_lp("maximize\n obj: 1.0 r_0\nsubject to\n cap: 1e999 r_0 <= 1.0\nend\n")
+
+
+# a variable index at or above the document's length in characters -> where it is named
+UNJUSTIFIED_INDEXES = {
+    "row": ("maximize\n obj: 1.0 r_0\nsubject to\n c: 1.0 r_3000000 <= 1.0\nend\n",
+            "variable r_3000000 in row c: index at or above the document's 63 characters"),
+    "objective": ("maximize\n obj: 1.0 r_3000000\nsubject to\nend\n",
+                  "variable r_3000000 in objective: index at or above the document's "
+                  "44 characters"),
+    "bounds": ("maximize\n obj: 1.0 r_0\nsubject to\nbounds\n r_3000000 = 0\nend\n",
+               "variable r_3000000 in bounds: index at or above the document's 60 characters"),
+    "more-digits-than-int-reads": (
+        "maximize\n obj: 1.0 r_" + "9" * 5000 + "\nsubject to\nend\n",
+        "variable r_" + "9" * 5000 + " in objective: index at or above the document's "
+        "5037 characters"),
+}
+
+
+@pytest.mark.parametrize("case", UNJUSTIFIED_INDEXES)
+def test_parse_refuses_a_variable_index_no_document_justifies(case):
+    text, message = UNJUSTIFIED_INDEXES[case]
+    with pytest.raises(LPError) as info:
+        parse_lp(text)
+    assert str(info.value) == message
+
+
+def test_parse_reads_every_index_below_the_document_length():
+    def text(index: int) -> str:  # of one length for every two-digit index
+        return f"maximize\n obj: 1.0 r_{index}\nsubject to\nend\n"
+
+    length = len(text(10))
+    assert parse_lp(text(length - 1)).num_vars == length
+    with pytest.raises(LPError, match=f"^variable r_{length} in objective: "):
+        parse_lp(text(length))
+    assert parse_lp(text(0).replace("r_0", "r_" + "0" * 5000 + "7")).num_vars == 8
+
+
+def _assert_round_trips(problem: LPProblem) -> None:
+    clone = parse_lp(export_lp(problem))
+    assert clone.num_vars == problem.num_vars
+    assert np.array_equal(clone.objective, problem.objective)
+    assert clone.rows == problem.rows
+    assert np.array_equal(clone.rhs, problem.rhs)
+    assert clone.row_names == problem.row_names
+    assert clone.forced_zero == problem.forced_zero
+
+
+@settings(max_examples=30, deadline=None)
+@given(hypergraphs(), st.sampled_from([None, 0.75, 0.9]))
+def test_every_builders_problem_round_trips_through_the_text(hg, f_lb):
+    _assert_round_trips(formulate_lp(hg, "end-rate" if f_lb else "ensemble-capacity", f_lb))
+
+
+def test_the_oracles_mixture_lp_round_trips_through_the_text(monkeypatch):
+    problems = []
+
+    def recording_solve(problem, *args, **kwargs):
+        problems.append(problem)
+        return solve_lp(problem, *args, **kwargs)
+
+    monkeypatch.setattr(strategies, "solve_lp", recording_solve)
+    for purify_model in PURIFY_MODELS:
+        path = make_chain([30.0, 40.0, 35.0], f0=0.97)
+        strategies.brute_force_oracle(path, FidelityGrid.uniform(4), purify_model=purify_model)
+    assert len(problems) == 2
+    for problem in problems:
+        _assert_round_trips(problem)
 
 
 def test_extract_scheme_contents():

@@ -13,11 +13,10 @@ from entflow.physics import (
     PURIFY_MODELS,
     NoiseParams,
     chain_swap_fidelity,
-    ideal_dejmps,
+    dejmps,
     purify,
     purify_map,
     purify_model_is_symmetric,
-    purify_output_fidelity,
     purify_output_fidelity_raw,
     purify_success_prob,
     swap_fidelity,
@@ -40,6 +39,13 @@ def test_noise_params_refuse_a_value_that_is_not_a_real_number(name):
     with pytest.raises(ValueError) as info:
         NoiseParams(**{name: "0.9"})
     assert str(info.value) == f"{name} must be a real number, got '0.9'"
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "eta", "f0"])
+def test_noise_params_refuse_a_boolean(name):
+    with pytest.raises(ValueError) as info:
+        NoiseParams(**{name: True})
+    assert str(info.value) == f"{name} must be a real number, got True"
 
 
 def test_swap_perfect_ops_matches_werner_closed_form():
@@ -88,23 +94,23 @@ def test_swap_domain_check():
 
 def test_ideal_dejmps_fixed_points():
     # [DERIVED] F=1 and F=0.5 are fixed points of the perfect DEJMPS map.
-    f_out, p = ideal_dejmps(1.0, 1.0)
+    f_out, p = purify(1.0, 1.0)
     assert f_out == pytest.approx(1.0, abs=1e-15)
     assert p == pytest.approx(1.0, abs=1e-15)
-    f_out, p = ideal_dejmps(0.5, 0.5)
+    f_out, p = purify(0.5, 0.5)
     assert f_out == pytest.approx(0.5, rel=1e-12)
 
 
 def test_ideal_dejmps_improves_high_fidelity_inputs():
     for f in (0.7, 0.85, 0.98):
-        f_out, p = ideal_dejmps(f, f)
+        f_out, p = purify(f, f)
         assert f_out > f
         assert 0.0 < p <= 1.0
 
 
 def test_ideal_dejmps_symmetric():
-    a = ideal_dejmps(0.9, 0.7)
-    b = ideal_dejmps(0.7, 0.9)
+    a = purify(0.9, 0.7)
+    b = purify(0.7, 0.9)
     assert a[0] == pytest.approx(b[0], rel=1e-12)
     assert a[1] == pytest.approx(b[1], rel=1e-12)
     assert purify_model_is_symmetric("ideal-dejmps")
@@ -127,21 +133,27 @@ def test_as_printed_raw_perfect_inputs_is_negative():
 
 def test_as_printed_clamp_counts_events():
     CLAMP_EVENTS.reset()
-    out = purify_output_fidelity(1.0, 1.0, PERFECT)
+    out = purify(1.0, 1.0, PERFECT, "as-printed")[0]
     assert out == 0.0
     assert CLAMP_EVENTS.count == 1
-    purify_output_fidelity(1.0, 1.0, PERFECT)
+    purify(1.0, 1.0, PERFECT, "as-printed")
     assert CLAMP_EVENTS.count == 2
     CLAMP_EVENTS.reset()
     assert CLAMP_EVENTS.count == 0
 
 
 def test_purify_dispatcher():
-    assert purify(0.9, 0.9) == ideal_dejmps(0.9, 0.9)
+    assert purify(0.9, 0.9) == dejmps(0.9, 0.9)
     f_as, p_as = purify(0.9, 0.9, DEFAULT_NOISE, model="as-printed")
     assert p_as == pytest.approx(purify_success_prob(0.9, 0.9), rel=1e-14)
     with pytest.raises(ValueError):
         purify(0.9, 0.9, model="nonsense")
+
+
+def test_purify_refuses_an_unknown_model_with_check_purify_models_message():
+    with pytest.raises(ValueError) as info:
+        purify(0.9, 0.9, model="bogus")
+    assert str(info.value) == f"purify_model must be one of {PURIFY_MODELS}, got 'bogus'"
 
 
 def test_gate_factor_default_value():

@@ -142,6 +142,40 @@ def test_cli_topo_validate_refuses_a_malformed_document_with_exit_2(case, tmp_pa
     assert err == f"error: {message}\n" and "Traceback" not in err
 
 
+# JSON documents with a boolean where a number belongs -> the message
+BOOLEAN_NUMBERS = {
+    "length-and-f0-true": (_doc([_edge(length_km=True, f0=True)]),
+                           "edge 0 ('a'-'b'): length_km: True is not a number"),
+    "f0-true": (_doc([_edge(f0=True)]), "edge 0 ('a'-'b'): f0: True is not a number"),
+    "default-false": (_doc([_edge()], defaults={"alpha": False}),
+                      "defaults: alpha: False is not a number"),
+}
+
+
+@pytest.mark.parametrize("case", BOOLEAN_NUMBERS)
+def test_load_topology_refuses_a_boolean_number_naming_the_field(case):
+    text, message = BOOLEAN_NUMBERS[case]
+    with pytest.raises(TopologyParseError) as info:
+        load_topology(text)
+    assert str(info.value) == message
+
+
+def test_cli_topo_validate_refuses_a_boolean_length_with_exit_2(tmp_path, capsys):
+    text, message = BOOLEAN_NUMBERS["length-and-f0-true"]
+    path = tmp_path / "topo.json"
+    path.write_text(text)
+    assert main(["topo", "validate", "--topology", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n" and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["length_km", "r_local", "alpha_db_per_km", "f0"])
+def test_edge_refuses_a_boolean_field(field):
+    with pytest.raises(TopologyValidationError) as info:
+        Edge(**{"u": "a", "v": "b", "length_km": 10.0, field: True})
+    assert str(info.value) == f"edge 'a'-'b': {field} must be a real number, got True"
+
+
 def test_load_topology_keeps_its_refusal_messages():
     for text, message in (
         (json.dumps({"nodes": ["a"]}), "document must be an object with 'nodes' and 'edges'"),
@@ -338,6 +372,14 @@ def test_k_shortest_paths_refuses_a_count_that_is_not_an_integer(count):
     assert len(k_shortest_paths(topo, "a", "b", np.int64(2))) == 1
 
 
+@pytest.mark.parametrize("count", [True, False])
+def test_k_shortest_paths_refuses_a_boolean_count(count):
+    topo = load_topology(_doc([_edge()]))
+    with pytest.raises(TopologyValidationError) as info:
+        k_shortest_paths(topo, "a", "b", count)
+    assert str(info.value) == f"path count must be an integer, got {count!r}"
+
+
 # node names the JSON reader refuses -> the message
 BAD_NAMES = {
     "node-null": ('{"nodes": [null, {"x": 1}], "edges": []}',
@@ -438,6 +480,37 @@ def test_cli_topo_validate_refuses_a_malformed_gml_document_with_exit_2(case, tm
 def test_cli_topo_validate_refuses_a_bad_node_name_with_exit_2(case, tmp_path, capsys):
     text, message = BAD_NAMES[case]
     path = tmp_path / "topo.json"
+    path.write_text(text)
+    assert main(["topo", "validate", "--topology", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n" and "Traceback" not in err
+
+
+# GML documents with an edge end that is not a node id -> the message
+GML_UNKNOWN_IDS = {
+    "target-unknown": (_gml("source 0 target 7"), "GML edge 0: target '7' is not a node id"),
+    "source-a-block": (_gml("source [ x 1 ] target 1"),
+                       "GML edge 0: source [...] is not a node id"),
+    "second-edge": (_gml("source 0 target 1", "source 1 target x"),
+                    "GML edge 1: target 'x' is not a node id"),
+    # a block is no id, even beside a node whose quoted id reads as one
+    "block-beside-its-text": (_gml("source 1 target [ x 1 ]",
+                                   nodes='node [ id 1 ] node [ id "[...]" ]'),
+                              "GML edge 0: target [...] is not a node id"),
+}
+
+
+@pytest.mark.parametrize("case", GML_UNKNOWN_IDS)
+def test_load_gml_names_the_edge_side_and_id_it_cannot_resolve(case):
+    text, message = GML_UNKNOWN_IDS[case]
+    with pytest.raises(TopologyValidationError) as info:
+        load_gml(text)
+    assert str(info.value) == message
+
+
+def test_cli_topo_validate_refuses_an_unknown_gml_id_with_exit_2(tmp_path, capsys):
+    text, message = GML_UNKNOWN_IDS["target-unknown"]
+    path = tmp_path / "topo.gml"
     path.write_text(text)
     assert main(["topo", "validate", "--topology", str(path)]) == 2
     err = capsys.readouterr().err
