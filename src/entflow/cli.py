@@ -152,6 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     cs = cache_sub.add_parser("solve", help="inner loop: answer one demand")
     cs.add_argument("--cache", required=True)
     cs.add_argument("--demand", type=_parse_demand, required=True)
+    cs.add_argument("--no-timings", dest="record_timings", action="store_false",
+                    help="omit solver_time_s, so the same request prints the same bytes")
     cs.add_argument("--out")
 
     orc = sub.add_parser("oracle", help="exhaustive check on a tiny demand")
@@ -222,6 +224,8 @@ def _cmd_cache(given: dict) -> int:
         "solver_time_s": result.solver_time_s,
         "scheme": result.scheme.to_json(),
     }
+    if not given.get("record_timings", True):
+        del doc["solver_time_s"]
     _write_out(json.dumps(doc) + "\n", given.get("out"))
     return EXIT_OK
 

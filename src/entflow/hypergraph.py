@@ -30,7 +30,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -92,7 +92,9 @@ class FidelityGrid:
         if not self.values:
             raise HypergraphError("grid must contain at least one value")
         prev = None
-        for v in self.values:
+        for k, v in enumerate(self.values):
+            if isinstance(v, bool) or not isinstance(v, Real):
+                raise HypergraphError(f"grid value {k}: {v!r} is not a number")
             if not 0.5 <= v <= 1.0:
                 raise HypergraphError(f"grid value {v} outside [0.5, 1]")
             if prev is not None and v <= prev:

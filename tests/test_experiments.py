@@ -323,6 +323,31 @@ def test_cli_cache_and_oracle(tmp_path):
     assert oracle_doc["capacity"] > 0.0
 
 
+def test_cache_solve_without_timings_prints_the_same_bytes(tmp_path):
+    topo_file = tmp_path / "topo.json"
+    topo_file.write_text(json.dumps({
+        "nodes": ["a", "b", "c"],
+        "edges": [{"u": "a", "v": "b", "length_km": 60},
+                  {"u": "b", "v": "c", "length_km": 60}],
+    }))
+    cache_file = tmp_path / "cache.json"
+    assert main(["cache", "build", "--topology", str(topo_file), "--demands", "a,c",
+                 "--grid-size", "20", "--out", str(cache_file)]) == 0
+    texts = []
+    for name in ("first.json", "second.json", "timed.json"):
+        out = tmp_path / name
+        flags = [] if name == "timed.json" else ["--no-timings"]
+        assert main(["cache", "solve", "--cache", str(cache_file), "--demand", "a,c",
+                     *flags, "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    untimed, again, timed = texts
+    assert untimed == again
+    doc = json.loads(timed)
+    assert doc.pop("solver_time_s") >= 0.0
+    assert json.loads(untimed) == doc  # only the time is left out, in the same key order
+    assert list(json.loads(untimed)) == list(doc)
+
+
 def test_cli_config_errors_exit_2(tmp_path):
     missing = tmp_path / "missing.json"
     assert main(["topo", "validate", "--topology", str(missing)]) == 2

@@ -301,10 +301,21 @@ def test_binding_check_names_what_is_missing(monkeypatch):
     monkeypatch.setattr(_highspy, "_core", types.SimpleNamespace(_Highs=object))
     with pytest.raises(ImportError, match=f"^scipy {version} lacks _highspy._core.HighsLp,"):
         lp._highs_bindings()
-    core = types.SimpleNamespace(**{name: object for name in (
-        "_Highs", "HighsLp", "MatrixFormat", "HighsModelStatus", "HighsStatus")})
+    names = ("_Highs", "HighsLp", "MatrixFormat", "HighsModelStatus", "HighsStatus")
+    core = types.SimpleNamespace(**dict.fromkeys(names, object))
     monkeypatch.setattr(_highspy, "_core", core)
+    # the presolve status a repeated objective reads
+    with pytest.raises(ImportError, match=r"lacks _highspy._core.HighsPresolveStatus,"):
+        lp._highs_bindings()
+    core.HighsPresolveStatus = object
     with pytest.raises(ImportError, match=r"lacks _highspy._core._Highs.setOptionValue,"):
+        lp._highs_bindings()
+    # a solver with every method but the postsolve a repeated objective calls
+    methods = ("setOptionValue", "resetOptions", "passModel", "changeColsCost",
+               "changeColsBounds", "run", "getModelStatus", "getInfo", "getSolution",
+               "presolve", "getModelPresolveStatus", "getPresolvedLp", "getBasis")
+    core._Highs = type("_Highs", (), dict.fromkeys(methods))
+    with pytest.raises(ImportError, match=r"lacks _highspy._core._Highs.postsolve,"):
         lp._highs_bindings()
     # no module at all
     monkeypatch.delattr(_highspy, "_core")

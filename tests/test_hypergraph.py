@@ -79,6 +79,17 @@ def test_uniform_grid_refuses_a_boolean_size(size):
     assert str(info.value) == f"grid size must be an integer, got {size!r}"
 
 
+@pytest.mark.parametrize("values,message", [
+    ((0.5, True), "grid value 1: True is not a number"),
+    ((False,), "grid value 0: False is not a number"),
+    ((0.5, "0.75"), "grid value 1: '0.75' is not a number"),
+])
+def test_grid_refuses_a_value_that_is_not_a_number_naming_its_index(values, message):
+    with pytest.raises(HypergraphError) as info:
+        FidelityGrid(values)
+    assert str(info.value) == message
+
+
 def test_standard_three_node_coarse_grid_counts():
     # [DERIVED] Hand enumeration for a 2-link chain on the grid {0.5, 1.0}
     # with f0 = 0.98: both links land in bucket 0; of the four swap input

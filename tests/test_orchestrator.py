@@ -51,6 +51,13 @@ def test_config_json_round_trip():
     assert clone == cfg
 
 
+def test_config_json_refuses_a_boolean_grid_value():
+    doc = json.loads(json.dumps(_config().to_json()))
+    doc["grid"] = [0.5, 0.75, True]
+    with pytest.raises(HypergraphError, match=r"^grid value 2: True is not a number$"):
+        PlannerConfig.from_json(doc)
+
+
 def test_outer_loop_ranks_and_keeps_k():
     topo = _square_topology()
     cache = outer_loop_update(topo, [("s", "d")], _config())

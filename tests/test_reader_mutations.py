@@ -173,8 +173,11 @@ def test_cache_reader_refuses_a_changed_document_with_its_own_error(text):
 
 
 LP_TEXT = export_lp(formulate_lp(_chain_build(), "end-rate", f_lb=0.9))
-# variable names are left alone: the reader sizes its arrays by the largest index
 LP_TOKENS = ("abc", "", "-1", "0", "nan", "inf", "-inf", "1e308", "1e999", "+", "<=", "r_x")
+# indexes at, just below and far above the text's length, with leading zeros,
+# and with more digits than int() reads
+LP_INDEXES = ("r_0", "r_000", f"r_{len(LP_TEXT) - 1}", f"r_{len(LP_TEXT)}",
+              f"r_{len(LP_TEXT) * 10**6}", "r_" + "1" + "0" * 4999, "r_" + "0" * 4999 + "7")
 
 
 def _is_number(token: str) -> bool:
@@ -187,18 +190,20 @@ def _is_number(token: str) -> bool:
 
 @st.composite
 def lp_mutants(draw):
-    """``LP_TEXT`` with one line dropped, one number on a line replaced, or
-    the text truncated."""
+    """``LP_TEXT`` with one line dropped, one number or one variable on a
+    line replaced, or the text truncated."""
     lines = LP_TEXT.splitlines()
     i = draw(st.integers(0, len(lines) - 1))
-    op = draw(st.sampled_from(("drop", "replace", "truncate")))
+    op = draw(st.sampled_from(("drop", "replace", "index", "truncate")))
     if op == "drop":
         del lines[i]
-    elif op == "replace":
+    elif op in ("replace", "index"):
         tokens = lines[i].split(" ")
-        numbers = [j for j, tok in enumerate(tokens) if _is_number(tok)]
-        if numbers:
-            tokens[draw(st.sampled_from(numbers))] = draw(st.sampled_from(LP_TOKENS))
+        test, new = ((_is_number, LP_TOKENS) if op == "replace" else
+                     (lambda tok: tok.startswith("r_"), LP_INDEXES))
+        found = [j for j, tok in enumerate(tokens) if test(tok)]
+        if found:
+            tokens[draw(st.sampled_from(found))] = draw(st.sampled_from(new))
         lines[i] = " ".join(tokens)
     text = "\n".join(lines) + "\n"
     return text[: draw(st.integers(0, len(text) - 1))] if op == "truncate" else text

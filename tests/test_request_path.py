@@ -1,16 +1,19 @@
 """The per-request steps of a rate-LP answer against the steps they replaced.
 
 The references below copy the steps a request took before each solving
-thread kept one HiGHS solver: a new solver per solve, given the options,
-the compiled model and every column's cost and bounds, run and dropped;
-an objective and forced set computed over the whole edge table; and each
-vertex's producer picked by a max over its list of producers. The
-kept-solver path must give the same rates, row prices and iteration
-counts, and the same objectives, forced sets and schemes, bit for bit.
+thread kept one HiGHS solver and each rate LP kept the presolve of an
+objective it solves repeatedly: a new solver per solve, given the
+options, the compiled model and every column's cost and bounds, run with
+presolve and dropped; an objective and forced set computed over the
+whole edge table; and each vertex's producer picked by a max over its
+list of producers. The kept-solver and kept-presolve paths must give the
+same rates, row prices and iteration counts, and the same objectives,
+forced sets and schemes, bit for bit.
 """
 
 import gc
 import math
+import sys
 import threading
 from dataclasses import replace
 
@@ -124,28 +127,123 @@ def test_each_solving_thread_makes_one_solver_and_every_run_is_cold(monkeypatch)
     highs = lp._HIGHS._Highs
 
     def counting():
-        made.append(threading.get_ident())
+        # the thread, not its ident, which a later thread may reuse
+        made.append(threading.current_thread())
         return highs()
 
     monkeypatch.setattr(lp._HIGHS, "_Highs", counting)
     monkeypatch.delattr(lp._THREAD, "solver", raising=False)  # this thread's, if any
     answers = []
 
-    def solve_n():
-        answers.extend(problem._base.solve_highs(cost, upper) for _ in range(4))
+    def solve_n(part=problem._base, n=4):
+        answers.extend(part.solve_highs(cost, upper) for _ in range(n))
 
     solve_n()
-    assert made == [threading.get_ident()]
+    # the thread's solver, then the presolve kept on the first repeat
+    main = threading.current_thread()
+    assert made == [main, main]
+    assert problem._base._presolved.reduced is not None
     threads = [threading.Thread(target=solve_n) for _ in range(2)]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join(timeout=60)
         assert not thread.is_alive()
-    assert len(made) == len(set(made)) == 3
-    assert len(answers) == 12
+    # one solver for each new thread, and no second presolve
+    assert len(made) == 4 and len(set(made)) == 3
+    # a part solved once keeps no presolve; its first repeat makes one
+    other = formulate_lp(_pruned(), "end-rate", 0.8)._base
+    solve_n(other, 1)
+    assert len(made) == 4 and other._presolved is None
+    solve_n(other, 2)
+    assert made[4:] == [main] and other._presolved.reduced is not None
+    assert len(answers) == 15
     for got in answers:
         _assert_same_run(got, want)
+
+
+def _repeat_against_fresh(problem, strategy, times=3):
+    cost, upper = _costs(problem)
+    want = _fresh_solve(problem._base, cost, upper, strategy)
+    for _ in range(times):
+        _assert_same_run(problem._base.solve_highs(cost, upper, strategy), want)
+
+
+@st.composite
+def repeated_problems(draw):
+    """A hypergraph's two problems and a row-built one."""
+    hg = draw(hypergraphs())
+    return (formulate_lp(hg, "ensemble-capacity"),
+            formulate_lp(hg, "end-rate", draw(st.floats(min_value=0.5, max_value=1.0))),
+            _row_built(draw(st.integers(min_value=0, max_value=2**32 - 1))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(repeated_problems())
+def test_a_repeated_objective_through_its_kept_presolve_matches_fresh_solvers(problems):
+    for problem in problems:
+        for strategy in (PRIMAL_SIMPLEX, DUAL_SIMPLEX):
+            _repeat_against_fresh(problem, strategy)
+
+
+def test_two_threads_repeating_one_objective_get_a_fresh_solvers_answer():
+    problem = formulate_lp(_pruned(), "ensemble-capacity")
+    cost, upper = _costs(problem)
+    want = _fresh_solve(problem._base, cost, upper)
+    errors, answers = [], []
+
+    def repeat():
+        try:
+            answers.extend(problem._base.solve_highs(cost, upper) for _ in range(20))
+        except BaseException as exc:  # noqa: BLE001 - reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=repeat) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads between the solver's calls
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and len(answers) == 40
+    assert problem._base._presolved.reduced is not None
+    for got in answers:
+        _assert_same_run(got, want)
+
+
+def test_an_answer_that_needs_a_clean_up_iteration_takes_the_plain_path():
+    problem = formulate_lp(_pruned(), "ensemble-capacity")
+    base, (cost, upper) = problem._base, _costs(problem)
+    want = _fresh_solve(base, cost, upper)
+    for _ in range(2):
+        base.solve_highs(cost, upper)
+    kept = base._presolved
+    # a reduced model with zero costs: its optimal basis is not the objective's
+    wrong = kept.highs.getPresolvedLp()
+    wrong.col_cost_ = np.zeros(wrong.num_col_)
+    kept.reduced = wrong
+    _assert_same_run(base.solve_highs(cost, upper), want)
+    assert kept.highs.getModelStatus() == lp._HIGHS.HighsModelStatus.kIterationLimit
+
+
+# row-built problems whose presolve does not leave a reduced model
+@pytest.mark.parametrize("seed,status", [(2, "kReducedToEmpty"), (174, "kNotReduced")])
+def test_a_presolve_that_does_not_reduce_keeps_the_plain_path(seed, status):
+    problem = _row_built(seed)
+    _repeat_against_fresh(problem, PRIMAL_SIMPLEX)
+    kept = problem._base._presolved
+    assert kept.highs.getModelPresolveStatus().name == status and kept.reduced is None
+
+
+def test_presolve_set_off_keeps_no_presolve(monkeypatch):
+    monkeypatch.setitem(lp._HIGHS_OPTIONS, "presolve", "off")
+    problem = formulate_lp(_pruned(), "ensemble-capacity")
+    _repeat_against_fresh(problem, PRIMAL_SIMPLEX)
+    assert problem._base._presolved is None
 
 
 @st.composite
