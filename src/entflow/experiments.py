@@ -40,7 +40,7 @@ from .hypergraph import (
 )
 from .lp import SCHEME_METRICS
 from .orchestrator import PlannerConfig, inner_loop_request, outer_loop_update
-from .physics import DEFAULT_NOISE, NoiseParams, check_purify_model
+from .physics import DEFAULT_NOISE, DEFAULT_PURIFY_MODEL, NoiseParams, check_purify_model
 from .strategies import (
     DEFAULT_F_LB,
     LP_STRATEGIES,
@@ -48,6 +48,7 @@ from .strategies import (
     StrategyResult,
     _lp_strategy,
     _timed,
+    check_f_lb,
     run_rate_dp,
     run_strategy,
 )
@@ -104,7 +105,7 @@ class ExperimentConfig:
     f_lb_step: float = 0.005
     strategies: tuple[str, ...] = STRATEGY_NAMES
     noise: NoiseParams = DEFAULT_NOISE
-    purify_model: str = "ideal-dejmps"
+    purify_model: str = DEFAULT_PURIFY_MODEL
     record_timings: bool = True
     chain_nodes: int = 6
     repetitions: int = 5
@@ -126,14 +127,14 @@ class ExperimentConfig:
         check_gabriel_ranges(self.bbox_km, self.distance_range_km)
         if self.f_lb_step <= 0 or self.f_lb_stop < self.f_lb_start:
             raise ValueError("invalid f_lb sweep range")
-        if not 0.5 < self.f_lb < 1.0:  # the range rate-dp requires
-            raise ValueError(f"f_lb must be in (0.5, 1), got {self.f_lb}")
+        check_f_lb(self.f_lb)
         # counts that select nothing are configuration errors, not failed instances
         for name, least in (("chain_nodes", 2), ("pairs_per_length", 1), ("repetitions", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        if min(self.path_lengths) < 2:
-            raise ValueError(f"path_lengths must each be >= 2, got {self.path_lengths}")
+        for name in ("path_lengths", "scale_path_lengths", "network_sizes"):  # node counts
+            if any(n < 2 for n in getattr(self, name)):
+                raise ValueError(f"{name} must each be >= 2, got {getattr(self, name)}")
 
     def to_json(self) -> dict:
         return asdict(self)

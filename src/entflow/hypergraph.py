@@ -38,6 +38,7 @@ import numpy as np
 from .capacity import pair_capacity
 from .physics import (
     CLAMP_EVENTS,
+    DEFAULT_PURIFY_MODEL,
     EventCounter,
     NoiseParams,
     _check_fidelity,
@@ -63,15 +64,16 @@ _SWEEP_SLACK = 1e-12  # far above the DEJMPS kernel's float error (~3e-16); see 
 OP_NAMES = ("start", "swap", "purify", "end")  # per HypergraphColumns.op code
 OP_CODE = {op: code for code, op in enumerate(OP_NAMES)}
 _ARITY = (1, 2, 2, 1)  # inputs per op code
-_EDGE_DTYPES = {"op": np.int8, "input0": np.int64, "input1": np.int64, "output": np.int64,
-                "rate_bound": float}  # the per-edge columns of HypergraphColumns
+# the dtype of each HypergraphColumns array, the per-edge columns first
+_COLUMN_DTYPES = {name: np.dtype(code) for name, code in (
+    ("op", "i1"), ("input0", "i8"), ("input1", "i8"), ("output", "i8"),
+    ("rate_bound", "f8"), ("exact_fidelity", "f8"), ("u", "i4"), ("v", "i4"))}
+_EDGE_DTYPES = dict(list(_COLUMN_DTYPES.items())[:5])  # the per-edge columns
 
 DOCUMENT_VERSION = 2  # of Hypergraph.to_json and of a planner cache, which holds such documents
-# each HypergraphColumns array in a document, base64 of its bytes in this
-# dtype; u and v index the document's node names, its ``nodes``
-DOCUMENT_COLUMNS = {name: np.dtype(code) for name, code in (
-    ("op", "<i1"), ("input0", "<i8"), ("input1", "<i8"), ("output", "<i8"),
-    ("rate_bound", "<f8"), ("exact_fidelity", "<f8"), ("u", "<i4"), ("v", "<i4"))}
+# each HypergraphColumns array in a document, base64 of its bytes in the
+# little-endian form of its dtype; u and v index the document's node names, its ``nodes``
+DOCUMENT_COLUMNS = {name: dtype.newbyteorder("<") for name, dtype in _COLUMN_DTYPES.items()}
 
 
 class HypergraphError(ValueError):
@@ -152,7 +154,7 @@ class HypergraphColumns:
     output: np.ndarray
     rate_bound: np.ndarray  # NaN: no bound
     nodes: tuple[str, ...]  # sorted, each the node of some vertex
-    u: np.ndarray  # per vertex: its node pair (u, v), int32 indices into nodes
+    u: np.ndarray  # per vertex: its node pair (u, v), indices into nodes
     v: np.ndarray
     exact_fidelity: np.ndarray
 
@@ -176,10 +178,10 @@ def _columns(names: list | tuple, vertices: tuple, blocks: list) -> HypergraphCo
     u, v, fidelity = vertices
     used = np.unique(np.concatenate([u, v])).tolist()
     nodes = sorted({names[i] for i in used})  # a name may repeat in ``names``
-    index = np.zeros(len(names), np.int32)
+    index = np.zeros(len(names), _COLUMN_DTYPES["u"])
     index[used] = [nodes.index(names[i]) for i in used]
     return HypergraphColumns(**edges, nodes=tuple(nodes), u=index.take(u), v=index.take(v),
-                             exact_fidelity=np.array(fidelity, float))
+                             exact_fidelity=np.array(fidelity, _COLUMN_DTYPES["exact_fidelity"]))
 
 
 def _by_column(edges: list[tuple]) -> dict:
@@ -417,7 +419,7 @@ def build_standard_hypergraph(
     path: Path,
     grid: FidelityGrid,
     noise: NoiseParams,
-    purify_model: str = "ideal-dejmps",
+    purify_model: str = DEFAULT_PURIFY_MODEL,
 ) -> Hypergraph:
     """Full discretized lattice: every node pair at every grid value.
 
@@ -432,10 +434,7 @@ def build_standard_hypergraph(
     ends by bucket.
     """
     BUILD_COUNTER.tick()
-    m = path.num_nodes
-    if m < 2:
-        raise HypergraphError("path must have at least 2 nodes")
-    nf = grid.resolution
+    m, nf = path.num_nodes, grid.resolution
 
     # pair (i, j) holds vertices base[(i, j)] + bucket
     pairs = [(i, i + span) for span in range(1, m) for i in range(m - span)]
@@ -585,7 +584,7 @@ def build_pruned_hypergraph(
     path: Path,
     grid: FidelityGrid,
     noise: NoiseParams,
-    purify_model: str = "ideal-dejmps",
+    purify_model: str = DEFAULT_PURIFY_MODEL,
 ) -> Hypergraph:
     """Dynamic-programming builder with fidelity bucketing.
 
@@ -601,8 +600,6 @@ def build_pruned_hypergraph(
     """
     BUILD_COUNTER.tick()
     m = path.num_nodes
-    if m < 2:
-        raise HypergraphError("path must have at least 2 nodes")
     k0 = [grid.round_down_index(phys.f0) for phys in path.edges]
     link_limits = {phys.key: link_egr(phys) for phys, k in zip(path.edges, k0) if k >= 0}
 

@@ -60,7 +60,6 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 import scipy
@@ -68,6 +67,7 @@ import scipy.sparse as sp
 
 from .capacity import EnsembleSpec, ensemble_capacity
 from .hypergraph import OP_CODE, OP_NAMES, Hypergraph, HypergraphColumns
+from .physics import check_real
 
 OBJECTIVE_KINDS = ("ensemble-capacity", "end-rate")
 
@@ -166,11 +166,9 @@ class LPProblem:
         self.objective = np.asarray(objective, dtype=float)
         self.forced_zero = forced_zero
         rhs = np.asarray(rhs, dtype=float)
-        if len(rhs) != len(row_names):
-            raise LPError("row data lengths disagree")
         if len(self.objective) != num_vars:
             raise LPError("objective length disagrees with variable count")
-        if len(rows) != len(row_names):
+        if not len(rows) == len(rhs) == len(row_names):
             raise LPError("row data lengths disagree")
         self._base = RateLP(num_vars, rhs, tuple(row_names), _rows_matrix(rows, num_vars),
                             np.arange(num_vars), np.arange(len(rhs)))
@@ -246,7 +244,8 @@ def _rows_matrix(rows: list[list[tuple[int, float]]], num_vars: int) -> sp.csr_m
 
 @dataclass(frozen=True)
 class LPSolution:
-    status: str  # optimal | infeasible | unbounded
+    """An optimal solution: a solve that finds none raises ``LPSolveError``."""
+
     objective_value: float
     rates: np.ndarray
     iterations: int
@@ -549,8 +548,8 @@ def formulate_lp(
     """
     if objective not in OBJECTIVE_KINDS:
         raise LPError(f"unknown objective {objective!r}")
-    if objective == "end-rate" and not (isinstance(f_lb, Real) and not np.isnan(f_lb)):
-        raise LPError(f"f_lb must be a real fidelity lower bound, got {f_lb!r}")
+    if objective == "end-rate" and np.isnan(check_real(f_lb, "f_lb", LPError)):
+        raise LPError(f"f_lb must not be NaN, got {f_lb!r}")
 
     base = hg.rate_lp
     ends, fidelity, capacity = base.ends
@@ -566,8 +565,9 @@ def formulate_lp(
 
 def _simplex_maximize(
     c: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> tuple[str, np.ndarray, float, int]:
-    """Dense tableau simplex for max c.x, Ax <= b, x >= 0, b >= 0.
+) -> tuple[np.ndarray, float, int]:
+    """Dense tableau simplex for max c.x, Ax <= b, x >= 0, b >= 0: the optimal
+    x, c.x and the iteration count; ``LPSolveError`` when unbounded.
 
     Nonnegative rhs means the slack basis is feasible, so no phase 1 is
     needed. Dantzig pricing with a switch to Bland's rule after a long
@@ -589,19 +589,14 @@ def _simplex_maximize(
     iters = 0
     while True:
         red = tableau[m, :-1]
-        if iters < bland_after:
-            j = int(np.argmin(red))
-            if red[j] >= -_SIMPLEX_TOL:
-                break
-        else:
-            neg = np.nonzero(red < -_SIMPLEX_TOL)[0]
-            if len(neg) == 0:
-                break
-            j = int(neg[0])
+        neg = np.flatnonzero(red < -_SIMPLEX_TOL)  # none in an empty problem
+        if len(neg) == 0:
+            break
+        j = int(np.argmin(red)) if iters < bland_after else int(neg[0])
         col = tableau[:m, j]
         pos = np.nonzero(col > _SIMPLEX_TOL)[0]
         if len(pos) == 0:
-            return "unbounded", np.zeros(n), float("inf"), iters
+            raise LPSolveError("built-in solver: problem is unbounded")
         ratios = tableau[pos, -1] / col[pos]
         best = ratios.min()
         # tie-break on smallest leaving basis index (anti-cycling)
@@ -621,7 +616,7 @@ def _simplex_maximize(
     for i, bi in enumerate(basis):
         if bi < n:
             x[bi] = tableau[i, -1]
-    return "optimal", x, float(c @ x), iters
+    return x, float(c @ x), iters
 
 
 def _forced_mask(problem: LPProblem) -> np.ndarray:
@@ -642,8 +637,9 @@ def _problem_matrices(problem: LPProblem) -> tuple[np.ndarray, sp.csr_matrix]:
 
 
 def solve_lp(problem: LPProblem, method: str = "highs") -> LPSolution:
-    """Solve deterministically; verifies feasibility of the answer, and the
-    optimality of a HiGHS answer on a hypergraph.
+    """Solve deterministically: an optimal ``LPSolution``, or an error. Verifies
+    feasibility of the answer, and the optimality of a HiGHS answer on a
+    hypergraph; a problem with no variables is checked like any other.
 
     ``method``: ``highs``, the default, or ``simplex``, the built-in dense
     tableau, kept to cross-check HiGHS on small problems. HiGHS runs
@@ -654,9 +650,6 @@ def solve_lp(problem: LPProblem, method: str = "highs") -> LPSolution:
     """
     if method not in ("highs", "simplex"):
         raise LPError(f"unknown method {method!r}")
-    if problem.num_vars == 0:
-        return LPSolution("optimal", 0.0, np.zeros(0), 0, method)
-
     # HiGHS would read an infinite cost or rhs as a special value, and the
     # tableau would carry it into its answer, not raise
     bad = np.flatnonzero(~np.isfinite(problem.objective))
@@ -668,12 +661,10 @@ def solve_lp(problem: LPProblem, method: str = "highs") -> LPSolution:
     forced = _forced_mask(problem)
     if method == "simplex":
         c, a = _problem_matrices(problem)
-        status, x, obj, iters = _simplex_maximize(c, a.toarray(), problem.rhs)
-        if status != "optimal":
-            raise LPSolveError(f"built-in solver: problem is {status}")
+        x, obj, iters = _simplex_maximize(c, a.toarray(), problem.rhs)
         x[forced] = 0.0
         _check_solution(problem, x)
-        return LPSolution("optimal", obj, x, iters, method)
+        return LPSolution(obj, x, iters, method)
 
     base = problem._base
     fixed = forced[base.live]
@@ -692,7 +683,7 @@ def solve_lp(problem: LPProblem, method: str = "highs") -> LPSolution:
         except LPSolveError:
             if strategy == DUAL_SIMPLEX:
                 raise
-    return LPSolution("optimal", obj, x, iters, method)
+    return LPSolution(obj, x, iters, method)
 
 
 def _check_solution(problem: LPProblem, x: np.ndarray) -> None:
@@ -949,8 +940,6 @@ def extract_scheme(hg: Hypergraph, solution: LPSolution) -> DistributionScheme:
     Swap/purify counts are rate-weighted: total operation rate divided by
     total end rate, so fractional values are expected for mixtures.
     """
-    if solution.status != "optimal":
-        raise LPError("scheme extraction requires an optimal solution")
     cols = hg.columns
     # only edges with positive rate can carry flow or appear in a tree
     ids = np.flatnonzero(solution.rates > RATE_EPS)

@@ -27,7 +27,7 @@ from .hypergraph import (
     synthesize_multipath,
 )
 from .lp import EMPTY_SCHEME, DistributionScheme, extract_scheme, formulate_lp, solve_lp
-from .physics import DEFAULT_NOISE, NoiseParams, check_purify_model
+from .physics import DEFAULT_NOISE, DEFAULT_PURIFY_MODEL, NoiseParams, check_purify_model
 from .topology import Topology, k_shortest_paths
 
 # keys of a hypergraph document that a cache holds once, not per entry
@@ -46,7 +46,7 @@ class PlannerConfig:
     k_keep: int = 3
     grid: FidelityGrid = field(default_factory=FidelityGrid.uniform)
     noise: NoiseParams = DEFAULT_NOISE
-    purify_model: str = "ideal-dejmps"
+    purify_model: str = DEFAULT_PURIFY_MODEL
     latency_budget_s: float = 1.0
 
     def __post_init__(self) -> None:

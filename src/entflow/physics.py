@@ -12,7 +12,7 @@ provided:
   -1/12 for ideal inputs and ideal operations); a module-level counter
   records every clamping event.
 * ``ideal-dejmps`` -- the perfect-operation DEJMPS/BBPSSW map for Werner
-  inputs, used as the default purification model.
+  inputs, the default purification model (``DEFAULT_PURIFY_MODEL``).
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ class NoiseParams:
 
 
 DEFAULT_NOISE = NoiseParams()
+DEFAULT_PURIFY_MODEL = "ideal-dejmps"
 
 
 class EventCounter:
@@ -202,7 +203,7 @@ def purify(
     f1: float,
     f2: float,
     noise: NoiseParams = DEFAULT_NOISE,
-    model: str = "ideal-dejmps",
+    model: str = DEFAULT_PURIFY_MODEL,
 ) -> tuple[float, float]:
     """The one checked call of either purification map; a clamped output
     ticks ``CLAMP_EVENTS`` once, so sweeps keep running while model misuse

@@ -52,8 +52,10 @@ from .lp import (
 from .physics import (
     CLAMP_EVENTS,
     DEFAULT_NOISE,
+    DEFAULT_PURIFY_MODEL,
     NoiseParams,
     check_purify_model,
+    check_real,
     gate_factor,
     purify,
     purify_map,
@@ -73,6 +75,13 @@ DEFAULT_F_LB = 0.87
 
 ORACLE_MAX_GRID = 6  # largest grid resolution the oracle enumerates
 _MAX_PUMP_ROUNDS = 64  # deepest pumping a rate-dp state is extended to
+
+
+def check_f_lb(f_lb) -> None:
+    """Refuse an ``f_lb`` rate-dp cannot use: one that is not a real number,
+    or lies outside (0.5, 1)."""
+    if not 0.5 < check_real(f_lb, "f_lb") < 1.0:
+        raise ValueError(f"f_lb must be in (0.5, 1), got {f_lb}")
 
 
 class OracleBoundsError(ValueError):
@@ -173,7 +182,7 @@ def run_rate_dp(
     grid: FidelityGrid,
     f_lb: float = DEFAULT_F_LB,
     noise: NoiseParams = DEFAULT_NOISE,
-    purify_model: str = "ideal-dejmps",
+    purify_model: str = DEFAULT_PURIFY_MODEL,
 ) -> StrategyResult:
     """Pumping-restricted dynamic program on the round-down grid.
 
@@ -190,8 +199,7 @@ def run_rate_dp(
     ``CLAMP_EVENTS`` ticks once per clamped chain round, not per candidate.
     """
     check_purify_model(purify_model)
-    if not 0.5 < f_lb < 1.0:
-        raise ValueError(f"f_lb must be in (0.5, 1), got {f_lb}")
+    check_f_lb(f_lb)
     t0 = time.perf_counter()
     m, nf, vals, g = path.num_nodes, grid.resolution, grid.as_array(), gate_factor(noise)
     k0 = np.array([grid.round_down_index(phys.f0) for phys in path.edges], np.int64)
@@ -257,7 +265,7 @@ def run_strategy(
     grid: FidelityGrid,
     f_lb: float = DEFAULT_F_LB,
     noise: NoiseParams = DEFAULT_NOISE,
-    purify_model: str = "ideal-dejmps",
+    purify_model: str = DEFAULT_PURIFY_MODEL,
 ) -> StrategyResult:
     if name == "rate-dp":
         return run_rate_dp(path, grid, f_lb, noise, purify_model)
@@ -364,7 +372,7 @@ def brute_force_oracle(
     noise: NoiseParams = DEFAULT_NOISE,
     max_purify_rounds: int = 2,
     max_ensembles: int | None = None,
-    purify_model: str = "ideal-dejmps",
+    purify_model: str = DEFAULT_PURIFY_MODEL,
 ) -> StrategyResult:
     """Exhaustive protocol enumeration plus a mixture LP over the set.
 
@@ -432,7 +440,7 @@ def oracle_best_single(
     grid: FidelityGrid,
     noise: NoiseParams = DEFAULT_NOISE,
     max_purify_rounds: int = 2,
-    purify_model: str = "ideal-dejmps",
+    purify_model: str = DEFAULT_PURIFY_MODEL,
 ) -> tuple[float, float, float]:
     """(capacity, rate, fidelity) of the best standalone protocol, in the oracle's bounds."""
     _check_oracle_bounds(path, grid, max_purify_rounds, purify_model)

@@ -93,6 +93,8 @@ class Path:
     total_length_km: float
 
     def __post_init__(self) -> None:
+        if len(self.nodes) < 2:
+            raise TopologyValidationError("path must have at least 2 nodes")
         if len(self.nodes) != len(self.edges) + 1:
             raise TopologyValidationError("path node count must be edge count + 1")
         if len(set(self.nodes)) != len(self.nodes):

@@ -1,0 +1,171 @@
+"""Refusals, each reached through the public API or the CLI, with its error
+type and its whole message; and the rules each stated once: a path has at
+least two nodes, a solve answers or raises, and ``f_lb`` is a real number."""
+
+import json
+import re
+
+import numpy as np
+import pytest
+
+from conftest import make_chain
+from entflow.capacity import pair_capacity_bounds
+from entflow.cli import main
+from entflow.experiments import ExperimentConfig
+from entflow.hypergraph import FidelityGrid, HypergraphError, build_pruned_hypergraph
+from entflow.lp import (
+    LPError,
+    LPProblem,
+    LPSolveError,
+    _simplex_maximize,
+    formulate_lp,
+    parse_lp,
+    solve_lp,
+)
+from entflow.physics import DEFAULT_NOISE, chain_swap_fidelity
+from entflow.strategies import run_rate_dp
+from entflow.topology import (
+    Edge,
+    Path,
+    Topology,
+    TopologyValidationError,
+    generate_gabriel,
+    k_shortest_paths,
+)
+
+_AB, _BC = Edge("a", "b", 10.0), Edge("b", "c", 10.0)
+_TOPOLOGY = Topology(["a", "b", "c"], [_AB, _BC])
+_BAD_BOUNDS = "maximize\n obj: 1.0 r_0\nsubject to\n a: 1.0 r_0 <= 1.0\nbounds\n r_0 >= 0\nend\n"
+
+# id -> (call, error type, whole message)
+REFUSALS = {
+    "capacity-fidelity": (lambda: pair_capacity_bounds(1.5), ValueError,
+                          "fidelity must be in [0, 1], got 1.5"),
+    "config-no-strategies": (lambda: ExperimentConfig(kind="benchmark", strategies=()),
+                             ValueError, "strategies must be nonempty"),
+    "grid-empty": (lambda: FidelityGrid(()), HypergraphError,
+                   "grid must contain at least one value"),
+    "grid-size-0": (lambda: FidelityGrid.uniform(0), HypergraphError, "grid size must be >= 1"),
+    "lp-objective-length": (lambda: LPProblem(2, [1.0], [], [], []), LPError,
+                            "objective length disagrees with variable count"),
+    "lp-rhs-count": (lambda: LPProblem(1, [1.0], [[(0, 1.0)]], [1.0, 2.0], ["a"]), LPError,
+                     "row data lengths disagree"),
+    "lp-row-count": (lambda: LPProblem(1, [1.0], [[(0, 1.0)], []], [1.0], ["a"]), LPError,
+                     "row data lengths disagree"),
+    "lp-negative-rhs-simplex": (
+        lambda: solve_lp(LPProblem(1, [1.0], [[(0, 1.0)]], [-1.0], ["a"]), "simplex"),
+        LPError, "tableau simplex requires nonnegative rhs"),
+    "lp-unbounded-simplex": (
+        lambda: _simplex_maximize(np.ones(1), np.zeros((1, 1)), np.ones(1)),
+        LPSolveError, "built-in solver: problem is unbounded"),
+    "lp-text-bounds-line": (lambda: parse_lp(_BAD_BOUNDS), LPError,
+                            "cannot parse bounds line 'r_0 >= 0'"),
+    "physics-no-fidelity": (lambda: chain_swap_fidelity([]), ValueError,
+                            "need at least one input fidelity"),
+    "rate-dp-f-lb-range": (lambda: run_rate_dp(make_chain([50.0]), FidelityGrid.uniform(8), 1.5),
+                           ValueError, "f_lb must be in (0.5, 1), got 1.5"),
+    "path-count": (lambda: Path(("a", "b"), (), 0.0), TopologyValidationError,
+                   "path node count must be edge count + 1"),
+    "path-repeated-node": (lambda: Path(("a", "b", "a"), (_AB, _AB), 20.0),
+                           TopologyValidationError, "path must be simple (no repeated nodes)"),
+    "gabriel-one-node": (lambda: generate_gabriel(1, 0), ValueError,
+                         "need at least 2 nodes, got 1"),
+    "paths-weight": (lambda: k_shortest_paths(_TOPOLOGY, "a", "c", 1, weight="miles"),
+                     ValueError, "unknown weight mode 'miles'"),
+    "paths-count-0": (lambda: k_shortest_paths(_TOPOLOGY, "a", "c", 0), ValueError,
+                      "path count must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS)
+def test_a_refusal_names_what_it_refuses(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("nodes", [(), ("a",)])
+def test_a_path_has_at_least_two_nodes(nodes):
+    # a one-node path used to reach run_rate_dp, which raised a bare KeyError
+    with pytest.raises(TopologyValidationError, match=r"^path must have at least 2 nodes$"):
+        Path(nodes, (), 0.0)
+    with pytest.raises(TopologyValidationError, match=r"^path must have at least 2 nodes$"):
+        make_chain([])
+
+
+def test_an_infeasible_problem_with_no_variable_is_refused_by_each_method():
+    # the row 0 <= -1: it used to answer 0.0, from a shortcut that ran no check
+    problem = LPProblem(0, [], [[]], [-1.0], ["r"])
+    with pytest.raises(LPSolveError, match=r"^constraint violated: row r has lhs 0\.0 > "):
+        solve_lp(problem, "highs")
+    with pytest.raises(LPError, match=r"^tableau simplex requires nonnegative rhs$"):
+        solve_lp(problem, "simplex")
+
+
+@pytest.mark.parametrize("method", ["highs", "simplex"])
+def test_an_empty_problem_answers_zero(method):
+    solution = solve_lp(LPProblem(0, [], [], [], []), method)
+    assert (solution.objective_value, len(solution.rates), solution.iterations) == (0.0, 0, 0)
+    assert solution.method == method
+
+
+@pytest.mark.parametrize("f_lb", [True, False, "0.9", None])
+def test_formulate_lp_refuses_an_f_lb_that_is_not_a_real_number(f_lb):
+    # True used to be read as 1.0: it forced all but one end edge to zero
+    hg = build_pruned_hypergraph(make_chain([50.0, 60.0]), FidelityGrid.uniform(10),
+                                 DEFAULT_NOISE)
+    with pytest.raises(LPError, match=f"^f_lb must be a real number, got {re.escape(repr(f_lb))}$"):
+        formulate_lp(hg, "end-rate", f_lb)
+
+
+def test_rate_dp_and_the_config_refuse_an_f_lb_that_is_not_a_real_number():
+    # each used to raise a bare TypeError from the range comparison
+    message = r"^f_lb must be a real number, got '0\.9'$"
+    with pytest.raises(ValueError, match=message):
+        run_rate_dp(make_chain([50.0]), FidelityGrid.uniform(8), "0.9")
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(kind="intro-toy", f_lb="0.9")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("scale_path_lengths", (1,)), ("scale_path_lengths", (True,)),
+    ("scale_path_lengths", (3, 0)), ("network_sizes", (1,)), ("network_sizes", (30, 1)),
+])
+def test_config_refuses_a_node_count_below_2(field, value):
+    # the scale-path ones used to run as failed instances, and scale-network
+    # raised generate_gabriel's error in the middle of the run
+    message = f"{field} must each be >= 2, got {value}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(kind="scale-path", **{field: value})
+
+
+def test_oracle_on_a_demand_with_no_path_exits_2(tmp_path, capsys):
+    topo_file = tmp_path / "two-parts.json"
+    topo_file.write_text(json.dumps({
+        "nodes": ["a", "b", "c", "d"],
+        "edges": [{"u": "a", "v": "b", "length_km": 50}, {"u": "c", "v": "d", "length_km": 50}],
+    }))
+    capsys.readouterr()
+    assert main(["oracle", "--topology", str(topo_file), "--demand", "a,c"]) == 2
+    assert capsys.readouterr().err == "no path between a and c\n"
+
+
+def test_benchmark_reads_a_topology_file(tmp_path):
+    topo = generate_gabriel(12, 5)
+    topo_file = tmp_path / "topo.json"
+    topo_file.write_text(json.dumps({
+        "nodes": [*map("m{}".format, range(12))],
+        "edges": [{"u": "m" + e.u[1:], "v": "m" + e.v[1:], "length_km": e.length_km}
+                  for e in topo.edges],
+    }))
+    reports = []
+    for run in range(2):
+        out = tmp_path / f"report{run}.json"
+        assert main(["run", "benchmark", "--topology", str(topo_file), "--no-timings",
+                     "--seed", "3", "--pairs", "2", "--path-lengths", "3", "--grid-size", "16",
+                     "--out", str(out)]) == 0
+        reports.append(out.read_text())
+    assert reports[0] == reports[1]
+    doc = json.loads(reports[0])
+    assert doc["config"]["topology_path"] == str(topo_file) and doc["failures"] == 0
+    assert doc["rows"] and all(row["s"].startswith("m") and row["d"].startswith("m")
+                               for row in doc["rows"])

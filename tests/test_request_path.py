@@ -410,7 +410,7 @@ def _ref_extract(hg, solution, tie=-1):
 
 
 def _rated(rates):
-    return LPSolution("optimal", 0.0, np.asarray(rates, np.float64), 0, "highs")
+    return LPSolution(0.0, np.asarray(rates, np.float64), 0, "highs")
 
 
 def test_tied_producers_name_the_tree_by_the_lower_edge_index():
