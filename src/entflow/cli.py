@@ -13,9 +13,7 @@ grid size, its largest grid of 6 values. Exit codes: 0 success, 2
 configuration error, 3 completed with skipped instances. Exit 2 follows
 an empty list option, --pairs or --repetitions below 1, --f-lb outside
 (0.5, 1), an oracle --grid-size above 6 or --max-ensembles below 1, and
-an option the run kind would ignore: only benchmark reads --topology,
---topology-nodes and --path-lengths, and only sweep-resolution reads
---grid-sizes.
+a run option its kind does not read (``experiments.RUNNERS``).
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ import logging
 import sys
 from dataclasses import fields
 
-from .experiments import EXPERIMENT_KINDS, ExperimentConfig, emit_report, run_experiment
+from .experiments import RUNNERS, ExperimentConfig, emit_report, run_experiment, settings_read
 from .hypergraph import FidelityGrid
 from .orchestrator import (
     PlannerConfig,
@@ -121,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--topology", required=True)
 
     run = sub.add_parser("run", help="run an experiment and emit a report")
-    run.add_argument("kind", choices=EXPERIMENT_KINDS)
+    run.add_argument("kind", choices=tuple(RUNNERS))
     run.add_argument("--topology", dest="topology_path", metavar="TOPOLOGY")
     run.add_argument("--topology-nodes", type=int,
                      help=f"default {ExperimentConfig.topology_nodes}")
@@ -137,6 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int)
     run.add_argument("--f-lb", type=float)
     _add_common_flags(run)
+    parser.run_flags = {a.dest: a.option_strings[0] for a in run._actions if a.option_strings}
 
     cache = sub.add_parser("cache", help="two-loop planner cache operations")
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
@@ -184,14 +183,12 @@ def _cmd_topo(given: dict) -> int:
 
 
 def _cmd_run(given: dict) -> int:
-    for dest, flag, reader in (("topology_path", "--topology", "benchmark"),
-                               ("topology_nodes", "--topology-nodes", "benchmark"),
-                               ("path_lengths", "--path-lengths", "benchmark"),
-                               ("grid_sizes", "--grid-sizes", "sweep-resolution")):
-        if given["kind"] != reader and dest in given:
-            raise ValueError(f"run {given['kind']} takes no {flag}")
     out = given.pop("out", None)
     report_format = _take(given, ("format",))
+    run, reads = settings_read(given["kind"], given.get("topology_path"))
+    for dest, flag in build_parser().run_flags.items():  # in the parser's order
+        if dest in given and dest not in reads:
+            raise ValueError(f"run {run} takes no {flag}")
     noise = NoiseParams(**_take(given, _NOISE_FIELDS))
     config = ExperimentConfig(**given, noise=noise)
     report = run_experiment(config)

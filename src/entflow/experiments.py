@@ -1,20 +1,9 @@
 """Seeded experiment harness and machine-readable reports.
 
-Experiment kinds:
-
-* ``benchmark``        -- all strategies over sampled node pairs grouped
-                          by shortest-path node count.
-* ``sweep-flb``        -- capacity of each strategy across a fidelity
-                          lower-bound sweep on fixture chains.
-* ``sweep-resolution`` -- builder size/time signatures across grid sizes.
-* ``scale-path``       -- pruned build + solve times across path lengths.
-* ``scale-network``    -- outer/inner loop times across topology sizes.
-* ``intro-toy``        -- a 4-link chain solved under three objectives
-                          (max capacity, max fidelity, max rate).
-
-Reports are deterministic under a fixed config seed; timing columns are
-populated only when ``record_timings`` is set (reproducibility checks
-compare reports with timings off).
+Each experiment kind is a key of ``RUNNERS``, beside what it runs and the
+settings it reads. Reports are deterministic under a fixed config seed;
+timing columns are populated only when ``record_timings`` is set
+(reproducibility checks compare reports with timings off).
 """
 
 from __future__ import annotations
@@ -26,7 +15,7 @@ import logging
 import math
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -115,7 +104,7 @@ class ExperimentConfig:
     bbox_km: float = DEFAULT_BBOX_KM
 
     def __post_init__(self) -> None:
-        if self.kind not in EXPERIMENT_KINDS:
+        if self.kind not in RUNNERS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         for name in ("path_lengths", "grid_sizes", "strategies", "network_sizes"):
             if not getattr(self, name):
@@ -125,9 +114,12 @@ class ExperimentConfig:
                 raise ValueError(f"unknown strategy {s!r}")
         check_purify_model(self.purify_model)
         check_gabriel_ranges(self.bbox_km, self.distance_range_km)
-        if self.f_lb_step <= 0 or self.f_lb_stop < self.f_lb_start:
-            raise ValueError("invalid f_lb sweep range")
-        check_f_lb(self.f_lb)
+        for name in ("f_lb", "f_lb_start", "f_lb_stop"):
+            check_f_lb(getattr(self, name), name)
+        if not 0 < self.f_lb_step < math.inf:
+            raise ValueError(f"f_lb_step must be finite and > 0, got {self.f_lb_step}")
+        if self.f_lb_stop < self.f_lb_start:
+            raise ValueError("invalid f_lb sweep range: f_lb_stop < f_lb_start")
         # counts that select nothing are configuration errors, not failed instances
         for name, least in (("chain_nodes", 2), ("pairs_per_length", 1), ("repetitions", 1)):
             if getattr(self, name) < least:
@@ -135,6 +127,11 @@ class ExperimentConfig:
         for name in ("path_lengths", "scale_path_lengths", "network_sizes"):  # node counts
             if any(n < 2 for n in getattr(self, name)):
                 raise ValueError(f"{name} must each be >= 2, got {getattr(self, name)}")
+        run, reads = settings_read(self.kind, self.topology_path)
+        for owner in (self, self.noise):  # a setting is set when it is not its default
+            for f in fields(owner):
+                if f.name not in reads | {"noise"} and getattr(owner, f.name) != f.default:
+                    raise ValueError(f"{run} takes no {f.name}")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -469,17 +466,38 @@ def _run_intro_toy(config: ExperimentConfig) -> Report:
     return report
 
 
-# each experiment kind and the function that runs it
+# each kind, its runner and the settings it reads, noise by its fields; every
+# kind reads kind and record_timings, and each that draws its links, _DRAWS
+_DRAWS = {"seed", "distance_range_km", "p1", "p2", "eta", "f0", "purify_model"}
 RUNNERS = {
-    "benchmark": _run_benchmark,
-    "sweep-flb": _run_sweep_flb,
-    "sweep-resolution": _run_sweep_resolution,
-    "scale-path": _run_scale_path,
-    "scale-network": _run_scale_network,
-    "intro-toy": _run_intro_toy,
+    # all strategies over sampled node pairs grouped by shortest-path node count
+    "benchmark": (_run_benchmark, _DRAWS | {
+        "topology_path", "topology_nodes", "bbox_km", "pairs_per_length", "path_lengths",
+        "grid_size", "f_lb", "strategies"}),
+    # capacity of each strategy across a fidelity lower-bound sweep on fixture chains
+    "sweep-flb": (_run_sweep_flb, _DRAWS | {
+        "chain_nodes", "repetitions", "grid_size", "f_lb_start", "f_lb_stop", "f_lb_step",
+        "strategies"}),
+    # builder size/time signatures across grid sizes
+    "sweep-resolution": (_run_sweep_resolution, _DRAWS | {"chain_nodes", "grid_sizes"}),
+    # pruned build + ec-dp solve times across path lengths
+    "scale-path": (_run_scale_path, _DRAWS | {"scale_path_lengths", "grid_size"}),
+    # outer/inner loop times across topology sizes
+    "scale-network": (_run_scale_network, _DRAWS | {
+        "network_sizes", "bbox_km", "pairs_per_length", "grid_size"}),
+    # a 4-link chain at f0 0.95 solved for max capacity, max fidelity and max rate
+    "intro-toy": (_run_intro_toy, {"p1", "p2", "eta", "purify_model", "grid_size"}),
 }
-EXPERIMENT_KINDS = tuple(RUNNERS)
+
+
+def settings_read(kind: str, topology_path: str | None) -> tuple[str, set[str]]:
+    """A run of ``kind`` as a refusal names it, and the settings it reads."""
+    reads = RUNNERS[kind][1] | {"kind", "record_timings"}
+    if topology_path and "topology_path" in reads:  # the file fixes the four below
+        return f"{kind} from a topology file", reads - {
+            "topology_nodes", "bbox_km", "distance_range_km", "f0"}
+    return kind, reads
 
 
 def run_experiment(config: ExperimentConfig) -> Report:
-    return RUNNERS[config.kind](config)
+    return RUNNERS[config.kind][0](config)

@@ -77,11 +77,11 @@ ORACLE_MAX_GRID = 6  # largest grid resolution the oracle enumerates
 _MAX_PUMP_ROUNDS = 64  # deepest pumping a rate-dp state is extended to
 
 
-def check_f_lb(f_lb) -> None:
-    """Refuse an ``f_lb`` rate-dp cannot use: one that is not a real number,
-    or lies outside (0.5, 1)."""
-    if not 0.5 < check_real(f_lb, "f_lb") < 1.0:
-        raise ValueError(f"f_lb must be in (0.5, 1), got {f_lb}")
+def check_f_lb(f_lb, name: str = "f_lb") -> None:
+    """Refuse an ``f_lb`` rate-dp cannot use, naming it ``name``: one that is
+    not a real number, or lies outside (0.5, 1)."""
+    if not 0.5 < check_real(f_lb, name) < 1.0:
+        raise ValueError(f"{name} must be in (0.5, 1), got {f_lb}")
 
 
 class OracleBoundsError(ValueError):

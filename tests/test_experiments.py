@@ -5,6 +5,7 @@ import io
 import json
 import re
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from entflow.experiments import (
     ExperimentConfig,
     Report,
     _sample_pairs,
+    RUNNERS,
     emit_report,
     run_experiment,
+    settings_read,
 )
 from entflow.hypergraph import FidelityGrid
 from entflow.lp import LPSolveError
@@ -31,8 +34,9 @@ from entflow.topology import generate_gabriel
 
 
 def _cfg(kind, **kw):
+    """A small config of ``kind``: each setting below that the kind reads,
+    and ``kw``."""
     base = dict(
-        kind=kind,
         seed=1,
         topology_nodes=30,
         pairs_per_length=2,
@@ -45,8 +49,8 @@ def _cfg(kind, **kw):
         scale_path_lengths=(2, 3),
         distance_range_km=(20.0, 80.0),
     )
-    base.update(kw)
-    return ExperimentConfig(**base)
+    _, reads = settings_read(kind, kw.get("topology_path"))
+    return ExperimentConfig(kind=kind, **{k: v for k, v in base.items() if k in reads} | kw)
 
 
 def test_config_validation():
@@ -154,13 +158,15 @@ def test_a_strategy_server_time_includes_the_hypergraph_checks(name, slow_checks
     ("sweep-resolution", {"grid_sizes": (4,)}),
     ("scale-path", {"scale_path_lengths": (3,)}),
     ("scale-network", {}),
-    ("sweep-flb", {"repetitions": 1, "f_lb_start": 0.9, "f_lb_stop": 0.9}),
-    ("benchmark", {"pairs_per_length": 1}),
+    ("sweep-flb", {"repetitions": 1, "f_lb_start": 0.9, "f_lb_stop": 0.9,
+                   "strategies": tuple(LP_STRATEGIES)}),
+    ("benchmark", {"pairs_per_length": 1, "strategies": tuple(LP_STRATEGIES)}),
     ("intro-toy", {}),
 ])
 def test_every_reported_server_time_includes_the_hypergraph_checks(kind, options, slow_checks):
-    # rate-dp builds no hypergraph: its rows are left out
-    report = run_experiment(_cfg(kind, strategies=tuple(LP_STRATEGIES), **options))
+    # rate-dp builds no hypergraph: its rows are left out of the two kinds
+    # that read strategies
+    report = run_experiment(_cfg(kind, **options))
     assert report.failures == 0 and report.rows
     assert min(row["server_time_s"] for row in report.rows) >= _CHECK_S
 
@@ -175,10 +181,12 @@ def test_a_refused_lp_is_a_counted_failure(kind, monkeypatch, tmp_path):
     monkeypatch.setattr(lp, "_check_optimality", refuse)
     assert run_experiment(_cfg(kind)).failures > 0
     out = tmp_path / "report.json"
-    # only benchmark reads these options; the other kinds refuse them
-    sizes = ["--topology-nodes", "30", "--path-lengths", "3"] if kind == "benchmark" else []
-    assert main(["run", kind, "--no-timings", *sizes, "--pairs", "2", "--grid-size", "8",
-                 "--repetitions", "1", "--chain-nodes", "3", "--out", str(out)]) == 3
+    # each kind is given only the options it reads; it refuses the others
+    flags = {"benchmark": ["--topology-nodes", "30", "--path-lengths", "3", "--pairs", "2"],
+             "sweep-flb": ["--repetitions", "1", "--chain-nodes", "3"],
+             "scale-network": ["--pairs", "2"]}.get(kind, [])
+    assert main(["run", kind, "--no-timings", *flags, "--grid-size", "8",
+                 "--out", str(out)]) == 3
     assert json.loads(out.read_text())["failures"] > 0
 
 
@@ -203,10 +211,121 @@ def test_scale_kinds_refuse_the_sizes_they_do_not_use(kind, option, capsys):
 def test_sweep_resolution_runs_the_grid_sizes_it_is_given(tmp_path):
     out = tmp_path / "report.json"
     assert main(["run", "sweep-resolution", "--no-timings", "--grid-sizes", "4,6",
-                 "--chain-nodes", "3", "--repetitions", "1", "--out", str(out)]) == 0
+                 "--chain-nodes", "3", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["config"]["grid_sizes"] == [4, 6]
     assert {row["grid_size"] for row in report["rows"]} == {4, 6}
+
+
+# a value other than its default for each setting, noise by its fields
+_SET = {
+    "seed": 1, "topology_path": "topo.json", "topology_nodes": 50, "pairs_per_length": 2,
+    "path_lengths": (3,), "grid_size": 8, "grid_sizes": (8,), "f_lb": 0.9,
+    "f_lb_start": 0.9, "f_lb_stop": 0.95, "f_lb_step": 0.01, "strategies": ("ec-dp",),
+    "purify_model": "as-printed", "record_timings": False, "chain_nodes": 3,
+    "repetitions": 2, "network_sizes": (30,), "scale_path_lengths": (3,),
+    "distance_range_km": (30.0, 90.0), "bbox_km": 400.0,
+    "p1": 0.99, "p2": 0.99, "eta": 0.99, "f0": 0.9,
+}
+_FILE_FIXES = ("topology_nodes", "bbox_km", "distance_range_km", "f0")
+_UNREAD_SETTINGS = [(kind, name) for kind in RUNNERS for name in _SET
+                    if name not in settings_read(kind, None)[1]]
+_RUN_FLAGS = build_parser().run_flags
+
+
+def _setting(name):
+    """The config keywords that set ``name`` to its ``_SET`` value."""
+    if name in {f.name for f in fields(NoiseParams)}:
+        return {"noise": NoiseParams(**{name: _SET[name]})}
+    return {name: _SET[name]}
+
+
+def _option(dest):
+    """The ``run`` option that sets ``dest`` to its ``_SET`` value."""
+    value = _SET[dest]
+    return [_RUN_FLAGS[dest], ",".join(map(str, value)) if isinstance(value, tuple) else str(value)]
+
+
+def test_every_setting_has_a_value_and_69_of_144_pairs_are_read():
+    noise = {f.name for f in fields(NoiseParams)}
+    assert set(_SET) == {f.name for f in fields(ExperimentConfig)} - {"kind", "noise"} | noise
+    assert len(RUNNERS) * len(_SET) - len(_UNREAD_SETTINGS) == 69
+
+
+def _read_by_a_run(config):
+    """The settings one run of ``config`` reads: each field read on a copy of
+    it, or on that copy's own noise, once both are made. The noise is
+    followed by identity, as ``replace`` makes another of its class."""
+    reads, watched = set(), []
+
+    class Noise(NoiseParams):
+        def __getattribute__(self, name):
+            if watched and self is watched[0]:
+                reads.add(name)
+            return super().__getattribute__(name)
+
+    class Config(ExperimentConfig):
+        def __getattribute__(self, name):
+            if watched:
+                reads.add(name)
+            return super().__getattribute__(name)
+
+    noise = Noise(**{f.name: getattr(config.noise, f.name) for f in fields(NoiseParams)})
+    copy = Config(**{f.name: getattr(config, f.name) for f in fields(config)} | {"noise": noise})
+    watched.append(noise)
+    assert run_experiment(copy).failures == 0
+    return reads & {"kind", *_SET}
+
+
+@pytest.mark.parametrize("kind, from_file", [*((kind, False) for kind in RUNNERS),
+                                             ("benchmark", True)])
+def test_each_runner_reads_exactly_its_table_entry(kind, from_file, tmp_path):
+    settings = {"sweep-flb": {"repetitions": 1, "f_lb_start": 0.9, "f_lb_stop": 0.9}}.get(kind, {})
+    if from_file:
+        settings["topology_path"] = path = str(tmp_path / "topo.json")
+        assert main(["topo", "gen", "--nodes", "20", "--seed", "7", "--out", path]) == 0
+    expected = settings_read(kind, settings.get("topology_path"))[1]
+    assert _read_by_a_run(_cfg(kind, **settings)) == expected
+
+
+@pytest.mark.parametrize("kind, name", _UNREAD_SETTINGS)
+def test_the_config_refuses_each_setting_its_kind_does_not_read(kind, name):
+    with pytest.raises(ValueError, match=f"^{kind} takes no {name}$"):
+        ExperimentConfig(kind=kind, **_setting(name))
+
+
+@pytest.mark.parametrize("name", _FILE_FIXES)
+def test_a_benchmark_from_a_topology_file_refuses_what_the_file_fixes(name, capsys):
+    # these were recorded in the report but changed none of its rows
+    with pytest.raises(ValueError, match=f"^benchmark from a topology file takes no {name}$"):
+        ExperimentConfig(kind="benchmark", topology_path="topo.json", **_setting(name))
+    if name in _RUN_FLAGS:
+        capsys.readouterr()
+        assert main(["run", "benchmark", "--topology", "topo.json", *_option(name)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: run benchmark from a topology file takes no {_RUN_FLAGS[name]}\n")
+
+
+@pytest.mark.parametrize("kind, dest", [(kind, dest) for kind, dest in _UNREAD_SETTINGS
+                                        if dest in _RUN_FLAGS])
+def test_run_refuses_each_option_its_kind_does_not_read(kind, dest, capsys):
+    capsys.readouterr()
+    assert main(["run", kind, *_option(dest)]) == 2
+    assert capsys.readouterr().err == f"error: run {kind} takes no {_RUN_FLAGS[dest]}\n"
+
+
+def test_scale_path_refuses_strategies(capsys):
+    # it times ec-dp only: given rate-dp, it used to exit 0 with ec-dp rows
+    capsys.readouterr()
+    assert main(["run", "scale-path", "--no-timings", "--strategies", "rate-dp"]) == 2
+    assert capsys.readouterr().err == "error: run scale-path takes no --strategies\n"
+
+
+def test_intro_toy_refuses_f0(capsys):
+    # it runs at f0 0.95: given 0.9, it used to record 0.9 and run at 0.95
+    capsys.readouterr()
+    assert main(["run", "intro-toy", "--no-timings", "--f0", "0.9"]) == 2
+    assert capsys.readouterr().err == "error: run intro-toy takes no --f0\n"
 
 
 def test_run_records_the_default_topology_nodes(tmp_path):

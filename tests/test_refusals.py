@@ -138,6 +138,22 @@ def test_config_refuses_a_node_count_below_2(field, value):
         ExperimentConfig(kind="scale-path", **{field: value})
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"f_lb_start": 0.3}, "f_lb_start must be in (0.5, 1), got 0.3"),
+    ({"f_lb_start": float("nan")}, "f_lb_start must be in (0.5, 1), got nan"),
+    ({"f_lb_stop": 1.0}, "f_lb_stop must be in (0.5, 1), got 1.0"),
+    ({"f_lb_step": float("nan")}, "f_lb_step must be finite and > 0, got nan"),
+    ({"f_lb_step": float("inf")}, "f_lb_step must be finite and > 0, got inf"),
+    ({"f_lb_step": 0.0}, "f_lb_step must be finite and > 0, got 0.0"),
+    ({"f_lb_start": 0.95, "f_lb_stop": 0.9}, "invalid f_lb sweep range: f_lb_stop < f_lb_start"),
+], ids=["start-0.3", "start-nan", "stop-1", "step-nan", "step-inf", "step-0", "stop-below-start"])
+def test_config_refuses_a_sweep_it_cannot_run(settings, message):
+    # a start of 0.3 used to fail every fixture, a NaN step to run one point,
+    # and a NaN start to write an empty report that counted no failure
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(kind="sweep-flb", **settings)
+
+
 def test_oracle_on_a_demand_with_no_path_exits_2(tmp_path, capsys):
     topo_file = tmp_path / "two-parts.json"
     topo_file.write_text(json.dumps({
