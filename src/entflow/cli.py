@@ -11,9 +11,9 @@ option not given takes the default of the config or function it sets.
 The only defaults held here are topo gen's seed 0 and f0 and the oracle's
 grid size, its largest grid of 6 values. Exit codes: 0 success, 2
 configuration error, 3 completed with skipped instances. Exit 2 follows
-an empty list option, --pairs or --repetitions below 1, --f-lb outside
-(0.5, 1), an oracle --grid-size above 6 or --max-ensembles below 1, and
-a run option its kind does not read (``experiments.RUNNERS``).
+an empty list option, a count or --seed ``ExperimentConfig`` refuses,
+--f-lb outside (0.5, 1), an oracle --grid-size above 6 or --max-ensembles
+below 1, and a run option its kind does not read (``experiments.RUNNERS``).
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ import math
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
+from numbers import Integral
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -32,13 +33,12 @@ from .orchestrator import PlannerConfig, inner_loop_request, outer_loop_update
 from .physics import DEFAULT_NOISE, DEFAULT_PURIFY_MODEL, NoiseParams, check_purify_model
 from .strategies import (
     DEFAULT_F_LB,
-    LP_STRATEGIES,
     STRATEGY_NAMES,
     StrategyResult,
     _lp_strategy,
     _timed,
     check_f_lb,
-    run_rate_dp,
+    run_points,
     run_strategy,
 )
 from .topology import (
@@ -47,6 +47,7 @@ from .topology import (
     Path,
     Topology,
     check_gabriel_ranges,
+    check_seed,
     generate_gabriel,
     k_shortest_paths,
     read_topology_file,
@@ -76,6 +77,7 @@ INTRO_TOY_LINKS = 4
 INTRO_TOY_LINK_KM = 70.0
 INTRO_TOY_MAX_FID_LB = 0.95
 INTRO_TOY_MIN_FID_LB = 0.51
+MAX_SWEEP_POINTS = 10_000  # 270 times the paper's 37-point f_lb sweep
 
 
 @dataclass(frozen=True)
@@ -120,13 +122,22 @@ class ExperimentConfig:
             raise ValueError(f"f_lb_step must be finite and > 0, got {self.f_lb_step}")
         if self.f_lb_stop < self.f_lb_start:
             raise ValueError("invalid f_lb sweep range: f_lb_stop < f_lb_start")
+        if (points := _sweep_size(self)) > MAX_SWEEP_POINTS:
+            raise ValueError(
+                f"f_lb_step must give at most {MAX_SWEEP_POINTS} sweep points, got {points}")
+        check_seed(self.seed)
         # counts that select nothing are configuration errors, not failed instances
-        for name, least in (("chain_nodes", 2), ("pairs_per_length", 1), ("repetitions", 1)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        for name in ("path_lengths", "scale_path_lengths", "network_sizes"):  # node counts
-            if any(n < 2 for n in getattr(self, name)):
-                raise ValueError(f"{name} must each be >= 2, got {getattr(self, name)}")
+        for name, least in (("chain_nodes", 2), ("topology_nodes", 2), ("pairs_per_length", 1),
+                            ("repetitions", 1), ("grid_size", 1), ("grid_sizes", 1),
+                            ("path_lengths", 2), ("scale_path_lengths", 2),
+                            ("network_sizes", 2)):
+            value = getattr(self, name)
+            each = " each" if isinstance(value, tuple) else ""
+            for n in value if each else (value,):
+                if n < least:
+                    raise ValueError(f"{name} must{each} be >= {least}, got {value}")
+                if isinstance(n, bool) or not isinstance(n, Integral):
+                    raise ValueError(f"{name} must{each} be an integer, got {value}")
         run, reads = settings_read(self.kind, self.topology_path)
         for owner in (self, self.noise):  # a setting is set when it is not its default
             for f in fields(owner):
@@ -211,21 +222,20 @@ def _strategy_row(
     return _row(experiment=config.kind, **doc, **extra)
 
 
-def _load_or_generate_topology(config: ExperimentConfig, seed: int) -> Topology:
-    if config.topology_path:
-        return read_topology_file(config.topology_path)
-    return generate_gabriel(
-        config.topology_nodes,
-        seed,
-        bbox_km=config.bbox_km,
-        distance_range_km=config.distance_range_km,
-        f0=config.noise.f0,
-    )
+def _gabriel(config: ExperimentConfig, nodes: int) -> Topology:
+    """The run's Gabriel topology of ``nodes`` nodes."""
+    return generate_gabriel(nodes, config.seed, bbox_km=config.bbox_km,
+                            distance_range_km=config.distance_range_km, f0=config.noise.f0)
 
 
-def _chain(
-    lengths_km: list[float], f0: float, name: str = "c"
-) -> Path:
+def _draw_chain(config: ExperimentConfig, rng: np.random.Generator, nodes: int,
+                name: str = "c") -> Path:
+    """A fixture chain of ``nodes`` nodes, its link lengths drawn from ``rng``."""
+    lo, hi = config.distance_range_km
+    return _chain([float(rng.uniform(lo, hi)) for _ in range(nodes - 1)], config.noise.f0, name)
+
+
+def _chain(lengths_km: list[float], f0: float, name: str = "c") -> Path:
     nodes = [f"{name}{i}" for i in range(len(lengths_km) + 1)]
     edges = [
         Edge(u=nodes[i], v=nodes[i + 1], length_km=lengths_km[i], f0=f0)
@@ -263,36 +273,25 @@ def _sample_pairs(
 
 def _run_benchmark(config: ExperimentConfig) -> Report:
     report = Report(config=config)
-    topo = _load_or_generate_topology(config, config.seed)
+    topo = (read_topology_file(config.topology_path) if config.topology_path
+            else _gabriel(config, config.topology_nodes))
     grid = FidelityGrid.uniform(config.grid_size)
+    points = [(name, config.f_lb) for name in config.strategies]
     for length in config.path_lengths:
         rng = np.random.default_rng([config.seed, length])
         for s, d in _sample_pairs(topo, length, config.pairs_per_length, rng):
             with _instance(report, f"benchmark instance ({s}, {d})"):
                 path = k_shortest_paths(topo, s, d, 1, weight="hops")[0]
-                results = [
-                    run_strategy(
-                        name, path, grid, config.f_lb, config.noise, config.purify_model
-                    )
-                    for name in config.strategies
-                ]
-                report.rows.extend(
-                    [_strategy_row(config, result, s=s, d=d, path_length=length)
-                     for result in results]
-                )
+                results = run_points(path, grid, points, config.noise, config.purify_model)
+                report.rows.extend([_strategy_row(config, result, s=s, d=d, path_length=length)
+                                    for result in results])
 
     # aggregate mean capacity per (path length, strategy) and improvement
     # relative to the rate-dp mean
-    means: dict[tuple[int, str], float] = {}
-    for length in config.path_lengths:
-        for name in config.strategies:
-            caps = [
-                r["capacity"]
-                for r in report.rows
-                if r["path_length"] == length and r["strategy"] == name
-            ]
-            if caps:
-                means[(length, name)] = float(np.mean(caps))
+    caps = {}
+    for row in report.rows:
+        caps.setdefault((row["path_length"], row["strategy"]), []).append(row["capacity"])
+    means = {key: float(np.mean(values)) for key, values in caps.items()}
     agg = {}
     for (length, name), mean in sorted(means.items()):
         entry = {"mean_capacity": mean}
@@ -304,52 +303,32 @@ def _run_benchmark(config: ExperimentConfig) -> Report:
     return report
 
 
-def _f_lb_values(config: ExperimentConfig) -> list[float]:
-    out = []
-    value = config.f_lb_start
-    while value <= config.f_lb_stop + 1e-12:
-        out.append(round(value, 10))
-        value += config.f_lb_step
-    return out
+def _sweep_size(config: ExperimentConfig) -> int | float:
+    """The number of points of the f_lb sweep, inf for a step too small to count by."""
+    span = (config.f_lb_stop - config.f_lb_start + 1e-12) / config.f_lb_step
+    return int(span) + 1 if span < math.inf else span
 
 
 def _run_sweep_flb(config: ExperimentConfig) -> Report:
     report = Report(config=config)
     rng = np.random.default_rng([config.seed, 1])
-    lo, hi = config.distance_range_km
-    sweep = _f_lb_values(config)
+    grid = FidelityGrid.uniform(config.grid_size)
+    points = [(name, round(config.f_lb_start + k * config.f_lb_step, 10))
+              for k in range(_sweep_size(config)) for name in config.strategies]
     for fixture in range(config.repetitions):
-        lengths = [float(rng.uniform(lo, hi)) for _ in range(config.chain_nodes - 1)]
-        path = _chain(lengths, config.noise.f0, name=f"f{fixture}_")
-        grid = FidelityGrid.uniform(config.grid_size)
+        path = _draw_chain(config, rng, config.chain_nodes, name=f"f{fixture}_")
         with _instance(report, f"sweep-flb fixture {fixture}"):
-            # hypergraphs do not depend on f_lb: one per builder, built once per fixture
-            builds = dict.fromkeys(LP_STRATEGIES[name][0] for name in config.strategies
-                                   if name in LP_STRATEGIES)
-            hgs = {build: _timed(build, path, grid, config.noise, config.purify_model)
-                   for build in builds}
-            rows = []
-            for f_lb in sweep:
-                for name in config.strategies:
-                    if name == "rate-dp":
-                        result = run_rate_dp(path, grid, f_lb, config.noise, config.purify_model)
-                    else:
-                        result = _lp_strategy(name, *hgs[LP_STRATEGIES[name][0]], f_lb)
-                    # every row carries the sweep point, ec-* rows included
-                    rows.append(_strategy_row(
-                        config, replace(result, f_lb=f_lb),
-                        fixture=fixture, path_length=config.chain_nodes,
-                    ))
-            report.rows.extend(rows)
+            results = run_points(path, grid, points, config.noise, config.purify_model)
+            # every row carries the sweep point, ec-* rows included
+            report.rows.extend([_strategy_row(
+                config, replace(result, f_lb=f_lb), fixture=fixture, path_length=config.chain_nodes,
+            ) for result, (_, f_lb) in zip(results, points)])
     return report
 
 
 def _run_sweep_resolution(config: ExperimentConfig) -> Report:
     report = Report(config=config)
-    rng = np.random.default_rng([config.seed, 2])
-    lo, hi = config.distance_range_km
-    lengths = [float(rng.uniform(lo, hi)) for _ in range(config.chain_nodes - 1)]
-    path = _chain(lengths, config.noise.f0)
+    path = _draw_chain(config, np.random.default_rng([config.seed, 2]), config.chain_nodes)
     for size in config.grid_sizes:
         grid = FidelityGrid.uniform(size)
         for builder, build in (
@@ -387,11 +366,9 @@ def _time_percentiles(report: Report) -> Report:
 def _run_scale_path(config: ExperimentConfig) -> Report:
     report = Report(config=config)
     rng = np.random.default_rng([config.seed, 3])
-    lo, hi = config.distance_range_km
     grid = FidelityGrid.uniform(config.grid_size)
     for length in config.scale_path_lengths:
-        lengths = [float(rng.uniform(lo, hi)) for _ in range(length - 1)]
-        path = _chain(lengths, config.noise.f0, name=f"p{length}_")
+        path = _draw_chain(config, rng, length, name=f"p{length}_")
         with _instance(report, f"scale-path length {length}"):
             hg, build_s = _timed(build_pruned_hypergraph, path, grid, config.noise,
                                  config.purify_model)
@@ -408,10 +385,7 @@ def _run_scale_network(config: ExperimentConfig) -> Report:
     report = Report(config=config)
     grid = FidelityGrid.uniform(config.grid_size)
     for size in config.network_sizes:
-        topo = generate_gabriel(
-            size, config.seed, bbox_km=config.bbox_km,
-            distance_range_km=config.distance_range_km, f0=config.noise.f0,
-        )
+        topo = _gabriel(config, size)
         rng = np.random.default_rng([config.seed, 4, size])
         nodes = list(topo.nodes)
         demands = []

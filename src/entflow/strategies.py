@@ -11,7 +11,7 @@ Four strategies share one result shape:
   ensemble capacity; this is the planner's single-path core.
 
 ``LP_STRATEGIES`` holds the builder and objective of the three LP
-strategies; ``run_strategy`` and the experiment sweeps read it.
+strategies; ``run_points`` alone maps a strategy name to its work.
 
 The brute-force oracle enumerates every swap order (full binary trees
 over the link sequence) with bounded purification rounds at each tree
@@ -25,6 +25,7 @@ rate from both inputs and credits half the success-weighted rate.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,6 +260,29 @@ def run_rate_dp(
     )
 
 
+def run_points(
+    path: Path,
+    grid: FidelityGrid,
+    points: Iterable[tuple[str, float]],
+    noise: NoiseParams = DEFAULT_NOISE,
+    purify_model: str = DEFAULT_PURIFY_MODEL,
+) -> Iterator[StrategyResult]:
+    """Yield the result of each ``(strategy, f_lb)`` point on ``path``, in order.
+    A model depends on neither the objective nor ``f_lb``: each builder runs
+    once, on its first point, and the results on its model share its build time."""
+    models = {}  # builder -> (hypergraph, build seconds)
+    for name, f_lb in points:
+        if name == "rate-dp":
+            yield run_rate_dp(path, grid, f_lb, noise, purify_model)
+            continue
+        if name not in LP_STRATEGIES:
+            raise ValueError(f"unknown strategy {name!r}; expected one of {STRATEGY_NAMES}")
+        build = LP_STRATEGIES[name][0]
+        if build not in models:
+            models[build] = _timed(build, path, grid, noise, purify_model)
+        yield _lp_strategy(name, *models[build], f_lb)
+
+
 def run_strategy(
     name: str,
     path: Path,
@@ -267,12 +291,7 @@ def run_strategy(
     noise: NoiseParams = DEFAULT_NOISE,
     purify_model: str = DEFAULT_PURIFY_MODEL,
 ) -> StrategyResult:
-    if name == "rate-dp":
-        return run_rate_dp(path, grid, f_lb, noise, purify_model)
-    if name not in LP_STRATEGIES:
-        raise ValueError(f"unknown strategy {name!r}; expected one of {STRATEGY_NAMES}")
-    build = LP_STRATEGIES[name][0]
-    return _lp_strategy(name, *_timed(build, path, grid, noise, purify_model), f_lb)
+    return next(run_points(path, grid, [(name, f_lb)], noise, purify_model))
 
 
 # --- brute-force oracle ---------------------------------------------------

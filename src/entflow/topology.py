@@ -339,6 +339,7 @@ def generate_gabriel(
     """
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
+    check_seed(seed)
     check_gabriel_ranges(bbox_km, distance_range_km)
     rng = np.random.default_rng(seed)
     points = rng.uniform(0.0, bbox_km, size=(n, 2))
@@ -352,6 +353,12 @@ def generate_gabriel(
             length = float(rng.uniform(lo, hi))
         edges.append(Edge(u=names[i], v=names[j], length_km=length, f0=f0))
     return Topology(names, edges)
+
+
+def check_seed(seed) -> None:
+    """Refuse a seed that is not a non-negative integer, a boolean included."""
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
 def check_gabriel_ranges(bbox_km: float, distance_range_km: tuple[float, float] | None) -> None:

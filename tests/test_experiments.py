@@ -101,6 +101,24 @@ def test_benchmark_deterministic_without_timings():
     assert all(row["server_time_s"] is None for row in doc["rows"])
 
 
+def test_a_benchmark_builds_each_model_of_a_pair_once():
+    # rate-lp and ec-lp share the standard lattice: 2 builds per pair, not 3
+    hypergraph.BUILD_COUNTER.reset()
+    report = run_experiment(_cfg("benchmark", path_lengths=(3, 4), record_timings=False))
+    assert report.failures == 0
+    assert len(report.rows) == 4 * 4  # 2 pairs per length, 4 strategies each
+    assert hypergraph.BUILD_COUNTER.count == 8
+
+
+def test_rows_that_share_a_model_report_its_one_build_time():
+    report = run_experiment(_cfg("benchmark"))
+    for s, d in {(row["s"], row["d"]) for row in report.rows}:
+        time = {row["strategy"]: row["server_time_s"] for row in report.rows
+                if (row["s"], row["d"]) == (s, d)}
+        assert time["rate-lp"] == time["ec-lp"] > 0.0
+        assert time["ec-dp"] > 0.0 and time["rate-dp"] == 0.0
+
+
 def test_sweep_flb_rows():
     cfg = _cfg("sweep-flb", f_lb_start=0.85, f_lb_stop=0.9, f_lb_step=0.025,
                strategies=("rate-lp", "ec-dp"))
@@ -188,24 +206,6 @@ def test_a_refused_lp_is_a_counted_failure(kind, monkeypatch, tmp_path):
     assert main(["run", kind, "--no-timings", *flags, "--grid-size", "8",
                  "--out", str(out)]) == 3
     assert json.loads(out.read_text())["failures"] > 0
-
-
-_UNREAD = [["--topology-nodes", "30"], ["--path-lengths", "3,4"], ["--topology", "topo.json"],
-           ["--grid-sizes", "10,20"]]
-
-
-@pytest.mark.parametrize("kind, option", [
-    pytest.param(kind, option, id=f"{kind}-option{i}") for i, option in enumerate(_UNREAD)
-    for kind in ["scale-path", "scale-network", "sweep-flb", "sweep-resolution", "intro-toy"]
-    if (kind, option[0]) != ("sweep-resolution", "--grid-sizes")
-])
-def test_scale_kinds_refuse_the_sizes_they_do_not_use(kind, option, capsys):
-    # only benchmark reads the topology and its path lengths: scale-path runs
-    # its own path lengths, scale-network its own topologies and the other
-    # kinds their own chains; only sweep-resolution reads the grid sizes. An
-    # option a kind would ignore exits 2 and is named
-    assert main(["run", kind, "--no-timings", *option]) == 2
-    assert capsys.readouterr().err == f"error: run {kind} takes no {option[0]}\n"
 
 
 def test_sweep_resolution_runs_the_grid_sizes_it_is_given(tmp_path):
@@ -517,6 +517,15 @@ def test_cli_oracle_grid_size_defaults_to_6_and_rejects_larger(tmp_path, capsys)
     ("repetitions", 0, "repetitions must be >= 1, got 0"),
     ("path_lengths", (1,), "path_lengths must each be >= 2, got (1,)"),
     ("path_lengths", (3, 0, 5), "path_lengths must each be >= 2, got (3, 0, 5)"),
+    ("seed", -1, "seed must be a non-negative integer, got -1"),
+    ("seed", True, "seed must be a non-negative integer, got True"),
+    ("seed", 1.5, "seed must be a non-negative integer, got 1.5"),
+    ("grid_size", 0, "grid_size must be >= 1, got 0"),
+    ("grid_size", True, "grid_size must be an integer, got True"),
+    ("grid_size", 8.0, "grid_size must be an integer, got 8.0"),
+    ("grid_sizes", (8, 0), "grid_sizes must each be >= 1, got (8, 0)"),
+    ("grid_sizes", (8, 2.5), "grid_sizes must each be an integer, got (8, 2.5)"),
+    ("topology_nodes", 1, "topology_nodes must be >= 2, got 1"),
 ])
 def test_config_refuses_counts_that_select_nothing(field, value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -527,12 +536,23 @@ def test_config_refuses_counts_that_select_nothing(field, value, message):
     (["benchmark", "--pairs", "0"], "pairs_per_length must be >= 1, got 0"),
     (["sweep-flb", "--repetitions", "0"], "repetitions must be >= 1, got 0"),
     (["benchmark", "--path-lengths", "1"], "path_lengths must each be >= 2, got (1,)"),
+    (["benchmark", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+    (["intro-toy", "--grid-size", "0"], "grid_size must be >= 1, got 0"),
+    (["sweep-resolution", "--grid-sizes", "8,0"], "grid_sizes must each be >= 1, got (8, 0)"),
+    (["benchmark", "--topology-nodes", "1"], "topology_nodes must be >= 2, got 1"),
 ])
 def test_cli_run_with_a_count_that_selects_nothing_exits_2(argv, message, capsys):
     # each used to run: an empty report, or (s, s) pairs that all failed
     capsys.readouterr()
     assert main(["run", *argv, "--no-timings"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_topo_gen_with_a_negative_seed_exits_2(capsys):
+    # it used to exit 2 with numpy's "expected non-negative integer"
+    capsys.readouterr()
+    assert main(["topo", "gen", "--nodes", "6", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
 
 
 @pytest.mark.parametrize("kind, option", [

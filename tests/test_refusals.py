@@ -154,6 +154,21 @@ def test_config_refuses_a_sweep_it_cannot_run(settings, message):
         ExperimentConfig(kind="sweep-flb", **settings)
 
 
+@pytest.mark.parametrize("step", [1e-20, 5e-324])
+def test_config_refuses_a_sweep_of_more_than_10000_points(step):
+    # a step below half an ulp of the start left the summed sweep point where
+    # it was, so the run appended to its list forever
+    start, stop = 0.51, 0.51 + 9999 * 1e-5
+    assert ExperimentConfig(kind="sweep-flb", f_lb_start=start, f_lb_stop=stop, f_lb_step=1e-5)
+    with pytest.raises(ValueError, match=r"^f_lb_step must give at most 10000 sweep points, "
+                                         r"got 10001$"):
+        ExperimentConfig(kind="sweep-flb", f_lb_start=start, f_lb_stop=stop + 1e-5,
+                         f_lb_step=1e-5)
+    with pytest.raises(ValueError, match=r"^f_lb_step must give at most 10000 sweep points, "
+                                         r"got (\d{20}|inf)$"):
+        ExperimentConfig(kind="sweep-flb", f_lb_step=step)
+
+
 def test_oracle_on_a_demand_with_no_path_exits_2(tmp_path, capsys):
     topo_file = tmp_path / "two-parts.json"
     topo_file.write_text(json.dumps({

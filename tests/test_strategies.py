@@ -8,7 +8,7 @@ import pytest
 from conftest import make_chain
 from entflow.capacity import pair_capacity
 from entflow.cli import main
-from entflow.hypergraph import FidelityGrid
+from entflow.hypergraph import BUILD_COUNTER, FidelityGrid
 from entflow.lp import EMPTY_SCHEME
 from entflow.physics import CLAMP_EVENTS, DEFAULT_NOISE
 from entflow.strategies import (
@@ -17,6 +17,7 @@ from entflow.strategies import (
     _tree_shapes,
     brute_force_oracle,
     oracle_best_single,
+    run_points,
     run_rate_dp,
     run_strategy,
 )
@@ -35,6 +36,28 @@ def test_run_strategy_dispatch_and_result_shape():
         assert doc["strategy"] == name
     with pytest.raises(ValueError):
         run_strategy("nope", path, grid)
+
+
+def test_run_points_builds_each_model_once_and_answers_in_order():
+    path, grid = make_chain([60.0, 70.0, 80.0], f0=0.97), FidelityGrid.uniform(12)
+    points = [(name, f_lb) for f_lb in (0.9, 0.8) for name in ("ec-lp", "rate-dp", *STRATEGY_NAMES)]
+    BUILD_COUNTER.reset()
+    results = list(run_points(path, grid, points))
+    assert BUILD_COUNTER.count == 2  # the standard lattice and the pruned graph
+    assert [(r.strategy, r.f_lb) for r in results] == [
+        (name, None if name in ("ec-lp", "ec-dp") else f_lb) for name, f_lb in points]
+    for (name, f_lb), result in zip(points, results):
+        assert result.scheme == run_strategy(name, path, grid, f_lb).scheme
+    # rows on one model report its one build time
+    assert len({r.server_time_s for r in results if r.strategy != "ec-dp"} - {0.0}) == 1
+
+
+def test_run_points_refuses_an_unknown_strategy_when_it_reaches_it():
+    results = run_points(make_chain([50.0]), FidelityGrid.uniform(8),
+                         [("rate-dp", 0.9), ("bogus", 0.9)])
+    assert next(results).strategy == "rate-dp"
+    with pytest.raises(ValueError, match=r"^unknown strategy 'bogus'; expected one of "):
+        next(results)
 
 
 def test_all_strategies_agree_on_single_link():
