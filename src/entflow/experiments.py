@@ -16,7 +16,7 @@ import math
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -30,7 +30,13 @@ from .hypergraph import (
 )
 from .lp import SCHEME_METRICS
 from .orchestrator import PlannerConfig, inner_loop_request, outer_loop_update
-from .physics import DEFAULT_NOISE, DEFAULT_PURIFY_MODEL, NoiseParams, check_purify_model
+from .physics import (
+    DEFAULT_NOISE,
+    DEFAULT_PURIFY_MODEL,
+    NoiseParams,
+    check_purify_model,
+    check_real,
+)
 from .strategies import (
     DEFAULT_F_LB,
     STRATEGY_NAMES,
@@ -118,7 +124,7 @@ class ExperimentConfig:
         check_gabriel_ranges(self.bbox_km, self.distance_range_km)
         for name in ("f_lb", "f_lb_start", "f_lb_stop"):
             check_f_lb(getattr(self, name), name)
-        if not 0 < self.f_lb_step < math.inf:
+        if not 0 < check_real(self.f_lb_step, "f_lb_step") < math.inf:
             raise ValueError(f"f_lb_step must be finite and > 0, got {self.f_lb_step}")
         if self.f_lb_stop < self.f_lb_start:
             raise ValueError("invalid f_lb sweep range: f_lb_stop < f_lb_start")
@@ -134,10 +140,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             each = " each" if isinstance(value, tuple) else ""
             for n in value if each else (value,):
-                if n < least:
+                if isinstance(n, Real) and n < least:  # a string is refused below, not compared
                     raise ValueError(f"{name} must{each} be >= {least}, got {value}")
                 if isinstance(n, bool) or not isinstance(n, Integral):
-                    raise ValueError(f"{name} must{each} be an integer, got {value}")
+                    raise ValueError(f"{name} must{each} be an integer, got {value!r}")
         run, reads = settings_read(self.kind, self.topology_path)
         for owner in (self, self.noise):  # a setting is set when it is not its default
             for f in fields(owner):

@@ -60,6 +60,7 @@ SINK = 1
 
 DEFAULT_GRID_SIZE = 100  # values in the default FidelityGrid.uniform grid
 _SWEEP_SLACK = 1e-12  # far above the DEJMPS kernel's float error (~3e-16); see _purify_sweep
+_RATE_SLACK = 1e-12  # relative; far above a sweep rate's float error (a few ulps); see _purify_sweep
 
 OP_NAMES = ("start", "swap", "purify", "end")  # per HypergraphColumns.op code
 OP_CODE = {op: code for code, op in enumerate(OP_NAMES)}
@@ -492,9 +493,17 @@ def _purify_sweep(
     over the occupied buckets also captures cascaded purification: a bucket
     filled during the sweep is inserted ahead of the cursor, and every
     bucket behind it is final. A row scans partners from the cursor down,
-    and under ideal DEJMPS stops at the first output over ``_SWEEP_SLACK``
-    below the next bucket: d f'/d f2 has numerator 42 f1 - 12 f1^2 - 3 >=
-    6.75 on [1/4, 1]. As-printed calls can each clamp, so they never stop.
+    self-purification first. Under ideal DEJMPS, both the output f' and the
+    success probability p rise with the partner's fidelity on [1/4, 1]:
+    d f'/d f2 has numerator 42 f1 - 12 f1^2 - 3 >= 6.75 and d p/d f2 is
+    (8 f1 - 2) / 9 >= 0. So the self-purification bounds the row: no
+    candidate lands above the bucket of its output plus ``_SWEEP_SLACK``, nor
+    beats its rate r_hi p_self by a factor over 1 + ``_RATE_SLACK``. Let b be
+    the first bucket above the cursor's that is empty or held at a rate
+    within that bound. A row with b above that top bucket can win nothing;
+    any other stops at the first output over ``_SWEEP_SLACK`` below the
+    bottom of bucket b, as every lower partner lands under b, where the held
+    rates beat it. As-printed calls can each clamp, so they never stop.
     """
     ideal = purify_model == "ideal-dejmps"
     vals = grid.values
@@ -506,10 +515,21 @@ def _purify_sweep(
         up = vals[k + 1] if k + 1 < len(vals) else math.inf  # bottom of the next bucket
         if ideal:
             _check_fidelity("f1", f_hi)  # every low was a high before
-        floor = up - _SWEEP_SLACK if ideal else -math.inf
+            f_new, p = dejmps(f_hi, f_hi)
+            bound = r_hi * p * (1.0 + _RATE_SLACK)  # no candidate's rate exceeds it
+            top = bisect_right(vals, f_new + _SWEEP_SLACK) - 1  # no candidate lands above it
+            b = k + 1
+            while b <= top and b in block and block[b][1] > bound:
+                b += 1  # held at a rate no candidate reaches
+            floor = vals[b] - _SWEEP_SLACK if b <= top else math.inf
+        else:
+            f_new, p = purify(f_hi, f_hi, noise, purify_model)
+            floor = -math.inf
         row = []
         for j in range(pos, -1, -1):  # partners from the cursor down
-            f_new, p = dejmps(f_hi, fid[j]) if ideal else purify(f_hi, fid[j], noise, purify_model)
+            if j < pos:  # the self-purification was made above
+                f_new, p = (dejmps(f_hi, fid[j]) if ideal
+                            else purify(f_hi, fid[j], noise, purify_model))
             if f_new < floor:
                 break  # and so would every lower partner
             row.append((j, f_new, p))

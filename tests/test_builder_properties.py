@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import make_chain
 from entflow.hypergraph import (
+    _RATE_SLACK,
     _SWEEP_SLACK,
     OP_CODE,
     FidelityGrid,
@@ -232,10 +233,35 @@ _STRADDLE = (FidelityGrid.uniform(15), {
 })
 
 
+def _swap_block(incumbents):
+    return {k: (f, r, OP_CODE["swap"], 0, 1) for k, (f, r) in incumbents.items()}
+
+
+# a block whose row at bucket 10 can win nothing: its self-purification and
+# both its partners reach bucket 11, the top it can reach, held at rate 1.0,
+# four times the row's
+_V15 = FidelityGrid.uniform(15).values
+_HELD = (FidelityGrid.uniform(15), _swap_block(
+    {**{k: (_ulps(_V15[k + 1], -1), 0.25) for k in (8, 9, 10)}, 11: (_V15[11], 1.0)}))
+
+# a block on which a candidate ties its bucket's incumbent on rate exactly and
+# wins on fidelity: with bucket 10's incumbent at the grid value 7/9 and
+# partner 9 a float below it, the kernel's success probability is p_self, the
+# float of the self-purification, so candidate (10, 9) reaches bucket 11 at
+# rate p_self, the rate held there at the bucket's bottom
+_V19 = FidelityGrid.uniform(19).values
+_TIE = (FidelityGrid.uniform(19), _swap_block({
+    9: (_ulps(_V19[10], -1), 1.0), 10: (_V19[10], 1.0),
+    11: (_V19[11], dejmps(_V19[10], _V19[10])[1]),
+}))
+
+
 @settings(max_examples=150, deadline=None)
 @given(_sweep_blocks(), st.sampled_from(PURIFY_MODELS),
        st.builds(NoiseParams, p2=unit, eta=unit))
 @example(_STRADDLE, "ideal-dejmps", DEFAULT_NOISE)
+@example(_HELD, "ideal-dejmps", DEFAULT_NOISE)
+@example(_TIE, "ideal-dejmps", DEFAULT_NOISE)
 def test_purify_sweep_equals_the_full_scan(case, model, noise):
     # the early stop skips only partners that cannot lift a bucket: the same
     # incumbents, bit for bit and in the same insertion order (which numbers
@@ -251,10 +277,37 @@ def test_purify_sweep_equals_the_full_scan(case, model, noise):
     assert CLAMP_EVENTS.count == full_scan_clamps
 
 
+def test_a_row_that_can_win_nothing_makes_one_kernel_call(monkeypatch):
+    # _HELD's row at bucket 10 ends after its self-purification
+    calls = []
+
+    def counted(f1, f2):
+        calls.append(f1)
+        return dejmps(f1, f2)
+
+    grid, block = _HELD
+    monkeypatch.setattr("entflow.hypergraph.dejmps", counted)
+    _purify_sweep(dict(block), grid, DEFAULT_NOISE, "ideal-dejmps")
+    assert calls.count(block[10][0]) == 1
+
+
+def test_a_candidate_that_ties_the_held_rate_wins_on_fidelity():
+    # _TIE's bucket 11 goes to candidate (10, 9) at the rate it held
+    grid, block = _TIE
+    swept = dict(block)
+    _purify_sweep(swept, grid, DEFAULT_NOISE, "ideal-dejmps")
+    assert swept[11][1:] == (block[11][1], OP_CODE["purify"], 10, 9)
+    assert swept[11][0] > block[11][0]
+
+
+def _exact_success(f1, f2):
+    f1, f2 = Fraction(f1), Fraction(f2)
+    return f1 * f2 + f1 * (1 - f2) / 3 + f2 * (1 - f1) / 3 + 5 * (1 - f1) * (1 - f2) / 9
+
+
 def _exact_dejmps(f1, f2):
     f1, f2 = Fraction(f1), Fraction(f2)
-    p = f1 * f2 + f1 * (1 - f2) / 3 + f2 * (1 - f1) / 3 + 5 * (1 - f1) * (1 - f2) / 9
-    return (f1 * f2 + (1 - f1) * (1 - f2) / 9) / p
+    return (f1 * f2 + (1 - f1) * (1 - f2) / 9) / _exact_success(f1, f2)
 
 
 @given(fidelities, fidelities, fidelities)
@@ -266,3 +319,13 @@ def test_dejmps_output_rises_with_the_partner_within_half_the_slack(f1, f2, f2_u
     assert _exact_dejmps(f1, f2) <= _exact_dejmps(f1, f2_up)
     for f in (f2, f2_up):
         assert abs(Fraction(dejmps(f1, f)[0]) - _exact_dejmps(f1, f)) <= 1e-15
+
+
+@given(fidelities, fidelities, fidelities)
+def test_dejmps_success_rises_with_the_partner_within_half_the_rate_slack(f1, f2, f2_up):
+    # the premise of the sweep's rate cut: the exact success probability has
+    # slope (8 f1 - 2) / 9 >= 0 in f2 on [1/4, 1], and the float kernel keeps
+    # that order to a factor well under 1 + the slack
+    f2, f2_up = sorted((f2, f2_up))
+    assert _exact_success(f1, f2) <= _exact_success(f1, f2_up)
+    assert dejmps(f1, f2)[1] <= dejmps(f1, f2_up)[1] * (1 + _RATE_SLACK / 2)

@@ -126,6 +126,16 @@ def test_rate_dp_and_the_config_refuse_an_f_lb_that_is_not_a_real_number():
         ExperimentConfig(kind="intro-toy", f_lb="0.9")
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"repetitions": "2"}, "repetitions must be an integer, got '2'"),
+    ({"f_lb_step": "0.01"}, "f_lb_step must be a real number, got '0.01'"),
+], ids=["repetitions", "f_lb_step"])
+def test_config_refuses_a_string_for_a_number(settings, message):
+    # each used to raise a bare TypeError from the range comparison
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(kind="sweep-flb", **settings)
+
+
 @pytest.mark.parametrize("field, value", [
     ("scale_path_lengths", (1,)), ("scale_path_lengths", (True,)),
     ("scale_path_lengths", (3, 0)), ("network_sizes", (1,)), ("network_sizes", (30, 1)),
