@@ -41,7 +41,6 @@ from .strategies import (
     DEFAULT_F_LB,
     STRATEGY_NAMES,
     StrategyResult,
-    _lp_strategy,
     _timed,
     check_f_lb,
     run_points,
@@ -84,6 +83,9 @@ INTRO_TOY_LINK_KM = 70.0
 INTRO_TOY_MAX_FID_LB = 0.95
 INTRO_TOY_MIN_FID_LB = 0.51
 MAX_SWEEP_POINTS = 10_000  # 270 times the paper's 37-point f_lb sweep
+# a config field's declared type, up to its brackets -> what its value must be
+_DECLARED = {"str": str, "str | None": (str, type(None)), "bool": bool, "tuple": tuple,
+             "NoiseParams": NoiseParams}
 
 
 @dataclass(frozen=True)
@@ -112,6 +114,10 @@ class ExperimentConfig:
     bbox_km: float = DEFAULT_BBOX_KM
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # of its declared type; each number is checked below
+            value = getattr(self, f.name)
+            if not isinstance(value, _DECLARED.get(f.type.split("[")[0], object)):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         if self.kind not in RUNNERS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         for name in ("path_lengths", "grid_sizes", "strategies", "network_sizes"):
@@ -376,13 +382,10 @@ def _run_scale_path(config: ExperimentConfig) -> Report:
     for length in config.scale_path_lengths:
         path = _draw_chain(config, rng, length, name=f"p{length}_")
         with _instance(report, f"scale-path length {length}"):
-            hg, build_s = _timed(build_pruned_hypergraph, path, grid, config.noise,
-                                 config.purify_model)
-            result = _lp_strategy("ec-dp", hg, build_s)
-            stats = hg.stats()
+            result, = run_points(path, grid, [("ec-dp", None)], config.noise, config.purify_model)
             report.rows.append(_strategy_row(
                 config, result, path_length=length, builder="pruned",
-                vertices=stats.num_vertices, edges=stats.num_edges,
+                vertices=result.stats.num_vertices, edges=result.stats.num_edges,
             ))
     return _time_percentiles(report)
 

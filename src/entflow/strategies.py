@@ -10,8 +10,8 @@ Four strategies share one result shape:
 * ``ec-dp``   -- pruned (exact-fidelity incumbent) hypergraph, maximize
   ensemble capacity; this is the planner's single-path core.
 
-``LP_STRATEGIES`` holds the builder and objective of the three LP
-strategies; ``run_points`` alone maps a strategy name to its work.
+``STRATEGIES`` gives each its model of a path and its answer at one
+``f_lb`` on that model; ``run_points`` alone runs them.
 
 The brute-force oracle enumerates every swap order (full binary trees
 over the link sequence) with bounded purification rounds at each tree
@@ -27,6 +27,7 @@ from __future__ import annotations
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .capacity import EnsembleSpec, ensemble_capacity, pair_capacity
 from .hypergraph import (
     FidelityGrid,
     Hypergraph,
+    HypergraphStats,
     _span_pairs,
     _span_swaps,
     _span_winners,
@@ -64,14 +66,6 @@ from .physics import (
 )
 from .topology import Path, link_egr
 
-# LP strategy -> (hypergraph builder, objective)
-LP_STRATEGIES = {
-    "rate-lp": (build_standard_hypergraph, "end-rate"),
-    "ec-lp": (build_standard_hypergraph, "ensemble-capacity"),
-    "ec-dp": (build_pruned_hypergraph, "ensemble-capacity"),
-}
-STRATEGY_NAMES = ("rate-dp", *LP_STRATEGIES)
-
 DEFAULT_F_LB = 0.87
 
 ORACLE_MAX_GRID = 6  # largest grid resolution the oracle enumerates
@@ -98,6 +92,7 @@ class StrategyResult:
     grid_size: int
     f_lb: float | None
     purify_model: str
+    stats: HypergraphStats | None = None  # of the solved hypergraph; not in to_json
 
     @property
     def egr(self) -> float:
@@ -130,12 +125,11 @@ def _timed(fn, *args):
 
 
 def _lp_strategy(
-    name: str, hg: Hypergraph, build_s: float, f_lb: float | None = None
+    objective: str, name: str, hg: Hypergraph, build_s: float, f_lb: float | None
 ) -> StrategyResult:
-    """Solve an already built hypergraph under the objective of LP strategy
-    ``name``; ``build_s``, the caller's time for the build, is the server
-    time. ``f_lb`` binds end-rate only: other results carry None."""
-    objective = LP_STRATEGIES[name][1]
+    """Solve an already built hypergraph under ``objective``; ``build_s``, the
+    caller's time for the build, is the server time. ``f_lb`` binds end-rate
+    only: other results carry None."""
     if objective != "end-rate":
         f_lb = None
     t0 = time.perf_counter()
@@ -146,7 +140,7 @@ def _lp_strategy(
     return StrategyResult(
         strategy=name, scheme=scheme, server_time_s=build_s,
         solver_time_s=solver_time, grid_size=hg.grid.resolution, f_lb=f_lb,
-        purify_model=hg.purify_model,
+        purify_model=hg.purify_model, stats=hg.stats(),
     )
 
 
@@ -178,18 +172,11 @@ def _pump_chain(b: int, grid: FidelityGrid, noise: NoiseParams,
     return rows
 
 
-def run_rate_dp(
-    path: Path,
-    grid: FidelityGrid,
-    f_lb: float = DEFAULT_F_LB,
-    noise: NoiseParams = DEFAULT_NOISE,
-    purify_model: str = DEFAULT_PURIFY_MODEL,
-) -> StrategyResult:
-    """Pumping-restricted dynamic program on the round-down grid.
-
-    Emits a single protocol: the best-rate (s, d) state whose grid
-    fidelity clears ``f_lb``. Every state it reaches is also a feasible
-    flow of the standard-hypergraph rate LP, so rate-lp dominates it.
+def _pumped(path: Path, grid: FidelityGrid, noise: NoiseParams, purify_model: str) -> tuple:
+    """rate-dp's model of ``path``: the pumping-restricted dynamic program on
+    the round-down grid, as (grid, purify_model, bucket, rate, swaps, purs)
+    of the (s, d) states it keeps. Every state it reaches is also a feasible
+    flow of the standard-hypergraph rate LP, so rate-lp dominates rate-dp.
 
     It runs span by span on arrays, as the pruned builder does: every swap
     of two finished states (from one pool), each expanded into its pumping
@@ -200,8 +187,6 @@ def run_rate_dp(
     ``CLAMP_EVENTS`` ticks once per clamped chain round, not per candidate.
     """
     check_purify_model(purify_model)
-    check_f_lb(f_lb)
-    t0 = time.perf_counter()
     m, nf, vals, g = path.num_nodes, grid.resolution, grid.as_array(), gate_factor(noise)
     k0 = np.array([grid.round_down_index(phys.f0) for phys in path.edges], np.int64)
     chains = [np.zeros(0, np.int64), *np.zeros((3, 0))]  # every chain's bucket, c, denom, prefix
@@ -237,11 +222,17 @@ def run_rate_dp(
         for i, n in enumerate(counts):
             slot[(i, i + span)] = (len(pool[0]) + sum(counts[:i]), n)
         pool = [np.concatenate([a, b[win]]) for a, b in zip(pool, (kb, rate, swaps, purs))]
-
-    solver_time = time.perf_counter() - t0
     lo, n = slot[(0, m - 1)]
-    bucket, rate, swaps, purs = (a[lo:lo + n] for a in pool)
-    eligible = np.flatnonzero(vals[bucket] >= f_lb)
+    return grid, purify_model, *(a[lo:lo + n] for a in pool)
+
+
+def _pick(name: str, pumped: tuple, solver_s: float, f_lb: float) -> StrategyResult:
+    """rate-dp's one protocol: of the ``_pumped`` states whose grid fidelity
+    clears ``f_lb``, the first at the top rate; ``solver_s``, the program's
+    time, is the solver time."""
+    check_f_lb(f_lb)
+    grid, purify_model, bucket, rate, swaps, purs = pumped
+    eligible = np.flatnonzero(grid.as_array()[bucket] >= f_lb)
     if not len(eligible):
         scheme = EMPTY_SCHEME
     else:
@@ -254,10 +245,19 @@ def run_rate_dp(
             purifications=purs[best].item(), pairs=1,
         )
     return StrategyResult(
-        strategy="rate-dp", scheme=scheme, server_time_s=0.0,
-        solver_time_s=solver_time, grid_size=grid.resolution, f_lb=f_lb,
-        purify_model=purify_model,
+        strategy=name, scheme=scheme, server_time_s=0.0, solver_time_s=solver_s,
+        grid_size=grid.resolution, f_lb=f_lb, purify_model=purify_model,
     )
+
+
+# strategy -> (its model of a path, its answer at one f_lb on that model)
+STRATEGIES = {
+    "rate-dp": (_pumped, _pick),
+    "rate-lp": (build_standard_hypergraph, partial(_lp_strategy, "end-rate")),
+    "ec-lp": (build_standard_hypergraph, partial(_lp_strategy, "ensemble-capacity")),
+    "ec-dp": (build_pruned_hypergraph, partial(_lp_strategy, "ensemble-capacity")),
+}
+STRATEGY_NAMES = tuple(STRATEGIES)
 
 
 def run_points(
@@ -268,19 +268,16 @@ def run_points(
     purify_model: str = DEFAULT_PURIFY_MODEL,
 ) -> Iterator[StrategyResult]:
     """Yield the result of each ``(strategy, f_lb)`` point on ``path``, in order.
-    A model depends on neither the objective nor ``f_lb``: each builder runs
-    once, on its first point, and the results on its model share its build time."""
-    models = {}  # builder -> (hypergraph, build seconds)
+    A model depends on neither the objective nor ``f_lb``: each is made once,
+    on its first point, and the results on it share its time."""
+    models = {}  # model function -> (model, seconds)
     for name, f_lb in points:
-        if name == "rate-dp":
-            yield run_rate_dp(path, grid, f_lb, noise, purify_model)
-            continue
-        if name not in LP_STRATEGIES:
+        if name not in STRATEGIES:
             raise ValueError(f"unknown strategy {name!r}; expected one of {STRATEGY_NAMES}")
-        build = LP_STRATEGIES[name][0]
-        if build not in models:
-            models[build] = _timed(build, path, grid, noise, purify_model)
-        yield _lp_strategy(name, *models[build], f_lb)
+        model, answer = STRATEGIES[name]
+        if model not in models:
+            models[model] = _timed(model, path, grid, noise, purify_model)
+        yield answer(name, *models[model], f_lb)
 
 
 def run_strategy(
@@ -292,6 +289,10 @@ def run_strategy(
     purify_model: str = DEFAULT_PURIFY_MODEL,
 ) -> StrategyResult:
     return next(run_points(path, grid, [(name, f_lb)], noise, purify_model))
+
+
+# (path, grid, f_lb, noise, purify_model): rate-dp at one f_lb, its program run per call
+run_rate_dp = partial(run_strategy, "rate-dp")
 
 
 # --- brute-force oracle ---------------------------------------------------
@@ -385,6 +386,13 @@ def _check_oracle_bounds(path: Path, grid: FidelityGrid, max_purify_rounds: int,
         raise OracleBoundsError(f"max_ensembles must be at least 1, got {max_ensembles}")
 
 
+def _standalone(limits: np.ndarray, f: float, usage) -> tuple[float, float]:
+    """A protocol's standalone rate, the most its links' ``limits`` let it
+    deliver at ``usage`` base pairs per pair, and its capacity at that rate."""
+    rate = float(np.min(limits / np.asarray(usage)))
+    return rate, rate * pair_capacity(f)
+
+
 def brute_force_oracle(
     path: Path,
     grid: FidelityGrid,
@@ -418,12 +426,9 @@ def brute_force_oracle(
     t1 = time.perf_counter()
     plist = sorted(protos.values(), key=lambda p: (-p.fidelity, p.usage))
 
-    def standalone_capacity(p: _Proto) -> float:
-        rate = float(np.min(limits / np.array(p.usage)))
-        return rate * pair_capacity(p.fidelity)
-
     if max_ensembles is not None and len(plist) > max_ensembles:
-        plist = sorted(plist, key=standalone_capacity, reverse=True)[:max_ensembles]
+        plist = sorted(plist, key=lambda p: _standalone(limits, p.fidelity, p.usage)[1],
+                       reverse=True)[:max_ensembles]
 
     c = np.array([pair_capacity(p.fidelity) for p in plist])
     rows = [
@@ -466,8 +471,7 @@ def oracle_best_single(
     limits = np.array([link_egr(e) for e in path.edges])
     best = (0.0, 0.0, 0.0)
     for f, usage, _ in _protocols(path, noise, max_purify_rounds, purify_model):
-        rate = float(np.min(limits / usage))
-        cap = rate * pair_capacity(f)
+        rate, cap = _standalone(limits, f, usage)
         if cap > best[0]:
             best = (cap, rate, f)
     return best

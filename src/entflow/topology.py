@@ -363,9 +363,13 @@ def check_seed(seed) -> None:
 
 def check_gabriel_ranges(bbox_km: float, distance_range_km: tuple[float, float] | None) -> None:
     """Refuse a box side or an edge-length range ``generate_gabriel`` cannot sample from."""
-    if not 0.0 < bbox_km < math.inf:  # NaN included
+    if not 0.0 < check_real(bbox_km, "bbox_km") < math.inf:  # NaN included
         raise ValueError(f"bbox_km must be finite and > 0, got {bbox_km}")
-    lo, hi = distance_range_km or (1.0, 1.0)  # None: Euclidean lengths
+    if distance_range_km is None:  # Euclidean lengths
+        return
+    if not isinstance(distance_range_km, tuple | list) or len(distance_range_km) != 2:
+        raise ValueError(f"distance_range_km must be a pair (lo, hi), got {distance_range_km!r}")
+    lo, hi = (check_real(bound, "distance_range_km") for bound in distance_range_km)
     if not 0.0 < lo <= hi < math.inf:
         raise ValueError(f"distance_range_km must be finite with 0 < lo <= hi, got {(lo, hi)}")
 

@@ -19,18 +19,22 @@ from entflow.experiments import (
     COLUMNS,
     ExperimentConfig,
     Report,
+    _draw_chain,
     _sample_pairs,
     RUNNERS,
     emit_report,
     run_experiment,
     settings_read,
 )
-from entflow.hypergraph import FidelityGrid
-from entflow.lp import LPSolveError
+from entflow.hypergraph import FidelityGrid, build_pruned_hypergraph
+from entflow.lp import SCHEME_METRICS, LPSolveError
 from entflow.orchestrator import PlannerConfig
 from entflow.physics import NoiseParams
-from entflow.strategies import LP_STRATEGIES, run_strategy
+from entflow.strategies import STRATEGIES, run_strategy
 from entflow.topology import generate_gabriel
+
+
+_ON_HYPERGRAPHS = tuple(name for name in STRATEGIES if name != "rate-dp")
 
 
 def _cfg(kind, **kw):
@@ -145,6 +149,24 @@ def test_scale_path_and_network():
     assert rep_net.aggregates
 
 
+def test_scale_path_rows_report_the_pruned_build_of_each_path():
+    config = _cfg("scale-path", scale_path_lengths=(2, 3, 5))
+    report = run_experiment(config)
+    assert report.failures == 0
+    rng, grid = np.random.default_rng([config.seed, 3]), FidelityGrid.uniform(config.grid_size)
+    for row, length in zip(report.rows, config.scale_path_lengths, strict=True):
+        path = _draw_chain(config, rng, length, name=f"p{length}_")
+        stats = build_pruned_hypergraph(path, grid, config.noise, config.purify_model).stats()
+        assert (row["path_length"], row["builder"], row["vertices"], row["edges"]) == (
+            length, "pruned", stats.num_vertices, stats.num_edges)
+    result = run_strategy("ec-dp", path, grid, noise=config.noise)
+    assert result.stats == stats
+    # the counts ride on the result, not in its document
+    assert list(result.to_json()) == ["strategy", *SCHEME_METRICS, "server_time_s",
+                                      "solver_time_s", "grid_size", "f_lb", "purify_model"]
+    assert run_strategy("rate-dp", path, grid).stats is None
+
+
 def test_config_refuses_an_unknown_purification_model():
     with pytest.raises(ValueError, match=r"^purify_model must be one of "
                                          r"\('ideal-dejmps', 'as-printed'\), got 'bogus'$"):
@@ -166,7 +188,7 @@ def slow_checks(monkeypatch):
     monkeypatch.setattr(hypergraph, "_check_references", slow)
 
 
-@pytest.mark.parametrize("name", LP_STRATEGIES)
+@pytest.mark.parametrize("name", _ON_HYPERGRAPHS)
 def test_a_strategy_server_time_includes_the_hypergraph_checks(name, slow_checks):
     result = run_strategy(name, make_chain([40.0, 60.0]), FidelityGrid.uniform(8))
     assert result.server_time_s >= _CHECK_S
@@ -177,8 +199,8 @@ def test_a_strategy_server_time_includes_the_hypergraph_checks(name, slow_checks
     ("scale-path", {"scale_path_lengths": (3,)}),
     ("scale-network", {}),
     ("sweep-flb", {"repetitions": 1, "f_lb_start": 0.9, "f_lb_stop": 0.9,
-                   "strategies": tuple(LP_STRATEGIES)}),
-    ("benchmark", {"pairs_per_length": 1, "strategies": tuple(LP_STRATEGIES)}),
+                   "strategies": _ON_HYPERGRAPHS}),
+    ("benchmark", {"pairs_per_length": 1, "strategies": _ON_HYPERGRAPHS}),
     ("intro-toy", {}),
 ])
 def test_every_reported_server_time_includes_the_hypergraph_checks(kind, options, slow_checks):

@@ -210,3 +210,37 @@ def test_benchmark_reads_a_topology_file(tmp_path):
     assert doc["config"]["topology_path"] == str(topo_file) and doc["failures"] == 0
     assert doc["rows"] and all(row["s"].startswith("m") and row["d"].startswith("m")
                                for row in doc["rows"])
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"path_lengths": 5}, "path_lengths must be tuple[int, ...], got 5"),
+    ({"grid_sizes": 10}, "grid_sizes must be tuple[int, ...], got 10"),
+    ({"strategies": "ec-dp"}, "strategies must be tuple[str, ...], got 'ec-dp'"),
+    ({"record_timings": "no"}, "record_timings must be bool, got 'no'"),
+    ({"topology_path": 7}, "topology_path must be str | None, got 7"),
+], ids=["path_lengths", "grid_sizes", "strategies", "record_timings", "topology_path"])
+def test_config_refuses_a_value_not_of_its_declared_type(settings, message):
+    # the tuples used to be accepted (run_experiment then raised a bare
+    # TypeError) or read by the letter (unknown strategy 'e'), "no" was
+    # recorded as true, and 7 was opened as a file descriptor
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(kind="benchmark", **settings)
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"bbox_km": "5"}, "bbox_km must be a real number, got '5'"),
+    ({"distance_range_km": ("a", "b")}, "distance_range_km must be a real number, got 'a'"),
+    ({"distance_range_km": (20.0, True)}, "distance_range_km must be a real number, got True"),
+    ({"distance_range_km": 50}, "distance_range_km must be a pair (lo, hi), got 50"),
+    ({"distance_range_km": (20.0, 50.0, 80.0)},
+     "distance_range_km must be a pair (lo, hi), got (20.0, 50.0, 80.0)"),
+], ids=["bbox-string", "range-strings", "range-bool", "range-int", "range-triple"])
+def test_gabriel_ranges_are_read_as_numbers_before_they_are_compared(settings, message):
+    # each used to raise a bare TypeError that named no field
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        generate_gabriel(6, 0, **settings)
+    config_message = message
+    if settings.get("distance_range_km") == 50:  # the config refuses it by its declared type
+        config_message = "distance_range_km must be tuple[float, float], got 50"
+    with pytest.raises(ValueError, match=f"^{re.escape(config_message)}$"):
+        ExperimentConfig(kind="benchmark", **settings)

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import make_chain
 from entflow.capacity import pair_capacity
+from entflow import strategies
 from entflow.cli import main
 from entflow.hypergraph import BUILD_COUNTER, FidelityGrid
 from entflow.lp import EMPTY_SCHEME
@@ -50,6 +51,32 @@ def test_run_points_builds_each_model_once_and_answers_in_order():
         assert result.scheme == run_strategy(name, path, grid, f_lb).scheme
     # rows on one model report its one build time
     assert len({r.server_time_s for r in results if r.strategy != "ec-dp"} - {0.0}) == 1
+
+
+@pytest.mark.parametrize("model", ["ideal-dejmps", "as-printed"])
+def test_run_points_runs_the_rate_dp_program_once_per_path(model, monkeypatch):
+    path, grid = _pinned_chain(4), FidelityGrid.uniform(40)
+    f_lbs = [round(0.815 + k * 0.005, 10) for k in range(37)]  # the default f_lb sweep
+    program, pick = strategies.STRATEGIES["rate-dp"]
+    runs = []
+
+    def counted(*args):
+        runs.append(args)
+        return program(*args)
+
+    monkeypatch.setitem(strategies.STRATEGIES, "rate-dp", (counted, pick))
+    results = list(run_points(path, grid, [("rate-dp", f_lb) for f_lb in f_lbs],
+                              DEFAULT_NOISE, model))
+    assert len(runs) == 1
+    assert len({r.solver_time_s for r in results}) == 1  # the program's one run
+    assert {r.server_time_s for r in results} == {0.0}
+    monkeypatch.undo()
+    schemes = {_reprs(r.scheme) for r in results}
+    assert len(schemes) > 1  # the sweep moves the pick
+    for f_lb, result in zip(f_lbs, results):
+        alone = run_rate_dp(path, grid, f_lb, DEFAULT_NOISE, model)
+        assert (result.f_lb, result.purify_model) == (f_lb, model)
+        assert result.scheme == alone.scheme and _reprs(result.scheme) == _reprs(alone.scheme)
 
 
 def test_run_points_refuses_an_unknown_strategy_when_it_reaches_it():
