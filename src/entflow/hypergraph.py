@@ -30,7 +30,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from numbers import Integral, Real
+from numbers import Real
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -42,6 +42,7 @@ from .physics import (
     EventCounter,
     NoiseParams,
     _check_fidelity,
+    check_int,
     check_purify_model,
     dejmps,
     gate_factor,
@@ -106,9 +107,7 @@ class FidelityGrid:
 
     @classmethod
     def uniform(cls, size: int = DEFAULT_GRID_SIZE) -> FidelityGrid:
-        if isinstance(size, bool) or not isinstance(size, Integral):
-            raise HypergraphError(f"grid size must be an integer, got {size!r}")
-        if size < 1:
+        if check_int(size, "grid size", HypergraphError) < 1:
             raise HypergraphError("grid size must be >= 1")
         return cls(tuple(float(x) for x in np.linspace(0.5, 1.0, size)))
 

@@ -27,7 +27,14 @@ from .hypergraph import (
     synthesize_multipath,
 )
 from .lp import EMPTY_SCHEME, DistributionScheme, extract_scheme, formulate_lp, solve_lp
-from .physics import DEFAULT_NOISE, DEFAULT_PURIFY_MODEL, NoiseParams, check_purify_model
+from .physics import (
+    DEFAULT_NOISE,
+    DEFAULT_PURIFY_MODEL,
+    NoiseParams,
+    check_int,
+    check_purify_model,
+    check_real,
+)
 from .topology import Topology, k_shortest_paths
 
 # keys of a hypergraph document that a cache holds once, not per entry
@@ -50,9 +57,11 @@ class PlannerConfig:
     latency_budget_s: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("n_candidates", "k_keep"):
+            check_int(getattr(self, name), name)
         if not 1 <= self.k_keep <= self.n_candidates:
             raise ValueError("need 1 <= k_keep <= n_candidates")
-        if not 0.01 <= self.latency_budget_s <= 1.0:
+        if not 0.01 <= check_real(self.latency_budget_s, "latency_budget_s") <= 1.0:
             raise ValueError("latency budget must be within [0.01, 1.0] s")
         check_purify_model(self.purify_model)
 

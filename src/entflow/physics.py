@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -34,6 +34,14 @@ def check_real(value, name: str, error: type[ValueError] = ValueError):
     # float first: it skips the slow ABC check
     if not isinstance(value, float) and (isinstance(value, bool) or not isinstance(value, Real)):
         raise error(f"{name} must be a real number, got {value!r}")
+    return value
+
+
+def check_int(value, name: str, error: type[ValueError] = ValueError):
+    """``value``, refused with ``error`` naming ``name`` unless it is an
+    integer, a boolean not included; the caller checks its range."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
     return value
 
 
@@ -91,7 +99,7 @@ CLAMP_EVENTS = EventCounter()  # fidelity outputs clamped into [0, 1]
 
 
 def _check_fidelity(name: str, f: float) -> None:
-    if not FIDELITY_FLOOR <= f <= 1.0:
+    if not FIDELITY_FLOOR <= check_real(f, name) <= 1.0:
         raise ValueError(f"{name} must be in [0.25, 1], got {f}")
 
 

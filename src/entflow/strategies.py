@@ -57,6 +57,7 @@ from .physics import (
     DEFAULT_NOISE,
     DEFAULT_PURIFY_MODEL,
     NoiseParams,
+    check_int,
     check_purify_model,
     check_real,
     gate_factor,
@@ -380,9 +381,10 @@ def _check_oracle_bounds(path: Path, grid: FidelityGrid, max_purify_rounds: int,
         raise OracleBoundsError("oracle paths are limited to 4 nodes")
     if grid.resolution > ORACLE_MAX_GRID:
         raise OracleBoundsError(f"oracle grids are limited to {ORACLE_MAX_GRID} values")
-    if max_purify_rounds > 2 or max_purify_rounds < 0:
+    if not 0 <= check_int(max_purify_rounds, "max_purify_rounds", OracleBoundsError) <= 2:
         raise OracleBoundsError("oracle allows at most 2 purification rounds")
-    if max_ensembles is not None and max_ensembles < 1:
+    if max_ensembles is not None and check_int(max_ensembles, "max_ensembles",
+                                               OracleBoundsError) < 1:
         raise OracleBoundsError(f"max_ensembles must be at least 1, got {max_ensembles}")
 
 

@@ -11,7 +11,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .physics import DEFAULT_NOISE, check_real
+from .physics import DEFAULT_NOISE, check_int, check_real
 
 DEFAULT_R_LOCAL = 12000.0  # pairs/s at zero distance
 DEFAULT_ALPHA = 0.21  # dB/km fiber attenuation
@@ -337,7 +337,7 @@ def generate_gabriel(
     point. When ``distance_range_km`` is given, edge lengths are resampled
     uniformly from that range instead of using Euclidean distances.
     """
-    if n < 2:
+    if check_int(n, "n") < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
     check_seed(seed)
     check_gabriel_ranges(bbox_km, distance_range_km)
@@ -421,9 +421,7 @@ def k_shortest_paths(
         raise TopologyValidationError(f"unknown endpoint {s!r} or {d!r}")
     if s == d:
         raise ValueError("source and destination must differ")
-    if isinstance(n, bool) or not isinstance(n, Integral):
-        raise TopologyValidationError(f"path count must be an integer, got {n!r}")
-    if n < 1:
+    if check_int(n, "path count", TopologyValidationError) < 1:
         raise ValueError("path count must be >= 1")
 
     first = _dijkstra(topology, s, d, weight)

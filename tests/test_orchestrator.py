@@ -437,6 +437,22 @@ def test_load_cache_rejects_a_node_off_the_first_k_paths_of_the_config():
         load_cache(json.dumps(doc))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("k_keep", True, "k_keep must be an integer, got True"),
+    ("k_keep", 2.5, "k_keep must be an integer, got 2.5"),
+    ("n_candidates", 6.0, "n_candidates must be an integer, got 6.0"),
+    ("latency_budget_s", True, "latency_budget_s must be a real number, got True"),
+], ids=["k_keep-true", "k_keep-2.5", "n_candidates-6.0", "latency_budget_s-true"])
+def test_load_cache_refuses_a_config_count_or_budget_of_the_wrong_type(field, value, message):
+    # k_keep true was read as 1 and refused as a node off the first "True"
+    # paths, 2.5 with a bare slice error; the other two loaded and answered
+    doc = _saved_square_doc()
+    doc["config"][field] = value
+    with pytest.raises(CacheError) as info:
+        load_cache(json.dumps(doc))
+    assert str(info.value) == f"corrupt cache document: {message}"
+
+
 @pytest.mark.parametrize("field, value", [
     ("grid", FidelityGrid.uniform(10)),
     ("noise", NoiseParams(p2=0.99)),

@@ -199,3 +199,17 @@ def test_purify_map_on_arrays_equals_scalar_purify_bit_for_bit(pairs, noise, mod
     raw = [purify_output_fidelity_raw(a, b, noise) for a, b in pairs]
     outside = [model == "as-printed" and not 0.0 <= r <= 1.0 for r in raw]
     assert np.broadcast_to(clamped, f_out.shape).tolist() == outside
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda f: purify(f, 0.9), "f1"),
+    (lambda f: swap_fidelity(0.9, f), "f2"),
+    (lambda f: chain_swap_fidelity([0.9, f]), "fidelity"),
+    (lambda f: purify_success_prob(f, 0.9), "f1"),
+], ids=["purify", "swap", "chain-swap", "success-prob"])
+@pytest.mark.parametrize("f", [True, False, "0.9", None])
+def test_a_checked_map_refuses_a_fidelity_that_is_not_a_real_number(call, name, f):
+    # True was read as a perfect pair, and a string or None raised a bare TypeError
+    with pytest.raises(ValueError) as info:
+        call(f)
+    assert str(info.value) == f"{name} must be a real number, got {f!r}"

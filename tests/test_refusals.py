@@ -22,8 +22,14 @@ from entflow.lp import (
     parse_lp,
     solve_lp,
 )
+from entflow.orchestrator import PlannerConfig
 from entflow.physics import DEFAULT_NOISE, chain_swap_fidelity
-from entflow.strategies import run_rate_dp
+from entflow.strategies import (
+    OracleBoundsError,
+    brute_force_oracle,
+    oracle_best_single,
+    run_rate_dp,
+)
 from entflow.topology import (
     Edge,
     Path,
@@ -177,6 +183,37 @@ def test_config_refuses_a_sweep_of_more_than_10000_points(step):
     with pytest.raises(ValueError, match=r"^f_lb_step must give at most 10000 sweep points, "
                                          r"got (\d{20}|inf)$"):
         ExperimentConfig(kind="sweep-flb", f_lb_step=step)
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"n_candidates": "6"}, "n_candidates must be an integer, got '6'"),
+    ({"k_keep": True}, "k_keep must be an integer, got True"),
+    ({"latency_budget_s": "0.5"}, "latency_budget_s must be a real number, got '0.5'"),
+], ids=["n_candidates", "k_keep", "latency_budget_s"])
+def test_planner_config_refuses_a_count_or_budget_of_the_wrong_type(settings, message):
+    # a string raised a bare TypeError from the range comparison, and True was read as 1
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PlannerConfig(**settings)
+
+
+@pytest.mark.parametrize("oracle, bound", [
+    (brute_force_oracle, "max_purify_rounds"),
+    (oracle_best_single, "max_purify_rounds"),
+    (brute_force_oracle, "max_ensembles"),
+], ids=["brute-force-rounds", "best-single-rounds", "brute-force-ensembles"])
+@pytest.mark.parametrize("value", [True, 1.5, "2"])
+def test_oracle_refuses_a_bound_that_is_not_an_integer(oracle, bound, value):
+    # True was read as 1, and 1.5 or "2" raised a bare TypeError
+    message = f"{bound} must be an integer, got {value!r}"
+    with pytest.raises(OracleBoundsError, match=f"^{re.escape(message)}$"):
+        oracle(make_chain([50.0]), FidelityGrid.uniform(4), **{bound: value})
+
+
+@pytest.mark.parametrize("n", [True, 2.5, "3", None])
+def test_generate_gabriel_refuses_a_node_count_that_is_not_an_integer(n):
+    # True was read as a count of 1, and the others raised a bare TypeError
+    with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(n))}$"):
+        generate_gabriel(n, 0)
 
 
 def test_oracle_on_a_demand_with_no_path_exits_2(tmp_path, capsys):
