@@ -160,6 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--demand", type=_parse_demand, required=True)
     orc.add_argument("--max-purify-rounds", type=int)
     orc.add_argument("--max-ensembles", type=int)
+    orc.add_argument("--no-timings", dest="record_timings", action="store_false",
+                     help="omit server_time_s and solver_time_s, so the same run prints the "
+                          "same bytes")
     _add_common_flags(orc)
     orc.set_defaults(grid_size=ORACLE_MAX_GRID)
 
@@ -231,6 +234,7 @@ def _cmd_oracle(given: dict) -> int:
     topo = read_topology_file(given.pop("topology"))
     s, d = given.pop("demand")
     out = given.pop("out", None)
+    timed = given.pop("record_timings", True)
     paths = k_shortest_paths(topo, s, d, 1, weight="hops")
     if not paths:
         print(f"no path between {s} and {d}", file=sys.stderr)
@@ -238,7 +242,10 @@ def _cmd_oracle(given: dict) -> int:
     grid = FidelityGrid.uniform(given.pop("grid_size"))
     noise = NoiseParams(**_take(given, _NOISE_FIELDS))
     result = brute_force_oracle(paths[0], grid, noise, **given)
-    _write_out(json.dumps(result.to_json()) + "\n", out)
+    doc = result.to_json()
+    if not timed:
+        del doc["server_time_s"], doc["solver_time_s"]
+    _write_out(json.dumps(doc) + "\n", out)
     return EXIT_OK
 
 

@@ -184,11 +184,6 @@ def _columns(names: list | tuple, vertices: tuple, blocks: list) -> HypergraphCo
                              exact_fidelity=np.array(fidelity, _COLUMN_DTYPES["exact_fidelity"]))
 
 
-def _by_column(edges: list[tuple]) -> dict:
-    """The block of per-edge tuples in ``_EDGE_DTYPES`` order."""
-    return dict(zip(_EDGE_DTYPES, zip(*edges))) if edges else dict.fromkeys(_EDGE_DTYPES, ())
-
-
 BUILD_COUNTER = EventCounter()  # hypergraph builder invocations
 
 
@@ -503,24 +498,36 @@ def _purify_sweep(
     any other stops at the first output over ``_SWEEP_SLACK`` below the
     bottom of bucket b, as every lower partner lands under b, where the held
     rates beat it. As-printed calls can each clamp, so they never stop.
+
+    Under ideal DEJMPS the fidelities a block enters with are checked once,
+    in bucket order; the rows the sweep adds need no check. Each is a
+    candidate with f' >= vals[k + 1] >= 1/2, and f' <= 1 in the kernel's
+    rounding: each term the denominator adds to the numerator's f1 f2 is
+    >= 0, and 5.0 (1 - f1)(1 - f2) / 9 >= (1 - f1)(1 - f2) / 9 under
+    monotone rounding, so the numerator never exceeds the denominator. The
+    as-printed ``purify`` checks every call.
     """
     ideal = purify_model == "ideal-dejmps"
     vals = grid.values
     occupied = sorted(block)  # and, in step, each bucket's fidelity and rate
     fid, rate = [block[k][0] for k in occupied], [block[k][1] for k in occupied]
-    pos = 0
-    while pos < len(occupied):
-        k, f_hi, r_hi = occupied[pos], fid[pos], rate[pos]
+    held = dict(zip(occupied, rate))  # each occupied bucket's rate
+    if ideal:
+        for f in fid:
+            _check_fidelity("f1", f)
+    for pos, k in enumerate(occupied):  # reaches the buckets filled ahead of the cursor
+        f_hi, r_hi = fid[pos], rate[pos]
         up = vals[k + 1] if k + 1 < len(vals) else math.inf  # bottom of the next bucket
         if ideal:
-            _check_fidelity("f1", f_hi)  # every low was a high before
             f_new, p = dejmps(f_hi, f_hi)
             bound = r_hi * p * (1.0 + _RATE_SLACK)  # no candidate's rate exceeds it
             top = bisect_right(vals, f_new + _SWEEP_SLACK) - 1  # no candidate lands above it
             b = k + 1
-            while b <= top and b in block and block[b][1] > bound:
+            while b <= top and held.get(b, -math.inf) > bound:
                 b += 1  # held at a rate no candidate reaches
-            floor = vals[b] - _SWEEP_SLACK if b <= top else math.inf
+            if b > top:
+                continue  # the row can win nothing
+            floor = vals[b] - _SWEEP_SLACK
         else:
             f_new, p = purify(f_hi, f_hi, noise, purify_model)
             floor = -math.inf
@@ -550,7 +557,7 @@ def _purify_sweep(
             else:
                 fid[at], rate[at] = f_new, r_new
             block[kn] = (f_new, r_new, OP_CODE["purify"], k, k1)
-        pos += 1
+            held[kn] = r_new
 
 
 def _span_pairs(l0, nl, r0, nr) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -622,10 +629,13 @@ def build_pruned_hypergraph(
     k0 = [grid.round_down_index(phys.f0) for phys in path.edges]
     link_limits = {phys.key: link_egr(phys) for phys, k in zip(path.edges, k0) if k >= 0}
 
-    vertices = [(0, m - 1, 0.0)] * 2  # (u, v as path indices, exact_fidelity): source, sink
-    edges = []  # per edge, its values in _EDGE_DTYPES order
-    pool = ([], [], [])  # vertex, fidelity and rate of each finished incumbent
-    slot = {}  # finished pair -> (start, size) of its incumbents in pool, in insertion order
+    # the table as columns: per vertex its pair (u, v as path indices) and exact
+    # fidelity, source and sink first; per edge but the ends its op, inputs and
+    # rate, edge e making vertex 2 + e
+    u, v, fidelity = [0, 0], [m - 1, m - 1], [0.0, 0.0]
+    op, input0, input1, rate = [], [], [], []
+    pool = []  # the vertices of the finished blocks, each block's in insertion order
+    slot = {}  # finished pair -> (start, size) of its vertices in pool
 
     def finish(pair: tuple[int, int], block: dict[int, tuple]) -> None:
         # Blocks finish span by span, left to right, and every input of an
@@ -633,17 +643,21 @@ def build_pruned_hypergraph(
         # so numbering each block's buckets in ascending order as it
         # finishes numbers each input before its consumer.
         _purify_sweep(block, grid, noise, purify_model)
-        vertex = {k: len(vertices) + rank for rank, k in enumerate(sorted(block))}
-        for k, out in vertex.items():
-            f, r, op, in0, in1 = block[k]
-            if op == OP_CODE["purify"]:
+        slot[pair] = (len(pool), len(block))
+        buckets = sorted(block)
+        vertex = dict(zip(buckets, range(len(fidelity), len(fidelity) + len(block))))
+        for k in buckets:
+            f, r, code, in0, in1 = block[k]
+            if code == OP_CODE["purify"]:  # it names its inputs by bucket
                 in0, in1 = vertex[in0], vertex[in1]
-            vertices.append((*pair, f))
-            edges.append((op, in0, in1, out, r))
-        slot[pair] = (len(pool[0]), len(block))
-        pool[0].extend(map(vertex.get, block))
-        pool[1].extend(inc[0] for inc in block.values())
-        pool[2].extend(inc[1] for inc in block.values())
+            fidelity.append(f)
+            rate.append(r)
+            op.append(code)
+            input0.append(in0)
+            input1.append(in1)
+        u.extend((pair[0],) * len(block))
+        v.extend((pair[1],) * len(block))
+        pool.extend(map(vertex.get, block))
 
     for t, phys in enumerate(path.edges):
         block = {}
@@ -652,11 +666,15 @@ def build_pruned_hypergraph(
         finish((t, t + 1), block)
 
     vals, nf, g = grid.as_array(), grid.resolution, gate_factor(noise)
+    # the pool as arrays: its vertices, and each vertex's fidelity and each edge's rate
+    vid, fid, rates = np.empty(0, np.int64), np.empty(0), np.empty(0)
     for span in range(2, m):
+        # each grows by what the previous span added
+        vid, fid, rates = (np.concatenate([a, np.array(column[len(a):], a.dtype)])
+                           for a, column in ((vid, pool), (fid, fidelity), (rates, rate)))
         # every swap candidate of the span at once, on exact fidelities
-        vid, fid, rate = (np.array(column) for column in pool)
-        owner, left, right, f, bucket = _span_swaps(m, span, slot, fid, g, vals)
-        r = np.minimum(rate[left], rate[right])
+        owner, left, right, f, bucket = _span_swaps(m, span, slot, fid[vid], g, vals)
+        r = np.minimum(rates[vid[left] - 2], rates[vid[right] - 2])
         win = _span_winners(owner * nf + bucket, (m - span) * nf, r, f)
         blocks = {i: {} for i in range(m - span)}
         for i, k, fw, rw, in0, in1 in zip(*(a[win].tolist() for a in (owner, bucket, f, r)),
@@ -665,12 +683,12 @@ def build_pruned_hypergraph(
         for i, block in blocks.items():
             finish((i, i + span), block)
 
-    start, size = slot[(0, m - 1)]
-    for out, _, r in sorted(zip(*(column[start:start + size] for column in pool))):
-        edges.append((OP_CODE["end"], out, -1, SINK, r))
-
-    return Hypergraph(_columns(path.nodes, tuple(zip(*vertices)), [_by_column(edges)]), grid,
-                      noise, link_limits, builder="pruned", purify_model=purify_model)
+    n, size = len(fidelity), slot[(0, m - 1)][1]  # the last block finished holds the last vertices
+    edges = {"op": op, "input0": input0, "input1": input1, "output": np.arange(2, n),
+             "rate_bound": rate}
+    ends = _edge_block("end", np.arange(n - size, n), SINK, rate_bound=rate[len(rate) - size:])
+    return Hypergraph(_columns(path.nodes, (u, v, fidelity), [edges, ends]), grid, noise,
+                      link_limits, builder="pruned", purify_model=purify_model)
 
 
 def best_dp_estimate(hg: Hypergraph) -> float:

@@ -14,6 +14,7 @@ same text on every run; a caller timing a refresh times ``outer_loop_update``.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields
 
@@ -176,10 +177,27 @@ def save_cache(cache: Cache) -> str:
     return json.dumps(doc)
 
 
+def _estimates(where: str, items: list) -> tuple:
+    """An entry's estimates as saved: each a real score, at most the one
+    before it, and its path's nodes as a list of names. An error names the
+    entry and the estimate."""
+    estimates, before = [], math.inf
+    for i, (score, nodes) in enumerate(items):
+        what = f"{where}estimate {i}: "
+        if not check_real(score, f"{what}score", CacheError) <= before:  # NaN included
+            raise CacheError(f"{what}score {score!r} is not at most the one before it, {before!r}")
+        if type(nodes) is not list or any(type(node) is not str for node in nodes):
+            raise CacheError(f"{what}nodes {nodes!r} are not a list of node names")
+        estimates.append((score, tuple(nodes)))
+        before = score
+    return tuple(estimates)
+
+
 def load_cache(text: str) -> Cache:
     """A cache that ``save_cache`` wrote. Each hypergraph is checked as every
     hypergraph is, and must connect its entry's demand through nodes of the
-    entry's first ``k_keep`` estimated paths. An error names the entry."""
+    entry's first ``k_keep`` estimated paths, whose scores must descend. An
+    error names the entry."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also an int of too many digits, or deep nesting
@@ -195,7 +213,7 @@ def load_cache(text: str) -> Cache:
             where = f"entry {demand}: "
             if demand in cache.entries:
                 raise CacheError(f"{where}the demand appears twice")
-            estimates = tuple((score, tuple(nodes)) for score, nodes in item["estimates"])
+            estimates = _estimates(where, item["estimates"])
             hg_doc = item["hypergraph"]
             hg = Hypergraph.from_json({**hg_doc, **held}) if hg_doc else None
             if hg is not None and hg.endpoints != demand:

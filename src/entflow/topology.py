@@ -6,7 +6,9 @@ import heapq
 import json
 import math
 import re
+from collections.abc import Collection
 from dataclasses import dataclass
+from itertools import accumulate
 from numbers import Integral
 
 import numpy as np
@@ -343,7 +345,13 @@ def generate_gabriel(
     check_gabriel_ranges(bbox_km, distance_range_km)
     rng = np.random.default_rng(seed)
     points = rng.uniform(0.0, bbox_km, size=(n, 2))
-    pairs = _gabriel_edges(points)
+    from scipy.spatial import QhullError
+
+    try:
+        pairs = _gabriel_edges(points)
+    except QhullError as exc:  # a box side out of the range Qhull's arithmetic handles
+        raise ValueError(f"bbox_km {bbox_km} is too small or too large: Qhull cannot "
+                         f"triangulate points in that box ({str(exc).split()[0]})") from exc
     names = [f"n{i}" for i in range(n)]
     edges = []
     for i, j in sorted(pairs):
@@ -374,25 +382,19 @@ def check_gabriel_ranges(bbox_km: float, distance_range_km: tuple[float, float] 
         raise ValueError(f"distance_range_km must be finite with 0 < lo <= hi, got {(lo, hi)}")
 
 
-def _edge_weight(edge: Edge, weight: str) -> float:
-    if weight == "km":
-        return edge.length_km
-    if weight == "hops":
-        return 1.0
-    raise ValueError(f"unknown weight mode {weight!r}")
+_WEIGHTS = {"km": lambda edge: edge.length_km, "hops": lambda edge: 1.0}  # mode -> edge weight
 
 
 def _dijkstra(
-    topology: Topology,
+    adj: dict[str, list[tuple[str, float]]],
     s: str,
     d: str,
-    weight: str,
-    banned_edges: set[frozenset] | None = None,
-    banned_nodes: set[str] | None = None,
+    banned_edges: Collection[tuple[str, str]] = frozenset(),
+    banned_nodes: Collection[str] = frozenset(),
 ) -> tuple[float, tuple[str, ...]] | None:
-    """Shortest path with lexicographic node-sequence tie-break."""
-    banned_edges = banned_edges or set()
-    banned_nodes = banned_nodes or set()
+    """Shortest path with lexicographic node-sequence tie-break. ``adj``
+    lists each node's neighbors by name with their edge weights; an edge
+    (tail, head) in ``banned_edges`` is not taken from tail to head."""
     heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (s,))]
     settled: set[str] = set()
     while heap:
@@ -403,13 +405,10 @@ def _dijkstra(
         if tail in settled:
             continue
         settled.add(tail)
-        for nb in sorted(topology.neighbors(tail)):
-            if nb in settled or nb in banned_nodes or nb in nodes:
+        for nb, w in adj[tail]:
+            if nb in settled or nb in banned_nodes or nb in nodes or (tail, nb) in banned_edges:
                 continue
-            if frozenset((tail, nb)) in banned_edges:
-                continue
-            edge = topology.edge_between(tail, nb)
-            heapq.heappush(heap, (dist + _edge_weight(edge, weight), nodes + (nb,)))
+            heapq.heappush(heap, (dist + w, nodes + (nb,)))
     return None
 
 
@@ -423,37 +422,38 @@ def k_shortest_paths(
         raise ValueError("source and destination must differ")
     if check_int(n, "path count", TopologyValidationError) < 1:
         raise ValueError("path count must be >= 1")
+    if weight not in _WEIGHTS:
+        raise ValueError(f"unknown weight mode {weight!r}")
+    length = _WEIGHTS[weight]
+    adj = {node: sorted((nb, length(edge)) for nb, edge in topology._adj[node].items())
+           for node in topology.nodes}
 
-    first = _dijkstra(topology, s, d, weight)
+    first = _dijkstra(adj, s, d)
     if first is None:
         return []
     found: list[tuple[float, tuple[str, ...]]] = [first]
     candidates: list[tuple[float, tuple[str, ...]]] = []
-    seen_candidates: set[tuple[str, ...]] = set()
+    seen = {first[1]}  # every path found or pushed as a candidate
 
     while len(found) < n:
         _, prev_nodes = found[-1]
+        # the length of each root, summed from s as a search sums it
+        root_dists = list(accumulate(
+            (length(topology.edge_between(a, b)) for a, b in zip(prev_nodes, prev_nodes[1:])),
+            initial=0))
         for i in range(len(prev_nodes) - 1):
             root = prev_nodes[: i + 1]
-            spur = prev_nodes[i]
-            banned_edges = set()
-            for _, p in found:
-                if p[: i + 1] == root and len(p) > i + 1:
-                    banned_edges.add(frozenset((p[i], p[i + 1])))
-            banned_nodes = set(root[:-1])
-            spur_result = _dijkstra(topology, spur, d, weight, banned_edges, banned_nodes)
+            spur = prev_nodes[i]  # not d, so each found path with this root goes on
+            banned_edges = {(spur, p[i + 1]) for _, p in found if p[: i + 1] == root}
+            spur_result = _dijkstra(adj, spur, d, banned_edges, set(root[:-1]))
             if spur_result is None:
                 continue
             spur_dist, spur_nodes = spur_result
             total_nodes = root[:-1] + spur_nodes
-            if total_nodes in seen_candidates or any(p == total_nodes for _, p in found):
+            if total_nodes in seen:
                 continue
-            root_dist = sum(
-                _edge_weight(topology.edge_between(a, b), weight)
-                for a, b in zip(root, root[1:])
-            )
-            seen_candidates.add(total_nodes)
-            heapq.heappush(candidates, (root_dist + spur_dist, total_nodes))
+            seen.add(total_nodes)
+            heapq.heappush(candidates, (root_dists[i] + spur_dist, total_nodes))
         if not candidates:
             break
         found.append(heapq.heappop(candidates))

@@ -1,6 +1,7 @@
 """Property tests for the pruned builder's grid rounding, DEJMPS kernel and output."""
 
 import math
+import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
@@ -329,3 +330,20 @@ def test_dejmps_success_rises_with_the_partner_within_half_the_rate_slack(f1, f2
     f2, f2_up = sorted((f2, f2_up))
     assert _exact_success(f1, f2) <= _exact_success(f1, f2_up)
     assert dejmps(f1, f2)[1] <= dejmps(f1, f2_up)[1] * (1 + _RATE_SLACK / 2)
+
+
+@given(fidelities | st.integers(0, 64).map(lambda n: _ulps(1.0, -n)),
+       fidelities | st.integers(0, 64).map(lambda n: _ulps(1.0, -n)))
+def test_dejmps_output_stays_in_the_fidelity_range(f1, f2):
+    # why the sweep checks only the fidelities a block enters with: each row
+    # it adds is a dejmps output, which the kernel's rounding keeps in [1/4, 1]
+    # (see _purify_sweep), also for inputs within ulps of 1
+    assert 0.25 <= dejmps(f1, f2)[0] <= 1.0
+
+
+@pytest.mark.parametrize("model", PURIFY_MODELS)
+@pytest.mark.parametrize("f", [math.nan, 0.2, 1.5, _ulps(1.0, 1)])
+def test_purify_sweep_refuses_a_block_entering_out_of_range(f, model):
+    block = _swap_block({0: (0.5, 1.0), 3: (f, 1.0)})
+    with pytest.raises(ValueError, match=f"^{re.escape(f'f1 must be in [0.25, 1], got {f}')}$"):
+        _purify_sweep(block, FidelityGrid.uniform(10), DEFAULT_NOISE, model)

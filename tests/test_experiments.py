@@ -489,6 +489,27 @@ def test_cache_solve_without_timings_prints_the_same_bytes(tmp_path):
     assert list(json.loads(untimed)) == list(doc)
 
 
+def test_oracle_without_timings_prints_the_same_bytes(tmp_path):
+    topo_file = tmp_path / "topo.json"
+    topo_file.write_text(json.dumps({
+        "nodes": ["a", "b", "c"],
+        "edges": [{"u": "a", "v": "b", "length_km": 60},
+                  {"u": "b", "v": "c", "length_km": 60}],
+    }))
+    texts = []
+    for name in ("first.json", "second.json", "timed.json"):
+        out = tmp_path / name
+        flags = [] if name == "timed.json" else ["--no-timings"]
+        assert main(["oracle", "--topology", str(topo_file), "--demand", "a,c", "--grid-size", "4",
+                     *flags, "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    untimed, again, timed = texts
+    assert untimed == again
+    doc = json.loads(timed)
+    assert doc.pop("server_time_s") >= 0.0 and doc.pop("solver_time_s") >= 0.0
+    assert list(json.loads(untimed).items()) == list(doc.items())  # only the times left out
+
+
 def test_cli_config_errors_exit_2(tmp_path):
     missing = tmp_path / "missing.json"
     assert main(["topo", "validate", "--topology", str(missing)]) == 2

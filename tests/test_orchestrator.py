@@ -437,6 +437,28 @@ def test_load_cache_rejects_a_node_off_the_first_k_paths_of_the_config():
         load_cache(json.dumps(doc))
 
 
+@pytest.mark.parametrize("index, edit, message", [
+    (0, lambda e: ["abc", e[1]], "score must be a real number, got 'abc'"),
+    (1, lambda e: [True, e[1]], "score must be a real number, got True"),
+    (1, lambda e: [float("nan"), e[1]], "score nan is not at most the one before it, {before!r}"),
+    (1, lambda e: [1e9, e[1]], "score 1000000000.0 is not at most the one before it, {before!r}"),
+    (0, lambda e: [e[0], "sad"], "nodes 'sad' are not a list of node names"),
+    (1, lambda e: [e[0], ["s", 7, "d"]], "nodes ['s', 7, 'd'] are not a list of node names"),
+], ids=["score-string", "score-bool", "score-nan", "scores-ascend", "nodes-string",
+        "nodes-int"])
+def test_load_cache_refuses_an_estimate_it_cannot_rank(index, edit, message):
+    # each used to load, and all answered the same: a string of nodes was read
+    # as a path of its letters, and out-of-order scores made the k_keep node
+    # check read other paths than the kept ones
+    doc = _saved_square_doc()
+    estimates = doc["entries"][0]["estimates"]
+    before = estimates[0][0]
+    estimates[index] = edit(estimates[index])
+    with pytest.raises(CacheError) as info:
+        load_cache(json.dumps(doc))
+    assert str(info.value) == f"entry ('s', 'd'): estimate {index}: " + message.format(before=before)
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("k_keep", True, "k_keep must be an integer, got True"),
     ("k_keep", 2.5, "k_keep must be an integer, got 2.5"),

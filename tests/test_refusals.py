@@ -281,3 +281,15 @@ def test_gabriel_ranges_are_read_as_numbers_before_they_are_compared(settings, m
         config_message = "distance_range_km must be tuple[float, float], got 50"
     with pytest.raises(ValueError, match=f"^{re.escape(config_message)}$"):
         ExperimentConfig(kind="benchmark", **settings)
+
+
+@pytest.mark.parametrize("bbox_km", [1e308, 1e-300])
+def test_topo_gen_refuses_a_box_qhull_cannot_triangulate(bbox_km, capsys):
+    # scipy's QhullError used to escape: exit 1 with a traceback
+    message = re.escape(f"bbox_km {bbox_km} is too small or too large: Qhull cannot "
+                        "triangulate points in that box (") + r"QH\d+\)"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        generate_gabriel(20, 7, bbox_km=bbox_km)
+    capsys.readouterr()
+    assert main(["topo", "gen", "--nodes", "20", "--seed", "7", "--bbox-km", str(bbox_km)]) == 2
+    assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)

@@ -268,14 +268,15 @@ def test_gabriel_distance_resampling():
     assert all(20.0 <= e.length_km <= 80.0 for e in topo.edges)
 
 
-def _all_simple_paths(topo: Topology, s: str, d: str):
+def _all_simple_paths(topo: Topology, s: str, d: str, weight: str = "km"):
     out = []
 
     def walk(nodes):
         tail = nodes[-1]
         if tail == d:
             length = sum(
-                topo.edge_between(a, b).length_km for a, b in zip(nodes, nodes[1:])
+                topo.edge_between(a, b).length_km if weight == "km" else 1.0
+                for a, b in zip(nodes, nodes[1:])
             )
             out.append((length, tuple(nodes)))
             return
@@ -304,6 +305,27 @@ def test_yen_matches_exhaustive_enumeration():
     for k in (1, 3, len(expected)):
         got = k_shortest_paths(topo, "a", "c", k)
         assert [tuple(p.nodes) for p in got] == [nodes for _, nodes in expected[:k]]
+
+
+@st.composite
+def _small_graphs(draw):
+    """A graph of 3-7 nodes, each edge of an integer length 1-4 (so that
+    lengths tie exactly), and two distinct nodes of it."""
+    names = [f"n{i}" for i in range(draw(st.integers(3, 7)))]
+    pairs = list(itertools.combinations(names, 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    edges = [Edge(a, b, float(draw(st.integers(1, 4)))) for a, b in chosen]
+    s, d = draw(st.permutations(names))[:2]
+    return Topology(names, edges), s, d
+
+
+@settings(deadline=None)
+@given(_small_graphs(), st.sampled_from(["km", "hops"]), st.sampled_from([1, 3, 6, 50]))
+def test_yen_matches_exhaustive_enumeration_on_generated_graphs(case, weight, k):
+    topo, s, d = case
+    expected = _all_simple_paths(topo, s, d, weight)
+    got = k_shortest_paths(topo, s, d, k, weight=weight)
+    assert [tuple(p.nodes) for p in got] == [nodes for _, nodes in expected[:k]]
 
 
 def test_yen_requests_beyond_supply():
