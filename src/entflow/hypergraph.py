@@ -39,6 +39,7 @@ from .capacity import pair_capacity
 from .physics import (
     CLAMP_EVENTS,
     DEFAULT_PURIFY_MODEL,
+    PURIFY_CREDIT,
     EventCounter,
     NoiseParams,
     _check_fidelity,
@@ -492,7 +493,7 @@ def _purify_sweep(
     d f'/d f2 has numerator 42 f1 - 12 f1^2 - 3 >= 6.75 and d p/d f2 is
     (8 f1 - 2) / 9 >= 0. So the self-purification bounds the row: no
     candidate lands above the bucket of its output plus ``_SWEEP_SLACK``, nor
-    beats its rate r_hi p_self by a factor over 1 + ``_RATE_SLACK``. Let b be
+    beats credit r_hi p_self by a factor over 1 + ``_RATE_SLACK``. Let b be
     the first bucket above the cursor's that is empty or held at a rate
     within that bound. A row with b above that top bucket can win nothing;
     any other stops at the first output over ``_SWEEP_SLACK`` below the
@@ -508,6 +509,7 @@ def _purify_sweep(
     as-printed ``purify`` checks every call.
     """
     ideal = purify_model == "ideal-dejmps"
+    credit = 2.0 * PURIFY_CREDIT  # twice the LP's credit: ROADMAP item 21's discrepancy
     vals = grid.values
     occupied = sorted(block)  # and, in step, each bucket's fidelity and rate
     fid, rate = [block[k][0] for k in occupied], [block[k][1] for k in occupied]
@@ -520,7 +522,7 @@ def _purify_sweep(
         up = vals[k + 1] if k + 1 < len(vals) else math.inf  # bottom of the next bucket
         if ideal:
             f_new, p = dejmps(f_hi, f_hi)
-            bound = r_hi * p * (1.0 + _RATE_SLACK)  # no candidate's rate exceeds it
+            bound = r_hi * credit * p * (1.0 + _RATE_SLACK)  # no candidate's rate exceeds it
             top = bisect_right(vals, f_new + _SWEEP_SLACK) - 1  # no candidate lands above it
             b = k + 1
             while b <= top and held.get(b, -math.inf) > bound:
@@ -545,7 +547,7 @@ def _purify_sweep(
             k1 = occupied[j]
             kn = bisect_right(vals, f_new) - 1
             # both inputs drawn from one pool: half are attempts
-            r_new = (0.5 * r_hi if k1 == k else min(r_hi, rate[j])) * p
+            r_new = (0.5 * r_hi if k1 == k else min(r_hi, rate[j])) * credit * p
             inc = block.get(kn)
             if inc is not None and (r_new < inc[1] or (r_new == inc[1] and f_new <= inc[0])):
                 continue  # not strictly better: the incumbent stays

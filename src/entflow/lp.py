@@ -2,8 +2,8 @@
 
 One decision variable per hyper-edge (its execution rate, pairs/s).
 Constraints: a flow row per link-state vertex (consumption cannot exceed
-production, with purification crediting half its success-weighted rate)
-and a generation-limit row per physical link. Objectives: aggregate
+production, a purification crediting ``PURIFY_CREDIT`` pairs per successful
+attempt) and a generation-limit row per physical link. Objectives: aggregate
 ensemble capacity of the end edges, or total end rate restricted to end
 fidelities above a lower bound.
 
@@ -67,7 +67,7 @@ import scipy.sparse as sp
 
 from .capacity import EnsembleSpec, ensemble_capacity
 from .hypergraph import OP_CODE, OP_NAMES, Hypergraph, HypergraphColumns
-from .physics import check_real
+from .physics import PURIFY_CREDIT, check_real
 
 OBJECTIVE_KINDS = ("ensemble-capacity", "end-rate")
 
@@ -317,8 +317,8 @@ class RateLP:
         for array in (part.data, part.indices, part.indptr, rhs, live, touched, *ends):
             array.flags.writeable = False  # shared by every problem of the hypergraph
         names = [f"v_{vi}" for vi in range(2, flow_rows + 2)] + [f"l_{k}" for k in hg.link_keys]
-        # every edge consumes at least as many pairs as it makes, so no rate
-        # exceeds the pairs the links generate
+        # each edge draws its rate from each input and makes at most its rate in
+        # pairs (PURIFY_CREDIT <= 1), so no rate exceeds the pairs the links generate
         return cls(len(hg.columns.op), rhs, tuple(names), part, live, touched,
                    float(limits.sum()), table, ends)
 
@@ -473,12 +473,12 @@ def _terms(cols: HypergraphColumns, p_succ: np.ndarray, link: np.ndarray, flow_r
            edges) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """(value, (row, column)) of the terms of ``edges`` (an index into the
     table), columns numbered over them: 1 in each input's flow row (vi - 2
-    for vertex vi), minus the credit (half the success probability for a
-    purification, else 1) in the output's, 1 in a start edge's link row."""
+    for vertex vi), minus the credit (``PURIFY_CREDIT * p`` for a purify
+    edge, else 1) in the output's, 1 in a start edge's link row."""
     in0, in1, out, op, p, lk = (a[edges] for a in (cols.input0, cols.input1, cols.output,
                                                    cols.op, p_succ, link))
     uses0, uses1, feeds = in0 >= 2, in1 >= 2, out >= 2  # input1 is -1 for one-input ops
-    credit = np.where(op == OP_CODE["purify"], 0.5 * p, 1.0)
+    credit = np.where(op == OP_CODE["purify"], PURIFY_CREDIT * p, 1.0)
     starts = np.flatnonzero(lk >= 0)
     row = np.concatenate([in0[uses0] - 2, in1[uses1] - 2, out[feeds] - 2, flow_rows + lk[starts]])
     col = np.concatenate([*map(np.flatnonzero, (uses0, uses1, feeds)), starts])

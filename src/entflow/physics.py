@@ -1,10 +1,10 @@
 """Closed-form fidelity and noise models for swapping and purification.
 
 All functions operate on Werner-state fidelities, and this module is the
-only home of the swap and purification formulas. The swap model follows
-the standard depolarizing-gate / noisy-measurement composition (Briegel,
-Duer, Cirac & Zoller, PRL 81, 5932, 1998); two purification maps are
-provided:
+only home of the swap and purification formulas and of the purification
+credit (``PURIFY_CREDIT``). The swap model follows the standard
+depolarizing-gate / noisy-measurement composition (Briegel, Duer, Cirac &
+Zoller, PRL 81, 5932, 1998); two purification maps are provided:
 
 * ``as-printed`` -- the gate-noise DEJMPS output formula taken verbatim
   from the hardware-noise literature. Its output is range-clamped because
@@ -26,6 +26,9 @@ import numpy as np
 FIDELITY_FLOOR = 0.25  # fully depolarized Werner state
 
 PURIFY_MODELS = ("ideal-dejmps", "as-printed")
+# pairs every rate model credits a successful purification attempt, which draws one
+# pair from each input; at most 1, as RateLP.of's bound on every rate (rate_cap) needs
+PURIFY_CREDIT = 0.5
 
 
 def check_real(value, name: str, error: type[ValueError] = ValueError):

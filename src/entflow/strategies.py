@@ -19,7 +19,8 @@ slot, evaluates exact fidelities, and solves a small LP over the
 enumerated protocol set. It exists to certify the hypergraph/LP pipeline
 on tiny instances, so its rate accounting matches the LP's flow rows:
 a swap consumes its rate from both inputs, a purification consumes its
-rate from both inputs and credits half the success-weighted rate.
+rate from both inputs and credits ``PURIFY_CREDIT`` times the success-
+weighted rate; it counts swaps and purifications per delivered pair.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .physics import (
     CLAMP_EVENTS,
     DEFAULT_NOISE,
     DEFAULT_PURIFY_MODEL,
+    PURIFY_CREDIT,
     NoiseParams,
     check_int,
     check_purify_model,
@@ -151,11 +153,11 @@ def _pump_chain(b: int, grid: FidelityGrid, noise: NoiseParams,
     state itself) until the grid stalls: (bucket, c, denom, prefix).
 
     Pumping round t consumes the round t-1 state plus an equal rate of
-    fresh base states, crediting half the success-weighted rate. For a
-    base production rate B split optimally, depth T delivers
+    fresh base states, crediting ``PURIFY_CREDIT`` times the success-weighted
+    rate. For a base production rate B split optimally, depth T delivers
     B * c_T / (1 + sum_{t<T} c_t) with c_t the product of the per-round
-    half-success factors (c_0 = 1, every later one at most 1/2); denom is
-    that 1 + sum and prefix the sum.
+    factors ``PURIFY_CREDIT`` p (c_0 = 1, every later one at most
+    ``PURIFY_CREDIT``); denom is that 1 + sum and prefix the sum.
     """
     vals = grid.values  # grid values need no check
     rows = [(b, 1.0, 1.0, 0.0)]  # which those formulas leave as it is
@@ -167,7 +169,7 @@ def _pump_chain(b: int, grid: FidelityGrid, noise: NoiseParams,
         kn = grid.round_down_index(f_new)
         if kn <= cur:
             break
-        c *= 0.5 * p
+        c *= PURIFY_CREDIT * p
         rows.append((kn, c, 1.0 + prefix, prefix))
         prefix, cur = prefix + c, kn
     return rows
@@ -302,6 +304,8 @@ run_rate_dp = partial(run_strategy, "rate-dp")
 class _Proto:
     fidelity: float
     usage: tuple[float, ...]  # base pairs consumed per delivered pair, per link
+    swaps: float  # swaps per delivered pair
+    purifications: float  # purification attempts per delivered pair
     tree: str
 
 
@@ -330,13 +334,14 @@ def _eval_protocol(
     noise: NoiseParams,
     purify_model: str,
     cursor: list[int],
-) -> tuple[float, np.ndarray, str] | None:
-    """Exact fidelity and per-link usage; slot rounds apply symmetric
-    purification (two copies of the slot state per attempt). None once a
-    purification leaves [0.25, 1], which the as-printed map can do."""
+) -> tuple[float, np.ndarray, float, float, str] | None:
+    """Exact fidelity, per-link usage, swaps and purifications per delivered
+    pair, and tree; a slot round's attempt draws two slot pairs, credited
+    ``PURIFY_CREDIT`` p. None once a purification leaves [0.25, 1], which
+    the as-printed map can do."""
     if shape[0] == "leaf":
         link = shape[1]
-        f = f0s[link]
+        f, swaps, purs = f0s[link], 0.0, 0.0
         usage = np.zeros(num_links)
         usage[link] = 1.0
         tree = f"L{link}"
@@ -345,24 +350,24 @@ def _eval_protocol(
         right = _eval_protocol(shape[2], rounds, f0s, num_links, noise, purify_model, cursor)
         if left is None or right is None:
             return None
-        (f_l, u_l, t_l), (f_r, u_r, t_r) = left, right
+        (f_l, u_l, s_l, q_l, t_l), (f_r, u_r, s_r, q_r, t_r) = left, right
         f = werner_swap(f_l, f_r, gate_factor(noise))
-        usage = u_l + u_r
+        usage, swaps, purs = u_l + u_r, s_l + s_r + 1.0, q_l + q_r
         tree = f"s({t_l},{t_r})"
     slot = cursor[0]
     cursor[0] += 1
     for _ in range(rounds[slot]):
-        f_new, p = purify(f, f, noise, purify_model)
-        if not 0.25 <= f_new <= 1.0:
+        f, p = purify(f, f, noise, purify_model)
+        if not 0.25 <= f <= 1.0:
             return None
-        usage = usage * (4.0 / p)
-        f = f_new
+        drawn = 2.0 / (PURIFY_CREDIT * p)  # slot pairs per purified pair, two per attempt
+        usage, swaps, purs = usage * drawn, swaps * drawn, purs * drawn + drawn / 2.0
         tree = f"p({tree})"
-    return f, usage, tree
+    return f, usage, swaps, purs, tree
 
 
 def _protocols(path: Path, noise: NoiseParams, max_purify_rounds: int, purify_model: str):
-    """Yield (fidelity, per-link usage, tree) for every bounded protocol."""
+    """Yield ``_eval_protocol``'s tuple for every bounded protocol."""
     k = len(path.edges)
     f0s = [e.f0 for e in path.edges]
     for shape in _tree_shapes(0, k):
@@ -417,12 +422,12 @@ def brute_force_oracle(
     limits = np.array([link_egr(e) for e in path.edges])
 
     protos: dict[tuple, _Proto] = {}
-    for f, usage, tree in _protocols(path, noise, max_purify_rounds, purify_model):
+    for f, usage, *counts in _protocols(path, noise, max_purify_rounds, purify_model):
         if f < grid.values[0]:
             continue
         key = (round(f, 12),) + tuple(round(u, 9) for u in usage)
         if key not in protos:
-            protos[key] = _Proto(fidelity=f, usage=tuple(usage), tree=tree)
+            protos[key] = _Proto(f, tuple(usage), *counts)
     server_time = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -449,8 +454,8 @@ def brute_force_oracle(
         if r <= RATE_EPS:
             continue
         prots.append(ProtocolFlow(fidelity=p.fidelity, rate=r, tree=p.tree))
-        swap_rate += r * p.tree.count("s(")
-        purify_rate += r * p.tree.count("p(")
+        swap_rate += r * p.swaps
+        purify_rate += r * p.purifications
     scheme = DistributionScheme.from_flows(prots, swap_rate, purify_rate)
     solver_time = time.perf_counter() - t1
 
@@ -472,7 +477,7 @@ def oracle_best_single(
     _check_oracle_bounds(path, grid, max_purify_rounds, purify_model)
     limits = np.array([link_egr(e) for e in path.edges])
     best = (0.0, 0.0, 0.0)
-    for f, usage, _ in _protocols(path, noise, max_purify_rounds, purify_model):
+    for f, usage, *_ in _protocols(path, noise, max_purify_rounds, purify_model):
         rate, cap = _standalone(limits, f, usage)
         if cap > best[0]:
             best = (cap, rate, f)

@@ -11,7 +11,7 @@ from entflow import strategies
 from entflow.cli import main
 from entflow.hypergraph import BUILD_COUNTER, FidelityGrid
 from entflow.lp import EMPTY_SCHEME
-from entflow.physics import CLAMP_EVENTS, DEFAULT_NOISE
+from entflow.physics import CLAMP_EVENTS, DEFAULT_NOISE, PURIFY_CREDIT, dejmps
 from entflow.strategies import (
     STRATEGY_NAMES,
     OracleBoundsError,
@@ -241,6 +241,49 @@ def test_oracle_discards_protocols_the_as_printed_map_drives_out_of_range(tmp_pa
     assert main(["oracle", "--topology", str(topo_file), "--demand", "a,b",
                  "--purify-model", "as-printed", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["capacity"] == caps[0]
+
+
+@pytest.mark.parametrize("lengths, f0, grid, rounds, tree", [
+    # the oracle's p(p(L0)); ec-dp's tree purifies two copies of one purified pair
+    ([30.0], 0.78, (0.75, 0.8, 0.85, 0.9), 2, "p(p(L0))"),
+    # a swap under a purification, each link purified once before it
+    ([30.0, 30.0], 0.86, tuple(float(v) for v in np.linspace(0.75, 0.95, 4)), 1,
+     "p(s(p(L0),p(L1)))"),
+])
+def test_the_oracle_counts_operations_per_delivered_pair_as_ec_dp_does(lengths, f0, grid,
+                                                                       rounds, tree):
+    # both deliver the same one protocol; counting tree levels, the oracle
+    # reported 2 purifications on the first, where ec-dp reports 16.09
+    path, grid = make_chain(lengths, f0=f0), FidelityGrid(grid)
+    oracle = brute_force_oracle(path, grid, max_purify_rounds=rounds)
+    ec_dp = run_strategy("ec-dp", path, grid)
+    assert [p.tree for p in oracle.scheme.protocols] == [tree]
+    assert ec_dp.scheme.pairs == 1
+    assert oracle.capacity == pytest.approx(ec_dp.capacity, rel=1e-9)
+    assert oracle.scheme.swaps == pytest.approx(ec_dp.scheme.swaps, rel=1e-9)
+    assert oracle.scheme.purifications == pytest.approx(ec_dp.scheme.purifications, rel=1e-9)
+
+
+def test_one_purification_round_delivers_what_the_credit_gives():
+    # one link, one DEJMPS round on pairs drawn from one pool: an attempt
+    # draws two pairs and is credited PURIFY_CREDIT * p, so R / 2 attempts
+    # deliver R * PURIFY_CREDIT * p / 2 pairs, at 1 / (PURIFY_CREDIT * p)
+    # attempts each; p is the kernel's on each model's own input fidelity
+    path = make_chain([30.0], f0=0.97)
+    rate = link_egr(path.edges[0])
+    grid = FidelityGrid.uniform(100)
+    on_grid = grid.values[grid.round_down_index(0.97)]
+    results = [(run_strategy(name, path, grid, f_lb=0.972), on_grid)
+               for name in ("rate-lp", "rate-dp")]
+    # the lowest grid value lies above f0, so the oracle must purify once
+    results.append((brute_force_oracle(path, FidelityGrid((0.975, 1.0)), max_purify_rounds=1),
+                    0.97))
+    for result, f in results:
+        p = dejmps(f, f)[1]
+        assert result.scheme.pairs == 1, result.strategy
+        assert result.egr == pytest.approx(rate * PURIFY_CREDIT * p / 2.0, rel=1e-12)
+        assert result.scheme.purifications == pytest.approx(1.0 / (PURIFY_CREDIT * p), rel=1e-12)
+        assert result.scheme.swaps == 0.0
 
 
 _UNKNOWN_MODEL = r"^purify_model must be one of \('ideal-dejmps', 'as-printed'\), got 'bogus'$"
