@@ -13,10 +13,12 @@ Four strategies share one result shape:
 ``STRATEGIES`` gives each its model of a path and its answer at one
 ``f_lb`` on that model; ``run_points`` alone runs them.
 
-The brute-force oracle enumerates every swap order (full binary trees
-over the link sequence) with bounded purification rounds at each tree
-slot, evaluates exact fidelities, and solves a small LP over the
-enumerated protocol set. It exists to certify the hypergraph/LP pipeline
+The brute-force oracle enumerates every swap order with bounded
+purification rounds at each tree slot by span, as the dynamic programs
+build: each span's variants are evaluated once, at exact fidelities,
+and combined into the longer spans' swaps. A protocol is dropped once a
+swap or a purification leaves [0.25, 1]. It solves a small LP over the
+enumerated set. It exists to certify the hypergraph/LP pipeline
 on tiny instances, so its rate accounting matches the LP's flow rows:
 a swap consumes its rate from both inputs, a purification consumes its
 rate from both inputs and credits ``PURIFY_CREDIT`` times the success-
@@ -309,73 +311,43 @@ class _Proto:
     tree: str
 
 
-def _tree_shapes(lo: int, hi: int):
-    """All full binary trees over contiguous links [lo, hi)."""
-    if hi - lo == 1:
-        yield ("leaf", lo)
-        return
-    for w in range(lo + 1, hi):
-        for left in _tree_shapes(lo, w):
-            for right in _tree_shapes(w, hi):
-                yield ("swap", left, right)
-
-
-def _tree_slots(shape) -> int:
-    if shape[0] == "leaf":
-        return 1
-    return 1 + _tree_slots(shape[1]) + _tree_slots(shape[2])
-
-
-def _eval_protocol(
-    shape,
-    rounds: tuple[int, ...],
-    f0s: list[float],
-    num_links: int,
-    noise: NoiseParams,
-    purify_model: str,
-    cursor: list[int],
-) -> tuple[float, np.ndarray, float, float, str] | None:
-    """Exact fidelity, per-link usage, swaps and purifications per delivered
-    pair, and tree; a slot round's attempt draws two slot pairs, credited
-    ``PURIFY_CREDIT`` p. None once a purification leaves [0.25, 1], which
-    the as-printed map can do."""
-    if shape[0] == "leaf":
-        link = shape[1]
-        f, swaps, purs = f0s[link], 0.0, 0.0
-        usage = np.zeros(num_links)
-        usage[link] = 1.0
-        tree = f"L{link}"
-    else:
-        left = _eval_protocol(shape[1], rounds, f0s, num_links, noise, purify_model, cursor)
-        right = _eval_protocol(shape[2], rounds, f0s, num_links, noise, purify_model, cursor)
-        if left is None or right is None:
-            return None
-        (f_l, u_l, s_l, q_l, t_l), (f_r, u_r, s_r, q_r, t_r) = left, right
-        f = werner_swap(f_l, f_r, gate_factor(noise))
-        usage, swaps, purs = u_l + u_r, s_l + s_r + 1.0, q_l + q_r
-        tree = f"s({t_l},{t_r})"
-    slot = cursor[0]
-    cursor[0] += 1
-    for _ in range(rounds[slot]):
-        f, p = purify(f, f, noise, purify_model)
-        if not 0.25 <= f <= 1.0:
-            return None
-        drawn = 2.0 / (PURIFY_CREDIT * p)  # slot pairs per purified pair, two per attempt
-        usage, swaps, purs = usage * drawn, swaps * drawn, purs * drawn + drawn / 2.0
-        tree = f"p({tree})"
-    return f, usage, swaps, purs, tree
-
-
 def _protocols(path: Path, noise: NoiseParams, max_purify_rounds: int, purify_model: str):
-    """Yield ``_eval_protocol``'s tuple for every bounded protocol."""
-    k = len(path.edges)
-    f0s = [e.f0 for e in path.edges]
-    for shape in _tree_shapes(0, k):
-        slots = _tree_slots(shape)
-        for rounds in np.ndindex(*([max_purify_rounds + 1] * slots)):
-            protocol = _eval_protocol(shape, tuple(rounds), f0s, k, noise, purify_model, [0])
-            if protocol is not None:
-                yield protocol
+    """Yield (exact fidelity, per-link usage, swaps, purifications, tree) of
+    every bounded protocol on ``path``, counts per delivered pair.
+
+    It enumerates by span of links [lo, hi): a link is its own base; a
+    longer span's bases swap each variant of [lo, w) with each of [w, hi),
+    splits w ascending; each base is followed by its 1 to
+    ``max_purify_rounds`` purification rounds, whose attempt draws two
+    pairs, credited ``PURIFY_CREDIT`` p. A variant is dropped, with all it
+    would grow into, once a swap (gate factor below 0 for eta < 0.5) or a
+    purification (the clamped as-printed map) leaves [0.25, 1].
+    """
+    g = gate_factor(noise)
+
+    def span(lo: int, hi: int):
+        if hi - lo == 1:
+            bases = [(path.edges[lo].f0, np.ones(1), 0.0, 0.0, f"L{lo}")]
+        else:
+            bases = []
+            for w in range(lo + 1, hi):
+                rights = list(span(w, hi))
+                bases += [(werner_swap(f_l, f_r, g), np.concatenate([u_l, u_r]), s_l + s_r + 1.0,
+                           q_l + q_r, f"s({t_l},{t_r})")
+                          for f_l, u_l, s_l, q_l, t_l in span(lo, w)
+                          for f_r, u_r, s_r, q_r, t_r in rights]
+        for f, usage, swaps, purs, tree in bases:
+            for rounds in range(max_purify_rounds + 1):
+                if rounds:  # one more round on the variant yielded last
+                    f, p = purify(f, f, noise, purify_model)
+                    drawn = 2.0 / (PURIFY_CREDIT * p)  # pairs per purified pair, two per attempt
+                    usage, swaps, purs = usage * drawn, swaps * drawn, purs * drawn + drawn / 2.0
+                    tree = f"p({tree})"
+                if not 0.25 <= f <= 1.0:
+                    break
+                yield f, usage, swaps, purs, tree
+
+    return span(0, len(path.edges))
 
 
 def _check_oracle_bounds(path: Path, grid: FidelityGrid, max_purify_rounds: int,

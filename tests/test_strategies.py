@@ -11,11 +11,11 @@ from entflow import strategies
 from entflow.cli import main
 from entflow.hypergraph import BUILD_COUNTER, FidelityGrid
 from entflow.lp import EMPTY_SCHEME
-from entflow.physics import CLAMP_EVENTS, DEFAULT_NOISE, PURIFY_CREDIT, dejmps
+from entflow.physics import CLAMP_EVENTS, DEFAULT_NOISE, PURIFY_CREDIT, NoiseParams, dejmps
 from entflow.strategies import (
     STRATEGY_NAMES,
     OracleBoundsError,
-    _tree_shapes,
+    _protocols,
     brute_force_oracle,
     oracle_best_single,
     run_points,
@@ -137,10 +137,59 @@ def test_rate_dp_reports_single_protocol():
 
 
 def test_tree_shape_counts_are_catalan():
-    # [DERIVED] Full binary trees over k leaves: Catalan(k-1).
-    assert sum(1 for _ in _tree_shapes(0, 1)) == 1
-    assert sum(1 for _ in _tree_shapes(0, 2)) == 1
-    assert sum(1 for _ in _tree_shapes(0, 3)) == 2
+    # [DERIVED] Full binary trees over k leaves: Catalan(k-1). At 0 rounds
+    # the enumerator yields each swap order once, beyond the oracle's 3 links too
+    for k, catalan in zip(range(1, 5), (1, 1, 2, 5)):
+        trees = [t for *_, t in _protocols(make_chain([50.0] * k), DEFAULT_NOISE, 0,
+                                           "ideal-dejmps")]
+        assert len(trees) == len(set(trees)) == catalan
+
+
+def test_the_enumeration_counts_every_shape_and_rounds_combination():
+    # [DERIVED] a tree over k links has 2k - 1 slots, each purified 0 to R
+    # times, and under ideal-dejmps at f0 0.98 no protocol leaves [0.25, 1]:
+    # Catalan(k-1) (R+1)^(2k-1) protocols, 486 at k = 3, R = 2
+    for k, catalan in zip((1, 2, 3), (1, 1, 2)):
+        path = make_chain([50.0] * k, f0=0.98)
+        for rounds in (0, 1, 2):
+            count = sum(1 for _ in _protocols(path, DEFAULT_NOISE, rounds, "ideal-dejmps"))
+            assert count == catalan * (rounds + 1) ** (2 * k - 1)
+    assert count == 486
+
+
+def test_the_oracle_keeps_the_first_split_of_two_orders_with_one_key():
+    # the two swap orders of a-b-c-d differ by 1 ulp and share one dedup key;
+    # the first seen, splitting after the first link, represents both
+    edges = [Edge(u=u, v=v, length_km=km, f0=f0)
+             for u, v, km, f0 in (("a", "b", 40.0, 0.98), ("b", "c", 55.0, 0.97),
+                                  ("c", "d", 70.0, 0.99))]
+    path = Topology(["a", "b", "c", "d"], edges).path_from_nodes(["a", "b", "c", "d"])
+    (f1, *_, t1), (f2, *_, t2) = _protocols(path, DEFAULT_NOISE, 0, "ideal-dejmps")
+    assert (t1, t2) == ("s(L0,s(L1,L2))", "s(s(L0,L1),L2)")
+    assert f1 != f2 and round(f1, 12) == round(f2, 12)
+    res = brute_force_oracle(path, FidelityGrid.uniform(4), max_purify_rounds=0)
+    assert [(p.fidelity, p.tree) for p in res.scheme.protocols] == [(f1, t1)]
+
+
+def test_the_oracle_drops_a_swap_below_the_werner_floor(tmp_path, capsys):
+    # eta < 0.5 makes the gate factor negative, so a swap of two pairs above
+    # 0.25 lands below it, where purify refuses its input: every protocol on
+    # two links is dropped, and every strategy answers 0.0
+    noise = NoiseParams(eta=0.4)
+    path, grid = make_chain([30.0, 40.0]), FidelityGrid.uniform(6)
+    assert brute_force_oracle(path, grid, noise).scheme == EMPTY_SCHEME
+    assert oracle_best_single(path, grid, noise) == (0.0, 0.0, 0.0)
+    assert run_strategy("ec-dp", path, grid, noise=noise).capacity == 0.0
+    topo_file = tmp_path / "chain3.json"
+    topo_file.write_text(json.dumps({
+        "nodes": ["a", "b", "c"],
+        "edges": [{"u": "a", "v": "b", "length_km": 30.0},
+                  {"u": "b", "v": "c", "length_km": 40.0}],
+    }))
+    out = tmp_path / "oracle.json"
+    assert main(["oracle", "--topology", str(topo_file), "--demand", "a,c", "--eta", "0.4",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["capacity"] == 0.0
 
 
 def test_oracle_bounds_are_enforced():
