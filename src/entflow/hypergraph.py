@@ -4,9 +4,9 @@ Vertices are (node-pair, fidelity) link states plus a source and a sink;
 hyper-edges are start/swap/purify/end operations carrying LP rate
 variables. A hypergraph is made from one table (``HypergraphColumns``) that
 holds both as its builder chose them and that every reader uses; vertex kinds
-and buckets, the endpoints, the link keys, the ``edges`` records and each
-edge's success probability, capacity coefficient and link (``_derived``)
-follow from it. Every hypergraph is checked when made.
+and buckets, the endpoints, the link keys and each edge's success
+probability, capacity coefficient and link (``_derived``) follow from it.
+Every hypergraph is checked when made.
 Every builder numbers its table topologically (each input of an edge before
 its output, the sink last), so the check refuses a cycle with one rank rule.
 Its one JSON document (``Hypergraph.to_json``) holds the table as it is; a
@@ -31,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from numbers import Real
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -124,18 +124,6 @@ class FidelityGrid:
         return bisect_right(self.values, f) - 1
 
 
-class HyperEdge(NamedTuple):
-    """One edge as a record, derived from the columns."""
-
-    op: str  # start | swap | purify | end
-    inputs: tuple[int, ...]
-    output: int
-    p_succ: float = 1.0
-    link_key: str | None = None
-    capacity_coeff: float = 0.0
-    rate_bound: float | None = None
-
-
 @dataclass(frozen=True)
 class HypergraphStats:
     num_vertices: int
@@ -219,12 +207,11 @@ class Hypergraph:
         self.p_succ, self.capacity_coeff, self.link = _derived(
             columns, self.link_keys, noise, purify_model)
 
-    @cached_property
-    def edges(self) -> tuple[HyperEdge, ...]:
-        """The edges as records, derived from the columns on first use."""
-        fields = _edge_fields(self.columns, self.link_keys, (self.p_succ, self.capacity_coeff,
-                                                             self.link))
-        return tuple(map(HyperEdge._make, zip(*fields)))
+    @property
+    def edges(self) -> np.ndarray:
+        # the op column, read only by perfbench/, for len(): ROADMAP item 22's benchmark
+        # PR moves its four reads to len(columns.op), then deletes this name
+        return self.columns.op
 
     @cached_property
     def rate_lp(self) -> RateLP:
@@ -281,21 +268,6 @@ class Hypergraph:
             if isinstance(exc, HypergraphError):
                 raise
             raise HypergraphError(f"corrupt hypergraph document: {exc}") from exc
-
-
-def _edge_fields(cols: HypergraphColumns, link_keys: tuple, derived: tuple) -> list[list]:
-    """The ``HyperEdge`` fields (op, inputs, output, p_succ, link_key,
-    capacity_coeff, rate_bound), one list each, of the table's edges and
-    their ``_derived`` (p_succ, capacity_coeff, link)."""
-    keys = (*link_keys, None)  # a link of -1 reads None
-    p_succ, capacity_coeff, link = derived
-    ops = cols.op.tolist()
-    pairs = zip(ops, cols.input0.tolist(), cols.input1.tolist())
-    return [
-        [OP_NAMES[op] for op in ops], [(in0, in1)[: _ARITY[op]] for op, in0, in1 in pairs],
-        cols.output.tolist(), p_succ.tolist(), [keys[i] for i in link.tolist()],
-        capacity_coeff.tolist(), [None if math.isnan(r) else r for r in cols.rate_bound.tolist()],
-    ]
 
 
 def _derived(cols: HypergraphColumns, link_keys: tuple, noise: NoiseParams,
@@ -356,6 +328,13 @@ def _check_columns(cols: HypergraphColumns) -> None:
     ends, sink = (cols.pair(vi) for vi in (SOURCE, SINK))
     if sink != ends:
         raise HypergraphError(f"vertex {SINK}: node pair {sink!r} is not the endpoints {ends!r}")
+    used = np.zeros(n, bool)  # as the builders write nodes: sorted, distinct, each on a vertex
+    used[u] = used[v] = True
+    for k, name in enumerate(cols.nodes):
+        if not used[k] or k and name <= cols.nodes[k - 1]:
+            raise HypergraphError(f"nodes[{k}] {name!r} " + (
+                f"is not above {cols.nodes[k - 1]!r}: names must be strictly increasing"
+                if used[k] else "is on no vertex"))
 
 
 def _check_references(cols: HypergraphColumns) -> None:

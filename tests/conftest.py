@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import base64
+import math
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
 
 from entflow.hypergraph import (
     DOCUMENT_COLUMNS,
+    OP_NAMES,
     FidelityGrid,
+    _derived,
     build_pruned_hypergraph,
     build_standard_hypergraph,
     synthesize_multipath,
@@ -71,6 +75,34 @@ def add_older_columns(doc: dict, hg, **values) -> dict:
         column = values.get(name, getattr(hg, name))
         doc["columns"][name] = base64.b64encode(np.asarray(column, dtype).tobytes()).decode()
     return doc
+
+
+class EdgeRecord(NamedTuple):
+    """One edge as a record, in the fields, order and values of the record
+    view the package once held; the golden digests were recorded from these."""
+
+    op: str  # start | swap | purify | end
+    inputs: tuple[int, ...]
+    output: int
+    p_succ: float
+    link_key: str | None
+    capacity_coeff: float
+    rate_bound: float | None
+
+
+def edge_records(hg, cols=None) -> list[EdgeRecord]:
+    """The edges of ``hg`` as records, each field read off its table and its
+    ``_derived`` arrays; ``cols`` stands in for the table, under the grid,
+    noise, model and link keys of ``hg``."""
+    cols = hg.columns if cols is None else cols
+    p_succ, capacity_coeff, link = _derived(cols, hg.link_keys, hg.noise, hg.purify_model)
+    keys = (*hg.link_keys, None)  # a link of -1 reads None
+    return [EdgeRecord(OP_NAMES[op], (in0,) if in1 == -1 else (in0, in1), out, p, keys[k], c,
+                       None if math.isnan(r) else r)
+            for op, in0, in1, out, p, k, c, r in zip(
+                cols.op.tolist(), cols.input0.tolist(), cols.input1.tolist(),
+                cols.output.tolist(), p_succ.tolist(), link.tolist(), capacity_coeff.tolist(),
+                cols.rate_bound.tolist())]
 
 
 DIAMOND_PATHS = (("s", "a", "d"), ("s", "b", "d"), ("s", "a", "b", "d"))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_chain
+from conftest import edge_records, make_chain
 from entflow.hypergraph import (
     _RATE_SLACK,
     _SWEEP_SLACK,
@@ -133,9 +133,10 @@ def test_pruned_build_invariants_on_random_chains(lengths, size, model):
     for f, b in zip(fidelity.tolist()[2:], bucket[2:]):
         assert b == grid.round_down_index(f)
     # every link vertex is the output of exactly one start, swap or purify edge
-    producer_rate = {e.output: e.rate_bound for e in hg.edges if e.op != "end"}
+    edges = edge_records(hg)
+    producer_rate = {e.output: e.rate_bound for e in edges if e.op != "end"}
     assert sorted(producer_rate) == list(range(2, len(fidelity)))
-    for e in hg.edges:
+    for e in edges:
         if e.op == "purify":
             assert all(bucket[e.output] > bucket[i] for i in e.inputs)
         elif e.op == "swap":

@@ -28,15 +28,13 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from conftest import make_chain, make_topology
+from conftest import edge_records, make_chain, make_topology
 from entflow import generate_gabriel
 from entflow.hypergraph import (
     OP_CODE,
     SINK,
     SOURCE,
     FidelityGrid,
-    _derived,
-    _edge_fields,
     build_pruned_hypergraph,
     build_standard_hypergraph,
     synthesize_multipath,
@@ -243,7 +241,7 @@ GOLDEN_LATTICE = {
 def _digest(hg, cols=None) -> str:
     """The sha256 of the build as the row document the digests were recorded
     from, without ``build_time_s``: per vertex (u, v, exact_fidelity,
-    round-down bucket, kind) and per edge its ``HyperEdge`` fields. ``cols``
+    round-down bucket, kind) and per edge its record (``edge_records``). ``cols``
     stands in for the build's columns."""
     cols = hg.columns if cols is None else cols
     bucket = np.searchsorted(hg.grid.as_array(), cols.exact_fidelity, side="right") - 1
@@ -255,8 +253,7 @@ def _digest(hg, cols=None) -> str:
         "vertices": list(zip(*([cols.nodes[i] for i in c.tolist()] for c in (cols.u, cols.v)),
                              cols.exact_fidelity.tolist(), bucket.tolist(), kind)),
         # each record and its inputs write as JSON lists
-        "edges": list(zip(*_edge_fields(cols, hg.link_keys,
-                                        _derived(cols, hg.link_keys, hg.noise, hg.purify_model)))),
+        "edges": edge_records(hg, cols),
     }
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
 

@@ -1,6 +1,7 @@
 """Tests for the operation-hypergraph builders and serialization."""
 
 import json
+import re
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from conftest import (
     add_older_columns,
     dead_link_build,
     doc_column,
+    edge_records,
     hypergraphs,
     make_chain,
     make_topology,
@@ -396,6 +398,23 @@ def test_two_builds_of_one_path_have_equal_documents(builder, model):
     assert json.dumps(first.to_json()) == json.dumps(second.to_json())
 
 
+def test_edges_is_the_read_only_op_column_the_benchmark_counts():
+    # perfbench takes len(hg.edges) of built, synthesized and reloaded graphs
+    grid = FidelityGrid.uniform(10)
+    topo = make_topology([("s", "a", 50.0), ("a", "d", 60.0), ("s", "b", 70.0), ("b", "d", 40.0)])
+    paths = [topo.path_from_nodes(p) for p in (["s", "a", "d"], ["s", "b", "d"])]
+    pruned = [build_pruned_hypergraph(p, grid, DEFAULT_NOISE) for p in paths]
+    config = PlannerConfig(n_candidates=2, k_keep=2, grid=grid)
+    loaded = load_cache(save_cache(outer_loop_update(topo, [("s", "d")], config)))
+    for hg in [build_standard_hypergraph(paths[0], grid, DEFAULT_NOISE), pruned[0],
+               synthesize_multipath(pruned), loaded.entries[("s", "d")].hypergraph]:
+        assert hg.edges is hg.columns.op
+        assert not hg.edges.flags.writeable
+        with pytest.raises(AttributeError):
+            hg.edges = hg.columns.input0
+        assert len(hg.edges) == hg.stats().num_edges
+
+
 _UNKNOWN_MODEL = r"purify_model must be one of \('ideal-dejmps', 'as-printed'\), got 'bogus'$"
 
 
@@ -424,7 +443,7 @@ def test_json_round_trip_is_lossless():
     clone = _text_round_trip(hg)
     # Exact equality across text serialization, every column bit for bit.
     _assert_same_columns(hg, clone)
-    assert clone.edges == hg.edges
+    assert edge_records(clone) == edge_records(hg)
     assert clone.grid.values == hg.grid.values
     assert clone.link_limits == hg.link_limits
     assert clone.endpoints == hg.endpoints
@@ -614,6 +633,46 @@ def test_from_json_rejects_invalid_documents(corrupt):
     doc = hg.to_json()
     corrupt(doc)
     with pytest.raises(HypergraphError):
+        Hypergraph.from_json(json.loads(json.dumps(doc)))
+
+
+def _reverse_nodes(doc):
+    """Corruption: the node names in reverse, each vertex keeping its pair."""
+    last = len(doc["nodes"]) - 1
+    doc["nodes"].reverse()
+    for name in ("u", "v"):
+        set_doc_column(doc, name, last - doc_column(doc, name))
+
+
+def _repeat_last_node(doc):
+    """Corruption: the last node name twice, the sink's v on the second."""
+    doc["nodes"].append(doc["nodes"][-1])
+    v = doc_column(doc, "v")
+    v[SINK] = len(doc["nodes"]) - 1
+    set_doc_column(doc, "v", v)
+
+
+def _insert_unused_node(doc):
+    """Corruption: a name no vertex is on, in order after the first name."""
+    doc["nodes"].insert(1, doc["nodes"][0] + "5")
+    for name in ("u", "v"):
+        column = doc_column(doc, name)
+        set_doc_column(doc, name, column + (column >= 1))
+
+
+# each loads with the same vertex pairs, but in no form a builder writes
+@pytest.mark.parametrize("corrupt, message", [
+    pytest.param(_reverse_nodes, "nodes[1] 'n1' is not above 'n2': names must be strictly "
+                 "increasing", id="unsorted"),
+    pytest.param(_repeat_last_node, "nodes[3] 'n2' is not above 'n2': names must be strictly "
+                 "increasing", id="repeated"),
+    pytest.param(_insert_unused_node, "nodes[1] 'n05' is on no vertex", id="unused"),
+])
+def test_from_json_refuses_nodes_a_builder_does_not_write(corrupt, message):
+    hg = build_standard_hypergraph(make_chain([60.0, 80.0]), FidelityGrid.uniform(6), DEFAULT_NOISE)
+    doc = hg.to_json()
+    corrupt(doc)
+    with pytest.raises(HypergraphError, match=f"^{re.escape(message)}$"):
         Hypergraph.from_json(json.loads(json.dumps(doc)))
 
 

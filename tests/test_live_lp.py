@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from conftest import hypergraphs, make_chain, make_topology
+from conftest import edge_records, hypergraphs, make_chain, make_topology
 from entflow import lp
 from entflow.experiments import ExperimentConfig, Report, run_experiment
 from entflow.hypergraph import (
@@ -98,17 +98,18 @@ def _full_optimum(problem):
 
 def _live_reference(hg):
     """The live edges by plain loops over the edge records."""
+    edges = edge_records(hg)
     made, grew = {0}, True
     while grew:
-        new = {e.output for e in hg.edges if made.issuperset(e.inputs)} - made
+        new = {e.output for e in edges if made.issuperset(e.inputs)} - made
         made, grew = made | new, bool(new)
-    ready = [made.issuperset(e.inputs) for e in hg.edges]
+    ready = [made.issuperset(e.inputs) for e in edges]
     wanted, grew = {1}, True
     while grew:
-        new = {v for e, r in zip(hg.edges, ready) if r and e.output in wanted
+        new = {v for e, r in zip(edges, ready) if r and e.output in wanted
                for v in e.inputs} - wanted
         wanted, grew = wanted | new, bool(new)
-    return [i for i, (e, r) in enumerate(zip(hg.edges, ready)) if r and e.output in wanted]
+    return [i for i, (e, r) in enumerate(zip(edges, ready)) if r and e.output in wanted]
 
 
 @settings(max_examples=30, deadline=None)
@@ -147,8 +148,8 @@ def _whole_matrix(hg):
     start edge's link row, summed and sorted by the (data, ij) constructor."""
     flow_rows = len(hg.columns.exact_fidelity) - 2
     link = {key: i for i, key in enumerate(hg.link_keys)}
-    terms = []
-    for j, e in enumerate(hg.edges):
+    terms, edges = [], edge_records(hg)
+    for j, e in enumerate(edges):
         terms += [(vi - 2, j, 1.0) for vi in e.inputs if vi >= 2]
         if e.output >= 2:
             terms.append((e.output - 2, j, -(0.5 * e.p_succ if e.op == "purify" else 1.0)))
@@ -156,7 +157,7 @@ def _whole_matrix(hg):
             terms.append((flow_rows + link[e.link_key], j, 1.0))
     row, col, data = np.array(terms, dtype=float).reshape(-1, 3).T
     return sp.csr_matrix((data, (row.astype(np.int64), col.astype(np.int64))),
-                         shape=(flow_rows + len(hg.link_keys), len(hg.edges)))
+                         shape=(flow_rows + len(hg.link_keys), len(edges)))
 
 
 def _assert_same_csr(a, b):

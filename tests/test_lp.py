@@ -80,7 +80,7 @@ def test_formulation_structure():
     flow_rows = [n for n in prob.row_names if n.startswith("v_")]
     assert len(limit_rows) == 1  # one physical link
     assert len(flow_rows) == grid.resolution  # full lattice for one pair
-    assert prob.num_vars == len(hg.edges)
+    assert prob.num_vars == len(hg.columns.op)
     with pytest.raises(LPError):
         formulate_lp(hg, "end-rate")  # missing f_lb
     with pytest.raises(LPError):

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import doc_column, make_chain, make_topology, set_doc_column
+from conftest import doc_column, edge_records, make_chain, make_topology, set_doc_column
 from entflow.capacity import EnsembleSpec, ensemble_capacity
 from entflow.hypergraph import (
     OP_CODE,
@@ -47,10 +47,11 @@ from entflow.physics import DEFAULT_NOISE, PURIFY_MODELS
 
 def _ref_formulate(hg, objective, f_lb):
     fidelity = hg.columns.exact_fidelity.tolist()
-    n = len(hg.edges)
+    edges = edge_records(hg)
+    n = len(edges)
     c = np.zeros(n)
     forced = set()
-    for ei, e in enumerate(hg.edges):
+    for ei, e in enumerate(edges):
         if e.op != "end":
             continue
         if objective == "ensemble-capacity":
@@ -61,7 +62,7 @@ def _ref_formulate(hg, objective, f_lb):
             forced.add(ei)
     rows, rhs, names = [], [], []
     per_vertex = {vi: {} for vi in range(2, len(fidelity))}  # the link vertices
-    for ei, e in enumerate(hg.edges):
+    for ei, e in enumerate(edges):
         for vi in e.inputs:
             if vi in per_vertex:
                 per_vertex[vi][ei] = per_vertex[vi].get(ei, 0.0) + 1.0
@@ -74,7 +75,7 @@ def _ref_formulate(hg, objective, f_lb):
         rhs.append(0.0)
         names.append(f"v_{vi}")
     per_link = {}
-    for ei, e in enumerate(hg.edges):
+    for ei, e in enumerate(edges):
         if e.op == "start" and e.link_key is not None:
             per_link.setdefault(e.link_key, []).append((ei, 1.0))
     for key in sorted(per_link):
@@ -111,7 +112,7 @@ def _ref_check(rows, rhs, x):
     return True
 
 
-def _ref_tree(hg, rates, producers, vertex, memo):
+def _ref_tree(hg, edges, rates, producers, vertex, memo):
     if vertex in memo:
         return memo[vertex]
     memo[vertex] = "..."
@@ -119,12 +120,12 @@ def _ref_tree(hg, rates, producers, vertex, memo):
     if not cands:
         memo[vertex] = "?"
         return "?"
-    e = hg.edges[max(cands, key=lambda k: (rates[k], -k))]
+    e = edges[max(cands, key=lambda k: (rates[k], -k))]
     if e.op == "start":
         u, v = hg.columns.pair(vertex)
         text = f"link({u}|{v})"
     else:
-        parts = [_ref_tree(hg, rates, producers, vi, memo) for vi in e.inputs]
+        parts = [_ref_tree(hg, edges, rates, producers, vi, memo) for vi in e.inputs]
         text = f"{e.op}({', '.join(parts)})"
     memo[vertex] = text
     return text
@@ -133,10 +134,11 @@ def _ref_tree(hg, rates, producers, vertex, memo):
 def _ref_extract(hg, rates):
     fidelity = hg.columns.exact_fidelity.tolist()
     entries, protocols, producers, memo = [], [], {}, {}
-    for ei, e in enumerate(hg.edges):
+    edges = edge_records(hg)
+    for ei, e in enumerate(edges):
         producers.setdefault(e.output, []).append(ei)
     swap_rate = pur_rate = 0.0
-    for ei, e in enumerate(hg.edges):
+    for ei, e in enumerate(edges):
         r = float(rates[ei])
         if r <= RATE_EPS:
             continue
@@ -148,7 +150,7 @@ def _ref_extract(hg, rates):
             f = fidelity[e.inputs[0]]
             entries.append((f, r))
             protocols.append(ProtocolFlow(fidelity=f, rate=r, tree=_ref_tree(
-                hg, rates, producers, e.inputs[0], memo)))
+                hg, edges, rates, producers, e.inputs[0], memo)))
     egr = sum(r for _, r in entries)
     if egr <= 0.0:
         return EMPTY_SCHEME
@@ -173,7 +175,7 @@ def _same_csr(a, b):
 def _assert_equivalent(hg, objective, f_lb):
     problem = formulate_lp(hg, objective, f_lb)
     c, rows, rhs, names, forced = _ref_formulate(hg, objective, f_lb)
-    assert problem.num_vars == len(hg.edges)
+    assert problem.num_vars == len(hg.columns.op)
     assert problem.objective.tobytes() == c.tobytes()
     assert problem.rhs.tobytes() == rhs.tobytes()
     assert problem.row_names == names

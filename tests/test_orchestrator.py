@@ -409,7 +409,7 @@ def _join_nodes(hg_doc):
                  id="negative-node-index"),
     pytest.param(_edit_column("u", 0, 0), r"vertex 1: node pair \('s', 'd'\) is not the endpoints "
                  r"\('a', 'd'\)", id="source-pair-other-than-the-endpoints"),
-    pytest.param(_rename_node("a", "z"), r"entry \('s', 'd'\): node 'z' is not on its first 2 "
+    pytest.param(_rename_node("a", "a2"), r"entry \('s', 'd'\): node 'a2' is not on its first 2 "
                  "estimated paths", id="node-off-the-kept-paths"),
     pytest.param(_join_nodes, "nodes is a str, not a list",
                  id="nodes-joined-into-one-string"),
