@@ -285,10 +285,12 @@ def _derived(cols: HypergraphColumns, link_keys: tuple, noise: NoiseParams,
     e = np.flatnonzero(cols.op == OP_CODE["end"])
     capacity_coeff[e] = [pair_capacity(fi) for fi in f[cols.input0[e]].tolist()]
     index = {key: i for i, key in enumerate(link_keys)}
-    for e in np.flatnonzero(cols.op == OP_CODE["start"]).tolist():
-        pair = cols.pair(cols.output[e])
-        link[e] = index.get(link_key(*pair), -1)
-        if link[e] < 0:
+    starts = np.flatnonzero(cols.op == OP_CODE["start"])
+    out = cols.output[starts]  # each start edge's pair, read once
+    for e, a, b in zip(starts.tolist(), cols.u[out].tolist(), cols.v[out].tolist()):
+        pair = cols.nodes[a], cols.nodes[b]
+        link[e] = k = index.get(link_key(*pair), -1)
+        if k < 0:
             raise HypergraphError(f"edge {e}: start edge into {pair!r}, which has no link limit")
     for array in (p_succ, capacity_coeff, link):
         array.flags.writeable = False  # shared by every LP of the hypergraph
@@ -319,7 +321,7 @@ def _check_columns(cols: HypergraphColumns) -> None:
          lambda vi: f"vertex {vi}: u {u[vi]} is not an index into the {n} nodes"),
         ((v < 0) | (v >= n),
          lambda vi: f"vertex {vi}: v {v[vi]} is not an index into the {n} nodes"),
-        (np.isin(u, off) | np.isin(v, off),  # the first vertex on a name that is not a string
+        (np.isin(u, off) | np.isin(v, off) if off else np.False_,  # on a name not a string
          lambda vi: f"vertex {vi}: node name "
                     f"{cols.nodes[u[vi] if u[vi] in off else v[vi]]!r} is not a string"),
     ):
@@ -456,28 +458,32 @@ def build_standard_hypergraph(
 
 
 def _purify_sweep(
-    block: dict[int, tuple], grid: FidelityGrid, noise: NoiseParams, purify_model: str
-) -> None:
+    block: list[list], base: int, grid: FidelityGrid, noise: NoiseParams, purify_model: str
+) -> list[int]:
     """One increasing-bucket purification sweep over a node-pair block.
 
-    ``block`` maps each occupied bucket to its incumbent, the tuple (exact
-    fidelity, rate, op code, input0, input1); a purification names its
-    inputs by their buckets in the block. Candidates always land
+    ``block`` is the block as six columns sorted by bucket: (bucket, exact
+    fidelity, rate, op code, input0, input1), each a list, one entry per
+    incumbent. Its incumbents make vertices ``base``, ``base`` + 1, ... in
+    that order, so a purification names its inputs as ``base`` plus their
+    positions. The sweep inserts and replaces incumbents in place and
+    returns the buckets it made, in the order made. Candidates always land
     in a strictly higher bucket than both inputs, so a single ascending pass
     over the occupied buckets also captures cascaded purification: a bucket
     filled during the sweep is inserted ahead of the cursor, and every
-    bucket behind it is final. A row scans partners from the cursor down,
-    self-purification first. Under ideal DEJMPS, both the output f' and the
-    success probability p rise with the partner's fidelity on [1/4, 1]:
-    d f'/d f2 has numerator 42 f1 - 12 f1^2 - 3 >= 6.75 and d p/d f2 is
-    (8 f1 - 2) / 9 >= 0. So the self-purification bounds the row: no
-    candidate lands above the bucket of its output plus ``_SWEEP_SLACK``, nor
-    beats credit r_hi p_self by a factor over 1 + ``_RATE_SLACK``. Let b be
-    the first bucket above the cursor's that is empty or held at a rate
-    within that bound. A row with b above that top bucket can win nothing;
-    any other stops at the first output over ``_SWEEP_SLACK`` below the
-    bottom of bucket b, as every lower partner lands under b, where the held
-    rates beat it. As-printed calls can each clamp, so they never stop.
+    bucket behind it is final, positions included. A row scans partners from
+    the cursor down, self-purification first. Under ideal DEJMPS, both the
+    output f' and the success probability p rise with the partner's
+    fidelity on [1/4, 1]: d f'/d f2 has numerator 42 f1 - 12 f1^2 - 3 >=
+    6.75 and d p/d f2 is (8 f1 - 2) / 9 >= 0. So the self-purification
+    bounds the row: no candidate lands above the bucket of its output plus
+    ``_SWEEP_SLACK``, nor beats credit r_hi p_self by a factor over 1 +
+    ``_RATE_SLACK``. Let b be the first bucket above the cursor's that is
+    empty or held at a rate within that bound (the held buckets above the
+    cursor are read by position). A row with b above that top bucket can win
+    nothing; any other stops at the first output over ``_SWEEP_SLACK`` below
+    the bottom of bucket b, as every lower partner lands under b, where the
+    held rates beat it. As-printed calls can each clamp, so they never stop.
 
     Under ideal DEJMPS the fidelities a block enters with are checked once,
     in bucket order; the rows the sweep adds need no check. Each is a
@@ -487,25 +493,24 @@ def _purify_sweep(
     monotone rounding, so the numerator never exceeds the denominator. The
     as-printed ``purify`` checks every call.
     """
+    bucket, fid, rate, op, input0, input1 = block
     ideal = purify_model == "ideal-dejmps"
     credit = 2.0 * PURIFY_CREDIT  # twice the LP's credit: ROADMAP item 21's discrepancy
     vals = grid.values
-    occupied = sorted(block)  # and, in step, each bucket's fidelity and rate
-    fid, rate = [block[k][0] for k in occupied], [block[k][1] for k in occupied]
-    held = dict(zip(occupied, rate))  # each occupied bucket's rate
+    made = []
     if ideal:
         for f in fid:
             _check_fidelity("f1", f)
-    for pos, k in enumerate(occupied):  # reaches the buckets filled ahead of the cursor
+    for pos, k in enumerate(bucket):  # reaches the buckets filled ahead of the cursor
         f_hi, r_hi = fid[pos], rate[pos]
         up = vals[k + 1] if k + 1 < len(vals) else math.inf  # bottom of the next bucket
         if ideal:
             f_new, p = dejmps(f_hi, f_hi)
             bound = r_hi * credit * p * (1.0 + _RATE_SLACK)  # no candidate's rate exceeds it
             top = bisect_right(vals, f_new + _SWEEP_SLACK) - 1  # no candidate lands above it
-            b = k + 1
-            while b <= top and held.get(b, -math.inf) > bound:
-                b += 1  # held at a rate no candidate reaches
+            b, at = k + 1, pos + 1  # a bucket up, and the position that holds it if held
+            while b <= top and at < len(bucket) and bucket[at] == b and rate[at] > bound:
+                b, at = b + 1, at + 1  # held at a rate no candidate reaches
             if b > top:
                 continue  # the row can win nothing
             floor = vals[b] - _SWEEP_SLACK
@@ -523,22 +528,19 @@ def _purify_sweep(
         for j, f_new, p in reversed(row):  # inserts land above the cursor, not at j
             if f_new < up:
                 continue  # must move up a bucket or the DAG order breaks
-            k1 = occupied[j]
             kn = bisect_right(vals, f_new) - 1
             # both inputs drawn from one pool: half are attempts
-            r_new = (0.5 * r_hi if k1 == k else min(r_hi, rate[j])) * credit * p
-            inc = block.get(kn)
-            if inc is not None and (r_new < inc[1] or (r_new == inc[1] and f_new <= inc[0])):
+            r_new = (0.5 * r_hi if j == pos else min(r_hi, rate[j])) * credit * p
+            at = bisect_left(bucket, kn)
+            if at == len(bucket) or bucket[at] != kn:  # a bucket the sweep makes
+                made.append(kn)
+                for column in block:
+                    column.insert(at, kn)  # the bucket, and a place for each value set below
+            elif r_new < rate[at] or (r_new == rate[at] and f_new <= fid[at]):
                 continue  # not strictly better: the incumbent stays
-            at = bisect_left(occupied, kn)
-            if inc is None:
-                occupied.insert(at, kn)
-                fid.insert(at, f_new)
-                rate.insert(at, r_new)
-            else:
-                fid[at], rate[at] = f_new, r_new
-            block[kn] = (f_new, r_new, OP_CODE["purify"], k, k1)
-            held[kn] = r_new
+            fid[at], rate[at], op[at], input0[at], input1[at] = (
+                f_new, r_new, OP_CODE["purify"], base + pos, base + j)
+    return made
 
 
 def _span_pairs(l0, nl, r0, nr) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -600,71 +602,75 @@ def build_pruned_hypergraph(
     bottom-up: swap combinations first, then a purification sweep within
     the block. A candidate replaces the incumbent only on a strictly higher
     rate, or an equal rate and a strictly higher fidelity, so of exact ties
-    the first candidate wins. The swap candidates of pair (i, j) come w
-    ascending, then each input block in its insertion order: its swap
-    buckets in order of their first candidate, then the buckets made by
-    purification in the order they were made. That order fixes the output.
+    the first candidate wins. A block is one set of columns sorted by
+    bucket (see ``_purify_sweep``): a span's swap winners reach that order
+    by one argsort of (left node, bucket), sliced per left node, and a
+    finished block extends the table's columns as it is. The swap
+    candidates of pair (i, j) come w ascending, then each input block in
+    its pool order, recorded as each span finishes: its swap buckets in
+    order of their first candidate, then the buckets made by purification
+    in the order they were made. That order fixes the output.
     """
     BUILD_COUNTER.tick()
-    m = path.num_nodes
+    m, vals, nf, g = path.num_nodes, grid.as_array(), grid.resolution, gate_factor(noise)
     k0 = [grid.round_down_index(phys.f0) for phys in path.edges]
     link_limits = {phys.key: link_egr(phys) for phys, k in zip(path.edges, k0) if k >= 0}
 
-    # the table as columns: per vertex its pair (u, v as path indices) and exact
-    # fidelity, source and sink first; per edge but the ends its op, inputs and
-    # rate, edge e making vertex 2 + e
-    u, v, fidelity = [0, 0], [m - 1, m - 1], [0.0, 0.0]
-    op, input0, input1, rate = [], [], [], []
-    pool = []  # the vertices of the finished blocks, each block's in insertion order
-    slot = {}  # finished pair -> (start, size) of its vertices in pool
+    # the table as columns: per vertex its exact fidelity, source and sink
+    # first; per edge but the ends its rate, op and inputs, edge e making
+    # vertex 2 + e (each vertex's pair follows from slot)
+    fidelity, rate, op, input0, input1 = [0.0, 0.0], [], [], [], []
+    # the pool as arrays: the vertices of the finished blocks, each block's in pool
+    # order, and each vertex's fidelity and each edge's rate
+    vid, fid, rates = np.empty(0, np.int64), np.empty(0), np.empty(0)
+    slot = {}  # finished pair -> (start, size) of its vertices in vid, in vertex order
 
-    def finish(pair: tuple[int, int], block: dict[int, tuple]) -> None:
+    for span in range(1, m):
+        if span == 1:  # the links: each block holds its start edge, if any
+            firsts = [[k] if k >= 0 else [] for k in k0]
+            blocks = [[[k], [phys.f0], [link_limits[phys.key]], [OP_CODE["start"]], [SOURCE], [-1]]
+                      if k >= 0 else [[], [], [], [], [], []] for phys, k in zip(path.edges, k0)]
+        else:
+            # each grows by what the previous span added
+            fid, rates = (np.concatenate([a, np.array(column[len(a):], a.dtype)])
+                          for a, column in ((fid, fidelity), (rates, rate)))
+            # every swap candidate of the span at once, on exact fidelities
+            owner, left, right, f, bucket = _span_swaps(m, span, slot, fid[vid], g, vals)
+            r = np.minimum(rates[vid[left] - 2], rates[vid[right] - 2])
+            key = owner * nf + bucket
+            win = _span_winners(key, (m - span) * nf, r, f)
+            s = win[np.argsort(key[win])]  # the winners by (owner, bucket)
+            first, bk, fw, rw, in0, in1 = (a.tolist() for a in (
+                bucket[win], bucket[s], f[s], r[s], vid[left[s]], vid[right[s]]))
+            ends = np.cumsum(np.bincount(owner[s], minlength=m - span)).tolist()
+            cuts = [*zip([0, *ends], ends)]  # each block's winners in s, and in win: both by owner
+            firsts = [first[a:b] for a, b in cuts]
+            blocks = [[bk[a:b], fw[a:b], rw[a:b], [OP_CODE["swap"]] * (b - a), in0[a:b], in1[a:b]]
+                      for a, b in cuts]
         # Blocks finish span by span, left to right, and every input of an
         # incumbent is in a shorter span or a lower bucket of its own pair,
         # so numbering each block's buckets in ascending order as it
-        # finishes numbers each input before its consumer.
-        _purify_sweep(block, grid, noise, purify_model)
-        slot[pair] = (len(pool), len(block))
-        buckets = sorted(block)
-        vertex = dict(zip(buckets, range(len(fidelity), len(fidelity) + len(block))))
-        for k in buckets:
-            f, r, code, in0, in1 = block[k]
-            if code == OP_CODE["purify"]:  # it names its inputs by bucket
-                in0, in1 = vertex[in0], vertex[in1]
-            fidelity.append(f)
-            rate.append(r)
-            op.append(code)
-            input0.append(in0)
-            input1.append(in1)
-        u.extend((pair[0],) * len(block))
-        v.extend((pair[1],) * len(block))
-        pool.extend(map(vertex.get, block))
-
-    for t, phys in enumerate(path.edges):
-        block = {}
-        if k0[t] >= 0:
-            block[k0[t]] = (phys.f0, link_limits[phys.key], OP_CODE["start"], SOURCE, -1)
-        finish((t, t + 1), block)
-
-    vals, nf, g = grid.as_array(), grid.resolution, gate_factor(noise)
-    # the pool as arrays: its vertices, and each vertex's fidelity and each edge's rate
-    vid, fid, rates = np.empty(0, np.int64), np.empty(0), np.empty(0)
-    for span in range(2, m):
-        # each grows by what the previous span added
-        vid, fid, rates = (np.concatenate([a, np.array(column[len(a):], a.dtype)])
-                           for a, column in ((vid, pool), (fid, fidelity), (rates, rate)))
-        # every swap candidate of the span at once, on exact fidelities
-        owner, left, right, f, bucket = _span_swaps(m, span, slot, fid[vid], g, vals)
-        r = np.minimum(rates[vid[left] - 2], rates[vid[right] - 2])
-        win = _span_winners(owner * nf + bucket, (m - span) * nf, r, f)
-        blocks = {i: {} for i in range(m - span)}
-        for i, k, fw, rw, in0, in1 in zip(*(a[win].tolist() for a in (owner, bucket, f, r)),
-                                           vid[left[win]].tolist(), vid[right[win]].tolist()):
-            blocks[i][k] = (fw, rw, OP_CODE["swap"], in0, in1)
-        for i, block in blocks.items():
-            finish((i, i + span), block)
+        # finishes numbers each input before its consumer. Block i of the
+        # span is pair (i, i + span), and firsts[i] holds its swap (or start)
+        # buckets in order of their first candidate, which with the buckets the
+        # sweep made, in the order made, is the block's pool order.
+        pool, base = [], len(fidelity)
+        for i, (block, first) in enumerate(zip(blocks, firsts)):
+            made = _purify_sweep(block, base, grid, noise, purify_model)
+            slot[(i, i + span)] = (len(vid) + len(pool), len(block[0]))
+            pool += [base + bisect_left(block[0], k) for k in first + made]  # their vertices
+            base += len(block[0])
+            _, fb, rb, ob, i0, i1 = block
+            fidelity += fb
+            rate += rb
+            op += ob
+            input0 += i0
+            input1 += i1
+        vid = np.concatenate([vid, np.array(pool, np.int64)])
 
     n, size = len(fidelity), slot[(0, m - 1)][1]  # the last block finished holds the last vertices
+    pairs = np.array([(0, m - 1), (0, m - 1), *slot])  # source, sink, then the blocks
+    u, v = pairs.repeat([1, 1, *(size for _, size in slot.values())], axis=0).T
     edges = {"op": op, "input0": input0, "input1": input1, "output": np.arange(2, n),
              "rate_bound": rate}
     ends = _edge_block("end", np.arange(n - size, n), SINK, rate_bound=rate[len(rate) - size:])

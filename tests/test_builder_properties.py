@@ -143,6 +143,29 @@ def test_pruned_build_invariants_on_random_chains(lengths, size, model):
             assert e.rate_bound == min(producer_rate[i] for i in e.inputs)
 
 
+_BASE = 2  # the vertex _swept numbers a block's first bucket
+
+
+def _swept(block, grid, noise, purify_model):
+    """``_purify_sweep`` on a block given as a dict, bucket -> (exact
+    fidelity, rate, op code, input0, input1): the swept block in that form,
+    in pool order (the dict's buckets, then those the sweep made, in the
+    order made), each purification naming its inputs by their buckets."""
+    buckets = sorted(block)
+    columns = [buckets, *([block[k][c] for k in buckets] for c in range(5))]
+    made = _purify_sweep(columns, _BASE, grid, noise, purify_model)
+    bucket = columns[0]
+    assert sorted([*block, *made]) == bucket  # each bucket once, the columns sorted by it
+
+    def entry(k):
+        f, r, op, in0, in1 = (column[bisect_left(bucket, k)] for column in columns[1:])
+        if op == OP_CODE["purify"]:
+            in0, in1 = bucket[in0 - _BASE], bucket[in1 - _BASE]
+        return f, r, op, in0, in1
+
+    return {k: entry(k) for k in [*block, *made]}
+
+
 def _full_scan_sweep(block, grid, noise, purify_model):
     """The purification sweep as it was before rows stopped early: every
     row tries every partner at or below the cursor, in ascending order."""
@@ -266,16 +289,16 @@ _TIE = (FidelityGrid.uniform(19), _swap_block({
 @example(_TIE, "ideal-dejmps", DEFAULT_NOISE)
 def test_purify_sweep_equals_the_full_scan(case, model, noise):
     # the early stop skips only partners that cannot lift a bucket: the same
-    # incumbents, bit for bit and in the same insertion order (which numbers
-    # the vertices), and the same clamp events
-    grid, block = case[0], dict(case[1])
+    # incumbents, bit for bit and in the same pool order (which orders the
+    # next span's candidates), and the same clamp events
+    grid, block = case
     expected = dict(block)
     CLAMP_EVENTS.reset()
     _full_scan_sweep(expected, grid, noise, model)
     full_scan_clamps = CLAMP_EVENTS.count
     CLAMP_EVENTS.reset()
-    _purify_sweep(block, grid, noise, model)
-    assert list(block.items()) == list(expected.items())
+    swept = _swept(block, grid, noise, model)
+    assert list(swept.items()) == list(expected.items())
     assert CLAMP_EVENTS.count == full_scan_clamps
 
 
@@ -289,15 +312,14 @@ def test_a_row_that_can_win_nothing_makes_one_kernel_call(monkeypatch):
 
     grid, block = _HELD
     monkeypatch.setattr("entflow.hypergraph.dejmps", counted)
-    _purify_sweep(dict(block), grid, DEFAULT_NOISE, "ideal-dejmps")
+    _swept(block, grid, DEFAULT_NOISE, "ideal-dejmps")
     assert calls.count(block[10][0]) == 1
 
 
 def test_a_candidate_that_ties_the_held_rate_wins_on_fidelity():
     # _TIE's bucket 11 goes to candidate (10, 9) at the rate it held
     grid, block = _TIE
-    swept = dict(block)
-    _purify_sweep(swept, grid, DEFAULT_NOISE, "ideal-dejmps")
+    swept = _swept(block, grid, DEFAULT_NOISE, "ideal-dejmps")
     assert swept[11][1:] == (block[11][1], OP_CODE["purify"], 10, 9)
     assert swept[11][0] > block[11][0]
 
@@ -347,4 +369,4 @@ def test_dejmps_output_stays_in_the_fidelity_range(f1, f2):
 def test_purify_sweep_refuses_a_block_entering_out_of_range(f, model):
     block = _swap_block({0: (0.5, 1.0), 3: (f, 1.0)})
     with pytest.raises(ValueError, match=f"^{re.escape(f'f1 must be in [0.25, 1], got {f}')}$"):
-        _purify_sweep(block, FidelityGrid.uniform(10), DEFAULT_NOISE, model)
+        _swept(block, FidelityGrid.uniform(10), DEFAULT_NOISE, model)
