@@ -6,6 +6,10 @@ Commands:
   cache build | cache solve
   oracle
 
+Each command's text goes to --out FILE, else to stdout (--out - too).
+--no-timings nulls run's ``experiments.TIME_COLUMNS`` in each report row;
+cache solve drops solver_time_s, and oracle server_time_s and solver_time_s.
+
 Each option sets the config field or function parameter it names, and an
 option not given takes the default of the config or function it sets.
 The only defaults held here are topo gen's seed 0 and f0 and the oracle's
@@ -24,7 +28,8 @@ import logging
 import sys
 from dataclasses import fields
 
-from .experiments import RUNNERS, ExperimentConfig, emit_report, run_experiment, settings_read
+from .experiments import (RUNNERS, TIME_COLUMNS, ExperimentConfig, emit_report, run_experiment,
+                          settings_read)
 from .hypergraph import FidelityGrid
 from .orchestrator import (
     PlannerConfig,
@@ -169,48 +174,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_topo(given: dict) -> int:
+def _cmd_topo(given: dict, parser: argparse.ArgumentParser) -> tuple[str, int]:
     if given.pop("topo_command") == "validate":
         topo = read_topology_file(given["topology"])
-        print(f"ok: {len(topo.nodes)} nodes, {len(topo.edges)} edges")
-        return EXIT_OK
-    out = given.pop("out", None)
+        return f"ok: {len(topo.nodes)} nodes, {len(topo.edges)} edges\n", EXIT_OK
     topo = generate_gabriel(given.pop("nodes"), **given)
     doc = {
         "defaults": {"f0": given["f0"]},
         "nodes": list(topo.nodes),
         "edges": [{"u": e.u, "v": e.v, "length_km": e.length_km} for e in topo.edges],
     }
-    _write_out(json.dumps(doc, indent=2) + "\n", out)
-    return EXIT_OK
+    return json.dumps(doc, indent=2) + "\n", EXIT_OK
 
 
-def _cmd_run(given: dict) -> int:
-    out = given.pop("out", None)
+def _cmd_run(given: dict, parser: argparse.ArgumentParser) -> tuple[str, int]:
     report_format = _take(given, ("format",))
     run, reads = settings_read(given["kind"], given.get("topology_path"))
-    for dest, flag in build_parser().run_flags.items():  # in the parser's order
+    for dest, flag in parser.run_flags.items():  # in the parser's order
         if dest in given and dest not in reads:
             raise ValueError(f"run {run} takes no {flag}")
     noise = NoiseParams(**_take(given, _NOISE_FIELDS))
-    config = ExperimentConfig(**given, noise=noise)
-    report = run_experiment(config)
-    _write_out(emit_report(report, **report_format), out)
-    return EXIT_INSTANCE_FAILURES if report.failures else EXIT_OK
+    report = run_experiment(ExperimentConfig(**given, noise=noise))
+    return (emit_report(report, **report_format),
+            EXIT_INSTANCE_FAILURES if report.failures else EXIT_OK)
 
 
-def _cmd_cache(given: dict) -> int:
+def _untimed(doc: dict, timed: bool) -> dict:
+    """``doc`` as it is when ``timed``, else without the clock fields ``TIME_COLUMNS`` names."""
+    return doc if timed else {key: value for key, value in doc.items() if key not in TIME_COLUMNS}
+
+
+def _cmd_cache(given: dict, parser: argparse.ArgumentParser) -> tuple[str, int]:
     if given.pop("cache_command") == "build":
         topo = read_topology_file(given.pop("topology"))
         demands = [_parse_demand(part) for part in given.pop("demands").split(";") if part]
-        out = given.pop("out", None)
         if "grid_size" in given:
             given["grid"] = FidelityGrid.uniform(given.pop("grid_size"))
         noise = NoiseParams(**_take(given, _NOISE_FIELDS))
-        config = PlannerConfig(**given, noise=noise)
-        cache = outer_loop_update(topo, demands, config)
-        _write_out(save_cache(cache) + "\n", out)
-        return EXIT_OK
+        cache = outer_loop_update(topo, demands, PlannerConfig(**given, noise=noise))
+        return save_cache(cache) + "\n", EXIT_OK
     with open(given["cache"]) as fh:
         cache = load_cache(fh.read())
     s, d = given["demand"]
@@ -224,29 +226,21 @@ def _cmd_cache(given: dict) -> int:
         "solver_time_s": result.solver_time_s,
         "scheme": result.scheme.to_json(),
     }
-    if not given.get("record_timings", True):
-        del doc["solver_time_s"]
-    _write_out(json.dumps(doc) + "\n", given.get("out"))
-    return EXIT_OK
+    return json.dumps(_untimed(doc, given.get("record_timings", True))) + "\n", EXIT_OK
 
 
-def _cmd_oracle(given: dict) -> int:
+def _cmd_oracle(given: dict, parser: argparse.ArgumentParser) -> tuple[str | None, int]:
     topo = read_topology_file(given.pop("topology"))
     s, d = given.pop("demand")
-    out = given.pop("out", None)
     timed = given.pop("record_timings", True)
     paths = k_shortest_paths(topo, s, d, 1, weight="hops")
     if not paths:
         print(f"no path between {s} and {d}", file=sys.stderr)
-        return EXIT_CONFIG
+        return None, EXIT_CONFIG
     grid = FidelityGrid.uniform(given.pop("grid_size"))
     noise = NoiseParams(**_take(given, _NOISE_FIELDS))
-    result = brute_force_oracle(paths[0], grid, noise, **given)
-    doc = result.to_json()
-    if not timed:
-        del doc["server_time_s"], doc["solver_time_s"]
-    _write_out(json.dumps(doc) + "\n", out)
-    return EXIT_OK
+    doc = brute_force_oracle(paths[0], grid, noise, **given).to_json()
+    return json.dumps(_untimed(doc, timed)) + "\n", EXIT_OK
 
 
 _COMMANDS = {"topo": _cmd_topo, "run": _cmd_run, "cache": _cmd_cache, "oracle": _cmd_oracle}
@@ -255,8 +249,13 @@ _COMMANDS = {"topo": _cmd_topo, "run": _cmd_run, "cache": _cmd_cache, "oracle": 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     try:
-        given = vars(build_parser().parse_args(argv))
-        return _COMMANDS[given.pop("command")](given)
+        parser = build_parser()
+        given = vars(parser.parse_args(argv))
+        out = given.pop("out", None)
+        text, code = _COMMANDS[given.pop("command")](given, parser)
+        if text is not None:
+            _write_out(text, out)
+        return code
     except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -283,11 +283,9 @@ def _sample_pairs(
     return pairs
 
 
-def _run_benchmark(config: ExperimentConfig) -> Report:
-    report = Report(config=config)
+def _run_benchmark(config: ExperimentConfig, grid: FidelityGrid, report: Report) -> None:
     topo = (read_topology_file(config.topology_path) if config.topology_path
             else _gabriel(config, config.topology_nodes))
-    grid = FidelityGrid.uniform(config.grid_size)
     points = [(name, config.f_lb) for name in config.strategies]
     for length in config.path_lengths:
         rng = np.random.default_rng([config.seed, length])
@@ -312,7 +310,6 @@ def _run_benchmark(config: ExperimentConfig) -> Report:
             entry["improvement_vs_rate_dp"] = (mean - base) / base
         agg[f"{length}/{name}"] = entry
     report.aggregates = agg
-    return report
 
 
 def _sweep_size(config: ExperimentConfig) -> int | float:
@@ -321,10 +318,8 @@ def _sweep_size(config: ExperimentConfig) -> int | float:
     return int(span) + 1 if span < math.inf else span
 
 
-def _run_sweep_flb(config: ExperimentConfig) -> Report:
-    report = Report(config=config)
+def _run_sweep_flb(config: ExperimentConfig, grid: FidelityGrid, report: Report) -> None:
     rng = np.random.default_rng([config.seed, 1])
-    grid = FidelityGrid.uniform(config.grid_size)
     points = [(name, round(config.f_lb_start + k * config.f_lb_step, 10))
               for k in range(_sweep_size(config)) for name in config.strategies]
     for fixture in range(config.repetitions):
@@ -335,11 +330,9 @@ def _run_sweep_flb(config: ExperimentConfig) -> Report:
             report.rows.extend([_strategy_row(
                 config, replace(result, f_lb=f_lb), fixture=fixture, path_length=config.chain_nodes,
             ) for result, (_, f_lb) in zip(results, points)])
-    return report
 
 
-def _run_sweep_resolution(config: ExperimentConfig) -> Report:
-    report = Report(config=config)
+def _run_sweep_resolution(config: ExperimentConfig, _: None, report: Report) -> None:
     path = _draw_chain(config, np.random.default_rng([config.seed, 2]), config.chain_nodes)
     for size in config.grid_sizes:
         grid = FidelityGrid.uniform(size)
@@ -361,24 +354,20 @@ def _run_sweep_resolution(config: ExperimentConfig) -> Report:
                         server_time_s=build_s if config.record_timings else None,
                     )
                 )
-    return report
 
 
-def _time_percentiles(report: Report) -> Report:
-    """``report`` with, when timings are recorded, the 1st, 50th and 99th
+def _time_percentiles(report: Report) -> None:
+    """Give ``report``, when timings are recorded, the 1st, 50th and 99th
     percentiles of each time column over its rows as its aggregates."""
     if report.config.record_timings:
         for column in TIME_COLUMNS:
             times = [row[column] for row in report.rows]
             report.aggregates[column] = (
                 {f"p{q}": float(np.percentile(times, q)) for q in (1, 50, 99)} if times else {})
-    return report
 
 
-def _run_scale_path(config: ExperimentConfig) -> Report:
-    report = Report(config=config)
+def _run_scale_path(config: ExperimentConfig, grid: FidelityGrid, report: Report) -> None:
     rng = np.random.default_rng([config.seed, 3])
-    grid = FidelityGrid.uniform(config.grid_size)
     for length in config.scale_path_lengths:
         path = _draw_chain(config, rng, length, name=f"p{length}_")
         with _instance(report, f"scale-path length {length}"):
@@ -387,12 +376,10 @@ def _run_scale_path(config: ExperimentConfig) -> Report:
                 config, result, path_length=length, builder="pruned",
                 vertices=result.stats.num_vertices, edges=result.stats.num_edges,
             ))
-    return _time_percentiles(report)
+    _time_percentiles(report)
 
 
-def _run_scale_network(config: ExperimentConfig) -> Report:
-    report = Report(config=config)
-    grid = FidelityGrid.uniform(config.grid_size)
+def _run_scale_network(config: ExperimentConfig, grid: FidelityGrid, report: Report) -> None:
     for size in config.network_sizes:
         topo = _gabriel(config, size)
         rng = np.random.default_rng([config.seed, 4, size])
@@ -419,20 +406,18 @@ def _run_scale_network(config: ExperimentConfig) -> Report:
                         server_time_s=refresh_s, solver_time_s=result.solver_time_s,
                         grid_size=config.grid_size, f_lb=None, purify_model=config.purify_model,
                     ), fixture=size, s=s, d=d))
-    return _time_percentiles(report)
+    _time_percentiles(report)
 
 
-def _run_intro_toy(config: ExperimentConfig) -> Report:
+def _run_intro_toy(config: ExperimentConfig, grid: FidelityGrid, report: Report) -> None:
     """Equal-link chain solved under three objectives.
 
     The three rows answer "what should this network maximize": raw rate
     (fidelity bound just above the grid floor), end fidelity (bound at
     0.95), or aggregate capacity.
     """
-    report = Report(config=config)
     noise = replace(config.noise, f0=INTRO_TOY_F0)
     path = _chain([INTRO_TOY_LINK_KM] * INTRO_TOY_LINKS, noise.f0, name="t")
-    grid = FidelityGrid.uniform(config.grid_size)
     objectives = (
         ("max-egr", "rate-lp", INTRO_TOY_MIN_FID_LB),
         ("max-fidelity", "rate-lp", INTRO_TOY_MAX_FID_LB),
@@ -446,11 +431,12 @@ def _run_intro_toy(config: ExperimentConfig) -> Report:
                     config, result, fixture=label, path_length=INTRO_TOY_LINKS + 1
                 )
             )
-    return report
 
 
 # each kind, its runner and the settings it reads, noise by its fields; every
-# kind reads kind and record_timings, and each that draws its links, _DRAWS
+# kind reads kind and record_timings, and each that draws its links, _DRAWS.
+# A runner fills the report ``run_experiment`` hands it, on the grid of
+# grid_size when it reads that setting
 _DRAWS = {"seed", "distance_range_km", "p1", "p2", "eta", "f0", "purify_model"}
 RUNNERS = {
     # all strategies over sampled node pairs grouped by shortest-path node count
@@ -483,4 +469,10 @@ def settings_read(kind: str, topology_path: str | None) -> tuple[str, set[str]]:
 
 
 def run_experiment(config: ExperimentConfig) -> Report:
-    return RUNNERS[config.kind][0](config)
+    """Run ``config``'s kind, on the grid of ``config.grid_size`` if it reads
+    that, and return its report."""
+    runner, reads = RUNNERS[config.kind]
+    grid = FidelityGrid.uniform(config.grid_size) if "grid_size" in reads else None
+    report = Report(config=config)
+    runner(config, grid, report)
+    return report

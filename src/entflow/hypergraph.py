@@ -392,6 +392,14 @@ def _edge_block(op: str, input0: np.ndarray, output: np.ndarray, **fields) -> di
     return {name: np.broadcast_to(value, len(input0)) for name, value in values.items()}
 
 
+def _on_grid_links(path: Path, grid: FidelityGrid) -> tuple[list[int], dict[str, float]]:
+    """Each link's f0 bucket (-1 below the grid), and by key, in link order,
+    the generation limit of each link on the grid: a link whose f0 lies
+    below the grid generates nothing."""
+    k0 = [grid.round_down_index(phys.f0) for phys in path.edges]
+    return k0, {phys.key: link_egr(phys) for phys, k in zip(path.edges, k0) if k >= 0}
+
+
 def build_standard_hypergraph(
     path: Path,
     grid: FidelityGrid,
@@ -420,11 +428,9 @@ def build_standard_hypergraph(
     vertices = (np.r_[0, 0, left], np.r_[m - 1, m - 1, right],  # source and sink first
                 [0.0, 0.0, *grid.values * len(pairs)])
 
-    k0 = [grid.round_down_index(phys.f0) for phys in path.edges]
-    linked = [t for t in range(m - 1) if k0[t] >= 0]  # f0 below the grid generates nothing
-    link_limits = {path.edges[t].key: link_egr(path.edges[t]) for t in linked}
-    starts = _edge_block("start", np.full(len(linked), SOURCE),
-                         [base[(t, t + 1)] + k0[t] for t in linked],
+    k0, link_limits = _on_grid_links(path, grid)
+    starts = _edge_block("start", np.full(len(link_limits), SOURCE),
+                         [base[(t, t + 1)] + k for t, k in enumerate(k0) if k >= 0],
                          rate_bound=list(link_limits.values()))
 
     _, swap_idx = _swap_table(grid, noise)
@@ -613,8 +619,7 @@ def build_pruned_hypergraph(
     """
     BUILD_COUNTER.tick()
     m, vals, nf, g = path.num_nodes, grid.as_array(), grid.resolution, gate_factor(noise)
-    k0 = [grid.round_down_index(phys.f0) for phys in path.edges]
-    link_limits = {phys.key: link_egr(phys) for phys, k in zip(path.edges, k0) if k >= 0}
+    k0, link_limits = _on_grid_links(path, grid)
 
     # the table as columns: per vertex its exact fidelity, source and sink
     # first; per edge but the ends its rate, op and inputs, edge e making

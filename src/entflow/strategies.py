@@ -39,6 +39,7 @@ from .hypergraph import (
     FidelityGrid,
     Hypergraph,
     HypergraphStats,
+    _on_grid_links,
     _span_pairs,
     _span_swaps,
     _span_winners,
@@ -150,19 +151,19 @@ def _lp_strategy(
 
 
 def _pump_chain(b: int, grid: FidelityGrid, noise: NoiseParams,
-                purify_model: str) -> list[tuple[int, float, float, float]]:
+                purify_model: str) -> list[tuple[int, float, float]]:
     """Pumping chain of base bucket ``b``, one row per depth (0 is the base
-    state itself) until the grid stalls: (bucket, c, denom, prefix).
+    state itself) until the grid stalls: (bucket, c, prefix).
 
     Pumping round t consumes the round t-1 state plus an equal rate of
     fresh base states, crediting ``PURIFY_CREDIT`` times the success-weighted
     rate. For a base production rate B split optimally, depth T delivers
     B * c_T / (1 + sum_{t<T} c_t) with c_t the product of the per-round
     factors ``PURIFY_CREDIT`` p (c_0 = 1, every later one at most
-    ``PURIFY_CREDIT``); denom is that 1 + sum and prefix the sum.
+    ``PURIFY_CREDIT``); prefix is that sum.
     """
     vals = grid.values  # grid values need no check
-    rows = [(b, 1.0, 1.0, 0.0)]  # which those formulas leave as it is
+    rows = [(b, 1.0, 0.0)]  # which those formulas leave as it is
     cur, c, prefix = b, 1.0, 1.0
     for _ in range(_MAX_PUMP_ROUNDS):
         f_new, p, clamped = purify_map(vals[cur], vals[b], noise, purify_model)
@@ -172,7 +173,7 @@ def _pump_chain(b: int, grid: FidelityGrid, noise: NoiseParams,
         if kn <= cur:
             break
         c *= PURIFY_CREDIT * p
-        rows.append((kn, c, 1.0 + prefix, prefix))
+        rows.append((kn, c, prefix))
         prefix, cur = prefix + c, kn
     return rows
 
@@ -193,16 +194,16 @@ def _pumped(path: Path, grid: FidelityGrid, noise: NoiseParams, purify_model: st
     """
     check_purify_model(purify_model)
     m, nf, vals, g = path.num_nodes, grid.resolution, grid.as_array(), gate_factor(noise)
-    k0 = np.array([grid.round_down_index(phys.f0) for phys in path.edges], np.int64)
-    chains = [np.zeros(0, np.int64), *np.zeros((3, 0))]  # every chain's bucket, c, denom, prefix
+    k0, link_limits = _on_grid_links(path, grid)
+    chains = [np.zeros(0, np.int64), *np.zeros((2, 0))]  # every chain's bucket, c, prefix
     start, size = np.zeros(nf, np.int64), np.zeros(nf, np.int64)  # each base bucket's rows
     pool = [np.zeros(0, np.int64), *np.zeros((3, 0))]  # bucket, rate, swaps, purs per state
     slot = {}  # finished pair -> (start, size) of its states in pool, in insertion order
     for span in range(1, m):
         bucket, rate, swaps, purs = pool
-        if span == 1:  # per link its base state; f0 below the grid generates nothing
-            owner = np.flatnonzero(k0 >= 0)
-            bucket, rate = k0[owner], np.array([link_egr(path.edges[t]) for t in owner.tolist()])
+        if span == 1:  # per link on the grid its base state
+            owner = np.flatnonzero(np.array(k0) >= 0)
+            bucket, rate = np.array(k0)[owner], np.array([*link_limits.values()])
             swaps = purs = np.zeros(len(owner))
         else:  # every swap of two finished states, on their grid values
             owner, left, right, _, bucket = _span_swaps(m, span, slot, vals[bucket], g, vals)
@@ -216,7 +217,8 @@ def _pumped(path: Path, grid: FidelityGrid, noise: NoiseParams, purify_model: st
         if rows:
             chains = [np.concatenate([a, column]) for a, column in zip(chains, zip(*rows))]
         cand, row, _ = _span_pairs(start[bucket], size[bucket], bucket, np.ones_like(bucket))
-        kb, c, denom, prefix = (column[row] for column in chains)
+        kb, c, prefix = (column[row] for column in chains)
+        denom = 1.0 + prefix
         rate = rate[cand] * c / denom
         consumed = denom / c  # base states per delivered pair
         swaps, purs = swaps[cand] * consumed, purs[cand] * consumed + prefix / c

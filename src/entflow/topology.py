@@ -406,7 +406,8 @@ def _dijkstra(
             continue
         settled.add(tail)
         for nb, w in adj[tail]:
-            if nb in settled or nb in banned_nodes or nb in nodes or (tail, nb) in banned_edges:
+            # each node of ``nodes`` is settled, so no path revisits a node
+            if nb in settled or nb in banned_nodes or (tail, nb) in banned_edges:
                 continue
             heapq.heappush(heap, (dist + w, nodes + (nb,)))
     return None
