@@ -14,7 +14,7 @@ hypergraph (a ``RateLP``) from its edge table (``Hypergraph.columns``),
 and every problem formulated from the hypergraph shares it. Scheme
 extraction reads the same table, for the edges with positive rate only.
 
-Every solve runs HiGHS (Huangfu & Hall 2018), driven through scipy's
+A solve runs HiGHS (Huangfu & Hall 2018), driven through scipy's
 private bindings (``scipy.optimize._highspy._core``), checked once at
 import: a missing module, class or method raises ``ImportError`` naming
 it. A deterministic dense tableau simplex (``method="simplex"``) is kept
@@ -39,13 +39,13 @@ leads to the sink, and the rows they touch. Every other edge is zero in
 some optimum, so the rates of the full problem are the live rates with
 exact zeros elsewhere (the classic presolve reduction of Andersen &
 Andersen 1995, done once per hypergraph instead of once per solve). Only
-the live part is assembled with the rhs and row names; a HiGHS solve
-sets costs, bounds and the forced mask on the live columns only and
-checks its answer, zero elsewhere by construction, on the live rows. The
-full ``matrix`` is built on its first read, by the interchange format,
-the tableau or the check of an answer with rate off the live columns.
-HiGHS runs at a dual feasibility tolerance of 1e-10: at the 1e-7
-default, lattice LPs whose link prices are tiny (one delivered pair
+the live part is assembled with the rhs and row names, and both backends
+solve it: costs and the forced mask are set on the live columns, and the
+answer, zero elsewhere by construction, is checked on the live rows; an
+answer with rate off them is refused. The full ``matrix`` is built on
+its first read, by ``LPProblem.matrix``, ``rows`` and the interchange
+format only. HiGHS runs at a dual feasibility tolerance of 1e-10: at the
+1e-7 default, lattice LPs whose link prices are tiny (one delivered pair
 costing about 1e6 swaps) stopped up to 1.4e-3 below the optimum. A
 hypergraph solve is then certified from HiGHS's row prices
 (``_check_optimality``). The objective is the optimum's; the rates are
@@ -60,6 +60,7 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 import scipy
@@ -170,8 +171,9 @@ class LPProblem:
             raise LPError("objective length disagrees with variable count")
         if not len(rows) == len(rhs) == len(row_names):
             raise LPError("row data lengths disagree")
-        self._base = RateLP(num_vars, rhs, tuple(row_names), _rows_matrix(rows, num_vars),
-                            np.arange(num_vars), np.arange(len(rhs)))
+        self._base = RateLP(num_vars, rhs, tuple(row_names),
+                            _rows_matrix(rows, num_vars, row_names), np.arange(num_vars),
+                            np.arange(len(rhs)))
         self._validate()
 
     @classmethod
@@ -194,6 +196,10 @@ class LPProblem:
                 raise LPError(f"row {row}: variable r_{var} outside [0, {n})")
             what = "NaN" if np.isnan(coef) else "infinite"
             raise LPError(f"row {row}: coefficient {coef!r} of r_{var} is {what}")
+        wrong = _wrong_types(self.forced_zero, Integral)
+        if wrong:
+            entry = min(repr(i) for i in self.forced_zero if type(i) in wrong)
+            raise LPError(f"forced_zero entry {entry} is not an integer")
         outside = sorted(i for i in self.forced_zero if not 0 <= i < n)
         if outside:
             raise LPError(f"forced_zero index {outside[0]} outside [0, {n})")
@@ -232,13 +238,31 @@ class LPProblem:
         return [terms[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
 
 
-def _rows_matrix(rows: list[list[tuple[int, float]]], num_vars: int) -> sp.csr_matrix:
-    """CSR matrix with the terms of each row in the given order."""
+def _wrong_types(values, kind: type) -> set[type]:
+    """The types among ``values`` that are not ``kind``, a boolean being no
+    number; each distinct type is tested once."""
+    return {t for t in set(map(type, values)) if issubclass(t, bool) or not issubclass(t, kind)}
+
+
+def _rows_matrix(rows: list[list[tuple[int, float]]], num_vars: int,
+                 row_names: list[str]) -> sp.csr_matrix:
+    """CSR matrix with the terms of each row in the given order. A variable
+    that is not an integer, or a coefficient that is not a real number,
+    raises ``LPError`` naming its row and its place in the row."""
     indptr = np.zeros(len(rows) + 1, np.int64)
     np.cumsum([len(row) for row in rows], out=indptr[1:])
     terms = [term for row in rows for term in row]
-    indices = np.fromiter((var for var, _ in terms), np.int64, len(terms))
-    data = np.fromiter((coef for _, coef in terms), np.float64, len(terms))
+    variables, coefs = [var for var, _ in terms], [coef for _, coef in terms]
+    for values, kind, what in ((variables, Integral, "variable {!r} is not an integer"),
+                               (coefs, Real, "coefficient {!r} is not a real number")):
+        wrong = _wrong_types(values, kind)
+        if wrong:
+            k = next(k for k, value in enumerate(values) if type(value) in wrong)
+            row = int(np.searchsorted(indptr, k, side="right")) - 1
+            raise LPError(f"row {row_names[row]}: term {k - int(indptr[row])}: "
+                          + what.format(values[k]))
+    indices = np.fromiter(variables, np.int64, len(terms))
+    data = np.fromiter(coefs, np.float64, len(terms))
     return sp.csr_matrix((data, indices, indptr), shape=(len(rows), num_vars))
 
 
@@ -260,9 +284,9 @@ class RateLP:
     per hypergraph (``Hypergraph.rate_lp``), it lives and dies with it.
 
     It names its ``live`` columns and the rows they touch (``live_rows``),
-    whose submatrix ``part`` alone makes the HiGHS model and checks an
-    answer zero off the live columns, and the certificate's transposes of
-    ``part`` and ``abs(part)`` (``part_t``, ``abs_part_t``). A hypergraph's
+    whose submatrix ``part`` alone is solved, by either backend, and checks
+    an answer (zero off the live columns), and the certificate's transposes
+    of ``part`` and ``abs(part)`` (``part_t``, ``abs_part_t``). A hypergraph's
     part also has ``rate_cap``, a bound on every feasible rate; ``matrix``
     is built from ``table`` on first read; ``ends`` holds the end edges,
     their input fidelities and capacity coefficients, for ``formulate_lp``.
@@ -627,27 +651,20 @@ def _forced_mask(problem: LPProblem) -> np.ndarray:
     return forced
 
 
-def _problem_matrices(problem: LPProblem) -> tuple[np.ndarray, sp.csr_matrix]:
-    """Objective and canonical CSR matrix with forced-zero variables dropped."""
-    a, forced = problem.matrix, _forced_mask(problem)
-    keep = ~forced[a.indices]
-    kept = np.concatenate([[0], np.cumsum(keep)])
-    mat = sp.csr_matrix((a.data[keep], a.indices[keep], kept[a.indptr]), shape=a.shape)
-    mat.sum_duplicates()
-    return np.where(forced, 0.0, problem.objective), mat
-
-
 def solve_lp(problem: LPProblem, method: str = "highs") -> LPSolution:
     """Solve deterministically: an optimal ``LPSolution``, or an error. Verifies
     feasibility of the answer, and the optimality of a HiGHS answer on a
     hypergraph; a problem with no variables is checked like any other.
 
     ``method``: ``highs``, the default, or ``simplex``, the built-in dense
-    tableau, kept to cross-check HiGHS on small problems. HiGHS runs
+    tableau, kept to cross-check HiGHS on small problems. Both solve the
+    live part (``RateLP.part``), the tableau without the forced columns
+    (cost 0, no terms: they never enter); the whole matrix is built only
+    for ``LPProblem.matrix``, ``rows`` and ``export_lp``. HiGHS runs
     primal simplex, then dual simplex if the checks refuse the primal
     answer; the iteration count covers both runs. The objective value is
-    a dot product over every column, whose summation order the live part
-    does not change.
+    a dot product over every column (the tableau's with forced entries
+    zeroed), whose summation order the live part does not change.
     """
     if method not in ("highs", "simplex"):
         raise LPError(f"unknown method {method!r}")
@@ -659,32 +676,32 @@ def solve_lp(problem: LPProblem, method: str = "highs") -> LPSolution:
     bad = np.flatnonzero(~np.isfinite(problem.rhs))
     if len(bad):
         raise LPError(f"row {problem.row_names[int(bad[0])]}: rhs is not finite")
-    forced = _forced_mask(problem)
-    if method == "simplex":
-        c, a = _problem_matrices(problem)
-        x, obj, iters = _simplex_maximize(c, a.toarray(), problem.rhs)
-        x[forced] = 0.0
-        _check_solution(problem, x)
-        return LPSolution(obj, x, iters, method)
-
-    base = problem._base
+    base, forced = problem._base, _forced_mask(problem)
     fixed = forced[base.live]
-    cost, upper = np.where(fixed, 0.0, problem.objective[base.live]), np.where(fixed, 0.0, np.inf)
+    cost = np.where(fixed, 0.0, problem.objective[base.live])
+    if method == "simplex":
+        kept, x_live = ~fixed, np.zeros(len(base.live))
+        x_live[kept], _, steps = _simplex_maximize(cost[kept], base.part.toarray()[:, kept],
+                                                   base.rhs[base.live_rows])
+        runs, objective = [(x_live, None, steps)], np.where(forced, 0.0, problem.objective)
+    else:
+        upper, objective = np.where(fixed, 0.0, np.inf), problem.objective
+        # lazily: the dual run is made only when the checks refuse the primal answer
+        runs = (base.solve_highs(-cost, upper, s) for s in (PRIMAL_SIMPLEX, DUAL_SIMPLEX))
     iters = 0
-    for strategy in (PRIMAL_SIMPLEX, DUAL_SIMPLEX):
-        x_live, y, run_iters = base.solve_highs(-cost, upper, strategy)
+    for x_live, y, run_iters in runs:
         iters += run_iters
         x = np.zeros(problem.num_vars)
         x[base.live] = np.where(fixed, 0.0, x_live)
-        obj = float(problem.objective @ x)
+        obj = float(objective @ x)
         try:
             _check_solution(problem, x)
-            _check_optimality(problem, fixed, cost, obj, y)
-            break
-        except LPSolveError:
-            if strategy == DUAL_SIMPLEX:
-                raise
-    return LPSolution(obj, x, iters, method)
+            if y is not None:
+                _check_optimality(problem, fixed, cost, obj, y)
+            return LPSolution(obj, x, iters, method)
+        except LPSolveError as exc:
+            refusal = exc
+    raise refusal
 
 
 def _check_solution(problem: LPProblem, x: np.ndarray) -> None:
@@ -694,16 +711,19 @@ def _check_solution(problem: LPProblem, x: np.ndarray) -> None:
     bad = np.flatnonzero(x < -RATE_EPS)
     if len(bad):
         raise LPSolveError(f"negative rate {float(x[bad[0]]):.3e} for r_{bad[0]} in solution")
+    base, rhs = problem._base, problem.rhs
+    if np.count_nonzero(x[base.live]) != np.count_nonzero(x):
+        off = x.copy()
+        off[base.live] = 0.0
+        j = int(np.flatnonzero(off)[0])
+        raise LPSolveError(f"rate {float(x[j])!r} for r_{j} in solution, an edge that can "
+                           "carry no flow to the sink")
     if not problem.num_rows:
         return
-    base, rhs = problem._base, problem.rhs
     # an x zero off the live columns gives every other row lhs exactly 0 <= rhs,
     # and each live row the full product's lhs, less only its terms a * 0.0 (a
     # row-built problem's live part is its whole matrix)
-    if np.count_nonzero(x[base.live]) == np.count_nonzero(x):
-        rows, lhs = base.live_rows, base.part @ x[base.live]
-    else:
-        rows, lhs = np.arange(len(rhs)), problem.matrix @ x
+    rows, lhs = base.live_rows, base.part @ x[base.live]
     violated = lhs > rhs[rows] + FEAS_TOL * max(1.0, float(np.max(np.abs(rhs))))
     if violated.any():
         i = int(np.argmax(np.where(violated, lhs - rhs[rows], -np.inf)))

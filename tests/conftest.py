@@ -7,6 +7,8 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from entflow.hypergraph import (
@@ -18,8 +20,13 @@ from entflow.hypergraph import (
     build_standard_hypergraph,
     synthesize_multipath,
 )
+from entflow.lp import LPProblem, _forced_mask
 from entflow.physics import DEFAULT_NOISE, PURIFY_MODELS
 from entflow.topology import Edge, Path, Topology
+
+# CI keeps no example database, so a failing property prints the
+# @reproduce_failure blob that replays it: pytest --hypothesis-profile=ci
+settings.register_profile("ci", print_blob=True)
 
 
 def make_chain(lengths_km, f0: float = 0.98, r_local: float = 12000.0,
@@ -50,6 +57,16 @@ def dead_link_build():
     grid = FidelityGrid(tuple(float(x) for x in np.linspace(0.9, 1.0, 20)))
     return build_pruned_hypergraph(Topology(nodes, edges).path_from_nodes(nodes), grid,
                                    DEFAULT_NOISE)
+
+
+def _problem_matrices(problem: LPProblem) -> tuple[np.ndarray, sp.csr_matrix]:
+    """Objective and canonical CSR matrix with forced-zero variables dropped."""
+    a, forced = problem.matrix, _forced_mask(problem)
+    keep = ~forced[a.indices]
+    kept = np.concatenate([[0], np.cumsum(keep)])
+    mat = sp.csr_matrix((a.data[keep], a.indices[keep], kept[a.indptr]), shape=a.shape)
+    mat.sum_duplicates()
+    return np.where(forced, 0.0, problem.objective), mat
 
 
 def doc_column(doc: dict, name: str) -> np.ndarray:

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeWarning, linprog
 
-from conftest import make_chain, make_topology
+from conftest import _problem_matrices, make_chain, make_topology
 from entflow import lp
 from entflow.hypergraph import (
     OP_CODE,
@@ -37,7 +37,6 @@ from entflow.lp import (
     LPProblem,
     LPSolveError,
     RateLP,
-    _problem_matrices,
     export_lp,
     extract_scheme,
     formulate_lp,

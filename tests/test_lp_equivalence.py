@@ -12,7 +12,14 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import doc_column, edge_records, make_chain, make_topology, set_doc_column
+from conftest import (
+    _problem_matrices,
+    doc_column,
+    edge_records,
+    make_chain,
+    make_topology,
+    set_doc_column,
+)
 from entflow.capacity import EnsembleSpec, ensemble_capacity
 from entflow.hypergraph import (
     OP_CODE,
@@ -33,7 +40,6 @@ from entflow.lp import (
     LPSolveError,
     ProtocolFlow,
     _check_solution,
-    _problem_matrices,
     export_lp,
     extract_scheme,
     formulate_lp,

@@ -58,6 +58,20 @@ REFUSALS = {
                      "row data lengths disagree"),
     "lp-row-count": (lambda: LPProblem(1, [1.0], [[(0, 1.0)], []], [1.0], ["a"]), LPError,
                      "row data lengths disagree"),
+    "lp-forced-zero-bool": (lambda: LPProblem(2, [1.0, 1.0], [], [], [], frozenset({True})),
+                            LPError, "forced_zero entry True is not an integer"),
+    "lp-forced-zero-float": (lambda: LPProblem(2, [1.0, 1.0], [], [], [], frozenset({1.0})),
+                             LPError, "forced_zero entry 1.0 is not an integer"),
+    "lp-term-float-variable": (lambda: LPProblem(2, [1.0, 1.0], [[(1.5, 1.0)]], [1.0], ["a"]),
+                               LPError, "row a: term 0: variable 1.5 is not an integer"),
+    "lp-term-bool-variable": (
+        lambda: LPProblem(2, [1.0, 1.0], [[(0, 1.0)], [(0, 1.0), (True, 1.0)]], [1.0, 1.0],
+                          ["a", "b"]),
+        LPError, "row b: term 1: variable True is not an integer"),
+    "lp-term-string-coefficient": (lambda: LPProblem(1, [1.0], [[(0, "2")]], [1.0], ["a"]),
+                                   LPError, "row a: term 0: coefficient '2' is not a real number"),
+    "lp-term-bool-coefficient": (lambda: LPProblem(1, [1.0], [[(0, False)]], [1.0], ["a"]),
+                                 LPError, "row a: term 0: coefficient False is not a real number"),
     "lp-negative-rhs-simplex": (
         lambda: solve_lp(LPProblem(1, [1.0], [[(0, 1.0)]], [-1.0], ["a"]), "simplex"),
         LPError, "tableau simplex requires nonnegative rhs"),
@@ -87,6 +101,15 @@ REFUSALS = {
 def test_a_refusal_names_what_it_refuses(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_numpy_integer_and_float_scalars_are_read_as_their_values():
+    plain = LPProblem(2, [1.0, 1.0], [[(0, 1.0), (1, 2)]], [1.0], ["a"], frozenset({1}))
+    terms = [(np.int32(0), np.float32(1.0)), (np.uint8(1), np.int64(2))]
+    scalars = LPProblem(2, [1.0, 1.0], [terms], [1.0], ["a"], frozenset({np.int64(1)}))
+    assert scalars.rows == plain.rows and scalars.forced_zero == plain.forced_zero
+    got, want = solve_lp(scalars), solve_lp(plain)
+    assert (got.objective_value, got.rates.tolist()) == (want.objective_value, want.rates.tolist())
 
 
 @pytest.mark.parametrize("nodes", [(), ("a",)])

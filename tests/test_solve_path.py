@@ -7,7 +7,10 @@ infinite upper bound and the forced ones 0, run ``RateLP.solve_highs``,
 take the objective, then zero the forced rates in place. The simplex
 reference drops the forced columns from the matrix the same way. The
 one-mask solve must give the same rates, objective, iteration count
-and method bit for bit, with forced rates of exactly 0.0.
+and method bit for bit, with forced rates of exactly 0.0. On a
+hypergraph the tableau solves only the live part, so on a standard
+lattice, where most columns are dead, it may pivot less often than the
+whole-matrix reference, never more.
 """
 
 import numpy as np
@@ -17,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_chain
-from entflow.hypergraph import FidelityGrid, build_pruned_hypergraph
+from entflow.hypergraph import FidelityGrid, build_pruned_hypergraph, build_standard_hypergraph
 from entflow.lp import LPError, LPProblem, _simplex_maximize, formulate_lp, solve_lp
 from entflow.physics import DEFAULT_NOISE, PURIFY_MODELS
 
@@ -99,6 +102,32 @@ def test_pruned_chain_solves_match_the_reference(lengths_km, size, model, f_lb):
                                  DEFAULT_NOISE, model)
     _assert_identical_solves(formulate_lp(hg, "ensemble-capacity"))
     _assert_identical_solves(formulate_lp(hg, "end-rate", f_lb))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([build_pruned_hypergraph, build_standard_hypergraph]),
+    st.lists(st.floats(min_value=10.0, max_value=120.0), min_size=1, max_size=4),
+    st.floats(min_value=0.85, max_value=0.99),
+    st.integers(min_value=2, max_value=8),
+    st.sampled_from(PURIFY_MODELS),
+    st.one_of(st.none(), st.floats(min_value=0.5, max_value=1.0)),
+)
+def test_the_tableau_on_the_live_part_matches_the_whole_matrix(build, lengths_km, f0, size,
+                                                                model, f_lb):
+    hg = build(make_chain(lengths_km, f0=f0), FidelityGrid.uniform(size), DEFAULT_NOISE, model)
+    problem = (formulate_lp(hg, "ensemble-capacity") if f_lb is None
+               else formulate_lp(hg, "end-rate", f_lb))
+    got = solve_lp(problem, method="simplex")
+    assert hg.rate_lp._matrix is None  # the solve read only the live part
+    dead = np.ones(problem.num_vars, bool)
+    dead[hg.rate_lp.live] = False
+    assert got.rates[dead].tobytes() == np.zeros(int(dead.sum())).tobytes()
+    want = _ref_simplex(problem)
+    assert np.float64(got.objective_value).tobytes() == np.float64(want[0]).tobytes()
+    assert got.rates.tobytes() == want[1].tobytes()
+    assert got.iterations <= want[2]
+    assert got.method == want[3]
 
 
 @settings(max_examples=60, deadline=None)
