@@ -45,6 +45,7 @@ from .physics import (
     _check_fidelity,
     check_int,
     check_purify_model,
+    check_real,
     dejmps,
     gate_factor,
     purify,
@@ -191,9 +192,7 @@ class Hypergraph:
         purify_model: str,
     ) -> None:
         check_purify_model(purify_model)
-        for key, limit in link_limits.items():
-            if not (math.isfinite(limit) and limit > 0.0):
-                raise HypergraphError(f"link {key!r}: limit {limit!r} is not finite and positive")
+        _check_table(columns, link_limits)
         self.columns = columns
         self.grid = grid
         self.noise = noise
@@ -201,8 +200,6 @@ class Hypergraph:
         self.link_keys = tuple(sorted(self.link_limits))  # what the derived link indexes
         self.builder = builder
         self.purify_model = purify_model
-        _check_columns(columns)
-        _check_references(columns)
         self.endpoints = columns.pair(SOURCE)
         self.p_succ, self.capacity_coeff, self.link = _derived(
             columns, self.link_keys, noise, purify_model)
@@ -297,9 +294,20 @@ def _derived(cols: HypergraphColumns, link_keys: tuple, noise: NoiseParams,
     return p_succ, capacity_coeff, link
 
 
-def _check_columns(cols: HypergraphColumns) -> None:
-    """Reject columns no builder emits, before anything indexes by them; an
-    error names the rule and the first entry that breaks it."""
+def _check_table(cols: HypergraphColumns, link_limits: dict) -> None:
+    """Reject link limits and a table no builder makes, before anything
+    indexes by them: each limit is a finite positive real number, then the
+    columns are checked, then each edge's references. An error names the rule
+    and the first entry that breaks it, an edge by its stored columns.
+
+    Every builder numbers its table topologically: with the sink ranked last
+    (as the vertex count n), each input of an edge ranks below its output, so 0, 2, ..., n - 1,
+    1 is a topological order and the table has no cycle. This rank rule is the
+    whole cycle check, so a table numbered another way is refused."""
+    for key, limit in link_limits.items():
+        if not (math.isfinite(check_real(limit, f"link {key!r}: limit", HypergraphError))
+                and limit > 0.0):
+            raise HypergraphError(f"link {key!r}: limit {limit!r} is not finite and positive")
     for names, ref in ((_EDGE_DTYPES, "op"), (("u", "v"), "exact_fidelity")):
         for name in names:
             if len(getattr(cols, name)) != len(getattr(cols, ref)):
@@ -337,23 +345,12 @@ def _check_columns(cols: HypergraphColumns) -> None:
             raise HypergraphError(f"nodes[{k}] {name!r} " + (
                 f"is not above {cols.nodes[k - 1]!r}: names must be strictly increasing"
                 if used[k] else "is on no vertex"))
-
-
-def _check_references(cols: HypergraphColumns) -> None:
-    """Reject what no builder emits: a vertex index outside the vertices, an
-    input not numbered below its output and a negative or infinite rate
-    bound. An error names the first such edge by its stored columns.
-
-    Every builder numbers its table topologically: with the sink ranked last
-    (as n), each input of an edge ranks below its output, so 0, 2, ..., n - 1,
-    1 is a topological order and the table has no cycle. This rank rule is the
-    whole cycle check, so a table numbered another way is refused."""
-    n = len(cols.exact_fidelity)
-    two = (cols.op == OP_CODE["swap"]) | (cols.op == OP_CODE["purify"])
+    nv = len(f)
+    two = (op == OP_CODE["swap"]) | (op == OP_CODE["purify"])
     vertices = (cols.input0, np.where(two, cols.input1, 0), cols.output)
-    in0, in1, out = (np.where(v == SINK, n, v) for v in vertices)  # their ranks
+    in0, in1, out = (np.where(x == SINK, nv, x) for x in vertices)  # their ranks
     bad = {  # what no builder emits -> the edges that have it
-        f"vertex outside [0, {n})": np.logical_or.reduce([(v < 0) | (v >= n) for v in vertices]),
+        f"vertex outside [0, {nv})": np.logical_or.reduce([(x < 0) | (x >= nv) for x in vertices]),
         "input not numbered below its output (out of topological order, or contains a cycle)":
             (in0 >= out) | (in1 >= out),
         "negative or infinite rate_bound": (cols.rate_bound < 0.0) | (cols.rate_bound == math.inf),

@@ -19,10 +19,11 @@ private bindings (``scipy.optimize._highspy._core``), checked once at
 import: a missing module, class or method raises ``ImportError`` naming
 it. A deterministic dense tableau simplex (``method="simplex"``) is kept
 to cross-check it on small problems. Every problem owns one ``RateLP``:
-a problem formulated from a hypergraph shares ``hg.rate_lp``, and one
-built from row lists or parsed text builds its own, whose live part is
-all of it. A ``RateLP`` compiles one HiGHS model (a ``HighsLp``) on its
-first HiGHS solve and keeps it, behind a lock. Each solving thread keeps
+one formulated from a hypergraph shares ``hg.rate_lp``, checked with the
+hypergraph; one built from row lists or parsed text checks its arguments
+once, when made, and builds its own, all live. No solve re-checks them. A
+``RateLP`` compiles one HiGHS model (a ``HighsLp``) on its first HiGHS
+solve and keeps it, behind a lock. Each solving thread keeps
 one HiGHS solver. A solve resets the solver's options and sets them
 again, loads the model into it, which discards the last basis and
 solution, sets the nonzero costs, gives the forced-zero variables an
@@ -68,7 +69,7 @@ import scipy.sparse as sp
 
 from .capacity import EnsembleSpec, ensemble_capacity
 from .hypergraph import OP_CODE, OP_NAMES, SINK, Hypergraph, HypergraphColumns
-from .physics import PURIFY_CREDIT, check_real
+from .physics import PURIFY_CREDIT, check_int, check_real
 
 OBJECTIVE_KINDS = ("ensemble-capacity", "end-rate")
 
@@ -151,8 +152,10 @@ class LPProblem:
     a list of ``(variable, coefficient)`` terms, kept in the given order.
     The ``rows`` attribute is a view derived from the matrix.
     Forced-zero variables keep their terms; the solve drops them. The
-    matrix, rhs and row names live in the problem's ``RateLP``, built
-    once here and checked, or shared from a hypergraph by ``formulate_lp``.
+    matrix, rhs and row names live in the problem's ``RateLP``, built here,
+    where every argument is checked once (``LPError`` names the first bad
+    entry), or shared by ``formulate_lp`` from a hypergraph, checked when
+    made. A solve re-checks neither.
     """
 
     def __init__(
@@ -164,17 +167,61 @@ class LPProblem:
         row_names: list[str],
         forced_zero: frozenset[int] = frozenset(),
     ) -> None:
-        self.objective = np.asarray(objective, dtype=float)
-        self.forced_zero = forced_zero
-        rhs = np.asarray(rhs, dtype=float)
-        if len(self.objective) != num_vars:
+        n = check_int(num_vars, "num_vars", LPError)
+        if len(objective) != n:
             raise LPError("objective length disagrees with variable count")
         if not len(rows) == len(rhs) == len(row_names):
             raise LPError("row data lengths disagree")
-        self._base = RateLP(num_vars, rhs, tuple(row_names),
-                            _rows_matrix(rows, num_vars, row_names), np.arange(num_vars),
-                            np.arange(len(rhs)))
-        self._validate()
+        indptr = np.zeros(len(rows) + 1, np.int64)
+        np.cumsum([len(row) for row in rows], out=indptr[1:])
+        terms = [term for row in rows for term in row]
+        variables, coefs = [var for var, _ in terms], [coef for _, coef in terms]
+
+        def row(k: int) -> int:  # the row that holds term k
+            return int(np.searchsorted(indptr, k, side="right")) - 1
+
+        def term(k: int) -> str:
+            return f"row {row_names[row(k)]}: term {k - indptr[row(k)]}"
+
+        for values, kind, subject in (  # each entry's type, before any conversion
+            (row_names, str, lambda i, name: f"row_names entry {i}: {name!r}"),
+            (objective, Real, lambda j, c: f"objective coefficient of r_{j} {c!r}"),
+            (rhs, Real, lambda i, b: f"row {row_names[i]}: rhs {b!r}"),
+            (variables, Integral, lambda k, var: f"{term(k)}: variable {var!r}"),
+            (coefs, Real, lambda k, c: f"{term(k)}: coefficient {c!r}"),
+        ):
+            first = _first_wrong(values, kind)
+            if first:
+                raise LPError(f"{subject(*first)} is not {_KIND_NAMES[kind]}")
+        objective, rhs = np.asarray(objective, dtype=float), np.asarray(rhs, dtype=float)
+        data = np.fromiter(coefs, np.float64, len(terms))
+        bad = ~np.isfinite(data)
+        if terms and not (0 <= min(variables) and max(variables) < n):  # before any conversion
+            bad |= np.fromiter((not 0 <= var < n for var in variables), bool, len(terms))
+        for k in np.flatnonzero(bad)[:1]:  # the first bad term, if any
+            where, var = f"row {row_names[row(k)]}", int(variables[k])
+            if not 0 <= var < n:
+                raise LPError(f"{where}: variable r_{var} outside [0, {n})")
+            what = "NaN" if np.isnan(data[k]) else "infinite"
+            raise LPError(f"{where}: coefficient {float(data[k])!r} of r_{var} is {what}")
+        wrong = _wrong_types(forced_zero, Integral)
+        if wrong:
+            entry = min(repr(i) for i in forced_zero if type(i) in wrong)
+            raise LPError(f"forced_zero entry {entry} is not an integer")
+        outside = sorted(i for i in forced_zero if not 0 <= i < n)
+        if outside:
+            raise LPError(f"forced_zero index {outside[0]} outside [0, {n})")
+        # HiGHS would read an infinite cost or rhs as a special value, and the
+        # tableau would carry it into its answer
+        for test, what in ((np.isnan, "NaN"), (np.isinf, "not finite")):
+            for j in np.flatnonzero(test(objective))[:1]:
+                raise LPError(f"objective coefficient of r_{j} is {what}")
+            for i in np.flatnonzero(test(rhs))[:1]:
+                raise LPError(f"row {row_names[i]}: rhs is {what}")
+        matrix = sp.csr_matrix((data, np.fromiter(variables, np.int64, len(terms)), indptr),
+                               shape=(len(rows), n))
+        self.objective, self.forced_zero = objective, forced_zero
+        self._base = RateLP(n, rhs, tuple(row_names), matrix, np.arange(n), np.arange(len(rhs)))
 
     @classmethod
     def _sharing(
@@ -184,31 +231,6 @@ class LPProblem:
         problem = cls.__new__(cls)
         problem._base, problem.objective, problem.forced_zero = base, objective, forced_zero
         return problem
-
-    def _validate(self) -> None:
-        a, n = self.matrix, self.num_vars
-        bad = np.flatnonzero((a.indices < 0) | (a.indices >= n) | ~np.isfinite(a.data))
-        if len(bad):
-            k = int(bad[0])
-            row = self.row_names[int(np.searchsorted(a.indptr, k, side="right")) - 1]
-            var, coef = int(a.indices[k]), float(a.data[k])
-            if not 0 <= var < n:
-                raise LPError(f"row {row}: variable r_{var} outside [0, {n})")
-            what = "NaN" if np.isnan(coef) else "infinite"
-            raise LPError(f"row {row}: coefficient {coef!r} of r_{var} is {what}")
-        wrong = _wrong_types(self.forced_zero, Integral)
-        if wrong:
-            entry = min(repr(i) for i in self.forced_zero if type(i) in wrong)
-            raise LPError(f"forced_zero entry {entry} is not an integer")
-        outside = sorted(i for i in self.forced_zero if not 0 <= i < n)
-        if outside:
-            raise LPError(f"forced_zero index {outside[0]} outside [0, {n})")
-        nan_obj = np.flatnonzero(np.isnan(self.objective))
-        if len(nan_obj):
-            raise LPError(f"objective coefficient of r_{int(nan_obj[0])} is NaN")
-        nan_rhs = np.flatnonzero(np.isnan(self.rhs))
-        if len(nan_rhs):
-            raise LPError(f"row {self.row_names[int(nan_rhs[0])]}: rhs is NaN")
 
     @property
     def matrix(self) -> sp.csr_matrix:
@@ -238,32 +260,22 @@ class LPProblem:
         return [terms[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
 
 
+_KIND_NAMES = {str: "a string", Real: "a real number", Integral: "an integer"}
+
+
 def _wrong_types(values, kind: type) -> set[type]:
     """The types among ``values`` that are not ``kind``, a boolean being no
     number; each distinct type is tested once."""
     return {t for t in set(map(type, values)) if issubclass(t, bool) or not issubclass(t, kind)}
 
 
-def _rows_matrix(rows: list[list[tuple[int, float]]], num_vars: int,
-                 row_names: list[str]) -> sp.csr_matrix:
-    """CSR matrix with the terms of each row in the given order. A variable
-    that is not an integer, or a coefficient that is not a real number,
-    raises ``LPError`` naming its row and its place in the row."""
-    indptr = np.zeros(len(rows) + 1, np.int64)
-    np.cumsum([len(row) for row in rows], out=indptr[1:])
-    terms = [term for row in rows for term in row]
-    variables, coefs = [var for var, _ in terms], [coef for _, coef in terms]
-    for values, kind, what in ((variables, Integral, "variable {!r} is not an integer"),
-                               (coefs, Real, "coefficient {!r} is not a real number")):
-        wrong = _wrong_types(values, kind)
-        if wrong:
-            k = next(k for k, value in enumerate(values) if type(value) in wrong)
-            row = int(np.searchsorted(indptr, k, side="right")) - 1
-            raise LPError(f"row {row_names[row]}: term {k - int(indptr[row])}: "
-                          + what.format(values[k]))
-    indices = np.fromiter(variables, np.int64, len(terms))
-    data = np.fromiter(coefs, np.float64, len(terms))
-    return sp.csr_matrix((data, indices, indptr), shape=(len(rows), num_vars))
+def _first_wrong(values, kind: type) -> tuple | None:
+    """(place, value) of the first of ``values`` of a ``_wrong_types`` type, or
+    None; a numpy array whose dtype is a ``kind`` is not read entry by entry."""
+    if isinstance(values, np.ndarray) and issubclass(values.dtype.type, kind):
+        return None
+    wrong = _wrong_types(values, kind)
+    return next((kv for kv in enumerate(values) if type(kv[1]) in wrong), None) if wrong else None
 
 
 @dataclass(frozen=True)
@@ -652,9 +664,11 @@ def _forced_mask(problem: LPProblem) -> np.ndarray:
 
 
 def solve_lp(problem: LPProblem, method: str = "highs") -> LPSolution:
-    """Solve deterministically: an optimal ``LPSolution``, or an error. Verifies
-    feasibility of the answer, and the optimality of a HiGHS answer on a
-    hypergraph; a problem with no variables is checked like any other.
+    """Solve deterministically: an optimal ``LPSolution``, or an error. Only
+    ``method`` and the tableau's nonnegative rhs are checked before a
+    backend runs (the problem was checked when made); then the answer's
+    feasibility, and the optimality of a HiGHS answer on a hypergraph. A
+    problem with no variables is checked like any other.
 
     ``method``: ``highs``, the default, or ``simplex``, the built-in dense
     tableau, kept to cross-check HiGHS on small problems. Both solve the
@@ -668,14 +682,6 @@ def solve_lp(problem: LPProblem, method: str = "highs") -> LPSolution:
     """
     if method not in ("highs", "simplex"):
         raise LPError(f"unknown method {method!r}")
-    # HiGHS would read an infinite cost or rhs as a special value, and the
-    # tableau would carry it into its answer, not raise
-    bad = np.flatnonzero(~np.isfinite(problem.objective))
-    if len(bad):
-        raise LPError(f"objective coefficient of r_{int(bad[0])} is not finite")
-    bad = np.flatnonzero(~np.isfinite(problem.rhs))
-    if len(bad):
-        raise LPError(f"row {problem.row_names[int(bad[0])]}: rhs is not finite")
     base, forced = problem._base, _forced_mask(problem)
     fixed = forced[base.live]
     cost = np.where(fixed, 0.0, problem.objective[base.live])
@@ -777,8 +783,13 @@ def export_lp(problem: LPProblem) -> str:
     to`` section with one named row per line (terms joined by `` + ``,
     coefficients possibly negative), an optional ``bounds`` section
     listing only variables fixed to zero (all others are >= 0), and a
-    closing ``end``. Variables are named ``r_<index>``.
+    closing ``end``. Variables are named ``r_<index>``. A row name that
+    ``str.strip`` or ``str.splitlines`` would change cannot be read back,
+    so it is refused with ``LPError`` naming the row's index.
     """
+    for i, name in enumerate(problem.row_names):
+        if name.strip() != name or "".join(name.splitlines()) != name:
+            raise LPError(f"row {i}: name {name!r} cannot be written: it would not read back")
     lines = ["maximize"]
     terms = [
         f"{_fmt(coef)} r_{i}" for i, coef in enumerate(problem.objective) if coef != 0.0
@@ -853,10 +864,11 @@ def parse_lp(text: str) -> LPProblem:
             i += 1
             continue
         if section == "rows":
-            if ":" not in stripped or "<=" not in stripped:
+            # no term holds a colon or "<=", so a row name may hold either
+            head, sep, limit = stripped.rpartition("<=")
+            name, colon, body = head.rpartition(":")
+            if not (sep and colon):
                 raise LPError(f"cannot parse constraint line {stripped!r}")
-            name, rest = stripped.split(":", 1)
-            body, limit = rest.rsplit("<=", 1)
             terms = _parse_terms(body, f"row {name}", len(text))
             rows.append(terms)
             try:

@@ -179,13 +179,13 @@ _CHECK_S = 0.05  # the time each patched hypergraph check sleeps
 @pytest.fixture
 def slow_checks(monkeypatch):
     """Every hypergraph made takes at least ``_CHECK_S`` longer to check."""
-    check = hypergraph._check_references
+    check = hypergraph._check_table
 
     def slow(*args):
         time.sleep(_CHECK_S)
         check(*args)
 
-    monkeypatch.setattr(hypergraph, "_check_references", slow)
+    monkeypatch.setattr(hypergraph, "_check_table", slow)
 
 
 @pytest.mark.parametrize("name", _ON_HYPERGRAPHS)

@@ -247,17 +247,14 @@ def test_every_end_edge_forced_to_zero(backend):
 
 
 def test_infinite_objective_coefficient_is_rejected(backend):
-    problem = _problem(2, [1.0, np.inf], [[(0, 1.0), (1, 1.0)]], [1.0], ["cap"])
-    for method in ("highs", "simplex"):  # the same refusal from either solver
-        with pytest.raises(LPError, match="^objective coefficient of r_1 is not finite$"):
-            solve_lp(problem, method=method)
+    # refused when the problem is made, so neither solver sees it
+    with pytest.raises(LPError, match="^objective coefficient of r_1 is not finite$"):
+        _problem(2, [1.0, np.inf], [[(0, 1.0), (1, 1.0)]], [1.0], ["cap"])
 
 
 def test_infinite_rhs_is_rejected(backend):
-    problem = _problem(1, [1.0], [[(0, 1.0)], [(0, 2.0)]], [1.0, np.inf], ["a", "b"])
-    for method in ("highs", "simplex"):
-        with pytest.raises(LPError, match="^row b: rhs is not finite$"):
-            solve_lp(problem, method=method)
+    with pytest.raises(LPError, match="^row b: rhs is not finite$"):
+        _problem(1, [1.0], [[(0, 1.0)], [(0, 2.0)]], [1.0, np.inf], ["a", "b"])
 
 
 def test_no_variables(backend):

@@ -32,7 +32,7 @@ from entflow.hypergraph import (
     Hypergraph,
     HypergraphColumns,
     HypergraphError,
-    _check_references,
+    _check_table,
     best_dp_estimate,
     build_pruned_hypergraph,
     build_standard_hypergraph,
@@ -251,7 +251,7 @@ def test_acyclic_short_path_agrees_with_the_component_search(table):
         nodes=("a", "b"), u=np.zeros(n, np.int32), v=np.ones(n, np.int32),
         exact_fidelity=np.zeros(n))
     try:
-        _check_references(cols)
+        _check_table(cols, {})
         refused = False
     except HypergraphError as exc:
         assert late and str(exc).startswith(f"edge {late[0]}: ")

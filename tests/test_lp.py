@@ -22,7 +22,7 @@ from entflow.lp import (
     solve_lp,
 )
 from entflow.physics import DEFAULT_NOISE, PURIFY_MODELS
-from entflow.topology import link_egr
+from entflow.topology import Edge, Topology, link_egr
 
 
 def _problem(num_vars, objective, rows, rhs, names, **kw):
@@ -256,6 +256,22 @@ def test_the_oracles_mixture_lp_round_trips_through_the_text(monkeypatch):
     assert len(problems) == 2
     for problem in problems:
         _assert_round_trips(problem)
+
+
+@pytest.mark.parametrize("build", [build_standard_hypergraph, build_pruned_hypergraph])
+def test_a_row_name_with_a_colon_round_trips_through_the_text(build):
+    # a node named x:1 gives the link rows l_a|x:1 and l_x:1|y; the reader
+    # used to end each row name at its first colon and refuse the rest as a term
+    nodes = ["a", "x:1", "y"]
+    edges = [Edge(u, v, length_km=40.0, f0=0.97) for u, v in zip(nodes, nodes[1:])]
+    hg = build(Topology(nodes, edges).path_from_nodes(nodes), FidelityGrid.uniform(10),
+               DEFAULT_NOISE)
+    for problem in (formulate_lp(hg, "ensemble-capacity"), formulate_lp(hg, "end-rate", 0.8)):
+        assert {"l_a|x:1", "l_x:1|y"} <= set(problem.row_names)
+        _assert_round_trips(problem)
+        objective = solve_lp(problem).objective_value
+        assert solve_lp(parse_lp(export_lp(problem))).objective_value == objective > 0.0
+    assert bool(problem.forced_zero) == (build is build_standard_hypergraph)
 
 
 def test_extract_scheme_contents():

@@ -3,26 +3,30 @@ type and its whole message; and the rules each stated once: a path has at
 least two nodes, a solve answers or raises, and ``f_lb`` is a real number."""
 
 import json
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_chain
 from entflow.capacity import pair_capacity_bounds
 from entflow.cli import main
 from entflow.experiments import ExperimentConfig
-from entflow.hypergraph import FidelityGrid, HypergraphError, build_pruned_hypergraph
+from entflow.hypergraph import FidelityGrid, Hypergraph, HypergraphError, build_pruned_hypergraph
 from entflow.lp import (
     LPError,
     LPProblem,
     LPSolveError,
     _simplex_maximize,
+    export_lp,
     formulate_lp,
     parse_lp,
     solve_lp,
 )
-from entflow.orchestrator import PlannerConfig
+from entflow.orchestrator import CacheError, PlannerConfig, load_cache, outer_loop_update, save_cache
 from entflow.physics import DEFAULT_NOISE, chain_swap_fidelity
 from entflow.strategies import (
     OracleBoundsError,
@@ -42,6 +46,27 @@ from entflow.topology import (
 _AB, _BC = Edge("a", "b", 10.0), Edge("b", "c", 10.0)
 _TOPOLOGY = Topology(["a", "b", "c"], [_AB, _BC])
 _BAD_BOUNDS = "maximize\n obj: 1.0 r_0\nsubject to\n a: 1.0 r_0 <= 1.0\nbounds\n r_0 >= 0\nend\n"
+
+
+def _one_row(objective=1.0, variable=0, rhs=1.0, name="a", num_vars=1) -> LPProblem:
+    """The problem max objective r_0, r_variable <= rhs (row ``name``)."""
+    return LPProblem(num_vars, [objective], [[(variable, 1.0)]], [rhs], [name])
+
+
+def _hypergraph_with_limit(limit) -> Hypergraph:
+    """A hypergraph read from a document whose link n0|n1 has limit ``limit``."""
+    doc = build_pruned_hypergraph(make_chain([50.0, 60.0]), FidelityGrid.uniform(8),
+                                  DEFAULT_NOISE).to_json()
+    doc["link_limits"]["n0|n1"] = limit
+    return Hypergraph.from_json(json.loads(json.dumps(doc)))
+
+
+def _cache_with_limit(limit):
+    """A cache read from a document whose first entry's link a|b has limit ``limit``."""
+    cache = outer_loop_update(_TOPOLOGY, [("a", "c")], PlannerConfig(grid=FidelityGrid.uniform(8)))
+    doc = json.loads(save_cache(cache))
+    doc["entries"][0]["hypergraph"]["link_limits"]["a|b"] = limit
+    return load_cache(json.dumps(doc))
 
 # id -> (call, error type, whole message)
 REFUSALS = {
@@ -72,6 +97,27 @@ REFUSALS = {
                                    LPError, "row a: term 0: coefficient '2' is not a real number"),
     "lp-term-bool-coefficient": (lambda: LPProblem(1, [1.0], [[(0, False)]], [1.0], ["a"]),
                                  LPError, "row a: term 0: coefficient False is not a real number"),
+    "lp-num-vars-bool": (lambda: _one_row(num_vars=True), LPError,
+                         "num_vars must be an integer, got True"),
+    "lp-objective-string": (lambda: _one_row(objective="2"), LPError,
+                            "objective coefficient of r_0 '2' is not a real number"),
+    "lp-objective-bool": (lambda: _one_row(objective=True), LPError,
+                          "objective coefficient of r_0 True is not a real number"),
+    "lp-objective-none": (lambda: _one_row(objective=None), LPError,
+                          "objective coefficient of r_0 None is not a real number"),
+    "lp-objective-not-a-number": (lambda: _one_row(objective="abc"), LPError,
+                                  "objective coefficient of r_0 'abc' is not a real number"),
+    "lp-rhs-bool": (lambda: _one_row(rhs=True), LPError, "row a: rhs True is not a real number"),
+    "lp-row-name-int": (lambda: _one_row(name=5), LPError,
+                        "row_names entry 0: 5 is not a string"),
+    "lp-term-variable-2**64": (lambda: _one_row(variable=2**64), LPError,
+                               f"row a: variable r_{2**64} outside [0, 1)"),
+    "lp-term-variable--2**64": (lambda: _one_row(variable=-2**64), LPError,
+                                f"row a: variable r_{-2**64} outside [0, 1)"),
+    "lp-text-name-line-break": (lambda: export_lp(_one_row(name="a\nb")), LPError,
+                                "row 0: name 'a\\nb' cannot be written: it would not read back"),
+    "lp-text-name-space": (lambda: export_lp(_one_row(name="a ")), LPError,
+                           "row 0: name 'a ' cannot be written: it would not read back"),
     "lp-negative-rhs-simplex": (
         lambda: solve_lp(LPProblem(1, [1.0], [[(0, 1.0)]], [-1.0], ["a"]), "simplex"),
         LPError, "tableau simplex requires nonnegative rhs"),
@@ -80,6 +126,16 @@ REFUSALS = {
         LPSolveError, "built-in solver: problem is unbounded"),
     "lp-text-bounds-line": (lambda: parse_lp(_BAD_BOUNDS), LPError,
                             "cannot parse bounds line 'r_0 >= 0'"),
+    "hypergraph-limit-true": (lambda: _hypergraph_with_limit(True), HypergraphError,
+                              "link 'n0|n1': limit must be a real number, got True"),
+    "hypergraph-limit-string": (lambda: _hypergraph_with_limit("5"), HypergraphError,
+                                "link 'n0|n1': limit must be a real number, got '5'"),
+    "cache-limit-true": (lambda: _cache_with_limit(True), CacheError,
+                         "corrupt cache document: entry ('a', 'c'): link 'a|b': limit must be "
+                         "a real number, got True"),
+    "cache-limit-string": (lambda: _cache_with_limit("5"), CacheError,
+                           "corrupt cache document: entry ('a', 'c'): link 'a|b': limit must be "
+                           "a real number, got '5'"),
     "physics-no-fidelity": (lambda: chain_swap_fidelity([]), ValueError,
                             "need at least one input fidelity"),
     "rate-dp-f-lb-range": (lambda: run_rate_dp(make_chain([50.0]), FidelityGrid.uniform(8), 1.5),
@@ -110,6 +166,90 @@ def test_numpy_integer_and_float_scalars_are_read_as_their_values():
     assert scalars.rows == plain.rows and scalars.forced_zero == plain.forced_zero
     got, want = solve_lp(scalars), solve_lp(plain)
     assert (got.objective_value, got.rates.tolist()) == (want.objective_value, want.rates.tolist())
+
+
+@st.composite
+def _row_problems(draw) -> tuple:
+    """The arguments of a problem built from rows, every entry valid."""
+    n = draw(st.integers(1, 4))
+    number = st.one_of(st.floats(-10.0, 10.0), st.integers(-10, 10))
+    rows = draw(st.lists(st.lists(st.tuples(st.integers(0, n - 1), number), max_size=4),
+                         max_size=4))
+    m = len(rows)
+    return (n, draw(st.lists(number, min_size=n, max_size=n)), rows,
+            draw(st.lists(number, min_size=m, max_size=m)),
+            draw(st.lists(st.text(max_size=3), min_size=m, max_size=m)),
+            draw(st.frozensets(st.integers(0, n - 1))))
+
+
+_NOT_REAL = ["2", "abc", True, None, math.nan, math.inf, -math.inf]
+# per argument, entries it refuses (a forced_zero entry is added)
+_BAD_ENTRIES = {
+    "objective": _NOT_REAL, "rhs": _NOT_REAL, "coefficient": _NOT_REAL,
+    "variable": [1.5, True, "0", None, -1, 4, 2**64, -2**64],
+    "row_names": [5, None, b"a", 1.5],
+    "forced_zero": [True, 1.5, "0", None, -1, 4],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_problems(), st.data())
+def test_a_bad_entry_is_refused_when_the_problem_is_made_naming_its_argument(args, data):
+    n, objective, rows, rhs, names, forced = args
+    rows = [list(row) for row in rows]
+    targets = ["objective", "forced_zero", *(["rhs", "row_names"] if rows else ()),
+               *(["variable", "coefficient"] if any(rows) else ())]
+    target = data.draw(st.sampled_from(targets))
+    bad = data.draw(st.sampled_from(_BAD_ENTRIES[target]))
+    if bad == 4:
+        bad = n  # the first variable index out of range
+    if target == "objective":
+        j = data.draw(st.integers(0, n - 1))
+        objective = [*objective[:j], bad, *objective[j + 1:]]
+        named = f"objective coefficient of r_{j} "
+    elif target == "forced_zero":
+        forced = (forced - {bad}) | {bad}  # True replaces 1
+        named = "forced_zero "
+    elif target in ("rhs", "row_names"):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        if target == "rhs":
+            rhs = [*rhs[:i], bad, *rhs[i + 1:]]
+            named = f"row {names[i]}: rhs "
+        else:
+            names = [*names[:i], bad, *names[i + 1:]]
+            named = f"row_names entry {i}: "
+    else:
+        i = data.draw(st.sampled_from([i for i, row in enumerate(rows) if row]))
+        t = data.draw(st.integers(0, len(rows[i]) - 1))
+        var, coef = rows[i][t]
+        rows[i][t] = (bad, coef) if target == "variable" else (var, bad)
+        named = f"row {names[i]}: "
+    with pytest.raises(LPError) as info:
+        LPProblem(n, objective, rows, rhs, names, forced)
+    message = str(info.value)
+    assert message.startswith(named), (target, message)
+    if target in ("variable", "coefficient"):
+        assert target in message.removeprefix(named)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_row_problems(), st.sampled_from(["highs", "simplex", "bogus"]))
+def test_a_solve_refuses_no_input_of_a_problem_that_was_made(args, method):
+    # a solve checks its answer; of its input only the method name and, for
+    # the tableau, a nonnegative rhs
+    problem = LPProblem(*args)
+    try:
+        solve_lp(problem, method)
+    except LPSolveError:
+        pass
+    except LPError as exc:
+        if method == "bogus":
+            assert str(exc) == "unknown method 'bogus'"
+        else:
+            assert str(exc) == "tableau simplex requires nonnegative rhs" and method == "simplex"
+            assert min(args[3]) < 0
+    else:
+        assert method != "bogus"
 
 
 @pytest.mark.parametrize("nodes", [(), ("a",)])
