@@ -17,7 +17,9 @@ grid size, its largest grid of 6 values. Exit codes: 0 success, 2
 configuration error, 3 completed with skipped instances. Exit 2 follows
 an empty list option, a count or --seed ``ExperimentConfig`` refuses,
 --f-lb outside (0.5, 1), an oracle --grid-size above 6 or --max-ensembles
-below 1, and a run option its kind does not read (``experiments.RUNNERS``).
+below 1, a run option its kind does not read (``experiments.RUNNERS``),
+and --f0 on cache build or oracle, which read each link's f0 from their
+topology file.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ EXIT_CONFIG = 2
 EXIT_INSTANCE_FAILURES = 3
 
 _NOISE_FIELDS = tuple(f.name for f in fields(NoiseParams))
+# every command with --grid-size takes these; f0 is each link's, which cache build
+# and the oracle read from their topology file, so only run takes --f0
+_GATE_FIELDS = tuple(name for name in _NOISE_FIELDS if name != "f0")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,7 +104,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid-size", type=int)
     parser.add_argument("--purify-model", choices=PURIFY_MODELS)
     parser.add_argument("--out")
-    for name in _NOISE_FIELDS:
+    for name in _GATE_FIELDS:
         parser.add_argument(f"--{name}", type=float)
 
 
@@ -140,6 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int)
     run.add_argument("--f-lb", type=float)
     _add_common_flags(run)
+    run.add_argument("--f0", type=float)
     parser.run_flags = {a.dest: a.option_strings[0] for a in run._actions if a.option_strings}
 
     cache = sub.add_parser("cache", help="two-loop planner cache operations")
@@ -210,7 +216,7 @@ def _cmd_cache(given: dict, parser: argparse.ArgumentParser) -> tuple[str, int]:
         demands = [_parse_demand(part) for part in given.pop("demands").split(";") if part]
         if "grid_size" in given:
             given["grid"] = FidelityGrid.uniform(given.pop("grid_size"))
-        noise = NoiseParams(**_take(given, _NOISE_FIELDS))
+        noise = NoiseParams(**_take(given, _GATE_FIELDS))
         cache = outer_loop_update(topo, demands, PlannerConfig(**given, noise=noise))
         return save_cache(cache) + "\n", EXIT_OK
     with open(given["cache"]) as fh:
@@ -238,7 +244,7 @@ def _cmd_oracle(given: dict, parser: argparse.ArgumentParser) -> tuple[str | Non
         print(f"no path between {s} and {d}", file=sys.stderr)
         return None, EXIT_CONFIG
     grid = FidelityGrid.uniform(given.pop("grid_size"))
-    noise = NoiseParams(**_take(given, _NOISE_FIELDS))
+    noise = NoiseParams(**_take(given, _GATE_FIELDS))
     doc = brute_force_oracle(paths[0], grid, noise, **given).to_json()
     return json.dumps(_untimed(doc, timed)) + "\n", EXIT_OK
 

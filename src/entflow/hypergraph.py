@@ -296,15 +296,18 @@ def _derived(cols: HypergraphColumns, link_keys: tuple, noise: NoiseParams,
 
 def _check_table(cols: HypergraphColumns, link_limits: dict) -> None:
     """Reject link limits and a table no builder makes, before anything
-    indexes by them: each limit is a finite positive real number, then the
-    columns are checked, then each edge's references. An error names the rule
-    and the first entry that breaks it, an edge by its stored columns.
+    indexes by them: each key is a string and each limit a finite positive
+    real number, then the columns are checked, then each edge's references.
+    An error names the rule and the first entry that breaks it, an edge by
+    its stored columns.
 
     Every builder numbers its table topologically: with the sink ranked last
     (as the vertex count n), each input of an edge ranks below its output, so 0, 2, ..., n - 1,
     1 is a topological order and the table has no cycle. This rank rule is the
     whole cycle check, so a table numbered another way is refused."""
     for key, limit in link_limits.items():
+        if type(key) is not str:  # before sorted() meets a key it cannot compare
+            raise HypergraphError(f"link limit key {key!r} is not a string")
         if not (math.isfinite(check_real(limit, f"link {key!r}: limit", HypergraphError))
                 and limit > 0.0):
             raise HypergraphError(f"link {key!r}: limit {limit!r} is not finite and positive")

@@ -184,15 +184,18 @@ class LPProblem:
             return f"row {row_names[row(k)]}: term {k - indptr[row(k)]}"
 
         for values, kind, subject in (  # each entry's type, before any conversion
-            (row_names, str, lambda i, name: f"row_names entry {i}: {name!r}"),
-            (objective, Real, lambda j, c: f"objective coefficient of r_{j} {c!r}"),
-            (rhs, Real, lambda i, b: f"row {row_names[i]}: rhs {b!r}"),
-            (variables, Integral, lambda k, var: f"{term(k)}: variable {var!r}"),
-            (coefs, Real, lambda k, c: f"{term(k)}: coefficient {c!r}"),
+            (row_names, str, lambda i: f"row_names entry {i}:"),
+            (objective, Real, lambda j: f"objective coefficient of r_{j}"),
+            (rhs, Real, lambda i: f"row {row_names[i]}: rhs"),
+            (variables, Integral, lambda k: f"{term(k)}: variable"),
+            (coefs, Real, lambda k: f"{term(k)}: coefficient"),
         ):
             first = _first_wrong(values, kind)
             if first:
-                raise LPError(f"{subject(*first)} is not {_KIND_NAMES[kind]}")
+                raise LPError(f"{subject(first[0])} {first[1]!r} is not {_KIND_NAMES[kind]}")
+            place = _first_too_large(values) if kind is Real else None
+            if place is not None:  # not shown: an int of over 4300 digits has no repr
+                raise LPError(f"{subject(place)} is too large for a float")
         objective, rhs = np.asarray(objective, dtype=float), np.asarray(rhs, dtype=float)
         data = np.fromiter(coefs, np.float64, len(terms))
         bad = ~np.isfinite(data)
@@ -276,6 +279,21 @@ def _first_wrong(values, kind: type) -> tuple | None:
         return None
     wrong = _wrong_types(values, kind)
     return next((kv for kv in enumerate(values) if type(kv[1]) in wrong), None) if wrong else None
+
+
+def _first_too_large(values) -> int | None:
+    """The place of the first of ``values``, all real numbers, that no float
+    can hold, or None; values of float types only are not read entry by entry."""
+    if isinstance(values, np.ndarray) and issubclass(values.dtype.type, Real):
+        return None
+    if set(map(type, values)) <= {float}:
+        return None
+    for place, value in enumerate(values):
+        try:
+            float(value)
+        except OverflowError:
+            return place
+    return None
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,16 @@ PURIFY_CREDIT = 0.5
 
 def check_real(value, name: str, error: type[ValueError] = ValueError):
     """``value``, refused with ``error`` naming ``name`` unless it is a real
-    number, a boolean not included; the caller's range check refuses NaN."""
-    # float first: it skips the slow ABC check
-    if not isinstance(value, float) and (isinstance(value, bool) or not isinstance(value, Real)):
-        raise error(f"{name} must be a real number, got {value!r}")
+    number a float can hold, a boolean not included; the caller's range
+    check refuses NaN."""
+    # float first: it skips the slow ABC check and the conversion
+    if not isinstance(value, float):
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise error(f"{name} must be a real number, got {value!r}")
+        try:
+            float(value)
+        except OverflowError:  # not shown: an int of over 4300 digits has no repr
+            raise error(f"{name} is too large for a float") from None
     return value
 
 

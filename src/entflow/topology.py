@@ -155,13 +155,13 @@ def _typed(value, kind: type, what: str):
 
 
 def _number(value, what: str) -> float:
-    """``value`` as a float, refused naming ``what`` when it is not a number
-    (a boolean is not one)."""
-    try:
-        if not isinstance(value, bool):
+    """``value`` as a float, refused naming ``what`` when it is not a JSON
+    number (a boolean or a string is not one) or no float can hold it."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
             return float(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
+        except OverflowError:
+            pass
     raise TopologyParseError(f"{what}: {value!r} is not a number")
 
 
@@ -294,6 +294,11 @@ def load_gml(text: str, default_length_km: float = 1.0) -> Topology:
             continue  # Topology Zoo files may repeat parallel links
         seen.add(key)
         length = attrs.get("length", default_length_km)
+        if isinstance(length, str):  # every GML value is a string or a block
+            try:
+                length = float(length)
+            except ValueError:
+                pass  # _edge refuses it, naming the edge
         edges.append(_edge(k, {"u": u, "v": v, "length_km": length}))
     return Topology(sorted(id_to_name.values()), edges)
 

@@ -41,3 +41,16 @@ def test_report_prints_same_bytes_or_the_changed_keys():
     assert answers.report("a.json", same, (2, b"error: bad\n")) == [
         "a.json: differs", "  exit status: 0 -> 2", "  output is not JSON on both sides"]
 
+
+
+def test_commands_name_each_output_once_and_record_no_clock():
+    # one list of seeded outputs: each file is written once, every output
+    # that would hold a clock reading is asked for without it, and no
+    # command passes --f0, which only run takes
+    listed = answers.commands()
+    names = [name for name, _ in listed]
+    assert len(set(names)) == len(names)
+    for name, argv in listed:
+        assert "--f0" not in argv
+        if argv[0] in ("run", "oracle") or argv[:2] == ["cache", "solve"]:
+            assert "--no-timings" in argv, name

@@ -350,6 +350,20 @@ def test_intro_toy_refuses_f0(capsys):
     assert capsys.readouterr().err == "error: run intro-toy takes no --f0\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["cache", "build", "--topology", "topo.json", "--demands", "n0,n3"],
+    ["oracle", "--topology", "topo.json", "--demand", "n0,n3"],
+], ids=["cache-build", "oracle"])
+def test_cache_build_and_oracle_take_no_f0(argv, capsys):
+    # each reads every link's f0 from its topology file: the flag used to be
+    # taken and changed no entry or answer, only the f0 a cache's config records
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:  # argparse refuses an unknown option this way
+        main([*argv, "--f0", "0.9"])
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments: --f0 0.9\n" in capsys.readouterr().err
+
+
 def test_run_records_the_default_topology_nodes(tmp_path):
     out = tmp_path / "report.json"
     assert main(["run", "intro-toy", "--no-timings", "--grid-size", "8",

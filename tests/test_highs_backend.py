@@ -2,8 +2,9 @@
 
 ``solve_lp(method="highs")`` runs one compiled HiGHS model per
 hypergraph, on its live columns and the rows they touch. The references
-below are ``scipy.optimize.linprog`` on the objective and matrix with
-the forced-zero variables dropped: on the whole problem, or on the same
+below are ``scipy.optimize.linprog`` on the LP the solve poses: the
+problem's matrix, its objective with the forced-zero entries zeroed, and
+those columns bounded at 0. Each runs on the whole problem, or on the same
 live part at the solve's dual tolerance, both with primal simplex, which
 a solve runs first. Rates must match bit for bit, and objective and
 iteration count exactly.
@@ -18,11 +19,11 @@ import types
 import numpy as np
 import pytest
 import scipy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeWarning, linprog
 
-from conftest import _problem_matrices, make_chain, make_topology
+from conftest import make_chain, make_topology
 from entflow import lp
 from entflow.hypergraph import (
     OP_CODE,
@@ -55,10 +56,18 @@ def _linprog(*args, options=None, **kw):
         return linprog(*args, method="highs", options=options, **kw)
 
 
+def _posed(problem):
+    """The objective, with its forced-zero entries zeroed, and the bounds the
+    solve gives each column: (0, 0) on a forced-zero column, else (0, None)."""
+    forced = lp._forced_mask(problem)
+    bounds = np.where(forced[:, None], (0.0, 0.0), (0.0, np.inf))
+    return np.where(forced, 0.0, problem.objective), bounds
+
+
 def _linprog_answer(problem):
     """(objective, rates, iterations) as the linprog path gave them."""
-    c, a = _problem_matrices(problem)
-    res = _linprog(-c, A_ub=a, b_ub=problem.rhs, bounds=(0, None))
+    c, bounds = _posed(problem)
+    res = _linprog(-c, A_ub=problem.matrix, b_ub=problem.rhs, bounds=bounds)
     assert res.status == 0, res.message
     x = res.x.copy()
     x[list(problem.forced_zero)] = 0.0
@@ -69,10 +78,10 @@ def _live_answer(problem):
     """The linprog answer on the live part of a hypergraph's model, at the
     dual tolerance of the direct solve, with exact zeros off it."""
     base = problem._base
-    c, a = _problem_matrices(problem)
+    c, bounds = _posed(problem)
     tolerance = lp._HIGHS_OPTIONS["dual_feasibility_tolerance"]
-    res = _linprog(-c[base.live], A_ub=a[base.live_rows][:, base.live],
-                   b_ub=problem.rhs[base.live_rows], bounds=(0, None),
+    res = _linprog(-c[base.live], A_ub=problem.matrix[base.live_rows][:, base.live],
+                   b_ub=problem.rhs[base.live_rows], bounds=bounds[base.live],
                    options={"dual_feasibility_tolerance": tolerance})
     assert res.status == 0, res.message
     x = np.zeros(problem.num_vars)
@@ -114,6 +123,9 @@ lengths = st.lists(st.floats(min_value=20.0, max_value=150.0), min_size=1, max_s
     st.sampled_from(PURIFY_MODELS),
     st.floats(min_value=0.5, max_value=1.0),
 )
+# a reference that left the forced-zero columns unbounded, with their terms
+# dropped, stopped at another optimal vertex here, in 8 iterations against 4
+@example([20.0, 122.0, 20.0, 20.0, 26.0], 21, "ideal-dejmps", 0.90625)
 def test_pruned_chains_match_linprog(lengths_km, size, model, f_lb):
     hg = build_pruned_hypergraph(make_chain(lengths_km), FidelityGrid.uniform(size),
                                  DEFAULT_NOISE, model)

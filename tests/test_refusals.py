@@ -61,6 +61,14 @@ def _hypergraph_with_limit(limit) -> Hypergraph:
     return Hypergraph.from_json(json.loads(json.dumps(doc)))
 
 
+def _hypergraph_with_limit_key(key) -> Hypergraph:
+    """A pruned build's hypergraph, made again with one more link limit, under ``key``."""
+    hg = build_pruned_hypergraph(make_chain([50.0, 60.0]), FidelityGrid.uniform(8),
+                                 DEFAULT_NOISE)
+    return Hypergraph(hg.columns, hg.grid, hg.noise, {**hg.link_limits, key: 1.0}, hg.builder,
+                      hg.purify_model)
+
+
 def _cache_with_limit(limit):
     """A cache read from a document whose first entry's link a|b has limit ``limit``."""
     cache = outer_loop_update(_TOPOLOGY, [("a", "c")], PlannerConfig(grid=FidelityGrid.uniform(8)))
@@ -110,6 +118,13 @@ REFUSALS = {
     "lp-rhs-bool": (lambda: _one_row(rhs=True), LPError, "row a: rhs True is not a real number"),
     "lp-row-name-int": (lambda: _one_row(name=5), LPError,
                         "row_names entry 0: 5 is not a string"),
+    # an int no float holds: its repr is not shown, as past 4300 digits it raises
+    "lp-objective-10**400": (lambda: _one_row(objective=10**400), LPError,
+                             "objective coefficient of r_0 is too large for a float"),
+    "lp-rhs-10**400": (lambda: _one_row(rhs=10**400), LPError,
+                       "row a: rhs is too large for a float"),
+    "lp-term-coefficient-10**400": (lambda: LPProblem(1, [1.0], [[(0, 10**400)]], [1.0], ["a"]),
+                                    LPError, "row a: term 0: coefficient is too large for a float"),
     "lp-term-variable-2**64": (lambda: _one_row(variable=2**64), LPError,
                                f"row a: variable r_{2**64} outside [0, 1)"),
     "lp-term-variable--2**64": (lambda: _one_row(variable=-2**64), LPError,
@@ -130,12 +145,21 @@ REFUSALS = {
                               "link 'n0|n1': limit must be a real number, got True"),
     "hypergraph-limit-string": (lambda: _hypergraph_with_limit("5"), HypergraphError,
                                 "link 'n0|n1': limit must be a real number, got '5'"),
+    "hypergraph-limit-10**400": (lambda: _hypergraph_with_limit(10**400), HypergraphError,
+                                 "link 'n0|n1': limit is too large for a float"),
+    "hypergraph-limit-key-int": (lambda: _hypergraph_with_limit_key(5), HypergraphError,
+                                 "link limit key 5 is not a string"),
     "cache-limit-true": (lambda: _cache_with_limit(True), CacheError,
                          "corrupt cache document: entry ('a', 'c'): link 'a|b': limit must be "
                          "a real number, got True"),
     "cache-limit-string": (lambda: _cache_with_limit("5"), CacheError,
                            "corrupt cache document: entry ('a', 'c'): link 'a|b': limit must be "
                            "a real number, got '5'"),
+    "cache-limit-10**400": (lambda: _cache_with_limit(10**400), CacheError,
+                            "corrupt cache document: entry ('a', 'c'): link 'a|b': limit is too "
+                            "large for a float"),
+    "edge-length-10**400": (lambda: Edge("a", "b", 10**400), TopologyValidationError,
+                            "edge 'a'-'b': length_km is too large for a float"),
     "physics-no-fidelity": (lambda: chain_swap_fidelity([]), ValueError,
                             "need at least one input fidelity"),
     "rate-dp-f-lb-range": (lambda: run_rate_dp(make_chain([50.0]), FidelityGrid.uniform(8), 1.5),
@@ -182,10 +206,11 @@ def _row_problems(draw) -> tuple:
             draw(st.frozensets(st.integers(0, n - 1))))
 
 
-_NOT_REAL = ["2", "abc", True, None, math.nan, math.inf, -math.inf]
+# not a real number, or not one a float can hold
+_NOT_A_FLOAT = ["2", "abc", True, None, math.nan, math.inf, -math.inf, 10**400]
 # per argument, entries it refuses (a forced_zero entry is added)
 _BAD_ENTRIES = {
-    "objective": _NOT_REAL, "rhs": _NOT_REAL, "coefficient": _NOT_REAL,
+    "objective": _NOT_A_FLOAT, "rhs": _NOT_A_FLOAT, "coefficient": _NOT_A_FLOAT,
     "variable": [1.5, True, "0", None, -1, 4, 2**64, -2**64],
     "row_names": [5, None, b"a", 1.5],
     "forced_zero": [True, 1.5, "0", None, -1, 4],

@@ -107,9 +107,10 @@ MALFORMED = {
     "edge-a-list": (_doc([["a", "b", 10]]), TopologyParseError, "edge 0 is a list, not a dict"),
     "defaults-a-list": (_doc([], defaults=[]), TopologyParseError,
                         "defaults is a list, not a dict"),
-    "r-local-inf": (_doc([_edge(r_local="inf")]), TopologyValidationError,
+    # json.dumps writes math.inf as Infinity, which the JSON reader reads as a number
+    "r-local-inf": (_doc([_edge(r_local=math.inf)]), TopologyValidationError,
                     "edge 'a'-'b': r_local must be finite, got inf"),
-    "length-inf": (_doc([_edge(length_km="inf")]), TopologyValidationError,
+    "length-inf": (_doc([_edge(length_km=math.inf)]), TopologyValidationError,
                    "edge 'a'-'b': length_km must be finite, got inf"),
     "alpha-overflows": (_doc([_edge(alpha=1e400)]), TopologyValidationError,
                         "edge 'a'-'b': alpha_db_per_km must be finite, got inf"),
@@ -121,6 +122,13 @@ MALFORMED = {
                       "edge 0 ('a'-'b'): length_km: [1] is not a number"),
     "default-not-a-number": (_doc([], defaults={"r_local": "fast"}), TopologyParseError,
                              "defaults: r_local: 'fast' is not a number"),
+    # a string is not a JSON number, though float() would read these two
+    "length-a-string": (_doc([_edge(length_km="50")]), TopologyParseError,
+                        "edge 0 ('a'-'b'): length_km: '50' is not a number"),
+    "default-a-string": (_doc([_edge()], defaults={"f0": " 0.9 "}), TopologyParseError,
+                         "defaults: f0: ' 0.9 ' is not a number"),
+    "r-local-inf-string": (_doc([_edge(r_local="inf")]), TopologyParseError,
+                           "edge 0 ('a'-'b'): r_local: 'inf' is not a number"),
 }
 
 

@@ -5,15 +5,20 @@
 Each argument is a directory holding the ``entflow`` package, such as a
 checkout's ``src``. The tool runs one fixed list of seeded ``--no-timings``
 commands through ``python -m entflow.cli`` with each tree on ``PYTHONPATH``,
-each tree in its own temporary directory, the two trees side by side. Commands read the outputs of earlier ones (the
-generated topology, a built cache) from their own tree's directory.
+each tree in its own temporary directory, the two trees side by side.
+Commands read the outputs of earlier ones (the generated topology, a built
+cache) from their own tree's directory.
+
+``commands()`` is the one list of seeded outputs. ``python tools/answers.py
+src src`` runs it twice from one tree, so every output must be the same
+bytes in two fresh directories; a change that moves answers on purpose runs
+it on the parent's tree and its own to list what moved.
 
 For each command it prints either ``same bytes`` or each changed JSON key,
 list indices written ``[]``, with how many of its values changed and the
 largest relative change among them, from which value to which (``changed``
 for a value that is not a number, or a key only one side has). It exits 1
-when any output differs.
-It stores nothing and is not a gate: it lists what a change moved.
+when any output differs. It stores nothing.
 """
 
 from __future__ import annotations
@@ -44,6 +49,9 @@ def commands() -> list[tuple[str, list[str]]]:
         flags = ["--no-timings", "--purify-model", model]
         out += [(f"run-{kind}-{model}.json", ["run", kind, "--seed", "3", *flags])
                 for kind in RUN_KINDS]
+        out.append((f"run-benchmark-topology-{model}.json",
+                    ["run", "benchmark", "--topology", "topo.json", "--seed", "3", "--pairs", "2",
+                     "--path-lengths", "3", "--grid-size", "16", *flags]))
         out.append((f"run-intro-toy-{model}.json", ["run", "intro-toy", *flags]))
         for grid in ("20", "100"):
             cache = f"cache-{grid}-{model}.json"
@@ -51,10 +59,10 @@ def commands() -> list[tuple[str, list[str]]]:
                                 "--grid-size", grid, "--purify-model", model]))
             out.append((f"answer-{grid}-{model}.json",
                         ["cache", "solve", "--cache", cache, "--demand", "n0,n13", "--no-timings"]))
-        for k in ("1", "2"):
-            out.append((f"oracle-{k}-{model}.json",
-                        ["oracle", "--topology", "topo.json", "--demand", "n0,n3", "--grid-size",
-                         "4", "--max-ensembles", k, *flags]))
+        oracle = ["oracle", "--topology", "topo.json", "--demand", "n0,n3", "--grid-size", "4",
+                  *flags]
+        out.append((f"oracle-{model}.json", oracle))
+        out += [(f"oracle-{k}-{model}.json", [*oracle, "--max-ensembles", k]) for k in ("1", "2")]
         out.append((f"oracle-one-link-{model}.json",
                     ["oracle", "--topology", "one-link.json", "--demand", "a,b", *flags]))
     return out
