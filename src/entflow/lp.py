@@ -183,21 +183,28 @@ class LPProblem:
         def term(k: int) -> str:
             return f"row {row_names[row(k)]}: term {k - indptr[row(k)]}"
 
-        for values, kind, subject in (  # each entry's type, before any conversion
+        entries = (
             (row_names, str, lambda i: f"row_names entry {i}:"),
             (objective, Real, lambda j: f"objective coefficient of r_{j}"),
             (rhs, Real, lambda i: f"row {row_names[i]}: rhs"),
             (variables, Integral, lambda k: f"{term(k)}: variable"),
             (coefs, Real, lambda k: f"{term(k)}: coefficient"),
-        ):
+        )
+        for values, kind, subject in entries:  # each entry's type, before any conversion
             first = _first_wrong(values, kind)
             if first:
                 raise LPError(f"{subject(first[0])} {first[1]!r} is not {_KIND_NAMES[kind]}")
-            place = _first_too_large(values) if kind is Real else None
-            if place is not None:  # not shown: an int of over 4300 digits has no repr
-                raise LPError(f"{subject(place)} is too large for a float")
-        objective, rhs = np.asarray(objective, dtype=float), np.asarray(rhs, dtype=float)
-        data = np.fromiter(coefs, np.float64, len(terms))
+        try:
+            objective, rhs = np.asarray(objective, dtype=float), np.asarray(rhs, dtype=float)
+            data = np.fromiter(coefs, np.float64, len(terms))
+        except OverflowError:  # an int no float can hold: name the first
+            for values, kind, subject in entries:
+                for place, value in enumerate(values if kind is Real else ()):
+                    try:
+                        float(value)
+                    except OverflowError:  # not shown: an int of over 4300 digits has no repr
+                        raise LPError(f"{subject(place)} is too large for a float") from None
+            raise
         bad = ~np.isfinite(data)
         if terms and not (0 <= min(variables) and max(variables) < n):  # before any conversion
             bad |= np.fromiter((not 0 <= var < n for var in variables), bool, len(terms))
@@ -279,21 +286,6 @@ def _first_wrong(values, kind: type) -> tuple | None:
         return None
     wrong = _wrong_types(values, kind)
     return next((kv for kv in enumerate(values) if type(kv[1]) in wrong), None) if wrong else None
-
-
-def _first_too_large(values) -> int | None:
-    """The place of the first of ``values``, all real numbers, that no float
-    can hold, or None; values of float types only are not read entry by entry."""
-    if isinstance(values, np.ndarray) and issubclass(values.dtype.type, Real):
-        return None
-    if set(map(type, values)) <= {float}:
-        return None
-    for place, value in enumerate(values):
-        try:
-            float(value)
-        except OverflowError:
-            return place
-    return None
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,20 @@ def test_report_prints_same_bytes_or_the_changed_keys():
         "a.json: differs", "  exit status: 0 -> 2", "  output is not JSON on both sides"]
 
 
+def test_a_command_that_fails_the_same_way_in_both_trees_fails_the_tool(monkeypatch, capsys):
+    failed = (2, b"Traceback (most recent call last):\nValueError: bad\n")
+    assert answers.report("a.json", failed, failed) == [
+        "a.json: fails the same way in both trees", "  exit status: 2", "  ValueError: bad"]
+    counted = (3, b'{"failed": 1}\n')  # a report that counts failed instances passes
+    assert answers.report("a.json", counted, counted) == ["a.json: same bytes"]
+    results = {name: (0, b"{}\n") for name, _ in answers.commands()}
+    results["topo.json"] = failed
+    monkeypatch.setattr(answers, "run_tree", lambda tree, workdir: results)
+    assert answers.main(["src", "src"]) == 1
+    assert "topo.json: fails the same way in both trees" in capsys.readouterr().out
+    results["topo.json"] = (0, b"{}\n")
+    assert answers.main(["src", "src"]) == 0
+
 
 def test_commands_name_each_output_once_and_record_no_clock():
     # one list of seeded outputs: each file is written once, every output

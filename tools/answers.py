@@ -17,8 +17,11 @@ it on the parent's tree and its own to list what moved.
 For each command it prints either ``same bytes`` or each changed JSON key,
 list indices written ``[]``, with how many of its values changed and the
 largest relative change among them, from which value to which (``changed``
-for a value that is not a number, or a key only one side has). It exits 1
-when any output differs. It stores nothing.
+for a value that is not a number, or a key only one side has). A command
+that fails, exiting other than 0 or 3 (3: a report that counts failed
+instances), prints its exit status and the last line of its stderr, even
+when both trees fail the same way. It exits 1 when any output differs or
+any command fails. It stores nothing.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from numbers import Real
 MODELS = ("ideal-dejmps", "as-printed")
 RUN_KINDS = ("benchmark", "sweep-flb", "sweep-resolution", "scale-path", "scale-network")
 DEMANDS = "n0,n13;n4,n12"
+PASSED = (0, 3)  # 3: a report that counts failed instances
 # one 30 km link at f0 0.8, below the capacity's zero-crossing: at the
 # oracle's grid of 6 its answer purifies
 ONE_LINK = {"defaults": {"f0": 0.8}, "nodes": ["a", "b"],
@@ -83,7 +87,7 @@ def run_tree(tree: str, workdir: str) -> dict[str, tuple[int, bytes]]:
         if os.path.exists(path):
             with open(path, "rb") as fh:
                 output = fh.read()
-        if done.returncode not in (0, 3):  # 3: a report that counts failed instances
+        if done.returncode not in PASSED:
             output += done.stderr
         results[name] = (done.returncode, output)
     return results
@@ -136,9 +140,14 @@ def diff(a, b, key: str = "") -> dict[str, list]:
 
 
 def report(name: str, parent: tuple[int, bytes], child: tuple[int, bytes]) -> list[str]:
-    """The lines printed for one command's two results."""
+    """The lines printed for one command's two results: one line only when
+    both give the same bytes and pass."""
     if parent == child:
-        return [f"{name}: same bytes"]
+        if child[0] in PASSED:
+            return [f"{name}: same bytes"]
+        last = child[1].decode(errors="replace").strip().splitlines()[-1:]
+        return [f"{name}: fails the same way in both trees", f"  exit status: {child[0]}",
+                *(f"  {line}" for line in last)]
     lines = [f"{name}: differs"]
     if parent[0] != child[0]:
         lines.append(f"  exit status: {parent[0]} -> {child[0]}")
